@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dist
-from ._optim import search_gamma
 from .bands_single import (
     DEFAULT_REPLICATES,
     Exceedance,
@@ -28,6 +27,7 @@ from .bands_single import (
     TestReport,
     _check_alpha,
     _empirical_lower_quantile,
+    _search_steps,
 )
 from .transform import (
     ChainSet,
@@ -367,17 +367,13 @@ def gamma_simulate_multi(
     return GammaResult(gamma, attained, "simulation", meta)
 
 
-def gamma_optimize_multi(
-    n: int,
-    l: int,
-    grid: EvaluationGrid,
-    alpha: float,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> GammaResult:
+def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     """Calibrate gamma against the exactly computed multi-chain coverage.
 
-    Only available for two or three chains.
+    Only available for two or three chains.  The same exact step search
+    as ``gamma_optimize``, with breakpoints from the hypergeometric CDF
+    tables of the pooled counts; each of the l chains can leave the band
+    at each grid point, so the search starts below ``alpha / (l * K)``.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
@@ -387,8 +383,13 @@ def gamma_optimize_multi(
             "exact optimization supports 2 or 3 chains; use gamma_simulate_multi for more"
         )
     alpha = _check_alpha(alpha)
-    gamma, attained, evals = search_gamma(
-        lambda g: coverage_probability_multi(n, l, grid, g), alpha, tol, max_iter
+    s = np.unique(_pooled_counts(grid, n, l))
+    tables = [dist.hyper_cdf_table(n, (l - 1) * n, int(si)) for si in s]
+    gamma, attained, evals = _search_steps(
+        lambda g: coverage_probability_multi(n, l, grid, g),
+        np.concatenate(tables),
+        alpha,
+        alpha / (l * grid.size),
     )
     return GammaResult(gamma, attained, "optimization", {"evaluations": evals, "alpha": alpha})
 

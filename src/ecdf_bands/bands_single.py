@@ -4,8 +4,8 @@ The bands are equal-tail binomial quantile intervals at a shared
 adjustment level gamma, chosen so that the whole ECDF trajectory stays
 inside them with probability close to the nominal level.  Gamma can be
 calibrated two ways: by simulating trajectories and taking an empirical
-quantile of their tightest pointwise tail levels, or by optimizing the
-exactly computed interval-crossing probability of the trajectory.
+quantile of their tightest pointwise tail levels, or by an exact search
+over the steps of the trajectory's interval-crossing probability.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable
 import numpy as np
 
 from . import dist
-from ._optim import search_gamma
 from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
 
 __all__ = [
@@ -405,20 +404,65 @@ def gamma_simulate(
     return GammaResult(gamma, attained, "simulation", {"replicates": m, "alpha": alpha})
 
 
-def gamma_optimize(
-    n: int,
-    grid: EvaluationGrid,
-    alpha: float,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> GammaResult:
-    """Calibrate gamma by minimizing the distance between the exact
-    coverage of the bands and the nominal level."""
+def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
+    """Gamma in (0, alpha] whose coverage is closest to ``1 - alpha``.
+
+    The bands at level gamma count the CDF values F below gamma / 2 and
+    below 1 - gamma / 2, so coverage is a nonincreasing step function of
+    gamma that can only change at the breakpoints 2 * min(F, 1 - F).
+    Every gamma at or below ``floor`` covers more than ``1 - alpha`` (a
+    union bound over the checks the bands make), so the search runs over
+    the steps from the one holding ``floor`` up to alpha.  Each step is
+    evaluated strictly inside it, at the midpoint of its breakpoints or
+    at alpha for the top step, so rounding cannot put the evaluation on
+    a neighbouring step.  Bisection finds the last step whose coverage
+    reaches the target; it or the next step up is the closest, and a tie
+    goes to the smaller gamma.
+
+    Returns ``(gamma, coverage, evaluations)``.
+    """
+    target = 1.0 - alpha
+    f = np.ravel(cdf_values)
+    breaks = 2.0 * np.minimum(f, 1.0 - f)
+    start = breaks[breaks < floor].max(initial=0.0)
+    edges = np.unique(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
+    gammas = np.append((edges[:-1] + edges[1:]) / 2.0, alpha)
+    cache: dict[int, float] = {}
+
+    def coverage(i: int) -> float:
+        if i not in cache:
+            cache[i] = float(coverage_fn(float(gammas[i])))
+        return cache[i]
+
+    # invariant: step lo reaches the target, step hi (if any) does not
+    lo, hi = 0, gammas.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coverage(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    best = min(range(lo, min(lo + 2, gammas.size)), key=lambda i: (abs(coverage(i) - target), i))
+    return float(gammas[best]), coverage(best), len(cache)
+
+
+def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
+    """Calibrate gamma so that the exact coverage of the bands is as close
+    as possible to the nominal level.
+
+    The search is exact: it bisects the steps of the coverage curve,
+    whose breakpoints come from the binomial CDF tables of the grid
+    points (see ``_search_steps``).  ``meta["evaluations"]`` counts the
+    coverage evaluations it made.
+    """
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
-    gamma, attained, evals = search_gamma(
-        lambda g: coverage_probability(n, grid, g), alpha, tol, max_iter
+    gamma, attained, evals = _search_steps(
+        lambda g: coverage_probability(n, grid, g),
+        _cdf_matrix(n, _grid_key(grid)),
+        alpha,
+        alpha / grid.size,
     )
     return GammaResult(gamma, attained, "optimization", {"evaluations": evals, "alpha": alpha})
 

@@ -7,9 +7,12 @@ Subcommands: ``test`` (band test on one PIT column or several chains),
 figures).  Exit codes: 0 for a passing test, 1 for a statistical
 rejection, 2 for usage or data errors.
 
-Input files are CSV (optional header, one column per chain) or NDJSON
-with records like {"chain": 0, "value": 1.25}.  The environment
-variable ECDF_BANDS_CACHE can point at a default gamma-grid file.
+Input files are CSV (optional header, one column per chain, lines that
+start with ``#`` are comments) or NDJSON with records like
+{"chain": 0, "value": 1.25}.  A ``# resolution: S`` comment, as written
+by ``pit``, declares PIT values on the lattice of multiples of 1/S.  The
+environment variable ECDF_BANDS_CACHE can point at a default gamma-grid
+file.
 """
 
 from __future__ import annotations
@@ -78,15 +81,19 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _read_table(path: str) -> np.ndarray:
-    """Rectangular float table from CSV or NDJSON; rows kept as rows."""
+def _read_table(path: str) -> tuple[np.ndarray, int | None]:
+    """Rectangular float table from CSV or NDJSON; rows kept as rows.
+
+    Also returns the resolution a ``# resolution: S`` CSV comment
+    declares, or None.
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty input")
     if stripped[0] == "{":
-        return _parse_ndjson(text, path)
+        return _parse_ndjson(text, path), None
     return _parse_csv(text, path)
 
 
@@ -110,8 +117,20 @@ def _parse_ndjson(text: str, path: str) -> np.ndarray:
     return np.array(cols, dtype=np.float64).T
 
 
-def _parse_csv(text: str, path: str) -> np.ndarray:
-    rows = [row for row in csv.reader(text.splitlines()) if row and any(c.strip() for c in row)]
+def _parse_csv(text: str, path: str) -> tuple[np.ndarray, int | None]:
+    resolution = None
+    lines = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            lines.append(line)
+            continue
+        key, _, value = line[1:].partition(":")
+        if key.strip() == "resolution":
+            value = value.strip()
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"{path}: resolution must be a positive integer, got {value!r}")
+            resolution = int(value)
+    rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
     if not rows:
         raise ValueError(f"{path}: empty input")
     start = 0
@@ -130,12 +149,14 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
             data.append([float(c) for c in row])
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: non-numeric cell ({exc})") from exc
-    return np.array(data, dtype=np.float64)
+    return np.array(data, dtype=np.float64), resolution
 
 
-def _columns(path: str) -> np.ndarray:
-    """(L, N) array with one row per column of the input file."""
-    return _read_table(path).T
+def _columns(path: str) -> tuple[np.ndarray, int | None]:
+    """(L, N) array with one row per column of the input file, and the
+    declared PIT resolution."""
+    table, resolution = _read_table(path)
+    return table.T, resolution
 
 
 def _load_cache(explicit: str | None = None):
@@ -166,11 +187,11 @@ def _exceedance_records(exceedances) -> list[dict]:
 
 def cmd_test(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    cols = _columns(args.input)
+    cols, resolution = _columns(args.input)
     cache = _load_cache()
     if cols.shape[0] == 1:
-        values = cols[0]
-        grid = default_grid(values.size, k_max=cfg.grid_k)
+        values = PitValues(cols[0], resolution)
+        grid = default_grid(values.size, resolution, k_max=cfg.grid_k)
         rep = test_single(
             values,
             alpha=cfg.alpha,
@@ -237,11 +258,11 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_pit(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    draws = _columns(args.draws)
+    draws, _ = _columns(args.draws)
     if draws.shape[0] != 1:
         raise ValueError("draws file must have exactly one column")
     y = draws[0]
-    comp = _read_table(args.comparison)
+    comp, _ = _read_table(args.comparison)
     if comp.shape[0] == 1 and y.size > 1:
         comp = np.repeat(comp, y.size, axis=0)
     pit = empirical_pit(y, comp)
@@ -284,7 +305,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_thin(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    cs = ChainSet(_columns(args.input))
+    cs = ChainSet(_columns(args.input)[0])
     rep = ess_report(cs)
     plan = thinning_factor(rep, cs.n_chains * cs.n_draws, cfg.strategy)
     thinned = thin(cs, plan.factor)
@@ -344,16 +365,16 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    cols = _columns(args.input)
+    cols, resolution = _columns(args.input)
     cache = _load_cache()
     if args.kind == "rank_hist":
         return _plot_hist(args, cfg, cols)
     if cols.shape[0] == 1:
         rep = test_single(
-            cols[0],
+            PitValues(cols[0], resolution),
             alpha=cfg.alpha,
             method=cfg.method,
-            grid=default_grid(cols.shape[1], k_max=cfg.grid_k),
+            grid=default_grid(cols.shape[1], resolution, k_max=cfg.grid_k),
             m=cfg.m,
             seed=cfg.seed,
             threads=cfg.threads,

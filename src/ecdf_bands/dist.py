@@ -1,5 +1,5 @@
-"""Numerically robust kernels for the binomial, hypergeometric, and
-multivariate hypergeometric distributions.
+"""Numerically robust kernels for the binomial and hypergeometric
+distributions.
 
 Probability mass is evaluated in log space through a shared, cached
 log-factorial table; cumulative sums are accumulated in linear space.
@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, gammaln
 
 __all__ = [
-    "LogWeight",
-    "MHypParams",
     "binom_cdf",
     "binom_cdf_table",
     "binom_logpmf",
@@ -38,12 +35,7 @@ __all__ = [
     "hyper_support",
     "log_choose",
     "log_factorial_table",
-    "mhyper_logpmf",
-    "mhyper_pmf",
 ]
-
-LogWeight = float
-"""Natural-log probability mass; ``-inf`` encodes zero mass."""
 
 _table_lock = threading.Lock()
 _log_factorial = gammaln(np.arange(2, dtype=np.float64) + 1.0)
@@ -273,48 +265,3 @@ def hyper_quantile(q: float, succ: int, fail: int, draws: int) -> int:
         return lo
     return lo + int(np.searchsorted(cdf, q, side="left"))
 
-
-# ---------------------------------------------------------------------------
-# multivariate hypergeometric
-
-
-@dataclass(frozen=True)
-class MHypParams:
-    """Population sizes per category and the number of draws without
-    replacement."""
-
-    populations: tuple[int, ...]
-    draws: int
-
-    def __post_init__(self):
-        pops = tuple(int(p) for p in self.populations)
-        if len(pops) == 0:
-            raise ValueError("at least one population category is required")
-        if any(p < 0 for p in pops):
-            raise ValueError("population sizes must be nonnegative")
-        draws = _check_count(self.draws, "draws")
-        if draws > sum(pops):
-            raise ValueError("draws exceed the total population size")
-        object.__setattr__(self, "populations", pops)
-        object.__setattr__(self, "draws", draws)
-
-
-def mhyper_logpmf(counts, params: MHypParams) -> LogWeight:
-    """Log mass of jointly drawing ``counts`` from the categories."""
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != len(params.populations):
-        raise ValueError("counts and populations differ in length")
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be nonnegative")
-    if any(c > p for c, p in zip(counts, params.populations)):
-        raise ValueError("counts exceed their population sizes")
-    if sum(counts) != params.draws:
-        raise ValueError("counts must sum to the number of draws")
-    num = np.asarray(log_choose(np.array(params.populations), np.array(counts)))
-    den = float(log_choose(sum(params.populations), params.draws))
-    return float(num.sum() - den)
-
-
-def mhyper_pmf(counts, params: MHypParams) -> float:
-    """Mass of jointly drawing ``counts`` from the categories."""
-    return math.exp(mhyper_logpmf(counts, params))

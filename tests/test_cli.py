@@ -124,6 +124,35 @@ def test_pit_broadcasts_single_comparison_row(tmp_path, capsys):
     assert [float(v) for v in lines[2:]] == [0.25, 0.75]
 
 
+def test_pit_output_feeds_test_on_the_pit_lattice(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(30)
+    comparison = rng.standard_normal((30, 14))
+    draws = write(tmp_path / "y.csv", "\n".join(repr(float(v)) for v in y) + "\n")
+    comp = write(
+        tmp_path / "comp.csv",
+        "\n".join(",".join(repr(float(v)) for v in row) for row in comparison) + "\n",
+    )
+    pit = str(tmp_path / "pit.csv")
+    assert main(["pit", draws, comp, "--out", pit]) == 0
+    code = main(["test", pit])
+    assert code in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 30
+    # K = 14 divides the resolution, so every grid point sits on the lattice
+    assert payload["grid"] == [k / 14 for k in range(1, 15)]
+    assert payload["inside"] is (code == 0)
+
+
+def test_bad_declared_resolution_exits_two(tmp_path, capsys):
+    for value in ("0", "-3", "2.5", "many"):
+        path = write(tmp_path / "pit.csv", f"# resolution: {value}\npit\n0.5\n1.0\n")
+        assert main(["test", path]) == 2
+    off_lattice = write(tmp_path / "off.csv", "# resolution: 4\n0.3\n1.0\n")
+    assert main(["test", off_lattice]) == 2
+    capsys.readouterr()
+
+
 def test_pit_rejects_multicolumn_draws(tmp_path, capsys):
     draws = write(tmp_path / "draws.csv", "1.0,2.0\n")
     comp = write(tmp_path / "comp.csv", "1.0,2.0\n")

@@ -214,44 +214,6 @@ def test_hyper_rejects_overdrawn_population():
         dist.hyper_quantile(0.5, 3, 2, 6)
 
 
-def test_mhyper_pmf_against_fraction_oracle():
-    params = dist.MHypParams((4, 5, 3), 6)
-    want = Fraction(
-        math.comb(4, 2) * math.comb(5, 3) * math.comb(3, 1), math.comb(12, 6)
-    )
-    assert dist.mhyper_pmf((2, 3, 1), params) == pytest.approx(float(want), rel=1e-12)
-
-
-def test_mhyper_pmf_sums_to_one_over_all_splits():
-    params = dist.MHypParams((3, 4, 2), 5)
-    total = 0.0
-    for a in range(0, 4):
-        for b in range(0, 5):
-            c = 5 - a - b
-            if 0 <= c <= 2:
-                total += dist.mhyper_pmf((a, b, c), params)
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mhyper_reduces_to_hypergeometric():
-    params = dist.MHypParams((6, 9), 7)
-    for k in range(0, 7):
-        want = float(exact_hyper_pmf(k, 6, 9, 7))
-        assert dist.mhyper_pmf((k, 7 - k), params) == pytest.approx(want, rel=1e-12)
-
-
-def test_mhyper_validates_counts():
-    params = dist.MHypParams((3, 3), 4)
-    with pytest.raises(ValueError):
-        dist.mhyper_logpmf((1, 2), params)  # wrong total
-    with pytest.raises(ValueError):
-        dist.mhyper_logpmf((4, 0), params)  # exceeds its category
-    with pytest.raises(ValueError):
-        dist.mhyper_logpmf((1, 2, 1), params)  # wrong arity
-    with pytest.raises(ValueError):
-        dist.MHypParams((3, 3), 7)
-
-
 def test_prob_and_count_validation():
     with pytest.raises(ValueError):
         dist.binom_cdf(3, 10, 1.5)
