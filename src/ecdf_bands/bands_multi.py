@@ -296,13 +296,19 @@ def _hyper_tail_tables(n: int, l: int, s: np.ndarray):
     return cdf, sf
 
 
-def _rank_cell_counts(ranks: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
-    """Per-chain counts of pooled ranks at or below each s_i, (B, L, K)."""
+def _chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Per-chain counts of pooled ranks at or below each s_i, (B, L, K).
+
+    ``u`` has shape (B, l*n) with chains as contiguous blocks of n draws.
+    Sorted position j holds pooled rank j + 1, so the chain of the draw
+    sorted there is counted in the cell of rank j + 1, shared by all rows.
+    """
     k = s.size
-    b = ranks.shape[0]
-    cells = np.searchsorted(s, ranks, side="left")
-    chain_of = np.repeat(np.arange(l), n)[None, :]
-    flat = cells + (chain_of + np.arange(b)[:, None] * l) * (k + 1)
+    b = u.shape[0]
+    flat = np.argsort(u, axis=1) // n
+    flat += (np.arange(b) * l)[:, None]
+    flat *= k + 1
+    flat += np.searchsorted(s, np.arange(1, l * n + 1), side="left")
     hist = np.bincount(flat.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
     return np.cumsum(hist, axis=2)[:, :, :k]
 
@@ -318,12 +324,13 @@ def gamma_simulate_multi(
 ) -> GammaResult:
     """Calibrate gamma for the multi-chain comparison by simulation.
 
-    Replicates draw all chains from one continuous uniform, rank them
-    jointly, and record the tightest pointwise two-sided hypergeometric
-    tail level over all chains and grid points.  With more than three
-    chains the attained coverage is the in-sample fraction of replicate
-    trajectories the calibrated bands retain, since the exact recursion
-    is unavailable.
+    Replicates draw all chains from one continuous uniform, sort the
+    pooled draws once, count each chain's draws in the first s_i sorted
+    positions (``_chain_cell_counts``), and record the tightest pointwise
+    two-sided hypergeometric tail level over all chains and grid points.
+    With more than three chains the attained coverage is the in-sample
+    fraction of replicate trajectories the calibrated bands retain, since
+    the exact recursion is unavailable.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
@@ -333,8 +340,8 @@ def gamma_simulate_multi(
         raise ValueError("at least 100 replicates are required")
     s = _pooled_counts(grid, n, l)
     cdf_rows, sf_rows = _hyper_tail_tables(n, l, s)
-    k = s.size
-    idx = np.arange(k)
+    tail_rows = np.minimum(cdf_rows, sf_rows).ravel()
+    row_start = np.arange(s.size) * (n + 1)
 
     chunk = 256
     starts = list(range(0, m, chunk))
@@ -342,13 +349,8 @@ def gamma_simulate_multi(
     def run(chunk_index: int) -> np.ndarray:
         size = min(chunk, m - starts[chunk_index])
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        u = rng.random((size, l * n))
-        order = np.argsort(u, axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(1, l * n + 1)[None, :], axis=1)
-        counts = _rank_cell_counts(ranks, s, n, l)
-        tails = np.minimum(cdf_rows[idx, counts], sf_rows[idx, counts])
-        return 2.0 * tails.min(axis=(1, 2))
+        counts = _chain_cell_counts(rng.random((size, l * n)), s, n, l)
+        return 2.0 * tail_rows[counts + row_start].min(axis=(1, 2))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

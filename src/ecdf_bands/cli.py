@@ -211,6 +211,7 @@ def cmd_test(args: argparse.Namespace) -> int:
             "alpha": cfg.alpha,
             "gamma": rep.bands.gamma,
             "attained_coverage": info.attained_coverage if info else None,
+            "attained_estimate": info.meta.get("attained_estimate") if info else None,
             "method": info.method if info else "fixed",
             "grid": [float(z) for z in rep.bands.grid.points],
             "bands": {
@@ -243,6 +244,7 @@ def cmd_test(args: argparse.Namespace) -> int:
             "alpha": cfg.alpha,
             "gamma": rep.bands.gamma,
             "attained_coverage": info.attained_coverage if info else None,
+            "attained_estimate": info.meta.get("attained_estimate") if info else None,
             "method": info.method if info else "fixed",
             "grid": [float(z) for z in rep.bands.grid.points],
             "bands": {

@@ -215,12 +215,7 @@ def _band_rejector_multi(n: int, l: int, alpha: float, grid, m: int, seed: int):
     hi = bands.upper_ranks
 
     def reject(u: np.ndarray) -> np.ndarray:
-        # u has shape (B, l*n); chains are contiguous blocks of n draws
-        total = u.shape[1]
-        order = np.argsort(u, axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(1, total + 1)[None, :], axis=1)
-        counts = bands_multi._rank_cell_counts(ranks, s, n, l)
+        counts = bands_multi._chain_cell_counts(u, s, n, l)
         return np.any((counts < lo) | (counts > hi), axis=(1, 2))
 
     return reject, gamma

@@ -11,13 +11,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecdf_bands.bands_multi import (
     MultiBands,
     MultiTestReport,
     _band_bounds,
+    _chain_cell_counts,
     _pooled_counts,
-    _rank_cell_counts,
     bands_from_gamma_multi,
     coverage_probability_multi,
     gamma_optimize_multi,
@@ -163,17 +165,40 @@ def test_gamma_simulate_multi_many_chains_reports_in_sample_estimate():
     assert 0.8 <= res.attained_coverage <= 1.0
 
 
-def test_rank_cell_counts_matches_brute_force():
-    rng = np.random.default_rng(13)
-    l, n = 3, 8
-    b = 5
-    ranks = np.empty((b, l * n), dtype=np.int64)
-    for i in range(b):
-        ranks[i] = rng.permutation(l * n) + 1
-    s = np.array([4, 12, 20])
-    got = _rank_cell_counts(ranks, s, n, l)
-    want = np.empty((b, l, s.size), dtype=np.int64)
-    for i in range(b):
+def test_gamma_simulate_multi_many_chains_thread_invariant():
+    grid = default_grid(30, 120)
+    a = gamma_simulate_multi(30, 4, grid, 0.05, m=1200, seed=5)
+    b = gamma_simulate_multi(30, 4, grid, 0.05, m=1200, seed=5, threads=2)
+    assert (a.gamma, a.attained_coverage) == (b.gamma, b.attained_coverage)
+
+
+@pytest.mark.parametrize(
+    "n, l, gamma",
+    [(80, 4, 0.001131075141161866), (40, 8, 0.0009973242244734409)],
+)
+def test_gamma_simulate_multi_seeded_values_are_pinned(n, l, gamma):
+    res = gamma_simulate_multi(n, l, default_grid(n, l * n), 0.05, m=10_000, seed=0)
+    assert res.gamma == gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chain_cell_counts_matches_brute_force(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    l = data.draw(st.integers(2, 8), label="l")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    # a coarse lattice makes ties, which both routes order by the same argsort
+    levels = data.draw(st.integers(2, 4 * l * n), label="levels")
+    picks = st.integers(0, l * n)
+    s = np.sort(data.draw(st.lists(picks, min_size=1, max_size=8), label="s"))
+    if data.draw(st.booleans(), label="ends at l*n"):
+        s = np.append(s, l * n)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    u = np.random.default_rng(seed).integers(0, levels, (rows, l * n)) / levels
+    got = _chain_cell_counts(u, s, n, l)
+    ranks = np.argsort(np.argsort(u, axis=1), axis=1) + 1
+    want = np.empty((rows, l, s.size), dtype=np.int64)
+    for i in range(rows):
         for c in range(l):
             chain = ranks[i, c * n : (c + 1) * n]
             for j, sj in enumerate(s):

@@ -39,6 +39,7 @@ def test_single_column_pass_exit_zero(uniform_csv, capsys):
     assert payload["n"] == 50
     assert payload["chains"] == 1
     assert payload["method"] == "optimization"
+    assert payload["attained_estimate"] is None
     assert len(payload["grid"]) == 20
     assert len(payload["bands"]["lower"]) == 20
 
@@ -59,7 +60,21 @@ def test_multi_chain_ndjson_runs_jointly(chains_ndjson, capsys):
     assert payload["mode"] == "multi"
     assert payload["chains"] == 2
     assert payload["n"] == 40
+    assert payload["attained_estimate"] is None
     assert len(payload["exceedances"]) == 2
+
+
+def test_four_chains_report_in_sample_coverage_estimate(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    draws = np.random.default_rng(3).standard_normal((20, 4))
+    path = write(tmp_path / "four.csv", "\n".join(",".join(map(str, r)) for r in draws) + "\n")
+    code = main(["test", path, "--m-reps", "500"])
+    assert code in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chains"] == 4
+    assert payload["method"] == "simulation"
+    assert payload["attained_estimate"] == "in_sample"
+    assert payload["schema"] == "report/1"
 
 
 def test_csv_header_is_skipped(tmp_path, capsys):
