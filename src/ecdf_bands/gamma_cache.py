@@ -132,7 +132,8 @@ def interpolate(grid: GammaGrid, n: int, l: int, alpha: float, k: int | None = N
     extrapolation and no interpolation across chain counts or levels.
     The reported coverage of an interpolated result is the same blend of
     the stored neighbours' coverages, an estimate rather than a computed
-    value.
+    value, and ``meta["attained_estimate"]`` says so with ``"blend"``; a
+    stored simulated entry says ``"in_sample"``, as the simulator does.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -146,7 +147,10 @@ def interpolate(grid: GammaGrid, n: int, l: int, alpha: float, k: int | None = N
         )
     if exact:
         e = exact[0]
-        return GammaResult(e.gamma, e.coverage, e.method, {"alpha": alpha, "cache_key": e.key})
+        meta = {"alpha": alpha, "cache_key": e.key}
+        if e.method == "simulation":
+            meta["attained_estimate"] = "in_sample"
+        return GammaResult(e.gamma, e.coverage, e.method, meta)
     by_n: dict[int, GridEntry] = {}
     for e in entries:
         if e.n in by_n:
@@ -167,7 +171,7 @@ def interpolate(grid: GammaGrid, n: int, l: int, alpha: float, k: int | None = N
     w = (math.log(n) - math.log(lo.n)) / (math.log(hi.n) - math.log(lo.n))
     gamma = math.exp((1.0 - w) * math.log(lo.gamma) + w * math.log(hi.gamma))
     coverage = (1.0 - w) * lo.coverage + w * hi.coverage
-    meta = {"alpha": alpha, "between": (lo.n, hi.n), "estimate": "blend"}
+    meta = {"alpha": alpha, "between": (lo.n, hi.n), "attained_estimate": "blend"}
     return GammaResult(gamma, coverage, "interpolated", meta)
 
 

@@ -12,6 +12,13 @@ Geyer's initial-monotone-sequence truncation: chains are demeaned
 individually, per-lag autocovariances are averaged across chains, and
 correlations are accumulated in consecutive pairs until a pair sum goes
 nonpositive, with pair sums additionally forced nonincreasing.
+
+All 21 series of a report (the draws, their rank-normalized version and
+the 19 quantile indicators) are stacked and handled in one pass: one
+zero-padded real FFT per chain, power spectra summed over the chains of
+each series, and one inverse transform per series give the summed
+autocovariances at every lag up to n/2.  The truncation then runs on each
+series' correlation row exactly as it would on per-lag sums.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import lfilter
 from scipy.special import ndtri
 from scipy.stats import rankdata
@@ -38,7 +46,6 @@ __all__ = [
 
 STRATEGIES = ("MEAN_ESS", "QUANTILE_19", "BULK_TAIL_MIN")
 _QUANTILES = tuple(np.round(np.arange(1, 20) * 0.05, 2))
-_LAG_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,40 +111,42 @@ def ar1_simulate(phi: float, n: int, chains: int = 1, seed: int = 0) -> ChainSet
     return ChainSet(out * math.sqrt(1.0 - phi * phi))
 
 
-def _ess_core(x: np.ndarray) -> float:
-    """ESS of the mean of possibly autocorrelated equal-length chains."""
-    m, n = x.shape
+def _ess_batch(x: np.ndarray) -> np.ndarray:
+    """ESS of the mean for each set of equal-length chains in an
+    (S, m, n) stack."""
+    s, m, n = x.shape
     total = m * n
-    chain_means = x.mean(axis=1)
-    xc = x - chain_means[:, None]
-    mean_var = float((xc * xc).sum() / (m * (n - 1)))
+    chain_means = x.mean(axis=2)
+    xc = x - chain_means[..., None]
+    mean_var = (xc * xc).reshape(s, total).sum(axis=1) / (m * (n - 1))
     var_plus = mean_var * (n - 1) / n
     if m > 1:
-        var_plus += float(np.var(chain_means, ddof=1))
-    if var_plus <= 0.0:
-        return float(total)
+        var_plus += np.var(chain_means, axis=1, ddof=1)
     cap = n // 2
-    acov = np.full(cap + 2, np.nan)
+    nfft = next_fast_len(2 * n, real=True)
+    spec = rfft(xc, n=nfft, axis=2)
+    power = (spec.real * spec.real + spec.imag * spec.imag).sum(axis=1)
+    acov = irfft(power, n=nfft, axis=1)[:, : cap + 1] / total
+    out = np.full(s, float(total))
+    for i in np.flatnonzero(var_plus > 0.0):
+        rho = 1.0 - (mean_var[i] - acov[i]) / var_plus[i]
+        out[i] = total / _geyer_tau(rho, total)
+    return out
 
-    def rho(t: int) -> float:
-        if t == 0:
-            return 1.0
-        if t > cap:
-            return 0.0
-        if np.isnan(acov[t]):
-            for s in range(t, min(t + _LAG_BLOCK, cap) + 1):
-                if np.isnan(acov[s]):
-                    acov[s] = float((xc[:, : n - s] * xc[:, s:]).sum()) / total
-        return 1.0 - (mean_var - acov[t]) / var_plus
 
+def _geyer_tau(rho: np.ndarray, total: int) -> float:
+    """Integrated autocorrelation time from the correlations at lags
+    0..cap (lag 0 counts as exactly 1), truncated at the first
+    nonpositive pair sum, with pair sums forced nonincreasing."""
+    cap = rho.size - 1
     stored = np.zeros(cap + 2)
     stored[0] = 1.0
-    stored[1] = rho(1)
+    stored[1] = rho[1]
     rho_even, rho_odd = stored[0], stored[1]
     t = 0
     while t < cap - 4 and rho_even + rho_odd > 0.0:
         t += 2
-        rho_even, rho_odd = rho(t), rho(t + 1)
+        rho_even, rho_odd = rho[t], rho[t + 1]
         if rho_even + rho_odd >= 0.0:
             stored[t] = rho_even
             stored[t + 1] = rho_odd
@@ -152,8 +161,7 @@ def _ess_core(x: np.ndarray) -> float:
             stored[t] = prev / 2.0
             stored[t + 1] = prev / 2.0
     tau = -1.0 + 2.0 * float(stored[:max_t].sum()) + float(stored[max_t])
-    tau = max(tau, 1.0 / math.log10(total))
-    return total / tau
+    return max(tau, 1.0 / math.log10(total))
 
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
@@ -170,13 +178,14 @@ def ess_report(chains) -> EssReport:
     x = cs.chains
     if cs.n_draws < 8:
         raise ValueError("chains must have at least 8 draws")
-    total = x.size
-    ess_mean = _ess_core(x)
-    ess_bulk = _ess_core(_rank_normalize(x))
     qs = np.quantile(x, _QUANTILES)
-    ess_q = tuple(_ess_core((x <= q).astype(np.float64)) for q in qs)
+    series = np.concatenate(
+        (x[None], _rank_normalize(x)[None], (x <= qs[:, None, None]).astype(np.float64))
+    )
+    ess = _ess_batch(series)
+    ess_q = tuple(float(v) for v in ess[2:])
     ess_tail = min(ess_q[0], ess_q[-1])
-    return EssReport(ess_mean, ess_bulk, ess_tail, ess_q, total)
+    return EssReport(float(ess[0]), float(ess[1]), ess_tail, ess_q, x.size)
 
 
 def thinning_factor(report: EssReport, n_total: int, strategy: str = "BULK_TAIL_MIN") -> ThinningPlan:

@@ -246,6 +246,29 @@ def test_gamma_build_and_query_roundtrip(tmp_path, capsys):
     assert payload["method"] == "optimization"
 
 
+def test_cached_gamma_reports_how_its_coverage_was_made(tmp_path, capsys, monkeypatch):
+    grid_path = tmp_path / "grid.json"
+    build = ["gamma", "build", "--ns", "32,64", "--ls", "1,4", "--m-reps", "2000"]
+    assert main(build + ["--out", str(grid_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv(CACHE_ENV, str(grid_path))
+    rng = np.random.default_rng(8)
+    cases = [
+        (4, 32, "simulation", "in_sample"),
+        (4, 48, "interpolated", "blend"),
+        (1, 32, "optimization", None),
+    ]
+    for chains, n, method, estimate in cases:
+        draws = rng.uniform(size=(n, chains))
+        text = "\n".join(",".join(map(str, r)) for r in draws) + "\n"
+        path = write(tmp_path / f"d{chains}x{n}.csv", text)
+        assert main(["test", path]) in (0, 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["chains"], payload["n"]) == (chains, n)
+        assert payload["method"] == method
+        assert payload["attained_estimate"] == estimate
+
+
 def test_gamma_build_requires_out(capsys):
     assert main(["gamma", "build", "--ns", "40"]) == 2
     capsys.readouterr()

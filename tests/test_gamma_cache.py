@@ -93,6 +93,7 @@ def test_exact_lookup_returns_stored_entry(small_grid):
     assert res.attained_coverage == stored.coverage
     assert res.method == "optimization"
     assert res.meta["cache_key"] == stored.key
+    assert "attained_estimate" not in res.meta
 
 
 def test_interpolation_blends_on_log_log_scale(small_grid):
@@ -103,7 +104,7 @@ def test_interpolation_blends_on_log_log_scale(small_grid):
     assert res.gamma == pytest.approx(want, rel=1e-15)
     assert res.method == "interpolated"
     assert res.meta["between"] == (40, 80)
-    assert res.meta["estimate"] == "blend"
+    assert res.meta["attained_estimate"] == "blend"
     want_cov = (1 - w) * lo.coverage + w * hi.coverage
     assert res.attained_coverage == pytest.approx(want_cov, rel=1e-15)
     assert min(lo.gamma, hi.gamma) <= res.gamma <= max(lo.gamma, hi.gamma)

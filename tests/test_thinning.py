@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecdf_bands.thinning import (
+    _QUANTILES,
     STRATEGIES,
     EssReport,
     ThinningPlan,
+    _rank_normalize,
     ar1_simulate,
     ess_report,
     thin,
@@ -20,6 +24,81 @@ from ecdf_bands.transform import ChainSet
 def _made_report(mean=100.0, bulk=50.0, tail=25.0, qmin=20.0, n_total=1000):
     quantiles = tuple([qmin] + [qmin + 5.0 + i for i in range(18)])
     return EssReport(mean, bulk, tail, quantiles, n_total)
+
+
+# ---------------------------------------------------------------------------
+# lag-sum oracle: per-lag autocovariances summed directly, then Geyer's
+# initial-positive and monotone truncation
+
+_LAG_BLOCK = 64
+
+
+def _ess_core(x: np.ndarray, tie: float = 0.0) -> float:
+    """ESS of the mean of possibly autocorrelated equal-length chains.
+
+    ``tie`` is added to each pair sum before it is tested against zero,
+    so a small positive or negative value resolves a pair sum that is
+    zero in exact arithmetic to one side or the other.
+    """
+    m, n = x.shape
+    total = m * n
+    chain_means = x.mean(axis=1)
+    xc = x - chain_means[:, None]
+    mean_var = float((xc * xc).sum() / (m * (n - 1)))
+    var_plus = mean_var * (n - 1) / n
+    if m > 1:
+        var_plus += float(np.var(chain_means, ddof=1))
+    if var_plus <= 0.0:
+        return float(total)
+    cap = n // 2
+    acov = np.full(cap + 2, np.nan)
+
+    def rho(t: int) -> float:
+        if t == 0:
+            return 1.0
+        if t > cap:
+            return 0.0
+        if np.isnan(acov[t]):
+            for s in range(t, min(t + _LAG_BLOCK, cap) + 1):
+                if np.isnan(acov[s]):
+                    acov[s] = float((xc[:, : n - s] * xc[:, s:]).sum()) / total
+        return 1.0 - (mean_var - acov[t]) / var_plus
+
+    stored = np.zeros(cap + 2)
+    stored[0] = 1.0
+    stored[1] = rho(1)
+    rho_even, rho_odd = stored[0], stored[1]
+    t = 0
+    while t < cap - 4 and rho_even + rho_odd + tie > 0.0:
+        t += 2
+        rho_even, rho_odd = rho(t), rho(t + 1)
+        if rho_even + rho_odd + tie >= 0.0:
+            stored[t] = rho_even
+            stored[t + 1] = rho_odd
+    max_t = t
+    if rho_even > 0.0:
+        stored[max_t] = rho_even
+    t = 0
+    while t <= max_t - 4:
+        t += 2
+        prev = stored[t - 2] + stored[t - 1]
+        if stored[t] + stored[t + 1] > prev:
+            stored[t] = prev / 2.0
+            stored[t + 1] = prev / 2.0
+    tau = -1.0 + 2.0 * float(stored[:max_t].sum()) + float(stored[max_t])
+    tau = max(tau, 1.0 / math.log10(total))
+    return total / tau
+
+
+def _series(x: np.ndarray) -> list[np.ndarray]:
+    """The draws, their rank-normalized version and the 19 quantile
+    indicators, in ``EssReport`` order."""
+    qs = np.quantile(x, _QUANTILES)
+    return [x, _rank_normalize(x)] + [(x <= q).astype(np.float64) for q in qs]
+
+
+def _report_values(rep: EssReport) -> list[float]:
+    return [rep.ess_mean, rep.ess_bulk, *rep.ess_quantiles]
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +184,88 @@ def test_ess_quantile_indicators_mirror_under_negation():
     np.testing.assert_allclose(a.ess_quantiles, b.ess_quantiles[::-1], rtol=1e-9)
     assert a.ess_tail == pytest.approx(b.ess_tail, rel=1e-9)
     assert a.ess_bulk == pytest.approx(b.ess_bulk, rel=0.05)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.one_of(st.integers(8, 12), st.integers(8, 400)),
+    phi=st.floats(-0.95, 0.95),
+    seed=st.integers(0, 2**16),
+    lattice=st.sampled_from([None, 0.5, 1.5, "constant"]),
+)
+@example(m=3, n=9, phi=0.0, seed=0, lattice="constant")
+@example(m=1, n=8, phi=0.9, seed=1, lattice=1.5)
+@example(m=3, n=10, phi=-0.125, seed=1317, lattice=None)
+def test_ess_report_matches_lag_sum_oracle(m, n, phi, seed, lattice):
+    # rounding to a coarse lattice makes ties and constant indicators;
+    # a constant chain set has var_plus 0, where every ESS is the total
+    x = ar1_simulate(phi, n, chains=m, seed=seed).chains
+    if lattice == "constant":
+        x = np.full_like(x, 0.5)
+    elif lattice is not None:
+        x = np.round(x / lattice) * lattice
+    rep = ess_report(ChainSet(x))
+    # Indicator series are 0/1 lattices, so a pair sum can be exactly zero
+    # (the last example: the 0.75 indicator's lags 2 and 3).  Whether such a
+    # pair is truncated then rests on the last rounding bit, which the FFT
+    # and the lag sum set differently, and the ESS may take either value.
+    for got, series in zip(_report_values(rep), _series(x)):
+        sides = [_ess_core(series, tie) for tie in (0.0, 1e-12, -1e-12)]
+        assert any(got == pytest.approx(v, rel=1e-9) for v in sides), (got, sides)
+    assert rep.ess_tail == min(rep.ess_quantiles[0], rep.ess_quantiles[-1])
+    if lattice == "constant":
+        assert _report_values(rep) == [float(m * n)] * 21
+
+
+def test_ess_report_pinned_values():
+    rep = ess_report(ar1_simulate(0.7, 1000, chains=2, seed=0))
+    assert rep.n_total == 2000
+    assert rep.ess_mean == pytest.approx(365.6118307659951, rel=1e-12)
+    assert rep.ess_bulk == pytest.approx(366.0300978840636, rel=1e-12)
+    assert rep.ess_tail == pytest.approx(728.3524131576319, rel=1e-12)
+    want = [
+        851.0440003029394, 612.8836306718969, 586.1741147393427, 551.0620966150749,
+        538.7872462960298, 544.6218318870508, 552.546927297477, 525.704831930668,
+        536.8483067439308, 517.4060187219343, 534.6470157208441, 511.03530517726085,
+        536.7742151555352, 540.0480577626648, 530.3686672067706, 531.716830448726,
+        536.6023611343554, 647.5032537891575, 728.3524131576319,
+    ]
+    assert list(rep.ess_quantiles) == pytest.approx(want, rel=1e-12)
+
+
+# BULK_TAIL_MIN factors of 2 chains of 1000 AR(1) draws, seeds 0-199, as
+# criterion 09 thins them
+_FACTORS_PHI_05 = [
+    3, 3, 3, 4, 3, 3, 4, 4, 4, 3, 4, 4, 3, 3, 4, 3, 3, 5, 4, 4, 4, 4, 4, 3, 3, 3, 3, 3,
+    4, 4, 4, 4, 3, 3, 4, 3, 3, 3, 3, 4, 3, 4, 4, 3, 4, 4, 3, 3, 4, 4, 4, 3, 4, 4, 4, 3,
+    4, 3, 3, 4, 4, 3, 4, 3, 4, 3, 4, 4, 4, 3, 3, 3, 4, 3, 4, 3, 4, 4, 5, 3, 3, 4, 4, 4,
+    4, 3, 4, 3, 3, 3, 4, 3, 4, 3, 4, 3, 4, 4, 4, 3, 3, 3, 4, 3, 3, 4, 3, 3, 3, 3, 3, 4,
+    4, 4, 4, 3, 4, 3, 4, 4, 3, 3, 3, 4, 3, 3, 4, 4, 4, 3, 3, 3, 4, 3, 4, 4, 4, 3, 3, 5,
+    3, 4, 4, 4, 4, 3, 5, 3, 3, 4, 3, 3, 3, 4, 3, 3, 3, 4, 3, 4, 3, 3, 4, 3, 3, 4, 4, 3,
+    4, 3, 3, 3, 4, 4, 3, 3, 4, 4, 4, 4, 4, 4, 3, 4, 3, 3, 3, 4, 3, 3, 3, 3, 3, 3, 3, 4,
+    3, 3, 4, 3
+]
+
+_FACTORS_PHI_09 = [
+    24, 25, 15, 16, 17, 20, 23, 26, 18, 13, 18, 15, 13, 20, 28, 18, 22, 20, 21, 18, 19,
+    36, 15, 17, 27, 21, 17, 16, 21, 19, 15, 18, 23, 16, 15, 15, 15, 26, 18, 16, 21, 17,
+    19, 20, 21, 20, 19, 18, 33, 19, 25, 19, 18, 19, 22, 23, 19, 21, 21, 16, 26, 21, 24,
+    18, 32, 17, 16, 17, 19, 13, 19, 16, 18, 17, 18, 14, 20, 18, 22, 20, 17, 23, 24, 23,
+    23, 15, 20, 19, 14, 22, 23, 15, 18, 18, 16, 21, 19, 22, 39, 15, 21, 29, 20, 14, 17,
+    16, 17, 24, 20, 18, 16, 19, 17, 26, 18, 16, 20, 16, 18, 13, 14, 17, 22, 18, 18, 25,
+    20, 24, 21, 13, 26, 17, 26, 15, 21, 19, 17, 19, 17, 25, 20, 25, 18, 16, 16, 19, 23,
+    17, 14, 25, 30, 17, 29, 16, 20, 24, 15, 21, 16, 23, 19, 21, 23, 14, 26, 31, 23, 41,
+    42, 16, 25, 15, 20, 17, 15, 22, 22, 17, 30, 26, 15, 17, 15, 20, 20, 20, 20, 18, 24,
+    17, 22, 21, 15, 28, 15, 13, 15, 24, 23, 20
+]
+
+
+@pytest.mark.parametrize("phi, want", [(0.5, _FACTORS_PHI_05), (0.9, _FACTORS_PHI_09)])
+def test_bulk_tail_factors_pinned(phi, want):
+    reports = [ess_report(ar1_simulate(phi, 1000, chains=2, seed=s)) for s in range(200)]
+    got = [thinning_factor(rep, 2000, "BULK_TAIL_MIN").factor for rep in reports]
+    assert got == want
 
 
 def test_ess_report_requires_enough_draws():
