@@ -5,21 +5,23 @@ All chains are pooled and jointly ranked; at each evaluation quantile
 the pooled count is fixed, so each chain's count of small ranks follows
 a hypergeometric marginal and the bands are equal-tail hypergeometric
 quantile intervals shared by every chain.  Exact coverage for two or
-three chains runs a forward recursion over joint count states whose
-increments are multivariate hypergeometric; with two chains the state
-collapses to a single count, the same shape as the one-sample
-recursion.  More chains fall back to simulation.
+three chains runs the shared forward pass (``_forward``) over joint
+count states whose increments are multivariate hypergeometric: with two
+chains the state is the first chain's count and each step is a 1-D
+convolution, with three it is the first two chains' counts over the full
+window and each step is a 2-D convolution.  More chains fall back to
+simulation.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import dist
+from . import _forward, dist
 from .bands_single import (
     DEFAULT_REPLICATES,
     Exceedance,
@@ -115,16 +117,44 @@ def _pooled_counts(grid: EvaluationGrid, n: int, l: int) -> np.ndarray:
     return np.floor(grid.points * total + 1e-9).astype(np.int64)
 
 
-def _band_bounds(n: int, l: int, s: np.ndarray, gamma: float):
-    """Equal-tail hypergeometric count bounds per pooled count."""
-    q_lo = gamma / 2.0
-    q_hi = 1.0 - gamma / 2.0
+@lru_cache(maxsize=8)
+def _tables_from_key(n: int, l: int, s_key: tuple):
+    """Padded (K, n + 1) hypergeometric CDF and tail tables, read-only.
+
+    Row i covers counts 0..n for pooled count s_i: the CDF is 0 below
+    the support and 1 above it, the tail the other way round.
+    """
     rest = (l - 1) * n
-    lo = np.empty(s.size, dtype=np.int64)
-    hi = np.empty(s.size, dtype=np.int64)
-    for i, si in enumerate(s):
-        lo[i] = dist.hyper_quantile(q_lo, n, rest, int(si))
-        hi[i] = dist.hyper_quantile(q_hi, n, rest, int(si))
+    cdf = np.zeros((len(s_key), n + 1))
+    sf = np.zeros((len(s_key), n + 1))
+    for i, si in enumerate(s_key):
+        lo, hi = dist.hyper_support(n, rest, si)
+        cdf[i, lo : hi + 1] = dist.hyper_cdf_table(n, rest, si)
+        cdf[i, hi + 1 :] = 1.0
+        sf[i, lo : hi + 1] = dist.hyper_sf_table(n, rest, si)
+        sf[i, :lo] = 1.0
+    for arr in (cdf, sf):
+        arr.setflags(write=False)
+    return cdf, sf
+
+
+def _hyper_tail_tables(n: int, l: int, s: np.ndarray):
+    """Padded (K, n + 1) CDF and tail tables over the count domain."""
+    return _tables_from_key(int(n), int(l), tuple(int(si) for si in s))
+
+
+def _band_bounds(n: int, l: int, s: np.ndarray, gamma: float):
+    """Equal-tail hypergeometric count bounds per pooled count.
+
+    Each padded CDF row is sorted and ends in exactly 1.0, so counting
+    entries strictly below the level reproduces the quantile rule
+    (smallest count whose CDF reaches it); the zeros below the support
+    count towards the support's bottom, which a zero level returns.
+    """
+    cdf = _hyper_tail_tables(n, l, s)[0]
+    bottom = np.maximum(np.asarray(s, dtype=np.int64) - (l - 1) * n, 0)
+    lo = np.maximum((cdf < gamma / 2.0).sum(axis=1), bottom)
+    hi = (cdf < 1.0 - gamma / 2.0).sum(axis=1).astype(np.int64)
     return lo, hi
 
 
@@ -147,7 +177,9 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     inside the shared gamma-level bands at every grid point.
 
     Supported for two or three chains; beyond that the joint state space
-    grows too quickly and simulation should be used instead.
+    grows too quickly and simulation should be used instead.  Each step
+    is one convolution (``_chain_factors``); when its scaled factors
+    leave double range, the step matrices are built instead.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
@@ -161,139 +193,53 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return 1.0
-    s_all = _pooled_counts(grid, n, l)
     # duplicate pooled counts add identity transitions; drop them
-    s = np.unique(s_all)
+    s = np.unique(_pooled_counts(grid, n, l))
     lo, hi = _band_bounds(n, l, s, gamma)
-    if np.any(lo > hi):
-        return 0.0
-    if l == 2:
-        return _coverage_two_chains(n, s, lo, hi)
-    return _coverage_three_chains(n, s, lo, hi)
+    return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
 
 
-def _coverage_two_chains(n: int, s, lo, hi) -> float:
-    """Forward pass over the first chain's count; the second chain's
-    count is determined by the pooled total, so the state is scalar."""
-    prev_s = 0
-    cur_lo = cur_hi = 0
-    probs = np.ones(1)
-    log_scale = 0.0
-    for i in range(s.size):
-        si = int(s[i])
-        # both chains must stay inside the same bounds
-        new_lo = max(int(lo[i]), si - int(hi[i]))
-        new_hi = min(int(hi[i]), si - int(lo[i]))
-        if new_lo > new_hi:
-            return 0.0
-        ds = si - prev_s
-        r_old = np.arange(cur_lo, cur_hi + 1)
-        r_new = np.arange(new_lo, new_hi + 1)
-        growth = r_new[:, None] - r_old[None, :]
-        pool_one = n - r_old[None, :]
-        pool_two = n - (prev_s - r_old[None, :])
-        log_t = (
-            dist.log_choose(pool_one, growth)
-            + dist.log_choose(pool_two, ds - growth)
-            - dist.log_choose(2 * n - prev_s, ds)
-        )
-        probs = np.exp(log_t) @ probs
-        total = float(probs.sum())
-        if total <= 0.0:
-            return 0.0
-        if total < 1e-250:
-            probs = probs / total
-            log_scale += math.log(total)
-        cur_lo, cur_hi = new_lo, new_hi
-        prev_s = si
-    return float(min(1.0, probs.sum() * math.exp(log_scale)))
+def _chain_factors(n: int, l: int, s, lo, hi):
+    """``_forward.forward_mass`` arguments for two or three chains.
 
-
-def _sorted_triple_multiplicity(r1, r2, r3) -> np.ndarray:
-    """Number of distinct orderings of each (r1, r2, r3) multiset."""
-    mult = np.full(r1.shape, 6, dtype=np.float64)
-    pair = (r1 == r2) | (r2 == r3) | (r1 == r3)
-    mult[pair] = 3.0
-    mult[(r1 == r2) & (r2 == r3)] = 1.0
-    return mult
-
-
-def _coverage_three_chains(n: int, s, lo, hi) -> float:
-    """Forward pass over two chains' counts; the third is determined.
-
-    At the first grid point only ordered count triples are enumerated,
-    weighted by their orbit size; chain exchangeability makes the
-    survival probability constant on each orbit, so total mass is
-    preserved while the initial state count shrinks severalfold.
+    The state is the counts r_j of the first l - 1 chains over the full
+    window [lo_i, hi_i]^(l-1); the last chain holds the rest of the
+    pooled count s_i and must lie in the same window.  A step from s to
+    s + ds adds d_j to chain j with probability
+    prod_j C(n - r_j, d_j) / C(l*n - s, ds), summing over all l chains:
+    source prod_j (n - r_j)!, jump 1 / prod_j d_j! over the normalizer,
+    destination 1 / prod_j (n - r'_j)!.
     """
-    first_lo, first_hi = int(lo[0]), int(hi[0])
-    s0 = int(s[0])
-    span = np.arange(first_lo, first_hi + 1)
-    r1, r2 = np.meshgrid(span, span, indexing="ij")
-    r1, r2 = r1.ravel(), r2.ravel()
-    r3 = s0 - r1 - r2
-    keep = (r3 >= first_lo) & (r3 <= first_hi) & (r1 <= r2) & (r2 <= r3)
-    r1, r2, r3 = r1[keep], r2[keep], r3[keep]
-    if r1.size == 0:
-        return 0.0
-    log_init = (
-        dist.log_choose(n, r1)
-        + dist.log_choose(n, r2)
-        + dist.log_choose(n, r3)
-        - dist.log_choose(3 * n, s0)
-    )
-    probs = _sorted_triple_multiplicity(r1, r2, r3) * np.exp(log_init)
-    cur_r1, cur_r2 = r1, r2
-    prev_s = s0
-    log_scale = 0.0
-    for i in range(1, s.size):
-        si = int(s[i])
-        ds = si - prev_s
-        step_lo, step_hi = int(lo[i]), int(hi[i])
-        span = np.arange(step_lo, step_hi + 1)
-        n1, n2 = np.meshgrid(span, span, indexing="ij")
-        n1, n2 = n1.ravel(), n2.ravel()
-        n3 = si - n1 - n2
-        keep = (n3 >= step_lo) & (n3 <= step_hi)
-        n1, n2, n3 = n1[keep], n2[keep], n3[keep]
-        if n1.size == 0:
-            return 0.0
-        cur_r3 = prev_s - cur_r1 - cur_r2
-        d1 = n1[:, None] - cur_r1[None, :]
-        d2 = n2[:, None] - cur_r2[None, :]
-        d3 = ds - d1 - d2
-        log_t = (
-            dist.log_choose(n - cur_r1[None, :], d1)
-            + dist.log_choose(n - cur_r2[None, :], d2)
-            + dist.log_choose(n - cur_r3[None, :], d3)
-            - dist.log_choose(3 * n - prev_s, ds)
-        )
-        probs = np.exp(log_t) @ probs
-        total = float(probs.sum())
-        if total <= 0.0:
-            return 0.0
-        if total < 1e-250:
-            probs = probs / total
-            log_scale += math.log(total)
-        cur_r1, cur_r2 = n1, n2
-        prev_s = si
-    return float(min(1.0, probs.sum() * math.exp(log_scale)))
+    dims = l - 1
+    along, per_step = _forward._along, _forward._per_step
+    lf = dist.log_factorial_table(l * n)
+    s_ext = np.concatenate(([0], s))
+    lo_ext = np.concatenate(([0], lo))
+    hi_ext = np.concatenate(([0], hi))
+    ds = np.diff(s_ext)
+    offs = np.arange(int((hi_ext - lo_ext).max()) + 1)
 
+    def log_fact(start, total):
+        """log prod_j (n - r_j)! over the box, and the last chain's count."""
+        r = start[:, None] + offs[None, :]
+        f = lf[np.clip(n - r, 0, n)]
+        out, last = 0.0, per_step(total, dims)
+        for axis in range(dims):
+            out = out + along(f, axis, dims)
+            last = last - along(r, axis, dims)
+        return out + lf[np.clip(n - last, 0, n)], last
 
-def _hyper_tail_tables(n: int, l: int, s: np.ndarray):
-    """Padded (K, n + 1) CDF and tail tables over the count domain."""
-    rest = (l - 1) * n
-    k = s.size
-    cdf = np.zeros((k, n + 1))
-    sf = np.zeros((k, n + 1))
-    for i, si in enumerate(s):
-        si = int(si)
-        lo, hi = dist.hyper_support(n, rest, si)
-        cdf[i, lo : hi + 1] = dist.hyper_cdf_table(n, rest, si)
-        cdf[i, hi + 1 :] = 1.0
-        sf[i, lo : hi + 1] = dist.hyper_sf_table(n, rest, si)
-        sf[i, :lo] = 1.0
-    return cdf, sf
+    src, _ = log_fact(lo_ext[:-1], s_ext[:-1])
+    dst, last = log_fact(lo_ext[1:], s)
+    inside = (last >= per_step(lo, dims)) & (last <= per_step(hi, dims))
+    jumps = np.arange(max(int(np.minimum(ds, hi_ext[1:] - lo_ext[:-1]).max()), 0) + 1)
+    ker = per_step(-dist.log_choose(l * n - s_ext[:-1], ds), dims)
+    rest = per_step(ds, dims)
+    for axis in range(dims):
+        ker = ker - along(lf[jumps][None, :], axis, dims)
+        rest = rest - along(jumps[None, :], axis, dims)
+    ker = np.where(rest >= 0, ker - lf[np.maximum(rest, 0)], -np.inf)
+    return lo_ext, hi_ext, src, ker, (np.where(inside, -dst, -np.inf),)
 
 
 def _chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
@@ -376,6 +322,8 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     as ``gamma_optimize``, with breakpoints from the hypergeometric CDF
     tables of the pooled counts; each of the l chains can leave the band
     at each grid point, so the search starts below ``alpha / (l * K)``.
+    ``meta`` counts evaluations and dense fallbacks as ``gamma_optimize``
+    does.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
@@ -386,14 +334,19 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
         )
     alpha = _check_alpha(alpha)
     s = np.unique(_pooled_counts(grid, n, l))
-    tables = [dist.hyper_cdf_table(n, (l - 1) * n, int(si)) for si in s]
+    dense_before = _forward.dense_count()
     gamma, attained, evals = _search_steps(
         lambda g: coverage_probability_multi(n, l, grid, g),
-        np.concatenate(tables),
+        _hyper_tail_tables(n, l, s)[0],
         alpha,
         alpha / (l * grid.size),
     )
-    return GammaResult(gamma, attained, "optimization", {"evaluations": evals, "alpha": alpha})
+    meta = {
+        "evaluations": evals,
+        "dense_fallbacks": _forward.dense_count() - dense_before,
+        "alpha": alpha,
+    }
+    return GammaResult(gamma, attained, "optimization", meta)
 
 
 def test_multi(

@@ -5,7 +5,8 @@ adjustment level gamma, chosen so that the whole ECDF trajectory stays
 inside them with probability close to the nominal level.  Gamma can be
 calibrated two ways: by simulating trajectories and taking an empirical
 quantile of their tightest pointwise tail levels, or by an exact search
-over the steps of the trajectory's interval-crossing probability.
+over the steps of the trajectory's interval-crossing probability, which
+the shared forward pass in ``_forward`` computes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import dist
+from . import _forward, dist
 from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
 
 __all__ = [
@@ -172,7 +173,9 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
     Runs a forward pass over the per-point count intervals: conditional
     on the count so far, the increment to the next grid point is
     binomial in the remaining draws with the renormalized step
-    probability.  Counts follow the binomial marginals exactly whenever
+    probability.  Each step is one convolution (``_single_factors``);
+    when its scaled factors leave double range, the step matrices are
+    built instead.  Counts follow the binomial marginals exactly whenever
     each draw satisfies ``Pr(u <= z_i) = z_i``, which holds for
     continuous uniforms at any grid and for discrete uniforms when the
     grid points sit at multiples of the category spacing.
@@ -186,21 +189,20 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
         return 1.0
     key = _grid_key(grid)
     lo, hi = _bounds_from_key(n, key, gamma)
-    out = _interval_mass_fast(n, key, lo, hi)
-    if out is None:
-        out = _interval_mass(n, grid.points, lo, hi)
-    return out
+    return _forward.forward_mass(*_single_factors(n, key, lo, hi))
 
 
 @lru_cache(maxsize=8)
-def _step_context(n: int, pts_key: tuple):
+def _step_context(n: int, cdf_key: tuple):
     """Gamma-independent pieces of the forward recursion.
 
-    Treats the first grid point as a step from an artificial start at
-    z = 0 where the count is 0 with certainty, so every grid point is
-    reached by the same conditional-binomial transition.
+    ``cdf_key`` holds the null probability ``Pr(u <= z_i)`` of each grid
+    point, which is ``z_i`` itself for uniform draws.  Treats the first
+    grid point as a step from an artificial start at z = 0 where the
+    count is 0 with certainty, so every grid point is reached by the
+    same conditional-binomial transition.
     """
-    z = np.asarray(pts_key, dtype=np.float64)
+    z = np.asarray(cdf_key, dtype=np.float64)
     # the shared table can be longer than n + 1, so slice before reversing
     lf = dist.log_factorial_table(n)
     lfrev = np.ascontiguousarray(lf[n::-1])  # lfrev[r] = log((n - r)!)
@@ -217,119 +219,25 @@ def _step_context(n: int, pts_key: tuple):
     return lf, lfrev, logp, logq
 
 
-_EXP_GUARD = 600.0
+def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
+    """``_forward.forward_mass`` arguments for one sample's counts.
 
-
-def _interval_mass_fast(n: int, pts_key: tuple, lo: np.ndarray, hi: np.ndarray):
-    """Forward recursion written as one convolution per step.
-
-    The transition kernel C(n-r, d) p^d q^(n-r') factors into a part
-    that depends on the source count r, a part that depends on the jump
-    d, and a part that depends on the destination count r' alone, once
-    log (n-r)! is split into an affine fit over the source window plus
-    a small residual.  The three parts are precomputed for every step
-    in a few whole-array operations, leaving only a short convolution
-    loop.  Returns None when the scaled factors would not be safe in
-    double precision; the caller then falls back to the direct matrix
-    recursion in _interval_mass.
+    The step to the next grid point moves the count from r to r' with
+    probability C(n-r, d) p^d q^(n-r'), d = r' - r: source (n-r)!, jump
+    p^d / d!, destination q^(n-r') / (n-r')!.
     """
-    lf, lfrev, logp, logq = _step_context(n, pts_key)
+    lf, lfrev, logp, logq = _step_context(n, cdf_key)
     lo_ext = np.concatenate(([0], lo))
     hi_ext = np.concatenate(([0], hi))
-    if np.any(np.diff(lo_ext) < 0) or np.any(np.diff(hi_ext) < 0):
-        return None
-    src_lo, dst_lo = lo_ext[:-1], lo_ext[1:]
-    src_w = hi_ext[:-1] - src_lo
-    dst_w = hi_ext[1:] - dst_lo
-    width = int(max(src_w.max(), dst_w.max())) + 1
-    d_len = hi_ext[1:] - src_lo + 1
-    d_max = int(d_len.max())
-    shift = dst_lo - src_lo
-
-    offs = np.arange(width)
-    anchor = lfrev[src_lo]
-    slope = (anchor - lfrev[hi_ext[:-1]]) / np.maximum(src_w, 1)
-    src_r = np.minimum(src_lo[:, None] + offs[None, :], n)
-    e1 = lfrev[src_r] - (anchor[:, None] - slope[:, None] * offs[None, :])
-    e1 = np.where(offs[None, :] <= src_w[:, None], e1, 0.0)
-    if float(np.abs(e1).max()) > _EXP_GUARD:
-        return None
-    src_scale = np.exp(e1)
-
-    dvals = np.arange(d_max)
-    klog = dvals[None, :] * (logp + slope)[:, None] - lf[dvals][None, :]
-    klog = np.where(dvals[None, :] < d_len[:, None], klog, -np.inf)
-    peak = klog.max(axis=1)
-    kernel = np.exp(klog - peak[:, None])
-
-    dst_r = np.minimum(dst_lo[:, None] + offs[None, :], n)
+    offs = np.arange(int((hi_ext - lo_ext).max()) + 1)
+    src = lfrev[np.minimum(lo_ext[:-1, None] + offs[None, :], n)]
+    d_max = max(int((hi_ext[1:] - lo_ext[:-1]).max()) + 1, 1)
+    ker = -lf[np.arange(d_max)][None, :]
+    dst_r = np.minimum(lo_ext[1:, None] + offs[None, :], n)
     left = n - dst_r
     with np.errstate(invalid="ignore"):
         tail = np.where(left > 0, left * logq[:, None], 0.0)
-    w2 = (
-        anchor[:, None]
-        - slope[:, None] * (dst_r - src_lo[:, None])
-        - lfrev[dst_r]
-        + tail
-        + peak[:, None]
-    )
-    w2 = np.where(offs[None, :] <= dst_w[:, None], w2, -np.inf)
-    if float(w2.max()) > _EXP_GUARD:
-        return None
-    dst_scale = np.exp(w2)
-
-    probs = np.zeros(width)
-    probs[0] = 1.0
-    log_scale = 0.0
-    for t in range(len(pts_key)):
-        conv = np.convolve(probs * src_scale[t], kernel[t])
-        probs = conv[shift[t] : shift[t] + width] * dst_scale[t]
-        total = float(probs.sum())
-        if total <= 0.0:
-            return 0.0
-        if total < 1e-250:
-            probs = probs / total
-            log_scale += math.log(total)
-    return float(min(1.0, probs.sum() * math.exp(log_scale)))
-
-
-def _interval_mass(n: int, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Forward recursion over count intervals [lo_i, hi_i] along pts."""
-    cur_lo = cur_hi = 0
-    probs = np.ones(1)
-    z_prev = 0.0
-    log_scale = 0.0
-    for i in range(pts.size):
-        z = float(pts[i])
-        step = 1.0 if z_prev >= 1.0 else (z - z_prev) / (1.0 - z_prev)
-        new_lo, new_hi = int(lo[i]), int(hi[i])
-        probs = _advance(probs, cur_lo, cur_hi, new_lo, new_hi, n, step)
-        total = float(probs.sum())
-        if total <= 0.0:
-            return 0.0
-        if total < 1e-250:
-            # renormalization guard: keep the mass in a healthy float
-            # range and fold the deficit back in at the end
-            probs = probs / total
-            log_scale += math.log(total)
-        cur_lo, cur_hi = new_lo, new_hi
-        z_prev = z
-    return float(min(1.0, probs.sum() * math.exp(log_scale)))
-
-
-def _advance(probs, old_lo, old_hi, new_lo, new_hi, n, step):
-    if step >= 1.0:
-        # final jump to z = 1: every remaining draw arrives at once
-        out = np.zeros(new_hi - new_lo + 1)
-        if new_lo <= n <= new_hi:
-            out[n - new_lo] = probs.sum()
-        return out
-    r_old = np.arange(old_lo, old_hi + 1)
-    r_new = np.arange(new_lo, new_hi + 1)
-    growth = r_new[:, None] - r_old[None, :]
-    remaining = n - r_old[None, :]
-    log_pmf = dist.binom_logpmf(growth, remaining, step)
-    return np.exp(log_pmf) @ probs
+    return lo_ext, hi_ext, src, ker, (-lfrev[dst_r], tail), logp
 
 
 def _grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -453,18 +361,26 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     The search is exact: it bisects the steps of the coverage curve,
     whose breakpoints come from the binomial CDF tables of the grid
     points (see ``_search_steps``).  ``meta["evaluations"]`` counts the
-    coverage evaluations it made.
+    coverage evaluations it made, and ``meta["dense_fallbacks"]`` those
+    that built dense step matrices because the convolution's scaled
+    factors left double range.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
+    dense_before = _forward.dense_count()
     gamma, attained, evals = _search_steps(
         lambda g: coverage_probability(n, grid, g),
         _cdf_matrix(n, _grid_key(grid)),
         alpha,
         alpha / grid.size,
     )
-    return GammaResult(gamma, attained, "optimization", {"evaluations": evals, "alpha": alpha})
+    meta = {
+        "evaluations": evals,
+        "dense_fallbacks": _forward.dense_count() - dense_before,
+        "alpha": alpha,
+    }
+    return GammaResult(gamma, attained, "optimization", meta)
 
 
 def _resolve_gamma(

@@ -111,11 +111,25 @@ def ar1_simulate(phi: float, n: int, chains: int = 1, seed: int = 0) -> ChainSet
     return ChainSet(out * math.sqrt(1.0 - phi * phi))
 
 
+_ESS_BUDGET = 1 << 20
+"""Most draws one ``_ess_batch`` pass transforms at once.  A larger stack
+is split over its series, which keeps each FFT buffer near 16 MB."""
+
+
 def _ess_batch(x: np.ndarray) -> np.ndarray:
     """ESS of the mean for each set of equal-length chains in an
-    (S, m, n) stack."""
+    (S, m, n) stack.
+
+    A constant series has no variance to estimate, and its ESS is the
+    number of draws; it is detected before demeaning, whose rounding
+    residue would otherwise pass for variance.
+    """
     s, m, n = x.shape
+    step = max(1, _ESS_BUDGET // (m * n))
+    if s > step:
+        return np.concatenate([_ess_batch(x[i : i + step]) for i in range(0, s, step)])
     total = m * n
+    varies = x.max(axis=(1, 2)) > x.min(axis=(1, 2))
     chain_means = x.mean(axis=2)
     xc = x - chain_means[..., None]
     mean_var = (xc * xc).reshape(s, total).sum(axis=1) / (m * (n - 1))
@@ -128,7 +142,7 @@ def _ess_batch(x: np.ndarray) -> np.ndarray:
     power = (spec.real * spec.real + spec.imag * spec.imag).sum(axis=1)
     acov = irfft(power, n=nfft, axis=1)[:, : cap + 1] / total
     out = np.full(s, float(total))
-    for i in np.flatnonzero(var_plus > 0.0):
+    for i in np.flatnonzero(varies & (var_plus > 0.0)):
         rho = 1.0 - (mean_var[i] - acov[i]) / var_plus[i]
         out[i] = total / _geyer_tau(rho, total)
     return out
@@ -179,9 +193,10 @@ def ess_report(chains) -> EssReport:
     if cs.n_draws < 8:
         raise ValueError("chains must have at least 8 draws")
     qs = np.quantile(x, _QUANTILES)
-    series = np.concatenate(
-        (x[None], _rank_normalize(x)[None], (x <= qs[:, None, None]).astype(np.float64))
-    )
+    series = np.empty((2 + len(_QUANTILES),) + x.shape)
+    series[0] = x
+    series[1] = _rank_normalize(x)
+    np.less_equal(x, qs[:, None, None], out=series[2:])
     ess = _ess_batch(series)
     ess_q = tuple(float(v) for v in ess[2:])
     ess_tail = min(ess_q[0], ess_q[-1])

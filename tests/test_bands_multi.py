@@ -3,22 +3,26 @@
 Under the null every assignment of pooled ranks to chains is equally
 likely, so exact coverage has a combinatorial oracle: enumerate all
 interleavings and count the ones whose per-chain trajectories stay
-inside the shared bounds.  Both the two-chain and the three-chain
-recursions are checked against that enumeration.
+inside the shared bounds.  The factorized forward pass is checked
+against that enumeration, and against the dense two- and three-chain
+recursions kept in ``oracles`` on random shapes and windows.
 """
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecdf_bands import _forward, dist
 from ecdf_bands.bands_multi import (
     MultiBands,
     MultiTestReport,
     _band_bounds,
     _chain_cell_counts,
+    _chain_factors,
     _pooled_counts,
     bands_from_gamma_multi,
     coverage_probability_multi,
@@ -28,6 +32,7 @@ from ecdf_bands.bands_multi import (
 from ecdf_bands.bands_multi import test_multi as run_multi_test
 from ecdf_bands.bands_single import GammaResult
 from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid
+from oracles import coverage_three_chains, coverage_two_chains
 
 
 def enumerate_interleaving_coverage(n: int, l: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -102,14 +107,116 @@ def test_pooled_counts_guard_against_ulp_undershoot():
 
 
 def test_band_bounds_are_hypergeometric_quantiles():
-    from ecdf_bands import dist
-
     n, l, gamma = 12, 3, 0.08
     s = np.array([5, 14, 30])
     lo, hi = _band_bounds(n, l, s, gamma)
     for i, si in enumerate(s):
         assert lo[i] == dist.hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
         assert hi[i] == dist.hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    l=st.integers(2, 6),
+    s=st.lists(st.integers(0, 240), min_size=1, max_size=10),
+    gamma=st.floats(0.0, 1.0),
+)
+def test_band_bounds_match_quantiles_everywhere(n, l, s, gamma):
+    s = np.array([min(si, l * n) for si in s])
+    lo, hi = _band_bounds(n, l, s, gamma)
+    for i, si in enumerate(s):
+        assert lo[i] == dist.hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
+        assert hi[i] == dist.hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
+
+
+_ORACLES = {2: coverage_two_chains, 3: coverage_three_chains}
+
+
+def _assert_both_routes_match_oracle(n, l, s, lo, hi):
+    want = _ORACLES[l](n, s, lo, hi)
+    args = _chain_factors(n, l, np.asarray(s), np.asarray(lo), np.asarray(hi))
+    fast = _forward.fast_pass(*args)
+    for got in (fast, _forward.dense_pass(*args)):
+        if got is not None:
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-15), (got, want, fast)
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_forward_pass_matches_dense_oracles_on_band_windows(data):
+    l = data.draw(st.sampled_from([2, 3]), label="l")
+    n = data.draw(st.integers(1, 60 if l == 2 else 18), label="n")
+    if data.draw(st.booleans(), label="default grid"):
+        grid = default_grid(n, l * n, k_max=data.draw(st.integers(1, 100), label="k_max"))
+    else:
+        # off-lattice and often coarse: a handful of arbitrary points
+        pts = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8), label="pts")
+        grid = EvaluationGrid(np.unique(pts))
+    gamma = data.draw(st.floats(1e-6, 1.0), label="gamma")
+    s = np.unique(_pooled_counts(grid, n, l))
+    lo, hi = _band_bounds(n, l, s, gamma)
+    want = _assert_both_routes_match_oracle(n, l, s, lo, hi)
+    got = coverage_probability_multi(n, l, grid, gamma)
+    assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_forward_pass_matches_dense_oracles_on_arbitrary_windows(data):
+    # arbitrary windows per pooled count: they may shrink, move down, or
+    # leave no admissible count at all
+    l = data.draw(st.sampled_from([2, 3]), label="l")
+    n = data.draw(st.integers(1, 30 if l == 2 else 12), label="n")
+    s = sorted(set(data.draw(st.lists(st.integers(0, l * n), min_size=1, max_size=8), label="s")))
+    lo, hi = [], []
+    for _ in s:
+        a, b = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2), label="window"))
+        lo.append(a)
+        hi.append(b)
+    _assert_both_routes_match_oracle(n, l, s, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "n, l, s, lo, hi",
+    [
+        # the first chain's window is [1, 3], then [4, 6], then moves down to [2, 10]
+        (10, 2, [4, 10, 12], [1, 4, 2], [3, 6, 10]),
+        # every chain at 1, then at 3, then anywhere in [2, 6]; then it shrinks to [4, 5]
+        (6, 3, [3, 9, 12, 14], [1, 3, 2, 4], [1, 3, 6, 5]),
+    ],
+)
+def test_forward_pass_on_windows_that_move_down(n, l, s, lo, hi):
+    assert _assert_both_routes_match_oracle(n, l, s, lo, hi) > 0.0
+
+
+def test_dense_fallback_is_forced_recorded_and_logged(monkeypatch, caplog):
+    for l, n in ((2, 30), (3, 12)):
+        grid = default_grid(n, l * n)
+        with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
+            fast = gamma_optimize_multi(n, l, grid, 0.05)
+        assert fast.meta["dense_fallbacks"] == 0
+        assert not caplog.records
+        # every scaled factor now counts as out of range
+        monkeypatch.setattr(_forward, "_EXP_GUARD", -1.0)
+        with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
+            dense = gamma_optimize_multi(n, l, grid, 0.05)
+        assert dense.meta["dense_fallbacks"] == dense.meta["evaluations"] > 0
+        assert [r.name for r in caplog.records] == ["ecdf_bands"] * dense.meta["evaluations"]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        assert dense.gamma == fast.gamma
+        assert dense.attained_coverage == pytest.approx(fast.attained_coverage, rel=1e-11)
+        s = np.unique(_pooled_counts(grid, n, l))
+        lo, hi = _band_bounds(n, l, s, 0.2)
+        assert coverage_probability_multi(n, l, grid, 0.2) == pytest.approx(
+            _ORACLES[l](n, s, lo, hi), rel=1e-11
+        )
+        # logging off: the fallback still runs and is counted, silently
+        caplog.clear()
+        assert gamma_optimize_multi(n, l, grid, 0.05).meta["dense_fallbacks"] > 0
+        assert not caplog.records
+        monkeypatch.undo()
 
 
 def test_coverage_multi_monotone_in_gamma_and_edges():

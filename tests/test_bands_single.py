@@ -3,8 +3,8 @@
 The exact coverage recursion is checked against two independent
 routes: full enumeration over discrete uniform outcomes, and a direct
 multinomial sum over count increments for continuous uniforms.  The
-convolution fast path is additionally compared to the plain matrix
-recursion it replaces.
+convolution route and the dense route are additionally compared to the
+plain matrix recursion kept in ``oracles``.
 """
 
 import itertools
@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecdf_bands import dist
+from ecdf_bands import _forward, dist
 from ecdf_bands.bands_single import (
     ConfidenceBands,
     GammaResult,
@@ -22,8 +24,7 @@ from ecdf_bands.bands_single import (
     _grid_cell_counts,
     _grid_key,
     _interior_bounds,
-    _interval_mass,
-    _interval_mass_fast,
+    _single_factors,
     band_exceedances,
     bands_from_gamma,
     coverage_probability,
@@ -32,6 +33,7 @@ from ecdf_bands.bands_single import (
 )
 from ecdf_bands.bands_single import test_single as run_single_test
 from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, default_grid
+from oracles import interval_mass
 
 
 def enumerate_discrete_coverage(n: int, support: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -145,9 +147,9 @@ def test_fast_path_agrees_with_matrix_recursion(n, k_max, gamma):
     grid = default_grid(n, k_max=k_max)
     key = _grid_key(grid)
     lo, hi = _bounds_from_key(n, key, gamma)
-    fast = _interval_mass_fast(n, key, lo, hi)
+    fast = _forward.fast_pass(*_single_factors(n, key, lo, hi))
     assert fast is not None
-    ref = _interval_mass(n, grid.points, lo, hi)
+    ref = interval_mass(n, grid.points, lo, hi)
     assert fast == pytest.approx(ref, rel=5e-12, abs=1e-15)
 
 
@@ -157,9 +159,9 @@ def test_fast_path_agrees_on_discrete_resolution_grid():
     key = _grid_key(grid)
     for gamma in (0.002, 0.05):
         lo, hi = _bounds_from_key(n, key, gamma)
-        fast = _interval_mass_fast(n, key, lo, hi)
+        fast = _forward.fast_pass(*_single_factors(n, key, lo, hi))
         assert fast is not None
-        ref = _interval_mass(n, grid.points, lo, hi)
+        ref = interval_mass(n, grid.points, lo, hi)
         assert fast == pytest.approx(ref, rel=5e-12)
 
 
@@ -171,9 +173,40 @@ def test_fast_path_declines_extreme_scales_and_fallback_runs():
     grid = EvaluationGrid([0.5, 1.0])
     key = _grid_key(grid)
     lo, hi = _bounds_from_key(n, key, 1e-6)
-    assert _interval_mass_fast(n, key, lo, hi) is None
+    assert _forward.fast_pass(*_single_factors(n, key, lo, hi)) is None
     out = coverage_probability(n, grid, 1e-6)
     assert 0.999 < out <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_both_routes_match_the_matrix_recursion_on_arbitrary_windows(data):
+    # random null probabilities and windows that may shrink or move down
+    n = data.draw(st.integers(1, 60), label="n")
+    pts = np.unique(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8), label="pts"))
+    lo, hi = [], []
+    for _ in pts:
+        a, b = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2), label="window"))
+        lo.append(a)
+        hi.append(b)
+    lo, hi = np.array(lo), np.array(hi)
+    want = interval_mass(n, pts, lo, hi)
+    args = _single_factors(n, tuple(pts.tolist()), lo, hi)
+    fast = _forward.fast_pass(*args)
+    for got in (fast, _forward.dense_pass(*args)):
+        if got is not None:
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+
+def test_gamma_optimize_records_dense_fallbacks(monkeypatch):
+    grid = default_grid(60)
+    fast = gamma_optimize(60, grid, 0.05)
+    assert fast.meta["dense_fallbacks"] == 0
+    monkeypatch.setattr(_forward, "_EXP_GUARD", -1.0)
+    dense = gamma_optimize(60, grid, 0.05)
+    assert dense.meta["dense_fallbacks"] == dense.meta["evaluations"] > 0
+    assert dense.gamma == fast.gamma
+    assert dense.attained_coverage == pytest.approx(fast.attained_coverage, rel=1e-11)
 
 
 def test_bounds_match_scalar_quantiles():

@@ -156,6 +156,52 @@ def test_power_sweep_single_chain_size_and_power():
         assert power > size + 0.2
 
 
+def _distorted_cdf(family: str, k: float, z: np.ndarray) -> np.ndarray:
+    """Pr(T(u) <= z) for a uniform u and the family's distortion T of
+    strength k, in closed form."""
+    scale = 2.0 ** (k - 1.0)
+    if family == "A":
+        return 1.0 - (1.0 - z) ** (1.0 / k)
+    if family == "B":
+        return np.where(
+            z <= 0.5, (z / scale) ** (1.0 / k), 1.0 - ((1.0 - z) / scale) ** (1.0 / k)
+        )
+    return 0.5 + np.sign(z - 0.5) * (np.abs(z - 0.5) / scale) ** (1.0 / k)
+
+
+@pytest.mark.parametrize("family, ks", [("A", (1.1, 1.5)), ("B", (0.7, 1.5)), ("C", (0.7, 1.5))])
+def test_one_sample_band_power_matches_the_exact_rate(family, ks):
+    # Under a distortion the counts at the grid points follow the same
+    # binomial forward pass with Pr(u <= z_i) = G_k(z_i), so the exact
+    # rejection rate is one minus that pass's mass inside the bands.
+    from ecdf_bands import _forward, bands_single
+    from ecdf_bands.transform import default_grid
+
+    n, replicates = 100, 10_000
+    grid = default_grid(n)
+    assert grid.size == 100
+    bands = bands_single.bands_from_gamma(n, grid, bands_single.gamma_optimize(n, grid, 0.05))
+    curve = power_sweep(["bands"], family, (1.0,) + ks, n, replicates=replicates, seed=3)
+    assert curve.meta["gamma"] == bands.gamma
+    x = np.linspace(0.0, 1.0, 41)
+    for k, rate in zip(curve.ks, curve.rates["bands"]):
+        cdf = np.clip(_distorted_cdf(family, k, grid.points), 0.0, 1.0)
+        cdf[-1] = 1.0
+        np.testing.assert_allclose(
+            _distorted_cdf(family, k, apply_transform(x, Transformation(family, k))), x, atol=1e-12
+        )
+        factors = bands_single._single_factors(
+            n, tuple(cdf.tolist()), bands.lower_counts, bands.upper_counts
+        )
+        exact = 1.0 - _forward.forward_mass(*factors)
+        if family == "A" and k == 1.5:
+            assert exact == pytest.approx(0.9331, abs=5e-5)
+        if k == 1.0:
+            assert exact == pytest.approx(1.0 - bands_single.coverage_probability(n, grid, bands.gamma))
+        half_width = 2.576 * np.sqrt(exact * (1.0 - exact) / replicates) + 1.0 / replicates
+        assert abs(rate - exact) <= half_width, (family, k, rate, exact)
+
+
 def test_power_sweep_is_seed_deterministic():
     a = power_sweep(["W2"], "B", [2.0], 40, replicates=1000, seed=7)
     b = power_sweep(["W2"], "B", [2.0], 40, replicates=1000, seed=7)

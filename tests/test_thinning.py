@@ -42,6 +42,8 @@ def _ess_core(x: np.ndarray, tie: float = 0.0) -> float:
     """
     m, n = x.shape
     total = m * n
+    if x.max() == x.min():
+        return float(total)
     chain_means = x.mean(axis=1)
     xc = x - chain_means[:, None]
     mean_var = float((xc * xc).sum() / (m * (n - 1)))
@@ -216,6 +218,27 @@ def test_ess_report_matches_lag_sum_oracle(m, n, phi, seed, lattice):
     assert rep.ess_tail == min(rep.ess_quantiles[0], rep.ess_quantiles[-1])
     if lattice == "constant":
         assert _report_values(rep) == [float(m * n)] * 21
+
+
+def test_constant_chains_get_the_total_as_ess():
+    # ten draws of 0.3 do not average to exactly 0.3, and the demeaning
+    # residue used to pass for variance (ess_mean was 3.06)
+    for x in (np.full((1, 10), 0.3), np.full((3, 17), -1.7)):
+        rep = ess_report(x)
+        assert _report_values(rep) == [float(x.size)] * 21
+        assert rep.ess_tail == float(x.size)
+
+
+def test_chunked_ess_batch_matches_one_batch(monkeypatch):
+    from ecdf_bands import thinning
+
+    x = ar1_simulate(0.8, 3000, chains=3, seed=4).chains
+    whole = ess_report(x)
+    # a budget of two series' draws splits the 21 series into 11 passes
+    monkeypatch.setattr(thinning, "_ESS_BUDGET", 2 * x.size)
+    chunked = ess_report(x)
+    assert _report_values(chunked) == pytest.approx(_report_values(whole), rel=1e-12)
+    assert chunked.ess_tail == pytest.approx(whole.ess_tail, rel=1e-12)
 
 
 def test_ess_report_pinned_values():
