@@ -3,11 +3,11 @@ same-distribution tests across MCMC chains.
 
 The short tour: turn draws into PIT values or pooled fractional ranks
 (`transform`), calibrate a pointwise level whose per-quantile intervals
-reach a joint coverage target (`bands_single`, `bands_multi`), reuse
-calibrations via stored grids (`gamma_cache`), study sensitivity under
-controlled departures (`power`), handle autocorrelated chains
-(`thinning`), and draw the results (`report`).  The `ecdf-bands`
-console script in `cli` ties these together.
+reach a joint coverage target (`bands_single`, `bands_multi`), pick the
+calibration method and reuse stored grids (`gamma_cache.calibrate`),
+study sensitivity under controlled departures (`power`), handle
+autocorrelated chains (`thinning`), and draw the results (`report`).
+The `ecdf-bands` console script in `cli` ties these together.
 """
 
 from .bands_multi import (
@@ -31,7 +31,15 @@ from .bands_single import (
     gamma_simulate,
     test_single,
 )
-from .gamma_cache import GammaGrid, GridEntry, build_grid, interpolate, load_grid, save_grid
+from .gamma_cache import (
+    GammaGrid,
+    GridEntry,
+    build_grid,
+    calibrate,
+    interpolate,
+    load_grid,
+    save_grid,
+)
 from .power import (
     PowerCurve,
     Transformation,
@@ -54,7 +62,6 @@ from .transform import (
     ecdf_eval,
     empirical_pit,
     fractional_ranks,
-    grid_from_ranks,
     joint_fractional_ranks,
 )
 
@@ -86,6 +93,7 @@ __all__ = [
     "bands_from_gamma",
     "bands_from_gamma_multi",
     "build_grid",
+    "calibrate",
     "coverage_probability",
     "coverage_probability_multi",
     "critical_value",
@@ -99,7 +107,6 @@ __all__ = [
     "gamma_optimize_multi",
     "gamma_simulate",
     "gamma_simulate_multi",
-    "grid_from_ranks",
     "interpolate",
     "joint_fractional_ranks",
     "load_grid",

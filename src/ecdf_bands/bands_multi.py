@@ -9,13 +9,12 @@ three chains runs the shared forward pass (``_forward``) over joint
 count states whose increments are multivariate hypergeometric: with two
 chains the state is the first chain's count and each step is a 1-D
 convolution, with three it is the first two chains' counts over the full
-window and each step is a 2-D convolution.  More chains fall back to
-simulation.
+window and each step is a 2-D convolution.  More chains need simulation;
+``gamma_cache.calibrate`` makes that choice.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,12 +23,12 @@ import numpy as np
 from . import _forward, dist
 from .bands_single import (
     DEFAULT_REPLICATES,
-    Exceedance,
     GammaResult,
     TestReport,
     _check_alpha,
-    _empirical_lower_quantile,
+    _exceedances,
     _search_steps,
+    _simulated_gamma,
 )
 from .transform import (
     ChainSet,
@@ -282,30 +281,16 @@ def gamma_simulate_multi(
         raise ValueError("chain length must be positive")
     l = _check_chains(l)
     alpha = _check_alpha(alpha)
-    if m < 100:
-        raise ValueError("at least 100 replicates are required")
     s = _pooled_counts(grid, n, l)
     cdf_rows, sf_rows = _hyper_tail_tables(n, l, s)
     tail_rows = np.minimum(cdf_rows, sf_rows).ravel()
     row_start = np.arange(s.size) * (n + 1)
 
-    chunk = 256
-    starts = list(range(0, m, chunk))
-
-    def run(chunk_index: int) -> np.ndarray:
-        size = min(chunk, m - starts[chunk_index])
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+    def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
         counts = _chain_cell_counts(rng.random((size, l * n)), s, n, l)
         return 2.0 * tail_rows[counts + row_start].min(axis=(1, 2))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(run, range(len(starts))))
-    else:
-        pieces = [run(i) for i in range(len(starts))]
-    levels = np.concatenate(pieces)
-    assert np.all(levels > 0.0), "tightest tail level must be positive"
-    gamma = min(_empirical_lower_quantile(levels, alpha), alpha)
+    gamma, levels = _simulated_gamma(tightest, alpha, m, 256, seed, threads)
     meta = {"replicates": m, "alpha": alpha}
     if l <= EXACT_CHAIN_LIMIT:
         attained = coverage_probability_multi(n, l, grid, gamma)
@@ -366,7 +351,9 @@ def test_multi(
 
     Chains are pooled and jointly ranked; each chain's rank ECDF is
     compared against shared hypergeometric bands.  The joint verdict is
-    inside exactly when every chain stays inside.
+    inside exactly when every chain stays inside.  Unless ``gamma`` is
+    given, ``method``, ``m``, ``seed``, ``threads`` and ``cache`` go to
+    ``gamma_cache.calibrate``.
     """
     cs = chains if isinstance(chains, ChainSet) else ChainSet(chains)
     l, n = cs.n_chains, cs.n_draws
@@ -375,7 +362,9 @@ def test_multi(
     if grid is None:
         grid = default_grid(n, l * n)
     if gamma is None:
-        gamma = _resolve_gamma_multi(n, l, grid, alpha, method, m, seed, cache, threads)
+        from .gamma_cache import calibrate
+
+        gamma = calibrate(n, l, grid, alpha, method, m=m, seed=seed, threads=threads, cache=cache)
     bands = bands_from_gamma_multi(n, l, grid, gamma)
     fractional = joint_fractional_ranks(cs, tie_policy=tie_policy, seed=seed)
     # recover integer pooled ranks for exact count comparisons
@@ -385,48 +374,7 @@ def test_multi(
     for ci in range(l):
         counts = np.searchsorted(np.sort(ranks[ci]), s, side="right").astype(np.int64)
         trajectory = EcdfTrajectory(grid, counts, n)
-        exceedances = _rank_exceedances(bands, counts, n)
+        exceedances = _exceedances(counts, bands.lower_ranks, bands.upper_ranks, n)
         reports.append(TestReport(not exceedances, tuple(exceedances), bands, trajectory))
     return MultiTestReport(all(r.inside for r in reports), tuple(reports), bands)
 
-
-def _rank_exceedances(bands: MultiBands, counts: np.ndarray, n: int) -> list[Exceedance]:
-    out: list[Exceedance] = []
-    for i in range(counts.size):
-        c = int(counts[i])
-        if c < bands.lower_ranks[i]:
-            out.append(Exceedance(i, c / n, float(bands.lower_ranks[i] / n), "lower"))
-        elif c > bands.upper_ranks[i]:
-            out.append(Exceedance(i, c / n, float(bands.upper_ranks[i] / n), "upper"))
-    return out
-
-
-def _resolve_gamma_multi(
-    n: int,
-    l: int,
-    grid: EvaluationGrid,
-    alpha: float,
-    method: str,
-    m: int,
-    seed: int,
-    cache,
-    threads: int = 1,
-) -> GammaResult:
-    from .bands_single import _cache_lookup
-
-    if method == "auto":
-        if cache is not None:
-            try:
-                return _cache_lookup(cache, n, l, alpha)
-            except (KeyError, ValueError):
-                pass
-        method = "optimize" if l <= EXACT_CHAIN_LIMIT else "simulate"
-    if method == "optimize":
-        return gamma_optimize_multi(n, l, grid, alpha)
-    if method == "simulate":
-        return gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed, threads=threads)
-    if method == "cache":
-        if cache is None:
-            raise ValueError("method 'cache' requires a gamma grid or its path")
-        return _cache_lookup(cache, n, l, alpha)
-    raise ValueError(f"unknown method {method!r}")

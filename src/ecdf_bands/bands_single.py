@@ -6,7 +6,10 @@ inside them with probability close to the nominal level.  Gamma can be
 calibrated two ways: by simulating trajectories and taking an empirical
 quantile of their tightest pointwise tail levels, or by an exact search
 over the steps of the trajectory's interval-crossing probability, which
-the shared forward pass in ``_forward`` computes.
+the shared forward pass in ``_forward`` computes.  Which way runs is
+chosen in ``gamma_cache.calibrate`` alone.  The seeded chunk-and-thread
+replicate harness (``_map_chunks``), the simulators' shared tail and the
+exceedance scan live here and serve ``bands_multi`` and ``power`` too.
 """
 
 from __future__ import annotations
@@ -265,6 +268,41 @@ def _empirical_lower_quantile(values: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
+def _chunk_rng(seed: int, key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, key)))
+
+
+def _map_chunks(fn, total: int, chunk: int, threads: int = 1) -> list:
+    """``fn(start, size)`` for each chunk of ``range(total)``, run on
+    ``threads`` workers; the results come back in chunk order."""
+
+    def run(start: int):
+        return fn(start, min(chunk, total - start))
+
+    starts = range(0, total, chunk)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, starts))
+    return [run(start) for start in starts]
+
+
+def _simulated_gamma(levels_fn, alpha: float, m: int, chunk: int, seed: int, threads: int):
+    """Gamma from m simulated tightest tail levels, and the levels.
+
+    ``levels_fn(rng, size)`` simulates one chunk; chunk i draws from
+    ``SeedSequence((seed, i))``.  Gamma is the empirical alpha-quantile
+    of the levels, capped at alpha.
+    """
+    if m < 100:
+        raise ValueError("at least 100 replicates are required")
+    pieces = _map_chunks(
+        lambda start, size: levels_fn(_chunk_rng(seed, start // chunk), size), m, chunk, threads
+    )
+    levels = np.concatenate(pieces)
+    assert np.all(levels > 0.0), "tightest tail level must be positive"
+    return min(_empirical_lower_quantile(levels, alpha), alpha), levels
+
+
 def gamma_simulate(
     n: int,
     grid: EvaluationGrid,
@@ -283,31 +321,16 @@ def gamma_simulate(
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
-    if m < 100:
-        raise ValueError("at least 100 replicates are required")
     pts = grid.points
     key = _grid_key(grid)
     cdf_rows = _cdf_matrix(n, key)
     sf_rows = _sf_matrix(n, key)
 
-    chunk = 512
-    starts = list(range(0, m, chunk))
-
-    def run(chunk_index: int) -> np.ndarray:
-        size = min(chunk, m - starts[chunk_index])
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        u = rng.random((size, n))
-        counts = _grid_cell_counts(u, pts)
+    def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
+        counts = _grid_cell_counts(rng.random((size, n)), pts)
         return _tightest_tail_levels(counts, cdf_rows, sf_rows)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(run, range(len(starts))))
-    else:
-        pieces = [run(i) for i in range(len(starts))]
-    levels = np.concatenate(pieces)
-    assert np.all(levels > 0.0), "tightest tail level must be positive"
-    gamma = min(_empirical_lower_quantile(levels, alpha), alpha)
+    gamma, _ = _simulated_gamma(tightest, alpha, m, 512, seed, threads)
     attained = coverage_probability(n, grid, gamma)
     return GammaResult(gamma, attained, "simulation", {"replicates": m, "alpha": alpha})
 
@@ -383,41 +406,6 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     return GammaResult(gamma, attained, "optimization", meta)
 
 
-def _resolve_gamma(
-    n: int,
-    grid: EvaluationGrid,
-    alpha: float,
-    method: str,
-    m: int,
-    seed: int,
-    cache,
-    threads: int = 1,
-) -> GammaResult:
-    if method == "auto":
-        if cache is not None:
-            try:
-                return _cache_lookup(cache, n, 1, alpha)
-            except (KeyError, ValueError):
-                pass
-        method = "optimize"
-    if method == "optimize":
-        return gamma_optimize(n, grid, alpha)
-    if method == "simulate":
-        return gamma_simulate(n, grid, alpha, m=m, seed=seed, threads=threads)
-    if method == "cache":
-        if cache is None:
-            raise ValueError("method 'cache' requires a gamma grid or its path")
-        return _cache_lookup(cache, n, 1, alpha)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _cache_lookup(cache, n: int, l: int, alpha: float) -> GammaResult:
-    from .gamma_cache import GammaGrid, interpolate, load_grid
-
-    grid = cache if isinstance(cache, GammaGrid) else load_grid(cache)
-    return interpolate(grid, n, l, alpha)
-
-
 def test_single(
     u,
     alpha: float = 0.05,
@@ -434,7 +422,8 @@ def test_single(
 
     Builds simultaneous bands at the calibrated gamma and reports every
     grid point where the sample's ECDF leaves them.  Band boundaries
-    count as inside.
+    count as inside.  Unless ``gamma`` is given, ``method``, ``m``,
+    ``seed``, ``threads`` and ``cache`` go to ``gamma_cache.calibrate``.
     """
     alpha = _check_alpha(alpha)
     pit = u if isinstance(u, PitValues) else PitValues(np.asarray(u, dtype=np.float64))
@@ -442,7 +431,9 @@ def test_single(
     if grid is None:
         grid = default_grid(n, pit.resolution)
     if gamma is None:
-        gamma = _resolve_gamma(n, grid, alpha, method, m, seed, cache, threads)
+        from .gamma_cache import calibrate
+
+        gamma = calibrate(n, 1, grid, alpha, method, m=m, seed=seed, threads=threads, cache=cache)
     bands = bands_from_gamma(n, grid, gamma)
     trajectory = ecdf_eval(pit, grid)
     exceedances = band_exceedances(bands, trajectory)
@@ -458,13 +449,15 @@ def band_exceedances(bands: ConfidenceBands, trajectory: EcdfTrajectory) -> list
         raise ValueError("trajectory and bands use different grids")
     if trajectory.n != bands.n:
         raise ValueError("trajectory and bands use different sample sizes")
-    out: list[Exceedance] = []
-    counts = trajectory.counts
-    n = trajectory.n
-    for i in range(counts.size):
-        c = int(counts[i])
-        if c < bands.lower_counts[i]:
-            out.append(Exceedance(i, c / n, float(bands.lower_counts[i] / bands.n), "lower"))
-        elif c > bands.upper_counts[i]:
-            out.append(Exceedance(i, c / n, float(bands.upper_counts[i] / bands.n), "upper"))
+    return _exceedances(trajectory.counts, bands.lower_counts, bands.upper_counts, bands.n)
+
+
+def _exceedances(counts, lower, upper, n: int) -> list[Exceedance]:
+    """Grid points where counts leave [lower, upper], in index order, as
+    fractions of n."""
+    below = counts < lower
+    out = []
+    for i in np.flatnonzero(below | (counts > upper)).tolist():
+        bound, side = (lower[i], "lower") if below[i] else (upper[i], "upper")
+        out.append(Exceedance(i, int(counts[i]) / n, int(bound) / n, side))
     return out

@@ -185,75 +185,46 @@ def _exceedance_records(exceedances) -> list[dict]:
     ]
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    cols, resolution = _columns(args.input)
-    cache = _load_cache()
+def _band_test(cfg: RunConfig, cols: np.ndarray, resolution: int | None, cache):
+    """``test_single`` on one column, ``test_multi`` on several; returns
+    the report and its per-chain reports."""
+    opts = dict(
+        alpha=cfg.alpha, method=cfg.method, m=cfg.m, seed=cfg.seed, threads=cfg.threads, cache=cache
+    )
     if cols.shape[0] == 1:
         values = PitValues(cols[0], resolution)
         grid = default_grid(values.size, resolution, k_max=cfg.grid_k)
-        rep = test_single(
-            values,
-            alpha=cfg.alpha,
-            method=cfg.method,
-            grid=grid,
-            m=cfg.m,
-            seed=cfg.seed,
-            threads=cfg.threads,
-            cache=cache,
-        )
-        info = rep.bands.gamma_info
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "mode": "single",
-            "n": rep.bands.n,
-            "chains": 1,
-            "alpha": cfg.alpha,
-            "gamma": rep.bands.gamma,
-            "attained_coverage": info.attained_coverage if info else None,
-            "attained_estimate": info.meta.get("attained_estimate") if info else None,
-            "method": info.method if info else "fixed",
-            "grid": [float(z) for z in rep.bands.grid.points],
-            "bands": {
-                "lower": [float(v) for v in rep.bands.lower],
-                "upper": [float(v) for v in rep.bands.upper],
-            },
-            "inside": rep.inside,
-            "exceedances": [_exceedance_records(rep.exceedances)],
-        }
-    else:
-        cs = ChainSet(cols)
-        grid = default_grid(cs.n_draws, cs.n_chains * cs.n_draws, k_max=cfg.grid_k)
-        rep = test_multi(
-            cs,
-            alpha=cfg.alpha,
-            method=cfg.method,
-            grid=grid,
-            tie_policy=cfg.tie_policy,
-            m=cfg.m,
-            seed=cfg.seed,
-            threads=cfg.threads,
-            cache=cache,
-        )
-        info = rep.bands.gamma_info
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "mode": "multi",
-            "n": rep.bands.n,
-            "chains": rep.bands.n_chains,
-            "alpha": cfg.alpha,
-            "gamma": rep.bands.gamma,
-            "attained_coverage": info.attained_coverage if info else None,
-            "attained_estimate": info.meta.get("attained_estimate") if info else None,
-            "method": info.method if info else "fixed",
-            "grid": [float(z) for z in rep.bands.grid.points],
-            "bands": {
-                "lower": [float(v) for v in rep.bands.lower],
-                "upper": [float(v) for v in rep.bands.upper],
-            },
-            "inside": rep.inside,
-            "exceedances": [_exceedance_records(r.exceedances) for r in rep.chains],
-        }
+        rep = test_single(values, grid=grid, **opts)
+        return rep, (rep,)
+    cs = ChainSet(cols)
+    grid = default_grid(cs.n_draws, cs.n_chains * cs.n_draws, k_max=cfg.grid_k)
+    rep = test_multi(cs, grid=grid, tie_policy=cfg.tie_policy, **opts)
+    return rep, rep.chains
+
+
+def cmd_test(args: argparse.Namespace) -> int:
+    cfg = _config(args)
+    cols, resolution = _columns(args.input)
+    rep, chains = _band_test(cfg, cols, resolution, _load_cache())
+    info = rep.bands.gamma_info
+    payload = {
+        "schema": REPORT_SCHEMA,
+        "mode": "single" if len(chains) == 1 else "multi",
+        "n": rep.bands.n,
+        "chains": len(chains),
+        "alpha": cfg.alpha,
+        "gamma": rep.bands.gamma,
+        "attained_coverage": info.attained_coverage if info else None,
+        "attained_estimate": info.meta.get("attained_estimate") if info else None,
+        "method": info.method if info else "fixed",
+        "grid": [float(z) for z in rep.bands.grid.points],
+        "bands": {
+            "lower": [float(v) for v in rep.bands.lower],
+            "upper": [float(v) for v in rep.bands.upper],
+        },
+        "inside": rep.inside,
+        "exceedances": [_exceedance_records(r.exceedances) for r in chains],
+    }
     _write_text(cfg.out, _json_text(payload))
     return 0 if rep.inside else 1
 
@@ -371,39 +342,11 @@ def cmd_plot(args: argparse.Namespace) -> int:
     cache = _load_cache()
     if args.kind == "rank_hist":
         return _plot_hist(args, cfg, cols)
-    if cols.shape[0] == 1:
-        rep = test_single(
-            PitValues(cols[0], resolution),
-            alpha=cfg.alpha,
-            method=cfg.method,
-            grid=default_grid(cols.shape[1], resolution, k_max=cfg.grid_k),
-            m=cfg.m,
-            seed=cfg.seed,
-            threads=cfg.threads,
-            cache=cache,
-        )
-        spec = PlotSpec(args.kind, rep.bands, (rep.trajectory,), title=args.title)
-    else:
-        cs = ChainSet(cols)
-        rep = test_multi(
-            cs,
-            alpha=cfg.alpha,
-            method=cfg.method,
-            grid=default_grid(cs.n_draws, cs.n_chains * cs.n_draws, k_max=cfg.grid_k),
-            tie_policy=cfg.tie_policy,
-            m=cfg.m,
-            seed=cfg.seed,
-            threads=cfg.threads,
-            cache=cache,
-        )
-        labels = tuple(f"chain {i + 1}" for i in range(cs.n_chains))
-        spec = PlotSpec(
-            args.kind,
-            rep.bands,
-            tuple(r.trajectory for r in rep.chains),
-            labels=labels,
-            title=args.title,
-        )
+    rep, chains = _band_test(cfg, cols, resolution, cache)
+    labels = tuple(f"chain {i + 1}" for i in range(len(chains))) if len(chains) > 1 else ()
+    spec = PlotSpec(
+        args.kind, rep.bands, tuple(r.trajectory for r in chains), labels=labels, title=args.title
+    )
     if args.data_out:
         _write_text(args.data_out, _json_text(plot_data(spec)))
     _write_text(cfg.out, render_svg(spec))

@@ -1,34 +1,42 @@
-"""Precomputed adjustment-level grids and log-log interpolation.
+"""Gamma calibration: the one front door, precomputed grids, and
+log-log interpolation.
 
-Calibrating the pointwise level gamma is the expensive part of building
-bands; it varies smoothly with the sample size, so a small grid over
-(n, chains, alpha) plus linear interpolation of log gamma against log n
-gives near-exact bands without recomputation.  Grids persist as
-versioned JSON so they can be inspected and diffed.
+``calibrate`` is the only place that picks how the pointwise level gamma
+is made: a stored grid, the exact search (one to three chains), or
+simulation.  Calibrating is the expensive part of building bands; gamma
+varies smoothly with the sample size, so a small grid over (n, chains,
+alpha) plus linear interpolation of log gamma against log n gives
+near-exact bands without recomputation.  Grids persist as versioned JSON
+so they can be inspected and diffed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .bands_single import GammaResult, gamma_optimize
-from .transform import default_grid
+from .bands_multi import EXACT_CHAIN_LIMIT, gamma_optimize_multi, gamma_simulate_multi
+from .bands_single import DEFAULT_REPLICATES, GammaResult, _map_chunks, gamma_optimize, gamma_simulate
+from .transform import EvaluationGrid, default_grid
 
 __all__ = [
     "SCHEMA",
     "GridEntry",
     "GammaGrid",
     "build_grid",
+    "calibrate",
     "interpolate",
     "load_grid",
     "save_grid",
 ]
 
 SCHEMA = "gamma-grid/1"
+
+_log = logging.getLogger("ecdf_bands")
 
 
 @dataclass(frozen=True)
@@ -80,17 +88,55 @@ class GammaGrid:
         return out
 
 
-def _calibrate(n: int, l: int, alpha: float, k_max: int, m: int, seed: int) -> GridEntry:
-    from .bands_multi import EXACT_CHAIN_LIMIT, gamma_optimize_multi, gamma_simulate_multi
+def calibrate(
+    n: int,
+    l: int,
+    grid: EvaluationGrid,
+    alpha: float,
+    method: str = "auto",
+    *,
+    m: int = DEFAULT_REPLICATES,
+    seed: int = 0,
+    threads: int = 1,
+    cache=None,
+) -> GammaResult:
+    """Calibrate gamma for l chains of n draws on ``grid``.
 
-    grid = default_grid(n, n * l if l > 1 else None, k_max=k_max)
-    if l == 1:
-        res = gamma_optimize(n, grid, alpha)
-    elif l <= EXACT_CHAIN_LIMIT:
-        res = gamma_optimize_multi(n, l, grid, alpha)
+    ``method`` is ``"optimize"`` (the exact search, one to three
+    chains), ``"simulate"`` (m seeded replicates on ``threads``
+    workers), ``"cache"`` (look up or interpolate ``cache``, a
+    ``GammaGrid`` or its path), or ``"auto"``: the cache when one is
+    given and covers the request, else the exact search up to three
+    chains and simulation beyond.  When ``auto`` passes over a cache,
+    ``meta["cache_miss"]`` holds the lookup's reason and a DEBUG record
+    goes to the ``ecdf_bands`` logger.
+    """
+    miss = None
+    if method in ("auto", "cache") and cache is not None:
+        try:
+            stored = cache if isinstance(cache, GammaGrid) else load_grid(cache)
+            return interpolate(stored, n, l, alpha)
+        except (KeyError, ValueError) as exc:
+            if method == "cache":
+                raise
+            miss = str(exc.args[0])
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("gamma cache miss for n=%d, %d chains: %s", n, l, miss)
+    if method == "auto":
+        method = "optimize" if l <= EXACT_CHAIN_LIMIT else "simulate"
+    if method == "optimize":
+        res = gamma_optimize(n, grid, alpha) if l == 1 else gamma_optimize_multi(n, l, grid, alpha)
+    elif method == "simulate" and l == 1:
+        res = gamma_simulate(n, grid, alpha, m=m, seed=seed, threads=threads)
+    elif method == "simulate":
+        res = gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed, threads=threads)
+    elif method == "cache":
+        raise ValueError("method 'cache' requires a gamma grid or its path")
     else:
-        res = gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed)
-    return GridEntry(n, l, grid.size, alpha, res.gamma, res.attained_coverage, res.method)
+        raise ValueError(f"unknown method {method!r}")
+    if miss is None:
+        return res
+    return dataclasses.replace(res, meta={**res.meta, "cache_miss": miss})
 
 
 def build_grid(
@@ -104,23 +150,24 @@ def build_grid(
 ) -> GammaGrid:
     """Calibrate gamma for every (n, chains, alpha) combination.
 
-    Uses the exact-coverage search when available (one chain, or up to
-    three chains) and simulation otherwise.  ``k_policy`` caps the
-    evaluation grid size; None keeps the default cap of 100.
+    Each entry is ``calibrate(..., "auto")`` without a cache: the exact
+    search for one to three chains, simulation beyond.  ``k_policy``
+    caps the evaluation grid size; None keeps the default cap of 100.
+    ``threads`` calibrates that many entries at once.
     """
     ns, ls, alphas = list(ns), list(ls), list(alphas)
     if not ns or not ls or not alphas:
         raise ValueError("ns, ls and alphas must be nonempty")
     k_max = 100 if k_policy is None else int(k_policy)
     jobs = [(n, l, a) for l in ls for a in alphas for n in ns]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(
-                pool.map(lambda j: _calibrate(j[0], j[1], j[2], k_max, m, seed), jobs)
-            )
-    else:
-        entries = [_calibrate(n, l, a, k_max, m, seed) for n, l, a in jobs]
-    return GammaGrid(tuple(entries))
+
+    def entry(i: int, _) -> GridEntry:
+        n, l, a = jobs[i]
+        grid = default_grid(n, n * l if l > 1 else None, k_max=k_max)
+        res = calibrate(n, l, grid, a, m=m, seed=seed)
+        return GridEntry(n, l, grid.size, a, res.gamma, res.attained_coverage, res.method)
+
+    return GammaGrid(tuple(_map_chunks(entry, len(jobs), 1, threads)))
 
 
 def interpolate(grid: GammaGrid, n: int, l: int, alpha: float, k: int | None = None) -> GammaResult:

@@ -9,12 +9,12 @@ critical values come from Monte Carlo under the null.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bands_multi, bands_single
+from .gamma_cache import calibrate
 from .transform import EvaluationGrid, default_grid
 
 __all__ = [
@@ -155,11 +155,11 @@ def critical_value(stat: str, n: int, alpha: float, m: int = 10_000, seed: int =
     if m < 1_000:
         raise ValueError("at least 1000 null replicates are required")
     fn = _ROW_STATS[stat]
-    values = np.empty(m)
-    for start in range(0, m, _CHUNK):
-        size = min(_CHUNK, m - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, start)))
-        values[start : start + size] = fn(rng.random((size, n)))
+
+    def chunk(start: int, size: int) -> np.ndarray:
+        return fn(bands_single._chunk_rng(seed, start).random((size, n)))
+
+    values = np.concatenate(bands_single._map_chunks(chunk, m, _CHUNK))
     rank = int(np.ceil((1.0 - alpha) * m))
     return float(np.partition(values, rank - 1)[rank - 1])
 
@@ -186,36 +186,28 @@ class PowerCurve:
                 raise ValueError(f"rates for {name!r} must lie in [0, 1]")
 
 
-def _band_rejector_single(n: int, alpha: float, grid: EvaluationGrid | None):
+def _band_rejector(n: int, l: int, alpha: float, grid: EvaluationGrid | None, m: int, seed: int):
+    """Batch rejector for the band test on l chains, and its gamma."""
     if grid is None:
-        grid = default_grid(n)
-    gamma = bands_single.gamma_optimize(n, grid, alpha)
-    bands = bands_single.bands_from_gamma(n, grid, gamma)
-    pts = grid.points
-    lo = bands.lower_counts
-    hi = bands.upper_counts
+        grid = default_grid(n, l * n if l > 1 else None)
+    gamma = calibrate(n, l, grid, alpha, m=m, seed=seed)
+    if l == 1:
+        bands = bands_single.bands_from_gamma(n, grid, gamma)
+        lo, hi = bands.lower_counts, bands.upper_counts
 
-    def reject(u: np.ndarray) -> np.ndarray:
-        counts = bands_single._grid_cell_counts(u, pts)
-        return np.any((counts < lo) | (counts > hi), axis=1)
+        def count(u: np.ndarray) -> np.ndarray:
+            return bands_single._grid_cell_counts(u, grid.points)[:, None, :]
 
-    return reject, gamma
-
-
-def _band_rejector_multi(n: int, l: int, alpha: float, grid, m: int, seed: int):
-    if grid is None:
-        grid = default_grid(n, l * n)
-    if l <= bands_multi.EXACT_CHAIN_LIMIT:
-        gamma = bands_multi.gamma_optimize_multi(n, l, grid, alpha)
     else:
-        gamma = bands_multi.gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed)
-    bands = bands_multi.bands_from_gamma_multi(n, l, grid, gamma)
-    s = bands_multi._pooled_counts(grid, n, l)
-    lo = bands.lower_ranks
-    hi = bands.upper_ranks
+        bands = bands_multi.bands_from_gamma_multi(n, l, grid, gamma)
+        lo, hi = bands.lower_ranks, bands.upper_ranks
+        s = bands_multi._pooled_counts(grid, n, l)
+
+        def count(u: np.ndarray) -> np.ndarray:
+            return bands_multi._chain_cell_counts(u, s, n, l)
 
     def reject(u: np.ndarray) -> np.ndarray:
-        counts = bands_multi._chain_cell_counts(u, s, n, l)
+        counts = count(u)
         return np.any((counts < lo) | (counts > hi), axis=(1, 2))
 
     return reject, gamma
@@ -259,35 +251,24 @@ def power_sweep(
         raise ValueError("multi-chain sweeps support only the 'bands' test")
 
     meta = {}
-    if n_chains == 1:
-        rejectors = {}
-        for t in tests:
-            if t == "bands":
-                rejectors[t], gamma = _band_rejector_single(n, alpha, grid)
-                meta["gamma"] = gamma.gamma
-            elif t in _ROW_STATS:
-                cv = critical_value(t, n, alpha, m=m_calibration, seed=seed + 1)
-                fn = _ROW_STATS[t]
-                rejectors[t] = lambda u, fn=fn, cv=cv: fn(u) > cv
-                meta[f"cv_{t}"] = cv
-            else:
-                raise ValueError(f"unknown test {t!r}")
-        width = n
-    else:
-        reject, gamma = _band_rejector_multi(n, n_chains, alpha, grid, m_calibration, seed)
-        rejectors = {"bands": reject}
-        meta["gamma"] = gamma.gamma
-        width = n_chains * n
+    rejectors = {}
+    for t in tests:
+        if t == "bands":
+            rejectors[t], gamma = _band_rejector(n, n_chains, alpha, grid, m_calibration, seed)
+            meta["gamma"] = gamma.gamma
+        elif t in _ROW_STATS:
+            cv = critical_value(t, n, alpha, m=m_calibration, seed=seed + 1)
+            fn = _ROW_STATS[t]
+            rejectors[t] = lambda u, fn=fn, cv=cv: fn(u) > cv
+            meta[f"cv_{t}"] = cv
+        else:
+            raise ValueError(f"unknown test {t!r}")
 
     transforms = [Transformation(family, k) for k in ks]
     counts = {t: np.zeros(len(ks), dtype=np.int64) for t in rejectors}
-    starts = list(range(0, replicates, _CHUNK))
 
-    def run(chunk_index: int):
-        start = starts[chunk_index]
-        size = min(_CHUNK, replicates - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        base = rng.random((size, width))
+    def run(start: int, size: int):
+        base = bands_single._chunk_rng(seed, start // _CHUNK).random((size, n_chains * n))
         local = {t: np.zeros(len(ks), dtype=np.int64) for t in rejectors}
         for j, tr in enumerate(transforms):
             if n_chains == 1:
@@ -299,12 +280,7 @@ def power_sweep(
                 local[t][j] = int(np.count_nonzero(reject(sample)))
         return local
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(len(starts))))
-    else:
-        results = [run(i) for i in range(len(starts))]
-    for local in results:
+    for local in bands_single._map_chunks(run, replicates, _CHUNK, threads):
         for t in counts:
             counts[t] += local[t]
     rates = {t: tuple((c / replicates).tolist()) for t, c in counts.items()}

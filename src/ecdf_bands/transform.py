@@ -17,7 +17,6 @@ __all__ = [
     "ecdf_eval",
     "empirical_pit",
     "fractional_ranks",
-    "grid_from_ranks",
     "joint_fractional_ranks",
 ]
 
@@ -235,11 +234,3 @@ def default_grid(n: int, resolution: int | None = None, k_max: int = 100) -> Eva
             k -= 1
     return EvaluationGrid(np.arange(1, k + 1) / k)
 
-
-def grid_from_ranks(values) -> EvaluationGrid:
-    """Grid at the distinct fractional-rank positions of a sample.
-
-    An alternative to the uniform partition: evaluation points sit
-    exactly where the sample's own ECDF steps.
-    """
-    return EvaluationGrid(np.unique(fractional_ranks(values)))

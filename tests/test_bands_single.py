@@ -19,8 +19,10 @@ from ecdf_bands import _forward, dist
 from ecdf_bands.bands_single import (
     ConfidenceBands,
     GammaResult,
+    Exceedance,
     _bounds_from_key,
     _empirical_lower_quantile,
+    _exceedances,
     _grid_cell_counts,
     _grid_key,
     _interior_bounds,
@@ -309,6 +311,31 @@ def test_band_exceedances_boundaries_count_as_inside():
     bands_1pt = ConfidenceBands(EvaluationGrid([0.5]), np.array([1]), np.array([3]), 4, 0.1)
     exc = band_exceedances(bands_1pt, above)
     assert exc[0].side == "upper"
+
+
+def _exceedances_loop(counts, lower, upper, n):
+    """The per-point loop the vectorized scan replaced."""
+    out = []
+    for i in range(counts.size):
+        c = int(counts[i])
+        if c < lower[i]:
+            out.append(Exceedance(i, c / n, float(lower[i] / n), "lower"))
+        elif c > upper[i]:
+            out.append(Exceedance(i, c / n, float(upper[i] / n), "upper"))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_exceedance_scan_matches_loop(n, k, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n + 1, (2, k))
+    lower, upper = np.minimum(a, b), np.maximum(a, b)
+    counts = rng.integers(0, n + 1, k)
+    got = _exceedances(counts, lower, upper, n)
+    want = _exceedances_loop(counts, lower, upper, n)
+    assert got == want
+    assert all(type(e.observed) is float and type(e.bound) is float for e in got)
 
 
 def test_band_exceedances_rejects_mismatched_inputs():

@@ -93,6 +93,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["test", empty]) == 2
     words = write(tmp_path / "words.csv", "0.1\noops\n")
     assert main(["test", words]) == 2
+    four = write(tmp_path / "four.csv", "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")
+    assert main(["test", four, "--method", "optimize"]) == 2
     capsys.readouterr()
 
 

@@ -1,16 +1,19 @@
 """Persisted adjustment-level grids: build, save, load, interpolate."""
 
 import json
+import logging
 import math
 
 import pytest
 
-from ecdf_bands.bands_single import gamma_optimize, test_single as run_single_test
+from ecdf_bands.bands_multi import gamma_optimize_multi, gamma_simulate_multi
+from ecdf_bands.bands_single import gamma_optimize, gamma_simulate, test_single as run_single_test
 from ecdf_bands.gamma_cache import (
     SCHEMA,
     GammaGrid,
     GridEntry,
     build_grid,
+    calibrate,
     interpolate,
     load_grid,
     save_grid,
@@ -146,7 +149,7 @@ def test_ambiguous_k_requires_disambiguation():
     assert res.method == "interpolated"
 
 
-def test_cache_drives_test_single(tmp_path, small_grid):
+def test_cache_drives_test_single(tmp_path, small_grid, caplog):
     path = tmp_path / "grid.json"
     save_grid(small_grid, path)
     values = (np.arange(40) + 0.5) / 40
@@ -156,11 +159,15 @@ def test_cache_drives_test_single(tmp_path, small_grid):
     assert rep.bands.gamma == small_grid.entries[0].gamma
     rep2 = run_single_test(values, method="cache", grid=default_grid(40, k_max=20), cache=small_grid)
     assert rep2.bands.gamma == rep.bands.gamma
-    # auto falls back to optimization when the cache has no match
-    rep3 = run_single_test(
-        (np.arange(30) + 0.5) / 30, method="auto", grid=default_grid(30, k_max=20), cache=small_grid
-    )
+    # auto falls back to optimization when the cache has no match, and says why
+    with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
+        rep3 = run_single_test(
+            (np.arange(30) + 0.5) / 30, method="auto", grid=default_grid(30, k_max=20), cache=small_grid
+        )
     assert rep3.bands.gamma_info.method == "optimization"
+    miss = rep3.bands.gamma_info.meta["cache_miss"]
+    assert "outside the stored range" in miss
+    assert any(miss in r.getMessage() for r in caplog.records)
     with pytest.raises(ValueError):
         run_single_test(values, method="cache", grid=default_grid(40, k_max=20))
 
@@ -171,3 +178,76 @@ def test_build_grid_multi_chain_entries_use_exact_route():
     assert e.l == 2
     assert e.method == "optimization"
     assert 0.0 < e.gamma <= 0.1
+
+
+def _dispatch_cache():
+    """Entries at n=12 for 1 and 2 chains; any other n or chain count misses."""
+    return GammaGrid(
+        (
+            GridEntry(12, 1, 6, 0.1, 0.02, 0.9, "optimization"),
+            GridEntry(12, 2, 6, 0.1, 0.03, 0.9, "optimization"),
+        )
+    )
+
+
+def _direct(route, n, l, grid, alpha):
+    if route == "optimize":
+        return gamma_optimize(n, grid, alpha) if l == 1 else gamma_optimize_multi(n, l, grid, alpha)
+    if route == "simulate":
+        if l == 1:
+            return gamma_simulate(n, grid, alpha, m=200, seed=3)
+        return gamma_simulate_multi(n, l, grid, alpha, m=200, seed=3)
+    return interpolate(_dispatch_cache(), n, l, alpha)
+
+
+def _dispatch_cases():
+    """(l, n, method, cached, route): the direct call each request stands for."""
+    cases = []
+    for l in (1, 2, 3, 4):
+        exact = "optimize" if l <= 3 else "simulate"
+        cases += [
+            (l, 10, "auto", False, exact),
+            (l, 10, "auto", True, exact),  # n=10 is below the stored range
+            (l, 12, "auto", True, "cache" if l <= 2 else exact),
+            (l, 10, "simulate", False, "simulate"),
+        ]
+        if l <= 3:
+            cases.append((l, 10, "optimize", False, "optimize"))
+        if l <= 2:
+            cases.append((l, 12, "cache", True, "cache"))
+    return cases
+
+
+@pytest.mark.parametrize("l, n, method, cached, route", _dispatch_cases())
+def test_calibrate_dispatch_matches_direct_call(l, n, method, cached, route):
+    grid = default_grid(n, n * l if l > 1 else None, k_max=6)
+    cache = _dispatch_cache() if cached else None
+    got = calibrate(n, l, grid, 0.1, method, m=200, seed=3, cache=cache)
+    want = _direct(route, n, l, grid, 0.1)
+    assert (got.gamma, got.attained_coverage, got.method) == (
+        want.gamma,
+        want.attained_coverage,
+        want.method,
+    )
+    meta = dict(got.meta)
+    miss = meta.pop("cache_miss", None)
+    assert meta == want.meta
+    # only an automatic choice that passed over a given cache says why
+    assert (miss is not None) == (method == "auto" and cached and route != "cache")
+
+
+@pytest.mark.parametrize(
+    "l, method, cache, error, match",
+    [
+        (1, "cache", None, ValueError, "requires a gamma grid"),
+        (2, "cache", None, ValueError, "requires a gamma grid"),
+        (1, "exact", None, ValueError, "unknown method"),
+        (2, "exact", _dispatch_cache(), ValueError, "unknown method"),
+        (4, "optimize", None, ValueError, "2 or 3 chains"),
+        (3, "cache", _dispatch_cache(), KeyError, "no stored entries"),
+    ],
+)
+def test_calibrate_dispatch_errors(l, method, cache, error, match):
+    grid = default_grid(12, 12 * l if l > 1 else None, k_max=6)
+    with pytest.raises(error, match=match):
+        calibrate(12, l, grid, 0.1, method, cache=cache)

@@ -12,7 +12,6 @@ from ecdf_bands.transform import (
     ecdf_eval,
     empirical_pit,
     fractional_ranks,
-    grid_from_ranks,
     joint_fractional_ranks,
 )
 
@@ -194,7 +193,3 @@ def test_default_grid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         default_grid(10, k_max=0)
 
-
-def test_grid_from_ranks_uses_distinct_step_positions():
-    g = grid_from_ranks([3.0, 1.0, 3.0, 2.0])
-    np.testing.assert_allclose(g.points, [0.25, 0.5, 1.0])
