@@ -11,7 +11,6 @@ The `ecdf-bands` console script in `cli` ties these together.
 """
 
 from .bands_multi import (
-    MultiBands,
     MultiTestReport,
     bands_from_gamma_multi,
     coverage_probability_multi,
@@ -78,7 +77,6 @@ __all__ = [
     "GammaGrid",
     "GammaResult",
     "GridEntry",
-    "MultiBands",
     "MultiTestReport",
     "PitValues",
     "PlotSpec",

@@ -11,6 +11,12 @@ chains the state is the first chain's count and each step is a 1-D
 convolution, with three it is the first two chains' counts over the full
 window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
+
+Only the hypergeometric parts live here: the pooled counts, the padded
+count tables, the forward-pass factors and the replicate cell counts.
+The band type and every law-independent step (count bounds, tail
+levels, the exact search, the simulators' tail) are shared with the
+one-sample bands in ``bands_single``.
 """
 
 from __future__ import annotations
@@ -23,12 +29,17 @@ import numpy as np
 from . import _forward, dist
 from .bands_single import (
     DEFAULT_REPLICATES,
+    ConfidenceBands,
     GammaResult,
     TestReport,
+    _band_level,
     _check_alpha,
+    _count_bounds,
+    _exact_coverage,
     _exceedances,
-    _search_steps,
+    _optimized_gamma,
     _simulated_gamma,
+    _tail_levels,
 )
 from .transform import (
     ChainSet,
@@ -39,7 +50,6 @@ from .transform import (
 )
 
 __all__ = [
-    "MultiBands",
     "MultiTestReport",
     "bands_from_gamma_multi",
     "coverage_probability_multi",
@@ -52,48 +62,10 @@ EXACT_CHAIN_LIMIT = 3
 
 
 @dataclass(frozen=True, eq=False)
-class MultiBands:
-    """Shared per-chain rank-count bounds along a grid.
-
-    ``lower_ranks``/``upper_ranks`` hold the raw count bounds; ``lower``
-    and ``upper`` scale them by the per-chain sample size for plotting
-    on the ECDF axis.
-    """
-
-    grid: EvaluationGrid
-    lower_ranks: np.ndarray
-    upper_ranks: np.ndarray
-    n: int
-    n_chains: int
-    gamma: float
-    gamma_info: GammaResult | None = None
-
-    def __post_init__(self):
-        lo = np.array(self.lower_ranks, dtype=np.int64)
-        hi = np.array(self.upper_ranks, dtype=np.int64)
-        if lo.shape != hi.shape or lo.size != self.grid.size:
-            raise ValueError("band bounds must match the grid length")
-        if np.any(lo > hi) or np.any(lo < 0) or np.any(hi > self.n):
-            raise ValueError("band bounds must satisfy 0 <= lower <= upper <= n")
-        for arr in (lo, hi):
-            arr.setflags(write=False)
-        object.__setattr__(self, "lower_ranks", lo)
-        object.__setattr__(self, "upper_ranks", hi)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.lower_ranks / self.n
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.upper_ranks / self.n
-
-
-@dataclass(frozen=True, eq=False)
 class MultiTestReport:
     inside: bool
     chains: tuple[TestReport, ...]
-    bands: MultiBands
+    bands: ConfidenceBands
 
     def __post_init__(self):
         if self.inside != all(r.inside for r in self.chains):
@@ -117,8 +89,9 @@ def _pooled_counts(grid: EvaluationGrid, n: int, l: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _tables_from_key(n: int, l: int, s_key: tuple):
-    """Padded (K, n + 1) hypergeometric CDF and tail tables, read-only.
+def _hyper_tables(n: int, l: int, s_key: tuple):
+    """Padded (K, n + 1) hypergeometric CDF and tail tables, read-only,
+    and the bottom of each support.
 
     Row i covers counts 0..n for pooled count s_i: the CDF is 0 below
     the support and 1 above it, the tail the other way round.
@@ -132,43 +105,26 @@ def _tables_from_key(n: int, l: int, s_key: tuple):
         cdf[i, hi + 1 :] = 1.0
         sf[i, lo : hi + 1] = dist.hyper_sf_table(n, rest, si)
         sf[i, :lo] = 1.0
-    for arr in (cdf, sf):
+    floor = np.maximum(np.array(s_key, dtype=np.int64) - rest, 0)
+    for arr in (cdf, sf, floor):
         arr.setflags(write=False)
-    return cdf, sf
+    return cdf, sf, floor
 
 
-def _hyper_tail_tables(n: int, l: int, s: np.ndarray):
-    """Padded (K, n + 1) CDF and tail tables over the count domain."""
-    return _tables_from_key(int(n), int(l), tuple(int(si) for si in s))
-
-
-def _band_bounds(n: int, l: int, s: np.ndarray, gamma: float):
-    """Equal-tail hypergeometric count bounds per pooled count.
-
-    Each padded CDF row is sorted and ends in exactly 1.0, so counting
-    entries strictly below the level reproduces the quantile rule
-    (smallest count whose CDF reaches it); the zeros below the support
-    count towards the support's bottom, which a zero level returns.
-    """
-    cdf = _hyper_tail_tables(n, l, s)[0]
-    bottom = np.maximum(np.asarray(s, dtype=np.int64) - (l - 1) * n, 0)
-    lo = np.maximum((cdf < gamma / 2.0).sum(axis=1), bottom)
-    hi = (cdf < 1.0 - gamma / 2.0).sum(axis=1).astype(np.int64)
-    return lo, hi
-
-
-def bands_from_gamma_multi(n: int, l: int, grid: EvaluationGrid, gamma) -> MultiBands:
+def bands_from_gamma_multi(n: int, l: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
     """Shared equal-tail hypergeometric bands at adjustment level gamma."""
-    info = gamma if isinstance(gamma, GammaResult) else None
-    g = float(gamma.gamma if info is not None else gamma)
-    if not 0.0 < g < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("chain length must be positive")
+    g, info = _band_level(gamma, n, "chain length")
     l = _check_chains(l)
-    s = _pooled_counts(grid, n, l)
-    lo, hi = _band_bounds(n, l, s, g)
-    return MultiBands(grid, lo, hi, int(n), l, g, info)
+    cdf, _, floor = _hyper_tables(n, l, tuple(_pooled_counts(grid, n, l).tolist()))
+    lo, hi = _count_bounds(cdf, g, floor)
+    return ConfidenceBands(grid, lo, hi, int(n), g, info, l)
+
+
+def _check_exact_chains(l: int, what: str) -> int:
+    l = _check_chains(l)
+    if l > EXACT_CHAIN_LIMIT:
+        raise ValueError(f"exact {what} supports 2 or 3 chains; use gamma_simulate_multi for more")
+    return l
 
 
 def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -180,22 +136,16 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     is one convolution (``_chain_factors``); when its scaled factors
     leave double range, the step matrices are built instead.
     """
-    if n < 1:
-        raise ValueError("chain length must be positive")
-    l = _check_chains(l)
-    if l > EXACT_CHAIN_LIMIT:
-        raise ValueError(
-            "exact coverage supports 2 or 3 chains; use gamma_simulate_multi for more"
-        )
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if gamma == 0.0:
-        return 1.0
+    l = _check_exact_chains(l, "coverage")
     # duplicate pooled counts add identity transitions; drop them
     s = np.unique(_pooled_counts(grid, n, l))
-    lo, hi = _band_bounds(n, l, s, gamma)
-    return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
+
+    def mass(g: float) -> float:
+        cdf, _, floor = _hyper_tables(n, l, tuple(s.tolist()))
+        lo, hi = _count_bounds(cdf, g, floor)
+        return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
+
+    return _exact_coverage(n, gamma, mass, "chain length")
 
 
 def _chain_factors(n: int, l: int, s, lo, hi):
@@ -282,22 +232,18 @@ def gamma_simulate_multi(
     l = _check_chains(l)
     alpha = _check_alpha(alpha)
     s = _pooled_counts(grid, n, l)
-    cdf_rows, sf_rows = _hyper_tail_tables(n, l, s)
-    tail_rows = np.minimum(cdf_rows, sf_rows).ravel()
-    row_start = np.arange(s.size) * (n + 1)
+    cdf, sf, _ = _hyper_tables(n, l, tuple(s.tolist()))
+    levels = _tail_levels(cdf, sf)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        counts = _chain_cell_counts(rng.random((size, l * n)), s, n, l)
-        return 2.0 * tail_rows[counts + row_start].min(axis=(1, 2))
+        return levels(_chain_cell_counts(rng.random((size, l * n)), s, n, l))
 
-    gamma, levels = _simulated_gamma(tightest, alpha, m, 256, seed, threads)
-    meta = {"replicates": m, "alpha": alpha}
-    if l <= EXACT_CHAIN_LIMIT:
-        attained = coverage_probability_multi(n, l, grid, gamma)
-    else:
-        attained = float(np.mean(levels >= gamma))
-        meta["attained_estimate"] = "in_sample"
-    return GammaResult(gamma, attained, "simulation", meta)
+    def exact(g: float) -> float:
+        return coverage_probability_multi(n, l, grid, g)
+
+    return _simulated_gamma(
+        tightest, alpha, m, 256, seed, threads, exact if l <= EXACT_CHAIN_LIMIT else None
+    )
 
 
 def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
@@ -312,26 +258,15 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     """
     if n < 1:
         raise ValueError("chain length must be positive")
-    l = _check_chains(l)
-    if l > EXACT_CHAIN_LIMIT:
-        raise ValueError(
-            "exact optimization supports 2 or 3 chains; use gamma_simulate_multi for more"
-        )
+    l = _check_exact_chains(l, "optimization")
     alpha = _check_alpha(alpha)
     s = np.unique(_pooled_counts(grid, n, l))
-    dense_before = _forward.dense_count()
-    gamma, attained, evals = _search_steps(
+    return _optimized_gamma(
         lambda g: coverage_probability_multi(n, l, grid, g),
-        _hyper_tail_tables(n, l, s)[0],
+        _hyper_tables(n, l, tuple(s.tolist()))[0],
         alpha,
-        alpha / (l * grid.size),
+        l * grid.size,
     )
-    meta = {
-        "evaluations": evals,
-        "dense_fallbacks": _forward.dense_count() - dense_before,
-        "alpha": alpha,
-    }
-    return GammaResult(gamma, attained, "optimization", meta)
 
 
 def test_multi(
@@ -374,7 +309,7 @@ def test_multi(
     for ci in range(l):
         counts = np.searchsorted(np.sort(ranks[ci]), s, side="right").astype(np.int64)
         trajectory = EcdfTrajectory(grid, counts, n)
-        exceedances = _exceedances(counts, bands.lower_ranks, bands.upper_ranks, n)
+        exceedances = _exceedances(counts, bands.lower_counts, bands.upper_counts, n)
         reports.append(TestReport(not exceedances, tuple(exceedances), bands, trajectory))
     return MultiTestReport(all(r.inside for r in reports), tuple(reports), bands)
 

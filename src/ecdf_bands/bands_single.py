@@ -7,9 +7,17 @@ calibrated two ways: by simulating trajectories and taking an empirical
 quantile of their tightest pointwise tail levels, or by an exact search
 over the steps of the trajectory's interval-crossing probability, which
 the shared forward pass in ``_forward`` computes.  Which way runs is
-chosen in ``gamma_cache.calibrate`` alone.  The seeded chunk-and-thread
-replicate harness (``_map_chunks``), the simulators' shared tail and the
-exceedance scan live here and serve ``bands_multi`` and ``power`` too.
+chosen in ``gamma_cache.calibrate`` alone.
+
+Only the count law differs between one sample (binomial) and pooled
+chains (hypergeometric, ``bands_multi``), so every step that does not
+depend on the law is written once here and serves both: the band type
+``ConfidenceBands``, the count-bound rule over a padded CDF table
+(``_count_bounds``), the tightest-tail gather (``_tail_levels``), the
+exact step search (``_optimized_gamma``), the seeded chunk-and-thread
+replicate harness (``_map_chunks``) with the simulators' shared tail
+(``_simulated_gamma``), the coverage entry check and the exceedance
+scan.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
+from scipy.special import betainc
 
 from . import _forward, dist
 from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
@@ -59,7 +68,12 @@ class GammaResult:
 @dataclass(frozen=True, eq=False)
 class ConfidenceBands:
     """Lower and upper ECDF envelopes along a grid, as count bounds and
-    as fractions of the sample size."""
+    as fractions of the sample size.
+
+    One sample of n draws has ``n_chains == 1``; with several chains of
+    n draws each, the bounds hold every chain's count of pooled ranks at
+    or below each grid point's pooled count.
+    """
 
     grid: EvaluationGrid
     lower_counts: np.ndarray
@@ -67,13 +81,14 @@ class ConfidenceBands:
     n: int
     gamma: float
     gamma_info: GammaResult | None = None
+    n_chains: int = 1
 
     def __post_init__(self):
         lo = np.array(self.lower_counts, dtype=np.int64)
         hi = np.array(self.upper_counts, dtype=np.int64)
         if lo.shape != hi.shape or lo.size != self.grid.size:
             raise ValueError("band bounds must match the grid length")
-        if np.any(lo > hi) or lo[0] < 0 or np.any(hi > self.n):
+        if np.any(lo > hi) or np.any(lo < 0) or np.any(hi > self.n):
             raise ValueError("band bounds must satisfy 0 <= lower <= upper <= n")
         for arr in (lo, hi):
             arr.setflags(write=False)
@@ -87,6 +102,16 @@ class ConfidenceBands:
     @property
     def upper(self) -> np.ndarray:
         return self.upper_counts / self.n
+
+    @property
+    def lower_ranks(self) -> np.ndarray:
+        """Read-only alias of ``lower_counts``."""
+        return self.lower_counts
+
+    @property
+    def upper_ranks(self) -> np.ndarray:
+        """Read-only alias of ``upper_counts``."""
+        return self.upper_counts
 
 
 @dataclass(frozen=True)
@@ -125,48 +150,88 @@ def _grid_key(grid: EvaluationGrid) -> tuple:
 
 @lru_cache(maxsize=8)
 def _cdf_matrix(n: int, pts_key: tuple) -> np.ndarray:
-    """Stacked binomial CDF tables, one row per grid point."""
-    rows = np.stack([dist.binom_cdf_table(n, z) for z in pts_key])
+    """Padded (K, n + 1) binomial CDF table, one row per grid point.
+
+    One ``betainc`` call covers the whole (K, n) grid; each row is made
+    monotone against last-ulp wobble and ends in exactly 1.0, as
+    ``dist.binom_cdf_table`` builds it row by row.
+    """
+    p = np.asarray(pts_key, dtype=np.float64)[:, None]
+    k = np.arange(n, dtype=np.float64)
+    rows = np.ones((p.shape[0], n + 1))
+    body = rows[:, :n]
+    betainc(n - k, k + 1.0, 1.0 - p, out=body)
+    np.clip(body, 0.0, 1.0, out=body)
+    np.maximum.accumulate(body, axis=1, out=body)
     rows.setflags(write=False)
     return rows
 
 
 @lru_cache(maxsize=8)
 def _sf_matrix(n: int, pts_key: tuple) -> np.ndarray:
-    """Stacked binomial survival tables, one row per grid point."""
-    rows = np.stack([dist.binom_sf_table(n, z) for z in pts_key])
+    """Padded (K, n + 1) binomial survival table ``Pr(X >= k)``, one row
+    per grid point.
+
+    Evaluated through the complement arguments of the incomplete beta
+    function, so small upper tails keep full relative accuracy instead
+    of collapsing to ``1 - 1.0``.
+    """
+    p = np.asarray(pts_key, dtype=np.float64)[:, None]
+    k = np.arange(1, n + 1, dtype=np.float64)
+    rows = np.ones((p.shape[0], n + 1))
+    body = rows[:, 1:]
+    betainc(k, n - k + 1.0, p, out=body)
+    np.clip(body, 0.0, 1.0, out=body)
+    np.minimum.accumulate(body, axis=1, out=body)
     rows.setflags(write=False)
     return rows
 
 
-def _bounds_from_key(n: int, pts_key: tuple, gamma: float):
-    """Vectorized equal-tail count bounds.
+def _count_bounds(cdf: np.ndarray, gamma: float, floor=0):
+    """Equal-tail count bounds [lower, upper] from a padded CDF table.
 
-    Each CDF row is sorted and ends in exactly 1.0, so counting entries
-    strictly below the target level reproduces the scalar quantile rule
-    (smallest count whose CDF reaches the level).
+    Row i of ``cdf`` covers counts 0..n at grid point i: 0 below the
+    support, 1 from its top on.  Each row is sorted and ends in exactly
+    1.0, so counting entries strictly below the level reproduces the
+    quantile rule (smallest count whose CDF reaches it); the zeros below
+    the support count towards ``floor``, its bottom, which a zero level
+    returns.
     """
-    mat = _cdf_matrix(n, pts_key)
-    lo = (mat < gamma / 2.0).sum(axis=1).astype(np.int64)
-    hi = (mat < 1.0 - gamma / 2.0).sum(axis=1).astype(np.int64)
-    return lo, hi
+    lo = np.maximum((cdf < gamma / 2.0).sum(axis=1), floor)
+    hi = (cdf < 1.0 - gamma / 2.0).sum(axis=1)
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _interior_bounds(n: int, grid: EvaluationGrid, gamma: float):
-    """Equal-tail binomial count bounds [lower, upper] at each grid point."""
-    return _bounds_from_key(n, _grid_key(grid), gamma)
-
-
-def bands_from_gamma(n: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
-    """Equal-tail binomial quantile bands at adjustment level gamma."""
+def _band_level(gamma, n: int, noun: str):
+    """The level of ``gamma`` (a float or a ``GammaResult``) for bands,
+    and the ``GammaResult`` if there is one."""
     info = gamma if isinstance(gamma, GammaResult) else None
     g = float(gamma.gamma if info is not None else gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if n < 1:
-        raise ValueError("sample size must be positive")
-    lo, hi = _interior_bounds(n, grid, g)
+        raise ValueError(f"{noun} must be positive")
+    return g, info
+
+
+def bands_from_gamma(n: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
+    """Equal-tail binomial quantile bands at adjustment level gamma."""
+    g, info = _band_level(gamma, n, "sample size")
+    lo, hi = _count_bounds(_cdf_matrix(n, _grid_key(grid)), g)
     return ConfidenceBands(grid, lo, hi, int(n), g, info)
+
+
+def _exact_coverage(n: int, gamma, mass, noun: str = "sample size") -> float:
+    """``mass(gamma)`` after the shared checks of an exact coverage call;
+    gamma 0 gives bands that hold every count, so coverage 1."""
+    if n < 1:
+        raise ValueError(f"{noun} must be positive")
+    gamma = float(gamma)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+    if gamma == 0.0:
+        return 1.0
+    return mass(gamma)
 
 
 def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -183,16 +248,13 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
     continuous uniforms at any grid and for discrete uniforms when the
     grid points sit at multiples of the category spacing.
     """
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    gamma = float(gamma)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must lie in [0, 1]")
-    if gamma == 0.0:
-        return 1.0
     key = _grid_key(grid)
-    lo, hi = _bounds_from_key(n, key, gamma)
-    return _forward.forward_mass(*_single_factors(n, key, lo, hi))
+
+    def mass(g: float) -> float:
+        lo, hi = _count_bounds(_cdf_matrix(n, key), g)
+        return _forward.forward_mass(*_single_factors(n, key, lo, hi))
+
+    return _exact_coverage(n, gamma, mass)
 
 
 @lru_cache(maxsize=8)
@@ -253,13 +315,23 @@ def _grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.cumsum(hist, axis=1)[:, :k]
 
 
-def _tightest_tail_levels(counts: np.ndarray, cdf_rows, sf_rows) -> np.ndarray:
-    """Per-trajectory 2 * min over grid points of the smaller tail mass."""
-    k = cdf_rows.shape[0]
-    idx = np.arange(k)
-    tail_lo = cdf_rows[idx, counts]
-    tail_hi = sf_rows[idx, counts]
-    return 2.0 * np.minimum(tail_lo, tail_hi).min(axis=-1)
+def _tail_levels(cdf: np.ndarray, sf: np.ndarray):
+    """Per-trajectory tightest two-sided tail level, as a function of
+    the counts.
+
+    ``cdf`` and ``sf`` are padded (K, n + 1) tables.  The returned
+    function takes counts of shape (B, ..., K), indexed by grid point
+    along the last axis, and gives for each of the B rows 2 * min over
+    all its counts of the smaller tail mass, read with one flat gather
+    from the ``min(cdf, sf)`` rows.
+    """
+    tails = np.minimum(cdf, sf).ravel()
+    row_start = np.arange(cdf.shape[0]) * cdf.shape[1]
+
+    def levels(counts: np.ndarray) -> np.ndarray:
+        return 2.0 * tails[counts + row_start].reshape(counts.shape[0], -1).min(axis=1)
+
+    return levels
 
 
 def _empirical_lower_quantile(values: np.ndarray, alpha: float) -> float:
@@ -286,12 +358,17 @@ def _map_chunks(fn, total: int, chunk: int, threads: int = 1) -> list:
     return [run(start) for start in starts]
 
 
-def _simulated_gamma(levels_fn, alpha: float, m: int, chunk: int, seed: int, threads: int):
-    """Gamma from m simulated tightest tail levels, and the levels.
+def _simulated_gamma(
+    levels_fn, alpha: float, m: int, chunk: int, seed: int, threads: int, exact=None
+) -> GammaResult:
+    """Gamma from m simulated tightest tail levels.
 
     ``levels_fn(rng, size)`` simulates one chunk; chunk i draws from
     ``SeedSequence((seed, i))``.  Gamma is the empirical alpha-quantile
-    of the levels, capped at alpha.
+    of the levels, capped at alpha.  The attained coverage is
+    ``exact(gamma)`` when an exact coverage is available; otherwise it
+    is the in-sample fraction of replicates the bands retain, and
+    ``meta["attained_estimate"]`` says ``"in_sample"``.
     """
     if m < 100:
         raise ValueError("at least 100 replicates are required")
@@ -300,7 +377,14 @@ def _simulated_gamma(levels_fn, alpha: float, m: int, chunk: int, seed: int, thr
     )
     levels = np.concatenate(pieces)
     assert np.all(levels > 0.0), "tightest tail level must be positive"
-    return min(_empirical_lower_quantile(levels, alpha), alpha), levels
+    gamma = min(_empirical_lower_quantile(levels, alpha), alpha)
+    meta = {"replicates": m, "alpha": alpha}
+    if exact is not None:
+        attained = exact(gamma)
+    else:
+        attained = float(np.mean(levels >= gamma))
+        meta["attained_estimate"] = "in_sample"
+    return GammaResult(gamma, attained, "simulation", meta)
 
 
 def gamma_simulate(
@@ -323,16 +407,14 @@ def gamma_simulate(
     alpha = _check_alpha(alpha)
     pts = grid.points
     key = _grid_key(grid)
-    cdf_rows = _cdf_matrix(n, key)
-    sf_rows = _sf_matrix(n, key)
+    levels = _tail_levels(_cdf_matrix(n, key), _sf_matrix(n, key))
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        counts = _grid_cell_counts(rng.random((size, n)), pts)
-        return _tightest_tail_levels(counts, cdf_rows, sf_rows)
+        return levels(_grid_cell_counts(rng.random((size, n)), pts))
 
-    gamma, _ = _simulated_gamma(tightest, alpha, m, 512, seed, threads)
-    attained = coverage_probability(n, grid, gamma)
-    return GammaResult(gamma, attained, "simulation", {"replicates": m, "alpha": alpha})
+    return _simulated_gamma(
+        tightest, alpha, m, 512, seed, threads, lambda g: coverage_probability(n, grid, g)
+    )
 
 
 def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
@@ -377,6 +459,24 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     return float(gammas[best]), coverage(best), len(cache)
 
 
+def _optimized_gamma(coverage_fn, cdf_values, alpha: float, checks: int) -> GammaResult:
+    """The exact step search as a ``GammaResult`` whose meta counts the
+    coverage evaluations and the dense fallbacks among them.
+
+    ``checks`` counts the (chain, grid point) pairs at which a
+    trajectory can leave the bands, so every gamma at or below
+    ``alpha / checks`` covers more than ``1 - alpha`` (a union bound).
+    """
+    dense_before = _forward.dense_count()
+    gamma, attained, evals = _search_steps(coverage_fn, cdf_values, alpha, alpha / checks)
+    meta = {
+        "evaluations": evals,
+        "dense_fallbacks": _forward.dense_count() - dense_before,
+        "alpha": alpha,
+    }
+    return GammaResult(gamma, attained, "optimization", meta)
+
+
 def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     """Calibrate gamma so that the exact coverage of the bands is as close
     as possible to the nominal level.
@@ -391,19 +491,12 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
-    dense_before = _forward.dense_count()
-    gamma, attained, evals = _search_steps(
+    return _optimized_gamma(
         lambda g: coverage_probability(n, grid, g),
         _cdf_matrix(n, _grid_key(grid)),
         alpha,
-        alpha / grid.size,
+        grid.size,
     )
-    meta = {
-        "evaluations": evals,
-        "dense_fallbacks": _forward.dense_count() - dense_before,
-        "alpha": alpha,
-    }
-    return GammaResult(gamma, attained, "optimization", meta)
 
 
 def test_single(

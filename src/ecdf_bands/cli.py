@@ -339,10 +339,9 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cols, resolution = _columns(args.input)
-    cache = _load_cache()
     if args.kind == "rank_hist":
         return _plot_hist(args, cfg, cols)
-    rep, chains = _band_test(cfg, cols, resolution, cache)
+    rep, chains = _band_test(cfg, cols, resolution, _load_cache())
     labels = tuple(f"chain {i + 1}" for i in range(len(chains))) if len(chains) > 1 else ()
     spec = PlotSpec(
         args.kind, rep.bands, tuple(r.trajectory for r in chains), labels=labels, title=args.title
@@ -466,7 +465,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

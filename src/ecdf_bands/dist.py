@@ -5,16 +5,17 @@ Probability mass is evaluated in log space through a shared, cached
 log-factorial table; cumulative sums are accumulated in linear space.
 The binomial CDF goes through the regularized incomplete beta function,
 which sums the smaller tail internally and stays accurate far out in
-either tail.
+either tail.  The band code builds its binomial tables for all grid
+points at once (``bands_single._cdf_matrix``); the per-row table here
+serves ``binom_quantile``.
 
-Quantile functions follow the convention ``smallest k in the support
+``binom_quantile`` follows the convention ``smallest k in the support
 with CDF(k) >= q``.  ``q = 0`` maps to the bottom of the support, so a
 zero tail level always yields the full support as an interval.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from functools import lru_cache
 
@@ -22,15 +23,10 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 __all__ = [
-    "binom_cdf",
     "binom_cdf_table",
-    "binom_logpmf",
     "binom_quantile",
-    "binom_sf_table",
-    "hyper_cdf",
     "hyper_cdf_table",
     "hyper_logpmf",
-    "hyper_quantile",
     "hyper_sf_table",
     "hyper_support",
     "log_choose",
@@ -93,44 +89,10 @@ def _check_count(value: int, name: str) -> int:
 # binomial
 
 
-def binom_logpmf(k, n, p: float) -> np.ndarray:
-    """Elementwise log of the Binomial(n, p) mass at k.
-
-    ``k`` and ``n`` broadcast; invalid counts get ``-inf``.  The edge
-    rates ``p = 0`` and ``p = 1`` are handled as point masses.
-    """
-    p = _check_prob(p, "p")
-    k = np.asarray(k, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    if p == 0.0:
-        return np.where((k == 0) & (n >= 0), 0.0, -np.inf)
-    if p == 1.0:
-        return np.where((k == n) & (n >= 0), 0.0, -np.inf)
-    lc = log_choose(n, k)
-    kk = np.where(np.isfinite(lc), k, 0)
-    nn = np.where(np.isfinite(lc), n, 0)
-    out = lc + kk * math.log(p) + (nn - kk) * math.log1p(-p)
-    return np.where(np.isfinite(lc), out, -np.inf)
-
-
-def binom_cdf(k, n: int, p: float) -> float:
-    """``Pr(X <= k)`` for ``X ~ Binomial(n, p)``.
-
-    Clamps to 0 below the support and to 1 at or above its top.
-    """
-    n = _check_count(n, "n")
-    p = _check_prob(p, "p")
-    k = math.floor(k)
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    return float(betainc(n - k, k + 1, 1.0 - p))
-
-
 @lru_cache(maxsize=4096)
 def binom_cdf_table(n: int, p: float) -> np.ndarray:
-    """Read-only array ``c`` with ``c[k] = binom_cdf(k, n, p)``, k = 0..n."""
+    """Read-only array ``c`` with ``c[k] = Pr(X <= k)`` for
+    ``X ~ Binomial(n, p)``, k = 0..n."""
     n = _check_count(n, "n")
     p = _check_prob(p, "p")
     if n == 0:
@@ -139,36 +101,15 @@ def binom_cdf_table(n: int, p: float) -> np.ndarray:
         k = np.arange(n, dtype=np.float64)
         cdf = betainc(n - k, k + 1.0, 1.0 - p)
         # enforce monotonicity against last-ulp wobble so that quantile
-        # searches stay consistent with the scalar CDF
+        # searches see a sorted table
         cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
         out = np.append(cdf, 1.0)
     out.setflags(write=False)
     return out
 
 
-@lru_cache(maxsize=4096)
-def binom_sf_table(n: int, p: float) -> np.ndarray:
-    """Read-only array ``s`` with ``s[k] = Pr(X >= k)``, k = 0..n.
-
-    Evaluated through the complement arguments of the incomplete beta
-    function, so small upper tails keep full relative accuracy instead of
-    collapsing to ``1 - 1.0``.
-    """
-    n = _check_count(n, "n")
-    p = _check_prob(p, "p")
-    if n == 0:
-        out = np.ones(1)
-    else:
-        k = np.arange(1, n + 1, dtype=np.float64)
-        sf = betainc(k, n - k + 1.0, p)
-        sf = np.minimum.accumulate(np.clip(sf, 0.0, 1.0))
-        out = np.concatenate(([1.0], sf))
-    out.setflags(write=False)
-    return out
-
-
 def binom_quantile(q: float, n: int, p: float) -> int:
-    """Smallest ``k`` in ``{0, ..., n}`` with ``binom_cdf(k, n, p) >= q``.
+    """Smallest ``k`` in ``{0, ..., n}`` with ``Pr(X <= k) >= q``.
 
     ``q = 0`` returns 0, the bottom of the support.
     """
@@ -235,33 +176,3 @@ def hyper_sf_table(succ: int, fail: int, draws: int) -> np.ndarray:
     """Read-only array of ``Pr(X >= k)`` over the support."""
     succ, fail, draws = _check_hyper(succ, fail, draws)
     return _hyper_tables(succ, fail, draws)[4]
-
-
-def hyper_cdf(k, succ: int, fail: int, draws: int) -> float:
-    """``Pr(X <= k)`` for ``X ~ Hypergeometric(succ, fail, draws)``.
-
-    Clamps outside the support: 0 below it, 1 at or above its top.
-    """
-    succ, fail, draws = _check_hyper(succ, fail, draws)
-    k = math.floor(k)
-    lo, hi, _, cdf, _ = _hyper_tables(succ, fail, draws)
-    if k < lo:
-        return 0.0
-    if k >= hi:
-        return 1.0
-    return float(cdf[k - lo])
-
-
-def hyper_quantile(q: float, succ: int, fail: int, draws: int) -> int:
-    """Smallest ``k`` in the support with ``hyper_cdf(k, ...) >= q``.
-
-    ``q = 0`` returns the bottom of the support, which is
-    ``max(0, draws - fail)`` rather than 0 when draws exceed failures.
-    """
-    q = _check_prob(q, "q")
-    succ, fail, draws = _check_hyper(succ, fail, draws)
-    lo, hi, _, cdf, _ = _hyper_tables(succ, fail, draws)
-    if q <= 0.0:
-        return lo
-    return lo + int(np.searchsorted(cdf, q, side="left"))
-

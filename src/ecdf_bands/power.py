@@ -193,18 +193,18 @@ def _band_rejector(n: int, l: int, alpha: float, grid: EvaluationGrid | None, m:
     gamma = calibrate(n, l, grid, alpha, m=m, seed=seed)
     if l == 1:
         bands = bands_single.bands_from_gamma(n, grid, gamma)
-        lo, hi = bands.lower_counts, bands.upper_counts
 
         def count(u: np.ndarray) -> np.ndarray:
             return bands_single._grid_cell_counts(u, grid.points)[:, None, :]
 
     else:
         bands = bands_multi.bands_from_gamma_multi(n, l, grid, gamma)
-        lo, hi = bands.lower_ranks, bands.upper_ranks
         s = bands_multi._pooled_counts(grid, n, l)
 
         def count(u: np.ndarray) -> np.ndarray:
             return bands_multi._chain_cell_counts(u, s, n, l)
+
+    lo, hi = bands.lower_counts, bands.upper_counts
 
     def reject(u: np.ndarray) -> np.ndarray:
         counts = count(u)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist
-from .bands_multi import MultiBands
 from .bands_single import ConfidenceBands
 from .transform import EcdfTrajectory, PitValues
 
@@ -65,10 +64,16 @@ class RankHistogram:
 
 @dataclass(frozen=True, eq=False)
 class PlotSpec:
-    """What to draw: a band with step trajectories, or a histogram."""
+    """What to draw: a band with step trajectories, or a histogram.
+
+    ``bands`` is the one band type, ``ConfidenceBands``, from one sample
+    (``bands_from_gamma``) or from several chains
+    (``bands_from_gamma_multi``); either way the plotted envelopes are
+    its count bounds over n.
+    """
 
     kind: str
-    bands: ConfidenceBands | MultiBands | None = None
+    bands: ConfidenceBands | None = None
     trajectories: tuple[EcdfTrajectory, ...] = ()
     hist: RankHistogram | None = None
     labels: tuple[str, ...] = ()
@@ -145,6 +150,16 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     return RankHistogram(edges, heights, lo, hi, n, bins, float(alpha))
 
 
+def _plotted(spec: PlotSpec):
+    """Grid points, band edges and step series as drawn: fractions for
+    ``ecdf``, minus the diagonal for ``ecdf_diff``."""
+    if spec.kind == "ecdf_diff":
+        d = diff_transform(spec.bands, spec.trajectories)
+        return d["points"], d["lower"], d["upper"], d["series"]
+    series = [t.fractions() for t in spec.trajectories]
+    return spec.bands.grid.points, spec.bands.lower, spec.bands.upper, series
+
+
 def plot_data(spec: PlotSpec) -> dict:
     """JSON-ready mirror of a plot specification."""
     out: dict = {"schema": PLOT_SCHEMA, "kind": spec.kind, "title": spec.title}
@@ -156,12 +171,7 @@ def plot_data(spec: PlotSpec) -> dict:
         out["n"] = h.n
         out["alpha"] = h.alpha
         return out
-    pts = spec.bands.grid.points
-    lower, upper = spec.bands.lower, spec.bands.upper
-    series = [t.fractions() for t in spec.trajectories]
-    if spec.kind == "ecdf_diff":
-        lower, upper = lower - pts, upper - pts
-        series = [s - pts for s in series]
+    pts, lower, upper, series = _plotted(spec)
     out["points"] = [float(v) for v in pts]
     out["band_lower"] = [float(v) for v in lower]
     out["band_upper"] = [float(v) for v in upper]
@@ -201,12 +211,8 @@ def render_svg(spec: PlotSpec) -> str:
     """
     if spec.kind == "rank_hist":
         return _render_hist(spec)
-    pts = spec.bands.grid.points
-    lower, upper = spec.bands.lower, spec.bands.upper
-    series = [t.fractions() for t in spec.trajectories]
+    pts, lower, upper, series = _plotted(spec)
     if spec.kind == "ecdf_diff":
-        lower, upper = lower - pts, upper - pts
-        series = [s - pts for s in series]
         spread = [np.max(np.abs(lower)), np.max(np.abs(upper))]
         spread += [np.max(np.abs(s)) for s in series]
         m = 1.15 * max(max(spread), 1e-3)

@@ -1,18 +1,105 @@
-"""Dense forward recursions kept as independent oracles for the exact
-coverage.
+"""Reference routes kept only for the tests.
 
-Each step builds the full transition matrix between the count windows of
-consecutive grid points straight from the distribution's log mass (the
-binomial for one sample, the multivariate hypergeometric for two and
-three chains) and multiplies it into the state.  They share no code with
-the program's factorized forward pass, only the ``dist`` kernels.
+Dense forward recursions are the independent oracles for the exact
+coverage.  Each step builds the full transition matrix between the count
+windows of consecutive grid points straight from the distribution's log
+mass (the binomial for one sample, the multivariate hypergeometric for
+two and three chains) and multiplies it into the state.  They share no
+code with the program's factorized forward pass, only the ``dist``
+kernels.
+
+Scalar and per-row distribution functions (``binom_cdf``,
+``binom_logpmf``, ``binom_sf_table``, ``hyper_cdf``, ``hyper_quantile``)
+check the vectorized count tables and bounds the bands are read from.
 """
 
 import math
 
 import numpy as np
+from scipy.special import betainc
 
 from ecdf_bands import dist
+from ecdf_bands.dist import _check_count, _check_hyper, _check_prob, _hyper_tables
+
+
+def binom_logpmf(k, n, p: float) -> np.ndarray:
+    """Elementwise log of the Binomial(n, p) mass at k.
+
+    ``k`` and ``n`` broadcast; invalid counts get ``-inf``.  The edge
+    rates ``p = 0`` and ``p = 1`` are handled as point masses.
+    """
+    p = _check_prob(p, "p")
+    k = np.asarray(k, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    if p == 0.0:
+        return np.where((k == 0) & (n >= 0), 0.0, -np.inf)
+    if p == 1.0:
+        return np.where((k == n) & (n >= 0), 0.0, -np.inf)
+    lc = dist.log_choose(n, k)
+    kk = np.where(np.isfinite(lc), k, 0)
+    nn = np.where(np.isfinite(lc), n, 0)
+    out = lc + kk * math.log(p) + (nn - kk) * math.log1p(-p)
+    return np.where(np.isfinite(lc), out, -np.inf)
+
+
+def binom_cdf(k, n: int, p: float) -> float:
+    """``Pr(X <= k)`` for ``X ~ Binomial(n, p)``.
+
+    Clamps to 0 below the support and to 1 at or above its top.
+    """
+    n = _check_count(n, "n")
+    p = _check_prob(p, "p")
+    k = math.floor(k)
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    return float(betainc(n - k, k + 1, 1.0 - p))
+
+
+def binom_sf_table(n: int, p: float) -> np.ndarray:
+    """Read-only array ``s`` with ``s[k] = Pr(X >= k)``, k = 0..n, one
+    row at a time: the oracle for ``bands_single._sf_matrix``."""
+    n = _check_count(n, "n")
+    p = _check_prob(p, "p")
+    if n == 0:
+        out = np.ones(1)
+    else:
+        k = np.arange(1, n + 1, dtype=np.float64)
+        sf = betainc(k, n - k + 1.0, p)
+        sf = np.minimum.accumulate(np.clip(sf, 0.0, 1.0))
+        out = np.concatenate(([1.0], sf))
+    out.setflags(write=False)
+    return out
+
+
+def hyper_cdf(k, succ: int, fail: int, draws: int) -> float:
+    """``Pr(X <= k)`` for ``X ~ Hypergeometric(succ, fail, draws)``.
+
+    Clamps outside the support: 0 below it, 1 at or above its top.
+    """
+    succ, fail, draws = _check_hyper(succ, fail, draws)
+    k = math.floor(k)
+    lo, hi, _, cdf, _ = _hyper_tables(succ, fail, draws)
+    if k < lo:
+        return 0.0
+    if k >= hi:
+        return 1.0
+    return float(cdf[k - lo])
+
+
+def hyper_quantile(q: float, succ: int, fail: int, draws: int) -> int:
+    """Smallest ``k`` in the support with ``hyper_cdf(k, ...) >= q``.
+
+    ``q = 0`` returns the bottom of the support, which is
+    ``max(0, draws - fail)`` rather than 0 when draws exceed failures.
+    """
+    q = _check_prob(q, "q")
+    succ, fail, draws = _check_hyper(succ, fail, draws)
+    lo, hi, _, cdf, _ = _hyper_tables(succ, fail, draws)
+    if q <= 0.0:
+        return lo
+    return lo + int(np.searchsorted(cdf, q, side="left"))
 
 
 def _renormalize(probs, log_scale):
@@ -55,7 +142,7 @@ def _advance(probs, old_lo, old_hi, new_lo, new_hi, n, step):
     r_new = np.arange(new_lo, new_hi + 1)
     growth = r_new[:, None] - r_old[None, :]
     remaining = n - r_old[None, :]
-    log_pmf = dist.binom_logpmf(growth, remaining, step)
+    log_pmf = binom_logpmf(growth, remaining, step)
     return np.exp(log_pmf) @ probs
 
 

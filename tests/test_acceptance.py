@@ -13,8 +13,8 @@ from time import perf_counter
 import numpy as np
 
 from ecdf_bands.bands_multi import (
-    _band_bounds,
     _pooled_counts,
+    bands_from_gamma_multi,
     coverage_probability_multi,
     gamma_optimize_multi,
     gamma_simulate_multi,
@@ -22,7 +22,7 @@ from ecdf_bands.bands_multi import (
 )
 from ecdf_bands.bands_single import (
     _grid_cell_counts,
-    _interior_bounds,
+    bands_from_gamma,
     coverage_probability,
     gamma_optimize,
     gamma_simulate,
@@ -42,7 +42,8 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 def _enumerate_discrete(n: int, support: int, grid: EvaluationGrid, gamma: float) -> float:
     """Coverage over all support**n equally likely discrete-uniform draws."""
-    lo, hi = _interior_bounds(n, grid, gamma)
+    bands = bands_from_gamma(n, grid, gamma)
+    lo, hi = bands.lower_counts, bands.upper_counts
     pts = grid.points
     values = np.arange(1, support + 1) / support
     inside = 0
@@ -56,7 +57,8 @@ def _enumerate_discrete(n: int, support: int, grid: EvaluationGrid, gamma: float
 def _enumerate_interleavings(n: int, grid: EvaluationGrid, gamma: float) -> float:
     """Two-chain coverage over all C(2n, n) equally likely rank splits."""
     s = _pooled_counts(grid, n, 2)
-    lo, hi = _band_bounds(n, 2, s, gamma)
+    bands = bands_from_gamma_multi(n, 2, grid, gamma)
+    lo, hi = bands.lower_counts, bands.upper_counts
     pool = range(1, 2 * n + 1)
     inside = total = 0
     for first in itertools.combinations(pool, n):
@@ -74,7 +76,8 @@ def _enumerate_interleavings(n: int, grid: EvaluationGrid, gamma: float) -> floa
 
 def _mc_inside_rate(n: int, grid: EvaluationGrid, gamma: float, m: int) -> float:
     """Independent Monte Carlo estimate of the band retention rate."""
-    lo, hi = _interior_bounds(n, grid, gamma)
+    bands = bands_from_gamma(n, grid, gamma)
+    lo, hi = bands.lower_counts, bands.upper_counts
     pts = grid.points
     inside = 0
     for start in range(0, m, 2000):

@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from ecdf_bands import _forward, dist
 from ecdf_bands.bands_multi import (
-    MultiBands,
     MultiTestReport,
-    _band_bounds,
     _chain_cell_counts,
     _chain_factors,
+    _hyper_tables,
     _pooled_counts,
     bands_from_gamma_multi,
     coverage_probability_multi,
@@ -30,15 +29,21 @@ from ecdf_bands.bands_multi import (
     gamma_simulate_multi,
 )
 from ecdf_bands.bands_multi import test_multi as run_multi_test
-from ecdf_bands.bands_single import GammaResult
+from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _count_bounds
 from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid
-from oracles import coverage_three_chains, coverage_two_chains
+from oracles import coverage_three_chains, coverage_two_chains, hyper_quantile
+
+
+def band_bounds(n: int, l: int, s, gamma: float):
+    """The program's equal-tail hypergeometric count bounds per pooled count."""
+    cdf, _, floor = _hyper_tables(n, l, tuple(int(si) for si in s))
+    return _count_bounds(cdf, gamma, floor)
 
 
 def enumerate_interleaving_coverage(n: int, l: int, grid: EvaluationGrid, gamma: float) -> float:
     """Coverage by enumerating every split of the pooled ranks."""
     s = _pooled_counts(grid, n, l)
-    lo, hi = _band_bounds(n, l, s, gamma)
+    lo, hi = band_bounds(n, l, s, gamma)
     pool = list(range(1, l * n + 1))
     inside = total = 0
 
@@ -109,10 +114,10 @@ def test_pooled_counts_guard_against_ulp_undershoot():
 def test_band_bounds_are_hypergeometric_quantiles():
     n, l, gamma = 12, 3, 0.08
     s = np.array([5, 14, 30])
-    lo, hi = _band_bounds(n, l, s, gamma)
+    lo, hi = band_bounds(n, l, s, gamma)
     for i, si in enumerate(s):
-        assert lo[i] == dist.hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
-        assert hi[i] == dist.hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
+        assert lo[i] == hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
+        assert hi[i] == hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
 
 
 @settings(max_examples=100, deadline=None)
@@ -124,10 +129,10 @@ def test_band_bounds_are_hypergeometric_quantiles():
 )
 def test_band_bounds_match_quantiles_everywhere(n, l, s, gamma):
     s = np.array([min(si, l * n) for si in s])
-    lo, hi = _band_bounds(n, l, s, gamma)
+    lo, hi = band_bounds(n, l, s, gamma)
     for i, si in enumerate(s):
-        assert lo[i] == dist.hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
-        assert hi[i] == dist.hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
+        assert lo[i] == hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
+        assert hi[i] == hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
 
 
 _ORACLES = {2: coverage_two_chains, 3: coverage_three_chains}
@@ -156,7 +161,7 @@ def test_forward_pass_matches_dense_oracles_on_band_windows(data):
         grid = EvaluationGrid(np.unique(pts))
     gamma = data.draw(st.floats(1e-6, 1.0), label="gamma")
     s = np.unique(_pooled_counts(grid, n, l))
-    lo, hi = _band_bounds(n, l, s, gamma)
+    lo, hi = band_bounds(n, l, s, gamma)
     want = _assert_both_routes_match_oracle(n, l, s, lo, hi)
     got = coverage_probability_multi(n, l, grid, gamma)
     assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
@@ -208,7 +213,7 @@ def test_dense_fallback_is_forced_recorded_and_logged(monkeypatch, caplog):
         assert dense.gamma == fast.gamma
         assert dense.attained_coverage == pytest.approx(fast.attained_coverage, rel=1e-11)
         s = np.unique(_pooled_counts(grid, n, l))
-        lo, hi = _band_bounds(n, l, s, 0.2)
+        lo, hi = band_bounds(n, l, s, 0.2)
         assert coverage_probability_multi(n, l, grid, 0.2) == pytest.approx(
             _ORACLES[l](n, s, lo, hi), rel=1e-11
         )
@@ -315,13 +320,19 @@ def test_chain_cell_counts_matches_brute_force(data):
 
 def test_multibands_structure_and_validation():
     grid = EvaluationGrid([0.5, 1.0])
-    mb = MultiBands(grid, np.array([1, 4]), np.array([3, 4]), 4, 2, 0.05)
+    mb = ConfidenceBands(grid, np.array([1, 4]), np.array([3, 4]), 4, 0.05, n_chains=2)
+    assert mb.n_chains == 2
     np.testing.assert_allclose(mb.lower, [0.25, 1.0])
     np.testing.assert_allclose(mb.upper, [0.75, 1.0])
+    # the rank names read the same count bounds
+    assert mb.lower_ranks is mb.lower_counts and mb.upper_ranks is mb.upper_counts
     with pytest.raises(ValueError):
-        MultiBands(grid, np.array([3, 4]), np.array([1, 4]), 4, 2, 0.05)
+        ConfidenceBands(grid, np.array([3, 4]), np.array([1, 4]), 4, 0.05, n_chains=2)
     with pytest.raises(ValueError):
-        MultiBands(grid, np.array([1]), np.array([3]), 4, 2, 0.05)
+        ConfidenceBands(grid, np.array([1]), np.array([3]), 4, 0.05, n_chains=2)
+    # a negative bound anywhere, not only at the first grid point
+    with pytest.raises(ValueError):
+        ConfidenceBands(grid, np.array([1, -1]), np.array([3, 4]), 4, 0.05, n_chains=2)
 
 
 def test_bands_from_gamma_multi_passthrough_and_errors():

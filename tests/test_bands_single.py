@@ -20,12 +20,13 @@ from ecdf_bands.bands_single import (
     ConfidenceBands,
     GammaResult,
     Exceedance,
-    _bounds_from_key,
+    _cdf_matrix,
+    _count_bounds,
     _empirical_lower_quantile,
     _exceedances,
     _grid_cell_counts,
     _grid_key,
-    _interior_bounds,
+    _sf_matrix,
     _single_factors,
     band_exceedances,
     bands_from_gamma,
@@ -35,7 +36,12 @@ from ecdf_bands.bands_single import (
 )
 from ecdf_bands.bands_single import test_single as run_single_test
 from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, default_grid
-from oracles import interval_mass
+from oracles import binom_cdf, binom_sf_table, interval_mass
+
+
+def interior_bounds(n: int, grid: EvaluationGrid, gamma: float):
+    """The program's equal-tail binomial count bounds at each grid point."""
+    return _count_bounds(_cdf_matrix(n, _grid_key(grid)), gamma)
 
 
 def enumerate_discrete_coverage(n: int, support: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -44,7 +50,7 @@ def enumerate_discrete_coverage(n: int, support: int, grid: EvaluationGrid, gamm
     Each draw takes values j/support for j = 1..support; the trajectory
     is inside when every grid count sits within the equal-tail bounds.
     """
-    lo, hi = _interior_bounds(n, grid, gamma)
+    lo, hi = interior_bounds(n, grid, gamma)
     pts = grid.points
     values = np.arange(1, support + 1) / support
     inside = 0
@@ -64,7 +70,7 @@ def multinomial_coverage(n: int, grid: EvaluationGrid, gamma: float) -> float:
     partial sums stay inside the bounds avoids the conditional-binomial
     recursion entirely.
     """
-    lo, hi = _interior_bounds(n, grid, gamma)
+    lo, hi = interior_bounds(n, grid, gamma)
     pts = grid.points
     cells = np.diff(np.concatenate(([0.0], pts, [1.0])))
     k = pts.size
@@ -112,8 +118,8 @@ def test_coverage_matches_multinomial_sum_off_lattice_grid():
 def test_coverage_single_point_equals_binomial_interval_mass():
     n, z, gamma = 30, 0.37, 0.1
     grid = EvaluationGrid([z])
-    lo, hi = _interior_bounds(n, grid, gamma)
-    want = dist.binom_cdf(int(hi[0]), n, z) - dist.binom_cdf(int(lo[0]) - 1, n, z)
+    lo, hi = interior_bounds(n, grid, gamma)
+    want = binom_cdf(int(hi[0]), n, z) - binom_cdf(int(lo[0]) - 1, n, z)
     assert coverage_probability(n, grid, gamma) == pytest.approx(want, abs=1e-13)
 
 
@@ -148,7 +154,7 @@ def test_coverage_monotone_in_gamma():
 def test_fast_path_agrees_with_matrix_recursion(n, k_max, gamma):
     grid = default_grid(n, k_max=k_max)
     key = _grid_key(grid)
-    lo, hi = _bounds_from_key(n, key, gamma)
+    lo, hi = _count_bounds(_cdf_matrix(n, key), gamma)
     fast = _forward.fast_pass(*_single_factors(n, key, lo, hi))
     assert fast is not None
     ref = interval_mass(n, grid.points, lo, hi)
@@ -160,7 +166,7 @@ def test_fast_path_agrees_on_discrete_resolution_grid():
     grid = default_grid(n, 240)
     key = _grid_key(grid)
     for gamma in (0.002, 0.05):
-        lo, hi = _bounds_from_key(n, key, gamma)
+        lo, hi = _count_bounds(_cdf_matrix(n, key), gamma)
         fast = _forward.fast_pass(*_single_factors(n, key, lo, hi))
         assert fast is not None
         ref = interval_mass(n, grid.points, lo, hi)
@@ -174,7 +180,7 @@ def test_fast_path_declines_extreme_scales_and_fallback_runs():
     n = 1000
     grid = EvaluationGrid([0.5, 1.0])
     key = _grid_key(grid)
-    lo, hi = _bounds_from_key(n, key, 1e-6)
+    lo, hi = _count_bounds(_cdf_matrix(n, key), 1e-6)
     assert _forward.fast_pass(*_single_factors(n, key, lo, hi)) is None
     out = coverage_probability(n, grid, 1e-6)
     assert 0.999 < out <= 1.0
@@ -214,10 +220,29 @@ def test_gamma_optimize_records_dense_fallbacks(monkeypatch):
 def test_bounds_match_scalar_quantiles():
     n, gamma = 40, 0.013
     grid = default_grid(n, k_max=9)
-    lo, hi = _interior_bounds(n, grid, gamma)
+    lo, hi = interior_bounds(n, grid, gamma)
     for i, z in enumerate(grid.points):
         assert lo[i] == dist.binom_quantile(gamma / 2.0, n, float(z))
         assert hi[i] == dist.binom_quantile(1.0 - gamma / 2.0, n, float(z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    pts=st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        st.integers(1, 60).map(lambda r: [i / r for i in range(1, r + 1)]),
+    ),
+)
+def test_vectorized_binomial_tables_match_the_per_row_oracle(n, pts):
+    # one betainc call over the (K, n) grid must give the per-row tables
+    # bit for bit, on arbitrary points and on lattice grids
+    key = tuple(float(z) for z in pts)
+    cdf, sf = _cdf_matrix(n, key), _sf_matrix(n, key)
+    assert cdf.shape == sf.shape == (len(key), n + 1)
+    assert not cdf.flags.writeable and not sf.flags.writeable
+    np.testing.assert_array_equal(cdf, np.stack([dist.binom_cdf_table(n, z) for z in key]))
+    np.testing.assert_array_equal(sf, np.stack([binom_sf_table(n, z) for z in key]))
 
 
 def test_bands_from_gamma_structure():

@@ -276,7 +276,7 @@ def test_gamma_build_requires_out(capsys):
     capsys.readouterr()
 
 
-def test_gamma_query_uses_cache_env(tmp_path, capsys, monkeypatch):
+def test_gamma_query_uses_cache_env(uniform_csv, tmp_path, capsys, monkeypatch):
     grid_path = tmp_path / "grid.json"
     main(["gamma", "build", "--ns", "30", "--grid-k", "10", "--out", str(grid_path)])
     capsys.readouterr()
@@ -287,6 +287,12 @@ def test_gamma_query_uses_cache_env(tmp_path, capsys, monkeypatch):
     assert main(["gamma", "query", "--n", "30"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 30
+    # a cache miss is a usage error whose message prints without quotes
+    tail = " outside the stored range [30, 30]; extrapolation is not supported\n"
+    assert main(["gamma", "query", "--n", "300"]) == 2
+    assert capsys.readouterr().err == "error: n=300" + tail
+    assert main(["test", uniform_csv, "--method", "cache"]) == 2
+    assert capsys.readouterr().err == "error: n=50" + tail
 
 
 def test_plot_svg_is_byte_deterministic(uniform_csv, tmp_path, capsys):
@@ -338,6 +344,16 @@ def test_plot_rank_hist_multi_writes_one_file_per_chain(tmp_path, capsys):
     # multi-chain histograms cannot go to stdout
     assert main(["plot", path, "--kind", "rank_hist", "--bins", "6"]) == 2
     capsys.readouterr()
+
+
+def test_plot_rank_hist_does_not_read_the_gamma_cache(uniform_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "missing.json"))
+    out = tmp_path / "hist.svg"
+    assert main(["plot", uniform_csv, "--kind", "rank_hist", "--out", str(out)]) == 0
+    assert out.read_text().startswith('<?xml version="1.0"')
+    # band plots still calibrate through the cache, so they report it
+    assert main(["plot", uniform_csv, "--kind", "ecdf", "--out", str(out)]) == 2
+    assert "missing.json" in capsys.readouterr().err
 
 
 def test_plot_rank_hist_rejects_values_outside_unit_interval(tmp_path, capsys):

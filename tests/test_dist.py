@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from ecdf_bands import dist
+from ecdf_bands.bands_single import _cdf_matrix, _sf_matrix
+from oracles import binom_cdf, binom_logpmf, hyper_cdf, hyper_quantile
 
 
 def exact_binom_pmf(k: int, n: int, p: Fraction) -> Fraction:
@@ -66,17 +68,17 @@ def test_binom_logpmf_against_fraction_oracle():
     for n in (1, 4, 9, 23):
         for k in range(n + 1):
             want = math.log(exact_binom_pmf(k, n, p))
-            got = float(dist.binom_logpmf(k, n, 0.3))
+            got = float(binom_logpmf(k, n, 0.3))
             assert got == pytest.approx(want, rel=1e-12), (n, k)
 
 
 def test_binom_logpmf_point_mass_edges():
-    assert float(dist.binom_logpmf(0, 7, 0.0)) == 0.0
-    assert np.isneginf(dist.binom_logpmf(1, 7, 0.0))
-    assert float(dist.binom_logpmf(7, 7, 1.0)) == 0.0
-    assert np.isneginf(dist.binom_logpmf(6, 7, 1.0))
-    assert np.isneginf(dist.binom_logpmf(-1, 7, 0.5))
-    assert np.isneginf(dist.binom_logpmf(8, 7, 0.5))
+    assert float(binom_logpmf(0, 7, 0.0)) == 0.0
+    assert np.isneginf(binom_logpmf(1, 7, 0.0))
+    assert float(binom_logpmf(7, 7, 1.0)) == 0.0
+    assert np.isneginf(binom_logpmf(6, 7, 1.0))
+    assert np.isneginf(binom_logpmf(-1, 7, 0.5))
+    assert np.isneginf(binom_logpmf(8, 7, 0.5))
 
 
 def test_binom_cdf_against_fraction_oracle():
@@ -84,16 +86,16 @@ def test_binom_cdf_against_fraction_oracle():
     n = 13
     for k in range(n + 1):
         want = float(exact_binom_cdf(k, n, p))
-        assert dist.binom_cdf(k, n, 0.25) == pytest.approx(want, rel=1e-12)
-    assert dist.binom_cdf(-1, n, 0.25) == 0.0
-    assert dist.binom_cdf(n + 3, n, 0.25) == 1.0
-    assert dist.binom_cdf(n, n, 0.25) == 1.0
+        assert binom_cdf(k, n, 0.25) == pytest.approx(want, rel=1e-12)
+    assert binom_cdf(-1, n, 0.25) == 0.0
+    assert binom_cdf(n + 3, n, 0.25) == 1.0
+    assert binom_cdf(n, n, 0.25) == 1.0
 
 
 def test_binom_cdf_deep_tail_keeps_relative_accuracy():
     # far left tail of Binomial(200, 0.7): mass around 1e-48
     want = float(exact_binom_cdf(60, 200, Fraction(7, 10)))
-    got = dist.binom_cdf(60, 200, 0.7)
+    got = binom_cdf(60, 200, 0.7)
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -104,15 +106,15 @@ def test_binom_cdf_table_matches_scalar_and_ends_at_one():
     assert table[-1] == 1.0
     assert not table.flags.writeable
     for k in (0, 3, 18, 36):
-        assert table[k] == pytest.approx(dist.binom_cdf(k, n, 0.42), rel=1e-13)
+        assert table[k] == pytest.approx(binom_cdf(k, n, 0.42), rel=1e-13)
     assert np.all(np.diff(table) >= 0.0)
 
 
 def test_binom_sf_table_complements_the_cdf():
     n = 29
     p = 0.64
-    cdf = dist.binom_cdf_table(n, p)
-    sf = dist.binom_sf_table(n, p)
+    cdf = _cdf_matrix(n, (p,))[0]
+    sf = _sf_matrix(n, (p,))[0]
     assert sf[0] == 1.0
     for k in range(1, n + 1):
         assert sf[k] == pytest.approx(1.0 - cdf[k - 1], abs=1e-13)
@@ -122,7 +124,7 @@ def test_binom_sf_table_complements_the_cdf():
 def test_binom_sf_table_deep_tail_relative_accuracy():
     n, p = 150, 0.2
     want = float(sum(exact_binom_pmf(j, n, Fraction(1, 5)) for j in range(80, n + 1)))
-    got = float(dist.binom_sf_table(n, p)[80])
+    got = float(_sf_matrix(n, (0.3, p))[1, 80])
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -184,40 +186,40 @@ def test_hyper_sf_table_matches_upper_sums():
 
 def test_hyper_cdf_clamps_outside_support():
     succ, fail, draws = 4, 2, 5  # support is {3, 4}
-    assert dist.hyper_cdf(2, succ, fail, draws) == 0.0
-    assert dist.hyper_cdf(4, succ, fail, draws) == 1.0
-    assert dist.hyper_cdf(9, succ, fail, draws) == 1.0
+    assert hyper_cdf(2, succ, fail, draws) == 0.0
+    assert hyper_cdf(4, succ, fail, draws) == 1.0
+    assert hyper_cdf(9, succ, fail, draws) == 1.0
     want = float(exact_hyper_pmf(3, succ, fail, draws))
-    assert dist.hyper_cdf(3, succ, fail, draws) == pytest.approx(want, rel=1e-12)
+    assert hyper_cdf(3, succ, fail, draws) == pytest.approx(want, rel=1e-12)
 
 
 def test_hyper_quantile_galois_property():
     succ, fail, draws = 10, 15, 12
     lo, hi = dist.hyper_support(succ, fail, draws)
     for q in (1e-12, 0.05, 0.31, 0.5, 0.93, 1.0):
-        kq = dist.hyper_quantile(q, succ, fail, draws)
+        kq = hyper_quantile(q, succ, fail, draws)
         assert lo <= kq <= hi
         for k in range(lo, hi + 1):
-            assert (dist.hyper_cdf(k, succ, fail, draws) >= q) == (k >= kq)
+            assert (hyper_cdf(k, succ, fail, draws) >= q) == (k >= kq)
 
 
 def test_hyper_quantile_zero_returns_support_bottom():
     # bottom of the support is draws - fail when draws exceed failures
-    assert dist.hyper_quantile(0.0, 4, 2, 5) == 3
-    assert dist.hyper_quantile(0.0, 4, 6, 3) == 0
+    assert hyper_quantile(0.0, 4, 2, 5) == 3
+    assert hyper_quantile(0.0, 4, 6, 3) == 0
 
 
 def test_hyper_rejects_overdrawn_population():
     with pytest.raises(ValueError):
         dist.hyper_support(3, 2, 6)
     with pytest.raises(ValueError):
-        dist.hyper_quantile(0.5, 3, 2, 6)
+        dist.hyper_cdf_table(3, 2, 6)
 
 
 def test_prob_and_count_validation():
     with pytest.raises(ValueError):
-        dist.binom_cdf(3, 10, 1.5)
+        dist.binom_cdf_table(10, 1.5)
     with pytest.raises(ValueError):
-        dist.binom_cdf(3, -1, 0.5)
+        dist.binom_cdf_table(-1, 0.5)
     with pytest.raises(ValueError):
         dist.binom_quantile(-0.2, 10, 0.5)
