@@ -253,8 +253,9 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     as ``gamma_optimize``, with breakpoints from the hypergeometric CDF
     tables of the pooled counts; each of the l chains can leave the band
     at each grid point, so the search starts below ``alpha / (l * K)``.
-    ``meta`` counts evaluations and dense fallbacks as ``gamma_optimize``
-    does.
+    Runs of equal coverage on neighbouring slivers of the near-symmetric
+    tables are crossed by the search's gallop.  ``meta`` counts
+    evaluations, steps and dense fallbacks as ``gamma_optimize`` does.
     """
     if n < 1:
         raise ValueError("chain length must be positive")

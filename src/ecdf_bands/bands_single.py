@@ -428,18 +428,34 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     the steps from the one holding ``floor`` up to alpha.  Each step is
     evaluated strictly inside it, at the midpoint of its breakpoints or
     at alpha for the top step, so rounding cannot put the evaluation on
-    a neighbouring step.  Bisection finds the last step whose coverage
-    reaches the target; it or the next step up is the closest, and a tie
-    goes to the smaller gamma.
+    a neighbouring step.
 
-    Returns ``(gamma, coverage, evaluations)``.
+    The search keeps a bracket: step ``lo`` reaches the target, step
+    ``hi`` does not.  Since 1 - coverage is close to a power of gamma,
+    each probe is predicted, not bisected: log(1 - coverage) against
+    log gamma should reach log alpha at the geometric middle of
+    [floor, alpha] before any evaluation, on the line of slope 1 through
+    the one evaluated end of the bracket, or on the line between both
+    ends (an end whose coverage is 1 has no logarithm and is left out).
+    The probe is the last step whose gamma is at or below the prediction,
+    moved 1 step further in the direction the last probe moved the
+    bracket, and 2, 4, ... steps while probes keep landing on the same
+    side, which also walks across runs of equal coverage; it is clamped
+    inside the bracket.  Once the search has spent ceil(log2(S + 1))
+    evaluations over its S steps it bisects, so no search needs more
+    than 2 * ceil(log2(S + 1)) + 1.  Every search that keeps the bracket
+    ends on the last step that reaches the target; it or the next step
+    up is the closest, and a tie goes to the smaller gamma.
+
+    Returns ``(gamma, coverage, evaluations, steps)``.
     """
-    target = 1.0 - alpha
+    target, goal = 1.0 - alpha, math.log(alpha)
     f = np.ravel(cdf_values)
     breaks = 2.0 * np.minimum(f, 1.0 - f)
     start = breaks[breaks < floor].max(initial=0.0)
     edges = np.unique(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
     gammas = np.append((edges[:-1] + edges[1:]) / 2.0, alpha)
+    budget = gammas.size.bit_length()
     cache: dict[int, float] = {}
 
     def coverage(i: int) -> float:
@@ -447,30 +463,57 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
             cache[i] = float(coverage_fn(float(gammas[i])))
         return cache[i]
 
-    # invariant: step lo reaches the target, step hi (if any) does not
+    def predicted_log_gamma(lo: int, hi: int) -> float | None:
+        if not cache:
+            return (math.log(floor) + goal) / 2.0
+        # log(1 - coverage) is -inf where coverage is 1: such an end is left out
+        ends = [
+            (math.log(gammas[i]), math.log(1.0 - cache[i]))
+            for i in (lo, hi)
+            if cache.get(i, 1.0) < 1.0
+        ]
+        if len(ends) == 1:
+            return ends[0][0] + goal - ends[0][1]
+        if len(ends) == 2 and ends[1][1] > ends[0][1]:
+            (x0, y0), (x1, y1) = ends
+            return x0 + (goal - y0) * (x1 - x0) / (y1 - y0)
+        return None
+
     lo, hi = 0, gammas.size
+    side = run = 0  # the last probe raised lo (+1) or lowered hi (-1), run times in a row
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if coverage(mid) >= target:
-            lo = mid
+        probe = (lo + hi) // 2
+        x = predicted_log_gamma(lo, hi) if len(cache) < budget else None
+        if x is not None:
+            probe = int(np.searchsorted(gammas, math.exp(min(x, 0.0)), side="right")) - 1
+            if run:
+                probe += side << (run - 1)
+            probe = min(max(probe, lo + 1), hi - 1)
+        landed = 1 if coverage(probe) >= target else -1
+        run = run + 1 if landed == side else 1
+        side = landed
+        if landed > 0:
+            lo = probe
         else:
-            hi = mid
+            hi = probe
     best = min(range(lo, min(lo + 2, gammas.size)), key=lambda i: (abs(coverage(i) - target), i))
-    return float(gammas[best]), coverage(best), len(cache)
+    return float(gammas[best]), coverage(best), len(cache), gammas.size
 
 
 def _optimized_gamma(coverage_fn, cdf_values, alpha: float, checks: int) -> GammaResult:
     """The exact step search as a ``GammaResult`` whose meta counts the
-    coverage evaluations and the dense fallbacks among them.
+    coverage evaluations, the candidate steps and the dense fallbacks
+    among the evaluations.
 
     ``checks`` counts the (chain, grid point) pairs at which a
     trajectory can leave the bands, so every gamma at or below
     ``alpha / checks`` covers more than ``1 - alpha`` (a union bound).
     """
     dense_before = _forward.dense_count()
-    gamma, attained, evals = _search_steps(coverage_fn, cdf_values, alpha, alpha / checks)
+    gamma, attained, evals, steps = _search_steps(coverage_fn, cdf_values, alpha, alpha / checks)
     meta = {
         "evaluations": evals,
+        "steps": steps,
         "dense_fallbacks": _forward.dense_count() - dense_before,
         "alpha": alpha,
     }
@@ -481,12 +524,15 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     """Calibrate gamma so that the exact coverage of the bands is as close
     as possible to the nominal level.
 
-    The search is exact: it bisects the steps of the coverage curve,
+    The search is exact: it runs over the steps of the coverage curve,
     whose breakpoints come from the binomial CDF tables of the grid
-    points (see ``_search_steps``).  ``meta["evaluations"]`` counts the
-    coverage evaluations it made, and ``meta["dense_fallbacks"]`` those
-    that built dense step matrices because the convolution's scaled
-    factors left double range.
+    points, and predicts each probe from the evaluated ones in log-log,
+    so it ends on the step bisection would from fewer evaluations (see
+    ``_search_steps``).  ``meta["evaluations"]`` counts the coverage
+    evaluations it made, ``meta["steps"]`` the candidate steps it
+    searched, and ``meta["dense_fallbacks"]`` the evaluations that built
+    dense step matrices because the convolution's scaled factors left
+    double range.
     """
     if n < 1:
         raise ValueError("sample size must be positive")

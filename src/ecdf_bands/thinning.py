@@ -14,11 +14,12 @@ correlations are accumulated in consecutive pairs until a pair sum goes
 nonpositive, with pair sums additionally forced nonincreasing.
 
 All 21 series of a report (the draws, their rank-normalized version and
-the 19 quantile indicators) are stacked and handled in one pass: one
-zero-padded real FFT per chain, power spectra summed over the chains of
-each series, and one inverse transform per series give the summed
-autocovariances at every lag up to n/2.  The truncation then runs on each
-series' correlation row exactly as it would on per-lag sums.
+the 19 quantile indicators) are stacked and handled in batched passes of
+at most ``_ESS_BUDGET`` draws: one zero-padded real FFT per chain, power
+spectra summed over the chains of each series, and one inverse transform
+per series give the summed autocovariances at every lag up to n/2.  The
+truncation then runs on each series' correlation row exactly as it would
+on per-lag sums.
 """
 
 from __future__ import annotations
@@ -112,22 +113,20 @@ def ar1_simulate(phi: float, n: int, chains: int = 1, seed: int = 0) -> ChainSet
 
 
 _ESS_BUDGET = 1 << 20
-"""Most draws one ``_ess_batch`` pass transforms at once.  A larger stack
-is split over its series, which keeps each FFT buffer near 16 MB."""
+"""Most draws one ``_ess_batch`` pass transforms at once.  ``ess_report``
+builds and passes its series in chunks of this size (at least one
+series), which keeps each FFT buffer near 16 MB."""
 
 
 def _ess_batch(x: np.ndarray) -> np.ndarray:
     """ESS of the mean for each set of equal-length chains in an
-    (S, m, n) stack.
+    (S, m, n) stack, in one pass.
 
     A constant series has no variance to estimate, and its ESS is the
     number of draws; it is detected before demeaning, whose rounding
     residue would otherwise pass for variance.
     """
     s, m, n = x.shape
-    step = max(1, _ESS_BUDGET // (m * n))
-    if s > step:
-        return np.concatenate([_ess_batch(x[i : i + step]) for i in range(0, s, step)])
     total = m * n
     varies = x.max(axis=(1, 2)) > x.min(axis=(1, 2))
     chain_means = x.mean(axis=2)
@@ -187,17 +186,31 @@ def _rank_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def ess_report(chains) -> EssReport:
-    """All ESS variants used by the thinning strategies."""
+    """All ESS variants used by the thinning strategies.
+
+    The 21 series go through ``_ess_batch`` in chunks of at most
+    ``_ESS_BUDGET`` draws (at least one series), and each chunk's series
+    are built just before its pass, so one call holds one chunk at a time.
+    """
     cs = chains if isinstance(chains, ChainSet) else ChainSet(chains)
     x = cs.chains
     if cs.n_draws < 8:
         raise ValueError("chains must have at least 8 draws")
     qs = np.quantile(x, _QUANTILES)
-    series = np.empty((2 + len(_QUANTILES),) + x.shape)
-    series[0] = x
-    series[1] = _rank_normalize(x)
-    np.less_equal(x, qs[:, None, None], out=series[2:])
-    ess = _ess_batch(series)
+    count = 2 + len(_QUANTILES)
+    step = max(1, _ESS_BUDGET // x.size)
+    ess = np.empty(count)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        series = np.empty((hi - lo,) + x.shape)
+        if lo == 0:
+            series[0] = x
+        if lo <= 1 < hi:
+            series[1 - lo] = _rank_normalize(x)
+        if hi > 2:  # series 2.. are the quantile indicators
+            first = max(lo, 2)
+            np.less_equal(x, qs[first - 2 : hi - 2, None, None], out=series[first - lo :])
+        ess[lo:hi] = _ess_batch(series)
     ess_q = tuple(float(v) for v in ess[2:])
     ess_tail = min(ess_q[0], ess_q[-1])
     return EssReport(float(ess[0]), float(ess[1]), ess_tail, ess_q, x.size)

@@ -11,6 +11,9 @@ kernels.
 Scalar and per-row distribution functions (``binom_cdf``,
 ``binom_logpmf``, ``binom_sf_table``, ``hyper_cdf``, ``hyper_quantile``)
 check the vectorized count tables and bounds the bands are read from.
+
+``search_steps_bisect`` is the plain bisection over the coverage steps
+that the program's interpolating step search must end on.
 """
 
 import math
@@ -243,3 +246,35 @@ def coverage_three_chains(n: int, s, lo, hi) -> float:
         cur_r1, cur_r2 = n1, n2
         prev_s = si
     return float(min(1.0, probs.sum() * math.exp(log_scale)))
+
+
+def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
+    """The exact gamma search by bisection over the coverage steps.
+
+    Same candidate steps, bracket invariant and final pick as
+    ``bands_single._search_steps``; each probe is the bracket's middle
+    step.  Returns ``(gamma, coverage, evaluations, steps)``.
+    """
+    target = 1.0 - alpha
+    f = np.ravel(cdf_values)
+    breaks = 2.0 * np.minimum(f, 1.0 - f)
+    start = breaks[breaks < floor].max(initial=0.0)
+    edges = np.unique(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
+    gammas = np.append((edges[:-1] + edges[1:]) / 2.0, alpha)
+    cache: dict[int, float] = {}
+
+    def coverage(i: int) -> float:
+        if i not in cache:
+            cache[i] = float(coverage_fn(float(gammas[i])))
+        return cache[i]
+
+    # invariant: step lo reaches the target, step hi (if any) does not
+    lo, hi = 0, gammas.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coverage(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    best = min(range(lo, min(lo + 2, gammas.size)), key=lambda i: (abs(coverage(i) - target), i))
+    return float(gammas[best]), coverage(best), len(cache), gammas.size

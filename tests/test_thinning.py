@@ -241,6 +241,33 @@ def test_chunked_ess_batch_matches_one_batch(monkeypatch):
     assert chunked.ess_tail == pytest.approx(whole.ess_tail, rel=1e-12)
 
 
+@pytest.mark.parametrize("per_chunk", [1, 3, 20])
+def test_ess_report_chunks_of_any_size_match_one_batch(monkeypatch, per_chunk):
+    from ecdf_bands import thinning
+
+    x = ar1_simulate(0.6, 500, chains=2, seed=8).chains
+    whole = ess_report(x)
+    monkeypatch.setattr(thinning, "_ESS_BUDGET", per_chunk * x.size)
+    chunked = ess_report(x)
+    assert _report_values(chunked) == pytest.approx(_report_values(whole), rel=1e-12)
+
+
+def test_ess_report_holds_one_chunk_of_series_at_a_time():
+    import tracemalloc
+
+    x = ar1_simulate(0.0, 100_000, chains=4, seed=0)
+    stack_bytes = 21 * x.chains.nbytes  # every series at once: 67 MB
+    tracemalloc.start()
+    try:
+        ess_report(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of 2 series and its FFT buffers peak near 38 MB; holding
+    # all 21 series at once adds the whole stack to that
+    assert peak < 0.75 * stack_bytes
+
+
 def test_ess_report_pinned_values():
     rep = ess_report(ar1_simulate(0.7, 1000, chains=2, seed=0))
     assert rep.n_total == 2000
