@@ -29,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import lfilter
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .transform import ChainSet
 
@@ -98,8 +96,12 @@ def ar1_simulate(phi: float, n: int, chains: int = 1, seed: int = 0) -> ChainSet
     """Stationary AR(1) chains with standard normal marginals.
 
     x_t = phi * x_{t-1} + eps_t with x_0 drawn from the stationary
-    distribution, then scaled so every margin has unit variance.
+    distribution, then scaled so every margin has unit variance.  The
+    filter is ``scipy.signal.lfilter``, imported on the first call, so
+    only callers of this generator load ``scipy.signal``.
     """
+    from scipy.signal import lfilter
+
     phi = float(phi)
     if not -1.0 < phi < 1.0:
         raise ValueError("phi must lie strictly inside (-1, 1)")
@@ -177,10 +179,28 @@ def _geyer_tau(rho: np.ndarray, total: int) -> float:
     return max(tau, 1.0 / math.log10(total))
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a flat array, ties given the mean of their run's
+    ranks; the same values as ``scipy.stats.rankdata(method="average")``.
+
+    Every member of a tie run gets the same rank, so the sort need not be
+    stable.  A run over the sorted positions ``start..end - 1`` (0-based)
+    has the mean rank (start + end + 1) / 2, exact in double precision.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
-    """Average ranks over the pooled draws mapped through the normal
-    quantile function, using the standard continuity offsets."""
-    ranks = rankdata(x.ravel(), method="average")
+    """Average ranks over the pooled draws (``_average_ranks``, numpy
+    only) mapped through the normal quantile function, using the standard
+    continuity offsets."""
+    ranks = _average_ranks(x.ravel())
     z = ndtri((ranks - 0.375) / (ranks.size + 0.25))
     return z.reshape(x.shape)
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 from ecdf_bands import _forward, dist
 from ecdf_bands.bands_multi import (
@@ -194,6 +195,29 @@ def test_forward_pass_matches_dense_oracles_on_arbitrary_windows(data):
 )
 def test_forward_pass_on_windows_that_move_down(n, l, s, lo, hi):
     assert _assert_both_routes_match_oracle(n, l, s, lo, hi) > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 30),
+    jumps=st.integers(1, 6),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_padded_flat_convolution_matches_convolve2d(width, jumps, zeros, seed):
+    # the three-chain step's one np.convolve against the 2-D oracle, on
+    # positive values spread like the scaled factors: the state over
+    # 1e-250..1e250, the kernel (peak 1) over 1e-250..1
+    rng = np.random.default_rng(seed)
+    state = 10.0 ** rng.uniform(-250, 250, (width, width))
+    kernel = 10.0 ** rng.uniform(-250, 0, (1, jumps, jumps))
+    state[rng.random(state.shape) < zeros] = 0.0
+    kernel[rng.random(kernel.shape) < zeros] = 0.0
+    got = _forward._flat_convolution(kernel, width)(state, 0)
+    want = convolve2d(state, kernel[0])
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_dense_fallback_is_forced_recorded_and_logged(monkeypatch, caplog):

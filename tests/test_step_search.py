@@ -124,3 +124,23 @@ def test_three_chain_search_at_n_250_is_pinned():
     assert res.attained_coverage == 0.9502505358319935
     assert res.meta["evaluations"] < 10
     assert res.meta["steps"] == 1303
+
+
+@pytest.mark.parametrize(
+    "n, gamma, coverage",
+    [
+        (23, 0.004348233578035484, 0.949758163880211),
+        (24, 0.0046889411844961565, 0.950248023030347),
+        (25, 0.004641240633955446, 0.9497453773460307),
+        (26, 0.00469633611365916, 0.9493862652151206),
+        (50, 0.0022744128875537687, 0.949485578974359),
+        (100, 0.0014910446402721074, 0.9499933654479588),
+    ],
+)
+def test_three_chain_search_is_pinned(n, gamma, coverage):
+    # pinned from scipy.signal.convolve2d; the flat convolution adds the
+    # same products in another order, so coverage may move in its last
+    # bits, never gamma
+    res = gamma_optimize_multi(n, 3, default_grid(n, 3 * n), 0.05)
+    assert res.gamma == gamma
+    assert res.attained_coverage == pytest.approx(coverage, rel=0.0, abs=1e-15)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from ecdf_bands.thinning import (
     _QUANTILES,
     STRATEGIES,
     EssReport,
     ThinningPlan,
+    _average_ranks,
     _rank_normalize,
     ar1_simulate,
     ess_report,
@@ -218,6 +220,32 @@ def test_ess_report_matches_lag_sum_oracle(m, n, phi, seed, lattice):
     assert rep.ess_tail == min(rep.ess_quantiles[0], rep.ess_quantiles[-1])
     if lattice == "constant":
         assert _report_values(rep) == [float(m * n)] * 21
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 5000),
+    levels=st.sampled_from([None, 1, 2, 7, 100]),
+    signed_zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=1, levels=None, signed_zeros=False, seed=0)
+@example(size=5000, levels=1, signed_zeros=False, seed=0)
+@example(size=9, levels=1, signed_zeros=True, seed=0)
+def test_average_ranks_match_rankdata_bit_for_bit(size, levels, signed_zeros, seed):
+    # few levels make long tie runs, one level an all-equal series; with
+    # signed zeros, 0.0 and -0.0 share one run
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(size)
+    if levels is not None:
+        x = rng.integers(0, levels, size) - levels // 2 + 0.0
+    if signed_zeros:
+        picks = rng.random(size) < 0.5
+        x[picks] = np.where(rng.random(picks.sum()) < 0.5, 0.0, -0.0)
+    got = _average_ranks(x)
+    want = rankdata(x, method="average")
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_constant_chains_get_the_total_as_ess():
