@@ -88,24 +88,41 @@ def _pooled_counts(grid: EvaluationGrid, n: int, l: int) -> np.ndarray:
     return np.floor(grid.points * total + 1e-9).astype(np.int64)
 
 
+def _hyper_log_mass(n: int, l: int, s: np.ndarray) -> np.ndarray:
+    """(K, n + 1) log mass of one chain's count 0..n given the pooled
+    counts s_i, ``-inf`` outside each row's support.
+
+    log C(n, k) + log C(rest, s_i - k) - log C(l * n, s_i), with the
+    middle term gathered from one row of coefficients over 0..rest.
+    """
+    rest = (l - 1) * n
+    s = s[:, None]
+    j = s - np.arange(n + 1)
+    other = dist.log_choose(rest, np.arange(rest + 1))[np.clip(j, 0, rest)]
+    out = dist.log_choose(n, np.arange(n + 1)) + other - dist.log_choose(l * n, s)
+    return np.where((j >= 0) & (j <= rest), out, -np.inf)
+
+
 @lru_cache(maxsize=8)
 def _hyper_tables(n: int, l: int, s_key: tuple):
     """Padded (K, n + 1) hypergeometric CDF and tail tables, read-only,
     and the bottom of each support.
 
     Row i covers counts 0..n for pooled count s_i: the CDF is 0 below
-    the support and 1 above it, the tail the other way round.
+    the support and 1 from its top on, the tail the other way round.
+    The mass is exactly 0 outside the support, so one running sum each
+    way along the rows adds the same terms in the same order as a sum
+    over the support alone.
     """
-    rest = (l - 1) * n
-    cdf = np.zeros((len(s_key), n + 1))
-    sf = np.zeros((len(s_key), n + 1))
-    for i, si in enumerate(s_key):
-        lo, hi = dist.hyper_support(n, rest, si)
-        cdf[i, lo : hi + 1] = dist.hyper_cdf_table(n, rest, si)
-        cdf[i, hi + 1 :] = 1.0
-        sf[i, lo : hi + 1] = dist.hyper_sf_table(n, rest, si)
-        sf[i, :lo] = 1.0
-    floor = np.maximum(np.array(s_key, dtype=np.int64) - rest, 0)
+    s = np.array(s_key, dtype=np.int64)
+    k = np.arange(n + 1)
+    pmf = np.exp(_hyper_log_mass(n, l, s))
+    cdf = np.minimum(np.cumsum(pmf, axis=1), 1.0)
+    sf = np.empty_like(pmf)
+    np.minimum(np.cumsum(pmf[:, ::-1], axis=1), 1.0, out=sf[:, ::-1])
+    floor = np.maximum(s - (l - 1) * n, 0)
+    cdf[k >= np.minimum(s, n)[:, None]] = 1.0
+    sf[k <= floor[:, None]] = 1.0
     for arr in (cdf, sf, floor):
         arr.setflags(write=False)
     return cdf, sf, floor

@@ -153,8 +153,10 @@ def _cdf_matrix(n: int, pts_key: tuple) -> np.ndarray:
     """Padded (K, n + 1) binomial CDF table, one row per grid point.
 
     One ``betainc`` call covers the whole (K, n) grid; each row is made
-    monotone against last-ulp wobble and ends in exactly 1.0, as
-    ``dist.binom_cdf_table`` builds it row by row.
+    monotone against last-ulp wobble and ends in exactly 1.0.  It is the
+    one binomial CDF build: the bands, the exact search and the
+    rank-histogram interval (``report.rank_hist``, one row at
+    p = 1/bins) all read it.
     """
     p = np.asarray(pts_key, dtype=np.float64)[:, None]
     k = np.arange(n, dtype=np.float64)

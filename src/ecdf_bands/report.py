@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dist
-from .bands_single import ConfidenceBands
+from .bands_single import ConfidenceBands, _cdf_matrix, _count_bounds
 from .transform import EcdfTrajectory, PitValues
 
 __all__ = [
@@ -126,7 +125,8 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     Bins are right-closed, so an exact boundary value such as 1.0 lands
     in the last bin and k/bins lands in bin k - 1.  The reference
     interval is the pointwise binomial alpha/2 and 1 - alpha/2 quantile
-    pair with p = 1/bins; it carries no simultaneity adjustment.
+    pair with p = 1/bins, read by the bands' count-bound rule from the
+    one-row binomial table; it carries no simultaneity adjustment.
     """
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
@@ -144,10 +144,8 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     n = int(expected_total) if expected_total is not None else int(vals.size)
     if n < 1:
         raise ValueError("expected_total must be positive")
-    p = 1.0 / bins
-    lo = int(dist.binom_quantile(alpha / 2.0, n, p))
-    hi = int(dist.binom_quantile(1.0 - alpha / 2.0, n, p))
-    return RankHistogram(edges, heights, lo, hi, n, bins, float(alpha))
+    lo, hi = _count_bounds(_cdf_matrix(n, (1.0 / bins,)), alpha)
+    return RankHistogram(edges, heights, int(lo[0]), int(hi[0]), n, bins, float(alpha))
 
 
 def _plotted(spec: PlotSpec):

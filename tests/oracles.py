@@ -8,21 +8,28 @@ two and three chains) and multiplies it into the state.  They share no
 code with the program's factorized forward pass, only the ``dist``
 kernels.
 
-Scalar and per-row distribution functions (``binom_cdf``,
-``binom_logpmf``, ``binom_sf_table``, ``hyper_cdf``, ``hyper_quantile``)
-check the vectorized count tables and bounds the bands are read from.
+The program builds each count law's table whole, one (K, n + 1) table
+per law.  The per-row routes here check those tables and the bounds read
+from them: the binomial row, scalar CDF, log mass, tail and quantile
+(``binom_cdf_table``, ``binom_cdf``, ``binom_logpmf``,
+``binom_sf_table``, ``binom_quantile``), and the hypergeometric support,
+log mass, CDF and tail rows over the support alone, with the scalar CDF
+and quantile read from them (``hyper_support``, ``hyper_logpmf``,
+``hyper_cdf_table``, ``hyper_sf_table``, ``hyper_cdf``,
+``hyper_quantile``).  ``hyper_padded_tables`` pads those rows the way
+``bands_multi._hyper_tables`` lays out its table.
 
 ``search_steps_bisect`` is the plain bisection over the coverage steps
 that the program's interpolating step search must end on.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
 
 from ecdf_bands import dist
-from ecdf_bands.dist import _check_count, _check_hyper, _check_prob, _hyper_tables
 
 
 def binom_logpmf(k, n, p: float) -> np.ndarray:
@@ -31,7 +38,6 @@ def binom_logpmf(k, n, p: float) -> np.ndarray:
     ``k`` and ``n`` broadcast; invalid counts get ``-inf``.  The edge
     rates ``p = 0`` and ``p = 1`` are handled as point masses.
     """
-    p = _check_prob(p, "p")
     k = np.asarray(k, dtype=np.int64)
     n = np.asarray(n, dtype=np.int64)
     if p == 0.0:
@@ -50,8 +56,6 @@ def binom_cdf(k, n: int, p: float) -> float:
 
     Clamps to 0 below the support and to 1 at or above its top.
     """
-    n = _check_count(n, "n")
-    p = _check_prob(p, "p")
     k = math.floor(k)
     if k < 0:
         return 0.0
@@ -60,11 +64,25 @@ def binom_cdf(k, n: int, p: float) -> float:
     return float(betainc(n - k, k + 1, 1.0 - p))
 
 
+def binom_cdf_table(n: int, p: float) -> np.ndarray:
+    """Read-only array ``c`` with ``c[k] = Pr(X <= k)``, k = 0..n, one
+    row at a time: the oracle for ``bands_single._cdf_matrix``."""
+    if n == 0:
+        out = np.ones(1)
+    else:
+        k = np.arange(n, dtype=np.float64)
+        cdf = betainc(n - k, k + 1.0, 1.0 - p)
+        # enforce monotonicity against last-ulp wobble so that quantile
+        # searches see a sorted table
+        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+        out = np.append(cdf, 1.0)
+    out.setflags(write=False)
+    return out
+
+
 def binom_sf_table(n: int, p: float) -> np.ndarray:
     """Read-only array ``s`` with ``s[k] = Pr(X >= k)``, k = 0..n, one
     row at a time: the oracle for ``bands_single._sf_matrix``."""
-    n = _check_count(n, "n")
-    p = _check_prob(p, "p")
     if n == 0:
         out = np.ones(1)
     else:
@@ -76,14 +94,81 @@ def binom_sf_table(n: int, p: float) -> np.ndarray:
     return out
 
 
+def binom_quantile(q: float, n: int, p: float) -> int:
+    """Smallest ``k`` in ``{0, ..., n}`` with ``Pr(X <= k) >= q``.
+
+    ``q = 0`` returns 0, the bottom of the support.
+    """
+    if q <= 0.0:
+        return 0
+    return int(np.searchsorted(binom_cdf_table(n, p), q, side="left"))
+
+
+def hyper_support(succ: int, fail: int, draws: int) -> tuple[int, int]:
+    """Inclusive support bounds ``(max(0, draws - fail), min(succ, draws))``."""
+    return max(0, draws - fail), min(succ, draws)
+
+
+def hyper_logpmf(k, succ: int, fail: int, draws: int) -> np.ndarray:
+    """Elementwise log mass of Hypergeometric(succ, fail, draws) at k."""
+    k = np.asarray(k, dtype=np.int64)
+    return (
+        dist.log_choose(succ, k)
+        + dist.log_choose(fail, draws - k)
+        - dist.log_choose(succ + fail, draws)
+    )
+
+
+@lru_cache(maxsize=8192)
+def _hyper_rows(succ: int, fail: int, draws: int):
+    """Support bounds and the CDF and tail over the support alone."""
+    lo, hi = hyper_support(succ, fail, draws)
+    pmf = np.exp(hyper_logpmf(np.arange(lo, hi + 1), succ, fail, draws))
+    cdf = np.minimum(np.cumsum(pmf), 1.0)
+    cdf[-1] = 1.0
+    sf = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+    sf[0] = 1.0
+    for arr in (cdf, sf):
+        arr.setflags(write=False)
+    return lo, hi, cdf, sf
+
+
+def hyper_cdf_table(succ: int, fail: int, draws: int) -> np.ndarray:
+    """Read-only CDF over the support, indexed from ``hyper_support(...)[0]``."""
+    return _hyper_rows(succ, fail, draws)[2]
+
+
+def hyper_sf_table(succ: int, fail: int, draws: int) -> np.ndarray:
+    """Read-only array of ``Pr(X >= k)`` over the support."""
+    return _hyper_rows(succ, fail, draws)[3]
+
+
+def hyper_padded_tables(n: int, l: int, s):
+    """The per-row tables of one chain's count given pooled counts s,
+    padded to counts 0..n as ``bands_multi._hyper_tables`` lays them out:
+    CDF 0 below the support and 1 above it, the tail the other way
+    round, and the bottom of each support."""
+    rest = (l - 1) * n
+    cdf = np.zeros((len(s), n + 1))
+    sf = np.zeros((len(s), n + 1))
+    floor = np.zeros(len(s), dtype=np.int64)
+    for i, si in enumerate(s):
+        lo, hi, cdf_row, sf_row = _hyper_rows(n, rest, int(si))
+        cdf[i, lo : hi + 1] = cdf_row
+        cdf[i, hi + 1 :] = 1.0
+        sf[i, lo : hi + 1] = sf_row
+        sf[i, :lo] = 1.0
+        floor[i] = lo
+    return cdf, sf, floor
+
+
 def hyper_cdf(k, succ: int, fail: int, draws: int) -> float:
     """``Pr(X <= k)`` for ``X ~ Hypergeometric(succ, fail, draws)``.
 
     Clamps outside the support: 0 below it, 1 at or above its top.
     """
-    succ, fail, draws = _check_hyper(succ, fail, draws)
     k = math.floor(k)
-    lo, hi, _, cdf, _ = _hyper_tables(succ, fail, draws)
+    lo, hi, cdf, _ = _hyper_rows(succ, fail, draws)
     if k < lo:
         return 0.0
     if k >= hi:
@@ -97,9 +182,7 @@ def hyper_quantile(q: float, succ: int, fail: int, draws: int) -> int:
     ``q = 0`` returns the bottom of the support, which is
     ``max(0, draws - fail)`` rather than 0 when draws exceed failures.
     """
-    q = _check_prob(q, "q")
-    succ, fail, draws = _check_hyper(succ, fail, draws)
-    lo, hi, _, cdf, _ = _hyper_tables(succ, fail, draws)
+    lo, _, cdf, _ = _hyper_rows(succ, fail, draws)
     if q <= 0.0:
         return lo
     return lo + int(np.searchsorted(cdf, q, side="left"))

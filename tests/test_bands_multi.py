@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
-from ecdf_bands import _forward, dist
+from ecdf_bands import _forward
 from ecdf_bands.bands_multi import (
     MultiTestReport,
     _chain_cell_counts,
@@ -32,7 +32,12 @@ from ecdf_bands.bands_multi import (
 from ecdf_bands.bands_multi import test_multi as run_multi_test
 from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _count_bounds
 from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid
-from oracles import coverage_three_chains, coverage_two_chains, hyper_quantile
+from oracles import (
+    coverage_three_chains,
+    coverage_two_chains,
+    hyper_padded_tables,
+    hyper_quantile,
+)
 
 
 def band_bounds(n: int, l: int, s, gamma: float):
@@ -134,6 +139,29 @@ def test_band_bounds_match_quantiles_everywhere(n, l, s, gamma):
     for i, si in enumerate(s):
         assert lo[i] == hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
         assert hi[i] == hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
+
+
+@st.composite
+def pooled_count_keys(draw):
+    """(n, l, sorted pooled counts) holding 0, l * n and a repeated count."""
+    n = draw(st.integers(1, 80))
+    l = draw(st.integers(2, 8))
+    inner = draw(st.lists(st.integers(0, l * n), max_size=12))
+    repeated = draw(st.sampled_from([0, l * n, *inner]))
+    return n, l, tuple(sorted([0, l * n, repeated, *inner]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=pooled_count_keys())
+def test_hyper_table_matches_the_per_row_oracle(key):
+    # one (K, n + 1) build must give the per-row tables, padded to counts
+    # 0..n, bit for bit
+    n, l, s = key
+    cdf, sf, floor = _hyper_tables(n, l, s)
+    assert cdf.shape == sf.shape == (len(s), n + 1)
+    assert not (cdf.flags.writeable or sf.flags.writeable or floor.flags.writeable)
+    for got, want in zip((cdf, sf, floor), hyper_padded_tables(n, l, s)):
+        np.testing.assert_array_equal(got, want)
 
 
 _ORACLES = {2: coverage_two_chains, 3: coverage_three_chains}

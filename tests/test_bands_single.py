@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands import _forward, dist
+from ecdf_bands import _forward
 from ecdf_bands.bands_single import (
     ConfidenceBands,
     GammaResult,
@@ -36,7 +36,7 @@ from ecdf_bands.bands_single import (
 )
 from ecdf_bands.bands_single import test_single as run_single_test
 from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, default_grid
-from oracles import binom_cdf, binom_sf_table, interval_mass
+from oracles import binom_cdf, binom_cdf_table, binom_quantile, binom_sf_table, interval_mass
 
 
 def interior_bounds(n: int, grid: EvaluationGrid, gamma: float):
@@ -222,8 +222,8 @@ def test_bounds_match_scalar_quantiles():
     grid = default_grid(n, k_max=9)
     lo, hi = interior_bounds(n, grid, gamma)
     for i, z in enumerate(grid.points):
-        assert lo[i] == dist.binom_quantile(gamma / 2.0, n, float(z))
-        assert hi[i] == dist.binom_quantile(1.0 - gamma / 2.0, n, float(z))
+        assert lo[i] == binom_quantile(gamma / 2.0, n, float(z))
+        assert hi[i] == binom_quantile(1.0 - gamma / 2.0, n, float(z))
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,7 +241,7 @@ def test_vectorized_binomial_tables_match_the_per_row_oracle(n, pts):
     cdf, sf = _cdf_matrix(n, key), _sf_matrix(n, key)
     assert cdf.shape == sf.shape == (len(key), n + 1)
     assert not cdf.flags.writeable and not sf.flags.writeable
-    np.testing.assert_array_equal(cdf, np.stack([dist.binom_cdf_table(n, z) for z in key]))
+    np.testing.assert_array_equal(cdf, np.stack([binom_cdf_table(n, z) for z in key]))
     np.testing.assert_array_equal(sf, np.stack([binom_sf_table(n, z) for z in key]))
 
 

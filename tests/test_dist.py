@@ -1,8 +1,12 @@
-"""Exact-arithmetic oracles for the distribution kernels.
+"""Exact-arithmetic oracles for the distribution kernels and tables.
 
 Every probability here is recomputed independently with Fraction and
 math.comb, so the tests check the numerics against values that carry no
-floating-point error of their own.
+floating-point error of their own.  The checks cover the log-factorial
+kernel in ``dist``, the padded tables the bands read (binomial in
+``bands_single``, hypergeometric in ``bands_multi`` at the shapes the
+program builds: n successes, (l - 1) * n failures) and the per-row
+reference routes in ``oracles``.
 """
 
 import math
@@ -12,8 +16,17 @@ import numpy as np
 import pytest
 
 from ecdf_bands import dist
+from ecdf_bands.bands_multi import _hyper_log_mass, _hyper_tables
 from ecdf_bands.bands_single import _cdf_matrix, _sf_matrix
-from oracles import binom_cdf, binom_logpmf, hyper_cdf, hyper_quantile
+from oracles import (
+    binom_cdf,
+    binom_cdf_table,
+    binom_logpmf,
+    binom_quantile,
+    hyper_cdf,
+    hyper_quantile,
+    hyper_support,
+)
 
 
 def exact_binom_pmf(k: int, n: int, p: Fraction) -> Fraction:
@@ -33,6 +46,11 @@ def exact_hyper_pmf(k: int, succ: int, fail: int, draws: int) -> Fraction:
         math.comb(succ, k) * math.comb(fail, draws - k),
         math.comb(succ + fail, draws),
     )
+
+
+def all_pooled_counts(n: int, l: int) -> tuple:
+    """Every pooled count 0..l*n, one table row each."""
+    return tuple(range(l * n + 1))
 
 
 def test_log_factorial_table_matches_lgamma():
@@ -101,7 +119,7 @@ def test_binom_cdf_deep_tail_keeps_relative_accuracy():
 
 def test_binom_cdf_table_matches_scalar_and_ends_at_one():
     n = 37
-    table = dist.binom_cdf_table(n, 0.42)
+    table = binom_cdf_table(n, 0.42)
     assert table.shape == (n + 1,)
     assert table[-1] == 1.0
     assert not table.flags.writeable
@@ -132,56 +150,73 @@ def test_binom_quantile_galois_property():
     # quantile(q) is the smallest k with cdf(k) >= q, so k >= quantile(q)
     # must hold exactly when cdf(k) >= q
     n, p = 19, 0.37
-    table = dist.binom_cdf_table(n, p)
+    table = binom_cdf_table(n, p)
     for q in (1e-9, 0.025, 0.2, 0.5, 0.8, 0.975, 1.0 - 1e-12, 1.0):
-        kq = dist.binom_quantile(q, n, p)
+        kq = binom_quantile(q, n, p)
         for k in range(n + 1):
             assert (table[k] >= q) == (k >= kq), (q, k)
 
 
 def test_binom_quantile_zero_maps_to_bottom():
-    assert dist.binom_quantile(0.0, 11, 0.3) == 0
-    assert dist.binom_quantile(1.0, 11, 0.3) == 11
-    assert dist.binom_quantile(0.5, 0, 0.3) == 0
+    assert binom_quantile(0.0, 11, 0.3) == 0
+    assert binom_quantile(1.0, 11, 0.3) == 11
+    assert binom_quantile(0.5, 0, 0.3) == 0
 
 
 def test_hyper_support_bounds():
-    assert dist.hyper_support(4, 6, 3) == (0, 3)
-    assert dist.hyper_support(4, 2, 5) == (3, 4)
-    assert dist.hyper_support(0, 5, 3) == (0, 0)
+    assert hyper_support(4, 6, 3) == (0, 3)
+    assert hyper_support(4, 2, 5) == (3, 4)
+    assert hyper_support(0, 5, 3) == (0, 0)
+    # padded rows: CDF exactly 0 below the support and 1 from its top
+    # on, the tail 1 up to its bottom and 0 above its top
+    for n, l in ((4, 2), (3, 3), (2, 4)):
+        rest = (l - 1) * n
+        s = all_pooled_counts(n, l)
+        cdf, sf, floor = _hyper_tables(n, l, s)
+        for i, si in enumerate(s):
+            lo, hi = max(0, si - rest), min(n, si)
+            assert floor[i] == lo
+            assert np.all(cdf[i, :lo] == 0.0) and np.all(cdf[i, hi:] == 1.0)
+            assert np.all(sf[i, : lo + 1] == 1.0) and np.all(sf[i, hi + 1 :] == 0.0)
+            assert np.all(cdf[i, lo:hi] > 0.0) and np.all(sf[i, lo + 1 : hi + 1] > 0.0)
 
 
 def test_hyper_logpmf_against_fraction_oracle():
-    succ, fail, draws = 6, 9, 7
-    lo, hi = dist.hyper_support(succ, fail, draws)
-    for k in range(lo, hi + 1):
-        want = math.log(exact_hyper_pmf(k, succ, fail, draws))
-        got = float(dist.hyper_logpmf(k, succ, fail, draws))
-        assert got == pytest.approx(want, rel=1e-12)
+    n, l = 6, 3
+    s = all_pooled_counts(n, l)
+    logpmf = _hyper_log_mass(n, l, np.array(s))
+    assert logpmf.shape == (len(s), n + 1)
+    for i, si in enumerate(s):
+        for k in range(n + 1):
+            want = exact_hyper_pmf(k, n, 2 * n, si)
+            if want == 0:
+                assert np.isneginf(logpmf[i, k]), (si, k)
+            else:
+                assert logpmf[i, k] == pytest.approx(math.log(want), rel=1e-12, abs=1e-14), (si, k)
 
 
 def test_hyper_cdf_table_sums_pmf_exactly():
-    succ, fail, draws = 5, 11, 8
-    lo, hi = dist.hyper_support(succ, fail, draws)
-    table = dist.hyper_cdf_table(succ, fail, draws)
-    assert table.shape == (hi - lo + 1,)
-    acc = Fraction(0)
-    for i, k in enumerate(range(lo, hi + 1)):
-        acc += exact_hyper_pmf(k, succ, fail, draws)
-        assert table[i] == pytest.approx(float(acc), rel=1e-12)
-    assert table[-1] == 1.0
+    n, l = 5, 3
+    s = all_pooled_counts(n, l)
+    cdf = _hyper_tables(n, l, s)[0]
+    assert cdf.shape == (len(s), n + 1)
+    for i, si in enumerate(s):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            acc += exact_hyper_pmf(k, n, 2 * n, si)
+            assert cdf[i, k] == pytest.approx(float(acc), rel=1e-12), (si, k)
+        assert cdf[i, -1] == 1.0
 
 
 def test_hyper_sf_table_matches_upper_sums():
-    succ, fail, draws = 7, 7, 6
-    lo, hi = dist.hyper_support(succ, fail, draws)
-    sf = dist.hyper_sf_table(succ, fail, draws)
-    assert sf[0] == 1.0
-    for i, k in enumerate(range(lo, hi + 1)):
-        want = float(
-            sum(exact_hyper_pmf(j, succ, fail, draws) for j in range(k, hi + 1))
-        )
-        assert sf[i] == pytest.approx(want, rel=1e-12)
+    n, l = 7, 2
+    s = all_pooled_counts(n, l)
+    sf = _hyper_tables(n, l, s)[1]
+    for i, si in enumerate(s):
+        assert sf[i, 0] == 1.0
+        for k in range(n + 1):
+            want = float(sum(exact_hyper_pmf(j, n, n, si) for j in range(k, n + 1)))
+            assert sf[i, k] == pytest.approx(want, rel=1e-12), (si, k)
 
 
 def test_hyper_cdf_clamps_outside_support():
@@ -195,7 +230,7 @@ def test_hyper_cdf_clamps_outside_support():
 
 def test_hyper_quantile_galois_property():
     succ, fail, draws = 10, 15, 12
-    lo, hi = dist.hyper_support(succ, fail, draws)
+    lo, hi = hyper_support(succ, fail, draws)
     for q in (1e-12, 0.05, 0.31, 0.5, 0.93, 1.0):
         kq = hyper_quantile(q, succ, fail, draws)
         assert lo <= kq <= hi
@@ -207,19 +242,3 @@ def test_hyper_quantile_zero_returns_support_bottom():
     # bottom of the support is draws - fail when draws exceed failures
     assert hyper_quantile(0.0, 4, 2, 5) == 3
     assert hyper_quantile(0.0, 4, 6, 3) == 0
-
-
-def test_hyper_rejects_overdrawn_population():
-    with pytest.raises(ValueError):
-        dist.hyper_support(3, 2, 6)
-    with pytest.raises(ValueError):
-        dist.hyper_cdf_table(3, 2, 6)
-
-
-def test_prob_and_count_validation():
-    with pytest.raises(ValueError):
-        dist.binom_cdf_table(10, 1.5)
-    with pytest.raises(ValueError):
-        dist.binom_cdf_table(-1, 0.5)
-    with pytest.raises(ValueError):
-        dist.binom_quantile(-0.2, 10, 0.5)

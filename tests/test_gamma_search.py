@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands import dist
 from ecdf_bands.bands_multi import coverage_probability_multi, gamma_optimize_multi
 from ecdf_bands.bands_single import coverage_probability, gamma_optimize
 from ecdf_bands.transform import EvaluationGrid, default_grid
+from oracles import binom_cdf_table, hyper_cdf_table
 
 # exact coverage differs by a few 1e-15 between steps that are really equal
 GAP_TOL = 1e-12
@@ -24,9 +24,9 @@ GAP_TOL = 1e-12
 def cdf_values(n, l, grid):
     """Every CDF value the bands at (n, l, grid) are read from."""
     if l == 1:
-        return np.concatenate([dist.binom_cdf_table(n, float(z)) for z in grid.points])
+        return np.concatenate([binom_cdf_table(n, float(z)) for z in grid.points])
     pooled = np.floor(grid.points * (l * n) + 1e-9).astype(int)
-    return np.concatenate([dist.hyper_cdf_table(n, (l - 1) * n, int(s)) for s in pooled])
+    return np.concatenate([hyper_cdf_table(n, (l - 1) * n, int(s)) for s in pooled])
 
 
 def brute_force_best_gap(n, l, grid, alpha, coverage):

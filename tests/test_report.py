@@ -18,6 +18,7 @@ from ecdf_bands.report import (
 from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid
 
 from golden_recipe import GOLDEN_PATH, golden_svg
+from oracles import binom_quantile
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,18 @@ def test_rank_hist_interval_against_exact_binomial():
     assert h.lower == exact_quantile(Fraction(1, 20), n, p)
     assert h.upper == exact_quantile(Fraction(19, 20), n, p)
     assert h.lower <= n * p <= h.upper
+
+
+def test_rank_hist_interval_is_the_per_row_quantile_pair():
+    # the interval read from the one-row padded table by the bands'
+    # count-bound rule is the per-row binomial quantile pair
+    for bins in (2, 3, 4, 7, 16, 50):
+        p = 1.0 / bins
+        for alpha in (0.01, 0.05, 0.1, 0.5):
+            for n in range(1, 201):
+                h = rank_hist([0.5], bins, alpha=alpha, expected_total=n)
+                want = (binom_quantile(alpha / 2.0, n, p), binom_quantile(1.0 - alpha / 2.0, n, p))
+                assert (h.lower, h.upper) == want, (n, bins, alpha)
 
 
 def test_rank_hist_expected_total_override():
