@@ -18,6 +18,12 @@ exact step search (``_optimized_gamma``), the seeded chunk-and-thread
 replicate harness (``_map_chunks``) with the simulators' shared tail
 (``_simulated_gamma``), the coverage entry check and the exceedance
 scan.
+
+The binomial CDF table (``_cdf_matrix``) is built for a level: the
+exact search asks for its floor alpha / K and the bands for their gamma,
+and ``betainc`` then runs only on each row's window of counts whose CDF
+such levels can read; the simulator, which gathers arbitrary counts,
+asks for the full table.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, ndtri
 
 from . import _forward, dist
 from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
@@ -149,24 +155,115 @@ def _grid_key(grid: EvaluationGrid) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _cdf_matrix(n: int, pts_key: tuple) -> np.ndarray:
-    """Padded (K, n + 1) binomial CDF table, one row per grid point.
+def _cdf_slot(n: int, pts_key: tuple) -> list:
+    """The cache entry of one (n, grid) table: a one-item list holding
+    ``(table, reach)``, with no table until ``_cdf_matrix`` builds one."""
+    return [(None, math.inf)]
 
-    One ``betainc`` call covers the whole (K, n) grid; each row is made
-    monotone against last-ulp wobble and ends in exactly 1.0.  It is the
-    one binomial CDF build: the bands, the exact search and the
-    rank-histogram interval (``report.rank_hist``, one row at
-    p = 1/bins) all read it.
+
+def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0) -> np.ndarray:
+    """Padded (K, n + 1) binomial CDF table, one row per grid point, that
+    serves every band level above ``level``; level 0 is the full table.
+
+    Row i holds ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``, made
+    monotone against last-ulp wobble and ending in exactly 1.0.  Above
+    level 0 only each row's window (``_cdf_window``) holds ``betainc``
+    values, with the full table's bits; the cells below it hold 0.0 and
+    those above it 1.0.  Each window edge that has such cells beyond it
+    has 2 * min(F, 1 - F) below the level, and the flushed cells' values
+    lie beyond the edge's, so the count bounds (``_count_bounds``) at
+    every gamma above the largest edge value (the table's reach), and
+    the exact search's breakpoints from its floor and the largest one
+    below it, are the full table's.
+
+    One entry per (n, grid) is cached with its reach; a request at or
+    below the reach rebuilds and replaces it.  The exact search asks for
+    its floor alpha / K, so its evaluations and the bands at its gamma
+    read the table it built; ``gamma_simulate`` gathers arbitrary counts
+    and asks for level 0.  The bands, the exact search, the simulator
+    and the rank-histogram interval (``report.rank_hist``, one row at
+    p = 1/bins) all read this one binomial CDF build.
     """
-    p = np.asarray(pts_key, dtype=np.float64)[:, None]
-    k = np.arange(n, dtype=np.float64)
-    rows = np.ones((p.shape[0], n + 1))
-    body = rows[:, :n]
-    betainc(n - k, k + 1.0, 1.0 - p, out=body)
-    np.clip(body, 0.0, 1.0, out=body)
-    np.maximum.accumulate(body, axis=1, out=body)
+    slot = _cdf_slot(n, pts_key)
+    # one tuple read and one tuple write: a thread racing another on the
+    # same entry returns a table that serves its own level, at worst
+    # after building it twice
+    table, reach = slot[0]
+    if not level > reach:
+        table, reach = _cdf_table(n, np.asarray(pts_key, dtype=np.float64), level)
+        slot[0] = table, reach
+    return table
+
+
+def _cdf_window(n: int, p: np.ndarray, level: float):
+    """Per-row first and last count, ``lo`` and ``hi``, of the cells a
+    table at ``level`` (in (0, 1]) computes.
+
+    Starts from the Cornish-Fisher normal quantiles of the binomial at
+    level / 2 and 1 - level / 2 and widens, by 1, 2, 4, ... counts,
+    every row whose edge cell fails: ``lo`` must be 0 or have
+    2 * F < level, ``hi`` must be n - 1 or have 2 * (1 - F) < level.
+    """
+    q = 1.0 - p
+    z = -ndtri(level / 2.0)
+    centre = n * p + (z * z - 1.0) / 6.0 * (q - p)
+    spread = z * np.sqrt(n * p * q)
+    edges = []
+    for start, end, step, fails in (
+        (np.floor(centre - spread), 0, -1, lambda f: ~(2.0 * f < level)),
+        (np.ceil(centre + spread), n - 1, 1, lambda f: ~(2.0 * (1.0 - f) < level)),
+    ):
+        edge = np.clip(start, 0, n - 1).astype(np.int64)
+        while True:
+            cdf = np.clip(betainc(n - edge, edge + 1.0, q), 0.0, 1.0)
+            failing = (edge != end) & fails(cdf)
+            if not failing.any():
+                break
+            edge = np.where(failing, np.clip(edge + step, 0, n - 1), edge)
+            step *= 2
+        edges.append(edge)
+    return edges
+
+
+def _cdf_table(n: int, p: np.ndarray, level: float):
+    """The table ``_cdf_matrix`` serves at ``level``, and its reach: the
+    largest 2 * min(F, 1 - F) over the window edges that have flushed
+    cells beyond them (-1 when no cell is flushed, as at level 0, where
+    one ``betainc`` call covers the whole (K, n) grid).
+
+    ``betainc`` runs on the window cells alone, gathered from a (K, W)
+    block of the rows' windows.  The block's accumulate starts at each
+    window's lower edge, where F < 1/2 and the mass still rises, so every
+    cell below it is smaller by more than a part in n + 1, far above
+    ``betainc``'s rounding: the fix-up matches the full row's.
+    """
+    if not level > 0.0:
+        rows = np.ones((p.size, n + 1))
+        k = np.arange(n, dtype=np.float64)
+        _monotone_cdf(betainc(n - k, k + 1.0, 1.0 - p[:, None], out=rows[:, :n]))
+        rows.setflags(write=False)
+        return rows, -1.0
+    lo, hi = _cdf_window(n, p, level)
+    cols = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
+    inside = cols <= hi[:, None]
+    block = np.ones(cols.shape)
+    k = cols[inside]
+    block[inside] = betainc(n - k, k + 1.0, np.broadcast_to(1.0 - p[:, None], cols.shape)[inside])
+    _monotone_cdf(block)
+    rows = (np.arange(n + 1) > hi[:, None]).astype(np.float64)
+    # the block's cells past each row's window are 1.0 and land on the padding
+    np.put_along_axis(rows, np.where(inside, cols, n), block, axis=1)
     rows.setflags(write=False)
-    return rows
+    low, high = lo > 0, hi < n - 1
+    edges = np.concatenate((rows[low, lo[low]], 1.0 - rows[high, hi[high]]))
+    return rows, 2.0 * float(edges.max(initial=-0.5))
+
+
+def _monotone_cdf(rows: np.ndarray) -> None:
+    """Clip CDF rows to [0, 1] and make them nondecreasing, in place,
+    against ``betainc``'s last-ulp wobble."""
+    np.clip(rows, 0.0, 1.0, out=rows)
+    np.maximum.accumulate(rows, axis=1, out=rows)
 
 
 @lru_cache(maxsize=8)
@@ -219,7 +316,7 @@ def _band_level(gamma, n: int, noun: str):
 def bands_from_gamma(n: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
     """Equal-tail binomial quantile bands at adjustment level gamma."""
     g, info = _band_level(gamma, n, "sample size")
-    lo, hi = _count_bounds(_cdf_matrix(n, _grid_key(grid)), g)
+    lo, hi = _count_bounds(_cdf_matrix(n, _grid_key(grid), g), g)
     return ConfidenceBands(grid, lo, hi, int(n), g, info)
 
 
@@ -253,7 +350,7 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
     key = _grid_key(grid)
 
     def mass(g: float) -> float:
-        lo, hi = _count_bounds(_cdf_matrix(n, key), g)
+        lo, hi = _count_bounds(_cdf_matrix(n, key, g), g)
         return _forward.forward_mass(*_single_factors(n, key, lo, hi))
 
     return _exact_coverage(n, gamma, mass)
@@ -541,7 +638,7 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     alpha = _check_alpha(alpha)
     return _optimized_gamma(
         lambda g: coverage_probability(n, grid, g),
-        _cdf_matrix(n, _grid_key(grid)),
+        _cdf_matrix(n, _grid_key(grid), alpha / grid.size),
         alpha,
         grid.size,
     )

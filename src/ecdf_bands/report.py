@@ -144,7 +144,7 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     n = int(expected_total) if expected_total is not None else int(vals.size)
     if n < 1:
         raise ValueError("expected_total must be positive")
-    lo, hi = _count_bounds(_cdf_matrix(n, (1.0 / bins,)), alpha)
+    lo, hi = _count_bounds(_cdf_matrix(n, (1.0 / bins,), alpha), alpha)
     return RankHistogram(edges, heights, int(lo[0]), int(hi[0]), n, bins, float(alpha))
 
 

@@ -1,0 +1,184 @@
+"""The windowed binomial CDF table against the full one.
+
+A table built for level L computes ``betainc`` only inside each row's
+window and flushes the cells below it to 0.0 and above it to 1.0.  Each
+flushed cell must lie beyond an exact window edge whose
+2 * min(F, 1 - F) is at most the table's reach, which is below L; then
+the count bounds at every gamma above the reach and the exact search
+from floor L are the full table's.  The full (level-0) table is the
+oracle; it stays in the program because the simulator reads it.
+
+The cache keeps one entry per (n, grid): a cold one-column ``test``
+builds its table once, the simulator builds only full tables, and a
+repeated request cycle adds no keys and no builds.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ecdf_bands.cli as cli
+from ecdf_bands import _forward, bands_single
+from ecdf_bands.bands_single import (
+    _cdf_matrix,
+    _cdf_slot,
+    _cdf_table,
+    _count_bounds,
+    _search_steps,
+    _single_factors,
+    gamma_simulate,
+)
+from ecdf_bands.transform import default_grid
+
+PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
+
+
+def clear_program_caches():
+    """Clear every functools cache in the package, as a fresh process
+    starts with none."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ecdf_bands") and module is not None:
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def grid_points(n, spec):
+    kind, payload = spec
+    if kind == "default":
+        return tuple(float(z) for z in default_grid(n, None).points)
+    if kind == "lattice":
+        return tuple(i / payload for i in range(1, payload + 1))
+    return payload
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+grid_specs = st.one_of(
+    st.just(("default", None)),
+    st.tuples(st.just("lattice"), st.sampled_from(PRIMES)),
+    st.tuples(
+        st.just("uniforms"),
+        st.lists(unit_floats, min_size=1, max_size=60, unique=True).map(lambda v: tuple(sorted(v))),
+    ),
+    st.tuples(
+        st.just("ends_at_one"),
+        st.lists(unit_floats, max_size=8, unique=True).map(lambda v: tuple(sorted(v)) + (1.0,)),
+    ),
+)
+
+
+def searched(n, key, table, alpha, floor):
+    """The exact step search with coverage read from ``table``."""
+
+    def coverage(g):
+        lo, hi = _count_bounds(table, g)
+        return _forward.forward_mass(*_single_factors(n, key, lo, hi))
+
+    return _search_steps(coverage, table, alpha, floor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    spec=grid_specs,
+    alpha=st.sampled_from((0.001, 0.01, 0.05, 0.1, 0.3, 0.7)),
+)
+@example(n=1000, spec=("default", None), alpha=0.05)
+@example(n=5000, spec=("default", None), alpha=0.05)
+@example(n=341, spec=("ends_at_one", (1.0,)), alpha=0.05)
+@example(n=1, spec=("lattice", 2), alpha=0.5)
+def test_windowed_table_reads_like_the_full_table(n, spec, alpha):
+    key = grid_points(n, spec)
+    p = np.asarray(key)
+    floor = alpha / len(key)
+    full, full_reach = _cdf_table(n, p, 0.0)
+    assert full_reach < 0.0
+    clear_program_caches()
+    assert np.array_equal(_cdf_matrix(n, key), full)
+    clear_program_caches()
+    win = _cdf_matrix(n, key, floor)
+    reach = _cdf_slot(n, key)[0][1]
+    assert reach < floor
+    assert win.shape == full.shape and not win.flags.writeable
+
+    exact = (win != 0.0) & (win != 1.0)
+    assert np.array_equal(win[exact], full[exact])
+    zeros, ones = (win == 0.0) & (full != 0.0), (win == 1.0) & (full != 1.0)
+    assert np.all(2.0 * full[zeros] <= reach)
+    assert np.all(2.0 * (1.0 - full[ones]) <= reach)
+
+    lowest = np.nextafter(reach, 1.0) if reach > 0.0 else floor / 1e3
+    ladder = np.append(np.geomspace(lowest, 0.999, 30), [floor, alpha])
+    for g in ladder:
+        for got, want in zip(_count_bounds(win, g), _count_bounds(full, g)):
+            assert np.array_equal(got, want), g
+
+    assert searched(n, key, win, alpha, floor) == searched(n, key, full, alpha, floor)
+    # every level the search or its bands read is served without a rebuild
+    assert _cdf_matrix(n, key, floor) is win
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Every table build as (n, grid points, level), from empty caches."""
+    builds = []
+
+    def counting(n, p, level):
+        builds.append((n, tuple(p), level))
+        return real(n, p, level)
+
+    real = bands_single._cdf_table
+    monkeypatch.setattr(bands_single, "_cdf_table", counting)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    clear_program_caches()
+    yield builds
+    clear_program_caches()
+
+
+def _pit_file(path, u):
+    path.write_text("pit\n" + "\n".join(repr(float(v)) for v in u) + "\n")
+    return str(path)
+
+
+def test_cold_one_column_test_builds_its_table_once(tmp_path, table_builds):
+    src = _pit_file(tmp_path / "pit.csv", np.random.default_rng(12).random(341))
+    assert cli.main(["test", src, "--out", str(tmp_path / "report.json")]) in (0, 1)
+    key = tuple(default_grid(341, None).points)
+    assert table_builds == [(341, key, 0.05 / len(key))]
+
+
+def test_simulation_builds_only_full_tables(table_builds):
+    grid = default_grid(250, None)
+    gamma_simulate(250, grid, 0.05, m=1000, seed=3)
+    assert table_builds and all(level == 0.0 for _, _, level in table_builds)
+
+
+def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_builds, monkeypatch):
+    cache = str(tmp_path / "gamma.json")
+    assert cli.main(["gamma", "build", "--ns", "32,64", "--ls", "1", "--out", cache]) == 0
+    monkeypatch.setenv(cli.CACHE_ENV, cache)
+    rng = np.random.default_rng(7)
+    files = {n: _pit_file(tmp_path / f"pit{n}.csv", rng.random(n)) for n in (24, 48, 64)}
+    out = str(tmp_path / "out")
+    cycle = [
+        ["test", files[64], "--out", out],
+        ["test", files[64], "--grid-k", "20", "--out", out],
+        ["test", files[48], "--out", out],
+        ["plot", files[64], "--kind", "rank_hist", "--bins", "16", "--out", out],
+        ["test", files[24], "--out", out],
+        ["test", files[48], "--method", "simulate", "--m-reps", "200", "--out", out],
+    ]
+    for argv in cycle:
+        assert cli.main(argv) in (0, 1)
+    keys = _cdf_slot.cache_info().currsize
+    assert keys == len({(n, key) for n, key, _ in table_builds})
+    misses = _cdf_slot.cache_info().misses
+    table_builds.clear()
+    for argv in cycle:
+        assert cli.main(argv) in (0, 1)
+    assert table_builds == []
+    assert _cdf_slot.cache_info().misses == misses
+    assert _cdf_slot.cache_info().currsize == keys
