@@ -12,7 +12,7 @@ start with ``#`` are comments) or NDJSON with records like
 {"chain": 0, "value": 1.25}.  A ``# resolution: S`` comment, as written
 by ``pit``, declares PIT values on the lattice of multiples of 1/S.  The
 environment variable ECDF_BANDS_CACHE can point at a default gamma-grid
-file.
+file, which ``--method auto`` and ``cache`` read.
 """
 
 from __future__ import annotations
@@ -185,9 +185,11 @@ def _exceedance_records(exceedances) -> list[dict]:
     ]
 
 
-def _band_test(cfg: RunConfig, cols: np.ndarray, resolution: int | None, cache):
+def _band_test(cfg: RunConfig, cols: np.ndarray, resolution: int | None):
     """``test_single`` on one column, ``test_multi`` on several; returns
-    the report and its per-chain reports."""
+    the report and its per-chain reports.  Only ``--method auto`` and
+    ``cache`` read a gamma grid, so only they load ECDF_BANDS_CACHE."""
+    cache = _load_cache() if cfg.method in ("auto", "cache") else None
     opts = dict(
         alpha=cfg.alpha, method=cfg.method, m=cfg.m, seed=cfg.seed, threads=cfg.threads, cache=cache
     )
@@ -205,7 +207,7 @@ def _band_test(cfg: RunConfig, cols: np.ndarray, resolution: int | None, cache):
 def cmd_test(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cols, resolution = _columns(args.input)
-    rep, chains = _band_test(cfg, cols, resolution, _load_cache())
+    rep, chains = _band_test(cfg, cols, resolution)
     info = rep.bands.gamma_info
     payload = {
         "schema": REPORT_SCHEMA,
@@ -312,11 +314,11 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         ns = [int(v) for v in args.ns.split(",") if v.strip()]
         ls = [int(v) for v in args.ls.split(",") if v.strip()]
         alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
+        if not cfg.out:
+            raise ValueError("gamma build requires --out")
         grid = build_grid(
             ns, ls, alphas, k_policy=cfg.grid_k, m=cfg.m, seed=cfg.seed, threads=cfg.threads
         )
-        if not cfg.out:
-            raise ValueError("gamma build requires --out")
         save_grid(grid, cfg.out)
         sys.stderr.write(f"wrote {len(grid.entries)} entries to {cfg.out}\n")
         return 0
@@ -341,7 +343,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     cols, resolution = _columns(args.input)
     if args.kind == "rank_hist":
         return _plot_hist(args, cfg, cols)
-    rep, chains = _band_test(cfg, cols, resolution, _load_cache())
+    rep, chains = _band_test(cfg, cols, resolution)
     labels = tuple(f"chain {i + 1}" for i in range(len(chains))) if len(chains) > 1 else ()
     spec = PlotSpec(
         args.kind, rep.bands, tuple(r.trajectory for r in chains), labels=labels, title=args.title
@@ -364,9 +366,9 @@ def _plot_hist(args: argparse.Namespace, cfg: RunConfig, cols: np.ndarray) -> in
         _write_text(cfg.out, render_svg(spec))
         return 0
     cs = ChainSet(cols)
-    ranks = joint_fractional_ranks(cs, tie_policy=cfg.tie_policy, seed=cfg.seed)
     if not cfg.out:
         raise ValueError("multi-chain rank_hist requires --out (one file per chain)")
+    ranks = joint_fractional_ranks(cs, tie_policy=cfg.tie_policy, seed=cfg.seed)
     stem, ext = os.path.splitext(cfg.out)
     for ci in range(cs.n_chains):
         hist = rank_hist(ranks[ci], args.bins, alpha=cfg.alpha, expected_total=cs.n_draws)
@@ -376,92 +378,133 @@ def _plot_hist(args: argparse.Namespace, cfg: RunConfig, cols: np.ndarray) -> in
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p, *, method=True, tie=False):
+    p.add_argument("--alpha", type=float, default=None, help="test level (default 0.05)")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    if method:
+        p.add_argument(
+            "--method",
+            choices=("auto", "simulate", "optimize", "cache"),
+            default=None,
+            help="gamma calibration method",
+        )
+        p.add_argument("--m-reps", type=int, default=None, help="simulation replicates")
+        p.add_argument("--grid-k", type=int, default=None, help="largest evaluation grid size")
+    if tie:
+        p.add_argument(
+            "--tie-policy",
+            choices=("deterministic", "random"),
+            default=None,
+            help="how pooled rank ties break",
+        )
+
+
+def _test_args(p):
+    p.add_argument("input", help="CSV or NDJSON file; one column per chain")
+    _common(p, tie=True)
+    p.set_defaults(func=cmd_test)
+
+
+def _pit_args(p):
+    p.add_argument("draws", help="single-column file of draws")
+    p.add_argument("comparison", help="file with one comparison row per draw")
+    _common(p, method=False)
+    p.set_defaults(func=cmd_pit)
+
+
+def _power_args(p):
+    p.add_argument("--family", choices=("A", "B", "C"), required=True)
+    p.add_argument("--ks", required=True, help="comma-separated strengths, e.g. 0.2,0.5,1,2")
+    p.add_argument("--n", type=int, required=True, help="sample size per chain")
+    p.add_argument("--tests", default="bands", help="comma-separated: bands,T1,W2,U2,KS")
+    p.add_argument("--chains", type=int, default=1, help="chain count (bands test only if > 1)")
+    _common(p)
+    p.set_defaults(func=cmd_power)
+
+
+def _thin_args(p):
+    p.add_argument("input", help="CSV or NDJSON file; one column per chain")
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
+    p.add_argument("--ess-out", default=None, help="where to write the ESS report JSON")
+    _common(p, method=False)
+    p.set_defaults(func=cmd_thin)
+
+
+def _gamma_args(p):
+    gsub = p.add_subparsers(dest="gamma_action", required=True)
+    pb = gsub.add_parser("build", help="calibrate a grid of adjustment levels")
+    pb.add_argument("--ns", required=True, help="comma-separated sample sizes")
+    pb.add_argument("--ls", default="1", help="comma-separated chain counts")
+    pb.add_argument("--alphas", default="0.05", help="comma-separated levels")
+    _common(pb)
+    pb.set_defaults(func=cmd_gamma)
+    pq = gsub.add_parser("query", help="interpolate a stored grid")
+    pq.add_argument("grid_file", nargs="?", default=None, help=f"grid JSON (default ${CACHE_ENV})")
+    pq.add_argument("--n", type=int, required=True)
+    pq.add_argument("--l", type=int, default=1)
+    _common(pq, method=False)
+    pq.set_defaults(func=cmd_gamma)
+
+
+def _plot_args(p):
+    p.add_argument("input", help="CSV or NDJSON file")
+    p.add_argument("--kind", choices=("ecdf", "ecdf_diff", "rank_hist"), default="ecdf_diff")
+    p.add_argument("--bins", type=int, default=50, help="histogram bin count")
+    p.add_argument("--title", default="", help="figure title")
+    p.add_argument("--data-out", default=None, help="also write plot data JSON here")
+    _common(p, tie=True)
+    p.set_defaults(func=cmd_plot)
+
+
+_COMMANDS = {
+    "test": ("band test for one PIT column or several chains", _test_args),
+    "pit": ("empirical PIT values from draws and comparison samples", _pit_args),
+    "power": ("rejection-rate sweep over a transformation family", _power_args),
+    "thin": ("ESS-based thinning of chains", _thin_args),
+    "gamma": ("build or query a precomputed adjustment grid", _gamma_args),
+    "plot": ("render an SVG figure", _plot_args),
+}
+"""Each subcommand's help line and the function that adds its arguments."""
+
+
+def _build_parser(commands) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecdf-bands",
         description="Simultaneous confidence bands and uniformity tests for PIT ECDFs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, method=True, tie=False):
-        p.add_argument("--alpha", type=float, default=None, help="test level (default 0.05)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if method:
-            p.add_argument(
-                "--method",
-                choices=("auto", "simulate", "optimize", "cache"),
-                default=None,
-                help="gamma calibration method",
-            )
-            p.add_argument("--m-reps", type=int, default=None, help="simulation replicates")
-            p.add_argument("--grid-k", type=int, default=None, help="largest evaluation grid size")
-        if tie:
-            p.add_argument(
-                "--tie-policy",
-                choices=("deterministic", "random"),
-                default=None,
-                help="how pooled rank ties break",
-            )
-
-    p = sub.add_parser("test", help="band test for one PIT column or several chains")
-    p.add_argument("input", help="CSV or NDJSON file; one column per chain")
-    common(p, tie=True)
-    p.set_defaults(func=cmd_test)
-
-    p = sub.add_parser("pit", help="empirical PIT values from draws and comparison samples")
-    p.add_argument("draws", help="single-column file of draws")
-    p.add_argument("comparison", help="file with one comparison row per draw")
-    common(p, method=False)
-    p.set_defaults(func=cmd_pit)
-
-    p = sub.add_parser("power", help="rejection-rate sweep over a transformation family")
-    p.add_argument("--family", choices=("A", "B", "C"), required=True)
-    p.add_argument("--ks", required=True, help="comma-separated strengths, e.g. 0.2,0.5,1,2")
-    p.add_argument("--n", type=int, required=True, help="sample size per chain")
-    p.add_argument("--tests", default="bands", help="comma-separated: bands,T1,W2,U2,KS")
-    p.add_argument("--chains", type=int, default=1, help="chain count (bands test only if > 1)")
-    common(p)
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("thin", help="ESS-based thinning of chains")
-    p.add_argument("input", help="CSV or NDJSON file; one column per chain")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--ess-out", default=None, help="where to write the ESS report JSON")
-    common(p, method=False)
-    p.set_defaults(func=cmd_thin)
-
-    p = sub.add_parser("gamma", help="build or query a precomputed adjustment grid")
-    gsub = p.add_subparsers(dest="gamma_action", required=True)
-    pb = gsub.add_parser("build", help="calibrate a grid of adjustment levels")
-    pb.add_argument("--ns", required=True, help="comma-separated sample sizes")
-    pb.add_argument("--ls", default="1", help="comma-separated chain counts")
-    pb.add_argument("--alphas", default="0.05", help="comma-separated levels")
-    common(pb)
-    pb.set_defaults(func=cmd_gamma)
-    pq = gsub.add_parser("query", help="interpolate a stored grid")
-    pq.add_argument("grid_file", nargs="?", default=None, help=f"grid JSON (default ${CACHE_ENV})")
-    pq.add_argument("--n", type=int, required=True)
-    pq.add_argument("--l", type=int, default=1)
-    common(pq, method=False)
-    pq.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("plot", help="render an SVG figure")
-    p.add_argument("input", help="CSV or NDJSON file")
-    p.add_argument("--kind", choices=("ecdf", "ecdf_diff", "rank_hist"), default="ecdf_diff")
-    p.add_argument("--bins", type=int, default=50, help="histogram bin count")
-    p.add_argument("--title", default="", help="figure title")
-    p.add_argument("--data-out", default=None, help="also write plot data JSON here")
-    common(p, tie=True)
-    p.set_defaults(func=cmd_plot)
-
+    for name in commands:
+        help_text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
+    return _build_parser(_COMMANDS)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, building only the subcommand it names.
+
+    A parser holding one subcommand parses its arguments, help and
+    errors exactly as the full one does; only the top-level usage
+    differs, as it lists the commands.  So anything that does not start
+    with a command name, and any call whose leftovers the top level
+    would refuse, goes through the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _build_parser(argv[:1]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

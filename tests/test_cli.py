@@ -1,11 +1,40 @@
 """Command-line behavior: parsing, exit codes, and output formats."""
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ecdf_bands import cli
 from ecdf_bands.cli import CACHE_ENV, main
+
+# stdout, stderr and exit code of each call below, recorded at COLUMNS=80
+# from the parser that built every subcommand on every call
+CLI_TEXTS = json.loads(
+    (Path(__file__).parent / "golden" / "cli_texts.json").read_text(encoding="utf-8")
+)
+PARSER_CASES = [
+    [],
+    ["--help"],
+    ["--version"],
+    ["tset"],
+    ["test", "--help"],
+    ["pit", "--help"],
+    ["power", "--help"],
+    ["thin", "--help"],
+    ["gamma", "--help"],
+    ["plot", "--help"],
+    ["gamma", "build", "--help"],
+    ["gamma", "query", "--help"],
+    ["gamma"],
+    ["test"],
+    ["test", "x.csv", "--bogus"],
+    ["gamma", "build", "--ns", "40", "--bogus"],
+    ["test", "x.csv", "--method", "nope"],
+    ["power", "--family", "Z", "--ks", "1", "--n", "10"],
+]
 
 
 def write(path, text):
@@ -371,3 +400,89 @@ def test_version_flag():
 def test_bad_alpha_is_a_usage_error(uniform_csv, capsys):
     assert main(["test", uniform_csv, "--alpha", "0.9"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_texts_are_byte_identical(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert {"code": code, "stdout": out, "stderr": err} == CLI_TEXTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "command, progs",
+    [
+        ("test", ["ecdf-bands", "ecdf-bands test"]),
+        (
+            "gamma",
+            ["ecdf-bands", "ecdf-bands gamma", "ecdf-bands gamma build", "ecdf-bands gamma query"],
+        ),
+    ],
+)
+def test_a_call_builds_only_its_own_subcommand(command, progs, uniform_csv, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    built, added = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_add_argument(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
+    if command == "test":
+        assert main(["test", uniform_csv, "--grid-k", "10"]) == 0
+    else:
+        # parsed, then refused for want of a grid file
+        assert main(["gamma", "query", "--n", "30"]) == 2
+    capsys.readouterr()
+    assert [p.prog for p in built] == progs
+    needed = sum(
+        not isinstance(action, argparse._SubParsersAction) for p in built for action in p._actions
+    )
+    assert len(added) <= needed
+
+
+def test_gamma_build_checks_out_before_calibrating(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_grid ran before the --out check")
+
+    monkeypatch.setattr(cli, "build_grid", no_build)
+    assert main(["gamma", "build", "--ns", "400,800,1600,3200", "--ls", "1,4"]) == 2
+    assert capsys.readouterr().err == "error: gamma build requires --out\n"
+
+
+def test_multi_chain_rank_hist_checks_out_before_ranking(tmp_path, monkeypatch, capsys):
+    def no_ranks(*args, **kwargs):
+        raise AssertionError("ranks computed before the --out check")
+
+    monkeypatch.setattr(cli, "joint_fractional_ranks", no_ranks)
+    path = write(tmp_path / "two.csv", "0.1,0.2\n0.3,0.4\n0.5,0.6\n")
+    assert main(["plot", path, "--kind", "rank_hist"]) == 2
+    expected = "error: multi-chain rank_hist requires --out (one file per chain)\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("method, made_by", [("optimize", "optimization"), ("simulate", "simulation")])
+def test_cache_env_is_read_only_by_methods_that_use_it(
+    method, made_by, uniform_csv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "nonexistent.json"))
+    opts = ["--grid-k", "10", "--m-reps", "500"]
+    assert main(["test", uniform_csv, "--method", method, *opts]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["method"] == made_by
+    svg = tmp_path / "fig.svg"
+    assert main(["plot", uniform_csv, "--method", method, *opts, "--out", str(svg)]) == 0
+    assert svg.read_text().startswith('<?xml version="1.0"')
+    # auto and cache still load the file, so a stale path is still reported
+    for uses_cache in ("auto", "cache"):
+        assert main(["test", uniform_csv, "--method", uses_cache, *opts]) == 2
+        assert "nonexistent.json" in capsys.readouterr().err
