@@ -13,6 +13,11 @@ start with ``#`` are comments) or NDJSON with records like
 by ``pit``, declares PIT values on the lattice of multiples of 1/S.  The
 environment variable ECDF_BANDS_CACHE can point at a default gamma-grid
 file, which ``--method auto`` and ``cache`` read.
+
+Each option's default is written once, in its ``add_argument`` call, and
+the commands read the parsed namespace.  ``main`` checks the ranges
+argparse cannot state (alpha in (0, 0.5], grid-k and threads at least 1)
+before the command runs, so a bad value exits 2 before any file is read.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,39 +51,14 @@ REPORT_SCHEMA = "report/1"
 CACHE_ENV = "ECDF_BANDS_CACHE"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the statistical subcommands."""
-
-    alpha: float = 0.05
-    method: str = "auto"
-    m: int = 10_000
-    seed: int = 0
-    grid_k: int = 100
-    tie_policy: str = "deterministic"
-    strategy: str = "BULK_TAIL_MIN"
-    threads: int = 1
-    out: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError("alpha must lie in (0, 0.5]")
-        if self.method not in ("auto", "simulate", "optimize", "cache"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.grid_k < 1:
-            raise ValueError("grid-k must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    fields = {}
-    for name in ("alpha", "method", "seed", "grid_k", "tie_policy", "strategy", "threads", "out"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if getattr(args, "m_reps", None) is not None:
-        fields["m"] = args.m_reps
-    return RunConfig(**fields)
+def _check_ranges(args: argparse.Namespace) -> None:
+    """The ranges of the shared options that argparse cannot state."""
+    if not 0.0 < args.alpha <= 0.5:
+        raise ValueError("alpha must lie in (0, 0.5]")
+    if getattr(args, "grid_k", 1) < 1:
+        raise ValueError("grid-k must be positive")
+    if args.threads < 1:
+        raise ValueError("threads must be positive")
 
 
 def _read_table(path: str) -> tuple[np.ndarray, int | None]:
@@ -178,43 +158,40 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _exceedance_records(exceedances) -> list[dict]:
-    return [
-        {"index": e.index, "observed": e.observed, "bound": e.bound, "side": e.side}
-        for e in exceedances
-    ]
-
-
-def _band_test(cfg: RunConfig, cols: np.ndarray, resolution: int | None):
+def _band_test(args: argparse.Namespace, cols: np.ndarray, resolution: int | None):
     """``test_single`` on one column, ``test_multi`` on several; returns
     the report and its per-chain reports.  Only ``--method auto`` and
     ``cache`` read a gamma grid, so only they load ECDF_BANDS_CACHE."""
-    cache = _load_cache() if cfg.method in ("auto", "cache") else None
+    cache = _load_cache() if args.method in ("auto", "cache") else None
     opts = dict(
-        alpha=cfg.alpha, method=cfg.method, m=cfg.m, seed=cfg.seed, threads=cfg.threads, cache=cache
+        alpha=args.alpha,
+        method=args.method,
+        m=args.m_reps,
+        seed=args.seed,
+        threads=args.threads,
+        cache=cache,
     )
     if cols.shape[0] == 1:
         values = PitValues(cols[0], resolution)
-        grid = default_grid(values.size, resolution, k_max=cfg.grid_k)
+        grid = default_grid(values.size, resolution, k_max=args.grid_k)
         rep = test_single(values, grid=grid, **opts)
         return rep, (rep,)
     cs = ChainSet(cols)
-    grid = default_grid(cs.n_draws, cs.n_chains * cs.n_draws, k_max=cfg.grid_k)
-    rep = test_multi(cs, grid=grid, tie_policy=cfg.tie_policy, **opts)
+    grid = default_grid(cs.n_draws, cs.n_chains * cs.n_draws, k_max=args.grid_k)
+    rep = test_multi(cs, grid=grid, tie_policy=args.tie_policy, **opts)
     return rep, rep.chains
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     cols, resolution = _columns(args.input)
-    rep, chains = _band_test(cfg, cols, resolution)
+    rep, chains = _band_test(args, cols, resolution)
     info = rep.bands.gamma_info
     payload = {
         "schema": REPORT_SCHEMA,
         "mode": "single" if len(chains) == 1 else "multi",
         "n": rep.bands.n,
         "chains": len(chains),
-        "alpha": cfg.alpha,
+        "alpha": args.alpha,
         "gamma": rep.bands.gamma,
         "attained_coverage": info.attained_coverage if info else None,
         "attained_estimate": info.meta.get("attained_estimate") if info else None,
@@ -225,14 +202,13 @@ def cmd_test(args: argparse.Namespace) -> int:
             "upper": [float(v) for v in rep.bands.upper],
         },
         "inside": rep.inside,
-        "exceedances": [_exceedance_records(r.exceedances) for r in chains],
+        "exceedances": [[asdict(e) for e in r.exceedances] for r in chains],
     }
-    _write_text(cfg.out, _json_text(payload))
+    _write_text(args.out, _json_text(payload))
     return 0 if rep.inside else 1
 
 
 def cmd_pit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     draws, _ = _columns(args.draws)
     if draws.shape[0] != 1:
         raise ValueError("draws file must have exactly one column")
@@ -243,12 +219,11 @@ def cmd_pit(args: argparse.Namespace) -> int:
     pit = empirical_pit(y, comp)
     lines = [f"# resolution: {pit.resolution}", "pit"]
     lines += [repr(float(v)) for v in pit.values]
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     ks = [float(k) for k in args.ks.split(",") if k.strip()]
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     curve = power_sweep(
@@ -256,11 +231,11 @@ def cmd_power(args: argparse.Namespace) -> int:
         args.family,
         ks,
         args.n,
-        replicates=cfg.m,
-        seed=cfg.seed,
+        replicates=args.m_reps,
+        seed=args.seed,
         n_chains=args.chains,
-        alpha=cfg.alpha,
-        threads=cfg.threads,
+        alpha=args.alpha,
+        threads=args.threads,
     )
     names = sorted(curve.rates)
     header = ["k"]
@@ -274,104 +249,103 @@ def cmd_power(args: argparse.Namespace) -> int:
             se = (r * (1.0 - r) / curve.replicates) ** 0.5
             row += [f"{r:.6f}", f"{se:.6f}"]
         lines.append(",".join(row))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_thin(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     cs = ChainSet(_columns(args.input)[0])
     rep = ess_report(cs)
-    plan = thinning_factor(rep, cs.n_chains * cs.n_draws, cfg.strategy)
+    plan = thinning_factor(rep, cs.n_chains * cs.n_draws, args.strategy)
     thinned = thin(cs, plan.factor)
     lines = [",".join(f"chain{i + 1}" for i in range(thinned.n_chains))]
     for row in thinned.chains.T:
         lines.append(",".join(repr(float(v)) for v in row))
-    _write_text(cfg.out, "\n".join(lines) + "\n")
-    payload = {
-        "ess_mean": rep.ess_mean,
-        "ess_bulk": rep.ess_bulk,
-        "ess_tail": rep.ess_tail,
-        "ess_quantiles": list(rep.ess_quantiles),
-        "n_total": rep.n_total,
-        "strategy": plan.strategy,
-        "factor": plan.factor,
-        "kept_per_chain": thinned.n_draws,
-    }
+    _write_text(args.out, "\n".join(lines) + "\n")
     if args.ess_out:
+        payload = {
+            "ess_mean": rep.ess_mean,
+            "ess_bulk": rep.ess_bulk,
+            "ess_tail": rep.ess_tail,
+            "ess_quantiles": list(rep.ess_quantiles),
+            "n_total": rep.n_total,
+            "strategy": plan.strategy,
+            "factor": plan.factor,
+            "kept_per_chain": thinned.n_draws,
+        }
         _write_text(args.ess_out, _json_text(payload))
     else:
         sys.stderr.write(
-            f"thinned by {plan.factor} ({cfg.strategy}): kept {thinned.n_draws} of "
+            f"thinned by {plan.factor} ({args.strategy}): kept {thinned.n_draws} of "
             f"{cs.n_draws} draws per chain\n"
         )
     return 0
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if args.gamma_action == "build":
-        ns = [int(v) for v in args.ns.split(",") if v.strip()]
-        ls = [int(v) for v in args.ls.split(",") if v.strip()]
-        alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
-        if not cfg.out:
-            raise ValueError("gamma build requires --out")
-        grid = build_grid(
-            ns, ls, alphas, k_policy=cfg.grid_k, m=cfg.m, seed=cfg.seed, threads=cfg.threads
-        )
-        save_grid(grid, cfg.out)
-        sys.stderr.write(f"wrote {len(grid.entries)} entries to {cfg.out}\n")
-        return 0
+def cmd_gamma_build(args: argparse.Namespace) -> int:
+    ns = [int(v) for v in args.ns.split(",") if v.strip()]
+    ls = [int(v) for v in args.ls.split(",") if v.strip()]
+    alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
+    if not args.out:
+        raise ValueError("gamma build requires --out")
+    grid = build_grid(
+        ns, ls, alphas, k_policy=args.grid_k, m=args.m_reps, seed=args.seed, threads=args.threads
+    )
+    save_grid(grid, args.out)
+    sys.stderr.write(f"wrote {len(grid.entries)} entries to {args.out}\n")
+    return 0
+
+
+def cmd_gamma_query(args: argparse.Namespace) -> int:
     grid = _load_cache(args.grid_file)
     if grid is None:
         raise ValueError(f"no grid file given and {CACHE_ENV} is not set")
-    res = interpolate(grid, args.n, args.l, cfg.alpha)
+    res = interpolate(grid, args.n, args.l, args.alpha)
     payload = {
         "n": args.n,
         "l": args.l,
-        "alpha": cfg.alpha,
+        "alpha": args.alpha,
         "gamma": res.gamma,
         "attained_coverage": res.attained_coverage,
         "method": res.method,
     }
-    _write_text(cfg.out, _json_text(payload))
+    _write_text(args.out, _json_text(payload))
     return 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     cols, resolution = _columns(args.input)
     if args.kind == "rank_hist":
-        return _plot_hist(args, cfg, cols)
-    rep, chains = _band_test(cfg, cols, resolution)
+        return _plot_hist(args, cols)
+    rep, chains = _band_test(args, cols, resolution)
     labels = tuple(f"chain {i + 1}" for i in range(len(chains))) if len(chains) > 1 else ()
     spec = PlotSpec(
         args.kind, rep.bands, tuple(r.trajectory for r in chains), labels=labels, title=args.title
     )
     if args.data_out:
         _write_text(args.data_out, _json_text(plot_data(spec)))
-    _write_text(cfg.out, render_svg(spec))
+    _write_text(args.out, render_svg(spec))
     return 0
 
 
-def _plot_hist(args: argparse.Namespace, cfg: RunConfig, cols: np.ndarray) -> int:
+def _plot_hist(args: argparse.Namespace, cols: np.ndarray) -> int:
     if cols.shape[0] == 1:
         values = cols[0]
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValueError("rank_hist input values must lie in [0, 1]")
-        hist = rank_hist(values, args.bins, alpha=cfg.alpha)
+        hist = rank_hist(values, args.bins, alpha=args.alpha)
         spec = PlotSpec("rank_hist", hist=hist, title=args.title)
         if args.data_out:
             _write_text(args.data_out, _json_text(plot_data(spec)))
-        _write_text(cfg.out, render_svg(spec))
+        _write_text(args.out, render_svg(spec))
         return 0
     cs = ChainSet(cols)
-    if not cfg.out:
+    if not args.out:
         raise ValueError("multi-chain rank_hist requires --out (one file per chain)")
-    ranks = joint_fractional_ranks(cs, tie_policy=cfg.tie_policy, seed=cfg.seed)
-    stem, ext = os.path.splitext(cfg.out)
+    ranks = joint_fractional_ranks(cs, tie_policy=args.tie_policy, seed=args.seed)
+    stem, ext = os.path.splitext(args.out)
     for ci in range(cs.n_chains):
-        hist = rank_hist(ranks[ci], args.bins, alpha=cfg.alpha, expected_total=cs.n_draws)
+        hist = rank_hist(ranks[ci], args.bins, alpha=args.alpha, expected_total=cs.n_draws)
         title = args.title or f"chain {ci + 1}"
         spec = PlotSpec("rank_hist", hist=hist, title=title)
         _write_text(f"{stem}_chain{ci + 1}{ext or '.svg'}", render_svg(spec))
@@ -379,24 +353,24 @@ def _plot_hist(args: argparse.Namespace, cfg: RunConfig, cols: np.ndarray) -> in
 
 
 def _common(p, *, method=True, tie=False):
-    p.add_argument("--alpha", type=float, default=None, help="test level (default 0.05)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     if method:
         p.add_argument(
             "--method",
             choices=("auto", "simulate", "optimize", "cache"),
-            default=None,
+            default="auto",
             help="gamma calibration method",
         )
-        p.add_argument("--m-reps", type=int, default=None, help="simulation replicates")
-        p.add_argument("--grid-k", type=int, default=None, help="largest evaluation grid size")
+        p.add_argument("--m-reps", type=int, default=10_000, help="simulation replicates")
+        p.add_argument("--grid-k", type=int, default=100, help="largest evaluation grid size")
     if tie:
         p.add_argument(
             "--tie-policy",
             choices=("deterministic", "random"),
-            default=None,
+            default="deterministic",
             help="how pooled rank ties break",
         )
 
@@ -426,7 +400,7 @@ def _power_args(p):
 
 def _thin_args(p):
     p.add_argument("input", help="CSV or NDJSON file; one column per chain")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default="BULK_TAIL_MIN")
     p.add_argument("--ess-out", default=None, help="where to write the ESS report JSON")
     _common(p, method=False)
     p.set_defaults(func=cmd_thin)
@@ -439,13 +413,13 @@ def _gamma_args(p):
     pb.add_argument("--ls", default="1", help="comma-separated chain counts")
     pb.add_argument("--alphas", default="0.05", help="comma-separated levels")
     _common(pb)
-    pb.set_defaults(func=cmd_gamma)
+    pb.set_defaults(func=cmd_gamma_build)
     pq = gsub.add_parser("query", help="interpolate a stored grid")
     pq.add_argument("grid_file", nargs="?", default=None, help=f"grid JSON (default ${CACHE_ENV})")
     pq.add_argument("--n", type=int, required=True)
     pq.add_argument("--l", type=int, default=1)
     _common(pq, method=False)
-    pq.set_defaults(func=cmd_gamma)
+    pq.set_defaults(func=cmd_gamma_query)
 
 
 def _plot_args(p):
@@ -506,6 +480,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        _check_ranges(args)
         return args.func(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # str() of a KeyError quotes its message

@@ -198,6 +198,18 @@ def _step_path(xs, ys, sx, sy) -> str:
     return "".join(parts)
 
 
+def _scales(y0: float, y1: float):
+    """Data to canvas maps: x over [0, 1], y over [y0, y1]."""
+
+    def sx(v: float) -> float:
+        return _ML + float(v) * (_WIDTH - _ML - _MR)
+
+    def sy(v: float) -> float:
+        return (_HEIGHT - _MB) - (float(v) - y0) / (y1 - y0) * (_HEIGHT - _MT - _MB)
+
+    return sx, sy
+
+
 def render_svg(spec: PlotSpec) -> str:
     """Render a plot spec to an SVG 1.1 document string.
 
@@ -215,17 +227,9 @@ def render_svg(spec: PlotSpec) -> str:
         spread += [np.max(np.abs(s)) for s in series]
         m = 1.15 * max(max(spread), 1e-3)
         y0, y1 = -m, m
-        anchor = 0.0
     else:
         y0, y1 = 0.0, 1.0
-        anchor = 0.0
-
-    def sx(v: float) -> float:
-        return _ML + float(v) * (_WIDTH - _ML - _MR)
-
-    def sy(v: float) -> float:
-        return (_HEIGHT - _MB) - (float(v) - y0) / (y1 - y0) * (_HEIGHT - _MT - _MB)
-
+    sx, sy = _scales(y0, y1)
     parts = _svg_head(spec.title)
     parts += _axes(sx, sy, y0, y1)
     ring = [f"{_fmt(sx(x))},{_fmt(sy(u))}" for x, u in zip(pts, upper)]
@@ -237,7 +241,7 @@ def render_svg(spec: PlotSpec) -> str:
     if spec.kind == "ecdf":
         parts.append(_ref_line(sx(0.0), sy(0.0), sx(1.0), sy(1.0)))
     else:
-        parts.append(_ref_line(sx(0.0), sy(anchor), sx(1.0), sy(anchor)))
+        parts.append(_ref_line(sx(0.0), sy(0.0), sx(1.0), sy(0.0)))
     for ci, s in enumerate(series):
         color = PALETTE[ci % len(PALETTE)]
         d = _step_path(pts, s, sx, sy)
@@ -251,13 +255,7 @@ def render_svg(spec: PlotSpec) -> str:
 def _render_hist(spec: PlotSpec) -> str:
     h = spec.hist
     top = 1.1 * max(float(h.heights.max()), float(h.upper), 1.0)
-
-    def sx(v: float) -> float:
-        return _ML + float(v) * (_WIDTH - _ML - _MR)
-
-    def sy(v: float) -> float:
-        return (_HEIGHT - _MB) - float(v) / top * (_HEIGHT - _MT - _MB)
-
+    sx, sy = _scales(0.0, top)
     parts = _svg_head(spec.title)
     parts += _axes(sx, sy, 0.0, top)
     y_hi, y_lo = sy(h.upper), sy(h.lower)

@@ -11,7 +11,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _ROOT / "tools" / 
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = tuple(bench_pairs.BETTER)
+METRICS = tuple(bench_pairs.end_to_end())
 
 
 def record(side, workload, seed, p50, rps=40.0, busy=False, trace=0, sha="aaaa"):
@@ -107,6 +107,25 @@ def test_claim_fails_when_the_change_fails_more_operations():
     assert not claim["met"]
     records[2]["failed"] = 1
     assert bench_pairs.summarize(records, 7, "", None, ("exact-cold", "latency_p50_s"))["claim"]["met"]
+
+
+def test_metrics_and_bounds_come_from_the_benchmark_declaration():
+    declared = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert list(bench_pairs.end_to_end().values()) == declared
+
+
+def test_a_change_within_the_bound_is_no_regression():
+    # latency_p50_s is bounded at 0.2: 30 -> 35 is 16.7 % worse
+    out = bench_pairs.summarize(canned([30.0, 30.0, 30.0], [35.0, 35.0, 35.0]), 7, "", None, None)
+    assert out["workloads"]["exact-cold"]["regressions"] == []
+
+
+def test_a_change_beyond_the_bound_is_listed_as_a_regression():
+    records = canned([30.0, 30.0, 30.0], [37.0, 37.0, 37.0])
+    for r in records[1::2]:
+        r["metrics"]["requests_per_s"] = 30.0  # 25 % fewer than the parent's 40
+    out = bench_pairs.summarize(records, 7, "", None, None)
+    assert out["workloads"]["exact-cold"]["regressions"] == ["latency_p50_s", "requests_per_s"]
 
 
 def test_a_run_recorded_twice_is_rejected():

@@ -34,6 +34,14 @@ PARSER_CASES = [
     ["gamma", "build", "--ns", "40", "--bogus"],
     ["test", "x.csv", "--method", "nope"],
     ["power", "--family", "Z", "--ks", "1", "--n", "10"],
+    # range errors, raised before any input file is opened
+    ["test", "x.csv", "--alpha", "0.7"],
+    ["test", "x.csv", "--grid-k", "0"],
+    ["test", "x.csv", "--threads", "0"],
+    ["pit", "a.csv", "b.csv", "--alpha", "0.9"],
+    ["thin", "x.csv", "--alpha", "0"],
+    ["gamma", "query", "--n", "5", "--alpha", "0.6"],
+    ["power", "--family", "A", "--ks", "1", "--n", "10", "--grid-k", "0"],
 ]
 
 
@@ -411,6 +419,26 @@ def test_parser_texts_are_byte_identical(argv, monkeypatch, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     assert {"code": code, "stdout": out, "stderr": err} == CLI_TEXTS[" ".join(argv)]
+
+
+SHARED_DEFAULTS = {"alpha": 0.05, "seed": 0, "threads": 1, "out": None}
+METHOD_DEFAULTS = {"method": "auto", "m_reps": 10_000, "grid_k": 100}
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["test", "x.csv"], {**METHOD_DEFAULTS, "tie_policy": "deterministic"}),
+        (["thin", "x.csv"], {"strategy": "BULK_TAIL_MIN", "ess_out": None}),
+        (["power", "--family", "A", "--ks", "1", "--n", "10"], METHOD_DEFAULTS),
+        (["gamma", "build", "--ns", "40"], METHOD_DEFAULTS),
+    ],
+    ids=["test", "thin", "power", "gamma build"],
+)
+def test_parsed_namespace_carries_every_default(argv, defaults):
+    args = vars(cli._parse(argv))
+    for name, value in {**SHARED_DEFAULTS, **defaults}.items():
+        assert args[name] == value and type(args[name]) is type(value), name
 
 
 @pytest.mark.parametrize(

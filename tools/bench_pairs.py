@@ -14,19 +14,23 @@ ones.  Every run's result line, its environment and its ``busy`` flag
 ``--runs-out`` as one JSON line, so ``--from-runs`` can summarize them
 again without running anything.  The summary has, per workload and
 side, the median and the quartiles of each end-to-end metric and the
-runs; per workload the change's median over the parent's and how many
-pairs the change won; and the claim: whether the change won at least
-nine pairs in ten, its median beat the parent's by more than the
-parent's interquartile range, and its runs failed no more operations
-than the parent's.  ``--traced-seed`` adds one ``--trace 1`` run per
-side of the claim's workload, whose per-layer metrics are kept as they
-are.  The parent commit recorded is the git HEAD of ``--parent``, which
-may also be given with ``--from-runs``.
+runs; per workload the change's median over the parent's, how many
+pairs the change won, and the regressions: the metrics whose change
+median is worse than the parent's by more than the metric's bound; and
+the claim: whether the change won at least nine pairs in ten, its
+median beat the parent's by more than the parent's interquartile range,
+and its runs failed no more operations than the parent's.  The metrics,
+which way is better and the bounds are read from the end-to-end list of
+``BENCHMARK.json`` at the repository root.  ``--traced-seed`` adds one
+``--trace 1`` run per side of the claim's workload, whose per-layer
+metrics are kept as they are.  The parent commit recorded is the git
+HEAD of ``--parent``, which may also be given with ``--from-runs``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import statistics
@@ -34,16 +38,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {
-    "latency_p50_s": "lower",
-    "latency_tail_s": "lower",
-    "class_p50_gmean_s": "lower",
-    "requests_per_s": "higher",
-    "coverage_gap_max": "lower",
-    "peak_rss_mb": "lower",
-    "setup_s": "lower",
-}
-"""The end-to-end metrics of ``BENCHMARK.json`` and which way is better."""
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
@@ -51,6 +46,16 @@ SECONDS = 20
 """Run length of every benchmark run, the same on both sides."""
 BUSY_NOTE = "busy means the 1-minute load average passed nproc - 0.5 at the start or end of a run"
 ENV_KEYS = ("nproc", "cpus_allowed", "python", "numpy", "scipy", "blas_threads")
+
+
+@functools.cache
+def end_to_end() -> dict:
+    """The end-to-end metrics of ``BENCHMARK.json`` by name, each with
+    ``better`` (which way) and ``bound`` (how much worse than the
+    parent's, as a share of the parent's median, the change's median
+    may be)."""
+    declared = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    return {m["name"]: m for m in declared}
 
 
 def pair_order(pair: int) -> tuple[str, str]:
@@ -105,7 +110,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def side_summary(runs: list[dict]) -> dict:
-    metrics = list(BETTER)
+    metrics = list(end_to_end())
     return {
         "median": {m: statistics.median(r["metrics"][m] for r in runs) for m in metrics},
         "quartiles": {m: quartiles([r["metrics"][m] for r in runs]) for m in metrics},
@@ -128,7 +133,7 @@ def pair_wins(parent: list[dict], change: list[dict]) -> dict:
     and the ties."""
     by_seed = {r["seed"]: r for r in parent}
     out = {}
-    for m, better in BETTER.items():
+    for m, spec in end_to_end().items():
         wins = ties = pairs = 0
         for c in change:
             p = by_seed.get(c["seed"])
@@ -138,10 +143,26 @@ def pair_wins(parent: list[dict], change: list[dict]) -> dict:
             a, b = p["metrics"][m], c["metrics"][m]
             if a == b:
                 ties += 1
-            elif (b < a) == (better == "lower"):
+            elif (b < a) == (spec["better"] == "lower"):
                 wins += 1
         out[m] = {"change_wins": wins, "ties": ties, "pairs": pairs}
     return out
+
+
+def gain(metric: str, parent_median: float, change_median: float) -> float:
+    """How much better the change's median is than the parent's, in the
+    metric's unit; negative when it is worse."""
+    diff = parent_median - change_median
+    return -diff if end_to_end()[metric]["better"] == "higher" else diff
+
+
+def regressions(entry: dict) -> list[str]:
+    """The metrics whose change median is worse than the parent's by
+    more than their bound."""
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    return [
+        m for m, spec in end_to_end().items() if -gain(m, parent[m], change[m]) > spec["bound"] * parent[m]
+    ]
 
 
 def claim_result(workloads: dict, workload: str, metric: str) -> dict:
@@ -152,9 +173,7 @@ def claim_result(workloads: dict, workload: str, metric: str) -> dict:
     parent_median = w["parent"]["median"][metric]
     change_median = w["change"]["median"][metric]
     q1, q3 = w["parent"]["quartiles"][metric]
-    diff = parent_median - change_median
-    if BETTER[metric] == "higher":
-        diff = -diff
+    diff = gain(metric, parent_median, change_median)
     wins = w["pair_wins"][metric]
     failed = {s: sum(r["failed"] for r in w[s]["runs"]) for s in SIDES}
     met = (
@@ -202,9 +221,10 @@ def summarize(records: list[dict], pr: int, note: str, parent_commit, claim) -> 
         entry = {s: side_summary(sides[s]) for s in SIDES}
         entry["change_over_parent"] = {
             m: (entry["change"]["median"][m] / entry["parent"]["median"][m] if entry["parent"]["median"][m] else None)
-            for m in BETTER
+            for m in end_to_end()
         }
         entry["pair_wins"] = pair_wins(sides["parent"], sides["change"])
+        entry["regressions"] = regressions(entry)
         workloads[name] = entry
     out = {
         "pr": pr,
