@@ -45,10 +45,6 @@ from .power import (
     apply_transform,
     critical_value,
     power_sweep,
-    stat_KS,
-    stat_T1,
-    stat_U2,
-    stat_W2,
 )
 from .report import PlotSpec, RankHistogram, diff_transform, plot_data, rank_hist, render_svg
 from .thinning import EssReport, ThinningPlan, ar1_simulate, ess_report, thin, thinning_factor
@@ -60,7 +56,6 @@ from .transform import (
     default_grid,
     ecdf_eval,
     empirical_pit,
-    fractional_ranks,
     joint_fractional_ranks,
 )
 
@@ -100,7 +95,6 @@ __all__ = [
     "ecdf_eval",
     "empirical_pit",
     "ess_report",
-    "fractional_ranks",
     "gamma_optimize",
     "gamma_optimize_multi",
     "gamma_simulate",
@@ -113,10 +107,6 @@ __all__ = [
     "rank_hist",
     "render_svg",
     "save_grid",
-    "stat_KS",
-    "stat_T1",
-    "stat_U2",
-    "stat_W2",
     "test_multi",
     "test_single",
     "thin",

@@ -211,9 +211,11 @@ def _chain_factors(n: int, l: int, s, lo, hi):
 def _chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
     """Per-chain counts of pooled ranks at or below each s_i, (B, L, K).
 
-    ``u`` has shape (B, l*n) with chains as contiguous blocks of n draws.
-    Sorted position j holds pooled rank j + 1, so the chain of the draw
-    sorted there is counted in the cell of rank j + 1, shared by all rows.
+    ``u`` has shape (B, l*n) with chains as contiguous blocks of n draws:
+    the simulators' replicate draws, or ``test_multi``'s one row of
+    distinct joint fractional ranks.  Sorted position j holds pooled rank
+    j + 1, so the chain of the draw sorted there is counted in the cell
+    of rank j + 1, shared by all rows.
     """
     k = s.size
     b = u.shape[0]
@@ -303,10 +305,13 @@ def test_multi(
     """Test whether all chains draw from the same distribution.
 
     Chains are pooled and jointly ranked; each chain's rank ECDF is
-    compared against shared hypergeometric bands.  The joint verdict is
-    inside exactly when every chain stays inside.  Unless ``gamma`` is
-    given, ``method``, ``m``, ``seed``, ``threads`` and ``cache`` go to
-    ``gamma_cache.calibrate``.
+    compared against shared hypergeometric bands.  The ranks are
+    distinct, so their argsort is the pooled order, and each chain's
+    ranks at or below the pooled counts s_i are counted by
+    ``_chain_cell_counts``, as the simulators count their replicates.
+    The joint verdict is inside exactly when every chain stays inside.
+    Unless ``gamma`` is given, ``method``, ``m``, ``seed``, ``threads``
+    and ``cache`` go to ``gamma_cache.calibrate``.
     """
     cs = chains if isinstance(chains, ChainSet) else ChainSet(chains)
     l, n = cs.n_chains, cs.n_draws
@@ -320,14 +325,11 @@ def test_multi(
         gamma = calibrate(n, l, grid, alpha, method, m=m, seed=seed, threads=threads, cache=cache)
     bands = bands_from_gamma_multi(n, l, grid, gamma)
     fractional = joint_fractional_ranks(cs, tie_policy=tie_policy, seed=seed)
-    # recover integer pooled ranks for exact count comparisons
-    ranks = np.rint(fractional * (l * n)).astype(np.int64)
-    s = _pooled_counts(grid, n, l)
+    counts = _chain_cell_counts(fractional.reshape(1, -1), _pooled_counts(grid, n, l), n, l)[0]
     reports = []
-    for ci in range(l):
-        counts = np.searchsorted(np.sort(ranks[ci]), s, side="right").astype(np.int64)
-        trajectory = EcdfTrajectory(grid, counts, n)
-        exceedances = _exceedances(counts, bands.lower_counts, bands.upper_counts, n)
+    for chain_counts in counts:
+        trajectory = EcdfTrajectory(grid, chain_counts, n)
+        exceedances = _exceedances(chain_counts, bands.lower_counts, bands.upper_counts, n)
         reports.append(TestReport(not exceedances, tuple(exceedances), bands, trajectory))
     return MultiTestReport(all(r.inside for r in reports), tuple(reports), bands)
 

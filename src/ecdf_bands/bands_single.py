@@ -45,6 +45,7 @@ __all__ = [
     "Exceedance",
     "GammaResult",
     "TestReport",
+    "band_exceedances",
     "bands_from_gamma",
     "coverage_probability",
     "gamma_optimize",
@@ -681,9 +682,7 @@ def test_single(
 def band_exceedances(bands: ConfidenceBands, trajectory: EcdfTrajectory) -> list[Exceedance]:
     """Grid points where the trajectory leaves the bands; boundaries are
     inside."""
-    if trajectory.grid.size != bands.grid.size or not np.array_equal(
-        trajectory.grid.points, bands.grid.points
-    ):
+    if not np.array_equal(trajectory.grid.points, bands.grid.points):
         raise ValueError("trajectory and bands use different grids")
     if trajectory.n != bands.n:
         raise ValueError("trajectory and bands use different sample sizes")

@@ -144,7 +144,7 @@ def build_grid(
     ls,
     alphas,
     k_policy: int | None = None,
-    m: int = 10_000,
+    m: int = DEFAULT_REPLICATES,
     seed: int = 0,
     threads: int = 1,
 ) -> GammaGrid:
@@ -225,18 +225,7 @@ def interpolate(grid: GammaGrid, n: int, l: int, alpha: float, k: int | None = N
 def save_grid(grid: GammaGrid, path: str | os.PathLike) -> None:
     payload = {
         "schema": SCHEMA,
-        "entries": [
-            {
-                "n": e.n,
-                "l": e.l,
-                "k": e.k,
-                "alpha": e.alpha,
-                "gamma": e.gamma,
-                "coverage": e.coverage,
-                "method": e.method,
-            }
-            for e in grid.entries
-        ],
+        "entries": [dataclasses.asdict(e) for e in grid.entries],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

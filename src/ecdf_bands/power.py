@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bands_multi, bands_single
+from .bands_single import DEFAULT_REPLICATES
 from .gamma_cache import calibrate
 from .transform import EvaluationGrid, default_grid
 
@@ -25,10 +26,6 @@ __all__ = [
     "apply_transform",
     "critical_value",
     "power_sweep",
-    "stat_KS",
-    "stat_T1",
-    "stat_U2",
-    "stat_W2",
 ]
 
 FAMILIES = ("A", "B", "C")
@@ -112,37 +109,7 @@ def _ks_rows(u: np.ndarray) -> np.ndarray:
 _ROW_STATS = {"T1": _t1_rows, "W2": _w2_rows, "U2": _u2_rows, "KS": _ks_rows}
 
 
-def _scalar_stat(fn, u) -> float:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size < 1:
-        raise ValueError("expected a nonempty 1-D sample")
-    return float(fn(u[None, :])[0])
-
-
-def stat_T1(u) -> float:
-    """Mean absolute gap between order statistics and their expected
-    positions i/(n+1)."""
-    return _scalar_stat(_t1_rows, u)
-
-
-def stat_W2(u) -> float:
-    """Cramer-von Mises distance from the uniform CDF."""
-    return _scalar_stat(_w2_rows, u)
-
-
-def stat_U2(u) -> float:
-    """Watson's rotation-invariant variant of the Cramer-von Mises
-    distance: W2 minus n times the squared deviation of the sample mean
-    from one half."""
-    return _scalar_stat(_u2_rows, u)
-
-
-def stat_KS(u) -> float:
-    """Kolmogorov-Smirnov distance from the uniform CDF."""
-    return _scalar_stat(_ks_rows, u)
-
-
-def critical_value(stat: str, n: int, alpha: float, m: int = 10_000, seed: int = 0) -> float:
+def critical_value(stat: str, n: int, alpha: float, m: int = DEFAULT_REPLICATES, seed: int = 0) -> float:
     """Monte Carlo critical value: the empirical (1-alpha) quantile of
     the statistic over m uniform null samples of size n.  Samples whose
     statistic exceeds this value are rejected."""
@@ -150,8 +117,7 @@ def critical_value(stat: str, n: int, alpha: float, m: int = 10_000, seed: int =
         raise ValueError(f"stat must be one of {STAT_TESTS}, got {stat!r}")
     if n < 1:
         raise ValueError("sample size must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = bands_single._check_alpha(alpha)
     if m < 1_000:
         raise ValueError("at least 1000 null replicates are required")
     fn = _ROW_STATS[stat]
@@ -224,7 +190,7 @@ def power_sweep(
     n_chains: int = 1,
     alpha: float = 0.05,
     grid: EvaluationGrid | None = None,
-    m_calibration: int = 10_000,
+    m_calibration: int = DEFAULT_REPLICATES,
     threads: int = 1,
 ) -> PowerCurve:
     """Estimate rejection rates along a transformation-strength sweep.

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands_single import ConfidenceBands, _cdf_matrix, _count_bounds
+from .bands_single import ConfidenceBands, _cdf_matrix, _check_alpha, _count_bounds
 from .transform import EcdfTrajectory, PitValues
 
 __all__ = [
@@ -136,8 +136,7 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     if int(bins) != bins or bins < 2:
         raise ValueError("bins must be an integer of at least 2")
     bins = int(bins)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _check_alpha(alpha)
     edges = np.arange(bins + 1) / bins
     idx = np.searchsorted(edges[1:], vals, side="left")
     heights = np.bincount(idx, minlength=bins).astype(np.int64)
@@ -145,7 +144,7 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     if n < 1:
         raise ValueError("expected_total must be positive")
     lo, hi = _count_bounds(_cdf_matrix(n, (1.0 / bins,), alpha), alpha)
-    return RankHistogram(edges, heights, int(lo[0]), int(hi[0]), n, bins, float(alpha))
+    return RankHistogram(edges, heights, int(lo[0]), int(hi[0]), n, bins, alpha)
 
 
 def _plotted(spec: PlotSpec):

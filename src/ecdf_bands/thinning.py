@@ -84,13 +84,6 @@ class ThinningPlan:
         if self.factor < 1:
             raise ValueError("thinning factor must be at least 1")
 
-    @property
-    def resulting_length(self) -> int:
-        """Draws surviving when ``n_total`` draws are kept every
-        ``factor`` steps starting from the first (so the count rounds
-        up, matching slice semantics)."""
-        return -(-self.n_total // self.factor)
-
 
 def ar1_simulate(phi: float, n: int, chains: int = 1, seed: int = 0) -> ChainSet:
     """Stationary AR(1) chains with standard normal marginals.

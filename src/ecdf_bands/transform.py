@@ -16,7 +16,6 @@ __all__ = [
     "default_grid",
     "ecdf_eval",
     "empirical_pit",
-    "fractional_ranks",
     "joint_fractional_ranks",
 ]
 
@@ -163,16 +162,6 @@ def empirical_pit(y, comparison) -> PitValues:
         raise ValueError("comparison samples must be nonempty")
     u = (comp <= y[:, None]).mean(axis=1)
     return PitValues(u, resolution=comp.shape[1])
-
-
-def fractional_ranks(y) -> np.ndarray:
-    """Fraction of the sample at or below each value; ties share the
-    maximal count."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("y must be a nonempty 1-D sequence")
-    order = np.sort(y)
-    return np.searchsorted(order, y, side="right") / y.size
 
 
 def joint_fractional_ranks(

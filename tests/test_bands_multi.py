@@ -31,7 +31,7 @@ from ecdf_bands.bands_multi import (
 )
 from ecdf_bands.bands_multi import test_multi as run_multi_test
 from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _count_bounds
-from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid
+from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid, joint_fractional_ranks
 from oracles import (
     coverage_three_chains,
     coverage_two_chains,
@@ -368,6 +368,31 @@ def test_chain_cell_counts_matches_brute_force(data):
             for j, sj in enumerate(s):
                 want[i, c, j] = int((chain <= sj).sum())
     np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_multi_test_counts_each_chains_joint_ranks(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    l = data.draw(st.integers(2, 8), label="l")
+    # a coarse lattice makes ties, which the tie policy breaks
+    levels = data.draw(st.integers(2, 3 * l * n), label="levels")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    tie_policy = data.draw(st.sampled_from(["deterministic", "random"]), label="tie policy")
+    draws = np.random.default_rng(seed).integers(0, levels, (l, n)) / levels
+    grid = None
+    if not data.draw(st.booleans(), label="default grid"):
+        # points a/d off the pooled lattice; with small d a float rank
+        # j/(l*n) is at or below a/d exactly when j*d <= a*l*n
+        d = data.draw(st.integers(1, 40), label="d")
+        a = data.draw(st.sets(st.integers(1, d), min_size=1, max_size=8), label="a")
+        grid = EvaluationGrid(np.array(sorted(a)) / d)
+    rep = run_multi_test(draws, grid=grid, gamma=0.05, tie_policy=tie_policy, seed=seed)
+    fractional = joint_fractional_ranks(draws, tie_policy=tie_policy, seed=seed)
+    points = rep.bands.grid.points
+    for c, chain in enumerate(rep.chains):
+        want = [int((fractional[c] <= z).sum()) for z in points]
+        np.testing.assert_array_equal(chain.trajectory.counts, want)
 
 
 def test_multibands_structure_and_validation():

@@ -82,6 +82,45 @@ def test_save_load_roundtrip_is_stable(tmp_path, small_grid):
     assert payload["schema"] == SCHEMA
 
 
+PINNED_GRID_FILE = """\
+{
+  "entries": [
+    {
+      "alpha": 0.1,
+      "coverage": 1.0,
+      "gamma": 1e-05,
+      "k": 20,
+      "l": 1,
+      "method": "simulation",
+      "n": 40
+    },
+    {
+      "alpha": 0.05,
+      "coverage": 0.9501234567890123,
+      "gamma": 0.0031415926535897933,
+      "k": 80,
+      "l": 2,
+      "method": "optimization",
+      "n": 80
+    }
+  ],
+  "schema": "gamma-grid/1"
+}
+"""
+
+
+def test_save_grid_writes_pinned_bytes(tmp_path):
+    grid = GammaGrid(
+        (
+            GridEntry(80, 2, 80, 0.05, 0.0031415926535897933, 0.9501234567890123, "optimization"),
+            GridEntry(40, 1, 20, 0.1, 1e-05, 1.0, "simulation"),
+        )
+    )
+    path = tmp_path / "grid.json"
+    save_grid(grid, path)
+    assert path.read_bytes() == PINNED_GRID_FILE.encode("utf-8")
+
+
 def test_load_rejects_unknown_schema(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"schema": "gamma-grid/999", "entries": []}))

@@ -396,10 +396,7 @@ def test_strategies_respect_their_defining_minima():
     assert min(rep.ess_quantiles) <= rep.ess_tail
 
 
-def test_thinning_plan_resulting_length_rounds_up():
-    assert ThinningPlan("MEAN_ESS", 3, 10).resulting_length == 4
-    assert ThinningPlan("MEAN_ESS", 1, 10).resulting_length == 10
-    assert ThinningPlan("MEAN_ESS", 3, 9).resulting_length == 3
+def test_thinning_plan_validation():
     with pytest.raises(ValueError):
         ThinningPlan("MEAN_ESS", 0, 10)
     with pytest.raises(ValueError):

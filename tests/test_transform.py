@@ -11,7 +11,6 @@ from ecdf_bands.transform import (
     default_grid,
     ecdf_eval,
     empirical_pit,
-    fractional_ranks,
     joint_fractional_ranks,
 )
 
@@ -104,11 +103,6 @@ def test_empirical_pit_shape_errors():
         empirical_pit([1.0], [[]])
     with pytest.raises(ValueError):
         empirical_pit([1.0], [[1.0], [2.0]])
-
-
-def test_fractional_ranks_ties_share_maximal_count():
-    r = fractional_ranks([3.0, 1.0, 3.0, 2.0])
-    np.testing.assert_allclose(r, [1.0, 0.25, 1.0, 0.5])
 
 
 def test_joint_ranks_flatten_to_exact_multiset():
