@@ -13,7 +13,9 @@ window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
 Only the hypergeometric parts live here: the pooled counts, the padded
-count tables, the forward-pass factors and the replicate cell counts.
+count tables, the forward-pass factors, the replicates' pooled order
+(one sort of packed draw-and-chain keys, ``_chain_labeller``) and the
+per-chain cell counts read from it.
 The band type and every law-independent step (count bounds, tail
 levels, the exact search, the simulators' tail) are shared with the
 one-sample bands in ``bands_single``.
@@ -211,20 +213,78 @@ def _chain_factors(n: int, l: int, s, lo, hi):
 def _chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
     """Per-chain counts of pooled ranks at or below each s_i, (B, L, K).
 
-    ``u`` has shape (B, l*n) with chains as contiguous blocks of n draws:
-    the simulators' replicate draws, or ``test_multi``'s one row of
-    distinct joint fractional ranks.  Sorted position j holds pooled rank
-    j + 1, so the chain of the draw sorted there is counted in the cell
-    of rank j + 1, shared by all rows.
+    ``u`` has shape (B, l*n) with chains as contiguous blocks of n
+    distinct values per row: ``test_multi``'s one row of joint
+    fractional ranks, or the power sweep's distorted draws.  Their
+    argsort is the pooled order, and the chain of the value sorted at
+    each position is its column // n.
+    """
+    return _chain_counter(s, n, l)(np.argsort(u, axis=1) // n)
+
+
+def _chain_counter(s: np.ndarray, n: int, l: int):
+    """Per-chain counts of pooled ranks at or below each s_i, as a
+    function of the chain labels in pooled order.
+
+    The returned function takes (B, l*n) int64 labels, which it
+    overwrites, and gives (B, L, K) counts.  Sorted position j holds
+    pooled rank j + 1, so the chain labelled there is counted in the
+    cell of rank j + 1, shared by all rows.
     """
     k = s.size
-    b = u.shape[0]
-    flat = np.argsort(u, axis=1) // n
-    flat += (np.arange(b) * l)[:, None]
-    flat *= k + 1
-    flat += np.searchsorted(s, np.arange(1, l * n + 1), side="left")
-    hist = np.bincount(flat.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
-    return np.cumsum(hist, axis=2)[:, :, :k]
+    cells = np.searchsorted(s, np.arange(1, l * n + 1), side="left")
+
+    def count(labels: np.ndarray) -> np.ndarray:
+        b = labels.shape[0]
+        labels += (np.arange(b) * l)[:, None]
+        labels *= k + 1
+        labels += cells
+        hist = np.bincount(labels.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
+        return np.cumsum(hist, axis=2)[:, :, :k]
+
+    return count
+
+
+_LABEL_BITS = 11
+"""Low bits of a raw 64-bit draw that ``Generator.random`` drops: it
+returns ``(random_raw() >> 11) * 2**-53``."""
+
+_PACKED_CHAIN_LIMIT = 1 << _LABEL_BITS
+"""The most chains whose labels fit in those bits."""
+
+
+def _chain_labeller(n: int, l: int):
+    """Chain labels of replicates' pooled draws in sorted order, as a
+    function ``(rng, size)`` giving (size, l*n) int64.
+
+    Each row draws what ``rng.random((size, l*n))`` would, chains as
+    contiguous blocks of n.  Up to ``_PACKED_CHAIN_LIMIT`` chains, one
+    sort of packed keys orders them: each raw 64-bit draw keeps the 53
+    high bits ``rng.random`` turns into the float and carries its
+    chain's label in the 11 low bits, so sorting the keys sorts the
+    draws, and the low bits then give the chain at each pooled position.
+    Distinct draws come out in the order ``argsort`` of the floats gives;
+    the two can differ only on exactly tied 53-bit draws, about 6e-12
+    per replicate of 320 draws, and ``argsort``'s order among tied
+    draws is unspecified anyway.  Past the limit the floats are
+    argsorted.
+    """
+    width = l * n
+    if l > _PACKED_CHAIN_LIMIT:
+        return lambda rng, size: np.argsort(rng.random((size, width)), axis=1) // n
+    low = np.uint64((1 << _LABEL_BITS) - 1)
+    high = ~low
+    chain = np.repeat(np.arange(l, dtype=np.uint64), n)
+
+    def labels(rng: np.random.Generator, size: int) -> np.ndarray:
+        keys = rng.bit_generator.random_raw((size, width))
+        keys &= high
+        keys |= chain
+        keys.sort(axis=1)
+        keys &= low
+        return keys.view(np.int64)
+
+    return labels
 
 
 def gamma_simulate_multi(
@@ -240,11 +300,14 @@ def gamma_simulate_multi(
 
     Replicates draw all chains from one continuous uniform, sort the
     pooled draws once, count each chain's draws in the first s_i sorted
-    positions (``_chain_cell_counts``), and record the tightest pointwise
+    positions (``_chain_counter``), and record the tightest pointwise
     two-sided hypergeometric tail level over all chains and grid points.
-    With more than three chains the attained coverage is the in-sample
-    fraction of replicate trajectories the calibrated bands retain, since
-    the exact recursion is unavailable.
+    The sort is one sort of packed draw-and-chain keys
+    (``_chain_labeller``), which gives the same order as argsorting the
+    draws, and ``_simulated_gamma`` runs each chunk in cache-sized row
+    blocks.  With more than three chains the attained coverage is the
+    in-sample fraction of replicate trajectories the calibrated bands
+    retain, since the exact recursion is unavailable.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
@@ -253,15 +316,16 @@ def gamma_simulate_multi(
     s = _pooled_counts(grid, n, l)
     cdf, sf, _ = _hyper_tables(n, l, tuple(s.tolist()))
     levels = _tail_levels(cdf, sf)
+    labels, count = _chain_labeller(n, l), _chain_counter(s, n, l)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        return levels(_chain_cell_counts(rng.random((size, l * n)), s, n, l))
+        return levels(count(labels(rng, size)))
 
     def exact(g: float) -> float:
         return coverage_probability_multi(n, l, grid, g)
 
     return _simulated_gamma(
-        tightest, alpha, m, 256, seed, threads, exact if l <= EXACT_CHAIN_LIMIT else None
+        tightest, l * n, alpha, m, 256, seed, threads, exact if l <= EXACT_CHAIN_LIMIT else None
     )
 
 

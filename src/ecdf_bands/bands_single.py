@@ -16,8 +16,9 @@ depend on the law is written once here and serves both: the band type
 (``_count_bounds``), the tightest-tail gather (``_tail_levels``), the
 exact step search (``_optimized_gamma``), the seeded chunk-and-thread
 replicate harness (``_map_chunks``) with the simulators' shared tail
-(``_simulated_gamma``), the coverage entry check and the exceedance
-scan.
+(``_simulated_gamma``, which reduces each chunk in cache-sized row
+blocks drawn one after another from the chunk's generator), the
+coverage entry check and the exceedance scan.
 
 The binomial CDF table (``_cdf_matrix``) is built for a level: the
 exact search asks for its floor alpha / K and the bands for their gamma,
@@ -458,24 +459,42 @@ def _map_chunks(fn, total: int, chunk: int, threads: int = 1) -> list:
     return [run(start) for start in starts]
 
 
+_BLOCK_DRAWS = 16_384
+"""Draws per replicate block, 128 KB of float64: small enough that a
+block's draws, sort and counts stay in cache while it is reduced."""
+
+_BLOCK_MIN_ROWS = 16
+"""Replicates per block at the least, so that on wide rows each block
+still does enough work between the short numpy calls that hand the
+GIL from one worker thread to the other."""
+
+
 def _simulated_gamma(
-    levels_fn, alpha: float, m: int, chunk: int, seed: int, threads: int, exact=None
+    levels_fn, width: int, alpha: float, m: int, chunk: int, seed: int, threads: int, exact=None
 ) -> GammaResult:
     """Gamma from m simulated tightest tail levels.
 
-    ``levels_fn(rng, size)`` simulates one chunk; chunk i draws from
-    ``SeedSequence((seed, i))``.  Gamma is the empirical alpha-quantile
-    of the levels, capped at alpha.  The attained coverage is
-    ``exact(gamma)`` when an exact coverage is available; otherwise it
-    is the in-sample fraction of replicates the bands retain, and
-    ``meta["attained_estimate"]`` says ``"in_sample"``.
+    ``levels_fn(rng, size)`` simulates ``size`` replicates of ``width``
+    draws each.  Chunk i draws from ``SeedSequence((seed, i))``, in row
+    blocks of about ``_BLOCK_DRAWS`` draws, and at least
+    ``_BLOCK_MIN_ROWS`` rows, taken one after another from the chunk's
+    generator; generators fill row-major, so the blocks see the same
+    stream as one draw of the whole chunk.  Gamma is the empirical
+    alpha-quantile of the levels, capped at alpha.  The attained
+    coverage is ``exact(gamma)`` when an exact coverage is available;
+    otherwise it is the in-sample fraction of replicates the bands
+    retain, and ``meta["attained_estimate"]`` says ``"in_sample"``.
     """
     if m < 100:
         raise ValueError("at least 100 replicates are required")
-    pieces = _map_chunks(
-        lambda start, size: levels_fn(_chunk_rng(seed, start // chunk), size), m, chunk, threads
-    )
-    levels = np.concatenate(pieces)
+    rows = max(_BLOCK_MIN_ROWS, _BLOCK_DRAWS // width)
+
+    def run(start: int, size: int) -> list:
+        rng = _chunk_rng(seed, start // chunk)
+        return [levels_fn(rng, min(rows, size - b)) for b in range(0, size, rows)]
+
+    pieces = _map_chunks(run, m, chunk, threads)
+    levels = np.concatenate([block for piece in pieces for block in piece])
     assert np.all(levels > 0.0), "tightest tail level must be positive"
     gamma = min(_empirical_lower_quantile(levels, alpha), alpha)
     meta = {"replicates": m, "alpha": alpha}
@@ -513,7 +532,7 @@ def gamma_simulate(
         return levels(_grid_cell_counts(rng.random((size, n)), pts))
 
     return _simulated_gamma(
-        tightest, alpha, m, 512, seed, threads, lambda g: coverage_probability(n, grid, g)
+        tightest, n, alpha, m, 512, seed, threads, lambda g: coverage_probability(n, grid, g)
     )
 
 

@@ -21,6 +21,15 @@ and quantile read from them (``hyper_support``, ``hyper_logpmf``,
 
 ``search_steps_bisect`` is the plain bisection over the coverage steps
 that the program's interpolating step search must end on.
+
+``simulated_levels_single`` and ``simulated_levels_multi`` are the
+simulators' whole-chunk routes: each chunk draws all its replicates in
+one ``rng.random`` call, counts the one-sample cells by ``searchsorted``
+or each chain's cells by argsorting the pooled draws, and reads the
+tightest tail levels.  The program reduces each chunk in row blocks, and
+sorts packed draw-and-chain keys for the chains, so its levels must
+equal these bit for bit.  ``recorded_levels`` reads the levels a
+simulator reduced to its gamma.
 """
 
 import math
@@ -29,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from ecdf_bands import dist
+from ecdf_bands import bands_multi, bands_single, dist
 
 
 def binom_logpmf(k, n, p: float) -> np.ndarray:
@@ -361,3 +370,63 @@ def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
             hi = mid
     best = min(range(lo, min(lo + 2, gammas.size)), key=lambda i: (abs(coverage(i) - target), i))
     return float(gammas[best]), coverage(best), len(cache), gammas.size
+
+
+def _chunked_levels(levels_fn, m: int, chunk: int, seed: int) -> np.ndarray:
+    pieces = []
+    for start in range(0, m, chunk):
+        rng = bands_single._chunk_rng(seed, start // chunk)
+        pieces.append(levels_fn(rng, min(chunk, m - start)))
+    return np.concatenate(pieces)
+
+
+def simulated_levels_single(n: int, grid, m: int, seed: int) -> np.ndarray:
+    """``gamma_simulate``'s m tightest tail levels, 512 replicates drawn
+    whole per chunk."""
+    key = bands_single._grid_key(grid)
+    levels = bands_single._tail_levels(
+        bands_single._cdf_matrix(n, key), bands_single._sf_matrix(n, key)
+    )
+    return _chunked_levels(
+        lambda rng, size: levels(bands_single._grid_cell_counts(rng.random((size, n)), grid.points)),
+        m,
+        512,
+        seed,
+    )
+
+
+def simulated_levels_multi(n: int, l: int, grid, m: int, seed: int) -> np.ndarray:
+    """``gamma_simulate_multi``'s m tightest tail levels, 256 replicates
+    drawn whole per chunk and their pooled draws argsorted."""
+    s = bands_multi._pooled_counts(grid, n, l)
+    cdf, sf, _ = bands_multi._hyper_tables(n, l, tuple(s.tolist()))
+    levels = bands_single._tail_levels(cdf, sf)
+    return _chunked_levels(
+        lambda rng, size: levels(bands_multi._chain_cell_counts(rng.random((size, l * n)), s, n, l)),
+        m,
+        256,
+        seed,
+    )
+
+
+def simulated_gamma(levels: np.ndarray, alpha: float) -> tuple[float, float]:
+    """Gamma from simulated levels, the ceil(alpha * M)-th smallest
+    capped at alpha, and the in-sample share of levels at or above it."""
+    rank = max(1, math.ceil(alpha * levels.size))
+    gamma = min(float(np.sort(levels)[rank - 1]), alpha)
+    return gamma, float(np.mean(levels >= gamma))
+
+
+def recorded_levels(monkeypatch, simulate):
+    """``simulate()``'s result and the levels it took the quantile of."""
+    seen = []
+    quantile = bands_single._empirical_lower_quantile
+
+    def spy(values, alpha):
+        seen.append(values.copy())
+        return quantile(values, alpha)
+
+    monkeypatch.setattr(bands_single, "_empirical_lower_quantile", spy)
+    res = simulate()
+    (levels,) = seen
+    return res, levels

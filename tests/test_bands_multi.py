@@ -19,9 +19,12 @@ from scipy.signal import convolve2d
 
 from ecdf_bands import _forward
 from ecdf_bands.bands_multi import (
+    EXACT_CHAIN_LIMIT,
     MultiTestReport,
+    _PACKED_CHAIN_LIMIT,
     _chain_cell_counts,
     _chain_factors,
+    _chain_labeller,
     _hyper_tables,
     _pooled_counts,
     bands_from_gamma_multi,
@@ -30,13 +33,16 @@ from ecdf_bands.bands_multi import (
     gamma_simulate_multi,
 )
 from ecdf_bands.bands_multi import test_multi as run_multi_test
-from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _count_bounds
+from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _chunk_rng, _count_bounds
 from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid, joint_fractional_ranks
 from oracles import (
     coverage_three_chains,
     coverage_two_chains,
     hyper_padded_tables,
     hyper_quantile,
+    recorded_levels,
+    simulated_gamma,
+    simulated_levels_multi,
 )
 
 
@@ -343,6 +349,63 @@ def test_gamma_simulate_multi_many_chains_thread_invariant():
 def test_gamma_simulate_multi_seeded_values_are_pinned(n, l, gamma):
     res = gamma_simulate_multi(n, l, default_grid(n, l * n), 0.05, m=10_000, seed=0)
     assert res.gamma == gamma
+
+
+@pytest.mark.parametrize(
+    "n, l, m, threads",
+    [
+        (100, 2, 1000, 1),
+        (30, 3, 1000, 2),
+        (80, 4, 1000, 1),
+        # a last chunk of 10 replicates, under one block of 51
+        (80, 4, 1034, 2),
+        (25, 5, 1000, 1),
+        (40, 8, 1000, 2),
+        # rows of 4000 draws: blocks of 16 replicates, the last of 12
+        (1000, 4, 300, 1),
+    ],
+)
+def test_gamma_simulate_multi_matches_whole_chunk_oracle(monkeypatch, n, l, m, threads):
+    grid = default_grid(n, l * n)
+    res, levels = recorded_levels(
+        monkeypatch, lambda: gamma_simulate_multi(n, l, grid, 0.05, m=m, seed=11, threads=threads)
+    )
+    want = simulated_levels_multi(n, l, grid, m, 11)
+    np.testing.assert_array_equal(levels, want)
+    gamma, in_sample = simulated_gamma(want, 0.05)
+    assert res.gamma == gamma
+    if l > EXACT_CHAIN_LIMIT:
+        assert res.attained_coverage == in_sample
+
+
+@pytest.mark.parametrize("l", [2048, 2049])
+def test_gamma_simulate_multi_at_packed_chain_limit_matches_oracle(monkeypatch, l):
+    # 2048 chain labels are the most that fit below a 53-bit draw in 64 bits
+    assert _PACKED_CHAIN_LIMIT == 2048
+    grid = EvaluationGrid(np.array([0.25, 0.5, 0.75, 1.0]))
+    res, levels = recorded_levels(
+        monkeypatch, lambda: gamma_simulate_multi(1, l, grid, 0.05, m=100, seed=4)
+    )
+    want = simulated_levels_multi(1, l, grid, 100, 4)
+    np.testing.assert_array_equal(levels, want)
+    assert (res.gamma, res.attained_coverage) == simulated_gamma(want, 0.05)
+
+
+@pytest.mark.parametrize("n, l", [(1, 2), (5, 3), (80, 4), (7, 100), (1, 2048), (1, 2049), (2, 2049)])
+def test_chain_labeller_orders_as_argsort_of_the_draws(n, l):
+    got = _chain_labeller(n, l)(_chunk_rng(6, 1), 9)
+    want = np.argsort(_chunk_rng(6, 1).random((9, l * n)), axis=1) // n
+    np.testing.assert_array_equal(got, want)
+
+
+def test_chunk_stream_is_random_raw_top_53_bits():
+    """The packed sort reads ``rng.random``'s draws from ``random_raw``;
+    if numpy changes how ``Generator.random`` makes a float, this fails
+    instead of every seeded gamma silently moving."""
+    for seed, key in [(0, 0), (7, 3), (2**32 - 1, 12345)]:
+        want = _chunk_rng(seed, key).random((5, 33))
+        raw = _chunk_rng(seed, key).bit_generator.random_raw((5, 33))
+        np.testing.assert_array_equal(want, (raw >> np.uint64(11)) * 2.0**-53)
 
 
 @settings(max_examples=150, deadline=None)

@@ -36,7 +36,16 @@ from ecdf_bands.bands_single import (
 )
 from ecdf_bands.bands_single import test_single as run_single_test
 from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, default_grid
-from oracles import binom_cdf, binom_cdf_table, binom_quantile, binom_sf_table, interval_mass
+from oracles import (
+    binom_cdf,
+    binom_cdf_table,
+    binom_quantile,
+    binom_sf_table,
+    interval_mass,
+    recorded_levels,
+    simulated_gamma,
+    simulated_levels_single,
+)
 
 
 def interior_bounds(n: int, grid: EvaluationGrid, gamma: float):
@@ -309,6 +318,27 @@ def test_empirical_lower_quantile_matches_sorting():
     for alpha in (0.01, 0.05, 0.5):
         want = np.sort(values)[max(1, math.ceil(alpha * values.size)) - 1]
         assert _empirical_lower_quantile(values, alpha) == want
+
+
+@pytest.mark.parametrize(
+    "n, m, threads",
+    [
+        (250, 1000, 1),
+        # a last chunk of 6 replicates, under one block of 65
+        (250, 1030, 2),
+        (40, 1000, 1),
+        # rows of 3000 draws: blocks of 16 replicates, the last of 8
+        (3000, 600, 2),
+    ],
+)
+def test_gamma_simulate_matches_whole_chunk_oracle(monkeypatch, n, m, threads):
+    grid = default_grid(n)
+    res, levels = recorded_levels(
+        monkeypatch, lambda: gamma_simulate(n, grid, 0.05, m=m, seed=11, threads=threads)
+    )
+    want = simulated_levels_single(n, grid, m, 11)
+    np.testing.assert_array_equal(levels, want)
+    assert res.gamma == simulated_gamma(want, 0.05)[0]
 
 
 def test_grid_cell_counts_matches_brute_force():
