@@ -13,7 +13,7 @@ window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
 Only the hypergeometric parts live here: the pooled counts, the padded
-count tables, the forward-pass factors, the replicates' pooled order
+CDF table, the forward-pass factors, the replicates' pooled order
 (one sort of packed draw-and-chain keys, ``_chain_labeller``) and the
 per-chain cell counts read from it.
 The band type and every law-independent step (count bounds, tail
@@ -107,34 +107,29 @@ def _hyper_log_mass(n: int, l: int, s: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _hyper_tables(n: int, l: int, s_key: tuple):
-    """Padded (K, n + 1) hypergeometric CDF and tail tables, read-only,
-    and the bottom of each support.
+    """Padded (K, n + 1) hypergeometric CDF table, read-only, and the
+    bottom of each support.
 
-    Row i covers counts 0..n for pooled count s_i: the CDF is 0 below
-    the support and 1 from its top on, the tail the other way round.
-    The mass is exactly 0 outside the support, so one running sum each
-    way along the rows adds the same terms in the same order as a sum
-    over the support alone.
+    Row i covers counts 0..n for pooled count s_i: 0 below the support
+    and 1 from its top on.  The mass is exactly 0 below the support, so
+    one running sum along the rows adds the same terms in the same order
+    as a sum over the support alone.  The bands, the exact search and
+    the simulator's tail levels (``_tail_levels``) all read this table.
     """
     s = np.array(s_key, dtype=np.int64)
-    k = np.arange(n + 1)
-    pmf = np.exp(_hyper_log_mass(n, l, s))
-    cdf = np.minimum(np.cumsum(pmf, axis=1), 1.0)
-    sf = np.empty_like(pmf)
-    np.minimum(np.cumsum(pmf[:, ::-1], axis=1), 1.0, out=sf[:, ::-1])
+    cdf = np.minimum(np.cumsum(np.exp(_hyper_log_mass(n, l, s)), axis=1), 1.0)
+    cdf[np.arange(n + 1) >= np.minimum(s, n)[:, None]] = 1.0
     floor = np.maximum(s - (l - 1) * n, 0)
-    cdf[k >= np.minimum(s, n)[:, None]] = 1.0
-    sf[k <= floor[:, None]] = 1.0
-    for arr in (cdf, sf, floor):
+    for arr in (cdf, floor):
         arr.setflags(write=False)
-    return cdf, sf, floor
+    return cdf, floor
 
 
 def bands_from_gamma_multi(n: int, l: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
     """Shared equal-tail hypergeometric bands at adjustment level gamma."""
     g, info = _band_level(gamma, n, "chain length")
     l = _check_chains(l)
-    cdf, _, floor = _hyper_tables(n, l, tuple(_pooled_counts(grid, n, l).tolist()))
+    cdf, floor = _hyper_tables(n, l, tuple(_pooled_counts(grid, n, l).tolist()))
     lo, hi = _count_bounds(cdf, g, floor)
     return ConfidenceBands(grid, lo, hi, int(n), g, info, l)
 
@@ -160,7 +155,7 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     s = np.unique(_pooled_counts(grid, n, l))
 
     def mass(g: float) -> float:
-        cdf, _, floor = _hyper_tables(n, l, tuple(s.tolist()))
+        cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
         lo, hi = _count_bounds(cdf, g, floor)
         return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
 
@@ -301,21 +296,22 @@ def gamma_simulate_multi(
     Replicates draw all chains from one continuous uniform, sort the
     pooled draws once, count each chain's draws in the first s_i sorted
     positions (``_chain_counter``), and record the tightest pointwise
-    two-sided hypergeometric tail level over all chains and grid points.
+    two-sided hypergeometric tail level over all chains and grid points,
+    read by ``_tail_levels`` from the CDF table the bands read.
     The sort is one sort of packed draw-and-chain keys
     (``_chain_labeller``), which gives the same order as argsorting the
     draws, and ``_simulated_gamma`` runs each chunk in cache-sized row
     blocks.  With more than three chains the attained coverage is the
     in-sample fraction of replicate trajectories the calibrated bands
-    retain, since the exact recursion is unavailable.
+    hold, since the exact recursion is unavailable; a replicate's level
+    is at or above gamma exactly when the bands at gamma hold it.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
     l = _check_chains(l)
     alpha = _check_alpha(alpha)
     s = _pooled_counts(grid, n, l)
-    cdf, sf, _ = _hyper_tables(n, l, tuple(s.tolist()))
-    levels = _tail_levels(cdf, sf)
+    levels = _tail_levels(_hyper_tables(n, l, tuple(s.tolist()))[0])
     labels, count = _chain_labeller(n, l), _chain_counter(s, n, l)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -13,7 +13,8 @@ Only the count law differs between one sample (binomial) and pooled
 chains (hypergeometric, ``bands_multi``), so every step that does not
 depend on the law is written once here and serves both: the band type
 ``ConfidenceBands``, the count-bound rule over a padded CDF table
-(``_count_bounds``), the tightest-tail gather (``_tail_levels``), the
+(``_count_bounds``), the tightest-tail gather that reads the same table
+by the same rule (``_tail_levels``), the
 exact step search (``_optimized_gamma``), the seeded chunk-and-thread
 replicate harness (``_map_chunks``) with the simulators' shared tail
 (``_simulated_gamma``, which reduces each chunk in cache-sized row
@@ -24,7 +25,9 @@ The binomial CDF table (``_cdf_matrix``) is built for a level: the
 exact search asks for its floor alpha / K and the bands for their gamma,
 and ``betainc`` then runs only on each row's window of counts whose CDF
 such levels can read; the simulator, which gathers arbitrary counts,
-asks for the full table.
+asks for the full table.  Each count law has this one table, and the
+simulators' tail levels read it by the bands' own rule, so a level and
+the bands never read one breakpoint with different bits.
 """
 
 from __future__ import annotations
@@ -268,26 +271,6 @@ def _monotone_cdf(rows: np.ndarray) -> None:
     np.maximum.accumulate(rows, axis=1, out=rows)
 
 
-@lru_cache(maxsize=8)
-def _sf_matrix(n: int, pts_key: tuple) -> np.ndarray:
-    """Padded (K, n + 1) binomial survival table ``Pr(X >= k)``, one row
-    per grid point.
-
-    Evaluated through the complement arguments of the incomplete beta
-    function, so small upper tails keep full relative accuracy instead
-    of collapsing to ``1 - 1.0``.
-    """
-    p = np.asarray(pts_key, dtype=np.float64)[:, None]
-    k = np.arange(1, n + 1, dtype=np.float64)
-    rows = np.ones((p.shape[0], n + 1))
-    body = rows[:, 1:]
-    betainc(k, n - k + 1.0, p, out=body)
-    np.clip(body, 0.0, 1.0, out=body)
-    np.minimum.accumulate(body, axis=1, out=body)
-    rows.setflags(write=False)
-    return rows
-
-
 def _count_bounds(cdf: np.ndarray, gamma: float, floor=0):
     """Equal-tail count bounds [lower, upper] from a padded CDF table.
 
@@ -416,21 +399,41 @@ def _grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.cumsum(hist, axis=1)[:, :k]
 
 
-def _tail_levels(cdf: np.ndarray, sf: np.ndarray):
+def _tail_levels(cdf: np.ndarray):
     """Per-trajectory tightest two-sided tail level, as a function of
     the counts.
 
-    ``cdf`` and ``sf`` are padded (K, n + 1) tables.  The returned
-    function takes counts of shape (B, ..., K), indexed by grid point
-    along the last axis, and gives for each of the B rows 2 * min over
-    all its counts of the smaller tail mass, read with one flat gather
-    from the ``min(cdf, sf)`` rows.
+    ``cdf`` is a padded (K, n + 1) CDF table.  Each cell's level is the
+    largest gamma at which ``_count_bounds(cdf, gamma, floor)`` holds
+    that count, so a trajectory's level is at or above gamma exactly
+    when the bands at gamma hold it, for every gamma in [2**-1021, 1]
+    (below that, gamma / 2 rounds):
+
+    - lower side, ``cdf[c] >= gamma / 2``: the level is ``2 * cdf[c]``;
+    - upper side, ``cdf[c - 1] < 1 - gamma / 2``, where ``1 - gamma / 2``
+      rounds: with q the float just above ``cdf[c - 1]``, the count stays
+      inside while ``1 - gamma / 2`` rounds to q or above, that is while
+      gamma / 2 <= (1 - q) + (q - prev(q)) / 2, both terms exact for
+      q > 1/2, and round-half-even on q decides the tie at that point.
+      Rows with ``cdf[c - 1] < 1/2`` (and count 0) hold the count at
+      every gamma up to 1 and get level 2; a ``cdf[c - 1]`` that rounds
+      to exactly 1.0 holds it at none and gives level 0.
+
+    The returned function takes counts of shape (B, ..., K), indexed by
+    grid point along the last axis, and gives for each of the B rows the
+    minimum level over all its counts, read with one flat gather.
     """
-    tails = np.minimum(cdf, sf).ravel()
+    below = np.zeros_like(cdf)
+    below[:, 1:] = cdf[:, :-1]
+    q = np.nextafter(below, 2.0)
+    top = 1.0 - q + (q - np.nextafter(q, 0.0)) / 2.0
+    upper = 2.0 * np.where(q.view(np.uint64) & 1, np.nextafter(top, 0.0), top)
+    upper = np.where(below < 0.5, 2.0, np.where(below < 1.0, upper, 0.0))
+    tails = np.minimum(2.0 * cdf, upper).ravel()
     row_start = np.arange(cdf.shape[0]) * cdf.shape[1]
 
     def levels(counts: np.ndarray) -> np.ndarray:
-        return 2.0 * tails[counts + row_start].reshape(counts.shape[0], -1).min(axis=1)
+        return tails[counts + row_start].reshape(counts.shape[0], -1).min(axis=1)
 
     return levels
 
@@ -482,8 +485,15 @@ def _simulated_gamma(
     stream as one draw of the whole chunk.  Gamma is the empirical
     alpha-quantile of the levels, capped at alpha.  The attained
     coverage is ``exact(gamma)`` when an exact coverage is available;
-    otherwise it is the in-sample fraction of replicates the bands
-    retain, and ``meta["attained_estimate"]`` says ``"in_sample"``.
+    otherwise it is the in-sample fraction of levels at or above gamma,
+    and ``meta["attained_estimate"]`` says ``"in_sample"``.  The levels
+    come from ``_tail_levels`` on the table the bands read, so that
+    fraction is the share of these replicates the bands at gamma hold.
+
+    Every level is asserted positive.  It is 0 only for a replicate that
+    reaches a count whose neighbour CDF cell rounds to exactly 1.0 (an
+    upper tail below about 1e-16) or whose own cell underflows to 0.0,
+    which no band level holds.
     """
     if m < 100:
         raise ValueError("at least 100 replicates are required")
@@ -518,15 +528,17 @@ def gamma_simulate(
 
     Each replicate draws n uniforms, records the tightest pointwise
     two-sided tail level its trajectory attains anywhere on the grid,
-    and gamma is the empirical alpha-quantile of those levels.  Each
-    level is strictly positive by construction, which is asserted.
+    read by ``_tail_levels`` from the full binomial CDF table that the
+    bands read, and gamma is the empirical alpha-quantile of those
+    levels.  A level is the largest gamma whose bands hold the
+    trajectory, and ``_simulated_gamma`` asserts it positive.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
     pts = grid.points
     key = _grid_key(grid)
-    levels = _tail_levels(_cdf_matrix(n, key), _sf_matrix(n, key))
+    levels = _tail_levels(_cdf_matrix(n, key))
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
         return levels(_grid_cell_counts(rng.random((size, n)), pts))

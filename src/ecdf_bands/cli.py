@@ -17,7 +17,9 @@ file, which ``--method auto`` and ``cache`` read.
 Each option's default is written once, in its ``add_argument`` call, and
 the commands read the parsed namespace.  ``main`` checks the ranges
 argparse cannot state (alpha in (0, 0.5], grid-k and threads at least 1)
-before the command runs, so a bad value exits 2 before any file is read.
+before the command runs, so a bad value exits 2 before any file is read;
+``gamma build`` holds each of its ``--alphas`` to the same range before
+it calibrates.
 """
 
 from __future__ import annotations
@@ -51,10 +53,14 @@ REPORT_SCHEMA = "report/1"
 CACHE_ENV = "ECDF_BANDS_CACHE"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError("alpha must lie in (0, 0.5]")
+
+
 def _check_ranges(args: argparse.Namespace) -> None:
     """The ranges of the shared options that argparse cannot state."""
-    if not 0.0 < args.alpha <= 0.5:
-        raise ValueError("alpha must lie in (0, 0.5]")
+    _check_alpha(args.alpha)
     if getattr(args, "grid_k", 1) < 1:
         raise ValueError("grid-k must be positive")
     if args.threads < 1:
@@ -286,6 +292,8 @@ def cmd_gamma_build(args: argparse.Namespace) -> int:
     ns = [int(v) for v in args.ns.split(",") if v.strip()]
     ls = [int(v) for v in args.ls.split(",") if v.strip()]
     alphas = [float(v) for v in args.alphas.split(",") if v.strip()]
+    for alpha in alphas:
+        _check_alpha(alpha)
     if not args.out:
         raise ValueError("gamma build requires --out")
     grid = build_grid(

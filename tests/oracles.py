@@ -8,16 +8,15 @@ two and three chains) and multiplies it into the state.  They share no
 code with the program's factorized forward pass, only the ``dist``
 kernels.
 
-The program builds each count law's table whole, one (K, n + 1) table
-per law.  The per-row routes here check those tables and the bounds read
-from them: the binomial row, scalar CDF, log mass, tail and quantile
-(``binom_cdf_table``, ``binom_cdf``, ``binom_logpmf``,
-``binom_sf_table``, ``binom_quantile``), and the hypergeometric support,
-log mass, CDF and tail rows over the support alone, with the scalar CDF
-and quantile read from them (``hyper_support``, ``hyper_logpmf``,
-``hyper_cdf_table``, ``hyper_sf_table``, ``hyper_cdf``,
-``hyper_quantile``).  ``hyper_padded_tables`` pads those rows the way
-``bands_multi._hyper_tables`` lays out its table.
+The program builds each count law's CDF table whole, one (K, n + 1)
+table per law.  The per-row routes here check those tables and the
+bounds read from them: the binomial row, scalar CDF, log mass and
+quantile (``binom_cdf_table``, ``binom_cdf``, ``binom_logpmf``,
+``binom_quantile``), and the hypergeometric support, log mass and CDF
+row over the support alone, with the scalar CDF and quantile read from
+it (``hyper_support``, ``hyper_logpmf``, ``hyper_cdf_table``,
+``hyper_cdf``, ``hyper_quantile``).  ``hyper_padded_tables`` pads those
+rows the way ``bands_multi._hyper_tables`` lays out its table.
 
 ``search_steps_bisect`` is the plain bisection over the coverage steps
 that the program's interpolating step search must end on.
@@ -26,10 +25,12 @@ that the program's interpolating step search must end on.
 simulators' whole-chunk routes: each chunk draws all its replicates in
 one ``rng.random`` call, counts the one-sample cells by ``searchsorted``
 or each chain's cells by argsorting the pooled draws, and reads the
-tightest tail levels.  The program reduces each chunk in row blocks, and
-sorts packed draw-and-chain keys for the chains, so its levels must
-equal these bit for bit.  ``recorded_levels`` reads the levels a
-simulator reduced to its gamma.
+tightest tail levels from the CDF table (``bands_single._tail_levels``).
+The program reduces each chunk in row blocks, and sorts packed
+draw-and-chain keys for the chains, so its levels must equal these bit
+for bit.  ``simulated_held_multi`` says which of those replicates given
+bands hold, and ``recorded_levels`` reads the levels a simulator reduced
+to its gamma.
 """
 
 import math
@@ -89,20 +90,6 @@ def binom_cdf_table(n: int, p: float) -> np.ndarray:
     return out
 
 
-def binom_sf_table(n: int, p: float) -> np.ndarray:
-    """Read-only array ``s`` with ``s[k] = Pr(X >= k)``, k = 0..n, one
-    row at a time: the oracle for ``bands_single._sf_matrix``."""
-    if n == 0:
-        out = np.ones(1)
-    else:
-        k = np.arange(1, n + 1, dtype=np.float64)
-        sf = betainc(k, n - k + 1.0, p)
-        sf = np.minimum.accumulate(np.clip(sf, 0.0, 1.0))
-        out = np.concatenate(([1.0], sf))
-    out.setflags(write=False)
-    return out
-
-
 def binom_quantile(q: float, n: int, p: float) -> int:
     """Smallest ``k`` in ``{0, ..., n}`` with ``Pr(X <= k) >= q``.
 
@@ -130,16 +117,13 @@ def hyper_logpmf(k, succ: int, fail: int, draws: int) -> np.ndarray:
 
 @lru_cache(maxsize=8192)
 def _hyper_rows(succ: int, fail: int, draws: int):
-    """Support bounds and the CDF and tail over the support alone."""
+    """Support bounds and the CDF over the support alone."""
     lo, hi = hyper_support(succ, fail, draws)
     pmf = np.exp(hyper_logpmf(np.arange(lo, hi + 1), succ, fail, draws))
     cdf = np.minimum(np.cumsum(pmf), 1.0)
     cdf[-1] = 1.0
-    sf = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
-    sf[0] = 1.0
-    for arr in (cdf, sf):
-        arr.setflags(write=False)
-    return lo, hi, cdf, sf
+    cdf.setflags(write=False)
+    return lo, hi, cdf
 
 
 def hyper_cdf_table(succ: int, fail: int, draws: int) -> np.ndarray:
@@ -147,28 +131,20 @@ def hyper_cdf_table(succ: int, fail: int, draws: int) -> np.ndarray:
     return _hyper_rows(succ, fail, draws)[2]
 
 
-def hyper_sf_table(succ: int, fail: int, draws: int) -> np.ndarray:
-    """Read-only array of ``Pr(X >= k)`` over the support."""
-    return _hyper_rows(succ, fail, draws)[3]
-
-
 def hyper_padded_tables(n: int, l: int, s):
-    """The per-row tables of one chain's count given pooled counts s,
-    padded to counts 0..n as ``bands_multi._hyper_tables`` lays them out:
-    CDF 0 below the support and 1 above it, the tail the other way
-    round, and the bottom of each support."""
+    """The per-row CDF of one chain's count given pooled counts s,
+    padded to counts 0..n as ``bands_multi._hyper_tables`` lays it out
+    (0 below the support and 1 above it), and the bottom of each
+    support."""
     rest = (l - 1) * n
     cdf = np.zeros((len(s), n + 1))
-    sf = np.zeros((len(s), n + 1))
     floor = np.zeros(len(s), dtype=np.int64)
     for i, si in enumerate(s):
-        lo, hi, cdf_row, sf_row = _hyper_rows(n, rest, int(si))
+        lo, hi, cdf_row = _hyper_rows(n, rest, int(si))
         cdf[i, lo : hi + 1] = cdf_row
         cdf[i, hi + 1 :] = 1.0
-        sf[i, lo : hi + 1] = sf_row
-        sf[i, :lo] = 1.0
         floor[i] = lo
-    return cdf, sf, floor
+    return cdf, floor
 
 
 def hyper_cdf(k, succ: int, fail: int, draws: int) -> float:
@@ -177,7 +153,7 @@ def hyper_cdf(k, succ: int, fail: int, draws: int) -> float:
     Clamps outside the support: 0 below it, 1 at or above its top.
     """
     k = math.floor(k)
-    lo, hi, cdf, _ = _hyper_rows(succ, fail, draws)
+    lo, hi, cdf = _hyper_rows(succ, fail, draws)
     if k < lo:
         return 0.0
     if k >= hi:
@@ -191,7 +167,7 @@ def hyper_quantile(q: float, succ: int, fail: int, draws: int) -> int:
     ``q = 0`` returns the bottom of the support, which is
     ``max(0, draws - fail)`` rather than 0 when draws exceed failures.
     """
-    lo, _, cdf, _ = _hyper_rows(succ, fail, draws)
+    lo, _, cdf = _hyper_rows(succ, fail, draws)
     if q <= 0.0:
         return lo
     return lo + int(np.searchsorted(cdf, q, side="left"))
@@ -372,11 +348,11 @@ def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
     return float(gammas[best]), coverage(best), len(cache), gammas.size
 
 
-def _chunked_levels(levels_fn, m: int, chunk: int, seed: int) -> np.ndarray:
+def _chunked(fn, m: int, chunk: int, seed: int) -> np.ndarray:
     pieces = []
     for start in range(0, m, chunk):
         rng = bands_single._chunk_rng(seed, start // chunk)
-        pieces.append(levels_fn(rng, min(chunk, m - start)))
+        pieces.append(fn(rng, min(chunk, m - start)))
     return np.concatenate(pieces)
 
 
@@ -384,10 +360,8 @@ def simulated_levels_single(n: int, grid, m: int, seed: int) -> np.ndarray:
     """``gamma_simulate``'s m tightest tail levels, 512 replicates drawn
     whole per chunk."""
     key = bands_single._grid_key(grid)
-    levels = bands_single._tail_levels(
-        bands_single._cdf_matrix(n, key), bands_single._sf_matrix(n, key)
-    )
-    return _chunked_levels(
+    levels = bands_single._tail_levels(bands_single._cdf_matrix(n, key))
+    return _chunked(
         lambda rng, size: levels(bands_single._grid_cell_counts(rng.random((size, n)), grid.points)),
         m,
         512,
@@ -399,14 +373,27 @@ def simulated_levels_multi(n: int, l: int, grid, m: int, seed: int) -> np.ndarra
     """``gamma_simulate_multi``'s m tightest tail levels, 256 replicates
     drawn whole per chunk and their pooled draws argsorted."""
     s = bands_multi._pooled_counts(grid, n, l)
-    cdf, sf, _ = bands_multi._hyper_tables(n, l, tuple(s.tolist()))
-    levels = bands_single._tail_levels(cdf, sf)
-    return _chunked_levels(
+    levels = bands_single._tail_levels(bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0])
+    return _chunked(
         lambda rng, size: levels(bands_multi._chain_cell_counts(rng.random((size, l * n)), s, n, l)),
         m,
         256,
         seed,
     )
+
+
+def simulated_held_multi(n: int, l: int, grid, m: int, seed: int, bands) -> np.ndarray:
+    """Whether ``bands`` hold every chain of each of
+    ``gamma_simulate_multi``'s m replicates, drawn as
+    ``simulated_levels_multi`` draws them."""
+    s = bands_multi._pooled_counts(grid, n, l)
+    lo, hi = bands.lower_counts, bands.upper_counts
+
+    def held(rng, size):
+        counts = bands_multi._chain_cell_counts(rng.random((size, l * n)), s, n, l)
+        return np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
+
+    return _chunked(held, m, 256, seed)
 
 
 def simulated_gamma(levels: np.ndarray, alpha: float) -> tuple[float, float]:

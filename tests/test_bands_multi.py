@@ -42,13 +42,14 @@ from oracles import (
     hyper_quantile,
     recorded_levels,
     simulated_gamma,
+    simulated_held_multi,
     simulated_levels_multi,
 )
 
 
 def band_bounds(n: int, l: int, s, gamma: float):
     """The program's equal-tail hypergeometric count bounds per pooled count."""
-    cdf, _, floor = _hyper_tables(n, l, tuple(int(si) for si in s))
+    cdf, floor = _hyper_tables(n, l, tuple(int(si) for si in s))
     return _count_bounds(cdf, gamma, floor)
 
 
@@ -163,10 +164,10 @@ def test_hyper_table_matches_the_per_row_oracle(key):
     # one (K, n + 1) build must give the per-row tables, padded to counts
     # 0..n, bit for bit
     n, l, s = key
-    cdf, sf, floor = _hyper_tables(n, l, s)
-    assert cdf.shape == sf.shape == (len(s), n + 1)
-    assert not (cdf.flags.writeable or sf.flags.writeable or floor.flags.writeable)
-    for got, want in zip((cdf, sf, floor), hyper_padded_tables(n, l, s)):
+    cdf, floor = _hyper_tables(n, l, s)
+    assert cdf.shape == (len(s), n + 1)
+    assert not (cdf.flags.writeable or floor.flags.writeable)
+    for got, want in zip((cdf, floor), hyper_padded_tables(n, l, s)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -344,11 +345,24 @@ def test_gamma_simulate_multi_many_chains_thread_invariant():
 
 @pytest.mark.parametrize(
     "n, l, gamma",
-    [(80, 4, 0.001131075141161866), (40, 8, 0.0009973242244734409)],
+    [(80, 4, 0.0011310751411618782), (40, 8, 0.0009973242244734409)],
 )
 def test_gamma_simulate_multi_seeded_values_are_pinned(n, l, gamma):
     res = gamma_simulate_multi(n, l, default_grid(n, l * n), 0.05, m=10_000, seed=0)
     assert res.gamma == gamma
+
+
+@pytest.mark.parametrize("n, l", [(32, 4), (40, 4), (10, 16)])
+def test_in_sample_coverage_is_the_share_the_bands_hold(n, l):
+    # the reported in-sample coverage must be what the served bands do on
+    # the simulator's own replicates, and it must reach 1 - alpha
+    grid = default_grid(n, l * n)
+    res = gamma_simulate_multi(n, l, grid, 0.05, m=10_000, seed=0)
+    assert res.meta["attained_estimate"] == "in_sample"
+    bands = bands_from_gamma_multi(n, l, grid, res)
+    held = simulated_held_multi(n, l, grid, 10_000, 0, bands)
+    assert res.attained_coverage == float(np.mean(held))
+    assert res.attained_coverage > 0.95
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from ecdf_bands.bands_single import (
     _exceedances,
     _grid_cell_counts,
     _grid_key,
-    _sf_matrix,
     _single_factors,
     band_exceedances,
     bands_from_gamma,
@@ -40,7 +39,6 @@ from oracles import (
     binom_cdf,
     binom_cdf_table,
     binom_quantile,
-    binom_sf_table,
     interval_mass,
     recorded_levels,
     simulated_gamma,
@@ -247,11 +245,10 @@ def test_vectorized_binomial_tables_match_the_per_row_oracle(n, pts):
     # one betainc call over the (K, n) grid must give the per-row tables
     # bit for bit, on arbitrary points and on lattice grids
     key = tuple(float(z) for z in pts)
-    cdf, sf = _cdf_matrix(n, key), _sf_matrix(n, key)
-    assert cdf.shape == sf.shape == (len(key), n + 1)
-    assert not cdf.flags.writeable and not sf.flags.writeable
+    cdf = _cdf_matrix(n, key)
+    assert cdf.shape == (len(key), n + 1)
+    assert not cdf.flags.writeable
     np.testing.assert_array_equal(cdf, np.stack([binom_cdf_table(n, z) for z in key]))
-    np.testing.assert_array_equal(sf, np.stack([binom_sf_table(n, z) for z in key]))
 
 
 def test_bands_from_gamma_structure():

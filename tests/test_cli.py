@@ -488,6 +488,19 @@ def test_gamma_build_checks_out_before_calibrating(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: gamma build requires --out\n"
 
 
+@pytest.mark.parametrize("alphas", ["0.7", "0.05,0.7", "0", "-0.1", "nan"])
+def test_gamma_build_checks_alphas_before_calibrating(alphas, tmp_path, monkeypatch, capsys):
+    # every stored level must be one that test and gamma query accept
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_grid ran before the --alphas check")
+
+    monkeypatch.setattr(cli, "build_grid", no_build)
+    out = tmp_path / "grid.json"
+    assert main(["gamma", "build", "--ns", "40", "--alphas", alphas, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: alpha must lie in (0, 0.5]\n"
+    assert not out.exists()
+
+
 def test_multi_chain_rank_hist_checks_out_before_ranking(tmp_path, monkeypatch, capsys):
     def no_ranks(*args, **kwargs):
         raise AssertionError("ranks computed before the --out check")

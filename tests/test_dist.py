@@ -17,7 +17,7 @@ import pytest
 
 from ecdf_bands import dist
 from ecdf_bands.bands_multi import _hyper_log_mass, _hyper_tables
-from ecdf_bands.bands_single import _cdf_matrix, _sf_matrix
+from ecdf_bands.bands_single import _cdf_matrix
 from oracles import (
     binom_cdf,
     binom_cdf_table,
@@ -128,24 +128,6 @@ def test_binom_cdf_table_matches_scalar_and_ends_at_one():
     assert np.all(np.diff(table) >= 0.0)
 
 
-def test_binom_sf_table_complements_the_cdf():
-    n = 29
-    p = 0.64
-    cdf = _cdf_matrix(n, (p,))[0]
-    sf = _sf_matrix(n, (p,))[0]
-    assert sf[0] == 1.0
-    for k in range(1, n + 1):
-        assert sf[k] == pytest.approx(1.0 - cdf[k - 1], abs=1e-13)
-    assert np.all(np.diff(sf) <= 0.0)
-
-
-def test_binom_sf_table_deep_tail_relative_accuracy():
-    n, p = 150, 0.2
-    want = float(sum(exact_binom_pmf(j, n, Fraction(1, 5)) for j in range(80, n + 1)))
-    got = float(_sf_matrix(n, (0.3, p))[1, 80])
-    assert got == pytest.approx(want, rel=1e-9)
-
-
 def test_binom_quantile_galois_property():
     # quantile(q) is the smallest k with cdf(k) >= q, so k >= quantile(q)
     # must hold exactly when cdf(k) >= q
@@ -167,18 +149,16 @@ def test_hyper_support_bounds():
     assert hyper_support(4, 6, 3) == (0, 3)
     assert hyper_support(4, 2, 5) == (3, 4)
     assert hyper_support(0, 5, 3) == (0, 0)
-    # padded rows: CDF exactly 0 below the support and 1 from its top
-    # on, the tail 1 up to its bottom and 0 above its top
+    # padded rows: CDF exactly 0 below the support and 1 from its top on
     for n, l in ((4, 2), (3, 3), (2, 4)):
         rest = (l - 1) * n
         s = all_pooled_counts(n, l)
-        cdf, sf, floor = _hyper_tables(n, l, s)
+        cdf, floor = _hyper_tables(n, l, s)
         for i, si in enumerate(s):
             lo, hi = max(0, si - rest), min(n, si)
             assert floor[i] == lo
             assert np.all(cdf[i, :lo] == 0.0) and np.all(cdf[i, hi:] == 1.0)
-            assert np.all(sf[i, : lo + 1] == 1.0) and np.all(sf[i, hi + 1 :] == 0.0)
-            assert np.all(cdf[i, lo:hi] > 0.0) and np.all(sf[i, lo + 1 : hi + 1] > 0.0)
+            assert np.all(cdf[i, lo:hi] > 0.0)
 
 
 def test_hyper_logpmf_against_fraction_oracle():
@@ -206,17 +186,6 @@ def test_hyper_cdf_table_sums_pmf_exactly():
             acc += exact_hyper_pmf(k, n, 2 * n, si)
             assert cdf[i, k] == pytest.approx(float(acc), rel=1e-12), (si, k)
         assert cdf[i, -1] == 1.0
-
-
-def test_hyper_sf_table_matches_upper_sums():
-    n, l = 7, 2
-    s = all_pooled_counts(n, l)
-    sf = _hyper_tables(n, l, s)[1]
-    for i, si in enumerate(s):
-        assert sf[i, 0] == 1.0
-        for k in range(n + 1):
-            want = float(sum(exact_hyper_pmf(j, n, n, si) for j in range(k, n + 1)))
-            assert sf[i, k] == pytest.approx(want, rel=1e-12), (si, k)
 
 
 def test_hyper_cdf_clamps_outside_support():

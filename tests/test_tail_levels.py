@@ -1,0 +1,97 @@
+"""The simulators' tail levels are the bands' own verdict.
+
+``bands_single._tail_levels`` gives each cell of a padded CDF table the
+largest gamma at which ``_count_bounds`` holds that count.  The
+simulators take their gamma as a quantile of these levels and report the
+share of replicates at or above it as in-sample coverage, which is true
+only when "level >= gamma" means "the bands at gamma hold the count".
+Here that equivalence is checked cell by cell, at each level and at its
+two float neighbours, on both count laws' tables as the program builds
+them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ecdf_bands.bands_multi import _hyper_tables, _pooled_counts
+from ecdf_bands.bands_single import _cdf_matrix, _count_bounds, _tail_levels
+from ecdf_bands.transform import default_grid
+
+PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
+
+# gamma / 2 is exact from here up; below it the halving rounds
+SMALLEST_GAMMA = 2.0**-1021
+
+
+def assert_levels_are_the_band_verdict(cdf: np.ndarray, floor: np.ndarray) -> None:
+    """For every cell (i, c) and every gamma in (0, 1] at its level or a
+    float neighbour of it: level >= gamma exactly when the bounds
+    ``_count_bounds`` reads from row i at gamma hold count c."""
+    counts = np.arange(cdf.shape[1])
+    for i in range(cdf.shape[0]):
+        row = cdf[i : i + 1]
+        level = _tail_levels(row)(counts[:, None])
+        for gamma in (level, np.nextafter(level, 0.0), np.nextafter(level, 2.0)):
+            keep = (gamma >= SMALLEST_GAMMA) & (gamma <= 1.0)
+            g, c = gamma[keep], counts[keep]
+            lo, hi = _count_bounds(row, g[:, None], floor[i])
+            inside = (lo <= c) & (c <= hi)
+            np.testing.assert_array_equal(level[keep] >= g, inside, err_msg=f"row {i}")
+
+
+binomial_grids = st.one_of(
+    st.just(None),
+    st.sampled_from(PRIMES).map(lambda k: tuple(i / k for i in range(1, k + 1))),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(lambda v: tuple(sorted(v))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 600), pts=binomial_grids)
+def test_binomial_tail_levels_are_the_band_verdict(n, pts):
+    key = tuple(float(z) for z in (default_grid(n).points if pts is None else pts))
+    assert_levels_are_the_band_verdict(_cdf_matrix(n, key), np.zeros(len(key), dtype=np.int64))
+
+
+@st.composite
+def pooled_counts(draw):
+    """(n, l, pooled counts): the default grid's, or arbitrary ones."""
+    n = draw(st.integers(1, 80))
+    l = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        s = _pooled_counts(default_grid(n, l * n), n, l).tolist()
+    else:
+        s = sorted(draw(st.lists(st.integers(0, l * n), min_size=1, max_size=12)))
+    return n, l, tuple(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=pooled_counts())
+def test_hypergeometric_tail_levels_are_the_band_verdict(key):
+    assert_levels_are_the_band_verdict(*_hyper_tables(*key))
+
+
+@pytest.mark.parametrize("below", [0.75, np.nextafter(0.75, 0.0)])
+def test_upper_tail_level_follows_the_rounding_of_one_minus_half_gamma(below):
+    # 1 - gamma / 2 rounds to a float, so the plain 2 * (1 - cdf[c - 1])
+    # is not the last gamma that holds count c.  With q the float above
+    # cdf[c - 1], the midpoint between q and the float below it rounds
+    # to the even one: down to 0.75 when cdf[c - 1] is 0.75 (the tie
+    # leaves count c out), up to q = 0.75 when cdf[c - 1] is just below
+    # (the tie holds it)
+    cdf = np.array([[below, 1.0]])
+    level = _tail_levels(cdf)(np.array([[1]]))[0]
+    assert level < 2.0 * (1.0 - below)
+    assert _count_bounds(cdf, level)[1][0] == 1
+    assert _count_bounds(cdf, np.nextafter(level, 1.0))[1][0] == 0
+
+
+def test_count_above_a_cdf_that_rounds_to_one_has_level_zero():
+    # no gamma in (0, 1] holds count 1 when cdf[0] is 1.0, since
+    # 1 - gamma / 2 is never above it; the simulators' positivity assert
+    # fires on such a level
+    cdf = np.array([[1.0, 1.0]])
+    assert _tail_levels(cdf)(np.array([[1], [0]])).tolist() == [0.0, 2.0]
+    assert _count_bounds(cdf, 2.0**-1021)[1][0] == 0
