@@ -36,13 +36,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 from scipy.special import betainc, ndtri
 
 from . import _forward, dist
 from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
+from .transform import _grid_cell_counts
 
 __all__ = [
     "ConfidenceBands",
@@ -387,16 +387,6 @@ def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
     with np.errstate(invalid="ignore"):
         tail = np.where(left > 0, left * logq[:, None], 0.0)
     return lo_ext, hi_ext, src, ker, (-lfrev[dst_r], tail), logp
-
-
-def _grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Row-wise counts of values at or below each grid point, (B, K)."""
-    k = pts.size
-    cells = np.searchsorted(pts, u, side="left")
-    rows = u.shape[0]
-    flat = cells + (np.arange(rows) * (k + 1))[:, None]
-    hist = np.bincount(flat.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
-    return np.cumsum(hist, axis=1)[:, :k]
 
 
 def _tail_levels(cdf: np.ndarray):

@@ -14,12 +14,17 @@ by ``pit``, declares PIT values on the lattice of multiples of 1/S.  The
 environment variable ECDF_BANDS_CACHE can point at a default gamma-grid
 file, which ``--method auto`` and ``cache`` read.
 
-Each option's default is written once, in its ``add_argument`` call, and
-the commands read the parsed namespace.  ``main`` checks the ranges
-argparse cannot state (alpha in (0, 0.5], grid-k and threads at least 1)
-before the command runs, so a bad value exits 2 before any file is read;
-``gamma build`` holds each of its ``--alphas`` to the same range before
-it calibrates.
+Each subcommand parses only the options its command reads, and each
+option's default and help are written once: in its ``add_argument``
+call, or in ``_SHARED`` for the options several subcommands take.  The
+commands read the parsed namespace.  ``main`` checks the ranges argparse
+cannot state, for the options the parsed subcommand has: ``--alpha`` in
+(0, 0.5] (``test``, ``plot``, ``power``, ``gamma query``), ``--grid-k``
+at least 1 (``test``, ``plot``, ``gamma build``) and ``--threads`` at
+least 1 (``test``, ``plot``, ``power``, ``gamma build``).  It checks
+them before the command runs, so a bad value exits 2 before any file is
+read; ``gamma build`` holds each of its ``--alphas`` to the alpha range
+before it calibrates.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .transform import (
     ChainSet,
     PitValues,
     default_grid,
-    ecdf_eval,
     empirical_pit,
     joint_fractional_ranks,
 )
@@ -59,11 +63,13 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    """The ranges of the shared options that argparse cannot state."""
-    _check_alpha(args.alpha)
-    if getattr(args, "grid_k", 1) < 1:
+    """The ranges argparse cannot state, of the shared options the
+    parsed subcommand has."""
+    if "alpha" in args:
+        _check_alpha(args.alpha)
+    if "grid_k" in args and args.grid_k < 1:
         raise ValueError("grid-k must be positive")
-    if args.threads < 1:
+    if "threads" in args and args.threads < 1:
         raise ValueError("threads must be positive")
 
 
@@ -360,39 +366,40 @@ def _plot_hist(args: argparse.Namespace, cols: np.ndarray) -> int:
     return 0
 
 
-def _common(p, *, method=True, tie=False):
-    p.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    if method:
-        p.add_argument(
-            "--method",
-            choices=("auto", "simulate", "optimize", "cache"),
-            default="auto",
-            help="gamma calibration method",
-        )
-        p.add_argument("--m-reps", type=int, default=10_000, help="simulation replicates")
-        p.add_argument("--grid-k", type=int, default=100, help="largest evaluation grid size")
-    if tie:
-        p.add_argument(
-            "--tie-policy",
-            choices=("deterministic", "random"),
-            default="deterministic",
-            help="how pooled rank ties break",
-        )
+_SHARED = {
+    "--alpha": dict(type=float, default=0.05, help="test level (default 0.05)"),
+    "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "--threads": dict(type=int, default=1, help="worker threads"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--method": dict(
+        choices=("auto", "simulate", "optimize", "cache"), default="auto", help="gamma calibration method"
+    ),
+    "--m-reps": dict(type=int, default=10_000, help="simulation replicates"),
+    "--grid-k": dict(type=int, default=100, help="largest evaluation grid size"),
+    "--tie-policy": dict(
+        choices=("deterministic", "random"), default="deterministic", help="how pooled rank ties break"
+    ),
+}
+"""The options several subcommands take, in the order ``test`` lists
+them."""
+
+
+def _shared(p, *flags):
+    """Add the named ``_SHARED`` options."""
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
 
 
 def _test_args(p):
     p.add_argument("input", help="CSV or NDJSON file; one column per chain")
-    _common(p, tie=True)
+    _shared(p, *_SHARED)
     p.set_defaults(func=cmd_test)
 
 
 def _pit_args(p):
     p.add_argument("draws", help="single-column file of draws")
     p.add_argument("comparison", help="file with one comparison row per draw")
-    _common(p, method=False)
+    _shared(p, "--out")
     p.set_defaults(func=cmd_pit)
 
 
@@ -402,7 +409,7 @@ def _power_args(p):
     p.add_argument("--n", type=int, required=True, help="sample size per chain")
     p.add_argument("--tests", default="bands", help="comma-separated: bands,T1,W2,U2,KS")
     p.add_argument("--chains", type=int, default=1, help="chain count (bands test only if > 1)")
-    _common(p)
+    _shared(p, "--alpha", "--seed", "--threads", "--out", "--m-reps")
     p.set_defaults(func=cmd_power)
 
 
@@ -410,23 +417,24 @@ def _thin_args(p):
     p.add_argument("input", help="CSV or NDJSON file; one column per chain")
     p.add_argument("--strategy", choices=STRATEGIES, default="BULK_TAIL_MIN")
     p.add_argument("--ess-out", default=None, help="where to write the ESS report JSON")
-    _common(p, method=False)
+    _shared(p, "--out")
     p.set_defaults(func=cmd_thin)
 
 
 def _gamma_args(p):
     gsub = p.add_subparsers(dest="gamma_action", required=True)
-    pb = gsub.add_parser("build", help="calibrate a grid of adjustment levels")
+    # no abbreviations, so that --alpha is refused rather than read as --alphas
+    pb = gsub.add_parser("build", help="calibrate a grid of adjustment levels", allow_abbrev=False)
     pb.add_argument("--ns", required=True, help="comma-separated sample sizes")
     pb.add_argument("--ls", default="1", help="comma-separated chain counts")
     pb.add_argument("--alphas", default="0.05", help="comma-separated levels")
-    _common(pb)
+    _shared(pb, "--seed", "--threads", "--out", "--m-reps", "--grid-k")
     pb.set_defaults(func=cmd_gamma_build)
     pq = gsub.add_parser("query", help="interpolate a stored grid")
     pq.add_argument("grid_file", nargs="?", default=None, help=f"grid JSON (default ${CACHE_ENV})")
     pq.add_argument("--n", type=int, required=True)
     pq.add_argument("--l", type=int, default=1)
-    _common(pq, method=False)
+    _shared(pq, "--alpha", "--out")
     pq.set_defaults(func=cmd_gamma_query)
 
 
@@ -436,7 +444,7 @@ def _plot_args(p):
     p.add_argument("--bins", type=int, default=50, help="histogram bin count")
     p.add_argument("--title", default="", help="figure title")
     p.add_argument("--data-out", default=None, help="also write plot data JSON here")
-    _common(p, tie=True)
+    _shared(p, *_SHARED)
     p.set_defaults(func=cmd_plot)
 
 

@@ -152,11 +152,13 @@ class PowerCurve:
                 raise ValueError(f"rates for {name!r} must lie in [0, 1]")
 
 
-def _band_rejector(n: int, l: int, alpha: float, grid: EvaluationGrid | None, m: int, seed: int):
+def _band_rejector(
+    n: int, l: int, alpha: float, grid: EvaluationGrid | None, m: int, seed: int, threads: int
+):
     """Batch rejector for the band test on l chains, and its gamma."""
     if grid is None:
         grid = default_grid(n, l * n if l > 1 else None)
-    gamma = calibrate(n, l, grid, alpha, m=m, seed=seed)
+    gamma = calibrate(n, l, grid, alpha, m=m, seed=seed, threads=threads)
     if l == 1:
         bands = bands_single.bands_from_gamma(n, grid, gamma)
 
@@ -220,7 +222,9 @@ def power_sweep(
     rejectors = {}
     for t in tests:
         if t == "bands":
-            rejectors[t], gamma = _band_rejector(n, n_chains, alpha, grid, m_calibration, seed)
+            rejectors[t], gamma = _band_rejector(
+                n, n_chains, alpha, grid, m_calibration, seed, threads
+            )
             meta["gamma"] = gamma.gamma
         elif t in _ROW_STATS:
             cv = critical_value(t, n, alpha, m=m_calibration, seed=seed + 1)

@@ -193,14 +193,25 @@ def joint_fractional_ranks(
 
 
 def ecdf_eval(u, grid: EvaluationGrid) -> EcdfTrajectory:
-    """Count values at or below each grid point."""
+    """Count values at or below each grid point, with
+    ``_grid_cell_counts``, as the one-sample simulators count their
+    replicates."""
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must form a nonempty 1-D sequence")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
-    counts = np.searchsorted(np.sort(vals), grid.points, side="right")
-    return EcdfTrajectory(grid, counts.astype(np.int64), vals.size)
+    return EcdfTrajectory(grid, _grid_cell_counts(vals[None, :], grid.points)[0], vals.size)
+
+
+def _grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Row-wise counts of values at or below each grid point, (B, K)."""
+    k = pts.size
+    cells = np.searchsorted(pts, u, side="left")
+    rows = u.shape[0]
+    flat = cells + (np.arange(rows) * (k + 1))[:, None]
+    hist = np.bincount(flat.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
+    return np.cumsum(hist, axis=1)[:, :k]
 
 
 def default_grid(n: int, resolution: int | None = None, k_max: int = 100) -> EvaluationGrid:

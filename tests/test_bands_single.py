@@ -34,7 +34,7 @@ from ecdf_bands.bands_single import (
     gamma_simulate,
 )
 from ecdf_bands.bands_single import test_single as run_single_test
-from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, default_grid
+from ecdf_bands.transform import EcdfTrajectory, EvaluationGrid, default_grid, ecdf_eval
 from oracles import (
     binom_cdf,
     binom_cdf_table,
@@ -342,9 +342,19 @@ def test_grid_cell_counts_matches_brute_force():
     rng = np.random.default_rng(5)
     u = rng.random((7, 23))
     pts = default_grid(23, k_max=6).points
+    # values on grid points count at them
+    u[0, :6] = pts
+    u[1, 3:9] = pts
     got = _grid_cell_counts(u, pts)
     want = (u[:, :, None] <= pts[None, None, :]).sum(axis=1)
     np.testing.assert_array_equal(got, want)
+    # ecdf_eval counts one sample the same way, also with values above a
+    # last grid point below 1, and for a single value
+    grids = (EvaluationGrid(pts), EvaluationGrid(pts[:-1]))
+    for row in (*u, u[0, :1], np.array([0.95])):
+        for grid in grids:
+            want = (row[:, None] <= grid.points[None, :]).sum(axis=0)
+            np.testing.assert_array_equal(ecdf_eval(row, grid).counts, want)
 
 
 def test_band_exceedances_boundaries_count_as_inside():

@@ -38,9 +38,10 @@ PARSER_CASES = [
     ["test", "x.csv", "--alpha", "0.7"],
     ["test", "x.csv", "--grid-k", "0"],
     ["test", "x.csv", "--threads", "0"],
+    ["gamma", "query", "--n", "5", "--alpha", "0.6"],
+    # options these subcommands do not take
     ["pit", "a.csv", "b.csv", "--alpha", "0.9"],
     ["thin", "x.csv", "--alpha", "0"],
-    ["gamma", "query", "--n", "5", "--alpha", "0.6"],
     ["power", "--family", "A", "--ks", "1", "--n", "10", "--grid-k", "0"],
 ]
 
@@ -421,24 +422,135 @@ def test_parser_texts_are_byte_identical(argv, monkeypatch, capsys):
     assert {"code": code, "stdout": out, "stderr": err} == CLI_TEXTS[" ".join(argv)]
 
 
-SHARED_DEFAULTS = {"alpha": 0.05, "seed": 0, "threads": 1, "out": None}
-METHOD_DEFAULTS = {"method": "auto", "m_reps": 10_000, "grid_k": 100}
+BAND_TEST_DEFAULTS = {
+    "alpha": 0.05,
+    "seed": 0,
+    "threads": 1,
+    "out": None,
+    "method": "auto",
+    "m_reps": 10_000,
+    "grid_k": 100,
+    "tie_policy": "deterministic",
+}
 
 
 @pytest.mark.parametrize(
-    "argv, defaults",
+    "argv, namespace",
     [
-        (["test", "x.csv"], {**METHOD_DEFAULTS, "tie_policy": "deterministic"}),
-        (["thin", "x.csv"], {"strategy": "BULK_TAIL_MIN", "ess_out": None}),
-        (["power", "--family", "A", "--ks", "1", "--n", "10"], METHOD_DEFAULTS),
-        (["gamma", "build", "--ns", "40"], METHOD_DEFAULTS),
+        (
+            ["test", "x.csv"],
+            {"command": "test", "input": "x.csv", **BAND_TEST_DEFAULTS, "func": cli.cmd_test},
+        ),
+        (
+            ["pit", "a.csv", "b.csv"],
+            {"command": "pit", "draws": "a.csv", "comparison": "b.csv", "out": None, "func": cli.cmd_pit},
+        ),
+        (
+            ["power", "--family", "A", "--ks", "1", "--n", "10"],
+            {
+                "command": "power",
+                "family": "A",
+                "ks": "1",
+                "n": 10,
+                "tests": "bands",
+                "chains": 1,
+                "alpha": 0.05,
+                "seed": 0,
+                "threads": 1,
+                "out": None,
+                "m_reps": 10_000,
+                "func": cli.cmd_power,
+            },
+        ),
+        (
+            ["thin", "x.csv"],
+            {
+                "command": "thin",
+                "input": "x.csv",
+                "strategy": "BULK_TAIL_MIN",
+                "ess_out": None,
+                "out": None,
+                "func": cli.cmd_thin,
+            },
+        ),
+        (
+            ["gamma", "build", "--ns", "40"],
+            {
+                "command": "gamma",
+                "gamma_action": "build",
+                "ns": "40",
+                "ls": "1",
+                "alphas": "0.05",
+                "seed": 0,
+                "threads": 1,
+                "out": None,
+                "m_reps": 10_000,
+                "grid_k": 100,
+                "func": cli.cmd_gamma_build,
+            },
+        ),
+        (
+            ["gamma", "query", "--n", "5"],
+            {
+                "command": "gamma",
+                "gamma_action": "query",
+                "grid_file": None,
+                "n": 5,
+                "l": 1,
+                "alpha": 0.05,
+                "out": None,
+                "func": cli.cmd_gamma_query,
+            },
+        ),
+        (
+            ["plot", "x.csv"],
+            {
+                "command": "plot",
+                "input": "x.csv",
+                "kind": "ecdf_diff",
+                "bins": 50,
+                "title": "",
+                "data_out": None,
+                **BAND_TEST_DEFAULTS,
+                "func": cli.cmd_plot,
+            },
+        ),
     ],
-    ids=["test", "thin", "power", "gamma build"],
+    ids=["test", "pit", "power", "thin", "gamma build", "gamma query", "plot"],
 )
-def test_parsed_namespace_carries_every_default(argv, defaults):
+def test_parsed_namespace_carries_every_default(argv, namespace):
+    """Each subcommand's namespace holds exactly the options its command
+    reads, at their defaults."""
     args = vars(cli._parse(argv))
-    for name, value in {**SHARED_DEFAULTS, **defaults}.items():
-        assert args[name] == value and type(args[name]) is type(value), name
+    assert args == namespace
+    for name, value in namespace.items():
+        assert type(args[name]) is type(value), name
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["pit", "a.csv", "b.csv"], "--alpha", "0.05"),
+        (["pit", "a.csv", "b.csv"], "--seed", "0"),
+        (["pit", "a.csv", "b.csv"], "--threads", "1"),
+        (["thin", "x.csv"], "--alpha", "0.05"),
+        (["thin", "x.csv"], "--seed", "0"),
+        (["thin", "x.csv"], "--threads", "1"),
+        (["power", "--family", "A", "--ks", "1", "--n", "10"], "--method", "simulate"),
+        (["power", "--family", "A", "--ks", "1", "--n", "10"], "--grid-k", "20"),
+        (["gamma", "build", "--ns", "40"], "--alpha", "0.1"),
+        (["gamma", "build", "--ns", "40"], "--method", "simulate"),
+        (["gamma", "query", "--n", "5"], "--seed", "0"),
+        (["gamma", "query", "--n", "5"], "--threads", "1"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_options_a_command_does_not_read_are_refused(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    # gamma query takes a lone value as its grid file
+    assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ checked for determinism, null size, and basic power ordering.
 import numpy as np
 import pytest
 
+from ecdf_bands import power
+from ecdf_bands.gamma_cache import calibrate
 from ecdf_bands.power import (
     FAMILIES,
     _ROW_STATS,
@@ -206,10 +208,24 @@ def test_power_sweep_is_seed_deterministic():
     assert a.rates != c.rates
 
 
-def test_power_sweep_threads_do_not_change_results():
-    a = power_sweep(["KS"], "C", [1.5], 30, replicates=1000, seed=4)
-    b = power_sweep(["KS"], "C", [1.5], 30, replicates=1000, seed=4, threads=3)
-    assert a.rates == b.rates
+def test_power_sweep_threads_do_not_change_results(monkeypatch):
+    threads_seen = []
+
+    def spy(*args, **kwargs):
+        threads_seen.append(kwargs["threads"])
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(power, "calibrate", spy)
+    # one-sample KS, then the 4-chain band test, whose calibration is
+    # handed the sweep's threads
+    for test, family, n, chains in [("KS", "C", 30, 1), ("bands", "A", 40, 4)]:
+        runs = [
+            power_sweep([test], family, [1.5], n, replicates=1000, seed=4, n_chains=chains, threads=t)
+            for t in (1, 3)
+        ]
+        assert runs[0].rates == runs[1].rates
+        assert runs[0].meta == runs[1].meta
+    assert threads_seen == [1, 3]
 
 
 def test_power_sweep_four_chains_seeded_values_are_pinned():

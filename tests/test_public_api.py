@@ -1,7 +1,10 @@
 """The package's public names: each resolves and is declared where it
-is defined, and names removed from the library stay removed."""
+is defined, names removed from the library stay removed, and every
+module uses what it imports."""
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,23 @@ def test_removed_names_are_gone(module, name):
 
 def test_thinning_plan_has_no_resulting_length():
     assert not hasattr(ecdf_bands.ThinningPlan, "resulting_length")
+
+
+def test_every_module_uses_its_imports():
+    """Each top-level import of a module other than ``__init__`` (which
+    imports to re-export) is read somewhere in that module."""
+    unused = []
+    for path in sorted(Path(ecdf_bands.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [s for s in tree.body if isinstance(s, (ast.Import, ast.ImportFrom))]
+        for stmt in imports:
+            if getattr(stmt, "module", None) == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{stmt.lineno} {name}")
+    assert unused == []
