@@ -14,8 +14,10 @@ window and each step is a 2-D convolution.  More chains need simulation;
 
 Only the hypergeometric parts live here: the pooled counts, the padded
 CDF table, the forward-pass factors, the replicates' pooled order
-(one sort of packed draw-and-chain keys, ``_chain_labeller``) and the
-per-chain cell counts read from it.
+(one sort of packed draw-and-chain keys, ``_chain_labeller``), the
+per-chain cell counts read from it, and the replicates' tail levels read
+from those counts through one flat index (``_chain_level_reader``, for
+the simulator and the power sweep).
 The band type and every law-independent step (count bounds, tail
 levels, the exact search, the simulators' tail) are shared with the
 one-sample bands in ``bands_single``.
@@ -35,13 +37,14 @@ from .bands_single import (
     GammaResult,
     TestReport,
     _band_level,
+    _block_rows,
     _check_alpha,
     _count_bounds,
     _exact_coverage,
     _exceedances,
     _optimized_gamma,
     _simulated_gamma,
-    _tail_levels,
+    _tail_table,
 )
 from .transform import (
     ChainSet,
@@ -210,34 +213,53 @@ def _chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarr
 
     ``u`` has shape (B, l*n) with chains as contiguous blocks of n
     distinct values per row: ``test_multi``'s one row of joint
-    fractional ranks, or the power sweep's distorted draws.  Their
-    argsort is the pooled order, and the chain of the value sorted at
-    each position is its column // n.
+    fractional ranks.  Their argsort is the pooled order, and the chain
+    of the value sorted at each position is its column // n.  Sorted
+    position j holds pooled rank j + 1, so the chain labelled there is
+    counted in the cell of rank j + 1, shared by all rows.
     """
-    return _chain_counter(s, n, l)(np.argsort(u, axis=1) // n)
+    b, k = u.shape[0], s.size
+    labels = np.argsort(u, axis=1) // n
+    labels += (np.arange(b) * l)[:, None]
+    labels *= k + 1
+    labels += np.searchsorted(s, np.arange(1, l * n + 1), side="left")
+    hist = np.bincount(labels.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
+    return np.cumsum(hist, axis=2)[:, :, :k]
 
 
-def _chain_counter(s: np.ndarray, n: int, l: int):
-    """Per-chain counts of pooled ranks at or below each s_i, as a
-    function of the chain labels in pooled order.
+def _chain_level_reader(cdf: np.ndarray, s: np.ndarray, n: int, l: int, rows: int):
+    """Tightest tail level of each replicate, as a function of up to
+    ``rows`` replicates' chain labels in pooled order, (B, l*n) int64.
 
-    The returned function takes (B, l*n) int64 labels, which it
-    overwrites, and gives (B, L, K) counts.  Sorted position j holds
-    pooled rank j + 1, so the chain labelled there is counted in the
-    cell of rank j + 1, shared by all rows.
+    The returned function counts as ``_chain_cell_counts`` does and reads
+    the levels ``_tail_levels(cdf)`` would, with one running sum over
+    the cells of all (replicate, chain) rows in place of one per row.
+    Every row holds exactly n draws, so at cell i of row r the flat sum
+    is r * n plus that row's count.  One index, built here, subtracts
+    r * n and adds the table's row offset i * (n + 1), and sends each
+    row's last cell (all n draws, no grid point) to a level of infinity;
+    the levels are then one gather and a minimum.  It overwrites the
+    labels.
     """
     k = s.size
+    tails = np.append(_tail_table(cdf).ravel(), np.inf)
+    width = k + 1
     cells = np.searchsorted(s, np.arange(1, l * n + 1), side="left")
+    cells = cells + (np.arange(rows) * (l * width))[:, None]
+    col = np.arange(width)
+    row_sums = (np.arange(rows * l) * n)[:, None]
+    index = (np.where(col < k, col * (n + 1), tails.size - 1 - n) - row_sums).ravel()
 
-    def count(labels: np.ndarray) -> np.ndarray:
+    def levels(labels: np.ndarray) -> np.ndarray:
         b = labels.shape[0]
-        labels += (np.arange(b) * l)[:, None]
-        labels *= k + 1
-        labels += cells
-        hist = np.bincount(labels.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
-        return np.cumsum(hist, axis=2)[:, :, :k]
+        labels *= width
+        labels += cells[:b]
+        flat = np.bincount(labels.ravel(), minlength=b * l * width)
+        np.cumsum(flat, out=flat)
+        flat += index[: flat.size]
+        return tails[flat].reshape(b, -1).min(axis=1)
 
-    return count
+    return levels
 
 
 _LABEL_BITS = 11
@@ -295,9 +317,10 @@ def gamma_simulate_multi(
 
     Replicates draw all chains from one continuous uniform, sort the
     pooled draws once, count each chain's draws in the first s_i sorted
-    positions (``_chain_counter``), and record the tightest pointwise
-    two-sided hypergeometric tail level over all chains and grid points,
-    read by ``_tail_levels`` from the CDF table the bands read.
+    positions, and record the tightest pointwise two-sided
+    hypergeometric tail level over all chains and grid points, read as
+    ``_tail_levels`` reads it from the CDF table the bands read
+    (``_chain_level_reader``, one running sum and one gather per block).
     The sort is one sort of packed draw-and-chain keys
     (``_chain_labeller``), which gives the same order as argsorting the
     draws, and ``_simulated_gamma`` runs each chunk in cache-sized row
@@ -311,11 +334,12 @@ def gamma_simulate_multi(
     l = _check_chains(l)
     alpha = _check_alpha(alpha)
     s = _pooled_counts(grid, n, l)
-    levels = _tail_levels(_hyper_tables(n, l, tuple(s.tolist()))[0])
-    labels, count = _chain_labeller(n, l), _chain_counter(s, n, l)
+    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0]
+    labels = _chain_labeller(n, l)
+    levels = _chain_level_reader(cdf, s, n, l, _block_rows(l * n))
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        return levels(count(labels(rng, size)))
+        return levels(labels(rng, size))
 
     def exact(g: float) -> float:
         return coverage_probability_multi(n, l, grid, g)

@@ -389,9 +389,8 @@ def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
     return lo_ext, hi_ext, src, ker, (-lfrev[dst_r], tail), logp
 
 
-def _tail_levels(cdf: np.ndarray):
-    """Per-trajectory tightest two-sided tail level, as a function of
-    the counts.
+def _tail_table(cdf: np.ndarray) -> np.ndarray:
+    """Each cell's two-sided tail level, a (K, n + 1) table.
 
     ``cdf`` is a padded (K, n + 1) CDF table.  Each cell's level is the
     largest gamma at which ``_count_bounds(cdf, gamma, floor)`` holds
@@ -408,10 +407,6 @@ def _tail_levels(cdf: np.ndarray):
       Rows with ``cdf[c - 1] < 1/2`` (and count 0) hold the count at
       every gamma up to 1 and get level 2; a ``cdf[c - 1]`` that rounds
       to exactly 1.0 holds it at none and gives level 0.
-
-    The returned function takes counts of shape (B, ..., K), indexed by
-    grid point along the last axis, and gives for each of the B rows the
-    minimum level over all its counts, read with one flat gather.
     """
     below = np.zeros_like(cdf)
     below[:, 1:] = cdf[:, :-1]
@@ -419,7 +414,19 @@ def _tail_levels(cdf: np.ndarray):
     top = 1.0 - q + (q - np.nextafter(q, 0.0)) / 2.0
     upper = 2.0 * np.where(q.view(np.uint64) & 1, np.nextafter(top, 0.0), top)
     upper = np.where(below < 0.5, 2.0, np.where(below < 1.0, upper, 0.0))
-    tails = np.minimum(2.0 * cdf, upper).ravel()
+    return np.minimum(2.0 * cdf, upper)
+
+
+def _tail_levels(cdf: np.ndarray):
+    """Per-trajectory tightest two-sided tail level, as a function of
+    the counts.
+
+    The returned function takes counts of shape (B, ..., K), indexed by
+    grid point along the last axis, and gives for each of the B rows the
+    minimum level over all its counts (``_tail_table``), read with one
+    flat gather.
+    """
+    tails = _tail_table(cdf).ravel()
     row_start = np.arange(cdf.shape[0]) * cdf.shape[1]
 
     def levels(counts: np.ndarray) -> np.ndarray:
@@ -462,6 +469,11 @@ still does enough work between the short numpy calls that hand the
 GIL from one worker thread to the other."""
 
 
+def _block_rows(width: int) -> int:
+    """Replicates of ``width`` draws in one cache-sized row block."""
+    return max(_BLOCK_MIN_ROWS, _BLOCK_DRAWS // width)
+
+
 def _simulated_gamma(
     levels_fn, width: int, alpha: float, m: int, chunk: int, seed: int, threads: int, exact=None
 ) -> GammaResult:
@@ -487,7 +499,7 @@ def _simulated_gamma(
     """
     if m < 100:
         raise ValueError("at least 100 replicates are required")
-    rows = max(_BLOCK_MIN_ROWS, _BLOCK_DRAWS // width)
+    rows = _block_rows(width)
 
     def run(start: int, size: int) -> list:
         rng = _chunk_rng(seed, start // chunk)

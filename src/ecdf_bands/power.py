@@ -55,7 +55,15 @@ class Transformation:
 
 
 def apply_transform(x, t: Transformation):
-    """Apply the distortion pointwise; scalars in, scalars out."""
+    """Apply the distortion pointwise; scalars in, scalars out.
+
+    Families B and C are odd about 0.5.  Each draw is folded onto one
+    side (B: min(x, 1 - x); C: |x - 0.5|), raised to the power k once,
+    and unfolded (B: 1 - y on the right; C: 0.5 plus y with the sign of
+    x - 0.5), which rounds every draw exactly as the two halves' own
+    formulas do.  These families work on at least 1-d arrays, so that a
+    scalar takes the same array power as a batch of draws.
+    """
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > 1.0):
         raise ValueError("values must lie in [0, 1]")
@@ -63,71 +71,98 @@ def apply_transform(x, t: Transformation):
     if t.family == "A":
         out = 1.0 - (1.0 - xa) ** k
     else:
-        out = np.empty_like(xa)
-        left = xa <= 0.5
-        right = ~left
+        v = np.atleast_1d(xa)
         scale = 2.0 ** (k - 1.0)
         if t.family == "B":
-            out[left] = scale * xa[left] ** k
-            out[right] = 1.0 - scale * (1.0 - xa[right]) ** k
+            bent = np.minimum(v, 1.0 - v) ** k
+            bent *= scale
+            out = 1.0 - bent
+            np.copyto(out, bent, where=v <= 0.5)
         else:
-            out[left] = 0.5 - scale * (0.5 - xa[left]) ** k
-            out[right] = 0.5 + scale * (xa[right] - 0.5) ** k
+            d = v - 0.5
+            bent = np.abs(d) ** k
+            bent *= scale
+            out = np.copysign(bent, d, out=bent)
+            out += 0.5
+        out = out.reshape(xa.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def _t1_rows(u: np.ndarray) -> np.ndarray:
-    n = u.shape[-1]
-    srt = np.sort(u, axis=-1)
-    expected = np.arange(1, n + 1) / (n + 1)
-    return np.abs(srt - expected).sum(axis=-1) / n
+def _t1(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
+    n = srt.shape[-1]
+    gaps = srt - np.arange(1, n + 1) / (n + 1)
+    return np.abs(gaps, out=gaps).sum(axis=-1) / n
 
 
-def _w2_rows(u: np.ndarray) -> np.ndarray:
-    n = u.shape[-1]
-    srt = np.sort(u, axis=-1)
+def _w2(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
+    n = srt.shape[-1]
     centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
     return ((srt - centers) ** 2).sum(axis=-1) + 1.0 / (12.0 * n)
 
 
-def _u2_rows(u: np.ndarray) -> np.ndarray:
-    n = u.shape[-1]
-    return _w2_rows(u) - n * (u.mean(axis=-1) - 0.5) ** 2
+def _u2(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
+    n = srt.shape[-1]
+    return _w2(srt, u) - n * (u.mean(axis=-1) - 0.5) ** 2
 
 
-def _ks_rows(u: np.ndarray) -> np.ndarray:
-    n = u.shape[-1]
-    srt = np.sort(u, axis=-1)
+def _ks(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
+    n = srt.shape[-1]
     steps = np.arange(1, n + 1) / n
     upper = (steps - srt).max(axis=-1)
     lower = (srt - (steps - 1.0 / n)).max(axis=-1)
     return np.maximum(upper, lower)
 
 
-_ROW_STATS = {"T1": _t1_rows, "W2": _w2_rows, "U2": _u2_rows, "KS": _ks_rows}
+_STATS = {"T1": _t1, "W2": _w2, "U2": _u2, "KS": _ks}
+"""Each statistic of a batch of rows, from the rows sorted and as drawn
+(U2's mean is taken over the draws in their drawn order)."""
+
+
+def _row_statistics(u: np.ndarray, stats) -> dict[str, np.ndarray]:
+    """Each named statistic of each row of ``u``, all read from one sort."""
+    srt = np.sort(u, axis=-1)
+    return {t: _STATS[t](srt, u) for t in stats}
+
+
+def _critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:
+    """``critical_value`` of each named statistic, from one pass of m
+    null samples: each chunk is drawn and sorted once for all of them.
+    Chunks run on ``threads`` workers, each from its own stream."""
+    for t in stats:
+        if t not in _STATS:
+            raise ValueError(f"stat must be one of {STAT_TESTS}, got {t!r}")
+    if n < 1:
+        raise ValueError("sample size must be positive")
+    alpha = bands_single._check_alpha(alpha)
+    if m < 1_000:
+        raise ValueError("at least 1000 null replicates are required")
+
+    rows = bands_single._block_rows(n)
+
+    def chunk(start: int, size: int) -> list:
+        rng = bands_single._chunk_rng(seed, start)
+        return [
+            _row_statistics(rng.random((min(rows, size - b), n)), stats)
+            for b in range(0, size, rows)
+        ]
+
+    pieces = bands_single._map_chunks(chunk, m, _CHUNK, threads)
+    blocks = [block for piece in pieces for block in piece]
+    rank = int(np.ceil((1.0 - alpha) * m))
+    values = {}
+    for t in stats:
+        null = np.concatenate([block[t] for block in blocks])
+        values[t] = float(np.partition(null, rank - 1)[rank - 1])
+    return values
 
 
 def critical_value(stat: str, n: int, alpha: float, m: int = DEFAULT_REPLICATES, seed: int = 0) -> float:
     """Monte Carlo critical value: the empirical (1-alpha) quantile of
     the statistic over m uniform null samples of size n.  Samples whose
     statistic exceeds this value are rejected."""
-    if stat not in _ROW_STATS:
-        raise ValueError(f"stat must be one of {STAT_TESTS}, got {stat!r}")
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    alpha = bands_single._check_alpha(alpha)
-    if m < 1_000:
-        raise ValueError("at least 1000 null replicates are required")
-    fn = _ROW_STATS[stat]
-
-    def chunk(start: int, size: int) -> np.ndarray:
-        return fn(bands_single._chunk_rng(seed, start).random((size, n)))
-
-    values = np.concatenate(bands_single._map_chunks(chunk, m, _CHUNK))
-    rank = int(np.ceil((1.0 - alpha) * m))
-    return float(np.partition(values, rank - 1)[rank - 1])
+    return _critical_values((stat,), n, alpha, m, seed)[stat]
 
 
 @dataclass(frozen=True)
@@ -155,28 +190,34 @@ class PowerCurve:
 def _band_rejector(
     n: int, l: int, alpha: float, grid: EvaluationGrid | None, m: int, seed: int, threads: int
 ):
-    """Batch rejector for the band test on l chains, and its gamma."""
+    """Batch rejector for the band test on l chains, and its gamma.
+
+    The sweep hands it one cache-sized row block of distorted samples at
+    a time.  One sample is rejected when a count leaves the bands.
+    Several chains are rejected when their tightest tail level, read as
+    the simulator reads its replicates' (``_chain_level_reader``), is
+    below gamma, which is the same verdict.
+    """
     if grid is None:
         grid = default_grid(n, l * n if l > 1 else None)
     gamma = calibrate(n, l, grid, alpha, m=m, seed=seed, threads=threads)
     if l == 1:
         bands = bands_single.bands_from_gamma(n, grid, gamma)
+        lo, hi = bands.lower_counts, bands.upper_counts
 
-        def count(u: np.ndarray) -> np.ndarray:
-            return bands_single._grid_cell_counts(u, grid.points)[:, None, :]
+        def reject(u: np.ndarray) -> np.ndarray:
+            counts = bands_single._grid_cell_counts(u, grid.points)
+            return np.any((counts < lo) | (counts > hi), axis=1)
 
     else:
-        bands = bands_multi.bands_from_gamma_multi(n, l, grid, gamma)
         s = bands_multi._pooled_counts(grid, n, l)
+        cdf = bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0]
+        levels = bands_multi._chain_level_reader(cdf, s, n, l, bands_single._block_rows(l * n))
 
-        def count(u: np.ndarray) -> np.ndarray:
-            return bands_multi._chain_cell_counts(u, s, n, l)
-
-    lo, hi = bands.lower_counts, bands.upper_counts
-
-    def reject(u: np.ndarray) -> np.ndarray:
-        counts = count(u)
-        return np.any((counts < lo) | (counts > hi), axis=(1, 2))
+        def reject(u: np.ndarray) -> np.ndarray:
+            labels = np.argsort(u, axis=1)
+            labels //= n
+            return levels(labels) < gamma.gamma
 
     return reject, gamma
 
@@ -201,7 +242,12 @@ def power_sweep(
     test runs on it.  With several chains exactly one chain is
     transformed before joint ranking and only the band test applies.
     All strengths share the same underlying uniform draws, so curves
-    are directly comparable point to point.
+    are directly comparable point to point.  The classical statistics
+    share one pass of null samples for their critical values, and each
+    distorted sample is sorted once for all of them.  Each chunk of
+    replicates is drawn and tested in cache-sized row blocks, one after
+    another from the chunk's generator, which draws what one call for
+    the whole chunk would.
     """
     if isinstance(tests, str):
         tests = [tests]
@@ -215,41 +261,50 @@ def power_sweep(
         raise ValueError("at least 1000 replicates are required")
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
+    if not tests:
+        raise ValueError("tests must name at least one test")
     if n_chains > 1 and tests != ["bands"]:
         raise ValueError("multi-chain sweeps support only the 'bands' test")
+    tests = list(dict.fromkeys(tests))
+    for t in tests:
+        if t != "bands" and t not in _STATS:
+            raise ValueError(f"unknown test {t!r}")
 
+    stats = [t for t in tests if t != "bands"]
+    cvs = _critical_values(stats, n, alpha, m_calibration, seed + 1, threads) if stats else {}
     meta = {}
-    rejectors = {}
+    band_reject = None
     for t in tests:
         if t == "bands":
-            rejectors[t], gamma = _band_rejector(
+            band_reject, gamma = _band_rejector(
                 n, n_chains, alpha, grid, m_calibration, seed, threads
             )
             meta["gamma"] = gamma.gamma
-        elif t in _ROW_STATS:
-            cv = critical_value(t, n, alpha, m=m_calibration, seed=seed + 1)
-            fn = _ROW_STATS[t]
-            rejectors[t] = lambda u, fn=fn, cv=cv: fn(u) > cv
-            meta[f"cv_{t}"] = cv
         else:
-            raise ValueError(f"unknown test {t!r}")
+            meta[f"cv_{t}"] = cvs[t]
 
     transforms = [Transformation(family, k) for k in ks]
-    counts = {t: np.zeros(len(ks), dtype=np.int64) for t in rejectors}
+    rows = bands_single._block_rows(n_chains * n)
 
-    def run(start: int, size: int):
-        base = bands_single._chunk_rng(seed, start // _CHUNK).random((size, n_chains * n))
-        local = {t: np.zeros(len(ks), dtype=np.int64) for t in rejectors}
-        for j, tr in enumerate(transforms):
-            if n_chains == 1:
-                sample = apply_transform(base, tr)
-            else:
-                sample = base.copy()
-                sample[:, :n] = apply_transform(base[:, :n], tr)
-            for t, reject in rejectors.items():
-                local[t][j] = int(np.count_nonzero(reject(sample)))
+    def run(start: int, size: int) -> dict:
+        rng = bands_single._chunk_rng(seed, start // _CHUNK)
+        local = {t: np.zeros(len(ks), dtype=np.int64) for t in tests}
+        for b in range(0, size, rows):
+            base = rng.random((min(rows, size - b), n_chains * n))
+            for j, tr in enumerate(transforms):
+                if n_chains == 1:
+                    sample = apply_transform(base, tr)
+                else:
+                    sample = base.copy()
+                    sample[:, :n] = apply_transform(base[:, :n], tr)
+                if band_reject is not None:
+                    local["bands"][j] += np.count_nonzero(band_reject(sample))
+                if stats:
+                    for t, values in _row_statistics(sample, stats).items():
+                        local[t][j] += np.count_nonzero(values > cvs[t])
         return local
 
+    counts = {t: np.zeros(len(ks), dtype=np.int64) for t in tests}
     for local in bands_single._map_chunks(run, replicates, _CHUNK, threads):
         for t in counts:
             counts[t] += local[t]

@@ -31,6 +31,17 @@ draw-and-chain keys for the chains, so its levels must equal these bit
 for bit.  ``simulated_held_multi`` says which of those replicates given
 bands hold, and ``recorded_levels`` reads the levels a simulator reduced
 to its gamma.
+
+For the power harness: ``ROW_STATS`` computes each classical statistic
+by its own sort (U2 by way of W2, a second sort), ``masked_transform``
+applies each distortion family's two halves through masked scatters,
+``critical_value`` draws its own null sample for each statistic, and
+``sweep_rates_whole_chunks`` runs a sweep on whole chunks of 2000
+replicates, each distorted sample counted and tested at once.  The
+program sorts each sample once for every statistic, folds the B and C
+families onto one side for a single power, shares one null pass among
+the statistics and works in row blocks, so it must match these bit for
+bit.
 """
 
 import math
@@ -417,3 +428,99 @@ def recorded_levels(monkeypatch, simulate):
     res = simulate()
     (levels,) = seen
     return res, levels
+
+
+def _t1_rows(u: np.ndarray) -> np.ndarray:
+    n = u.shape[-1]
+    srt = np.sort(u, axis=-1)
+    expected = np.arange(1, n + 1) / (n + 1)
+    return np.abs(srt - expected).sum(axis=-1) / n
+
+
+def _w2_rows(u: np.ndarray) -> np.ndarray:
+    n = u.shape[-1]
+    srt = np.sort(u, axis=-1)
+    centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+    return ((srt - centers) ** 2).sum(axis=-1) + 1.0 / (12.0 * n)
+
+
+def _u2_rows(u: np.ndarray) -> np.ndarray:
+    n = u.shape[-1]
+    return _w2_rows(u) - n * (u.mean(axis=-1) - 0.5) ** 2
+
+
+def _ks_rows(u: np.ndarray) -> np.ndarray:
+    n = u.shape[-1]
+    srt = np.sort(u, axis=-1)
+    steps = np.arange(1, n + 1) / n
+    upper = (steps - srt).max(axis=-1)
+    lower = (srt - (steps - 1.0 / n)).max(axis=-1)
+    return np.maximum(upper, lower)
+
+
+ROW_STATS = {"T1": _t1_rows, "W2": _w2_rows, "U2": _u2_rows, "KS": _ks_rows}
+
+
+def masked_transform(x, family: str, k: float):
+    """The distortion of ``power.Transformation(family, k)``, each half
+    of families B and C written to its own masked cells."""
+    xa = np.asarray(x, dtype=float)
+    if family == "A":
+        out = 1.0 - (1.0 - xa) ** k
+    else:
+        out = np.empty_like(xa)
+        left = xa <= 0.5
+        right = ~left
+        scale = 2.0 ** (k - 1.0)
+        if family == "B":
+            out[left] = scale * xa[left] ** k
+            out[right] = 1.0 - scale * (1.0 - xa[right]) ** k
+        else:
+            out[left] = 0.5 - scale * (0.5 - xa[left]) ** k
+            out[right] = 0.5 + scale * (xa[right] - 0.5) ** k
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def critical_value(stat: str, n: int, alpha: float, m: int, seed: int) -> float:
+    """``power.critical_value`` from this statistic's own null pass:
+    2000 samples per chunk, drawn whole from the chunk's stream keyed by
+    its first replicate."""
+    pieces = [
+        ROW_STATS[stat](bands_single._chunk_rng(seed, start).random((min(2000, m - start), n)))
+        for start in range(0, m, 2000)
+    ]
+    values = np.concatenate(pieces)
+    rank = int(np.ceil((1.0 - alpha) * m))
+    return float(np.partition(values, rank - 1)[rank - 1])
+
+
+def sweep_rates_whole_chunks(family, ks, n, l, replicates, seed, cvs, bands=None) -> dict:
+    """``power_sweep``'s rates from whole chunks of 2000 replicates.
+
+    ``cvs`` maps each classical statistic to its critical value, and
+    ``bands`` (if given) are the band test's bands for l chains.  Each
+    distorted chunk is counted whole: by ``searchsorted`` for one chain,
+    by argsorting the pooled draws for several, of which only the first
+    chain is distorted.
+    """
+    names = (["bands"] if bands is not None else []) + list(cvs)
+    counts = {t: np.zeros(len(ks), dtype=np.int64) for t in names}
+    for start in range(0, replicates, 2000):
+        size = min(2000, replicates - start)
+        base = bands_single._chunk_rng(seed, start // 2000).random((size, l * n))
+        for j, k in enumerate(ks):
+            sample = base.copy()
+            sample[:, :n] = masked_transform(base[:, :n], family, k)
+            if bands is not None:
+                if l == 1:
+                    cells = bands_single._grid_cell_counts(sample, bands.grid.points)[:, None, :]
+                else:
+                    s = bands_multi._pooled_counts(bands.grid, n, l)
+                    cells = bands_multi._chain_cell_counts(sample, s, n, l)
+                out = (cells < bands.lower_counts) | (cells > bands.upper_counts)
+                counts["bands"][j] += np.count_nonzero(np.any(out, axis=(1, 2)))
+            for t, cv in cvs.items():
+                counts[t][j] += np.count_nonzero(ROW_STATS[t](sample) > cv)
+    return {t: tuple((c / replicates).tolist()) for t, c in counts.items()}

@@ -39,6 +39,8 @@ PARSER_CASES = [
     ["test", "x.csv", "--grid-k", "0"],
     ["test", "x.csv", "--threads", "0"],
     ["gamma", "query", "--n", "5", "--alpha", "0.6"],
+    # a power sweep that names no test
+    ["power", "--family", "A", "--ks", "1", "--n", "10", "--tests", " , "],
     # options these subcommands do not take
     ["pit", "a.csv", "b.csv", "--alpha", "0.9"],
     ["thin", "x.csv", "--alpha", "0"],

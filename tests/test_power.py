@@ -2,29 +2,67 @@
 
 The statistic implementations are pinned to hand-computed values on a
 three-point sample (exact fractions), and the sweep machinery is
-checked for determinism, null size, and basic power ordering.
+checked for determinism, null size, and basic power ordering.  The
+shared sort, the folded B/C transform, the shared null pass and the
+row-blocked sweep are checked bit for bit against the per-statistic,
+masked and whole-chunk routes in ``oracles``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    ROW_STATS,
+    masked_transform,
+    sweep_rates_whole_chunks,
+)
+from oracles import critical_value as oracle_critical_value
 
-from ecdf_bands import power
+from ecdf_bands import bands_multi, bands_single, power
 from ecdf_bands.gamma_cache import calibrate
 from ecdf_bands.power import (
     FAMILIES,
-    _ROW_STATS,
+    STAT_TESTS,
     PowerCurve,
     Transformation,
+    _row_statistics,
     apply_transform,
     critical_value,
     power_sweep,
 )
+from ecdf_bands.transform import default_grid
 
 
 def stat(name, u):
     """One sample's statistic, read from the batch row statistics that
     ``critical_value`` and ``power_sweep`` use."""
-    return float(_ROW_STATS[name](np.asarray(u, dtype=float)[None, :])[0])
+    return float(_row_statistics(np.asarray(u, dtype=float)[None, :], [name])[name][0])
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+EDGES = (0.0, 0.5, float(np.nextafter(0.5, 0.0)), float(np.nextafter(0.5, 1.0)), 1.0)
+
+unit_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGES))
+
+strengths = st.one_of(st.floats(0.1, 5.0), st.sampled_from((0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)))
+"""Any strength in [0.1, 5], and the ones numpy's ``**`` takes apart
+(0.5 a square root, 1 a copy, 2 a square)."""
+
+
+@st.composite
+def sample_rows(draw):
+    """(B, n) draws, many of them tied: each row picks from a small pool."""
+    n = draw(st.integers(1, 40))
+    b = draw(st.integers(1, 4))
+    pool = draw(st.lists(unit_values, min_size=1, max_size=8))
+    cells = draw(st.lists(st.sampled_from(pool) | unit_values, min_size=b * n, max_size=b * n))
+    return np.array(cells, dtype=float).reshape(b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +114,22 @@ def test_transforms_are_monotone_bijections():
             assert np.all((y >= 0.0) & (y <= 1.0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(unit_values, min_size=1, max_size=30), fam=st.sampled_from(FAMILIES), k=strengths)
+def test_transform_matches_the_masked_halves_bit_for_bit(x, fam, k):
+    t = Transformation(fam, k)
+    xa = np.array(x)
+    assert_bits_equal(apply_transform(xa, t), masked_transform(xa, fam, k))
+    row = xa.reshape(1, -1)
+    assert_bits_equal(apply_transform(row, t), masked_transform(row, fam, k))
+    # a column slice, as the multi-chain sweep distorts its first chain
+    wide = np.column_stack([xa, xa[::-1]])
+    assert_bits_equal(apply_transform(wide[:, :1], t), masked_transform(wide[:, :1], fam, k))
+    got, want = apply_transform(x[0], t), masked_transform(x[0], fam, k)
+    assert isinstance(got, float)
+    assert_bits_equal(got, want)
+
+
 def test_transform_validation():
     with pytest.raises(ValueError):
         Transformation("D", 1.0)
@@ -98,6 +152,15 @@ def test_statistics_on_three_point_sample():
     # vanishes and U2 equals W2
     assert stat("U2", u) == pytest.approx(11.0 / 300.0, rel=1e-12)
     assert stat("KS", u) == pytest.approx(7.0 / 30.0, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=sample_rows(), picks=st.lists(st.sampled_from(STAT_TESTS), min_size=1, max_size=4))
+def test_shared_sort_statistics_match_their_own_sorts_bit_for_bit(u, picks):
+    values = _row_statistics(u, picks)
+    assert list(values) == list(dict.fromkeys(picks))
+    for name, got in values.items():
+        assert_bits_equal(got, ROW_STATS[name](u))
 
 
 def test_statistics_are_order_invariant():
@@ -126,6 +189,15 @@ def test_critical_value_determinism_and_null_size():
     fresh = np.array([stat("KS", rng.random(60)) for _ in range(2000)])
     rate = float(np.mean(fresh > cv1))
     assert rate == pytest.approx(0.1, abs=0.035)
+
+
+def test_shared_null_pass_gives_each_statistic_its_own_critical_value():
+    # 2500 null samples: one full chunk and a part, each cut into row blocks
+    want = {t: oracle_critical_value(t, 37, 0.1, 2500, 6) for t in STAT_TESTS}
+    for threads in (1, 2):
+        assert power._critical_values(STAT_TESTS, 37, 0.1, 2500, 6, threads) == want
+    for t in STAT_TESTS:
+        assert critical_value(t, 37, 0.1, m=2500, seed=6) == want[t]
 
 
 def test_critical_value_validation():
@@ -210,22 +282,97 @@ def test_power_sweep_is_seed_deterministic():
 
 def test_power_sweep_threads_do_not_change_results(monkeypatch):
     threads_seen = []
+    null_threads_seen = []
+    critical_values = power._critical_values
 
     def spy(*args, **kwargs):
         threads_seen.append(kwargs["threads"])
         return calibrate(*args, **kwargs)
 
+    def null_spy(*args):
+        null_threads_seen.append(args[-1])
+        return critical_values(*args)
+
     monkeypatch.setattr(power, "calibrate", spy)
-    # one-sample KS, then the 4-chain band test, whose calibration is
-    # handed the sweep's threads
-    for test, family, n, chains in [("KS", "C", 30, 1), ("bands", "A", 40, 4)]:
+    monkeypatch.setattr(power, "_critical_values", null_spy)
+    # one sample with the band test and every statistic, then the
+    # 4-chain band test; the calibration and the shared critical-value
+    # pass are handed the sweep's threads
+    for tests, family, n, l in [(["bands", *STAT_TESTS], "C", 30, 1), (["bands"], "A", 40, 4)]:
         runs = [
-            power_sweep([test], family, [1.5], n, replicates=1000, seed=4, n_chains=chains, threads=t)
+            power_sweep(tests, family, [1.5], n, replicates=1000, seed=4, n_chains=l, threads=t)
             for t in (1, 3)
         ]
         assert runs[0].rates == runs[1].rates
         assert runs[0].meta == runs[1].meta
-    assert threads_seen == [1, 3]
+    assert threads_seen == [1, 3, 1, 3]
+    assert null_threads_seen == [1, 3]
+
+
+ONE_COLUMN_PINS = {
+    "A": {
+        "T1": (1.0, 0.4749, 0.0475, 0.4764, 0.9999),
+        "W2": (1.0, 0.4696, 0.0473, 0.4545, 0.9999),
+        "U2": (0.9964, 0.2373, 0.046, 0.2352, 0.9896),
+        "KS": (1.0, 0.4074, 0.0474, 0.402, 0.9997),
+    },
+    "B": {
+        "T1": (0.9836, 0.063, 0.0475, 0.1454, 0.9819),
+        "W2": (0.9863, 0.0808, 0.0473, 0.133, 0.9674),
+        "U2": (1.0, 0.3589, 0.046, 0.3634, 0.9998),
+        "KS": (0.9351, 0.0992, 0.0474, 0.1425, 0.9265),
+    },
+    "C": {
+        "T1": (0.9923, 0.1108, 0.0475, 0.0581, 0.9445),
+        "W2": (0.9878, 0.1257, 0.0473, 0.0893, 0.9635),
+        "U2": (1.0, 0.3656, 0.046, 0.3571, 0.9997),
+        "KS": (0.9586, 0.1783, 0.0474, 0.1389, 0.9341),
+    },
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_power_sweep_one_column_seeded_values_are_pinned(family):
+    # recorded with each statistic sorting on its own, the masked
+    # transform and whole chunks
+    curve = power_sweep(list(STAT_TESTS), family, [0.5, 0.8, 1.0, 1.25, 2.0], 100)
+    assert curve.rates == ONE_COLUMN_PINS[family]
+    assert curve.meta == {
+        "cv_T1": 0.05871245063316409,
+        "cv_W2": 0.4704981226167926,
+        "cv_U2": 0.18954922507565855,
+        "cv_KS": 0.1347544777578646,
+    }
+
+
+@pytest.mark.parametrize(
+    "family, n, chains, tests",
+    [
+        ("B", 40, 1, ["bands", "U2", "T1"]),
+        ("C", 40, 4, ["bands"]),
+        ("A", 33, 1, ["KS", "bands"]),
+        ("B", 30, 2, ["bands"]),
+    ],
+)
+def test_row_blocked_sweep_matches_whole_chunks(family, n, chains, tests):
+    # 2345 replicates: a full chunk of 2000 and one of 345, neither a
+    # multiple of the row block.  The oracle compares each chain's counts
+    # with the bands; the program reads several chains' tail levels.
+    replicates, seed, ks = 2345, 5, [0.6, 1.0, 1.7]
+    assert replicates % 2000 % bands_single._block_rows(chains * n)
+    assert 2000 % bands_single._block_rows(chains * n)
+    curve = power_sweep(
+        tests, family, ks, n, replicates=replicates, seed=seed, n_chains=chains, m_calibration=1000
+    )
+    grid = default_grid(n, chains * n if chains > 1 else None)
+    if chains == 1:
+        bands = bands_single.bands_from_gamma(n, grid, curve.meta["gamma"])
+    else:
+        bands = bands_multi.bands_from_gamma_multi(n, chains, grid, curve.meta["gamma"])
+    cvs = {t: oracle_critical_value(t, n, 0.05, 1000, seed + 1) for t in tests if t != "bands"}
+    assert {t: curve.meta[f"cv_{t}"] for t in cvs} == cvs
+    want = sweep_rates_whole_chunks(family, ks, n, chains, replicates, seed, cvs, bands)
+    assert curve.rates == want
 
 
 def test_power_sweep_four_chains_seeded_values_are_pinned():
@@ -264,6 +411,9 @@ def test_power_sweep_validation():
         power_sweep(["T1"], "A", [1.0], 50, replicates=1000, n_chains=2)
     with pytest.raises(ValueError):
         power_sweep(["nope"], "A", [1.0], 50, replicates=1000)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one test"):
+            power_sweep(empty, "A", [1.0], 50, replicates=1000)
 
 
 def test_power_curve_validation():

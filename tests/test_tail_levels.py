@@ -15,9 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands.bands_multi import _hyper_tables, _pooled_counts
-from ecdf_bands.bands_single import _cdf_matrix, _count_bounds, _tail_levels
-from ecdf_bands.transform import default_grid
+from ecdf_bands.bands_multi import (
+    _chain_cell_counts,
+    _chain_level_reader,
+    _hyper_tables,
+    _pooled_counts,
+)
+from ecdf_bands.bands_single import _block_rows, _cdf_matrix, _count_bounds, _tail_levels
+from ecdf_bands.transform import EvaluationGrid, default_grid
 
 PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
 
@@ -71,6 +76,34 @@ def pooled_counts(draw):
 @given(key=pooled_counts())
 def test_hypergeometric_tail_levels_are_the_band_verdict(key):
     assert_levels_are_the_band_verdict(*_hyper_tables(*key))
+
+
+@st.composite
+def chain_grids(draw):
+    """(n, l, pooled counts) of the default grid or of an off-lattice one."""
+    n = draw(st.integers(1, 40))
+    l = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        grid = default_grid(n, l * n)
+    else:
+        pts = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12, unique=True))
+        grid = EvaluationGrid(np.array(sorted(pts)))
+    return n, l, _pooled_counts(grid, n, l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=chain_grids(), seed=st.integers(0, 2**32 - 1), fill=st.floats(0.0, 1.0))
+def test_flat_tail_index_reads_the_per_row_levels(key, seed, fill):
+    # one running sum and the flat index against per-row counts and
+    # _tail_levels, on a full row block and on a part of one
+    n, l, s = key
+    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0]
+    rows = _block_rows(l * n)
+    reader = _chain_level_reader(cdf, s, n, l, rows)
+    u = np.random.default_rng(seed).random((rows, l * n))
+    for b in (rows, max(1, int(fill * rows))):
+        want = _tail_levels(cdf)(_chain_cell_counts(u[:b], s, n, l))
+        np.testing.assert_array_equal(reader(np.argsort(u[:b], axis=1) // n), want)
 
 
 @pytest.mark.parametrize("below", [0.75, np.nextafter(0.75, 0.0)])
