@@ -15,12 +15,20 @@ rows are zero-padded to the output width and flattened (see
 Callers give each step's three factors in log space.  Before
 exponentiating, an affine fit of the source over its window moves the
 bulk of the source into the jump and destination factors (the affine
-terms cancel along every path), and the kernel's peak moves into the
+terms cancel within every step), and the kernel's peak moves into the
 destination.  When the scaled factors would still leave the range of
 ``exp`` in double precision, the same log factors build each step's
-transition matrix instead: the dense route.  ``dense_count`` counts the
-dense passes run on the calling thread, and each one logs a DEBUG record
-on the ``ecdf_bands`` logger.
+transition matrix instead: the dense route (``dense_fallback``).
+
+The convolution route can also stop short and hand back its state after
+chosen steps, ``(probs, log_scale, lo)``: the mass of count ``lo + i``
+with every earlier window kept is ``probs[i] * exp(log_scale)``.  One
+sample's coverage joins two such states from half a pass when its
+problem reflects onto itself (``bands_single._band_mass``).
+
+``route_count`` counts the passes run on the calling thread by route:
+``"half"``, ``"full"`` (the whole convolution route) and ``"dense"``;
+every dense pass also logs a DEBUG record on the ``ecdf_bands`` logger.
 """
 
 from __future__ import annotations
@@ -38,15 +46,21 @@ _log = logging.getLogger("ecdf_bands")
 _local = threading.local()
 
 
-def dense_count() -> int:
-    """Number of dense passes run so far on the calling thread.
+def route_count(route: str) -> int:
+    """Number of passes run so far on the calling thread by ``route``:
+    ``"half"``, ``"full"`` or ``"dense"``.
 
     The coverage functions return a bare probability, so a search that
-    wants to report its route reads this count before and after its own
-    evaluations; the count is per thread, so searches that run side by
-    side in a thread pool do not see each other's passes.
+    wants to report its routes reads these counts before and after its
+    own evaluations; the counts are per thread, so searches that run
+    side by side in a thread pool do not see each other's passes.
     """
-    return getattr(_local, "dense", 0)
+    return getattr(_local, route, 0)
+
+
+def count_route(route: str) -> None:
+    """Count one pass by ``route`` on the calling thread."""
+    setattr(_local, route, route_count(route) + 1)
 
 
 def forward_mass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
@@ -73,9 +87,15 @@ def forward_mass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
     scaled factors leave double range.
     """
     out = fast_pass(lo, hi, src, ker_base, dst, ker_lin)
-    if out is not None:
-        return out
-    _local.dense = dense_count() + 1
+    if out is None:
+        return dense_fallback(lo, hi, src, ker_base, dst, ker_lin)
+    count_route("full")
+    return out
+
+
+def dense_fallback(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
+    """``dense_pass``, counted as a dense pass and logged at DEBUG."""
+    count_route("dense")
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "exact coverage: scaled factors leave double range, dense route over %d steps, "
@@ -114,7 +134,7 @@ def _window(full: np.ndarray, start: int, width: int) -> np.ndarray:
     return out
 
 
-def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0):
+def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0, keep=()):
     """The convolution route of ``forward_mass``; None when the scaled
     factors would not be safe in double precision.
 
@@ -122,6 +142,12 @@ def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0):
     two coordinates (three chains) the flat convolution adds the same
     products as a 2-D convolution in another order, so the two agree to
     rounding: coverages on the default grids differ by under 1e-15.
+
+    With ``keep``, a tuple of step counts in 1..T, the pass returns in
+    place of its sum its states after those steps, one per distinct
+    count, in order: a list of ``(probs, log_scale, lo)``, with
+    ``probs`` over the padded window that starts at count ``lo``.  It
+    still returns 0.0 once no mass is left.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -193,6 +219,7 @@ def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0):
     probs = np.zeros((width,) * dims)
     probs[(0,) * dims] = 1.0
     log_scale = 0.0
+    kept = []
     for t, a in enumerate(shift.tolist()):
         full = conv(probs * src_scale[t], t)
         if 0 <= a <= last_start:
@@ -205,6 +232,10 @@ def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0):
         if total < _TINY:
             probs = probs / total
             log_scale += math.log(total)
+        if t + 1 in keep:
+            kept.append((probs, log_scale, int(lo[t + 1])))
+    if keep:
+        return kept
     return float(min(1.0, probs.sum() * math.exp(log_scale)))
 
 

@@ -357,17 +357,20 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     tables of the pooled counts; each of the l chains can leave the band
     at each grid point, so the search starts below ``alpha / (l * K)``.
     Runs of equal coverage on neighbouring slivers of the near-symmetric
-    tables are crossed by the search's gallop.  ``meta`` counts
-    evaluations, steps and dense fallbacks as ``gamma_optimize`` does.
+    tables are crossed by the search's gallop, and slivers whose bounds
+    are equal share one pass.  ``meta`` counts passes, probes, steps and
+    dense fallbacks as ``gamma_optimize`` does.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
     l = _check_exact_chains(l, "optimization")
     alpha = _check_alpha(alpha)
     s = np.unique(_pooled_counts(grid, n, l))
+    cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
     return _optimized_gamma(
-        lambda g: coverage_probability_multi(n, l, grid, g),
-        _hyper_tables(n, l, tuple(s.tolist()))[0],
+        lambda g: _count_bounds(cdf, g, floor),
+        lambda lo, hi: _forward.forward_mass(*_chain_factors(n, l, s, lo, hi)),
+        cdf,
         alpha,
         l * grid.size,
     )

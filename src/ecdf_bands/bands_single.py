@@ -331,14 +331,91 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
     each draw satisfies ``Pr(u <= z_i) = z_i``, which holds for
     continuous uniforms at any grid and for discrete uniforms when the
     grid points sit at multiples of the category spacing.
+
+    When the problem reflects onto itself, the pass runs only half way
+    (``_band_mass``): the grid must map onto itself (z_K = 1 and
+    z_i + z_{K-i} = 1 to within a few ulps) and the bounds must reflect
+    (lower_i = n - upper_{K-i}), as the bands on the default grids do
+    at every step of the search but the slivers between breakpoints
+    that are equal in exact arithmetic.  The result then agrees with the
+    full pass to about 1e-12, relative.
     """
     key = _grid_key(grid)
 
     def mass(g: float) -> float:
-        lo, hi = _count_bounds(_cdf_matrix(n, key, g), g)
-        return _forward.forward_mass(*_single_factors(n, key, lo, hi))
+        return _band_mass(n, key, *_count_bounds(_cdf_matrix(n, key, g), g))
 
     return _exact_coverage(n, gamma, mass)
+
+
+_MIRROR_ULPS = 4.0
+"""How far, in ulps of 1.0, z_i + z_{K-i} may sit from 1 on a grid that
+maps onto itself."""
+
+
+@lru_cache(maxsize=8)
+def _mirrored(cdf_key: tuple) -> bool:
+    """Whether the grid maps onto itself under z -> 1 - z: at least two
+    points, z_K = 1, and z_i + z_{K-i} = 1 to within ``_MIRROR_ULPS``."""
+    z = np.asarray(cdf_key, dtype=np.float64)
+    if z.size < 2 or z[-1] != 1.0:
+        return False
+    gap = np.abs(z[:-1] + z[-2::-1] - 1.0).max()
+    return bool(gap <= _MIRROR_ULPS * np.finfo(np.float64).eps)
+
+
+def _band_mass(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray) -> float:
+    """Probability that one sample's counts stay inside [lo, hi] at every
+    grid point, from half a pass when the problem reflects onto itself.
+
+    Under the null the cell counts between grid points are multinomial,
+    and on a grid that maps onto itself their reversed order has the
+    same law, so the counts read from z = 1 down, D_j = n - C_{K-j},
+    are a copy of the forward counts.  When the bounds reflect as well,
+    lo_i = n - hi_{K-i} (with hi_K = n, which C_K = n needs), the
+    constraints on C at points b..K are those on D at points 0..a, where
+    a = ceil(K/2) and b = floor(K/2).  Given C_b = r the two halves are
+    independent, so with f_t(r) the mass of count r at point t with
+    every window up to t kept,
+
+        coverage = sum_r f_b(r) * f_a(n - r) / Binomial(n, z_b)(r),
+
+    and one pass of a steps yields both f_b and f_a (``_join``).  Any
+    other problem, or a half pass whose scaled factors leave double
+    range, runs the full pass; the latter then runs the dense route.
+    """
+    if not (_mirrored(cdf_key) and hi[-1] == n and np.array_equal(lo[:-1], n - hi[-2::-1])):
+        return _forward.forward_mass(*_single_factors(n, cdf_key, lo, hi))
+    a, b = (lo.size + 1) // 2, lo.size // 2
+    states = _forward.fast_pass(*_single_factors(n, cdf_key, lo[:a], hi[:a]), keep=(b, a))
+    if states is None:
+        return _forward.dense_fallback(*_single_factors(n, cdf_key, lo, hi))
+    _forward.count_route("half")
+    if not states:
+        return 0.0
+    return _join(n, cdf_key[b - 1], states[0], states[-1])
+
+
+def _join(n: int, z: float, first, second) -> float:
+    """``sum_r f(r) * g(n - r) / Binomial(n, z)(r)`` in log space, from
+    ``_forward.fast_pass`` states ``(probs, log_scale, lo)`` of f and g."""
+    (pf, sf, f_lo), (pg, sg, g_lo) = first, second
+    width = pf.size
+    r = np.arange(max(f_lo, n - g_lo - width + 1), min(f_lo + width, n - g_lo + 1))
+    f, g = pf[r - f_lo], pg[n - r - g_lo]
+    live = (f > 0.0) & (g > 0.0)
+    if not live.any():
+        return 0.0
+    r = r[live]
+    lf = dist.log_factorial_table(n)
+    log_terms = (
+        np.log(f[live])
+        + np.log(g[live])
+        + (lf[r] + lf[n - r] - lf[n])
+        - (r * math.log(z) + (n - r) * math.log1p(-z))
+    )
+    top = float(log_terms.max())
+    return float(min(1.0, math.exp(top + sf + sg + math.log(np.exp(log_terms - top).sum()))))
 
 
 @lru_cache(maxsize=8)
@@ -369,13 +446,15 @@ def _step_context(n: int, cdf_key: tuple):
 
 
 def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
-    """``_forward.forward_mass`` arguments for one sample's counts.
+    """``_forward.forward_mass`` arguments for one sample's counts at the
+    first ``lo.size`` grid points.
 
     The step to the next grid point moves the count from r to r' with
     probability C(n-r, d) p^d q^(n-r'), d = r' - r: source (n-r)!, jump
     p^d / d!, destination q^(n-r') / (n-r')!.
     """
     lf, lfrev, logp, logq = _step_context(n, cdf_key)
+    logp, logq = logp[: lo.size], logq[: lo.size]
     lo_ext = np.concatenate(([0], lo))
     hi_ext = np.concatenate(([0], hi))
     offs = np.arange(int((hi_ext - lo_ext).max()) + 1)
@@ -550,6 +629,17 @@ def gamma_simulate(
     )
 
 
+def _step_gammas(cdf_values, alpha: float, floor: float) -> np.ndarray:
+    """The gamma at which ``_search_steps`` evaluates each step, in
+    increasing order: the midpoint of each step's breakpoints from the
+    one holding ``floor`` up, then alpha for the top step."""
+    f = np.ravel(cdf_values)
+    breaks = 2.0 * np.minimum(f, 1.0 - f)
+    start = breaks[breaks < floor].max(initial=0.0)
+    edges = np.unique(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
+    return np.append((edges[:-1] + edges[1:]) / 2.0, alpha)
+
+
 def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     """Gamma in (0, alpha] whose coverage is closest to ``1 - alpha``.
 
@@ -580,14 +670,11 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     ends on the last step that reaches the target; it or the next step
     up is the closest, and a tie goes to the smaller gamma.
 
-    Returns ``(gamma, coverage, evaluations, steps)``.
+    Returns ``(gamma, coverage, probes, steps)``, where ``probes``
+    counts the steps whose coverage it read.
     """
     target, goal = 1.0 - alpha, math.log(alpha)
-    f = np.ravel(cdf_values)
-    breaks = 2.0 * np.minimum(f, 1.0 - f)
-    start = breaks[breaks < floor].max(initial=0.0)
-    edges = np.unique(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
-    gammas = np.append((edges[:-1] + edges[1:]) / 2.0, alpha)
+    gammas = _step_gammas(cdf_values, alpha, floor)
     budget = gammas.size.bit_length()
     cache: dict[int, float] = {}
 
@@ -633,21 +720,43 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     return float(gammas[best]), coverage(best), len(cache), gammas.size
 
 
-def _optimized_gamma(coverage_fn, cdf_values, alpha: float, checks: int) -> GammaResult:
-    """The exact step search as a ``GammaResult`` whose meta counts the
-    coverage evaluations, the candidate steps and the dense fallbacks
-    among the evaluations.
+def _optimized_gamma(bounds, mass, cdf_values, alpha: float, checks: int) -> GammaResult:
+    """The exact step search as a ``GammaResult``.
+
+    ``bounds(gamma)`` gives the bands' count bounds ``(lo, hi)`` and
+    ``mass(lo, hi)`` their exact coverage.  Coverage depends on gamma
+    only through the bounds, and neighbouring steps (slivers between
+    breakpoints that are equal in exact arithmetic) or probes can share
+    them, so within one search each distinct pair of bounds runs one
+    pass and every later probe of it reads that pass's coverage.
+
+    ``meta["evaluations"]`` counts the coverage passes run, one per
+    distinct pair of bounds; ``meta["probes"]`` the steps whose coverage
+    the search read, so the memo served ``probes - evaluations`` of
+    them; ``meta["steps"]`` counts the candidate steps and
+    ``meta["dense_fallbacks"]`` the passes that built dense step
+    matrices because the convolution's scaled factors left double range.
 
     ``checks`` counts the (chain, grid point) pairs at which a
     trajectory can leave the bands, so every gamma at or below
     ``alpha / checks`` covers more than ``1 - alpha`` (a union bound).
     """
-    dense_before = _forward.dense_count()
-    gamma, attained, evals, steps = _search_steps(coverage_fn, cdf_values, alpha, alpha / checks)
+    memo: dict[tuple, float] = {}
+
+    def coverage(gamma: float) -> float:
+        lo, hi = bounds(gamma)
+        key = (lo.tobytes(), hi.tobytes())
+        if key not in memo:
+            memo[key] = float(mass(lo, hi))
+        return memo[key]
+
+    dense_before = _forward.route_count("dense")
+    gamma, attained, probes, steps = _search_steps(coverage, cdf_values, alpha, alpha / checks)
     meta = {
-        "evaluations": evals,
+        "evaluations": len(memo),
+        "probes": probes,
         "steps": steps,
-        "dense_fallbacks": _forward.dense_count() - dense_before,
+        "dense_fallbacks": _forward.route_count("dense") - dense_before,
         "alpha": alpha,
     }
     return GammaResult(gamma, attained, "optimization", meta)
@@ -660,19 +769,22 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     The search is exact: it runs over the steps of the coverage curve,
     whose breakpoints come from the binomial CDF tables of the grid
     points, and predicts each probe from the evaluated ones in log-log,
-    so it ends on the step bisection would from fewer evaluations (see
-    ``_search_steps``).  ``meta["evaluations"]`` counts the coverage
-    evaluations it made, ``meta["steps"]`` the candidate steps it
-    searched, and ``meta["dense_fallbacks"]`` the evaluations that built
-    dense step matrices because the convolution's scaled factors left
-    double range.
+    so it ends on the step bisection would from fewer probes (see
+    ``_search_steps``).  Each distinct band it probes costs one pass,
+    half a pass where the band reflects onto itself (``_band_mass``).
+    ``meta`` counts passes, probes, steps and dense fallbacks (see
+    ``_optimized_gamma``).
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
+    key = _grid_key(grid)
+    # the table built at the search's floor serves every step it probes
+    cdf = _cdf_matrix(n, key, alpha / grid.size)
     return _optimized_gamma(
-        lambda g: coverage_probability(n, grid, g),
-        _cdf_matrix(n, _grid_key(grid), alpha / grid.size),
+        lambda g: _count_bounds(cdf, g),
+        lambda lo, hi: _band_mass(n, key, lo, hi),
+        cdf,
         alpha,
         grid.size,
     )

@@ -102,9 +102,13 @@ def _w2(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
     return ((srt - centers) ** 2).sum(axis=-1) + 1.0 / (12.0 * n)
 
 
-def _u2(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _u2(srt: np.ndarray, u: np.ndarray, w2: np.ndarray | None = None) -> np.ndarray:
+    """Watson's U2: W2, computed here unless given, less n times the
+    squared gap between the mean draw and 1/2."""
     n = srt.shape[-1]
-    return _w2(srt, u) - n * (u.mean(axis=-1) - 0.5) ** 2
+    if w2 is None:
+        w2 = _w2(srt, u)
+    return w2 - n * (u.mean(axis=-1) - 0.5) ** 2
 
 
 def _ks(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -121,9 +125,13 @@ _STATS = {"T1": _t1, "W2": _w2, "U2": _u2, "KS": _ks}
 
 
 def _row_statistics(u: np.ndarray, stats) -> dict[str, np.ndarray]:
-    """Each named statistic of each row of ``u``, all read from one sort."""
+    """Each named statistic of each row of ``u``, all read from one sort;
+    when both W2 and U2 are named, U2 reads the W2 computed for W2."""
     srt = np.sort(u, axis=-1)
-    return {t: _STATS[t](srt, u) for t in stats}
+    out = {t: _STATS[t](srt, u) for t in stats if t != "U2"}
+    if "U2" in stats:
+        out["U2"] = _u2(srt, u, out.get("W2"))
+    return {t: out[t] for t in stats}
 
 
 def _critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:

@@ -8,6 +8,8 @@ row-blocked sweep are checked bit for bit against the per-statistic,
 masked and whole-chunk routes in ``oracles``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,27 @@ def test_shared_sort_statistics_match_their_own_sorts_bit_for_bit(u, picks):
     assert list(values) == list(dict.fromkeys(picks))
     for name, got in values.items():
         assert_bits_equal(got, ROW_STATS[name](u))
+
+
+def test_u2_reads_the_w2_computed_for_w2():
+    rng = np.random.default_rng(4)
+    u = rng.random((300, 57))
+    calls = []
+    real = power._w2
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(power, "_w2", counted), mock.patch.dict(power._STATS, W2=counted):
+        got = power._row_statistics(u, ["U2", "T1", "W2"])
+    assert len(calls) == 1
+    assert list(got) == ["U2", "T1", "W2"]
+    srt = np.sort(u, axis=-1)
+    # the two-call route: U2 from its own W2
+    two_calls = real(srt, u) - u.shape[1] * (u.mean(axis=-1) - 0.5) ** 2
+    assert got["U2"].tobytes() == two_calls.tobytes() == ROW_STATS["U2"](u).tobytes()
+    assert got["W2"].tobytes() == ROW_STATS["W2"](u).tobytes()
 
 
 def test_statistics_are_order_invariant():
