@@ -358,7 +358,7 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     at each grid point, so the search starts below ``alpha / (l * K)``.
     Runs of equal coverage on neighbouring slivers of the near-symmetric
     tables are crossed by the search's gallop, and slivers whose bounds
-    are equal share one pass.  ``meta`` counts passes, probes, steps and
+    are equal share one pass.  ``meta`` counts probes, passes, steps and
     dense fallbacks as ``gamma_optimize`` does.
     """
     if n < 1:

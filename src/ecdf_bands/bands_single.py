@@ -730,12 +730,13 @@ def _optimized_gamma(bounds, mass, cdf_values, alpha: float, checks: int) -> Gam
     them, so within one search each distinct pair of bounds runs one
     pass and every later probe of it reads that pass's coverage.
 
-    ``meta["evaluations"]`` counts the coverage passes run, one per
-    distinct pair of bounds; ``meta["probes"]`` the steps whose coverage
-    the search read, so the memo served ``probes - evaluations`` of
-    them; ``meta["steps"]`` counts the candidate steps and
-    ``meta["dense_fallbacks"]`` the passes that built dense step
-    matrices because the convolution's scaled factors left double range.
+    ``meta["evaluations"]`` counts probes: the steps whose coverage the
+    search read.  ``meta["passes"]`` counts the coverage passes run, one
+    per distinct pair of bounds, so the memo served
+    ``evaluations - passes`` of the probes.  ``meta["steps"]`` counts
+    the candidate steps and ``meta["dense_fallbacks"]`` the passes that
+    built dense step matrices because the convolution's scaled factors
+    left double range.
 
     ``checks`` counts the (chain, grid point) pairs at which a
     trajectory can leave the bands, so every gamma at or below
@@ -753,8 +754,8 @@ def _optimized_gamma(bounds, mass, cdf_values, alpha: float, checks: int) -> Gam
     dense_before = _forward.route_count("dense")
     gamma, attained, probes, steps = _search_steps(coverage, cdf_values, alpha, alpha / checks)
     meta = {
-        "evaluations": len(memo),
-        "probes": probes,
+        "evaluations": probes,
+        "passes": len(memo),
         "steps": steps,
         "dense_fallbacks": _forward.route_count("dense") - dense_before,
         "alpha": alpha,
@@ -772,7 +773,7 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     so it ends on the step bisection would from fewer probes (see
     ``_search_steps``).  Each distinct band it probes costs one pass,
     half a pass where the band reflects onto itself (``_band_mass``).
-    ``meta`` counts passes, probes, steps and dense fallbacks (see
+    ``meta`` counts probes, passes, steps and dense fallbacks (see
     ``_optimized_gamma``).
     """
     if n < 1:

@@ -219,7 +219,7 @@ def test_gamma_optimize_records_dense_fallbacks(monkeypatch):
     assert fast.meta["dense_fallbacks"] == 0
     monkeypatch.setattr(_forward, "_EXP_GUARD", -1.0)
     dense = gamma_optimize(60, grid, 0.05)
-    assert dense.meta["dense_fallbacks"] == dense.meta["evaluations"] > 0
+    assert dense.meta["dense_fallbacks"] == dense.meta["passes"] > 0
     assert dense.gamma == fast.gamma
     assert dense.attained_coverage == pytest.approx(fast.attained_coverage, rel=1e-11)
 

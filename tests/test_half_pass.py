@@ -146,8 +146,8 @@ def test_search_runs_one_pass_per_distinct_band():
 
     with mock.patch.object(bands_single, "_band_mass", counted):
         res = gamma_optimize(n, grid, 0.05)
-    assert len(calls) == len(set(calls)) == res.meta["evaluations"]
-    assert res.meta["probes"] > res.meta["evaluations"]
+    assert len(calls) == len(set(calls)) == res.meta["passes"]
+    assert res.meta["evaluations"] > res.meta["passes"]
 
 
 # gamma and attained coverage of the exact search before the half pass,
@@ -181,5 +181,5 @@ def test_exact_cold_one_column_gamma_is_pinned(n, gamma, coverage):
     res = gamma_optimize(n, default_grid(n), 0.05)
     assert res.gamma == gamma
     assert res.attained_coverage == pytest.approx(coverage, rel=0.0, abs=1e-12)
-    assert res.meta["evaluations"] <= res.meta["probes"]
+    assert res.meta["passes"] <= res.meta["evaluations"]
 

@@ -35,12 +35,12 @@ def test_prints_one_row_per_search_and_a_total(capsys):
     ):
         counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-2]}
         assert counts["steps"] == res.meta["steps"]
-        assert counts["probes"] == res.meta["probes"]
         assert counts["evals"] == res.meta["evaluations"]
-        assert counts["memo"] == counts["probes"] - counts["evals"]
-        assert counts["half"] + counts["full"] + counts["dense"] == counts["evals"]
+        assert counts["passes"] == res.meta["passes"]
+        assert counts["memo"] == counts["evals"] - counts["passes"]
+        assert counts["half"] + counts["full"] + counts["dense"] == counts["passes"]
         assert float(row["search_ms"]) >= float(row["ms_per_pass"]) > 0.0
     # only one column takes the half route
     assert int(rows[0]["half"]) > 0 and int(rows[1]["half"]) == int(rows[2]["half"]) == 0
     assert lines[-1][0] == "total"
-    assert int(lines[-1][3]) == sum(int(row["probes"]) for row in rows)
+    assert int(lines[-1][3]) == sum(int(row["evals"]) for row in rows)

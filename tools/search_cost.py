@@ -10,9 +10,10 @@ fresh CLI process would find them.  It imports the package from the
 
 A shape is ``N`` for one column of N draws or ``NxL`` for L chains of N
 (``156x2``); the default is the one-column sizes 251, 261, ..., 441.
-Each row gives the grid size K, the candidate steps, the probes the
-search read, the coverage passes it ran (``meta["evaluations"]``), the
-probes its memo served, the passes by route (half, full and dense, from
+Each row gives the grid size K, the candidate steps, the evaluations
+(the steps whose coverage the search read, ``meta["evaluations"]``),
+the coverage passes it ran (``meta["passes"]``), the evaluations its
+memo served, the passes by route (half, full and dense, from
 ``_forward.route_count``), the search's wall time and the mean time of
 one pass, factors included.  The last row sums the counts and the
 search times, and gives the mean time over all the passes.
@@ -30,7 +31,7 @@ from ecdf_bands import _forward, bands_multi, bands_single  # noqa: E402
 from ecdf_bands.transform import default_grid  # noqa: E402
 
 ROUTES = ("half", "full", "dense")
-COLUMNS = ("shape", "K", "steps", "probes", "evals", "memo", *ROUTES, "search_ms", "ms_per_pass")
+COLUMNS = ("shape", "K", "steps", "evals", "passes", "memo", *ROUTES, "search_ms", "ms_per_pass")
 DEFAULT_SHAPES = tuple(str(n) for n in range(251, 442, 10))
 
 
@@ -83,13 +84,13 @@ def search_cost(n: int, l: int) -> dict:
         "shape": f"{n}x{l}" if l > 1 else str(n),
         "K": grid.size,
         "steps": meta["steps"],
-        "probes": meta["probes"],
         "evals": meta["evaluations"],
-        "memo": meta["probes"] - meta["evaluations"],
+        "passes": meta["passes"],
+        "memo": meta["evaluations"] - meta["passes"],
     }
     row.update({r: _forward.route_count(r) - b for r, b in zip(ROUTES, before)})
     row["search_ms"] = 1e3 * wall
-    row["ms_per_pass"] = 1e3 * spent[0] / max(meta["evaluations"], 1)
+    row["ms_per_pass"] = 1e3 * spent[0] / max(meta["passes"], 1)
     return row
 
 
@@ -103,7 +104,7 @@ def main(argv: list[str]) -> int:
     for row in rows:
         print(_line(row[c] for c in COLUMNS))
     total = {c: sum(row[c] for row in rows) for c in COLUMNS[2:]}
-    total["ms_per_pass"] = sum(r["ms_per_pass"] * r["evals"] for r in rows) / max(total["evals"], 1)
+    total["ms_per_pass"] = sum(r["ms_per_pass"] * r["passes"] for r in rows) / max(total["passes"], 1)
     print(_line(["total", "-"] + [total[c] for c in COLUMNS[2:]]))
     return 0
 
