@@ -12,7 +12,7 @@ convolution, with three it is the first two chains' counts over the full
 window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
-Only the hypergeometric parts live here: the pooled counts, the padded
+Only the hypergeometric parts live here: the pooled counts, the full
 CDF table, the forward-pass factors, the replicates' pooled order
 (one sort of packed draw-and-chain keys, ``_chain_labeller``), the
 per-chain cell counts read from it, and the replicates' tail levels read
@@ -42,6 +42,7 @@ from .bands_single import (
     _count_bounds,
     _exact_coverage,
     _exceedances,
+    _frozen_block,
     _optimized_gamma,
     _simulated_gamma,
     _tail_table,
@@ -110,8 +111,8 @@ def _hyper_log_mass(n: int, l: int, s: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _hyper_tables(n: int, l: int, s_key: tuple):
-    """Padded (K, n + 1) hypergeometric CDF table, read-only, and the
-    bottom of each support.
+    """Full (K, n + 1) hypergeometric CDF table, a ``CdfBlock`` with
+    ``first`` 0, and the bottom of each support, read-only.
 
     Row i covers counts 0..n for pooled count s_i: 0 below the support
     and 1 from its top on.  The mass is exactly 0 below the support, so
@@ -123,9 +124,8 @@ def _hyper_tables(n: int, l: int, s_key: tuple):
     cdf = np.minimum(np.cumsum(np.exp(_hyper_log_mass(n, l, s)), axis=1), 1.0)
     cdf[np.arange(n + 1) >= np.minimum(s, n)[:, None]] = 1.0
     floor = np.maximum(s - (l - 1) * n, 0)
-    for arr in (cdf, floor):
-        arr.setflags(write=False)
-    return cdf, floor
+    floor.setflags(write=False)
+    return _frozen_block(cdf, np.zeros(s.size, dtype=np.int64)), floor
 
 
 def bands_from_gamma_multi(n: int, l: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
@@ -334,7 +334,7 @@ def gamma_simulate_multi(
     l = _check_chains(l)
     alpha = _check_alpha(alpha)
     s = _pooled_counts(grid, n, l)
-    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0]
+    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
     labels = _chain_labeller(n, l)
     levels = _chain_level_reader(cdf, s, n, l, _block_rows(l * n))
 
@@ -370,7 +370,7 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     return _optimized_gamma(
         lambda g: _count_bounds(cdf, g, floor),
         lambda lo, hi: _forward.forward_mass(*_chain_factors(n, l, s, lo, hi)),
-        cdf,
+        cdf.cells,
         alpha,
         l * grid.size,
     )

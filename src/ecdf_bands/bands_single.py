@@ -12,8 +12,9 @@ chosen in ``gamma_cache.calibrate`` alone.
 Only the count law differs between one sample (binomial) and pooled
 chains (hypergeometric, ``bands_multi``), so every step that does not
 depend on the law is written once here and serves both: the band type
-``ConfidenceBands``, the count-bound rule over a padded CDF table
-(``_count_bounds``), the tightest-tail gather that reads the same table
+``ConfidenceBands``, the CDF table as a block of cells with each row's
+first count (``CdfBlock``), the count-bound rule over it
+(``_count_bounds``), the tightest-tail gather that reads the full table
 by the same rule (``_tail_levels``), the
 exact step search (``_optimized_gamma``), the seeded chunk-and-thread
 replicate harness (``_map_chunks``) with the simulators' shared tail
@@ -21,13 +22,16 @@ replicate harness (``_map_chunks``) with the simulators' shared tail
 blocks drawn one after another from the chunk's generator), the
 coverage entry check and the exceedance scan.
 
-The binomial CDF table (``_cdf_matrix``) is built for a level: the
-exact search asks for its floor alpha / K and the bands for their gamma,
-and ``betainc`` then runs only on each row's window of counts whose CDF
-such levels can read; the simulator, which gathers arbitrary counts,
-asks for the full table.  Each count law has this one table, and the
-simulators' tail levels read it by the bands' own rule, so a level and
-the bands never read one breakpoint with different bits.
+The binomial CDF table (``_cdf_matrix``) is built for a range of levels
+[level, top]: the exact search asks for [alpha / K, alpha] and the bands
+for [gamma, gamma].  It keeps each row's window of counts whose CDF such
+levels can read, and ``betainc`` runs only on the window's tails, where
+2 * min(F, 1 - F) < top; the centre between them, inside the bands at
+every level of the range, holds 1/2.  The simulator, which gathers
+arbitrary counts, asks for the full table (level 0).  Each count law has
+this one table, and the simulators' tail levels read it by the bands'
+own rule, so a level and the bands never read one breakpoint with
+different bits.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betainc, ndtri
@@ -159,109 +164,181 @@ def _grid_key(grid: EvaluationGrid) -> tuple:
     return tuple(float(z) for z in grid.points)
 
 
+class CdfBlock(NamedTuple):
+    """A CDF table as a read-only (K, W) block, one row per grid point,
+    and the count of each row's first cell.
+
+    Cell j of row i holds ``Pr(X <= first[i] + j)``, or in a table built
+    for a range of levels (``_cdf_matrix``) a stand-in that compares with
+    every level of the range as that value does; the counts below a
+    row's first count lie below both its bounds.  The full tables, the
+    binomial at level 0 and the hypergeometric, have ``first`` 0 and
+    W = n + 1.
+    """
+
+    cells: np.ndarray
+    first: np.ndarray
+
+
+def _frozen_block(cells: np.ndarray, first: np.ndarray) -> CdfBlock:
+    for arr in (cells, first):
+        arr.setflags(write=False)
+    return CdfBlock(cells, first)
+
+
 @lru_cache(maxsize=8)
 def _cdf_slot(n: int, pts_key: tuple) -> list:
     """The cache entry of one (n, grid) table: a one-item list holding
-    ``(table, reach)``, with no table until ``_cdf_matrix`` builds one."""
-    return [(None, math.inf)]
+    ``(table, reach, level, top)``, with no table until ``_cdf_matrix``
+    builds one."""
+    return [(None, math.inf, math.inf, -math.inf)]
 
 
-def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0) -> np.ndarray:
-    """Padded (K, n + 1) binomial CDF table, one row per grid point, that
-    serves every band level above ``level``; level 0 is the full table.
+_EXACT_HALF = 2.0**-1021
+"""The smallest level whose half is exact.  Below it gamma / 2 rounds,
+so a cell with 2 * F below gamma need not have F below gamma / 2, and
+only the full table serves such a level."""
+
+
+def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0, top: float | None = None) -> CdfBlock:
+    """Binomial CDF table, one row per grid point, that serves every band
+    level in (reach, top] for a reach below ``level``; ``top`` defaults
+    to ``level``, and level 0, or any level below ``_EXACT_HALF``, gets
+    the full table.
 
     Row i holds ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``, made
-    monotone against last-ulp wobble and ending in exactly 1.0.  Above
-    level 0 only each row's window (``_cdf_window``) holds ``betainc``
-    values, with the full table's bits; the cells below it hold 0.0 and
-    those above it 1.0.  Each window edge that has such cells beyond it
-    has 2 * min(F, 1 - F) below the level, and the flushed cells' values
-    lie beyond the edge's, so the count bounds (``_count_bounds``) at
-    every gamma above the largest edge value (the table's reach), and
-    the exact search's breakpoints from its floor and the largest one
-    below it, are the full table's.
+    monotone against last-ulp wobble and ending in exactly 1.0.  Level 0
+    gives the full (K, n + 1) block.  Above it the block holds each
+    row's window of counts (``_cdf_edges``) from the row's first count
+    on, and ``betainc`` runs only on the window's tail cells, those with
+    2 * min(F, 1 - F) below ``top``, with the full table's bits.  The
+    window's centre cells hold 1/2, and its cells past the window 1.0.
+    Each window edge that has counts beyond it has 2 * min(F, 1 - F)
+    below the level, and the counts beyond it lie further out, so the
+    count bounds (``_count_bounds``) at every gamma above the largest
+    edge value (the table's reach) and up to ``top``, and the exact
+    search's breakpoints from its floor up to ``top`` and the largest
+    one below its floor, are the full table's.
 
-    One entry per (n, grid) is cached with its reach; a request at or
-    below the reach rebuilds and replaces it.  The exact search asks for
-    its floor alpha / K, so its evaluations and the bands at its gamma
-    read the table it built; ``gamma_simulate`` gathers arbitrary counts
-    and asks for level 0.  The bands, the exact search, the simulator
+    One entry per (n, grid) is cached with its reach and the range it
+    was built for; a request outside (reach, top] rebuilds it for the
+    union of both ranges, so entries only widen.  The exact search asks
+    for [alpha / K, alpha], so its evaluations and the bands at its
+    gamma read the table it built; the bands, ``coverage_probability``
     and the rank-histogram interval (``report.rank_hist``, one row at
-    p = 1/bins) all read this one binomial CDF build.
+    p = 1/bins) ask for [gamma, gamma]; ``gamma_simulate`` gathers
+    arbitrary counts and asks for level 0.  They all read this one
+    binomial CDF build.
     """
+    if not level >= _EXACT_HALF:
+        level, top = 0.0, math.inf
+    elif top is None:
+        top = level
     slot = _cdf_slot(n, pts_key)
     # one tuple read and one tuple write: a thread racing another on the
-    # same entry returns a table that serves its own level, at worst
+    # same entry returns a table that serves its own range, at worst
     # after building it twice
-    table, reach = slot[0]
-    if not level > reach:
-        table, reach = _cdf_table(n, np.asarray(pts_key, dtype=np.float64), level)
-        slot[0] = table, reach
+    table, reach, low, high = slot[0]
+    if not (level > reach and top <= high):
+        low, high = min(level, low), max(top, high)
+        table, reach = _cdf_table(n, np.asarray(pts_key, dtype=np.float64), low, high)
+        slot[0] = table, reach, low, high
     return table
 
 
-def _cdf_window(n: int, p: np.ndarray, level: float):
-    """Per-row first and last count, ``lo`` and ``hi``, of the cells a
-    table at ``level`` (in (0, 1]) computes.
+_CENTRE_MIN_TOP = 2.0**-30
+"""The smallest top level whose table skips a centre.  Where F and
+1 - F both exceed half of it, one count's mass is far above
+``betainc``'s rounding up to astronomically large n, so the values
+there rise with the count and two edge cells bound every cell between
+them."""
 
-    Starts from the Cornish-Fisher normal quantiles of the binomial at
-    level / 2 and 1 - level / 2 and widens, by 1, 2, 4, ... counts,
-    every row whose edge cell fails: ``lo`` must be 0 or have
-    2 * F < level, ``hi`` must be n - 1 or have 2 * (1 - F) < level.
+
+def _cdf_edges(n: int, p: np.ndarray, level: float, top: float):
+    """Per-row counts ``(lo, hi, centre_lo, centre_hi)`` of a table for
+    [level, top] (level in (0, top]): the first and last cell of the
+    window ``betainc`` computes, and the first and last centre cell it
+    skips (none where ``centre_lo > centre_hi``).
+
+    Each edge starts from the Cornish-Fisher normal quantile of the
+    binomial at level / 2 or 1 - level / 2 (top / 2 or 1 - top / 2 for
+    the centre), rounded to the count it most often is, and every row
+    whose edge cell fails moves by 1, 2, 4, ... counts, all four edges
+    in one ``betainc`` call per round.  The window widens until ``lo``
+    is 0 or has 2 * F < level and ``hi`` is n - 1 or has
+    2 * (1 - F) < level.  The centre narrows until ``centre_lo`` has
+    F >= top / 2 and ``centre_hi`` has F < 1 - top / 2, the comparisons
+    ``_count_bounds`` makes, so its cells lie inside the bands at every
+    gamma up to top; a table whose top is below ``_CENTRE_MIN_TOP``
+    has no centre.
     """
     q = 1.0 - p
-    z = -ndtri(level / 2.0)
-    centre = n * p + (z * z - 1.0) / 6.0 * (q - p)
-    spread = z * np.sqrt(n * p * q)
-    edges = []
-    for start, end, step, fails in (
-        (np.floor(centre - spread), 0, -1, lambda f: ~(2.0 * f < level)),
-        (np.ceil(centre + spread), n - 1, 1, lambda f: ~(2.0 * (1.0 - f) < level)),
-    ):
-        edge = np.clip(start, 0, n - 1).astype(np.int64)
-        while True:
-            cdf = np.clip(betainc(n - edge, edge + 1.0, q), 0.0, 1.0)
-            failing = (edge != end) & fails(cdf)
-            if not failing.any():
-                break
-            edge = np.where(failing, np.clip(edge + step, 0, n - 1), edge)
-            step *= 2
-        edges.append(edge)
-    return edges
+    with_centre = top >= _CENTRE_MIN_TOP
+    starts = []
+    # the window's edges start half a count out and move outwards, the
+    # centre's start half a count in and move inwards
+    for x, shift in ((level, 0.5), (top, -0.5))[: 1 + with_centre]:
+        z = -ndtri(x / 2.0)
+        centre = n * p + (z * z - 1.0) / 6.0 * (q - p)
+        spread = z * np.sqrt(n * p * q) + shift
+        starts += [centre - spread, centre + spread]
+    edge = np.clip(np.floor(starts), 0, n - 1).astype(np.int64)
+    sign = np.array([-1, 1, 1, -1])[: edge.shape[0]]
+    end = np.where(sign < 0, 0, n - 1)
+    held = np.zeros(edge.shape, dtype=bool)
+    cells, step = np.arange(edge.size), 1
+    while cells.size:
+        kind, row = np.divmod(cells, p.size)
+        k = edge.flat[cells]
+        f = np.clip(betainc(n - k, k + 1.0, q[row]), 0.0, 1.0)
+        tests = (2.0 * f < level, 2.0 * (1.0 - f) < level, f >= top / 2.0, f < 1.0 - top / 2.0)
+        ok = np.choose(kind, tests[: edge.shape[0]])
+        held.flat[cells[ok]] = True
+        moving = ~ok & (k != end[kind])
+        cells, kind = cells[moving], kind[moving]
+        edge.flat[cells] = np.clip(edge.flat[cells] + step * sign[kind], 0, n - 1)
+        step *= 2
+    if not with_centre:
+        return edge[0], edge[1], np.full(p.size, n), np.full(p.size, -1)
+    found = held[2] & held[3]
+    return edge[0], edge[1], np.where(found, edge[2], n), np.where(found, edge[3], -1)
 
 
-def _cdf_table(n: int, p: np.ndarray, level: float):
-    """The table ``_cdf_matrix`` serves at ``level``, and its reach: the
-    largest 2 * min(F, 1 - F) over the window edges that have flushed
-    cells beyond them (-1 when no cell is flushed, as at level 0, where
-    one ``betainc`` call covers the whole (K, n) grid).
+def _cdf_table(n: int, p: np.ndarray, level: float, top: float):
+    """The table ``_cdf_matrix`` serves for [level, top], and its reach:
+    the largest 2 * min(F, 1 - F) over the window edges that have counts
+    beyond them (-1 when there are none, as at level 0, where one
+    ``betainc`` call covers the whole (K, n) grid).
 
-    ``betainc`` runs on the window cells alone, gathered from a (K, W)
+    ``betainc`` runs on the tail cells alone, gathered from the (K, W)
     block of the rows' windows.  The block's accumulate starts at each
     window's lower edge, where F < 1/2 and the mass still rises, so every
     cell below it is smaller by more than a part in n + 1, far above
-    ``betainc``'s rounding: the fix-up matches the full row's.
+    ``betainc``'s rounding.  The centre cells enter it as 0.0, so they
+    pass the running maximum of the cells below them on to the cells
+    above them, whose values lie above every centre value, and then get
+    1/2: the fix-up matches the full row's.
     """
     if not level > 0.0:
         rows = np.ones((p.size, n + 1))
         k = np.arange(n, dtype=np.float64)
         _monotone_cdf(betainc(n - k, k + 1.0, 1.0 - p[:, None], out=rows[:, :n]))
-        rows.setflags(write=False)
-        return rows, -1.0
-    lo, hi = _cdf_window(n, p, level)
-    cols = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
-    inside = cols <= hi[:, None]
-    block = np.ones(cols.shape)
-    k = cols[inside]
-    block[inside] = betainc(n - k, k + 1.0, np.broadcast_to(1.0 - p[:, None], cols.shape)[inside])
+        return _frozen_block(rows, np.zeros(p.size, dtype=np.int64)), -1.0
+    lo, hi, centre_lo, centre_hi = _cdf_edges(n, p, level, top)
+    last = (hi - lo)[:, None]
+    cols = np.arange(int(last.max()) + 1)
+    window = cols <= last
+    centre = window & (cols >= (centre_lo - lo)[:, None]) & (cols <= (centre_hi - lo)[:, None])
+    tail = window & ~centre
+    # the centre's 0.0 passes the running maximum on from the lower tail
+    block = np.where(window, 0.0, 1.0)
+    k = (cols + lo[:, None])[tail]
+    block[tail] = betainc(n - k, k + 1.0, np.broadcast_to(1.0 - p[:, None], tail.shape)[tail])
     _monotone_cdf(block)
-    rows = (np.arange(n + 1) > hi[:, None]).astype(np.float64)
-    # the block's cells past each row's window are 1.0 and land on the padding
-    np.put_along_axis(rows, np.where(inside, cols, n), block, axis=1)
-    rows.setflags(write=False)
+    block[centre] = 0.5
     low, high = lo > 0, hi < n - 1
-    edges = np.concatenate((rows[low, lo[low]], 1.0 - rows[high, hi[high]]))
-    return rows, 2.0 * float(edges.max(initial=-0.5))
+    edges = np.concatenate((block[low, 0], 1.0 - block[high, last[high, 0]]))
+    return _frozen_block(block, lo), 2.0 * float(edges.max(initial=-0.5))
 
 
 def _monotone_cdf(rows: np.ndarray) -> None:
@@ -271,18 +348,21 @@ def _monotone_cdf(rows: np.ndarray) -> None:
     np.maximum.accumulate(rows, axis=1, out=rows)
 
 
-def _count_bounds(cdf: np.ndarray, gamma: float, floor=0):
-    """Equal-tail count bounds [lower, upper] from a padded CDF table.
+def _count_bounds(table: CdfBlock, gamma: float, floor=0):
+    """Equal-tail count bounds [lower, upper] from a CDF table.
 
-    Row i of ``cdf`` covers counts 0..n at grid point i: 0 below the
-    support, 1 from its top on.  Each row is sorted and ends in exactly
-    1.0, so counting entries strictly below the level reproduces the
-    quantile rule (smallest count whose CDF reaches it); the zeros below
-    the support count towards ``floor``, its bottom, which a zero level
-    returns.
+    A full row is sorted and ends in exactly 1.0, so counting its cells
+    strictly below the level reproduces the quantile rule (smallest
+    count whose CDF reaches it).  A block built for a range of levels
+    gives the full row's count at every level it serves: its cells
+    compare with the level as the full row's do, and the counts below
+    its first count lie below the level.  On full tables the zeros
+    below the support count towards ``floor``, its bottom, which a zero
+    level returns.
     """
-    lo = np.maximum((cdf < gamma / 2.0).sum(axis=1), floor)
-    hi = (cdf < 1.0 - gamma / 2.0).sum(axis=1)
+    cells, first = table
+    lo = np.maximum(first + (cells < gamma / 2.0).sum(axis=1), floor)
+    hi = first + (cells < 1.0 - gamma / 2.0).sum(axis=1)
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
@@ -471,8 +551,9 @@ def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
 def _tail_table(cdf: np.ndarray) -> np.ndarray:
     """Each cell's two-sided tail level, a (K, n + 1) table.
 
-    ``cdf`` is a padded (K, n + 1) CDF table.  Each cell's level is the
-    largest gamma at which ``_count_bounds(cdf, gamma, floor)`` holds
+    ``cdf`` holds the cells of a full (K, n + 1) CDF table (level 0, or
+    the hypergeometric).  Each cell's level is the largest gamma at
+    which ``_count_bounds`` on that table, with its ``floor``, holds
     that count, so a trajectory's level is at or above gamma exactly
     when the bands at gamma hold it, for every gamma in [2**-1021, 1]
     (below that, gamma / 2 rounds):
@@ -619,7 +700,7 @@ def gamma_simulate(
     alpha = _check_alpha(alpha)
     pts = grid.points
     key = _grid_key(grid)
-    levels = _tail_levels(_cdf_matrix(n, key))
+    levels = _tail_levels(_cdf_matrix(n, key).cells)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
         return levels(_grid_cell_counts(rng.random((size, n)), pts))
@@ -780,12 +861,12 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
     key = _grid_key(grid)
-    # the table built at the search's floor serves every step it probes
-    cdf = _cdf_matrix(n, key, alpha / grid.size)
+    # the table built for [floor, alpha] serves every step it probes
+    table = _cdf_matrix(n, key, alpha / grid.size, alpha)
     return _optimized_gamma(
-        lambda g: _count_bounds(cdf, g),
+        lambda g: _count_bounds(table, g),
         lambda lo, hi: _band_mass(n, key, lo, hi),
-        cdf,
+        table.cells,
         alpha,
         grid.size,
     )

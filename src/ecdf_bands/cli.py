@@ -96,8 +96,13 @@ def _parse_ndjson(text: str, path: str) -> np.ndarray:
             continue
         try:
             rec = json.loads(line)
-            chain = int(rec["chain"])
-            value = float(rec["value"])
+            chain, value = rec["chain"], rec["value"]
+            # int() and float() would read true as 1 and 1.7 as chain 1
+            if isinstance(chain, bool) or isinstance(value, bool):
+                raise TypeError("chain and value must not be booleans")
+            if isinstance(chain, float) and not chain.is_integer():
+                raise ValueError(f"chain id {chain!r} is not an integer")
+            chain, value = int(chain), float(value)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{ln}: bad NDJSON record ({exc})") from exc
         series.setdefault(chain, []).append(value)

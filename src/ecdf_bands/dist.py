@@ -2,11 +2,12 @@
 
 ``log_factorial_table`` keeps one cached, read-only table of ``log(k!)``
 and ``log_choose`` reads binomial coefficients from it in log space.
-The count tables the bands and the simulators read are one padded
-(K, n + 1) CDF table per law: the binomial in
-``bands_single._cdf_matrix`` (incomplete beta values on each row's
-window of counts that the requested level can read, 0.0 and 1.0 beyond
-it) and the hypergeometric in ``bands_multi._hyper_tables`` (log mass
+The count tables the bands and the simulators read are one CDF table
+per law, a ``bands_single.CdfBlock`` of (K, W) cells and each row's
+first count: the binomial in ``bands_single._cdf_matrix`` (incomplete
+beta values on the tail cells of each row's window of counts that the
+requested range of levels can read, 1/2 in the window's centre) and
+the full hypergeometric in ``bands_multi._hyper_tables`` (log mass
 from ``log_choose``, then a cumulative sum in linear space).
 The forward passes read their log factors from the same table.
 """

@@ -219,7 +219,7 @@ def _band_rejector(
 
     else:
         s = bands_multi._pooled_counts(grid, n, l)
-        cdf = bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0]
+        cdf = bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells
         levels = bands_multi._chain_level_reader(cdf, s, n, l, bands_single._block_rows(l * n))
 
         def reject(u: np.ndarray) -> np.ndarray:

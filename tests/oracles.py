@@ -371,7 +371,7 @@ def simulated_levels_single(n: int, grid, m: int, seed: int) -> np.ndarray:
     """``gamma_simulate``'s m tightest tail levels, 512 replicates drawn
     whole per chunk."""
     key = bands_single._grid_key(grid)
-    levels = bands_single._tail_levels(bands_single._cdf_matrix(n, key))
+    levels = bands_single._tail_levels(bands_single._cdf_matrix(n, key).cells)
     return _chunked(
         lambda rng, size: levels(bands_single._grid_cell_counts(rng.random((size, n)), grid.points)),
         m,
@@ -384,7 +384,7 @@ def simulated_levels_multi(n: int, l: int, grid, m: int, seed: int) -> np.ndarra
     """``gamma_simulate_multi``'s m tightest tail levels, 256 replicates
     drawn whole per chunk and their pooled draws argsorted."""
     s = bands_multi._pooled_counts(grid, n, l)
-    levels = bands_single._tail_levels(bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0])
+    levels = bands_single._tail_levels(bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells)
     return _chunked(
         lambda rng, size: levels(bands_multi._chain_cell_counts(rng.random((size, l * n)), s, n, l)),
         m,

@@ -164,10 +164,10 @@ def test_hyper_table_matches_the_per_row_oracle(key):
     # one (K, n + 1) build must give the per-row tables, padded to counts
     # 0..n, bit for bit
     n, l, s = key
-    cdf, floor = _hyper_tables(n, l, s)
-    assert cdf.shape == (len(s), n + 1)
-    assert not (cdf.flags.writeable or floor.flags.writeable)
-    for got, want in zip((cdf, floor), hyper_padded_tables(n, l, s)):
+    table, floor = _hyper_tables(n, l, s)
+    assert table.cells.shape == (len(s), n + 1) and not table.first.any()
+    assert not (table.cells.flags.writeable or floor.flags.writeable)
+    for got, want in zip((table.cells, floor), hyper_padded_tables(n, l, s)):
         np.testing.assert_array_equal(got, want)
 
 

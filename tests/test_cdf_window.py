@@ -1,12 +1,16 @@
-"""The windowed binomial CDF table against the full one.
+"""The binomial CDF table as a block of each row's window, against the
+full table.
 
-A table built for level L computes ``betainc`` only inside each row's
-window and flushes the cells below it to 0.0 and above it to 1.0.  Each
-flushed cell must lie beyond an exact window edge whose
-2 * min(F, 1 - F) is at most the table's reach, which is below L; then
-the count bounds at every gamma above the reach and the exact search
-from floor L are the full table's.  The full (level-0) table is the
-oracle; it stays in the program because the simulator reads it.
+A table built for [level, top] holds each row's window of counts from
+its first count on, computes ``betainc`` only on the window's tail
+cells (2 * min(F, 1 - F) below top) and holds 1/2 in its centre cells
+and 1.0 past the window.  Each cell left out below or above the window
+must lie beyond an exact window edge whose 2 * min(F, 1 - F) is at most
+the table's reach, which is below the level, and each centre cell must
+have 2 * min(F, 1 - F) at or above top; then the count bounds at every
+gamma in (reach, top] and the exact search from floor alpha / K to
+alpha are the full table's.  The full (level-0) table is the oracle; it
+stays in the program because the simulator reads it.
 
 The cache keeps one entry per (n, grid): a cold one-column ``test``
 builds its table once, the simulator builds only full tables, and a
@@ -29,9 +33,11 @@ from ecdf_bands.bands_single import (
     _count_bounds,
     _search_steps,
     _single_factors,
+    bands_from_gamma,
+    gamma_optimize,
     gamma_simulate,
 )
-from ecdf_bands.transform import default_grid
+from ecdf_bands.transform import EvaluationGrid, default_grid
 
 PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
 
@@ -77,7 +83,37 @@ def searched(n, key, table, alpha, floor):
         lo, hi = _count_bounds(table, g)
         return _forward.forward_mass(*_single_factors(n, key, lo, hi))
 
-    return _search_steps(coverage, table, alpha, floor)
+    return _search_steps(coverage, table.cells, alpha, floor)
+
+
+def assert_block_reads_like_the_full_table(block, reach, top, full, alpha, floor):
+    """Every computed cell of ``block`` has the full table's bits, every
+    flushed one lies beyond the reach or inside the bands at every level
+    up to ``top``, and the bounds at every gamma of a ladder in
+    (reach, top] and the search from ``floor`` are the full table's."""
+    cells, first = block
+    k, w = cells.shape
+    assert reach < floor <= top and first.shape == (k,)
+    assert not (cells.flags.writeable or first.flags.writeable)
+    cols = first[:, None] + np.arange(w)
+    inside = cols <= full.cells.shape[1] - 1
+    # columns past count n hold 1.0 and map to no count
+    assert np.all(cells[~inside] == 1.0)
+    want = np.take_along_axis(full.cells, np.minimum(cols, full.cells.shape[1] - 1), axis=1)
+    computed = inside & (cells != 0.5) & (cells != 1.0)
+    assert np.array_equal(cells[computed], want[computed])
+    centre = inside & (cells == 0.5) & (want != 0.5)
+    assert np.all(2.0 * np.minimum(want[centre], 1.0 - want[centre]) >= top)
+    ones = inside & (cells == 1.0) & (want != 1.0)
+    assert np.all(2.0 * (1.0 - want[ones]) <= reach)
+    below = np.arange(full.cells.shape[1]) < first[:, None]
+    assert np.all(2.0 * full.cells[below] <= reach)
+
+    lowest = np.nextafter(reach, 1.0) if reach > 0.0 else floor / 1e3
+    ladder = np.append(np.geomspace(lowest, top, 30), [floor, top, alpha if alpha <= top else top])
+    for g in ladder:
+        for got, want in zip(_count_bounds(block, g), _count_bounds(full, g)):
+            assert np.array_equal(got, want), g
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,41 +130,67 @@ def test_windowed_table_reads_like_the_full_table(n, spec, alpha):
     key = grid_points(n, spec)
     p = np.asarray(key)
     floor = alpha / len(key)
-    full, full_reach = _cdf_table(n, p, 0.0)
+    full, full_reach = _cdf_table(n, p, 0.0, 0.0)
     assert full_reach < 0.0
+    assert full.cells.shape == (len(key), n + 1) and not full.first.any()
     clear_program_caches()
-    assert np.array_equal(_cdf_matrix(n, key), full)
+    assert np.array_equal(_cdf_matrix(n, key).cells, full.cells)
     clear_program_caches()
-    win = _cdf_matrix(n, key, floor)
-    reach = _cdf_slot(n, key)[0][1]
-    assert reach < floor
-    assert win.shape == full.shape and not win.flags.writeable
+    block = _cdf_matrix(n, key, floor, alpha)
+    _, reach, level, top = _cdf_slot(n, key)[0]
+    assert (level, top) == (floor, alpha)
+    assert_block_reads_like_the_full_table(block, reach, top, full, alpha, floor)
+    found = searched(n, key, block, alpha, floor)
+    assert found == searched(n, key, full, alpha, floor)
+    # every level the search or the bands at its gamma read is served
+    # without a rebuild
+    assert _cdf_matrix(n, key, floor, alpha) is block
+    assert _cdf_matrix(n, key, found[0]) is block
 
-    exact = (win != 0.0) & (win != 1.0)
-    assert np.array_equal(win[exact], full[exact])
-    zeros, ones = (win == 0.0) & (full != 0.0), (win == 1.0) & (full != 1.0)
-    assert np.all(2.0 * full[zeros] <= reach)
-    assert np.all(2.0 * (1.0 - full[ones]) <= reach)
+    # the bands' own table, built for [gamma, gamma]
+    bands, bands_reach = _cdf_table(n, p, alpha, alpha)
+    assert_block_reads_like_the_full_table(bands, bands_reach, alpha, full, alpha, alpha)
 
-    lowest = np.nextafter(reach, 1.0) if reach > 0.0 else floor / 1e3
-    ladder = np.append(np.geomspace(lowest, 0.999, 30), [floor, alpha])
-    for g in ladder:
-        for got, want in zip(_count_bounds(win, g), _count_bounds(full, g)):
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    spec=grid_specs,
+    alpha=st.sampled_from((0.001, 0.01, 0.05, 0.1, 0.3, 0.7)),
+    above=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    gammas=st.lists(unit_floats, max_size=4),
+)
+@example(n=351, spec=("default", None), alpha=0.05, above=0.01, gammas=[1e-9, 1e-12, 0.9, 0.001])
+@example(n=40, spec=("lattice", 7), alpha=0.1, above=0.5, gammas=[])
+@example(n=3, spec=("default", None), alpha=0.01, above=0.5, gammas=[5e-324])
+def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gammas):
+    # the first bands above alpha come right after the search has cached
+    # its [alpha / K, alpha] table for the same grid
+    key = grid_points(n, spec)
+    grid = EvaluationGrid(np.asarray(key))
+    full = _cdf_table(n, np.asarray(key), 0.0, 0.0)[0]
+    clear_program_caches()
+    found = gamma_optimize(n, grid, alpha).gamma
+    first = alpha + above * (1.0 - alpha)
+    first = float(np.clip(first, np.nextafter(alpha, 1.0), np.nextafter(1.0, 0.0)))
+    for g in [first, *gammas, found]:
+        bands = bands_from_gamma(n, grid, g)
+        for got, want in zip((bands.lower_counts, bands.upper_counts), _count_bounds(full, g)):
             assert np.array_equal(got, want), g
-
-    assert searched(n, key, win, alpha, floor) == searched(n, key, full, alpha, floor)
-    # every level the search or its bands read is served without a rebuild
-    assert _cdf_matrix(n, key, floor) is win
+        if g == first:
+            # the rebuild serves both ranges, so the search's own levels
+            # are served again without one
+            assert _cdf_slot(n, key)[0][2:] == (alpha / len(key), first)
 
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Every table build as (n, grid points, level), from empty caches."""
+    """Every table build as (n, grid points, level, top), from empty caches."""
     builds = []
 
-    def counting(n, p, level):
-        builds.append((n, tuple(p), level))
-        return real(n, p, level)
+    def counting(n, p, level, top):
+        builds.append((n, tuple(p), level, top))
+        return real(n, p, level, top)
 
     real = bands_single._cdf_table
     monkeypatch.setattr(bands_single, "_cdf_table", counting)
@@ -147,13 +209,13 @@ def test_cold_one_column_test_builds_its_table_once(tmp_path, table_builds):
     src = _pit_file(tmp_path / "pit.csv", np.random.default_rng(12).random(341))
     assert cli.main(["test", src, "--out", str(tmp_path / "report.json")]) in (0, 1)
     key = tuple(default_grid(341, None).points)
-    assert table_builds == [(341, key, 0.05 / len(key))]
+    assert table_builds == [(341, key, 0.05 / len(key), 0.05)]
 
 
 def test_simulation_builds_only_full_tables(table_builds):
     grid = default_grid(250, None)
     gamma_simulate(250, grid, 0.05, m=1000, seed=3)
-    assert table_builds and all(level == 0.0 for _, _, level in table_builds)
+    assert table_builds and all(level == 0.0 for _, _, level, _ in table_builds)
 
 
 def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_builds, monkeypatch):
@@ -174,7 +236,7 @@ def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_bui
     for argv in cycle:
         assert cli.main(argv) in (0, 1)
     keys = _cdf_slot.cache_info().currsize
-    assert keys == len({(n, key) for n, key, _ in table_builds})
+    assert keys == len({(n, key) for n, key, _, _ in table_builds})
     misses = _cdf_slot.cache_info().misses
     table_builds.clear()
     for argv in cycle:

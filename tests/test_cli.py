@@ -150,6 +150,31 @@ def test_ndjson_unequal_chains_exit_two(tmp_path, capsys):
     assert "unequal" in err
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"chain": 1.7, "value": 0.5},
+        {"chain": True, "value": 0.5},
+        {"chain": 1, "value": True},
+        {"chain": float("inf"), "value": 0.5},
+    ],
+)
+def test_ndjson_bool_and_fractional_fields_exit_two(tmp_path, capsys, record):
+    lines = [json.dumps({"chain": c, "value": v}) for c in (0, 1) for v in (0.2, 0.4, 0.6)]
+    lines[4] = json.dumps(record)
+    path = write(tmp_path / "bad.ndjson", "\n".join(lines) + "\n")
+    assert main(["test", path]) == 2
+    assert f"{path}:5: bad NDJSON record" in capsys.readouterr().err
+
+
+def test_ndjson_integral_float_and_string_fields_still_parse(tmp_path):
+    lines = [json.dumps({"chain": 0, "value": v}) for v in (0.1, 0.5, 0.9)]
+    lines += [json.dumps({"chain": 1.0, "value": "0.3"}), json.dumps({"chain": "1", "value": 0.7})]
+    lines.append(json.dumps({"chain": 1, "value": 0.2}))
+    got = cli._parse_ndjson("\n".join(lines), "ok.ndjson")
+    np.testing.assert_array_equal(got, [[0.1, 0.3], [0.5, 0.7], [0.9, 0.2]])
+
+
 def test_out_flag_writes_file(uniform_csv, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["test", uniform_csv, "--grid-k", "10", "--out", str(out)])

@@ -153,7 +153,8 @@ def test_hyper_support_bounds():
     for n, l in ((4, 2), (3, 3), (2, 4)):
         rest = (l - 1) * n
         s = all_pooled_counts(n, l)
-        cdf, floor = _hyper_tables(n, l, s)
+        table, floor = _hyper_tables(n, l, s)
+        cdf = table.cells
         for i, si in enumerate(s):
             lo, hi = max(0, si - rest), min(n, si)
             assert floor[i] == lo
@@ -178,7 +179,7 @@ def test_hyper_logpmf_against_fraction_oracle():
 def test_hyper_cdf_table_sums_pmf_exactly():
     n, l = 5, 3
     s = all_pooled_counts(n, l)
-    cdf = _hyper_tables(n, l, s)[0]
+    cdf = _hyper_tables(n, l, s)[0].cells
     assert cdf.shape == (len(s), n + 1)
     for i, si in enumerate(s):
         acc = Fraction(0)

@@ -1,5 +1,6 @@
 """``tools/search_cost.py`` on a few small shapes: its counts must add up
-and match what the searches themselves report."""
+and match what the searches themselves report, and one column's table
+must run ``betainc`` on fewer cells than the full table has."""
 
 import importlib.util
 from pathlib import Path
@@ -33,14 +34,18 @@ def test_prints_one_row_per_search_and_a_total(capsys):
             gamma_optimize_multi(12, 3, default_grid(12, 36), 0.05),
         ],
     ):
-        counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-2]}
+        counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-3]}
         assert counts["steps"] == res.meta["steps"]
         assert counts["evals"] == res.meta["evaluations"]
         assert counts["passes"] == res.meta["passes"]
         assert counts["memo"] == counts["evals"] - counts["passes"]
         assert counts["half"] + counts["full"] + counts["dense"] == counts["passes"]
         assert float(row["search_ms"]) >= float(row["ms_per_pass"]) > 0.0
+        assert float(row["search_ms"]) >= float(row["table_ms"]) > 0.0
     # only one column takes the half route
     assert int(rows[0]["half"]) > 0 and int(rows[1]["half"]) == int(rows[2]["half"]) == 0
+    # the block's edge searches and tail cells, against K * n for the full table
+    assert 0 < int(rows[0]["cells"]) < int(rows[0]["K"]) * 281 // 2
+    assert int(rows[1]["cells"]) == int(rows[2]["cells"]) == 0
     assert lines[-1][0] == "total"
     assert int(lines[-1][3]) == sum(int(row["evals"]) for row in rows)

@@ -21,7 +21,7 @@ from ecdf_bands.bands_multi import (
     _hyper_tables,
     _pooled_counts,
 )
-from ecdf_bands.bands_single import _block_rows, _cdf_matrix, _count_bounds, _tail_levels
+from ecdf_bands.bands_single import CdfBlock, _block_rows, _cdf_matrix, _count_bounds, _tail_levels
 from ecdf_bands.transform import EvaluationGrid, default_grid
 
 PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
@@ -30,10 +30,16 @@ PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
 SMALLEST_GAMMA = 2.0**-1021
 
 
-def assert_levels_are_the_band_verdict(cdf: np.ndarray, floor: np.ndarray) -> None:
+def full_table(cdf) -> CdfBlock:
+    return CdfBlock(np.asarray(cdf), np.zeros(len(cdf), dtype=np.int64))
+
+
+def assert_levels_are_the_band_verdict(table: CdfBlock, floor: np.ndarray) -> None:
     """For every cell (i, c) and every gamma in (0, 1] at its level or a
     float neighbour of it: level >= gamma exactly when the bounds
     ``_count_bounds`` reads from row i at gamma hold count c."""
+    cdf = table.cells
+    assert not table.first.any()
     counts = np.arange(cdf.shape[1])
     for i in range(cdf.shape[0]):
         row = cdf[i : i + 1]
@@ -41,7 +47,7 @@ def assert_levels_are_the_band_verdict(cdf: np.ndarray, floor: np.ndarray) -> No
         for gamma in (level, np.nextafter(level, 0.0), np.nextafter(level, 2.0)):
             keep = (gamma >= SMALLEST_GAMMA) & (gamma <= 1.0)
             g, c = gamma[keep], counts[keep]
-            lo, hi = _count_bounds(row, g[:, None], floor[i])
+            lo, hi = _count_bounds(full_table(row), g[:, None], floor[i])
             inside = (lo <= c) & (c <= hi)
             np.testing.assert_array_equal(level[keep] >= g, inside, err_msg=f"row {i}")
 
@@ -97,7 +103,7 @@ def test_flat_tail_index_reads_the_per_row_levels(key, seed, fill):
     # one running sum and the flat index against per-row counts and
     # _tail_levels, on a full row block and on a part of one
     n, l, s = key
-    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0]
+    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
     rows = _block_rows(l * n)
     reader = _chain_level_reader(cdf, s, n, l, rows)
     u = np.random.default_rng(seed).random((rows, l * n))
@@ -117,8 +123,8 @@ def test_upper_tail_level_follows_the_rounding_of_one_minus_half_gamma(below):
     cdf = np.array([[below, 1.0]])
     level = _tail_levels(cdf)(np.array([[1]]))[0]
     assert level < 2.0 * (1.0 - below)
-    assert _count_bounds(cdf, level)[1][0] == 1
-    assert _count_bounds(cdf, np.nextafter(level, 1.0))[1][0] == 0
+    assert _count_bounds(full_table(cdf), level)[1][0] == 1
+    assert _count_bounds(full_table(cdf), np.nextafter(level, 1.0))[1][0] == 0
 
 
 def test_count_above_a_cdf_that_rounds_to_one_has_level_zero():
@@ -127,4 +133,4 @@ def test_count_above_a_cdf_that_rounds_to_one_has_level_zero():
     # fires on such a level
     cdf = np.array([[1.0, 1.0]])
     assert _tail_levels(cdf)(np.array([[1], [0]])).tolist() == [0.0, 2.0]
-    assert _count_bounds(cdf, 2.0**-1021)[1][0] == 0
+    assert _count_bounds(full_table(cdf), 2.0**-1021)[1][0] == 0

@@ -14,16 +14,21 @@ Each row gives the grid size K, the candidate steps, the evaluations
 (the steps whose coverage the search read, ``meta["evaluations"]``),
 the coverage passes it ran (``meta["passes"]``), the evaluations its
 memo served, the passes by route (half, full and dense, from
-``_forward.route_count``), the search's wall time and the mean time of
-one pass, factors included.  The last row sums the counts and the
-search times, and gives the mean time over all the passes.
+``_forward.route_count``), the cells ``betainc`` computed (window edge
+searches included; 0 for chains, whose hypergeometric table needs
+none), the time spent building the CDF table, the search's wall time
+and the mean time of one pass, factors included.  The last row sums
+the counts and the times, and gives the mean time over all the passes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -31,7 +36,10 @@ from ecdf_bands import _forward, bands_multi, bands_single  # noqa: E402
 from ecdf_bands.transform import default_grid  # noqa: E402
 
 ROUTES = ("half", "full", "dense")
-COLUMNS = ("shape", "K", "steps", "evals", "passes", "memo", *ROUTES, "search_ms", "ms_per_pass")
+COLUMNS = (
+    "shape", "K", "steps", "evals", "passes", "memo", *ROUTES,
+    "cells", "table_ms", "search_ms", "ms_per_pass",
+)  # fmt: skip
 DEFAULT_SHAPES = tuple(str(n) for n in range(251, 442, 10))
 
 
@@ -50,35 +58,61 @@ def _clear_caches() -> None:
                 value.cache_clear()
 
 
+def _timed(fn, spent: dict, key: str):
+    """``fn`` adding its wall time to ``spent[key]``."""
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[key] += time.perf_counter() - t0
+
+    return timed
+
+
+@contextlib.contextmanager
+def _wrapped(module, name: str, wrap):
+    """``module.name`` replaced by ``wrap(module.name)`` inside the block."""
+    real = getattr(module, name)
+    setattr(module, name, wrap(real))
+    try:
+        yield
+    finally:
+        setattr(module, name, real)
+
+
 def search_cost(n: int, l: int) -> dict:
     """One cold search's counts and times, keyed by ``COLUMNS``."""
     grid = default_grid(n, l * n if l > 1 else None)
-    spent = [0.0]
-    search = bands_single._optimized_gamma
+    spent = {"pass": 0.0, "table": 0.0, "cells": 0}
 
-    def timed_search(bounds, mass, *rest):
-        def timed_mass(lo, hi):
-            t0 = time.perf_counter()
-            try:
-                return mass(lo, hi)
-            finally:
-                spent[0] += time.perf_counter() - t0
+    def counted_betainc(betainc):
+        def counted(*args, **kwargs):
+            spent["cells"] += np.broadcast(*args).size
+            return betainc(*args, **kwargs)
 
-        return search(bounds, timed_mass, *rest)
+        return counted
+
+    def timed_search(search):
+        def run(bounds, mass, *rest):
+            return search(bounds, _timed(mass, spent, "pass"), *rest)
+
+        return run
 
     _clear_caches()
-    module = bands_single if l == 1 else bands_multi
+    module, table = (bands_single, "_cdf_table") if l == 1 else (bands_multi, "_hyper_tables")
     before = [_forward.route_count(r) for r in ROUTES]
-    module._optimized_gamma = timed_search
-    try:
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(_wrapped(module, "_optimized_gamma", timed_search))
+        stack.enter_context(_wrapped(module, table, lambda fn: _timed(fn, spent, "table")))
+        stack.enter_context(_wrapped(bands_single, "betainc", counted_betainc))
         t0 = time.perf_counter()
         if l == 1:
             res = bands_single.gamma_optimize(n, grid, 0.05)
         else:
             res = bands_multi.gamma_optimize_multi(n, l, grid, 0.05)
         wall = time.perf_counter() - t0
-    finally:
-        module._optimized_gamma = search
     meta = res.meta
     row = {
         "shape": f"{n}x{l}" if l > 1 else str(n),
@@ -89,8 +123,10 @@ def search_cost(n: int, l: int) -> dict:
         "memo": meta["evaluations"] - meta["passes"],
     }
     row.update({r: _forward.route_count(r) - b for r, b in zip(ROUTES, before)})
+    row["cells"] = spent["cells"]
+    row["table_ms"] = 1e3 * spent["table"]
     row["search_ms"] = 1e3 * wall
-    row["ms_per_pass"] = 1e3 * spent[0] / max(meta["passes"], 1)
+    row["ms_per_pass"] = 1e3 * spent["pass"] / max(meta["passes"], 1)
     return row
 
 
