@@ -13,14 +13,15 @@ window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
 Only the hypergeometric parts live here: the pooled counts, the full
-CDF table, the forward-pass factors, the replicates' pooled order
-(one sort of packed draw-and-chain keys, ``_chain_labeller``), the
-per-chain cell counts read from it, and the replicates' tail levels read
-from those counts through one flat index (``_chain_level_reader``, for
-the simulator and the power sweep).
-The band type and every law-independent step (count bounds, tail
-levels, the exact search, the simulators' tail) are shared with the
-one-sample bands in ``bands_single``.
+CDF table, the forward-pass factors, the replicates' pooled order (one
+sort of packed draw-and-chain keys, ``_chain_labeller``), and the cell
+of each pooled rank (``_rank_cells``): a draw's cell id is its chain
+label times K + 1 plus the cell of its rank, which is all this law
+supplies to the replicate path and to the observed-data counter.
+The band type and every law-independent step (count bounds, the exact
+search, the seeded block loop, the tail-level reader, the cell counter)
+are shared with the one-sample bands in ``bands_single`` and
+``transform``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .bands_single import (
     GammaResult,
     TestReport,
     _band_level,
-    _block_rows,
     _check_alpha,
     _count_bounds,
     _exact_coverage,
@@ -45,12 +45,13 @@ from .bands_single import (
     _frozen_block,
     _optimized_gamma,
     _simulated_gamma,
-    _tail_table,
+    _tail_level_reader,
 )
 from .transform import (
     ChainSet,
     EcdfTrajectory,
     EvaluationGrid,
+    _cell_counts,
     default_grid,
     joint_fractional_ranks,
 )
@@ -118,7 +119,8 @@ def _hyper_tables(n: int, l: int, s_key: tuple):
     and 1 from its top on.  The mass is exactly 0 below the support, so
     one running sum along the rows adds the same terms in the same order
     as a sum over the support alone.  The bands, the exact search and
-    the simulator's tail levels (``_tail_levels``) all read this table.
+    the replicates' tail levels (``bands_single._tail_level_reader``)
+    all read this table.
     """
     s = np.array(s_key, dtype=np.int64)
     cdf = np.minimum(np.cumsum(np.exp(_hyper_log_mass(n, l, s)), axis=1), 1.0)
@@ -208,58 +210,16 @@ def _chain_factors(n: int, l: int, s, lo, hi):
     return lo_ext, hi_ext, src, ker, (np.where(inside, -dst, -np.inf),)
 
 
-def _chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
-    """Per-chain counts of pooled ranks at or below each s_i, (B, L, K).
+def _rank_cells(s: np.ndarray, size: int) -> np.ndarray:
+    """The grid cell of each pooled rank 1..size: rank r lies in cell i
+    when s_{i-1} < r <= s_i, and in cell K above s_K.
 
-    ``u`` has shape (B, l*n) with chains as contiguous blocks of n
-    distinct values per row: ``test_multi``'s one row of joint
-    fractional ranks.  Their argsort is the pooled order, and the chain
-    of the value sorted at each position is its column // n.  Sorted
-    position j holds pooled rank j + 1, so the chain labelled there is
-    counted in the cell of rank j + 1, shared by all rows.
+    Sorted position j of the pooled draws holds rank j + 1, so the draw
+    there, of chain c, has the cell id ``c * (K + 1) + cells[j]`` that
+    ``bands_single._tail_level_reader`` and ``transform._cell_counts``
+    read.
     """
-    b, k = u.shape[0], s.size
-    labels = np.argsort(u, axis=1) // n
-    labels += (np.arange(b) * l)[:, None]
-    labels *= k + 1
-    labels += np.searchsorted(s, np.arange(1, l * n + 1), side="left")
-    hist = np.bincount(labels.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
-    return np.cumsum(hist, axis=2)[:, :, :k]
-
-
-def _chain_level_reader(cdf: np.ndarray, s: np.ndarray, n: int, l: int, rows: int):
-    """Tightest tail level of each replicate, as a function of up to
-    ``rows`` replicates' chain labels in pooled order, (B, l*n) int64.
-
-    The returned function counts as ``_chain_cell_counts`` does and reads
-    the levels ``_tail_levels(cdf)`` would, with one running sum over
-    the cells of all (replicate, chain) rows in place of one per row.
-    Every row holds exactly n draws, so at cell i of row r the flat sum
-    is r * n plus that row's count.  One index, built here, subtracts
-    r * n and adds the table's row offset i * (n + 1), and sends each
-    row's last cell (all n draws, no grid point) to a level of infinity;
-    the levels are then one gather and a minimum.  It overwrites the
-    labels.
-    """
-    k = s.size
-    tails = np.append(_tail_table(cdf).ravel(), np.inf)
-    width = k + 1
-    cells = np.searchsorted(s, np.arange(1, l * n + 1), side="left")
-    cells = cells + (np.arange(rows) * (l * width))[:, None]
-    col = np.arange(width)
-    row_sums = (np.arange(rows * l) * n)[:, None]
-    index = (np.where(col < k, col * (n + 1), tails.size - 1 - n) - row_sums).ravel()
-
-    def levels(labels: np.ndarray) -> np.ndarray:
-        b = labels.shape[0]
-        labels *= width
-        labels += cells[:b]
-        flat = np.bincount(labels.ravel(), minlength=b * l * width)
-        np.cumsum(flat, out=flat)
-        flat += index[: flat.size]
-        return tails[flat].reshape(b, -1).min(axis=1)
-
-    return levels
+    return np.searchsorted(s, np.arange(1, size + 1), side="left")
 
 
 _LABEL_BITS = 11
@@ -318,12 +278,12 @@ def gamma_simulate_multi(
     Replicates draw all chains from one continuous uniform, sort the
     pooled draws once, count each chain's draws in the first s_i sorted
     positions, and record the tightest pointwise two-sided
-    hypergeometric tail level over all chains and grid points, read as
-    ``_tail_levels`` reads it from the CDF table the bands read
-    (``_chain_level_reader``, one running sum and one gather per block).
-    The sort is one sort of packed draw-and-chain keys
-    (``_chain_labeller``), which gives the same order as argsorting the
-    draws, and ``_simulated_gamma`` runs each chunk in cache-sized row
+    hypergeometric tail level over all chains and grid points, read by
+    ``_tail_level_reader`` from the draws' cells (chain label and rank
+    cell, ``_rank_cells``) and the CDF table the bands read, one running
+    sum and one gather per block.  The sort is one sort of packed
+    draw-and-chain keys (``_chain_labeller``), which gives the same
+    order as argsorting the draws, and ``_simulated_gamma`` runs each chunk in cache-sized row
     blocks.  With more than three chains the attained coverage is the
     in-sample fraction of replicate trajectories the calibrated bands
     hold, since the exact recursion is unavailable; a replicate's level
@@ -335,11 +295,13 @@ def gamma_simulate_multi(
     alpha = _check_alpha(alpha)
     s = _pooled_counts(grid, n, l)
     cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
+    levels = _tail_level_reader(cdf, l, _rank_cells(s, l * n))
     labels = _chain_labeller(n, l)
-    levels = _chain_level_reader(cdf, s, n, l, _block_rows(l * n))
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        return levels(labels(rng, size))
+        cells = labels(rng, size)
+        cells *= s.size + 1
+        return levels(cells)
 
     def exact(g: float) -> float:
         return coverage_probability_multi(n, l, grid, g)
@@ -395,7 +357,9 @@ def test_multi(
     compared against shared hypergeometric bands.  The ranks are
     distinct, so their argsort is the pooled order, and each chain's
     ranks at or below the pooled counts s_i are counted by
-    ``_chain_cell_counts``, as the simulators count their replicates.
+    ``transform._cell_counts`` from each draw's chain label and rank
+    cell (``_rank_cells``), the cells the replicates' tail levels are
+    read from.
     The joint verdict is inside exactly when every chain stays inside.
     Unless ``gamma`` is given, ``method``, ``m``, ``seed``, ``threads``
     and ``cache`` go to ``gamma_cache.calibrate``.
@@ -411,8 +375,9 @@ def test_multi(
 
         gamma = calibrate(n, l, grid, alpha, method, m=m, seed=seed, threads=threads, cache=cache)
     bands = bands_from_gamma_multi(n, l, grid, gamma)
-    fractional = joint_fractional_ranks(cs, tie_policy=tie_policy, seed=seed)
-    counts = _chain_cell_counts(fractional.reshape(1, -1), _pooled_counts(grid, n, l), n, l)[0]
+    s = _pooled_counts(grid, n, l)
+    labels = np.argsort(joint_fractional_ranks(cs, tie_policy=tie_policy, seed=seed).ravel()) // n
+    counts = _cell_counts(labels * (s.size + 1) + _rank_cells(s, l * n), l, s.size)
     reports = []
     for chain_counts in counts:
         trajectory = EcdfTrajectory(grid, chain_counts, n)

@@ -14,23 +14,28 @@ chains (hypergeometric, ``bands_multi``), so every step that does not
 depend on the law is written once here and serves both: the band type
 ``ConfidenceBands``, the CDF table as a block of cells with each row's
 first count (``CdfBlock``), the count-bound rule over it
-(``_count_bounds``), the tightest-tail gather that reads the full table
-by the same rule (``_tail_levels``), the
-exact step search (``_optimized_gamma``), the seeded chunk-and-thread
-replicate harness (``_map_chunks``) with the simulators' shared tail
-(``_simulated_gamma``, which reduces each chunk in cache-sized row
-blocks drawn one after another from the chunk's generator), the
-coverage entry check and the exceedance scan.
+(``_count_bounds``), the exact step search (``_optimized_gamma``), the
+coverage entry check, the exceedance scan, and one replicate path for
+the simulators and the power sweeps.  That path is one seeded block loop
+(``_replicate_blocks``: each chunk's generator, on ``_map_chunks``'s
+threads, drawn in cache-sized row blocks one after another) and one
+tail-level reader (``_tail_level_reader``), which reads the full table
+by the bands' rule from the cell id of each draw.  A count law supplies
+only those cell ids: ``searchsorted`` of the draws on the grid for one
+sample; for chains, the chain label times K + 1 plus the cell of the
+pooled rank at each sorted position (``bands_multi._rank_cells``).
+Observed data is counted from the same cell ids
+(``transform._cell_counts``).
 
 The binomial CDF table (``_cdf_matrix``) is built for a range of levels
 [level, top]: the exact search asks for [alpha / K, alpha] and the bands
 for [gamma, gamma].  It keeps each row's window of counts whose CDF such
 levels can read, and ``betainc`` runs only on the window's tails, where
 2 * min(F, 1 - F) < top; the centre between them, inside the bands at
-every level of the range, holds 1/2.  The simulator, which gathers
-arbitrary counts, asks for the full table (level 0).  Each count law has
-this one table, and the simulators' tail levels read it by the bands'
-own rule, so a level and the bands never read one breakpoint with
+every level of the range, holds 1/2.  The replicate path, which
+gathers arbitrary counts, asks for the full table (level 0).  Each count
+law has this one table, and the replicates' tail levels read it by the
+bands' own rule, so a level and the bands never read one breakpoint with
 different bits.
 """
 
@@ -47,7 +52,6 @@ from scipy.special import betainc, ndtri
 
 from . import _forward, dist
 from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
-from .transform import _grid_cell_counts
 
 __all__ = [
     "ConfidenceBands",
@@ -226,9 +230,9 @@ def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0, top: float | None = 
     for [alpha / K, alpha], so its evaluations and the bands at its
     gamma read the table it built; the bands, ``coverage_probability``
     and the rank-histogram interval (``report.rank_hist``, one row at
-    p = 1/bins) ask for [gamma, gamma]; ``gamma_simulate`` gathers
-    arbitrary counts and asks for level 0.  They all read this one
-    binomial CDF build.
+    p = 1/bins) ask for [gamma, gamma]; ``gamma_simulate`` and the power
+    sweep's one-sample band test gather arbitrary counts and ask for
+    level 0.  They all read this one binomial CDF build.
     """
     if not level >= _EXACT_HALF:
         level, top = 0.0, math.inf
@@ -577,20 +581,56 @@ def _tail_table(cdf: np.ndarray) -> np.ndarray:
     return np.minimum(2.0 * cdf, upper)
 
 
-def _tail_levels(cdf: np.ndarray):
-    """Per-trajectory tightest two-sided tail level, as a function of
-    the counts.
+def _tail_level_reader(cdf: np.ndarray, groups: int = 1, position_cells=0):
+    """Tightest tail level of each replicate, as a function of the cell
+    ids of its draws less ``position_cells``, (B, groups * n) int64,
+    which it overwrites.
 
-    The returned function takes counts of shape (B, ..., K), indexed by
-    grid point along the last axis, and gives for each of the B rows the
-    minimum level over all its counts (``_tail_table``), read with one
-    flat gather.
+    ``cdf`` holds the cells of a full (K, n + 1) CDF table, and each
+    replicate holds ``groups`` groups of exactly n draws: one sample, or
+    l chains.  Cell id g * (K + 1) + i puts a draw of group g in cell i,
+    above grid point i - 1 and at or below point i; cell K lies above
+    every point.  Where a draw's cell depends on its position in the
+    row, as a chain's draw in pooled order lies in the cell of its
+    pooled rank, ``position_cells`` holds that part for each position
+    and the function takes the rest.  Each replicate's level is the
+    minimum over its groups and grid points of the count's level in
+    ``_tail_table``, so it is at or above gamma exactly when the bands
+    at gamma hold every count.
+
+    One running sum counts the cells of all (replicate, group) rows of a
+    block at once.  Every row holds exactly n draws, so at cell i of row
+    r the sum is r * n plus that row's count at point i.  One index
+    subtracts r * n and adds the table's row offset i * (n + 1), and
+    sends each row's last cell (all n draws, no grid point) to a level
+    of infinity; the levels are then one gather and a minimum.  The
+    position cells, with each replicate's offset into the block's cells
+    added, are one array; it and the index are built for the largest
+    block read so far.
     """
-    tails = _tail_table(cdf).ravel()
-    row_start = np.arange(cdf.shape[0]) * cdf.shape[1]
+    k, n = cdf.shape[0], cdf.shape[1] - 1
+    width = k + 1
+    tails = np.append(_tail_table(cdf).ravel(), np.inf)
+    col = np.arange(width)
+    col_index = np.where(col < k, col * (n + 1), tails.size - 1 - n)
+    # (position cells and offsets, index) for blocks of up to that many
+    # replicates; one tuple read and one write, so a racing thread at
+    # worst builds them twice
+    built = [(np.empty((0, groups * n), dtype=np.int64), col_index[:0])]
 
-    def levels(counts: np.ndarray) -> np.ndarray:
-        return tails[counts + row_start].reshape(counts.shape[0], -1).min(axis=1)
+    def levels(cells: np.ndarray) -> np.ndarray:
+        b = cells.shape[0]
+        base, index = built[0]
+        if base.shape[0] < b:
+            base = position_cells + (np.arange(b) * (groups * width))[:, None]
+            base = np.ascontiguousarray(np.broadcast_to(base, (b, groups * n)))
+            index = (col_index - (np.arange(b * groups) * n)[:, None]).ravel()
+            built[0] = base, index
+        cells += base[:b]
+        flat = np.bincount(cells.ravel(), minlength=b * groups * width)
+        np.cumsum(flat, out=flat)
+        flat += index[: flat.size]
+        return tails[flat].reshape(b, -1).min(axis=1)
 
     return levels
 
@@ -634,23 +674,45 @@ def _block_rows(width: int) -> int:
     return max(_BLOCK_MIN_ROWS, _BLOCK_DRAWS // width)
 
 
+def _replicate_blocks(
+    fn, width: int, total: int, chunk: int, seed: int, threads: int, by_start: bool = False
+) -> list:
+    """``fn(rng, size)`` for each row block of ``size`` replicates of
+    ``width`` draws, over ``total`` replicates; the results come back in
+    replicate order.
+
+    The replicates are cut into chunks of ``chunk``, run on ``threads``
+    workers (``_map_chunks``).  Chunk i draws from
+    ``SeedSequence((seed, i))``, or from ``SeedSequence((seed, start))``
+    keyed by its first replicate with ``by_start``.  Each chunk is
+    reduced in row blocks of about ``_BLOCK_DRAWS`` draws, and at least
+    ``_BLOCK_MIN_ROWS`` rows, taken one after another from the chunk's
+    generator; generators fill row-major, so the blocks see the same
+    stream as one draw of the whole chunk.
+    """
+    rows = _block_rows(width)
+
+    def run(start: int, size: int) -> list:
+        rng = _chunk_rng(seed, start if by_start else start // chunk)
+        return [fn(rng, min(rows, size - b)) for b in range(0, size, rows)]
+
+    return [block for piece in _map_chunks(run, total, chunk, threads) for block in piece]
+
+
 def _simulated_gamma(
     levels_fn, width: int, alpha: float, m: int, chunk: int, seed: int, threads: int, exact=None
 ) -> GammaResult:
     """Gamma from m simulated tightest tail levels.
 
     ``levels_fn(rng, size)`` simulates ``size`` replicates of ``width``
-    draws each.  Chunk i draws from ``SeedSequence((seed, i))``, in row
-    blocks of about ``_BLOCK_DRAWS`` draws, and at least
-    ``_BLOCK_MIN_ROWS`` rows, taken one after another from the chunk's
-    generator; generators fill row-major, so the blocks see the same
-    stream as one draw of the whole chunk.  Gamma is the empirical
-    alpha-quantile of the levels, capped at alpha.  The attained
-    coverage is ``exact(gamma)`` when an exact coverage is available;
-    otherwise it is the in-sample fraction of levels at or above gamma,
-    and ``meta["attained_estimate"]`` says ``"in_sample"``.  The levels
-    come from ``_tail_levels`` on the table the bands read, so that
-    fraction is the share of these replicates the bands at gamma hold.
+    draws each, in the row blocks of ``_replicate_blocks`` over chunks
+    of ``chunk``.  Gamma is the empirical alpha-quantile of the levels,
+    capped at alpha.  The attained coverage is ``exact(gamma)`` when an
+    exact coverage is available; otherwise it is the in-sample fraction
+    of levels at or above gamma, and ``meta["attained_estimate"]`` says
+    ``"in_sample"``.  The levels come from ``_tail_level_reader`` on the
+    table the bands read, so that fraction is the share of these
+    replicates the bands at gamma hold.
 
     Every level is asserted positive.  It is 0 only for a replicate that
     reaches a count whose neighbour CDF cell rounds to exactly 1.0 (an
@@ -659,14 +721,7 @@ def _simulated_gamma(
     """
     if m < 100:
         raise ValueError("at least 100 replicates are required")
-    rows = _block_rows(width)
-
-    def run(start: int, size: int) -> list:
-        rng = _chunk_rng(seed, start // chunk)
-        return [levels_fn(rng, min(rows, size - b)) for b in range(0, size, rows)]
-
-    pieces = _map_chunks(run, m, chunk, threads)
-    levels = np.concatenate([block for piece in pieces for block in piece])
+    levels = np.concatenate(_replicate_blocks(levels_fn, width, m, chunk, seed, threads))
     assert np.all(levels > 0.0), "tightest tail level must be positive"
     gamma = min(_empirical_lower_quantile(levels, alpha), alpha)
     meta = {"replicates": m, "alpha": alpha}
@@ -690,20 +745,20 @@ def gamma_simulate(
 
     Each replicate draws n uniforms, records the tightest pointwise
     two-sided tail level its trajectory attains anywhere on the grid,
-    read by ``_tail_levels`` from the full binomial CDF table that the
-    bands read, and gamma is the empirical alpha-quantile of those
-    levels.  A level is the largest gamma whose bands hold the
-    trajectory, and ``_simulated_gamma`` asserts it positive.
+    read by ``_tail_level_reader`` from the draws' grid cells
+    (``searchsorted``) and the full binomial CDF table that the bands
+    read, and gamma is the empirical alpha-quantile of those levels.  A
+    level is the largest gamma whose bands hold the trajectory, and
+    ``_simulated_gamma`` asserts it positive.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
     pts = grid.points
-    key = _grid_key(grid)
-    levels = _tail_levels(_cdf_matrix(n, key).cells)
+    levels = _tail_level_reader(_cdf_matrix(n, _grid_key(grid)).cells)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        return levels(_grid_cell_counts(rng.random((size, n)), pts))
+        return levels(np.searchsorted(pts, rng.random((size, n)), side="left"))
 
     return _simulated_gamma(
         tightest, n, alpha, m, 512, seed, threads, lambda g: coverage_probability(n, grid, g)

@@ -5,6 +5,12 @@ families on [0, 1] (tilt towards one end, towards the ends, or towards
 the middle, with a strength exponent), then tested either with the
 simultaneous-band test or with classical uniformity statistics whose
 critical values come from Monte Carlo under the null.
+
+The null samples and the distorted samples take the simulators' one
+replicate path: ``bands_single._replicate_blocks`` draws them in seeded
+row blocks, and the band test rejects a sample whose tightest tail
+level, read by ``bands_single._tail_level_reader`` as the simulators
+read theirs, is below gamma, for one sample as for several chains.
 """
 
 from __future__ import annotations
@@ -136,8 +142,9 @@ def _row_statistics(u: np.ndarray, stats) -> dict[str, np.ndarray]:
 
 def _critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:
     """``critical_value`` of each named statistic, from one pass of m
-    null samples: each chunk is drawn and sorted once for all of them.
-    Chunks run on ``threads`` workers, each from its own stream."""
+    null samples through ``bands_single._replicate_blocks``, each chunk's
+    stream keyed by its first replicate: each row block is drawn and
+    sorted once for all of them."""
     for t in stats:
         if t not in _STATS:
             raise ValueError(f"stat must be one of {STAT_TESTS}, got {t!r}")
@@ -147,23 +154,12 @@ def _critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: in
     if m < 1_000:
         raise ValueError("at least 1000 null replicates are required")
 
-    rows = bands_single._block_rows(n)
+    def null_statistics(rng: np.random.Generator, size: int) -> dict:
+        return _row_statistics(rng.random((size, n)), stats)
 
-    def chunk(start: int, size: int) -> list:
-        rng = bands_single._chunk_rng(seed, start)
-        return [
-            _row_statistics(rng.random((min(rows, size - b), n)), stats)
-            for b in range(0, size, rows)
-        ]
-
-    pieces = bands_single._map_chunks(chunk, m, _CHUNK, threads)
-    blocks = [block for piece in pieces for block in piece]
-    rank = int(np.ceil((1.0 - alpha) * m))
-    values = {}
-    for t in stats:
-        null = np.concatenate([block[t] for block in blocks])
-        values[t] = float(np.partition(null, rank - 1)[rank - 1])
-    return values
+    blocks = bands_single._replicate_blocks(null_statistics, n, m, _CHUNK, seed, threads, by_start=True)
+    quantile = bands_single._empirical_lower_quantile
+    return {t: quantile(np.concatenate([block[t] for block in blocks]), 1.0 - alpha) for t in stats}
 
 
 def critical_value(stat: str, n: int, alpha: float, m: int = DEFAULT_REPLICATES, seed: int = 0) -> float:
@@ -200,32 +196,34 @@ def _band_rejector(
 ):
     """Batch rejector for the band test on l chains, and its gamma.
 
-    The sweep hands it one cache-sized row block of distorted samples at
-    a time.  One sample is rejected when a count leaves the bands.
-    Several chains are rejected when their tightest tail level, read as
-    the simulator reads its replicates' (``_chain_level_reader``), is
-    below gamma, which is the same verdict.
+    The sweep hands it one row block of distorted samples at a time.  A
+    sample is rejected when its tightest tail level, read as the
+    simulators read their replicates' (``_tail_level_reader``), is below
+    gamma, which is the verdict of the bands at gamma.  One sample's
+    draws fall in their grid cells by ``searchsorted``; several chains'
+    are argsorted into pooled order, each with its chain's label and the
+    cell of its pooled rank (``_rank_cells``).
     """
     if grid is None:
         grid = default_grid(n, l * n if l > 1 else None)
     gamma = calibrate(n, l, grid, alpha, m=m, seed=seed, threads=threads)
     if l == 1:
-        bands = bands_single.bands_from_gamma(n, grid, gamma)
-        lo, hi = bands.lower_counts, bands.upper_counts
+        cdf = bands_single._cdf_matrix(n, bands_single._grid_key(grid)).cells
+        levels = bands_single._tail_level_reader(cdf)
 
         def reject(u: np.ndarray) -> np.ndarray:
-            counts = bands_single._grid_cell_counts(u, grid.points)
-            return np.any((counts < lo) | (counts > hi), axis=1)
+            return levels(np.searchsorted(grid.points, u, side="left")) < gamma.gamma
 
     else:
         s = bands_multi._pooled_counts(grid, n, l)
         cdf = bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells
-        levels = bands_multi._chain_level_reader(cdf, s, n, l, bands_single._block_rows(l * n))
+        levels = bands_single._tail_level_reader(cdf, l, bands_multi._rank_cells(s, l * n))
 
         def reject(u: np.ndarray) -> np.ndarray:
-            labels = np.argsort(u, axis=1)
-            labels //= n
-            return levels(labels) < gamma.gamma
+            cells = np.argsort(u, axis=1)
+            cells //= n
+            cells *= s.size + 1
+            return levels(cells) < gamma.gamma
 
     return reject, gamma
 
@@ -252,10 +250,9 @@ def power_sweep(
     All strengths share the same underlying uniform draws, so curves
     are directly comparable point to point.  The classical statistics
     share one pass of null samples for their critical values, and each
-    distorted sample is sorted once for all of them.  Each chunk of
-    replicates is drawn and tested in cache-sized row blocks, one after
-    another from the chunk's generator, which draws what one call for
-    the whole chunk would.
+    distorted sample is sorted once for all of them.  The replicates
+    run through ``bands_single._replicate_blocks``, each row block drawn
+    and tested for every strength before the next.
     """
     if isinstance(tests, str):
         tests = [tests]
@@ -269,11 +266,11 @@ def power_sweep(
         raise ValueError("at least 1000 replicates are required")
     if n_chains < 1:
         raise ValueError("n_chains must be positive")
+    tests = list(dict.fromkeys(tests))
     if not tests:
         raise ValueError("tests must name at least one test")
     if n_chains > 1 and tests != ["bands"]:
         raise ValueError("multi-chain sweeps support only the 'bands' test")
-    tests = list(dict.fromkeys(tests))
     for t in tests:
         if t != "bands" and t not in _STATS:
             raise ValueError(f"unknown test {t!r}")
@@ -292,31 +289,28 @@ def power_sweep(
             meta[f"cv_{t}"] = cvs[t]
 
     transforms = [Transformation(family, k) for k in ks]
-    rows = bands_single._block_rows(n_chains * n)
 
-    def run(start: int, size: int) -> dict:
-        rng = bands_single._chunk_rng(seed, start // _CHUNK)
-        local = {t: np.zeros(len(ks), dtype=np.int64) for t in tests}
-        for b in range(0, size, rows):
-            base = rng.random((min(rows, size - b), n_chains * n))
-            for j, tr in enumerate(transforms):
-                if n_chains == 1:
-                    sample = apply_transform(base, tr)
-                else:
-                    sample = base.copy()
-                    sample[:, :n] = apply_transform(base[:, :n], tr)
-                if band_reject is not None:
-                    local["bands"][j] += np.count_nonzero(band_reject(sample))
-                if stats:
-                    for t, values in _row_statistics(sample, stats).items():
-                        local[t][j] += np.count_nonzero(values > cvs[t])
-        return local
+    def rejections(rng: np.random.Generator, size: int) -> np.ndarray:
+        base = rng.random((size, n_chains * n))
+        out = np.zeros((len(tests), len(ks)), dtype=np.int64)
+        for j, tr in enumerate(transforms):
+            if n_chains == 1:
+                sample = apply_transform(base, tr)
+            else:
+                sample = base.copy()
+                sample[:, :n] = apply_transform(base[:, :n], tr)
+            rejected = {"bands": band_reject(sample)} if band_reject is not None else {}
+            if stats:
+                for t, values in _row_statistics(sample, stats).items():
+                    rejected[t] = values > cvs[t]
+            out[:, j] = [np.count_nonzero(rejected[t]) for t in tests]
+        return out
 
-    counts = {t: np.zeros(len(ks), dtype=np.int64) for t in tests}
-    for local in bands_single._map_chunks(run, replicates, _CHUNK, threads):
-        for t in counts:
-            counts[t] += local[t]
-    rates = {t: tuple((c / replicates).tolist()) for t, c in counts.items()}
+    counts = np.sum(
+        bands_single._replicate_blocks(rejections, n_chains * n, replicates, _CHUNK, seed, threads),
+        axis=0,
+    )
+    rates = {t: tuple((c / replicates).tolist()) for t, c in zip(tests, counts)}
     return PowerCurve(
         family, n, tuple(ks), rates, replicates, seed, n_chains, alpha, meta
     )

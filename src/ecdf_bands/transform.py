@@ -193,24 +193,24 @@ def joint_fractional_ranks(
 
 
 def ecdf_eval(u, grid: EvaluationGrid) -> EcdfTrajectory:
-    """Count values at or below each grid point, with
-    ``_grid_cell_counts``, as the one-sample simulators count their
-    replicates."""
+    """Count values at or below each grid point, from each value's grid
+    cell (``searchsorted``) through ``_cell_counts``; the one-sample
+    replicates read their tail levels from the same cells."""
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must form a nonempty 1-D sequence")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
-    return EcdfTrajectory(grid, _grid_cell_counts(vals[None, :], grid.points)[0], vals.size)
+    cells = np.searchsorted(grid.points, vals, side="left")
+    return EcdfTrajectory(grid, _cell_counts(cells, 1, grid.size)[0], vals.size)
 
 
-def _grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Row-wise counts of values at or below each grid point, (B, K)."""
-    k = pts.size
-    cells = np.searchsorted(pts, u, side="left")
-    rows = u.shape[0]
-    flat = cells + (np.arange(rows) * (k + 1))[:, None]
-    hist = np.bincount(flat.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
+def _cell_counts(cells: np.ndarray, groups: int, k: int) -> np.ndarray:
+    """Each group's count of draws at or below each of K grid points,
+    (groups, K), from the draws' cell ids: g * (K + 1) + i puts a draw of
+    group g in cell i, above grid point i - 1 and at or below point i
+    (cell K lies above every point)."""
+    hist = np.bincount(cells.ravel(), minlength=groups * (k + 1)).reshape(groups, k + 1)
     return np.cumsum(hist, axis=1)[:, :k]
 
 

@@ -21,14 +21,22 @@ rows the way ``bands_multi._hyper_tables`` lays out its table.
 ``search_steps_bisect`` is the plain bisection over the coverage steps
 that the program's interpolating step search must end on.
 
+``grid_cell_counts`` counts each row's values at or below each grid
+point, and ``chain_cell_counts`` each chain's pooled ranks at or below
+each pooled count, from one ``argsort`` of each row's pooled draws; both
+count every (row, group) on its own.  ``tail_levels`` reads each row's
+tightest tail level from such counts, one gather per row in the
+per-count levels of ``bands_single._tail_table``.  The program reads
+levels from the draws' cell ids with one running sum over a whole row
+block (``bands_single._tail_level_reader``).
+
 ``simulated_levels_single`` and ``simulated_levels_multi`` are the
 simulators' whole-chunk routes: each chunk draws all its replicates in
 one ``rng.random`` call, counts the one-sample cells by ``searchsorted``
 or each chain's cells by argsorting the pooled draws, and reads the
-tightest tail levels from the CDF table (``bands_single._tail_levels``).
-The program reduces each chunk in row blocks, and sorts packed
-draw-and-chain keys for the chains, so its levels must equal these bit
-for bit.  ``simulated_held_multi`` says which of those replicates given
+tightest tail levels with ``tail_levels``.  The program reduces each
+chunk in row blocks, and sorts packed draw-and-chain keys for the
+chains, so its levels must equal these bit for bit.  ``simulated_held_multi`` says which of those replicates given
 bands hold, and ``recorded_levels`` reads the levels a simulator reduced
 to its gamma.
 
@@ -359,6 +367,48 @@ def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
     return float(gammas[best]), coverage(best), len(cache), gammas.size
 
 
+def grid_cell_counts(u: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Row-wise counts of values at or below each grid point, (B, K)."""
+    k = pts.size
+    cells = np.searchsorted(pts, u, side="left")
+    rows = u.shape[0]
+    flat = cells + (np.arange(rows) * (k + 1))[:, None]
+    hist = np.bincount(flat.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
+    return np.cumsum(hist, axis=1)[:, :k]
+
+
+def chain_cell_counts(u: np.ndarray, s: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Per-chain counts of pooled ranks at or below each s_i, (B, L, K).
+
+    ``u`` has shape (B, l*n) with chains as contiguous blocks of n
+    values per row.  Their argsort is the pooled order, and the chain of
+    the value sorted at each position is its column // n.  Sorted
+    position j holds pooled rank j + 1, so the chain labelled there is
+    counted in the cell of rank j + 1, shared by all rows.
+    """
+    b, k = u.shape[0], s.size
+    labels = np.argsort(u, axis=1) // n
+    labels += (np.arange(b) * l)[:, None]
+    labels *= k + 1
+    labels += np.searchsorted(s, np.arange(1, l * n + 1), side="left")
+    hist = np.bincount(labels.ravel(), minlength=b * l * (k + 1)).reshape(b, l, k + 1)
+    return np.cumsum(hist, axis=2)[:, :, :k]
+
+
+def tail_levels(cdf: np.ndarray):
+    """Each row's tightest two-sided tail level, as a function of its
+    counts (B, ..., K), indexed by grid point along the last axis: the
+    minimum over all its counts of their ``bands_single._tail_table``
+    levels in the full CDF table ``cdf``."""
+    tails = bands_single._tail_table(cdf).ravel()
+    row_start = np.arange(cdf.shape[0]) * cdf.shape[1]
+
+    def levels(counts: np.ndarray) -> np.ndarray:
+        return tails[counts + row_start].reshape(counts.shape[0], -1).min(axis=1)
+
+    return levels
+
+
 def _chunked(fn, m: int, chunk: int, seed: int) -> np.ndarray:
     pieces = []
     for start in range(0, m, chunk):
@@ -371,9 +421,9 @@ def simulated_levels_single(n: int, grid, m: int, seed: int) -> np.ndarray:
     """``gamma_simulate``'s m tightest tail levels, 512 replicates drawn
     whole per chunk."""
     key = bands_single._grid_key(grid)
-    levels = bands_single._tail_levels(bands_single._cdf_matrix(n, key).cells)
+    levels = tail_levels(bands_single._cdf_matrix(n, key).cells)
     return _chunked(
-        lambda rng, size: levels(bands_single._grid_cell_counts(rng.random((size, n)), grid.points)),
+        lambda rng, size: levels(grid_cell_counts(rng.random((size, n)), grid.points)),
         m,
         512,
         seed,
@@ -384,9 +434,9 @@ def simulated_levels_multi(n: int, l: int, grid, m: int, seed: int) -> np.ndarra
     """``gamma_simulate_multi``'s m tightest tail levels, 256 replicates
     drawn whole per chunk and their pooled draws argsorted."""
     s = bands_multi._pooled_counts(grid, n, l)
-    levels = bands_single._tail_levels(bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells)
+    levels = tail_levels(bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells)
     return _chunked(
-        lambda rng, size: levels(bands_multi._chain_cell_counts(rng.random((size, l * n)), s, n, l)),
+        lambda rng, size: levels(chain_cell_counts(rng.random((size, l * n)), s, n, l)),
         m,
         256,
         seed,
@@ -401,7 +451,7 @@ def simulated_held_multi(n: int, l: int, grid, m: int, seed: int, bands) -> np.n
     lo, hi = bands.lower_counts, bands.upper_counts
 
     def held(rng, size):
-        counts = bands_multi._chain_cell_counts(rng.random((size, l * n)), s, n, l)
+        counts = chain_cell_counts(rng.random((size, l * n)), s, n, l)
         return np.all((counts >= lo) & (counts <= hi), axis=(1, 2))
 
     return _chunked(held, m, 256, seed)
@@ -515,10 +565,10 @@ def sweep_rates_whole_chunks(family, ks, n, l, replicates, seed, cvs, bands=None
             sample[:, :n] = masked_transform(base[:, :n], family, k)
             if bands is not None:
                 if l == 1:
-                    cells = bands_single._grid_cell_counts(sample, bands.grid.points)[:, None, :]
+                    cells = grid_cell_counts(sample, bands.grid.points)[:, None, :]
                 else:
                     s = bands_multi._pooled_counts(bands.grid, n, l)
-                    cells = bands_multi._chain_cell_counts(sample, s, n, l)
+                    cells = chain_cell_counts(sample, s, n, l)
                 out = (cells < bands.lower_counts) | (cells > bands.upper_counts)
                 counts["bands"][j] += np.count_nonzero(np.any(out, axis=(1, 2)))
             for t, cv in cvs.items():

@@ -21,7 +21,6 @@ from ecdf_bands.bands_multi import (
     test_multi as run_multi_test,
 )
 from ecdf_bands.bands_single import (
-    _grid_cell_counts,
     bands_from_gamma,
     coverage_probability,
     gamma_optimize,
@@ -32,6 +31,7 @@ from ecdf_bands.thinning import ar1_simulate, ess_report, thin, thinning_factor
 from ecdf_bands.transform import EvaluationGrid, default_grid
 
 from golden_recipe import GOLDEN_PATH, golden_svg
+from oracles import grid_cell_counts
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -83,7 +83,7 @@ def _mc_inside_rate(n: int, grid: EvaluationGrid, gamma: float, m: int) -> float
     for start in range(0, m, 2000):
         size = min(2000, m - start)
         rng = np.random.default_rng(np.random.SeedSequence((314, n, start)))
-        counts = _grid_cell_counts(rng.random((size, n)), pts)
+        counts = grid_cell_counts(rng.random((size, n)), pts)
         inside += int(np.all((counts >= lo) & (counts <= hi), axis=1).sum())
     return inside / m
 

@@ -22,11 +22,11 @@ from ecdf_bands.bands_multi import (
     EXACT_CHAIN_LIMIT,
     MultiTestReport,
     _PACKED_CHAIN_LIMIT,
-    _chain_cell_counts,
     _chain_factors,
     _chain_labeller,
     _hyper_tables,
     _pooled_counts,
+    _rank_cells,
     bands_from_gamma_multi,
     coverage_probability_multi,
     gamma_optimize_multi,
@@ -34,8 +34,15 @@ from ecdf_bands.bands_multi import (
 )
 from ecdf_bands.bands_multi import test_multi as run_multi_test
 from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _chunk_rng, _count_bounds
-from ecdf_bands.transform import ChainSet, EvaluationGrid, default_grid, joint_fractional_ranks
+from ecdf_bands.transform import (
+    ChainSet,
+    EvaluationGrid,
+    _cell_counts,
+    default_grid,
+    joint_fractional_ranks,
+)
 from oracles import (
+    chain_cell_counts,
     coverage_three_chains,
     coverage_two_chains,
     hyper_padded_tables,
@@ -436,8 +443,12 @@ def test_chain_cell_counts_matches_brute_force(data):
         s = np.append(s, l * n)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     u = np.random.default_rng(seed).integers(0, levels, (rows, l * n)) / levels
-    got = _chain_cell_counts(u, s, n, l)
-    ranks = np.argsort(np.argsort(u, axis=1), axis=1) + 1
+    got = chain_cell_counts(u, s, n, l)
+    # the program's counter, one row at a time, on the same pooled order
+    order = np.argsort(u, axis=1)
+    cells = order // n * (s.size + 1) + _rank_cells(s, l * n)
+    counted = [_cell_counts(row, l, s.size) for row in cells]
+    ranks = np.argsort(order, axis=1) + 1
     want = np.empty((rows, l, s.size), dtype=np.int64)
     for i in range(rows):
         for c in range(l):
@@ -445,6 +456,7 @@ def test_chain_cell_counts_matches_brute_force(data):
             for j, sj in enumerate(s):
                 want[i, c, j] = int((chain <= sj).sum())
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(counted, want)
 
 
 @settings(max_examples=150, deadline=None)

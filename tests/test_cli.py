@@ -267,6 +267,17 @@ def test_power_subcommand_emits_rate_table(capsys):
     assert 0.0 <= float(first[1]) <= 1.0
 
 
+@pytest.mark.parametrize("chains", ["1", "4"])
+def test_power_subcommand_reads_a_repeated_test_once(capsys, chains):
+    # a repeated name is dropped before the multi-chain check, so several
+    # chains accept "bands,bands" as one chain does
+    argv = ["power", "--family", "A", "--ks", "1,2", "--n", "10", "--chains", chains, "--m-reps", "1000"]
+    assert main(argv + ["--tests", "bands"]) == 0
+    once = capsys.readouterr().out
+    assert main(argv + ["--tests", "bands,bands"]) == 0
+    assert capsys.readouterr().out == once
+
+
 def test_thin_subcommand_writes_csv_and_ess_json(tmp_path, capsys):
     rng = np.random.default_rng(5)
     draws = rng.standard_normal((2, 400)).cumsum(axis=1) * 0.1 + rng.standard_normal((2, 400))

@@ -1,0 +1,16 @@
+"""The seeded-output digests of ``tools/seeded_digest.py`` repeat."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "seeded_digest.py"
+_spec = importlib.util.spec_from_file_location("seeded_digest", _PATH)
+seeded_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(seeded_digest)
+
+
+def test_one_case_gives_the_same_line_twice():
+    first = seeded_digest.main(["power-bands"])
+    assert re.fullmatch(r"[0-9a-f]{64}  power-bands", first[0])
+    assert seeded_digest.main(["power-bands"]) == first

@@ -1,0 +1,86 @@
+"""One SHA-256 digest per seeded output of the CLI.
+
+Every seeded result should keep its bits when the code that computes it
+is rewritten.  This runs each case below through ``ecdf_bands.cli.main``
+in this process, on inputs it writes itself from fixed seeds, and prints
+one line per case: the SHA-256 of the exit code and the bytes the case
+wrote, then the case's name.  It imports the package from the ``src``
+next to this directory, and unsets ``ECDF_BANDS_CACHE`` so that no
+stored gamma grid is read:
+
+    python tools/seeded_digest.py [CASE ...]
+
+With no case named it runs them all.  To compare two checkouts, run the
+copy of this file in each and ``diff`` the output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ecdf_bands import cli  # noqa: E402
+
+INPUTS = {
+    "col200.csv": (1, 200),
+    "chains4x80.csv": (4, 80),
+    "chains8x40.csv": (8, 40),
+}
+"""Input files, each as (columns, rows): one column of uniform PIT
+values, or chains of standard normal draws."""
+
+CASES = {
+    "test-simulate-1col-t1": ["test", "col200.csv", "--method", "simulate", "--threads", "1"],
+    "test-simulate-1col-t2": ["test", "col200.csv", "--method", "simulate", "--threads", "2"],
+    "test-4x80-t1": ["test", "chains4x80.csv"],
+    "test-4x80-t2": ["test", "chains4x80.csv", "--threads", "2"],
+    "test-8x40": ["test", "chains8x40.csv"],
+    "power-stats": ["power", "--family", "B", "--ks", "0.8,1,1.25", "--n", "60", "--tests", "T1,W2,U2,KS"],
+    "power-bands": ["power", "--family", "C", "--ks", "0.7,1,1.5", "--n", "60", "--tests", "bands"],
+    "power-chains4": ["power", "--family", "A", "--ks", "1,1.5", "--n", "40", "--chains", "4"],
+    "gamma-build": ["gamma", "build", "--ns", "32,64", "--ls", "1,4"],
+}
+"""Each case's arguments, with input files named as in ``INPUTS``; the
+output goes to a file given by ``--out``."""
+
+
+def write_inputs(folder: Path) -> None:
+    for i, (name, (cols, rows)) in enumerate(INPUTS.items()):
+        rng = np.random.default_rng(np.random.SeedSequence((2024, i)))
+        data = rng.random((rows, cols)) if cols == 1 else rng.standard_normal((rows, cols))
+        lines = [",".join(f"c{j + 1}" for j in range(cols))]
+        lines += [",".join(repr(float(v)) for v in row) for row in data]
+        (folder / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def digest(name: str, folder: Path) -> str:
+    """SHA-256 of one case's exit code and output bytes."""
+    out = folder / f"{name}.out"
+    argv = [str(folder / a) if a in INPUTS else a for a in CASES[name]] + ["--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
+
+
+def main(names) -> list[str]:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case(s) {unknown}; choose from {list(CASES)}")
+    os.environ.pop(cli.CACHE_ENV, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        write_inputs(folder)
+        return [f"{digest(name, folder)}  {name}" for name in names or CASES]
+
+
+if __name__ == "__main__":
+    print("\n".join(main(sys.argv[1:])))
