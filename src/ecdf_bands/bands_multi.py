@@ -18,10 +18,13 @@ sort of packed draw-and-chain keys, ``_chain_labeller``), and the cell
 of each pooled rank (``_rank_cells``): a draw's cell id is its chain
 label times K + 1 plus the cell of its rank, which is all this law
 supplies to the replicate path and to the observed-data counter.
-The band type and every law-independent step (count bounds, the exact
-search, the seeded block loop, the tail-level reader, the cell counter)
-are shared with the one-sample bands in ``bands_single`` and
-``transform``.
+This module owns the law's table and its level function
+(``_chain_levels``, chain labels in pooled order to tail levels),
+which the simulator and the power sweep's several-chain band test both
+read; no other module reads the table.  The band type and every
+law-independent step (count bounds, the exact search, the seeded block
+loop, the tail-level reader, the cell counter) are shared with the
+one-sample bands in ``bands_single`` and ``transform``.
 """
 
 from __future__ import annotations
@@ -222,6 +225,30 @@ def _rank_cells(s: np.ndarray, size: int) -> np.ndarray:
     return np.searchsorted(s, np.arange(1, size + 1), side="left")
 
 
+def _chain_levels(n: int, l: int, grid: EvaluationGrid):
+    """Tightest tail level of each replicate of l chains of n draws, as
+    a function of its chain labels in pooled order, (B, l*n) int64,
+    which it overwrites.
+
+    Each label is multiplied by K + 1 in place, and
+    ``bands_single._tail_level_reader`` adds the cell of each pooled
+    rank (``_rank_cells``) and reads the cells against the full
+    hypergeometric CDF table of the pooled counts, the table the bands
+    read.  The simulator and the power sweep's several-chain band test
+    both read levels here.
+    """
+    s = _pooled_counts(grid, n, l)
+    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
+    levels = _tail_level_reader(cdf, l, _rank_cells(s, l * n))
+    width = s.size + 1
+
+    def chain_levels(labels: np.ndarray) -> np.ndarray:
+        labels *= width
+        return levels(labels)
+
+    return chain_levels
+
+
 _LABEL_BITS = 11
 """Low bits of a raw 64-bit draw that ``Generator.random`` drops: it
 returns ``(random_raw() >> 11) * 2**-53``."""
@@ -279,29 +306,25 @@ def gamma_simulate_multi(
     pooled draws once, count each chain's draws in the first s_i sorted
     positions, and record the tightest pointwise two-sided
     hypergeometric tail level over all chains and grid points, read by
-    ``_tail_level_reader`` from the draws' cells (chain label and rank
-    cell, ``_rank_cells``) and the CDF table the bands read, one running
+    ``_chain_levels`` from the chain labels in pooled order, one running
     sum and one gather per block.  The sort is one sort of packed
     draw-and-chain keys (``_chain_labeller``), which gives the same
-    order as argsorting the draws, and ``_simulated_gamma`` runs each chunk in cache-sized row
-    blocks.  With more than three chains the attained coverage is the
-    in-sample fraction of replicate trajectories the calibrated bands
-    hold, since the exact recursion is unavailable; a replicate's level
-    is at or above gamma exactly when the bands at gamma hold it.
+    order as argsorting the draws, and ``_simulated_gamma`` runs each
+    chunk in cache-sized row blocks.  With more than three chains the
+    attained coverage is the in-sample fraction of replicate
+    trajectories the calibrated bands hold, since the exact recursion is
+    unavailable; a replicate's level is at or above gamma exactly when
+    the bands at gamma hold it.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
     l = _check_chains(l)
     alpha = _check_alpha(alpha)
-    s = _pooled_counts(grid, n, l)
-    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
-    levels = _tail_level_reader(cdf, l, _rank_cells(s, l * n))
+    levels = _chain_levels(n, l, grid)
     labels = _chain_labeller(n, l)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        cells = labels(rng, size)
-        cells *= s.size + 1
-        return levels(cells)
+        return levels(labels(rng, size))
 
     def exact(g: float) -> float:
         return coverage_probability_multi(n, l, grid, g)
@@ -329,13 +352,11 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     alpha = _check_alpha(alpha)
     s = np.unique(_pooled_counts(grid, n, l))
     cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
-    return _optimized_gamma(
-        lambda g: _count_bounds(cdf, g, floor),
-        lambda lo, hi: _forward.forward_mass(*_chain_factors(n, l, s, lo, hi)),
-        cdf.cells,
-        alpha,
-        l * grid.size,
-    )
+
+    def mass(lo, hi) -> float:
+        return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
+
+    return _optimized_gamma(cdf, floor, mass, alpha, l * grid.size)
 
 
 def test_multi(

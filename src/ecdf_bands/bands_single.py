@@ -27,6 +27,13 @@ pooled rank at each sorted position (``bands_multi._rank_cells``).
 Observed data is counted from the same cell ids
 (``transform._cell_counts``).
 
+Each count law's module owns its table and its level function: the
+binomial's here (``_sample_levels``), the hypergeometric's in
+``bands_multi`` (``_chain_levels``).  The simulators and the power
+sweep's band test read tail levels only through those two functions,
+and the rank-histogram interval reads the public ``bands_from_gamma``,
+so no other module reads a law's table.
+
 The binomial CDF table (``_cdf_matrix``) is built for a range of levels
 [level, top]: the exact search asks for [alpha / K, alpha] and the bands
 for [gamma, gamma].  It keeps each row's window of counts whose CDF such
@@ -229,10 +236,11 @@ def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0, top: float | None = 
     union of both ranges, so entries only widen.  The exact search asks
     for [alpha / K, alpha], so its evaluations and the bands at its
     gamma read the table it built; the bands, ``coverage_probability``
-    and the rank-histogram interval (``report.rank_hist``, one row at
-    p = 1/bins) ask for [gamma, gamma]; ``gamma_simulate`` and the power
-    sweep's one-sample band test gather arbitrary counts and ask for
-    level 0.  They all read this one binomial CDF build.
+    and the rank-histogram interval (``report.rank_hist``, the bands on
+    the one-point grid 1/bins) ask for [gamma, gamma]; ``_sample_levels``,
+    which ``gamma_simulate`` and the power sweep's one-sample band test
+    read, gathers arbitrary counts and asks for level 0.  They all read
+    this one binomial CDF build.
     """
     if not level >= _EXACT_HALF:
         level, top = 0.0, math.inf
@@ -699,6 +707,24 @@ def _replicate_blocks(
     return [block for piece in _map_chunks(run, total, chunk, threads) for block in piece]
 
 
+def _sample_levels(n: int, grid: EvaluationGrid):
+    """Tightest tail level of each one-sample replicate, as a function
+    of its draws, (B, n) floats in [0, 1].
+
+    Each draw's grid cell is its ``searchsorted`` position on the grid
+    points, and ``_tail_level_reader`` reads the cells against the full
+    binomial CDF table (level 0) that the bands read.  The simulator and
+    the power sweep's one-sample band test both read levels here.
+    """
+    pts = grid.points
+    levels = _tail_level_reader(_cdf_matrix(n, _grid_key(grid)).cells)
+
+    def sample_levels(u: np.ndarray) -> np.ndarray:
+        return levels(np.searchsorted(pts, u, side="left"))
+
+    return sample_levels
+
+
 def _simulated_gamma(
     levels_fn, width: int, alpha: float, m: int, chunk: int, seed: int, threads: int, exact=None
 ) -> GammaResult:
@@ -745,20 +771,18 @@ def gamma_simulate(
 
     Each replicate draws n uniforms, records the tightest pointwise
     two-sided tail level its trajectory attains anywhere on the grid,
-    read by ``_tail_level_reader`` from the draws' grid cells
-    (``searchsorted``) and the full binomial CDF table that the bands
-    read, and gamma is the empirical alpha-quantile of those levels.  A
-    level is the largest gamma whose bands hold the trajectory, and
-    ``_simulated_gamma`` asserts it positive.
+    read by ``_sample_levels``, and gamma is the empirical
+    alpha-quantile of those levels.  A level is the largest gamma whose
+    bands hold the trajectory, and ``_simulated_gamma`` asserts it
+    positive.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
-    pts = grid.points
-    levels = _tail_level_reader(_cdf_matrix(n, _grid_key(grid)).cells)
+    levels = _sample_levels(n, grid)
 
     def tightest(rng: np.random.Generator, size: int) -> np.ndarray:
-        return levels(np.searchsorted(pts, rng.random((size, n)), side="left"))
+        return levels(rng.random((size, n)))
 
     return _simulated_gamma(
         tightest, n, alpha, m, 512, seed, threads, lambda g: coverage_probability(n, grid, g)
@@ -856,11 +880,12 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     return float(gammas[best]), coverage(best), len(cache), gammas.size
 
 
-def _optimized_gamma(bounds, mass, cdf_values, alpha: float, checks: int) -> GammaResult:
-    """The exact step search as a ``GammaResult``.
+def _optimized_gamma(table: CdfBlock, floor, mass, alpha: float, checks: int) -> GammaResult:
+    """The exact step search over a count law's CDF table as a
+    ``GammaResult``.
 
-    ``bounds(gamma)`` gives the bands' count bounds ``(lo, hi)`` and
-    ``mass(lo, hi)`` their exact coverage.  Coverage depends on gamma
+    The bands at gamma are ``_count_bounds(table, gamma, floor)`` and
+    ``mass(lo, hi)`` is their exact coverage.  Coverage depends on gamma
     only through the bounds, and neighbouring steps (slivers between
     breakpoints that are equal in exact arithmetic) or probes can share
     them, so within one search each distinct pair of bounds runs one
@@ -881,14 +906,14 @@ def _optimized_gamma(bounds, mass, cdf_values, alpha: float, checks: int) -> Gam
     memo: dict[tuple, float] = {}
 
     def coverage(gamma: float) -> float:
-        lo, hi = bounds(gamma)
+        lo, hi = _count_bounds(table, gamma, floor)
         key = (lo.tobytes(), hi.tobytes())
         if key not in memo:
             memo[key] = float(mass(lo, hi))
         return memo[key]
 
     dense_before = _forward.route_count("dense")
-    gamma, attained, probes, steps = _search_steps(coverage, cdf_values, alpha, alpha / checks)
+    gamma, attained, probes, steps = _search_steps(coverage, table.cells, alpha, alpha / checks)
     meta = {
         "evaluations": probes,
         "passes": len(memo),
@@ -918,13 +943,7 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     key = _grid_key(grid)
     # the table built for [floor, alpha] serves every step it probes
     table = _cdf_matrix(n, key, alpha / grid.size, alpha)
-    return _optimized_gamma(
-        lambda g: _count_bounds(table, g),
-        lambda lo, hi: _band_mass(n, key, lo, hi),
-        table.cells,
-        alpha,
-        grid.size,
-    )
+    return _optimized_gamma(table, 0, lambda lo, hi: _band_mass(n, key, lo, hi), alpha, grid.size)
 
 
 def test_single(

@@ -348,27 +348,43 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _plot_hist(args: argparse.Namespace, cols: np.ndarray) -> int:
+    """One rank histogram of a PIT column, or one per chain of its joint
+    fractional ranks; chain i's SVG and plot data go to the ``--out``
+    and ``--data-out`` paths with ``_chain{i}`` before the extension."""
     if cols.shape[0] == 1:
         values = cols[0]
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValueError("rank_hist input values must lie in [0, 1]")
-        hist = rank_hist(values, args.bins, alpha=args.alpha)
-        spec = PlotSpec("rank_hist", hist=hist, title=args.title)
-        if args.data_out:
-            _write_text(args.data_out, _json_text(plot_data(spec)))
-        _write_text(args.out, render_svg(spec))
-        return 0
-    cs = ChainSet(cols)
-    if not args.out:
-        raise ValueError("multi-chain rank_hist requires --out (one file per chain)")
-    ranks = joint_fractional_ranks(cs, tie_policy=args.tie_policy, seed=args.seed)
-    stem, ext = os.path.splitext(args.out)
-    for ci in range(cs.n_chains):
-        hist = rank_hist(ranks[ci], args.bins, alpha=args.alpha, expected_total=cs.n_draws)
-        title = args.title or f"chain {ci + 1}"
+        samples, total = [values], None
+        figures = [(args.title, args.out, args.data_out)]
+    else:
+        cs = ChainSet(cols)
+        if not args.out:
+            raise ValueError("multi-chain rank_hist requires --out (one file per chain)")
+        samples = joint_fractional_ranks(cs, tie_policy=args.tie_policy, seed=args.seed)
+        total = cs.n_draws
+        figures = [
+            (
+                args.title or f"chain {ci}",
+                _chain_path(args.out, ci, ".svg"),
+                _chain_path(args.data_out, ci, ".json") if args.data_out else None,
+            )
+            for ci in range(1, cs.n_chains + 1)
+        ]
+    for sample, (title, out, data_out) in zip(samples, figures):
+        hist = rank_hist(sample, args.bins, alpha=args.alpha, expected_total=total)
         spec = PlotSpec("rank_hist", hist=hist, title=title)
-        _write_text(f"{stem}_chain{ci + 1}{ext or '.svg'}", render_svg(spec))
+        if data_out:
+            _write_text(data_out, _json_text(plot_data(spec)))
+        _write_text(out, render_svg(spec))
     return 0
+
+
+def _chain_path(path: str, chain: int, default_ext: str) -> str:
+    """``path`` with ``_chain{chain}`` before its extension, or before
+    ``default_ext`` when it has none."""
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_chain{chain}{ext or default_ext}"
 
 
 _SHARED = {

@@ -9,8 +9,11 @@ critical values come from Monte Carlo under the null.
 The null samples and the distorted samples take the simulators' one
 replicate path: ``bands_single._replicate_blocks`` draws them in seeded
 row blocks, and the band test rejects a sample whose tightest tail
-level, read by ``bands_single._tail_level_reader`` as the simulators
-read theirs, is below gamma, for one sample as for several chains.
+level is below gamma, for one sample as for several chains.  Each count
+law's module reads the levels, the simulators' way: one sample's
+draws go to ``bands_single._sample_levels``, and several chains'
+draws, argsorted into chain labels in pooled order, go to
+``bands_multi._chain_levels``.  This module reads no law's table.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import bands_multi, bands_single
 from .bands_single import DEFAULT_REPLICATES
 from .gamma_cache import calibrate
-from .transform import EvaluationGrid, default_grid
+from .transform import default_grid
 
 __all__ = [
     "FAMILIES",
@@ -191,39 +194,30 @@ class PowerCurve:
                 raise ValueError(f"rates for {name!r} must lie in [0, 1]")
 
 
-def _band_rejector(
-    n: int, l: int, alpha: float, grid: EvaluationGrid | None, m: int, seed: int, threads: int
-):
+def _band_rejector(n: int, l: int, alpha: float, m: int, seed: int, threads: int):
     """Batch rejector for the band test on l chains, and its gamma.
 
     The sweep hands it one row block of distorted samples at a time.  A
-    sample is rejected when its tightest tail level, read as the
-    simulators read their replicates' (``_tail_level_reader``), is below
-    gamma, which is the verdict of the bands at gamma.  One sample's
-    draws fall in their grid cells by ``searchsorted``; several chains'
-    are argsorted into pooled order, each with its chain's label and the
-    cell of its pooled rank (``_rank_cells``).
+    sample is rejected when its tightest tail level, read by its count
+    law's level function as the simulators read their replicates', is
+    below gamma, which is the verdict of the bands at gamma.  Several
+    chains' draws are argsorted into pooled order, each position
+    labelled with its draw's chain.
     """
-    if grid is None:
-        grid = default_grid(n, l * n if l > 1 else None)
+    grid = default_grid(n, l * n if l > 1 else None)
     gamma = calibrate(n, l, grid, alpha, m=m, seed=seed, threads=threads)
     if l == 1:
-        cdf = bands_single._cdf_matrix(n, bands_single._grid_key(grid)).cells
-        levels = bands_single._tail_level_reader(cdf)
-
-        def reject(u: np.ndarray) -> np.ndarray:
-            return levels(np.searchsorted(grid.points, u, side="left")) < gamma.gamma
-
+        levels = bands_single._sample_levels(n, grid)
     else:
-        s = bands_multi._pooled_counts(grid, n, l)
-        cdf = bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells
-        levels = bands_single._tail_level_reader(cdf, l, bands_multi._rank_cells(s, l * n))
+        chain_levels = bands_multi._chain_levels(n, l, grid)
 
-        def reject(u: np.ndarray) -> np.ndarray:
-            cells = np.argsort(u, axis=1)
-            cells //= n
-            cells *= s.size + 1
-            return levels(cells) < gamma.gamma
+        def levels(u: np.ndarray) -> np.ndarray:
+            labels = np.argsort(u, axis=1)
+            labels //= n
+            return chain_levels(labels)
+
+    def reject(u: np.ndarray) -> np.ndarray:
+        return levels(u) < gamma.gamma
 
     return reject, gamma
 
@@ -238,7 +232,6 @@ def power_sweep(
     *,
     n_chains: int = 1,
     alpha: float = 0.05,
-    grid: EvaluationGrid | None = None,
     m_calibration: int = DEFAULT_REPLICATES,
     threads: int = 1,
 ) -> PowerCurve:
@@ -281,9 +274,7 @@ def power_sweep(
     band_reject = None
     for t in tests:
         if t == "bands":
-            band_reject, gamma = _band_rejector(
-                n, n_chains, alpha, grid, m_calibration, seed, threads
-            )
+            band_reject, gamma = _band_rejector(n, n_chains, alpha, m_calibration, seed, threads)
             meta["gamma"] = gamma.gamma
         else:
             meta[f"cv_{t}"] = cvs[t]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands_single import ConfidenceBands, _cdf_matrix, _check_alpha, _count_bounds
-from .transform import EcdfTrajectory, PitValues
+from .bands_single import ConfidenceBands, _check_alpha, bands_from_gamma
+from .transform import EcdfTrajectory, EvaluationGrid, PitValues
 
 __all__ = [
     "PALETTE",
@@ -125,8 +125,9 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     Bins are right-closed, so an exact boundary value such as 1.0 lands
     in the last bin and k/bins lands in bin k - 1.  The reference
     interval is the pointwise binomial alpha/2 and 1 - alpha/2 quantile
-    pair with p = 1/bins, read by the bands' count-bound rule from the
-    one-row binomial table; it carries no simultaneity adjustment.
+    pair with p = 1/bins: the count bounds of ``bands_from_gamma`` at
+    level alpha on the one-point grid 1/bins, so the binomial law's own
+    module reads its table.  It carries no simultaneity adjustment.
     """
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
@@ -143,8 +144,9 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     n = int(expected_total) if expected_total is not None else int(vals.size)
     if n < 1:
         raise ValueError("expected_total must be positive")
-    lo, hi = _count_bounds(_cdf_matrix(n, (1.0 / bins,), alpha), alpha)
-    return RankHistogram(edges, heights, int(lo[0]), int(hi[0]), n, bins, alpha)
+    bands = bands_from_gamma(n, EvaluationGrid([1.0 / bins]), alpha)
+    lo, hi = int(bands.lower_counts[0]), int(bands.upper_counts[0])
+    return RankHistogram(edges, heights, lo, hi, n, bins, alpha)
 
 
 def _plotted(spec: PlotSpec):

@@ -417,6 +417,16 @@ def test_plot_rank_hist_multi_writes_one_file_per_chain(tmp_path, capsys):
     assert (tmp_path / "hist_chain1.svg").exists()
     assert (tmp_path / "hist_chain2.svg").exists()
     capsys.readouterr()
+    # with --data-out, each chain's plot data goes next to its figure
+    data = tmp_path / "hist.json"
+    argv = ["plot", path, "--kind", "rank_hist", "--bins", "6", "--out", str(out)]
+    assert main(argv + ["--data-out", str(data)]) == 0
+    assert not data.exists()
+    for ci in (1, 2):
+        payload = json.loads((tmp_path / f"hist_chain{ci}.json").read_text())
+        assert payload["kind"] == "rank_hist" and payload["title"] == f"chain {ci}"
+        assert payload["n"] == 30 and sum(payload["heights"]) == 30
+    capsys.readouterr()
     # multi-chain histograms cannot go to stdout
     assert main(["plot", path, "--kind", "rank_hist", "--bins", "6"]) == 2
     capsys.readouterr()

@@ -375,6 +375,7 @@ def test_power_sweep_one_column_seeded_values_are_pinned(family):
         ("C", 40, 4, ["bands"]),
         ("A", 33, 1, ["KS", "bands"]),
         ("B", 30, 2, ["bands"]),
+        ("A", 20, 3, ["bands"]),
     ],
 )
 def test_row_blocked_sweep_matches_whole_chunks(family, n, chains, tests):

@@ -1,6 +1,7 @@
 """The package's public names: each resolves and is declared where it
-is defined, names removed from the library stay removed, and every
-module uses what it imports."""
+is defined, names removed from the library stay removed, every module
+uses what it imports, and only the count laws' modules read their
+tables."""
 
 import ast
 import sys
@@ -56,3 +57,39 @@ def test_every_module_uses_its_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{stmt.lineno} {name}")
     assert unused == []
+
+
+LAW_INTERNALS = (
+    "_cdf_matrix",
+    "_grid_key",
+    "_count_bounds",
+    "_hyper_tables",
+    "_pooled_counts",
+    "_rank_cells",
+    "_tail_level_reader",
+)
+"""The names through which a count law's table, bounds or level reader
+is read; outside ``bands_single`` and ``bands_multi`` the laws are read
+through ``_sample_levels``, ``_chain_levels`` and the public bands."""
+
+
+LAW_MODULES = ("bands_single.py", "bands_multi.py")
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in Path(ecdf_bands.__file__).parent.glob("*.py") if p.name not in LAW_MODULES),
+)
+def test_only_the_law_modules_read_a_law_table(module):
+    """No name, attribute or import outside the law modules is one of
+    ``LAW_INTERNALS``."""
+    tree = ast.parse((Path(ecdf_bands.__file__).parent / module).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert sorted(names.intersection(LAW_INTERNALS)) == []

@@ -95,8 +95,8 @@ def search_cost(n: int, l: int) -> dict:
         return counted
 
     def timed_search(search):
-        def run(bounds, mass, *rest):
-            return search(bounds, _timed(mass, spent, "pass"), *rest)
+        def run(table, floor, mass, *rest):
+            return search(table, floor, _timed(mass, spent, "pass"), *rest)
 
         return run
 

@@ -3,10 +3,10 @@
 Every seeded result should keep its bits when the code that computes it
 is rewritten.  This runs each case below through ``ecdf_bands.cli.main``
 in this process, on inputs it writes itself from fixed seeds, and prints
-one line per case: the SHA-256 of the exit code and the bytes the case
-wrote, then the case's name.  It imports the package from the ``src``
-next to this directory, and unsets ``ECDF_BANDS_CACHE`` so that no
-stored gamma grid is read:
+one line per case: the SHA-256 of the exit code and of the name and
+bytes of each file the case wrote, then the case's name.  It imports
+the package from the ``src`` next to this directory, and unsets
+``ECDF_BANDS_CACHE`` so that no stored gamma grid is read:
 
     python tools/seeded_digest.py [CASE ...]
 
@@ -34,6 +34,8 @@ INPUTS = {
     "col200.csv": (1, 200),
     "chains4x80.csv": (4, 80),
     "chains8x40.csv": (8, 40),
+    "chains2x60.csv": (2, 60),
+    "chains3x30.csv": (3, 30),
 }
 """Input files, each as (columns, rows): one column of uniform PIT
 values, or chains of standard normal draws."""
@@ -48,9 +50,22 @@ CASES = {
     "power-bands": ["power", "--family", "C", "--ks", "0.7,1,1.5", "--n", "60", "--tests", "bands"],
     "power-chains4": ["power", "--family", "A", "--ks", "1,1.5", "--n", "40", "--chains", "4"],
     "gamma-build": ["gamma", "build", "--ns", "32,64", "--ls", "1,4"],
+    "test-exact-1col": ["test", "col200.csv"],
+    "test-exact-2x60": ["test", "chains2x60.csv"],
+    "test-exact-3x30": ["test", "chains3x30.csv"],
+    "power-bands-chains2": ["power", "--family", "B", "--ks", "1,1.4", "--n", "40", "--chains", "2"],
+    "power-bands-chains3": ["power", "--family", "A", "--ks", "0.7,1", "--n", "30", "--chains", "3"],
+    "plot-rank-hist-1col": [
+        "plot", "col200.csv", "--kind", "rank_hist", "--bins", "10", "--data-out", "data.json"
+    ],
+    "plot-rank-hist-4x80": ["plot", "chains4x80.csv", "--kind", "rank_hist", "--bins", "8"],
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
-output goes to a file given by ``--out``."""
+output goes to a file given by ``--out`` in the case's own folder, as
+does any file named in ``OUTPUTS``."""
+
+OUTPUTS = ("data.json",)
+"""Names of further output files a case may write, such as ``--data-out``."""
 
 
 def write_inputs(folder: Path) -> None:
@@ -63,12 +78,18 @@ def write_inputs(folder: Path) -> None:
 
 
 def digest(name: str, folder: Path) -> str:
-    """SHA-256 of one case's exit code and output bytes."""
-    out = folder / f"{name}.out"
-    argv = [str(folder / a) if a in INPUTS else a for a in CASES[name]] + ["--out", str(out)]
+    """SHA-256 of one case's exit code and the name and bytes of each
+    file it wrote, in name order."""
+    case = folder / name
+    case.mkdir()
+    paths = {a: folder / a for a in INPUTS} | {a: case / a for a in OUTPUTS}
+    argv = [str(paths[a]) if a in paths else a for a in CASES[name]] + ["--out", str(case / "out")]
     with contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return hashlib.sha256(f"{code}\n".encode() + out.read_bytes()).hexdigest()
+    h = hashlib.sha256(f"{code}\n".encode())
+    for path in sorted(case.iterdir()):
+        h.update(f"{path.name}\n".encode() + path.read_bytes())
+    return h.hexdigest()
 
 
 def main(names) -> list[str]:
