@@ -12,13 +12,16 @@ convolution is one ``np.convolve`` for every kind: in two dimensions the
 rows are zero-padded to the output width and flattened (see
 ``_flat_convolution``).
 
-Callers give each step's three factors in log space.  Before
-exponentiating, an affine fit of the source over its window moves the
-bulk of the source into the jump and destination factors (the affine
-terms cancel within every step), and the kernel's peak moves into the
-destination.  When the scaled factors would still leave the range of
-``exp`` in double precision, the same log factors build each step's
-transition matrix instead: the dense route (``dense_fallback``).
+Both count laws hand both routes the same five arrays,
+``(lo, hi, src, ker, dst)``: the windows' ends, and per step one log
+source, one log jump kernel and one log destination array (see
+``forward_mass``).  Before exponentiating, an affine fit of the source
+over its window moves the bulk of the source into the jump and
+destination factors (the affine terms cancel within every step), and
+the kernel's peak moves into the destination.  When the scaled factors
+would still leave the range of ``exp`` in double precision, the same
+log factors build each step's transition matrix instead: the dense
+route (``dense_pass``).
 
 The convolution route can also stop short and hand back its state after
 chosen steps, ``(probs, log_scale, lo)``: the mass of count ``lo + i``
@@ -27,8 +30,10 @@ sample's coverage joins two such states from half a pass when its
 problem reflects onto itself (``bands_single._band_mass``).
 
 ``route_count`` counts the passes run on the calling thread by route:
-``"half"``, ``"full"`` (the whole convolution route) and ``"dense"``;
-every dense pass also logs a DEBUG record on the ``ecdf_bands`` logger.
+``"half"`` (counted by ``bands_single._band_mass``), ``"full"`` (the
+whole convolution route) and ``"dense"`` (both counted by
+``forward_mass``); every dense pass also logs a DEBUG record on the
+``ecdf_bands`` logger.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ def count_route(route: str) -> None:
     setattr(_local, route, route_count(route) + 1)
 
 
-def forward_mass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
+def forward_mass(lo, hi, src, ker, dst) -> float:
     """Probability that the count stays inside every window.
 
     The pass starts at count ``lo[0]`` in every coordinate with
@@ -76,25 +81,19 @@ def forward_mass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
     - ``src``, (T, W[, W]): log source factor over window t.  It must be
       finite over the whole padded box, since the affine fit reads its
       corners; clamp arguments that leave the count range.
-    - ``ker_base``, (T or 1, J[, J]): log jump kernel for jumps 0..J-1 on
-      each axis, -inf where a jump is impossible; ``ker_lin`` (scalar or
-      (T,)) adds ``jump * ker_lin`` on each axis.
-    - ``dst``: log destination factor over window t + 1, a sequence of
-      (T, W[, W]) arrays added in order; -inf marks counts inside the
-      window that are not allowed.
+    - ``ker``, (T, J[, J]): step t's log jump kernel for jumps 0..J-1 on
+      each axis, -inf where a jump is impossible.
+    - ``dst``, (T, W[, W]): log destination factor over window t + 1;
+      -inf marks counts inside the window that are not allowed.
 
-    Runs the convolution route and falls back to the dense route when the
-    scaled factors leave double range.
+    Runs the convolution route, counted as ``"full"``, and the dense
+    route, counted as ``"dense"`` and logged at DEBUG, when the scaled
+    factors leave double range.  Each call counts exactly one route.
     """
-    out = fast_pass(lo, hi, src, ker_base, dst, ker_lin)
-    if out is None:
-        return dense_fallback(lo, hi, src, ker_base, dst, ker_lin)
-    count_route("full")
-    return out
-
-
-def dense_fallback(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
-    """``dense_pass``, counted as a dense pass and logged at DEBUG."""
+    out = fast_pass(lo, hi, src, ker, dst)
+    if out is not None:
+        count_route("full")
+        return out
     count_route("dense")
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
@@ -104,7 +103,7 @@ def dense_fallback(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
             src.ndim - 1,
             src.shape[1],
         )
-    return dense_pass(lo, hi, src, ker_base, dst, ker_lin)
+    return dense_pass(lo, hi, src, ker, dst)
 
 
 def _unreachable(dst_w, d_len) -> bool:
@@ -134,7 +133,7 @@ def _window(full: np.ndarray, start: int, width: int) -> np.ndarray:
     return out
 
 
-def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0, keep=()):
+def fast_pass(lo, hi, src, ker, dst, keep=()):
     """The convolution route of ``forward_mass``; None when the scaled
     factors would not be safe in double precision.
 
@@ -183,21 +182,17 @@ def fast_pass(lo, hi, src, ker_base, dst, ker_lin=0.0, keep=()):
         in_dst = in_dst & _along(inside, axis, dims)
 
     # the fit's slope moves into the kernel; jumps beyond the next window are cut
-    lin = np.asarray(ker_lin, dtype=np.float64)
-    jumps = np.arange(ker_base.shape[-1])
+    jumps = np.arange(ker.shape[-1])
     reach = jumps[None, :] < d_len[:, None]
-    klog = ker_base
+    klog = ker
     for axis in range(dims):
-        klog = klog + _along(jumps[None, :] * (lin + slopes[axis])[..., None], axis, dims)
+        klog = klog + _along(jumps[None, :] * slopes[axis][:, None], axis, dims)
         klog = np.where(_along(reach, axis, dims), klog, -np.inf)
     peak = klog.reshape(steps, -1).max(axis=1)
     kernel = np.exp(klog - _per_step(peak, dims))
 
     # the fit's plane and the kernel's peak move into the destination
-    w2 = plane(shift[:, None] + offs[None, :])
-    for part in dst:
-        w2 = w2 + part
-    w2 = w2 + _per_step(peak, dims)
+    w2 = plane(shift[:, None] + offs[None, :]) + dst + _per_step(peak, dims)
     w2 = np.where(in_dst, w2, -np.inf)
     if float(w2.max()) > _EXP_GUARD:
         return None
@@ -268,7 +263,7 @@ def _flat_convolution(kernel: np.ndarray, width: int):
     return conv
 
 
-def dense_pass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
+def dense_pass(lo, hi, src, ker, dst) -> float:
     """The dense route of ``forward_mass``: each step's transition matrix
     ``exp(src[r] + ker[r' - r] + dst[r'])`` over the live counts."""
     lo = np.asarray(lo, dtype=np.int64)
@@ -277,9 +272,7 @@ def dense_pass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
         return 0.0
     dims = src.ndim - 1
     steps = src.shape[0]
-    n_jumps = ker_base.shape[-1]
-    lin = np.broadcast_to(np.asarray(ker_lin, dtype=np.float64), (steps,))
-    kers = np.broadcast_to(ker_base, (steps,) + ker_base.shape[1:])
+    n_jumps = ker.shape[-1]
     cells = np.zeros((1, dims), dtype=np.int64)
     probs = np.ones(1)
     log_scale = 0.0
@@ -287,15 +280,13 @@ def dense_pass(lo, hi, src, ker_base, dst, ker_lin=0.0) -> float:
         width = int(hi[t + 1] - lo[t + 1]) + 1
         grid = np.indices((width,) * dims).reshape(dims, -1).T
         at = tuple(grid.T)
-        log_dst = sum(part[t][at] for part in dst)
+        log_dst = dst[t][at]
         keep = np.isfinite(log_dst)
         new_cells, log_dst = grid[keep], log_dst[keep]
         jump = (new_cells[:, None, :] + lo[t + 1]) - (cells[None, :, :] + lo[t])
         ok = np.all((jump >= 0) & (jump < n_jumps), axis=2)
         jump = np.where(ok[..., None], jump, 0)
-        log_k = kers[t][tuple(np.moveaxis(jump, 2, 0))]
-        if lin[t] != 0.0:
-            log_k = log_k + lin[t] * jump.sum(axis=2)
+        log_k = ker[t][tuple(np.moveaxis(jump, 2, 0))]
         log_t = src[t][tuple(cells.T)][None, :] + log_k + log_dst[:, None]
         probs = np.where(ok, np.exp(log_t), 0.0) @ probs
         total = float(probs.sum())

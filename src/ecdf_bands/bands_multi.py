@@ -30,7 +30,7 @@ one-sample bands in ``bands_single`` and ``transform``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -164,10 +164,16 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
 
     def mass(g: float) -> float:
         cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
-        lo, hi = _count_bounds(cdf, g, floor)
-        return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
+        return _chain_mass(n, l, s, *_count_bounds(cdf, g, floor))
 
     return _exact_coverage(n, gamma, mass, "chain length")
+
+
+def _chain_mass(n: int, l: int, s, lo, hi) -> float:
+    """Probability that two or three chains' counts stay inside [lo, hi]
+    at the distinct pooled counts ``s``: the one exact mass of this law,
+    as ``bands_single._band_mass`` is for one sample."""
+    return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
 
 
 def _chain_factors(n: int, l: int, s, lo, hi):
@@ -210,7 +216,7 @@ def _chain_factors(n: int, l: int, s, lo, hi):
         ker = ker - along(lf[jumps][None, :], axis, dims)
         rest = rest - along(jumps[None, :], axis, dims)
     ker = np.where(rest >= 0, ker - lf[np.maximum(rest, 0)], -np.inf)
-    return lo_ext, hi_ext, src, ker, (np.where(inside, -dst, -np.inf),)
+    return lo_ext, hi_ext, src, ker, np.where(inside, -dst, -np.inf)
 
 
 def _rank_cells(s: np.ndarray, size: int) -> np.ndarray:
@@ -353,10 +359,7 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
     s = np.unique(_pooled_counts(grid, n, l))
     cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
 
-    def mass(lo, hi) -> float:
-        return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
-
-    return _optimized_gamma(cdf, floor, mass, alpha, l * grid.size)
+    return _optimized_gamma(cdf, floor, partial(_chain_mass, n, l, s), alpha, l * grid.size)
 
 
 def test_multi(

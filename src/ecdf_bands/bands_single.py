@@ -474,14 +474,15 @@ def _band_mass(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray) -> float:
 
     and one pass of a steps yields both f_b and f_a (``_join``).  Any
     other problem, or a half pass whose scaled factors leave double
-    range, runs the full pass; the latter then runs the dense route.
+    range, runs the full pass; the latter fails the same steps' guard
+    there and runs the dense route.
     """
     if not (_mirrored(cdf_key) and hi[-1] == n and np.array_equal(lo[:-1], n - hi[-2::-1])):
         return _forward.forward_mass(*_single_factors(n, cdf_key, lo, hi))
     a, b = (lo.size + 1) // 2, lo.size // 2
     states = _forward.fast_pass(*_single_factors(n, cdf_key, lo[:a], hi[:a]), keep=(b, a))
     if states is None:
-        return _forward.dense_fallback(*_single_factors(n, cdf_key, lo, hi))
+        return _forward.forward_mass(*_single_factors(n, cdf_key, lo, hi))
     _forward.count_route("half")
     if not states:
         return 0.0
@@ -543,7 +544,8 @@ def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
 
     The step to the next grid point moves the count from r to r' with
     probability C(n-r, d) p^d q^(n-r'), d = r' - r: source (n-r)!, jump
-    p^d / d!, destination q^(n-r') / (n-r')!.
+    p^d / d!, destination q^(n-r') / (n-r')!, with p and q those of the
+    step.
     """
     lf, lfrev, logp, logq = _step_context(n, cdf_key)
     logp, logq = logp[: lo.size], logq[: lo.size]
@@ -551,13 +553,13 @@ def _single_factors(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray):
     hi_ext = np.concatenate(([0], hi))
     offs = np.arange(int((hi_ext - lo_ext).max()) + 1)
     src = lfrev[np.minimum(lo_ext[:-1, None] + offs[None, :], n)]
-    d_max = max(int((hi_ext[1:] - lo_ext[:-1]).max()) + 1, 1)
-    ker = -lf[np.arange(d_max)][None, :]
+    jumps = np.arange(max(int((hi_ext[1:] - lo_ext[:-1]).max()) + 1, 1))
+    ker = jumps[None, :] * logp[:, None] - lf[jumps][None, :]
     dst_r = np.minimum(lo_ext[1:, None] + offs[None, :], n)
     left = n - dst_r
     with np.errstate(invalid="ignore"):
         tail = np.where(left > 0, left * logq[:, None], 0.0)
-    return lo_ext, hi_ext, src, ker, (-lfrev[dst_r], tail), logp
+    return lo_ext, hi_ext, src, ker, tail - lfrev[dst_r]
 
 
 def _tail_table(cdf: np.ndarray) -> np.ndarray:

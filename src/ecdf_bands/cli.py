@@ -118,28 +118,31 @@ def _parse_csv(text: str, path: str) -> tuple[np.ndarray, int | None]:
     resolution = None
     lines = []
     for line in text.splitlines():
-        if not line.startswith("#"):
-            lines.append(line)
-            continue
-        key, _, value = line[1:].partition(":")
-        if key.strip() == "resolution":
-            value = value.strip()
-            if not value.isdecimal() or int(value) < 1:
-                raise ValueError(f"{path}: resolution must be a positive integer, got {value!r}")
-            resolution = int(value)
-    rows = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(":")
+            if key.strip() == "resolution":
+                value = value.strip()
+                if not value.isdecimal() or int(value) < 1:
+                    raise ValueError(
+                        f"{path}: resolution must be a positive integer, got {value!r}"
+                    )
+                resolution = int(value)
+            line = ""  # a blank line in its place keeps the reader's line numbers
+        lines.append(line)
+    reader = csv.reader(lines)
+    rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
     if not rows:
         raise ValueError(f"{path}: empty input")
     start = 0
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in rows[0][1]]
     except ValueError:
         start = 1
     if start == len(rows):
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[start])
+    width = len(rows[start][1])
     data = []
-    for ln, row in enumerate(rows[start:], start=start + 1):
+    for ln, row in rows[start:]:
         if len(row) != width:
             raise ValueError(f"{path}:{ln}: ragged row ({len(row)} cells, expected {width})")
         try:
@@ -352,10 +355,7 @@ def _plot_hist(args: argparse.Namespace, cols: np.ndarray) -> int:
     fractional ranks; chain i's SVG and plot data go to the ``--out``
     and ``--data-out`` paths with ``_chain{i}`` before the extension."""
     if cols.shape[0] == 1:
-        values = cols[0]
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("rank_hist input values must lie in [0, 1]")
-        samples, total = [values], None
+        samples, total = [cols[0]], None
         figures = [(args.title, args.out, args.data_out)]
     else:
         cs = ChainSet(cols)

@@ -74,7 +74,7 @@ def apply_transform(x, t: Transformation):
     scalar takes the same array power as a batch of draws.
     """
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
     k = t.k
     if t.family == "A":

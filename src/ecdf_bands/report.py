@@ -132,7 +132,7 @@ def rank_hist(u, bins: int, alpha: float = 0.05, expected_total: int | None = No
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("expected a nonempty 1-D sample")
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
     if int(bins) != bins or bins < 2:
         raise ValueError("bins must be an integer of at least 2")

@@ -147,7 +147,7 @@ def empirical_pit(y, comparison) -> PitValues:
 
     ``u_i`` is the fraction of the i-th comparison sample at or below
     ``y_i``.  All comparison samples must share one length S >= 1, which
-    becomes the resolution of the result.
+    becomes the resolution of the result, and every value must be finite.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
@@ -160,6 +160,8 @@ def empirical_pit(y, comparison) -> PitValues:
         raise ValueError("comparison must be an (N, S) array matching y")
     if comp.shape[1] == 0:
         raise ValueError("comparison samples must be nonempty")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(comp))):
+        raise ValueError("y and comparison values must be finite")
     u = (comp <= y[:, None]).mean(axis=1)
     return PitValues(u, resolution=comp.shape[1])
 

@@ -184,6 +184,20 @@ def test_out_flag_writes_file(uniform_csv, tmp_path, capsys):
     assert payload["schema"] == "report/1"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# resolution: 4\npit\n0.25\n\n0.5\nabc\n", ":6: non-numeric cell"),
+        ("a,b\n1,2\n\n3\n", ":4: ragged row"),
+    ],
+    ids=["comment-and-blank", "blank"],
+)
+def test_csv_errors_name_the_line_in_the_file(tmp_path, capsys, text, message):
+    path = write(tmp_path / "bad.csv", text)
+    assert main(["test", path]) == 2
+    assert f"bad.csv{message}" in capsys.readouterr().err
+
+
 def test_pit_subcommand(tmp_path, capsys):
     draws = write(tmp_path / "draws.csv", "0.0\n2.5\n9.0\n")
     comp = write(
@@ -233,6 +247,18 @@ def test_bad_declared_resolution_exits_two(tmp_path, capsys):
     off_lattice = write(tmp_path / "off.csv", "# resolution: 4\n0.3\n1.0\n")
     assert main(["test", off_lattice]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "draws, comparison",
+    [("nan\n0.5\n", "1.0,2.0\n"), ("0.5\n", "1.0,nan\n")],
+    ids=["nan-draw", "nan-comparison"],
+)
+def test_pit_rejects_non_finite_values(tmp_path, capsys, draws, comparison):
+    draws = write(tmp_path / "draws.csv", draws)
+    comp = write(tmp_path / "comp.csv", comparison)
+    assert main(["pit", draws, comp]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_pit_rejects_multicolumn_draws(tmp_path, capsys):
@@ -445,6 +471,10 @@ def test_plot_rank_hist_does_not_read_the_gamma_cache(uniform_csv, tmp_path, cap
 def test_plot_rank_hist_rejects_values_outside_unit_interval(tmp_path, capsys):
     path = write(tmp_path / "raw.csv", "1.5\n0.2\n0.7\n")
     assert main(["plot", path, "--kind", "rank_hist"]) == 2
+    nan = write(tmp_path / "nan.csv", "0.1\nnan\n0.3\n0.7\n")
+    data = tmp_path / "hist.json"
+    assert main(["plot", nan, "--kind", "rank_hist", "--bins", "4", "--data-out", str(data)]) == 2
+    assert not data.exists()
     capsys.readouterr()
 
 

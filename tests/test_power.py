@@ -139,6 +139,8 @@ def test_transform_validation():
         Transformation("A", 0.0)
     with pytest.raises(ValueError):
         apply_transform([1.5], Transformation("A", 1.0))
+    with pytest.raises(ValueError):
+        apply_transform([0.2, np.nan], Transformation("B", 2.0))
     assert isinstance(apply_transform(0.3, Transformation("A", 2.0)), float)
 
 

@@ -91,6 +91,8 @@ def test_rank_hist_validation():
     with pytest.raises(ValueError):
         rank_hist([1.5], 4)
     with pytest.raises(ValueError):
+        rank_hist([0.1, np.nan, 0.3, 0.7], 4)
+    with pytest.raises(ValueError):
         rank_hist([0.5], 4, alpha=0.0)
     with pytest.raises(ValueError):
         rank_hist([0.5], 4, expected_total=0)

@@ -1,6 +1,7 @@
 """``tools/search_cost.py`` on a few small shapes: its counts must add up
-and match what the searches themselves report, and one column's table
-must run ``betainc`` on fewer cells than the full table has."""
+and match what the searches themselves report, its gamma and coverage
+must be the searches' own bits, and one column's table must run
+``betainc`` on fewer cells than the full table has."""
 
 import importlib.util
 from pathlib import Path
@@ -34,7 +35,7 @@ def test_prints_one_row_per_search_and_a_total(capsys):
             gamma_optimize_multi(12, 3, default_grid(12, 36), 0.05),
         ],
     ):
-        counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-3]}
+        counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-5]}
         assert counts["steps"] == res.meta["steps"]
         assert counts["evals"] == res.meta["evaluations"]
         assert counts["passes"] == res.meta["passes"]
@@ -42,6 +43,9 @@ def test_prints_one_row_per_search_and_a_total(capsys):
         assert counts["half"] + counts["full"] + counts["dense"] == counts["passes"]
         assert float(row["search_ms"]) >= float(row["ms_per_pass"]) > 0.0
         assert float(row["search_ms"]) >= float(row["table_ms"]) > 0.0
+        # full repr: the printed numbers are the search's bits
+        assert float(row["gamma"]) == res.gamma
+        assert float(row["coverage"]) == res.attained_coverage
     # only one column takes the half route
     assert int(rows[0]["half"]) > 0 and int(rows[1]["half"]) == int(rows[2]["half"]) == 0
     # the block's edge searches and tail cells, against K * n for the full table
@@ -49,3 +53,4 @@ def test_prints_one_row_per_search_and_a_total(capsys):
     assert int(rows[1]["cells"]) == int(rows[2]["cells"]) == 0
     assert lines[-1][0] == "total"
     assert int(lines[-1][3]) == sum(int(row["evals"]) for row in rows)
+    assert lines[-1][-2:] == ["-", "-"]

@@ -103,6 +103,15 @@ def test_empirical_pit_shape_errors():
         empirical_pit([1.0], [[]])
     with pytest.raises(ValueError):
         empirical_pit([1.0], [[1.0], [2.0]])
+    # non-finite draws or comparison values have no PIT
+    for y, comp in [
+        ([np.nan, 0.2], [[0.0, 1.0], [0.0, 1.0]]),
+        ([np.inf], [[0.0, 1.0]]),
+        ([0.5, 0.2], [[0.0, np.nan], [0.0, 1.0]]),
+        ([0.5], [[-np.inf, 1.0]]),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            empirical_pit(y, comp)
 
 
 def test_joint_ranks_flatten_to_exact_multiset():

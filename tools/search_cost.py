@@ -16,9 +16,12 @@ the coverage passes it ran (``meta["passes"]``), the evaluations its
 memo served, the passes by route (half, full and dense, from
 ``_forward.route_count``), the cells ``betainc`` computed (window edge
 searches included; 0 for chains, whose hypergeometric table needs
-none), the time spent building the CDF table, the search's wall time
-and the mean time of one pass, factors included.  The last row sums
-the counts and the times, and gives the mean time over all the passes.
+none), the time spent building the CDF table, the search's wall time,
+the mean time of one pass, factors included, and the search's gamma
+and attained coverage in full ``repr``.  The last row sums the counts
+and the times, and gives the mean time over all the passes.  To see
+that a change keeps every gamma and how far it moves coverage, ``diff``
+the output of the copy of this file in each of two checkouts.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from ecdf_bands.transform import default_grid  # noqa: E402
 ROUTES = ("half", "full", "dense")
 COLUMNS = (
     "shape", "K", "steps", "evals", "passes", "memo", *ROUTES,
-    "cells", "table_ms", "search_ms", "ms_per_pass",
+    "cells", "table_ms", "search_ms", "ms_per_pass", "gamma", "coverage",
 )  # fmt: skip
+SUMMED = COLUMNS[2:-2]
 DEFAULT_SHAPES = tuple(str(n) for n in range(251, 442, 10))
 
 
@@ -127,6 +131,8 @@ def search_cost(n: int, l: int) -> dict:
     row["table_ms"] = 1e3 * spent["table"]
     row["search_ms"] = 1e3 * wall
     row["ms_per_pass"] = 1e3 * spent["pass"] / max(meta["passes"], 1)
+    row["gamma"] = repr(res.gamma)
+    row["coverage"] = repr(res.attained_coverage)
     return row
 
 
@@ -139,9 +145,9 @@ def main(argv: list[str]) -> int:
     print(_line(COLUMNS))
     for row in rows:
         print(_line(row[c] for c in COLUMNS))
-    total = {c: sum(row[c] for row in rows) for c in COLUMNS[2:]}
+    total = {c: sum(row[c] for row in rows) for c in SUMMED}
     total["ms_per_pass"] = sum(r["ms_per_pass"] * r["passes"] for r in rows) / max(total["passes"], 1)
-    print(_line(["total", "-"] + [total[c] for c in COLUMNS[2:]]))
+    print(_line(["total", "-"] + [total[c] for c in SUMMED] + ["-", "-"]))
     return 0
 
 
