@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -76,8 +77,9 @@ def _check_ranges(args: argparse.Namespace) -> None:
 def _read_table(path: str) -> tuple[np.ndarray, int | None]:
     """Rectangular float table from CSV or NDJSON; rows kept as rows.
 
-    Also returns the resolution a ``# resolution: S`` CSV comment
-    declares, or None.
+    Text whose first non-blank character is ``{`` is NDJSON, any other
+    text CSV (see ``_parse_csv``).  Also returns the resolution a
+    ``# resolution: S`` CSV comment declares, or None.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -115,6 +117,18 @@ def _parse_ndjson(text: str, path: str) -> np.ndarray:
 
 
 def _parse_csv(text: str, path: str) -> tuple[np.ndarray, int | None]:
+    """Float table and declared resolution from CSV text.
+
+    Lines that start with ``#`` are comments; a ``# resolution: S`` one
+    declares the resolution.  The csv module splits the rest, so a
+    quoted cell may hold a comma, and rows whose cells are all blank or
+    whitespace are skipped.  A first row with a cell ``float()`` cannot
+    read is a header.  Every cell is read by ``float()``, so ``nan``,
+    ``inf``, ``1_000`` and spaces around a number are accepted.  The
+    table is read in one pass; only when a row is ragged or holds a
+    non-numeric cell are the rows walked again, to name the first bad
+    one by its line in the file.
+    """
     resolution = None
     lines = []
     for line in text.splitlines():
@@ -129,27 +143,42 @@ def _parse_csv(text: str, path: str) -> tuple[np.ndarray, int | None]:
                 resolution = int(value)
             line = ""  # a blank line in its place keeps the reader's line numbers
         lines.append(line)
-    reader = csv.reader(lines)
-    rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
+    rows = [row for row in csv.reader(lines) if "".join(row).strip()]
     if not rows:
         raise ValueError(f"{path}: empty input")
     start = 0
     try:
-        [float(c) for c in rows[0][1]]
+        list(map(float, rows[0]))
     except ValueError:
         start = 1
-    if start == len(rows):
+    body = rows[start:]
+    if not body:
         raise ValueError(f"{path}: no data rows")
-    width = len(rows[start][1])
-    data = []
-    for ln, row in rows[start:]:
-        if len(row) != width:
-            raise ValueError(f"{path}:{ln}: ragged row ({len(row)} cells, expected {width})")
+    width = len(body[0])
+    if set(map(len, body)) == {width}:
         try:
-            data.append([float(c) for c in row])
+            cells = map(float, itertools.chain.from_iterable(body))
+            table = np.fromiter(cells, np.float64, len(body) * width)
+            return table.reshape(len(body), width), resolution
+        except ValueError:
+            pass
+    _raise_first_bad_row(lines, path, start, width)
+
+
+def _raise_first_bad_row(lines: list[str], path: str, start: int, width: int) -> None:
+    """Raise the error of the first data row, in file order, that is
+    ragged or holds a non-numeric cell, named by its line in the file."""
+    reader = csv.reader(lines)
+    kept = (row for row in reader if "".join(row).strip())
+    for row in itertools.islice(kept, start, None):
+        if len(row) != width:
+            raise ValueError(
+                f"{path}:{reader.line_num}: ragged row ({len(row)} cells, expected {width})"
+            )
+        try:
+            list(map(float, row))
         except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: non-numeric cell ({exc})") from exc
-    return np.array(data, dtype=np.float64), resolution
+            raise ValueError(f"{path}:{reader.line_num}: non-numeric cell ({exc})") from exc
 
 
 def _columns(path: str) -> tuple[np.ndarray, int | None]:
@@ -238,7 +267,7 @@ def cmd_pit(args: argparse.Namespace) -> int:
         comp = np.repeat(comp, y.size, axis=0)
     pit = empirical_pit(y, comp)
     lines = [f"# resolution: {pit.resolution}", "pit"]
-    lines += [repr(float(v)) for v in pit.values]
+    lines += map(repr, pit.values.tolist())
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -279,8 +308,7 @@ def cmd_thin(args: argparse.Namespace) -> int:
     plan = thinning_factor(rep, cs.n_chains * cs.n_draws, args.strategy)
     thinned = thin(cs, plan.factor)
     lines = [",".join(f"chain{i + 1}" for i in range(thinned.n_chains))]
-    for row in thinned.chains.T:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row)) for row in thinned.chains.T.tolist()]
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.ess_out:
         payload = {

@@ -18,6 +18,7 @@ draws, argsorted into chain labels in pooled order, go to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,8 @@ class Transformation:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not self.k > 0.0:
             raise ValueError("k must be positive")
+        if self.k == math.inf:
+            raise ValueError("k must be finite")
 
 
 def apply_transform(x, t: Transformation):
@@ -253,8 +256,10 @@ def power_sweep(
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     ks = [float(k) for k in ks]
-    if not ks or any(k <= 0.0 for k in ks):
+    if not ks or not all(k > 0.0 for k in ks):
         raise ValueError("ks must be a nonempty list of positive strengths")
+    if math.inf in ks:
+        raise ValueError("ks must be finite")
     if replicates < 1_000:
         raise ValueError("at least 1000 replicates are required")
     if n_chains < 1:

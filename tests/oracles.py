@@ -50,8 +50,14 @@ program sorts each sample once for every statistic, folds the B and C
 families onto one side for a single power, shares one null pass among
 the statistics and works in row blocks, so it must match these bit for
 bit.
+
+For the command line: ``parse_csv_rows`` reads a CSV table row by row,
+checking each row's width and converting its cells before the next.
+The program converts every cell in one pass and walks the rows only to
+name a bad one, so it must give the same table, resolution and error.
 """
 
+import csv
 import math
 from functools import lru_cache
 
@@ -574,3 +580,42 @@ def sweep_rates_whole_chunks(family, ks, n, l, replicates, seed, cvs, bands=None
             for t, cv in cvs.items():
                 counts[t][j] += np.count_nonzero(ROW_STATS[t](sample) > cv)
     return {t: tuple((c / replicates).tolist()) for t, c in counts.items()}
+
+
+def parse_csv_rows(text: str, path: str) -> tuple[np.ndarray, int | None]:
+    """``cli._parse_csv``'s table and resolution, read one row at a time."""
+    resolution = None
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(":")
+            if key.strip() == "resolution":
+                value = value.strip()
+                if not value.isdecimal() or int(value) < 1:
+                    raise ValueError(
+                        f"{path}: resolution must be a positive integer, got {value!r}"
+                    )
+                resolution = int(value)
+            line = ""  # a blank line in its place keeps the reader's line numbers
+        lines.append(line)
+    reader = csv.reader(lines)
+    rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
+    if not rows:
+        raise ValueError(f"{path}: empty input")
+    start = 0
+    try:
+        [float(c) for c in rows[0][1]]
+    except ValueError:
+        start = 1
+    if start == len(rows):
+        raise ValueError(f"{path}: no data rows")
+    width = len(rows[start][1])
+    data = []
+    for ln, row in rows[start:]:
+        if len(row) != width:
+            raise ValueError(f"{path}:{ln}: ragged row ({len(row)} cells, expected {width})")
+        try:
+            data.append([float(c) for c in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: non-numeric cell ({exc})") from exc
+    return np.array(data, dtype=np.float64), resolution

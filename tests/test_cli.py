@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecdf_bands import cli
 from ecdf_bands.cli import CACHE_ENV, main
+from oracles import parse_csv_rows
 
 # stdout, stderr and exit code of each call below, recorded at COLUMNS=80
 # from the parser that built every subcommand on every call
@@ -135,7 +138,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["test", words]) == 2
     four = write(tmp_path / "four.csv", "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")
     assert main(["test", four, "--method", "optimize"]) == 2
-    capsys.readouterr()
+    assert main(["power", "--family", "A", "--ks", "inf", "--n", "20", "--m-reps", "1000"]) == 2
+    assert capsys.readouterr().err.endswith("error: ks must be finite\n")
 
 
 def test_ndjson_unequal_chains_exit_two(tmp_path, capsys):
@@ -189,13 +193,89 @@ def test_out_flag_writes_file(uniform_csv, tmp_path, capsys):
     [
         ("# resolution: 4\npit\n0.25\n\n0.5\nabc\n", ":6: non-numeric cell"),
         ("a,b\n1,2\n\n3\n", ":4: ragged row"),
+        ("1,2\n3,x\n4\n", ":2: non-numeric cell"),
+        ("1,2\n3\n4,x\n", ":2: ragged row"),
+        ("0.1\n \t\n0.2\nabc\n", ":4: non-numeric cell"),
+        ('1,2\n3,4\n"5,6"\n', ":3: ragged row (1 cells, expected 2)"),
+        ("a,b\n\n", ": no data rows"),
     ],
-    ids=["comment-and-blank", "blank"],
+    ids=[
+        "comment-and-blank",
+        "blank",
+        "cell-before-ragged",
+        "ragged-before-cell",
+        "whitespace-line",
+        "quoted-ragged",
+        "header-only",
+    ],
 )
 def test_csv_errors_name_the_line_in_the_file(tmp_path, capsys, text, message):
     path = write(tmp_path / "bad.csv", text)
     assert main(["test", path]) == 2
     assert f"bad.csv{message}" in capsys.readouterr().err
+
+
+# cells float() reads, ones it refuses, header words, and lines that
+# hold no data: comments (valid and invalid resolutions) and blank rows
+NUMBERS = [
+    "0.5", "-1.25e-3", "3", "nan", "-inf", "inf", "1_0", "1e400", "\uff15", " 0.25 ", '"0.75"', '" 2 "'
+]
+NON_NUMBERS = ["abc", '"1,5"', "1__0", "", " ", " # x"]
+WORDS = ["a", "chain1", '"x,y"', "pit"]
+NO_DATA = [
+    "",
+    "   ",
+    "\t",
+    ",,",
+    " , ",
+    "#",
+    "# note, 1",
+    "# resolution: 8",
+    "#resolution:3",
+    "# resolution: \uff15",
+    "# Resolution: x",
+    "# resolution: 0",
+    "# resolution: x",
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of width 1-5, with or without a header, whose lines may
+    be ragged, hold a non-numeric cell or hold no data."""
+    width = draw(st.integers(1, 5))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(st.sampled_from(WORDS), min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["no-data"] * 3 + ["ragged", "non-numeric"]))
+        if kind == "no-data":
+            lines.append(draw(st.sampled_from(NO_DATA)))
+            continue
+        size = width
+        if kind == "ragged":
+            size = draw(st.integers(1, 6).filter(lambda k: k != width))
+        cells = draw(st.lists(st.sampled_from(NUMBERS), min_size=size, max_size=size))
+        if kind == "non-numeric":
+            cells[draw(st.integers(0, size - 1))] = draw(st.sampled_from(NON_NUMBERS))
+        lines.append(",".join(cells))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts())
+def test_parse_csv_matches_the_row_by_row_reader(text):
+    try:
+        want, want_resolution = parse_csv_rows(text, "t.csv")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            cli._parse_csv(text, "t.csv")
+        assert str(got.value) == str(exc)
+        return
+    table, resolution = cli._parse_csv(text, "t.csv")
+    assert resolution == want_resolution
+    assert table.dtype == want.dtype and table.shape == want.shape
+    assert table.tobytes() == want.tobytes()
 
 
 def test_pit_subcommand(tmp_path, capsys):

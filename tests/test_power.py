@@ -137,6 +137,8 @@ def test_transform_validation():
         Transformation("D", 1.0)
     with pytest.raises(ValueError):
         Transformation("A", 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Transformation("A", np.inf)
     with pytest.raises(ValueError):
         apply_transform([1.5], Transformation("A", 1.0))
     with pytest.raises(ValueError):

@@ -36,6 +36,9 @@ INPUTS = {
     "chains8x40.csv": (8, 40),
     "chains2x60.csv": (2, 60),
     "chains3x30.csv": (3, 30),
+    "chains2x1000.csv": (2, 1000),
+    "draws50.csv": (1, 50),
+    "comparison50x49.csv": (49, 50),
 }
 """Input files, each as (columns, rows): one column of uniform PIT
 values, or chains of standard normal draws."""
@@ -59,6 +62,8 @@ CASES = {
         "plot", "col200.csv", "--kind", "rank_hist", "--bins", "10", "--data-out", "data.json"
     ],
     "plot-rank-hist-4x80": ["plot", "chains4x80.csv", "--kind", "rank_hist", "--bins", "8"],
+    "thin-2x1000": ["thin", "chains2x1000.csv", "--ess-out", "data.json"],
+    "pit-50x49": ["pit", "draws50.csv", "comparison50x49.csv"],
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
 output goes to a file given by ``--out`` in the case's own folder, as
