@@ -12,28 +12,34 @@ convolution is one ``np.convolve`` for every kind: in two dimensions the
 rows are zero-padded to the output width and flattened (see
 ``_flat_convolution``).
 
-Both count laws hand both routes the same five arrays,
+Both count laws hand the pass the same five arrays,
 ``(lo, hi, src, ker, dst)``: the windows' ends, and per step one log
 source, one log jump kernel and one log destination array (see
 ``forward_mass``).  Before exponentiating, an affine fit of the source
 over its window moves the bulk of the source into the jump and
 destination factors (the affine terms cancel within every step), and
-the kernel's peak moves into the destination.  When the scaled factors
-would still leave the range of ``exp`` in double precision, the same
-log factors build each step's transition matrix instead: the dense
-route (``dense_pass``).
+the kernel's peak moves into the destination.  A step whose scaled
+factors would still leave the range of ``exp`` in double precision
+runs on its transition matrix instead, built from the same log factors
+(``_dense_step``), and the steps around it still convolve.  Most such
+steps are the first step at large n, which starts from one certain
+count, so the fit has nothing to fit (every pass at n >= 10 000 on the
+default grid); single-count windows (gamma near 1) and the wide steps
+of a coarse grid can trip as well.  A tripped step's matrix has up to
+W x W cells, W^2 x W^2 in two coordinates.
 
-The convolution route can also stop short and hand back its state after
-chosen steps, ``(probs, log_scale, lo)``: the mass of count ``lo + i``
-with every earlier window kept is ``probs[i] * exp(log_scale)``.  One
+The pass can also stop short and hand back its state after chosen
+steps, ``(probs, log_scale, lo)``: the mass of count ``lo + i`` with
+every earlier window kept is ``probs[i] * exp(log_scale)``.  One
 sample's coverage joins two such states from half a pass when its
 problem reflects onto itself (``bands_single._band_mass``).
 
-``route_count`` counts the passes run on the calling thread by route:
-``"half"`` (counted by ``bands_single._band_mass``), ``"full"`` (the
-whole convolution route) and ``"dense"`` (both counted by
-``forward_mass``); every dense pass also logs a DEBUG record on the
-``ecdf_bands`` logger.
+``route_count`` counts the passes run on the calling thread.  Every
+pass counts as ``"half"`` (by ``bands_single._band_mass``) or ``"full"``
+(by ``_band_mass`` and ``bands_multi._chain_mass``).  A pass that ran
+at least one step on its matrix also counts as ``"dense"`` (by
+``forward_mass``) and logs one DEBUG record on the ``ecdf_bands``
+logger.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ _local = threading.local()
 
 def route_count(route: str) -> int:
     """Number of passes run so far on the calling thread by ``route``:
-    ``"half"``, ``"full"`` or ``"dense"``.
+    ``"half"`` or ``"full"``, or ``"dense"``, the passes of either route
+    that ran at least one step on its transition matrix.
 
     The coverage functions return a bare probability, so a search that
     wants to report its routes reads these counts before and after its
@@ -66,50 +73,6 @@ def route_count(route: str) -> int:
 def count_route(route: str) -> None:
     """Count one pass by ``route`` on the calling thread."""
     setattr(_local, route, route_count(route) + 1)
-
-
-def forward_mass(lo, hi, src, ker, dst) -> float:
-    """Probability that the count stays inside every window.
-
-    The pass starts at count ``lo[0]`` in every coordinate with
-    probability one.  Before step t every coordinate of the count lies in
-    ``[lo[t], hi[t]]`` (``lo`` and ``hi`` have T + 1 entries).  Arrays are
-    indexed by offsets from the window's low end, padded to a common
-    width W = max(hi - lo) + 1, with one axis per count coordinate (one
-    or two):
-
-    - ``src``, (T, W[, W]): log source factor over window t.  It must be
-      finite over the whole padded box, since the affine fit reads its
-      corners; clamp arguments that leave the count range.
-    - ``ker``, (T, J[, J]): step t's log jump kernel for jumps 0..J-1 on
-      each axis, -inf where a jump is impossible.
-    - ``dst``, (T, W[, W]): log destination factor over window t + 1;
-      -inf marks counts inside the window that are not allowed.
-
-    Runs the convolution route, counted as ``"full"``, and the dense
-    route, counted as ``"dense"`` and logged at DEBUG, when the scaled
-    factors leave double range.  Each call counts exactly one route.
-    """
-    out = fast_pass(lo, hi, src, ker, dst)
-    if out is not None:
-        count_route("full")
-        return out
-    count_route("dense")
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "exact coverage: scaled factors leave double range, dense route over %d steps, "
-            "%d-D windows up to %d wide",
-            src.shape[0],
-            src.ndim - 1,
-            src.shape[1],
-        )
-    return dense_pass(lo, hi, src, ker, dst)
-
-
-def _unreachable(dst_w, d_len) -> bool:
-    """An empty window (negative width), or one whose counts all lie
-    below the previous window's (no nonnegative jump reaches it)."""
-    return int(dst_w.min()) < 0 or int(d_len.min()) < 1
 
 
 def _along(values, axis: int, dims: int):
@@ -133,14 +96,32 @@ def _window(full: np.ndarray, start: int, width: int) -> np.ndarray:
     return out
 
 
-def fast_pass(lo, hi, src, ker, dst, keep=()):
-    """The convolution route of ``forward_mass``; None when the scaled
-    factors would not be safe in double precision.
+def forward_mass(lo, hi, src, ker, dst, keep=()):
+    """Probability that the count stays inside every window.
+
+    The pass starts at count ``lo[0]`` in every coordinate with
+    probability one.  Before step t every coordinate of the count lies in
+    ``[lo[t], hi[t]]`` (``lo`` and ``hi`` have T + 1 entries, T >= 1).
+    Arrays are indexed by offsets from the window's low end, padded to a
+    common width W = max(hi - lo) + 1, with one axis per count coordinate
+    (one or two):
+
+    - ``src``, (T, W[, W]): log source factor over window t.  It must be
+      finite over the whole padded box, since the affine fit reads its
+      corners; clamp arguments that leave the count range.
+    - ``ker``, (T, J[, J]): step t's log jump kernel for jumps 0..J-1 on
+      each axis, -inf where a jump is impossible.
+    - ``dst``, (T, W[, W]): log destination factor over window t + 1;
+      -inf marks counts inside the window that are not allowed.
 
     Each step is one ``np.convolve``, for one coordinate or two.  With
     two coordinates (three chains) the flat convolution adds the same
     products as a 2-D convolution in another order, so the two agree to
-    rounding: coverages on the default grids differ by under 1e-15.
+    rounding: coverages on the default grids differ by under 1e-15.  A
+    step whose scaled factors leave double range runs on its transition
+    matrix (``_dense_step``) and hands the next step a state of the same
+    meaning.  A pass that ran such steps counts as ``"dense"`` and logs
+    one DEBUG record with their number; the caller counts its route.
 
     With ``keep``, a tuple of step counts in 1..T, the pass returns in
     place of its sum its states after those steps, one per distinct
@@ -155,7 +136,9 @@ def fast_pass(lo, hi, src, ker, dst, keep=()):
     src_w = hi[:-1] - lo[:-1]
     dst_w = hi[1:] - lo[1:]
     d_len = hi[1:] - lo[:-1] + 1
-    if _unreachable(dst_w, d_len):
+    # an empty window, or one whose counts all lie below the previous
+    # window's (no nonnegative jump reaches it)
+    if int(dst_w.min()) < 0 or int(d_len.min()) < 1:
         return 0.0
     shift = lo[1:] - lo[:-1]
     offs = np.arange(width)
@@ -194,8 +177,6 @@ def fast_pass(lo, hi, src, ker, dst, keep=()):
     # the fit's plane and the kernel's peak move into the destination
     w2 = plane(shift[:, None] + offs[None, :]) + dst + _per_step(peak, dims)
     w2 = np.where(in_dst, w2, -np.inf)
-    if float(w2.max()) > _EXP_GUARD:
-        return None
     live = np.isfinite(w2)
 
     # the source keeps its residual from the plane, on the counts it can hold
@@ -204,8 +185,14 @@ def fast_pass(lo, hi, src, ker, dst, keep=()):
     in_src[(0,) * (dims + 1)] = True
     in_src[1:] = live[:-1]
     e1 = np.where(in_src, e1, 0.0)
-    if float(np.abs(e1).max()) > _EXP_GUARD:
-        return None
+
+    # a step whose scaled factors leave double range runs on its matrix
+    scale = np.maximum(w2, np.abs(e1))
+    dense = np.zeros(steps, dtype=bool)
+    if float(scale.max()) > _EXP_GUARD:
+        dense = scale.reshape(steps, -1).max(axis=1) > _EXP_GUARD
+        e1 = np.where(_per_step(dense, dims), 0.0, e1)
+        w2 = np.where(_per_step(dense, dims), -np.inf, w2)
     src_scale = np.exp(e1)
     dst_scale = np.exp(w2)
 
@@ -215,23 +202,60 @@ def fast_pass(lo, hi, src, ker, dst, keep=()):
     probs[(0,) * dims] = 1.0
     log_scale = 0.0
     kept = []
-    for t, a in enumerate(shift.tolist()):
-        full = conv(probs * src_scale[t], t)
-        if 0 <= a <= last_start:
-            probs = full[(slice(a, a + width),) * dims] * dst_scale[t]
+    ran = 0
+    for t, (a, on_matrix) in enumerate(zip(shift.tolist(), dense.tolist())):
+        if on_matrix:
+            ran += 1
+            probs = _dense_step(probs, a, src[t], ker[t], dst[t], live[t])
         else:
-            probs = _window(full, a, width) * dst_scale[t]
+            full = conv(probs * src_scale[t], t)
+            if 0 <= a <= last_start:
+                probs = full[(slice(a, a + width),) * dims] * dst_scale[t]
+            else:
+                probs = _window(full, a, width) * dst_scale[t]
         total = float(probs.sum())
         if total <= 0.0:
-            return 0.0
+            break
         if total < _TINY:
             probs = probs / total
             log_scale += math.log(total)
         if t + 1 in keep:
             kept.append((probs, log_scale, int(lo[t + 1])))
+    if ran:
+        count_route("dense")
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(
+                "exact coverage: %d of %d steps left double range and ran on their "
+                "transition matrices, %d-D windows up to %d wide",
+                ran,
+                steps,
+                dims,
+                width,
+            )
+    if total <= 0.0:
+        return 0.0
     if keep:
         return kept
     return float(min(1.0, probs.sum() * math.exp(log_scale)))
+
+
+def _dense_step(probs, shift: int, src, ker, dst, live):
+    """One step of ``forward_mass`` on its transition matrix
+    ``exp(src[r] + ker[r' - r] + dst[r'])``, from the cells of ``probs``
+    that hold mass to the ``live`` cells of the next window, which starts
+    ``shift`` counts above this one.
+
+    Every entry is a true transition probability, so none overflows, and
+    the state keeps its scale: true mass times ``exp(-log_scale)``.
+    """
+    old = np.array(np.nonzero(probs))
+    new = np.array(np.nonzero(live))
+    jump = new[:, :, None] + shift - old[:, None, :]
+    ok = np.all((jump >= 0) & (jump < ker.shape[-1]), axis=0)
+    log_t = src[tuple(old)][None, :] + ker[tuple(np.where(ok, jump, 0))] + dst[tuple(new)][:, None]
+    out = np.zeros_like(probs)
+    out[tuple(new)] = np.exp(np.where(ok, log_t, -np.inf)) @ probs[tuple(old)]
+    return out
 
 
 def _flat_convolution(kernel: np.ndarray, width: int):
@@ -262,38 +286,3 @@ def _flat_convolution(kernel: np.ndarray, width: int):
 
     return conv
 
-
-def dense_pass(lo, hi, src, ker, dst) -> float:
-    """The dense route of ``forward_mass``: each step's transition matrix
-    ``exp(src[r] + ker[r' - r] + dst[r'])`` over the live counts."""
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    if _unreachable(hi[1:] - lo[1:], hi[1:] - lo[:-1] + 1):
-        return 0.0
-    dims = src.ndim - 1
-    steps = src.shape[0]
-    n_jumps = ker.shape[-1]
-    cells = np.zeros((1, dims), dtype=np.int64)
-    probs = np.ones(1)
-    log_scale = 0.0
-    for t in range(steps):
-        width = int(hi[t + 1] - lo[t + 1]) + 1
-        grid = np.indices((width,) * dims).reshape(dims, -1).T
-        at = tuple(grid.T)
-        log_dst = dst[t][at]
-        keep = np.isfinite(log_dst)
-        new_cells, log_dst = grid[keep], log_dst[keep]
-        jump = (new_cells[:, None, :] + lo[t + 1]) - (cells[None, :, :] + lo[t])
-        ok = np.all((jump >= 0) & (jump < n_jumps), axis=2)
-        jump = np.where(ok[..., None], jump, 0)
-        log_k = ker[t][tuple(np.moveaxis(jump, 2, 0))]
-        log_t = src[t][tuple(cells.T)][None, :] + log_k + log_dst[:, None]
-        probs = np.where(ok, np.exp(log_t), 0.0) @ probs
-        total = float(probs.sum())
-        if total <= 0.0:
-            return 0.0
-        if total < _TINY:
-            probs = probs / total
-            log_scale += math.log(total)
-        cells = new_cells
-    return float(min(1.0, probs.sum() * math.exp(log_scale)))

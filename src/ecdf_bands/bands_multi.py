@@ -155,8 +155,8 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
 
     Supported for two or three chains; beyond that the joint state space
     grows too quickly and simulation should be used instead.  Each step
-    is one convolution (``_chain_factors``); when its scaled factors
-    leave double range, the step matrices are built instead.
+    is one convolution (``_chain_factors``), but a step whose scaled
+    factors leave double range runs on its transition matrix.
     """
     l = _check_exact_chains(l, "coverage")
     # duplicate pooled counts add identity transitions; drop them
@@ -173,6 +173,7 @@ def _chain_mass(n: int, l: int, s, lo, hi) -> float:
     """Probability that two or three chains' counts stay inside [lo, hi]
     at the distinct pooled counts ``s``: the one exact mass of this law,
     as ``bands_single._band_mass`` is for one sample."""
+    _forward.count_route("full")
     return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
 
 

@@ -417,10 +417,10 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
     Runs a forward pass over the per-point count intervals: conditional
     on the count so far, the increment to the next grid point is
     binomial in the remaining draws with the renormalized step
-    probability.  Each step is one convolution (``_single_factors``);
-    when its scaled factors leave double range, the step matrices are
-    built instead.  Counts follow the binomial marginals exactly whenever
-    each draw satisfies ``Pr(u <= z_i) = z_i``, which holds for
+    probability.  Each step is one convolution (``_single_factors``),
+    but a step whose scaled factors leave double range runs on its
+    transition matrix.  Counts follow the binomial marginals exactly
+    whenever each draw satisfies ``Pr(u <= z_i) = z_i``, which holds for
     continuous uniforms at any grid and for discrete uniforms when the
     grid points sit at multiples of the category spacing.
 
@@ -473,17 +473,14 @@ def _band_mass(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray) -> float:
         coverage = sum_r f_b(r) * f_a(n - r) / Binomial(n, z_b)(r),
 
     and one pass of a steps yields both f_b and f_a (``_join``).  Any
-    other problem, or a half pass whose scaled factors leave double
-    range, runs the full pass; the latter fails the same steps' guard
-    there and runs the dense route.
+    other problem runs the full pass.
     """
     if not (_mirrored(cdf_key) and hi[-1] == n and np.array_equal(lo[:-1], n - hi[-2::-1])):
+        _forward.count_route("full")
         return _forward.forward_mass(*_single_factors(n, cdf_key, lo, hi))
     a, b = (lo.size + 1) // 2, lo.size // 2
-    states = _forward.fast_pass(*_single_factors(n, cdf_key, lo[:a], hi[:a]), keep=(b, a))
-    if states is None:
-        return _forward.forward_mass(*_single_factors(n, cdf_key, lo, hi))
     _forward.count_route("half")
+    states = _forward.forward_mass(*_single_factors(n, cdf_key, lo[:a], hi[:a]), keep=(b, a))
     if not states:
         return 0.0
     return _join(n, cdf_key[b - 1], states[0], states[-1])
@@ -491,7 +488,7 @@ def _band_mass(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray) -> float:
 
 def _join(n: int, z: float, first, second) -> float:
     """``sum_r f(r) * g(n - r) / Binomial(n, z)(r)`` in log space, from
-    ``_forward.fast_pass`` states ``(probs, log_scale, lo)`` of f and g."""
+    ``_forward.forward_mass`` states ``(probs, log_scale, lo)`` of f and g."""
     (pf, sf, f_lo), (pg, sg, g_lo) = first, second
     width = pf.size
     r = np.arange(max(f_lo, n - g_lo - width + 1), min(f_lo + width, n - g_lo + 1))
@@ -898,8 +895,8 @@ def _optimized_gamma(table: CdfBlock, floor, mass, alpha: float, checks: int) ->
     per distinct pair of bounds, so the memo served
     ``evaluations - passes`` of the probes.  ``meta["steps"]`` counts
     the candidate steps and ``meta["dense_fallbacks"]`` the passes that
-    built dense step matrices because the convolution's scaled factors
-    left double range.
+    built dense step matrices: passes with at least one step whose
+    scaled factors left double range.
 
     ``checks`` counts the (chain, grid point) pairs at which a
     trajectory can leave the bands, so every gamma at or below

@@ -130,8 +130,8 @@ def _parse_csv(text: str, path: str) -> tuple[np.ndarray, int | None]:
     one by its line in the file.
     """
     resolution = None
-    lines = []
-    for line in text.splitlines():
+    lines = text.splitlines()
+    for i, line in enumerate(lines) if "#" in text else ():
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
             if key.strip() == "resolution":
@@ -141,9 +141,12 @@ def _parse_csv(text: str, path: str) -> tuple[np.ndarray, int | None]:
                         f"{path}: resolution must be a positive integer, got {value!r}"
                     )
                 resolution = int(value)
-            line = ""  # a blank line in its place keeps the reader's line numbers
-        lines.append(line)
-    rows = [row for row in csv.reader(lines) if "".join(row).strip()]
+            lines[i] = ""  # a blank line in its place keeps the reader's line numbers
+    reader = csv.reader(lines)
+    try:
+        rows = [row for row in reader if "".join(row).strip()]
+    except csv.Error as exc:  # a cell past the field size limit, say
+        raise ValueError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from exc
     if not rows:
         raise ValueError(f"{path}: empty input")
     start = 0

@@ -6,7 +6,8 @@ windows of consecutive grid points straight from the distribution's log
 mass (the binomial for one sample, the multivariate hypergeometric for
 two and three chains) and multiplies it into the state.  They share no
 code with the program's factorized forward pass, only the ``dist``
-kernels.
+kernels.  ``dense_pass`` runs every step of that pass on its transition
+matrix, from the pass's own five log-factor arrays.
 
 The program builds each count law's CDF table whole, one (K, n + 1)
 table per law.  The per-row routes here check those tables and the
@@ -340,6 +341,40 @@ def coverage_three_chains(n: int, s, lo, hi) -> float:
         prev_s = si
     return float(min(1.0, probs.sum() * math.exp(log_scale)))
 
+
+
+def dense_pass(lo, hi, src, ker, dst) -> float:
+    """``_forward.forward_mass`` with every step on its transition matrix
+    ``exp(src[r] + ker[r' - r] + dst[r'])`` over the live counts, from
+    the same five arrays."""
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    if int((hi[1:] - lo[1:]).min()) < 0 or int((hi[1:] - lo[:-1]).min()) < 0:
+        return 0.0
+    dims = src.ndim - 1
+    steps = src.shape[0]
+    n_jumps = ker.shape[-1]
+    cells = np.zeros((1, dims), dtype=np.int64)
+    probs = np.ones(1)
+    log_scale = 0.0
+    for t in range(steps):
+        width = int(hi[t + 1] - lo[t + 1]) + 1
+        grid = np.indices((width,) * dims).reshape(dims, -1).T
+        at = tuple(grid.T)
+        log_dst = dst[t][at]
+        keep = np.isfinite(log_dst)
+        new_cells, log_dst = grid[keep], log_dst[keep]
+        jump = (new_cells[:, None, :] + lo[t + 1]) - (cells[None, :, :] + lo[t])
+        ok = np.all((jump >= 0) & (jump < n_jumps), axis=2)
+        jump = np.where(ok[..., None], jump, 0)
+        log_k = ker[t][tuple(np.moveaxis(jump, 2, 0))]
+        log_t = src[t][tuple(cells.T)][None, :] + log_k + log_dst[:, None]
+        probs = np.where(ok, np.exp(log_t), 0.0) @ probs
+        if float(probs.sum()) <= 0.0:
+            return 0.0
+        probs, log_scale = _renormalize(probs, log_scale)
+        cells = new_cells
+    return float(min(1.0, probs.sum() * math.exp(log_scale)))
 
 def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
     """The exact gamma search by bisection over the coverage steps.

@@ -10,10 +10,11 @@ recursions kept in ``oracles`` on random shapes and windows.
 
 import itertools
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
@@ -33,7 +34,15 @@ from ecdf_bands.bands_multi import (
     gamma_simulate_multi,
 )
 from ecdf_bands.bands_multi import test_multi as run_multi_test
-from ecdf_bands.bands_single import ConfidenceBands, GammaResult, _chunk_rng, _count_bounds
+from ecdf_bands.bands_single import (
+    ConfidenceBands,
+    GammaResult,
+    _cdf_matrix,
+    _chunk_rng,
+    _count_bounds,
+    _grid_key,
+    _single_factors,
+)
 from ecdf_bands.transform import (
     ChainSet,
     EvaluationGrid,
@@ -45,6 +54,7 @@ from oracles import (
     chain_cell_counts,
     coverage_three_chains,
     coverage_two_chains,
+    dense_pass,
     hyper_padded_tables,
     hyper_quantile,
     recorded_levels,
@@ -184,10 +194,8 @@ _ORACLES = {2: coverage_two_chains, 3: coverage_three_chains}
 def _assert_both_routes_match_oracle(n, l, s, lo, hi):
     want = _ORACLES[l](n, s, lo, hi)
     args = _chain_factors(n, l, np.asarray(s), np.asarray(lo), np.asarray(hi))
-    fast = _forward.fast_pass(*args)
-    for got in (fast, _forward.dense_pass(*args)):
-        if got is not None:
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-15), (got, want, fast)
+    for got in (_forward.forward_mass(*args), dense_pass(*args)):
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-15), (got, want)
     return want
 
 
@@ -237,6 +245,56 @@ def test_forward_pass_matches_dense_oracles_on_arbitrary_windows(data):
 )
 def test_forward_pass_on_windows_that_move_down(n, l, s, lo, hi):
     assert _assert_both_routes_match_oracle(n, l, s, lo, hi) > 0.0
+
+
+@st.composite
+def band_problems(draw):
+    """Chains (1 to 3), chain length, grid and gamma, over shapes whose
+    steps mix both kinds: large n, coarse and custom grids, and windows
+    from one count wide to nearly the whole range."""
+    l = draw(st.sampled_from([1, 2, 3]), label="l")
+    n = draw(st.integers(1, {1: 20_000, 2: 3000, 3: 60}[l]), label="n")
+    if draw(st.booleans(), label="default grid"):
+        # one column's full table has K * (n + 1) cells
+        k_max = draw(st.integers(1, 1000 if l > 1 else min(1000, max(2, 200_000 // n))), label="k_max")
+        grid = default_grid(n, l * n if l > 1 else None, k_max=k_max)
+    else:
+        pts = draw(st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=8), label="pts")
+        if draw(st.booleans(), label="point near 0"):
+            pts.append(draw(st.floats(1e-9, 1e-5), label="near 0"))
+        if draw(st.booleans(), label="point 1"):
+            pts.append(1.0)
+        grid = EvaluationGrid(np.unique(pts))
+    gamma = draw(st.one_of(st.just(1.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)), label="gamma")
+    return l, n, grid, gamma
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_problems())
+@example((1, 20_000, default_grid(20_000), 0.9999))
+@example((2, 3000, default_grid(3000, 6000, k_max=2), 1e-12))
+@example((2, 3000, EvaluationGrid([1e-6, 0.5, 1.0]), 1e-3))
+def test_forward_pass_matches_the_dense_oracle_on_band_windows_of_every_law(problem):
+    # every step whose scaled factors leave double range runs on its
+    # matrix; the pass must still match the all-matrix oracle, and count
+    # as "dense" exactly when such a step ran
+    l, n, grid, gamma = problem
+    if l == 1:
+        key = _grid_key(grid)
+        lo, hi = _count_bounds(_cdf_matrix(n, key), gamma)
+        args = _single_factors(n, key, lo, hi)
+    else:
+        s = np.unique(_pooled_counts(grid, n, l))
+        args = _chain_factors(n, l, s, *band_bounds(n, l, s, gamma))
+    # the oracle multiplies a (window cells) x (window cells) matrix per step
+    cells = np.maximum(args[1] - args[0] + 1, 0) ** max(l - 1, 1)
+    assume(int((cells[:-1] * cells[1:]).sum()) <= 10**7)
+    dense_before = _forward.route_count("dense")
+    with mock.patch.object(_forward, "_dense_step", wraps=_forward._dense_step) as dense_step:
+        got = _forward.forward_mass(*args)
+    event(f"L={l}, a step ran on its matrix: {dense_step.call_count > 0}")
+    assert _forward.route_count("dense") - dense_before == (dense_step.call_count > 0)
+    assert got == pytest.approx(dense_pass(*args), rel=1e-10, abs=1e-300)
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,8 +3,10 @@
 The exact coverage recursion is checked against two independent
 routes: full enumeration over discrete uniform outcomes, and a direct
 multinomial sum over count increments for continuous uniforms.  The
-convolution route and the dense route are additionally compared to the
-plain matrix recursion kept in ``oracles``.
+forward pass, whose steps convolve or, out of double range, run on their
+transition matrices, is additionally compared to the plain matrix
+recursion and to ``dense_pass`` (every step on its matrix), both kept in
+``oracles``.
 """
 
 import itertools
@@ -38,6 +40,7 @@ from oracles import (
     binom_cdf,
     binom_cdf_table,
     binom_quantile,
+    dense_pass,
     grid_cell_counts,
     interval_mass,
     recorded_levels,
@@ -162,8 +165,9 @@ def test_fast_path_agrees_with_matrix_recursion(n, k_max, gamma):
     grid = default_grid(n, k_max=k_max)
     key = _grid_key(grid)
     lo, hi = _count_bounds(_cdf_matrix(n, key), gamma)
-    fast = _forward.fast_pass(*_single_factors(n, key, lo, hi))
-    assert fast is not None
+    dense_before = _forward.route_count("dense")
+    fast = _forward.forward_mass(*_single_factors(n, key, lo, hi))
+    assert _forward.route_count("dense") == dense_before
     ref = interval_mass(n, grid.points, lo, hi)
     assert fast == pytest.approx(ref, rel=5e-12, abs=1e-15)
 
@@ -174,23 +178,30 @@ def test_fast_path_agrees_on_discrete_resolution_grid():
     key = _grid_key(grid)
     for gamma in (0.002, 0.05):
         lo, hi = _count_bounds(_cdf_matrix(n, key), gamma)
-        fast = _forward.fast_pass(*_single_factors(n, key, lo, hi))
-        assert fast is not None
+        dense_before = _forward.route_count("dense")
+        fast = _forward.forward_mass(*_single_factors(n, key, lo, hi))
+        assert _forward.route_count("dense") == dense_before
         ref = interval_mass(n, grid.points, lo, hi)
         assert fast == pytest.approx(ref, rel=5e-12)
 
 
-def test_fast_path_declines_extreme_scales_and_fallback_runs():
+def test_fast_path_declines_extreme_scales_and_fallback_runs(caplog):
     # a very coarse grid at large n concentrates so much mass per step
-    # that the scaled factors leave double range; the public entry must
-    # still answer through the matrix recursion
+    # that the scaled factors leave double range; those steps run on
+    # their transition matrices and the pass still answers
     n = 1000
     grid = EvaluationGrid([0.5, 1.0])
     key = _grid_key(grid)
     lo, hi = _count_bounds(_cdf_matrix(n, key), 1e-6)
-    assert _forward.fast_pass(*_single_factors(n, key, lo, hi)) is None
-    out = coverage_probability(n, grid, 1e-6)
-    assert 0.999 < out <= 1.0
+    args = _single_factors(n, key, lo, hi)
+    dense_before = _forward.route_count("dense")
+    with caplog.at_level("DEBUG", logger="ecdf_bands"):
+        got = _forward.forward_mass(*args)
+    assert _forward.route_count("dense") == dense_before + 1
+    assert len(caplog.records) == 1
+    assert got == pytest.approx(dense_pass(*args), rel=1e-10)
+    assert got == pytest.approx(interval_mass(n, grid.points, lo, hi), rel=1e-10)
+    assert 0.999 < coverage_probability(n, grid, 1e-6) <= 1.0
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,10 +218,8 @@ def test_both_routes_match_the_matrix_recursion_on_arbitrary_windows(data):
     lo, hi = np.array(lo), np.array(hi)
     want = interval_mass(n, pts, lo, hi)
     args = _single_factors(n, tuple(pts.tolist()), lo, hi)
-    fast = _forward.fast_pass(*args)
-    for got in (fast, _forward.dense_pass(*args)):
-        if got is not None:
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
+    for got in (_forward.forward_mass(*args), dense_pass(*args)):
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
 
 
 def test_gamma_optimize_records_dense_fallbacks(monkeypatch):
@@ -222,6 +231,15 @@ def test_gamma_optimize_records_dense_fallbacks(monkeypatch):
     assert dense.meta["dense_fallbacks"] == dense.meta["passes"] > 0
     assert dense.gamma == fast.gamma
     assert dense.attained_coverage == pytest.approx(fast.attained_coverage, rel=1e-11)
+
+
+def test_large_n_search_runs_its_first_steps_on_matrices_and_keeps_gamma():
+    # at n = 20 000 on the default grid every pass starts from one
+    # certain count whose step leaves double range; gamma is the one the
+    # whole-pass matrix route found
+    res = gamma_optimize(20_000, default_grid(20_000), 0.05)
+    assert res.gamma == 0.0022999449832817875
+    assert res.meta["dense_fallbacks"] == res.meta["passes"] > 0
 
 
 def test_bounds_match_scalar_quantiles():

@@ -138,6 +138,12 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["test", words]) == 2
     four = write(tmp_path / "four.csv", "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")
     assert main(["test", four, "--method", "optimize"]) == 2
+    # a cell past the csv module's field size limit
+    huge = write(tmp_path / "huge.csv", "0.1\n" + "1" * 140_000 + "\n")
+    capsys.readouterr()
+    for command in ("test", "thin", "plot"):
+        assert main([command, huge]) == 2
+        assert f"{huge}:2: unreadable CSV" in capsys.readouterr().err
     assert main(["power", "--family", "A", "--ks", "inf", "--n", "20", "--m-reps", "1000"]) == 2
     assert capsys.readouterr().err.endswith("error: ks must be finite\n")
 

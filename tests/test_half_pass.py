@@ -29,7 +29,7 @@ from ecdf_bands.bands_single import (
 )
 from ecdf_bands.transform import EvaluationGrid, default_grid
 
-ROUTES = ("half", "full", "dense")
+ROUTES = ("half", "full")
 
 
 def routed_mass(n, key, lo, hi):
@@ -42,10 +42,8 @@ def routed_mass(n, key, lo, hi):
 
 
 def full_mass(n, key, lo, hi):
-    """The full pass, by the convolution route or else the dense one."""
-    args = _single_factors(n, key, lo, hi)
-    fast = _forward.fast_pass(*args)
-    return (fast, "full") if fast is not None else (_forward.dense_pass(*args), "dense")
+    """The full pass."""
+    return _forward.forward_mass(*_single_factors(n, key, lo, hi))
 
 
 def reflects(n, z, lo, hi):
@@ -86,12 +84,11 @@ def test_half_route_matches_the_full_pass_and_is_taken_when_the_problem_reflects
     key = _grid_key(grid)
     lo, hi = _count_bounds(_cdf_matrix(n, key), gamma)
     got, route = routed_mass(n, key, lo, hi)
-    want, full_route = full_mass(n, key, lo, hi)
+    want = full_mass(n, key, lo, hi)
     if reflects(n, grid.points, lo, hi):
-        # a half pass falls back only where the full pass would too
-        assert route == "half" or route == full_route == "dense"
+        assert route == "half"
     else:
-        assert route == full_route
+        assert route == "full"
         assert got == want
     assert got == pytest.approx(want, rel=5e-12, abs=1e-300)
 
@@ -121,16 +118,17 @@ def test_enumeration_grids_take_the_route_their_bounds_call_for(n, grid, gamma):
     assert route == ("full" if grid.size == 3 else "half")
 
 
-def test_a_half_pass_out_of_double_range_runs_the_dense_route_once(monkeypatch, caplog):
+def test_a_half_pass_out_of_double_range_stays_half_and_counts_one_dense_pass(monkeypatch, caplog):
     n, grid = 40, default_grid(40)
     lo, hi = _count_bounds(_cdf_matrix(n, _grid_key(grid)), 0.01)
     assert reflects(n, grid.points, lo, hi)
     want = coverage_probability(n, grid, 0.01)
     monkeypatch.setattr(_forward, "_EXP_GUARD", -1.0)
-    before = [_forward.route_count(r) for r in ROUTES]
+    routes = (*ROUTES, "dense")
+    before = [_forward.route_count(r) for r in routes]
     with caplog.at_level("DEBUG", logger="ecdf_bands"):
         got = coverage_probability(n, grid, 0.01)
-    assert [_forward.route_count(r) - b for r, b in zip(ROUTES, before)] == [0, 0, 1]
+    assert [_forward.route_count(r) - b for r, b in zip(routes, before)] == [1, 0, 1]
     assert len(caplog.records) == 1
     assert got == pytest.approx(want, rel=1e-11)
 

@@ -40,7 +40,8 @@ def test_prints_one_row_per_search_and_a_total(capsys):
         assert counts["evals"] == res.meta["evaluations"]
         assert counts["passes"] == res.meta["passes"]
         assert counts["memo"] == counts["evals"] - counts["passes"]
-        assert counts["half"] + counts["full"] + counts["dense"] == counts["passes"]
+        assert counts["half"] + counts["full"] == counts["passes"]
+        assert 0 <= counts["dense"] <= counts["passes"]
         assert float(row["search_ms"]) >= float(row["ms_per_pass"]) > 0.0
         assert float(row["search_ms"]) >= float(row["table_ms"]) > 0.0
         # full repr: the printed numbers are the search's bits

@@ -13,8 +13,10 @@ A shape is ``N`` for one column of N draws or ``NxL`` for L chains of N
 Each row gives the grid size K, the candidate steps, the evaluations
 (the steps whose coverage the search read, ``meta["evaluations"]``),
 the coverage passes it ran (``meta["passes"]``), the evaluations its
-memo served, the passes by route (half, full and dense, from
-``_forward.route_count``), the cells ``betainc`` computed (window edge
+memo served, the passes by route (half and full, which add up to the
+passes), the passes with at least one dense step (a step whose scaled
+factors left double range and ran on its transition matrix; these three
+from ``_forward.route_count``), the cells ``betainc`` computed (window edge
 searches included; 0 for chains, whose hypergeometric table needs
 none), the time spent building the CDF table, the search's wall time,
 the mean time of one pass, factors included, and the search's gamma
