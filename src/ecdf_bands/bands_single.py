@@ -21,9 +21,11 @@ the simulators and the power sweeps.  That path is one seeded block loop
 threads, drawn in cache-sized row blocks one after another) and one
 tail-level reader (``_tail_level_reader``), which reads the full table
 by the bands' rule from the cell id of each draw.  A count law supplies
-only those cell ids: ``searchsorted`` of the draws on the grid for one
-sample; for chains, the chain label times K + 1 plus the cell of the
-pooled rank at each sorted position (``bands_multi._rank_cells``).
+only those cell ids: for one sample, each draw's cell from the grid's
+power-of-two bucket table and one comparison per point the fullest
+bucket holds (``transform._grid_cells``, equal to ``searchsorted`` on
+the grid points); for chains, the chain label times K + 1 plus the cell
+of the pooled rank at each sorted position (``bands_multi._rank_cells``).
 Observed data is counted from the same cell ids
 (``transform._cell_counts``).
 
@@ -58,7 +60,14 @@ import numpy as np
 from scipy.special import betainc, ndtri
 
 from . import _forward, dist
-from .transform import EcdfTrajectory, EvaluationGrid, PitValues, default_grid, ecdf_eval
+from .transform import (
+    EcdfTrajectory,
+    EvaluationGrid,
+    PitValues,
+    _grid_cells,
+    default_grid,
+    ecdf_eval,
+)
 
 __all__ = [
     "ConfidenceBands",
@@ -710,16 +719,17 @@ def _sample_levels(n: int, grid: EvaluationGrid):
     """Tightest tail level of each one-sample replicate, as a function
     of its draws, (B, n) floats in [0, 1].
 
-    Each draw's grid cell is its ``searchsorted`` position on the grid
-    points, and ``_tail_level_reader`` reads the cells against the full
+    Each draw's grid cell comes from the grid's bucket table
+    (``transform._grid_cells``, equal to ``searchsorted`` on the grid
+    points), and ``_tail_level_reader`` reads the cells against the full
     binomial CDF table (level 0) that the bands read.  The simulator and
     the power sweep's one-sample band test both read levels here.
     """
-    pts = grid.points
+    cells = _grid_cells(grid.points)
     levels = _tail_level_reader(_cdf_matrix(n, _grid_key(grid)).cells)
 
     def sample_levels(u: np.ndarray) -> np.ndarray:
-        return levels(np.searchsorted(pts, u, side="left"))
+        return levels(cells(u))
 
     return sample_levels
 
@@ -739,7 +749,7 @@ def _simulated_gamma(
     table the bands read, so that fraction is the share of these
     replicates the bands at gamma hold.
 
-    Every level is asserted positive.  It is 0 only for a replicate that
+    A level of 0 raises RuntimeError.  It is 0 only for a replicate that
     reaches a count whose neighbour CDF cell rounds to exactly 1.0 (an
     upper tail below about 1e-16) or whose own cell underflows to 0.0,
     which no band level holds.
@@ -747,7 +757,8 @@ def _simulated_gamma(
     if m < 100:
         raise ValueError("at least 100 replicates are required")
     levels = np.concatenate(_replicate_blocks(levels_fn, width, m, chunk, seed, threads))
-    assert np.all(levels > 0.0), "tightest tail level must be positive"
+    if not np.all(levels > 0.0):
+        raise RuntimeError("tightest tail level must be positive")
     gamma = min(_empirical_lower_quantile(levels, alpha), alpha)
     meta = {"replicates": m, "alpha": alpha}
     if exact is not None:
@@ -772,8 +783,8 @@ def gamma_simulate(
     two-sided tail level its trajectory attains anywhere on the grid,
     read by ``_sample_levels``, and gamma is the empirical
     alpha-quantile of those levels.  A level is the largest gamma whose
-    bands hold the trajectory, and ``_simulated_gamma`` asserts it
-    positive.
+    bands hold the trajectory, and ``_simulated_gamma`` refuses a level
+    of 0.
     """
     if n < 1:
         raise ValueError("sample size must be positive")

@@ -196,15 +196,63 @@ def joint_fractional_ranks(
 
 def ecdf_eval(u, grid: EvaluationGrid) -> EcdfTrajectory:
     """Count values at or below each grid point, from each value's grid
-    cell (``searchsorted``) through ``_cell_counts``; the one-sample
+    cell (``_grid_cells``) through ``_cell_counts``; the one-sample
     replicates read their tail levels from the same cells."""
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must form a nonempty 1-D sequence")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
-    cells = np.searchsorted(grid.points, vals, side="left")
+    cells = _grid_cells(grid.points)(vals)
     return EcdfTrajectory(grid, _cell_counts(cells, 1, grid.size)[0], vals.size)
+
+
+_BUCKETS_MAX = 1 << 20
+"""Most buckets in a ``_grid_cells`` table, 8 MB of counts; grids with
+points closer than 1 / this share buckets and take more comparisons."""
+
+
+def _grid_cells(points: np.ndarray):
+    """Each value's grid cell, as a function of values in [0, 1]: the
+    number of grid points below it, as int64, which is
+    ``np.searchsorted(points, u, side="left")``.
+
+    [0, 1] is cut into m buckets [b/m, (b+1)/m), m the least power of
+    two >= 2K at which no bucket holds two of the K sorted points
+    (doubled at most up to ``_BUCKETS_MAX``), and ``base[b]`` counts the
+    points below b/m for b = 0..m; the last entry serves u = 1.0.  A
+    value's cell starts at ``base[b]`` for its bucket b = floor(u * m)
+    and steps up once for each of the bucket's points below it, one
+    comparison with the next point per point the fullest bucket holds;
+    on a grid i/K that is one.
+
+    It equals ``searchsorted``: u * m and p * m are exact, m being a
+    power of two, and ``astype`` truncates to the floor for values >= 0,
+    so p < b/m exactly when floor(p * m) < b.  The points below u are
+    then those of the buckets below b, ``base[b]`` of them, and those of
+    bucket b below u, which are the next points in order; the points
+    with an infinity appended stop each count at the first point at or
+    above u, also past the last point.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    m = 1 << (2 * pts.size - 1).bit_length()
+    while True:
+        fill = np.bincount((pts * m).astype(np.intp), minlength=m + 1)
+        depth = int(fill.max())
+        if depth == 1 or m >= _BUCKETS_MAX:
+            break
+        m *= 2
+    base = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(fill[:m], out=base[1:])
+    bounded = np.append(pts, np.inf)
+
+    def cells(u: np.ndarray) -> np.ndarray:
+        c = base[(u * m).astype(np.intp)]
+        for _ in range(depth):
+            c += bounded[c] < u
+        return c
+
+    return cells
 
 
 def _cell_counts(cells: np.ndarray, groups: int, k: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from ecdf_bands.bands_single import (
     _empirical_lower_quantile,
     _exceedances,
     _grid_key,
+    _simulated_gamma,
     _single_factors,
     band_exceedances,
     bands_from_gamma,
@@ -326,6 +327,19 @@ def test_gamma_simulate_is_seed_deterministic_and_thread_invariant():
 def test_gamma_simulate_rejects_tiny_replicate_counts():
     with pytest.raises(ValueError):
         gamma_simulate(50, default_grid(50), 0.05, m=50)
+
+
+def test_simulated_gamma_refuses_a_zero_level():
+    """A level of 0 raises RuntimeError, which the CLI reports with exit
+    code 2, also under ``python -O``."""
+
+    def levels(rng, size):
+        out = rng.random(size) + 0.5
+        out[0] = 0.0
+        return out
+
+    with pytest.raises(RuntimeError, match="must be positive"):
+        _simulated_gamma(levels, 10, 0.05, 200, 100, 0, 1)
 
 
 def test_empirical_lower_quantile_matches_sorting():

@@ -1,12 +1,16 @@
 """Command-line behavior: parsing, exit codes, and output formats."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecdf_bands import cli
@@ -282,6 +286,60 @@ def test_parse_csv_matches_the_row_by_row_reader(text):
     assert resolution == want_resolution
     assert table.dtype == want.dtype and table.shape == want.shape
     assert table.tobytes() == want.tobytes()
+
+
+MALFORMED_CSV = [
+    b"0.25", b"0.5,0.75", b"0.1,0.2,0.3", b"c1,c2", b"", b" , ", b"# note",
+    b"# resolution: 4", b'"0.3"', b'"0,4",0.5', b'"unterminated', b"1e999", b"-1e999",
+    b"nan", b"0.5\x00", b"\x00", b"\xff\xfe0.5", b"\xef\xbb\xbf0.5",
+]
+"""CSV lines: numbers, headers, blanks, comments, quoted cells, overflow,
+NUL bytes, bad UTF-8 and a BOM."""
+
+MALFORMED_NDJSON = [
+    b'{"chain": 0, "value": 0.5}', b'{"chain": 1, "value": 0.25}', b'{"chain": 0}',
+    b'{"chain": 0.5, "value": 0.1}', b'{"chain": "a", "value": 0.1}', b'{"chain": "1", "value": 0.1}',
+    b'{"chain": null, "value": 0.1}', b'{"chain": 0, "value": null}', b'{"chain": [0], "value": 0.1}',
+    b'{"chain": true, "value": 0.1}', b'{"chain": 0, "value": 1e999}', b'{"chain": 1e300, "value": 0.1}',
+    b"[1, 2]", b"null", b"{", b'{"chain": 0, "value": ' + b"[" * 3000 + b"]" * 3000 + b"}",
+    b'{"chain": 0, "value": "0.5"}', b"\xff{", b"\xef\xbb\xbf{\"chain\": 0, \"value\": 0.5}",
+]
+"""NDJSON lines: records, records with a missing key or a wrong type,
+JSON lists and nulls, non-integer chain ids, deep nesting, bad UTF-8
+and a BOM."""
+
+
+@st.composite
+def malformed_inputs(draw):
+    """Bytes of a small CSV or NDJSON file, mostly broken."""
+    pool = draw(st.sampled_from([MALFORMED_CSV, MALFORMED_NDJSON]))
+    if pool is MALFORMED_NDJSON:
+        # a file whose first non-blank character is "{" is read as NDJSON
+        lines = [draw(st.sampled_from(pool[:2]))]
+    else:
+        lines = []
+    lines += draw(st.lists(st.sampled_from(pool), max_size=6))
+    return draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_inputs())
+def test_malformed_input_exits_with_a_code(data, monkeypatch):
+    """``test``, ``plot`` and ``thin`` on a malformed file return 0, 1 or
+    2 and let no exception escape."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        Path(path).write_bytes(data)
+        out = os.path.join(tmp, "out")
+        calls = (
+            ["test", path, "--m-reps", "100", "--grid-k", "4", "--out", out],
+            ["plot", path, "--m-reps", "100", "--grid-k", "4", "--out", out],
+            ["thin", path, "--out", out],
+        )
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), argv
 
 
 def test_pit_subcommand(tmp_path, capsys):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecdf_bands.transform import (
     ChainSet,
     EcdfTrajectory,
     EvaluationGrid,
     PitValues,
+    _grid_cells,
     default_grid,
     ecdf_eval,
     empirical_pit,
@@ -171,6 +174,56 @@ def test_ecdf_eval_accepts_pit_values():
     pit = PitValues([0.5, 0.25, 0.75], resolution=4)
     t = ecdf_eval(pit, EvaluationGrid([0.5, 1.0]))
     np.testing.assert_array_equal(t.counts, [2, 3])
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+
+_CELL_GRIDS = st.one_of(
+    # uniform i/K
+    st.integers(1, 2000).map(lambda k: np.arange(1, k + 1) / k),
+    # lattice grids of PIT values: K divides the resolution S
+    st.builds(lambda n, s: default_grid(n, s).points, st.integers(1, 400), st.integers(1, 800)),
+    # sorted random points
+    st.lists(_UNIT, min_size=1, max_size=200).map(lambda v: np.unique(v)),
+    # clusters closer than 2**-20, past the bucket table's finest cut
+    st.builds(
+        lambda c, k, gap: np.unique(np.clip(c + np.arange(k) * gap, 2.0**-60, 1.0)),
+        _UNIT,
+        st.integers(2, 40),
+        st.floats(1e-15, 2.0**-21),
+    ),
+    # the last point below 1
+    st.builds(
+        lambda v, top: np.unique(np.multiply(v, top)),
+        st.lists(_UNIT, min_size=1, max_size=100),
+        st.floats(0.01, 1.0, exclude_max=True),
+    ),
+    # dyadic points j / 2**e
+    st.builds(
+        lambda js, e: np.unique(np.minimum(js, 2**e)) / 2.0**e,
+        st.lists(st.integers(1, 2**40), min_size=1, max_size=100),
+        st.integers(1, 40),
+    ),
+).filter(lambda pts: pts[0] > 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=_CELL_GRIDS, extra=st.lists(st.floats(0.0, 1.0), max_size=50))
+@example(pts=0.5 + np.arange(6) * 1e-7, extra=[0.5 + 2.5e-7])
+@example(pts=np.arange(1, 8) / 7, extra=[1.0])
+@example(pts=np.array([0.25, 0.5]), extra=[1.0])
+def test_grid_cells_match_searchsorted(pts, extra):
+    """The bucket table gives each value in [0, 1] its ``searchsorted``
+    cell, at 0 and 1, on every point and on both float neighbours of
+    every point."""
+    near = np.concatenate([np.nextafter(pts, 0.0), np.nextafter(pts, 2.0)])
+    u = np.concatenate([[0.0, 1.0], pts, near[near <= 1.0], extra])
+    cells = _grid_cells(pts)
+    # one sample's values, and (B, n) replicate draws
+    for draws in (u, np.stack([u, u[::-1]])):
+        got = cells(draws)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.searchsorted(pts, draws, side="left"))
 
 
 def test_default_grid_caps_and_divides_resolution():

@@ -39,9 +39,18 @@ INPUTS = {
     "chains2x1000.csv": (2, 1000),
     "draws50.csv": (1, 50),
     "comparison50x49.csv": (49, 50),
+    "draws120.csv": (1, 120),
+    "comparison120x150.csv": (150, 120),
 }
 """Input files, each as (columns, rows): one column of uniform PIT
 values, or chains of standard normal draws."""
+
+DERIVED = {
+    "pit120x150.csv": ["pit", "draws120.csv", "comparison120x150.csv"],
+}
+"""Input files written by ``cli.main`` on these arguments, with the
+file as ``--out``, after ``INPUTS``: PIT values of resolution 150, whose
+default grid (K = 75) divides it."""
 
 CASES = {
     "test-simulate-1col-t1": ["test", "col200.csv", "--method", "simulate", "--threads", "1"],
@@ -64,6 +73,9 @@ CASES = {
     "plot-rank-hist-4x80": ["plot", "chains4x80.csv", "--kind", "rank_hist", "--bins", "8"],
     "thin-2x1000": ["thin", "chains2x1000.csv", "--ess-out", "data.json"],
     "pit-50x49": ["pit", "draws50.csv", "comparison50x49.csv"],
+    "test-simulate-pit-lattice": ["test", "pit120x150.csv", "--method", "simulate"],
+    "test-simulate-grid-k7": ["test", "col200.csv", "--grid-k", "7", "--method", "simulate"],
+    "power-bands-draws-at-1": ["power", "--family", "A", "--ks", "1,40", "--n", "60", "--tests", "bands"],
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
 output goes to a file given by ``--out`` in the case's own folder, as
@@ -80,6 +92,10 @@ def write_inputs(folder: Path) -> None:
         lines = [",".join(f"c{j + 1}" for j in range(cols))]
         lines += [",".join(repr(float(v)) for v in row) for row in data]
         (folder / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for name, args in DERIVED.items():
+        argv = [str(folder / a) if a in INPUTS else a for a in args]
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv + ["--out", str(folder / name)])
 
 
 def digest(name: str, folder: Path) -> str:
@@ -87,7 +103,7 @@ def digest(name: str, folder: Path) -> str:
     file it wrote, in name order."""
     case = folder / name
     case.mkdir()
-    paths = {a: folder / a for a in INPUTS} | {a: case / a for a in OUTPUTS}
+    paths = {a: folder / a for a in (*INPUTS, *DERIVED)} | {a: case / a for a in OUTPUTS}
     argv = [str(paths[a]) if a in paths else a for a in CASES[name]] + ["--out", str(case / "out")]
     with contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
