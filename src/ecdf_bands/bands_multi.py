@@ -42,6 +42,7 @@ from .bands_single import (
     TestReport,
     _band_level,
     _check_alpha,
+    _distinct,
     _count_bounds,
     _exact_coverage,
     _exceedances,
@@ -160,7 +161,7 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     """
     l = _check_exact_chains(l, "coverage")
     # duplicate pooled counts add identity transitions; drop them
-    s = np.unique(_pooled_counts(grid, n, l))
+    s = _distinct(_pooled_counts(grid, n, l))
 
     def mass(g: float) -> float:
         cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
@@ -357,7 +358,7 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
         raise ValueError("chain length must be positive")
     l = _check_exact_chains(l, "optimization")
     alpha = _check_alpha(alpha)
-    s = np.unique(_pooled_counts(grid, n, l))
+    s = _distinct(_pooled_counts(grid, n, l))
     cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
 
     return _optimized_gamma(cdf, floor, partial(_chain_mass, n, l, s), alpha, l * grid.size)

@@ -39,13 +39,17 @@ so no other module reads a law's table.
 The binomial CDF table (``_cdf_matrix``) is built for a range of levels
 [level, top]: the exact search asks for [alpha / K, alpha] and the bands
 for [gamma, gamma].  It keeps each row's window of counts whose CDF such
-levels can read, and ``betainc`` runs only on the window's tails, where
-2 * min(F, 1 - F) < top; the centre between them, inside the bands at
-every level of the range, holds 1/2.  The replicate path, which
-gathers arbitrary counts, asks for the full table (level 0).  Each count
-law has this one table, and the replicates' tail levels read it by the
-bands' own rule, so a level and the bands never read one breakpoint with
-different bits.
+levels can read; the centre between the window's tails, inside the bands
+at every level of the range, holds 1/2.  The replicate path, which
+gathers arbitrary counts, asks for the full table (level 0).  Every
+table is read off one numpy kernel (``_cdf_rows``): each row's mass,
+from Loader's saddle-point form (``dist.binom_log_pmf``) in runs linked
+by the ratio of neighbouring masses, summed from each tail, over the
+counts where it does not underflow.  So a windowed table's cells have
+the full table's bits, and the window's edges are counted off the
+summed rows.  Each count law has this one table, and the replicates'
+tail levels read it by the bands' own rule, so a level and the bands
+never read one breakpoint with different bits.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, ndtri
 
 from . import _forward, dist
 from .transform import (
@@ -226,12 +229,10 @@ def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0, top: float | None = 
     to ``level``, and level 0, or any level below ``_EXACT_HALF``, gets
     the full table.
 
-    Row i holds ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``, made
-    monotone against last-ulp wobble and ending in exactly 1.0.  Level 0
-    gives the full (K, n + 1) block.  Above it the block holds each
-    row's window of counts (``_cdf_edges``) from the row's first count
-    on, and ``betainc`` runs only on the window's tail cells, those with
-    2 * min(F, 1 - F) below ``top``, with the full table's bits.  The
+    Row i holds ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``, nondecreasing
+    and ending in exactly 1.0.  Level 0 gives the full (K, n + 1) block.
+    Above it the block holds each row's window of counts from the row's
+    first count on (``_cdf_table``), with the full table's bits; the
     window's centre cells hold 1/2, and its cells past the window 1.0.
     Each window edge that has counts beyond it has 2 * min(F, 1 - F)
     below the level, and the counts beyond it lie further out, so the
@@ -267,106 +268,218 @@ def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0, top: float | None = 
     return table
 
 
-_CENTRE_MIN_TOP = 2.0**-30
-"""The smallest top level whose table skips a centre.  Where F and
-1 - F both exceed half of it, one count's mass is far above
-``betainc``'s rounding up to astronomically large n, so the values
-there rise with the count and two edge cells bound every cell between
-them."""
+_RUN = 32
+"""Counts per run of the mass recurrence in ``_cdf_rows``: each run
+starts from one Loader mass and multiplies on at most 31 ratios."""
+
+_LIVE = 760.0
+"""Deviance n * D(k/n || p) beyond which a count's binomial mass lies
+below exp(-759) and underflows to 0.0 in double."""
+
+_CHUNK_CELLS = 1 << 16
+"""Cells of the rows ``_cdf_table`` builds at once, 512 KB of float64,
+so that each pass over them stays in cache."""
 
 
-def _cdf_edges(n: int, p: np.ndarray, level: float, top: float):
-    """Per-row counts ``(lo, hi, centre_lo, centre_hi)`` of a table for
-    [level, top] (level in (0, top]): the first and last cell of the
-    window ``betainc`` computes, and the first and last centre cell it
-    skips (none where ``centre_lo > centre_hi``).
+class _Rows(NamedTuple):
+    """Binomial CDF rows as runs (``_cdf_rows``).  Each row has two sides,
+    its mode and up (side i of R) and the counts below its mode (side
+    R + i); side s owns the ``runs[s]`` runs from column ``offset[s]``
+    on, run r of it covering the counts ``_RUN * r + j`` steps from the
+    mode, j < ``_RUN``.  ``sums`` (``_RUN`` + 1, runs) holds each run's
+    masses summed from its far end, over a row of zeros, and ``after``
+    the mass of the side's runs past each run."""
 
-    Each edge starts from the Cornish-Fisher normal quantile of the
-    binomial at level / 2 or 1 - level / 2 (top / 2 or 1 - top / 2 for
-    the centre), rounded to the count it most often is, and every row
-    whose edge cell fails moves by 1, 2, 4, ... counts, all four edges
-    in one ``betainc`` call per round.  The window widens until ``lo``
-    is 0 or has 2 * F < level and ``hi`` is n - 1 or has
-    2 * (1 - F) < level.  The centre narrows until ``centre_lo`` has
-    F >= top / 2 and ``centre_hi`` has F < 1 - top / 2, the comparisons
-    ``_count_bounds`` makes, so its cells lie inside the bands at every
-    gamma up to top; a table whose top is below ``_CENTRE_MIN_TOP``
-    has no centre.
+    sums: np.ndarray
+    after: np.ndarray
+    mode: np.ndarray
+    offset: np.ndarray
+    runs: np.ndarray
+
+
+def _accumulate(ufunc, rows: np.ndarray) -> None:
+    """``ufunc.accumulate`` down the first axis of ``rows``, in place; on
+    long rows one call per row, which numpy runs faster."""
+    if rows.shape[1] < 256:
+        ufunc.accumulate(rows, axis=0, out=rows)
+        return
+    for i in range(1, rows.shape[0]):
+        ufunc(rows[i], rows[i - 1], out=rows[i])
+
+
+def _live_half(n: int, pq):
+    """Bernstein's bound on the distance from np past which
+    n * D(k/n || p) exceeds ``_LIVE``, for variance n * pq."""
+    return _LIVE / 3.0 + np.sqrt((_LIVE / 3.0) ** 2 + 2.0 * _LIVE * (n * pq))
+
+
+def _cdf_rows(n: int, p: np.ndarray, q: np.ndarray) -> _Rows:
+    """The CDF rows of Binomial(n, p_i), with q = 1 - p exactly, wherever
+    their mass does not underflow.
+
+    Each row is split at its mode.  From the mode up, a count's F is 1
+    minus the mass summed from the right; below the mode the mass is
+    summed from the left, so F keeps its relative accuracy in the lower
+    tail.  The lower side is the upper side of the mirrored law
+    Binomial(n, q) at count n - k, so both sides run away from the mode
+    and upwards in count.  Each side is cut into runs of ``_RUN``
+    counts, one column each: Loader's mass (``dist.binom_log_pmf``) at a
+    run's first count, then the ratio of neighbouring masses,
+    (n - k + 1) / k * p / q, multiplied on, which keeps a run's rounding
+    error below about 60 ulps.  Masses fall along each run, so an
+    underflowed mass leaves the rest of its run at 0.0.  A count's sum
+    adds its run's masses from the run's far end, then the runs beyond.
+
+    A side stops where n * D(k/n || p) passes ``_LIVE``, by Bernstein's
+    bound more than 760/3 + sqrt((760/3)**2 + 1520 npq) from np: the
+    masses beyond are 0.0 in double, so every sum has the bits of the sum
+    over all counts.  A row's values depend only on n and its p, and are
+    nondecreasing in count: each side's sums are monotone, and the two
+    meet at the mode with its mass, at least 1 / (n + 1), between them.
     """
-    q = 1.0 - p
-    with_centre = top >= _CENTRE_MIN_TOP
-    starts = []
-    # the window's edges start half a count out and move outwards, the
-    # centre's start half a count in and move inwards
-    for x, shift in ((level, 0.5), (top, -0.5))[: 1 + with_centre]:
-        z = -ndtri(x / 2.0)
-        centre = n * p + (z * z - 1.0) / 6.0 * (q - p)
-        spread = z * np.sqrt(n * p * q) + shift
-        starts += [centre - spread, centre + spread]
-    edge = np.clip(np.floor(starts), 0, n - 1).astype(np.int64)
-    sign = np.array([-1, 1, 1, -1])[: edge.shape[0]]
-    end = np.where(sign < 0, 0, n - 1)
-    held = np.zeros(edge.shape, dtype=bool)
-    cells, step = np.arange(edge.size), 1
-    while cells.size:
-        kind, row = np.divmod(cells, p.size)
-        k = edge.flat[cells]
-        f = np.clip(betainc(n - k, k + 1.0, q[row]), 0.0, 1.0)
-        tests = (2.0 * f < level, 2.0 * (1.0 - f) < level, f >= top / 2.0, f < 1.0 - top / 2.0)
-        ok = np.choose(kind, tests[: edge.shape[0]])
-        held.flat[cells[ok]] = True
-        moving = ~ok & (k != end[kind])
-        cells, kind = cells[moving], kind[moving]
-        edge.flat[cells] = np.clip(edge.flat[cells] + step * sign[kind], 0, n - 1)
-        step *= 2
-    if not with_centre:
-        return edge[0], edge[1], np.full(p.size, n), np.full(p.size, -1)
-    found = held[2] & held[3]
-    return edge[0], edge[1], np.where(found, edge[2], n), np.where(found, edge[3], -1)
+    rows = p.size
+    mode = np.minimum(np.floor((n + 1) * p), n).astype(np.int64)
+    half = _live_half(n, p * q)
+    low = np.maximum(np.floor(n * p - half), 0).astype(np.int64)
+    high = np.minimum(np.ceil(n * p + half), n).astype(np.int64)
+    # the lower side runs from count n - mode + 1 of the mirrored law,
+    # count mode - 1 of the row
+    start = np.concatenate((mode, n - mode + 1))
+    end = np.concatenate((high, n - low))
+    side_p, side_q = np.concatenate((p, q)), np.concatenate((q, p))
+    runs = -(-(end - start + 1) // _RUN)
+    offset = np.cumsum(runs) - runs
+    side = np.repeat(np.arange(2 * rows), runs)
+    run = np.arange(side.size) - offset[side]
+    head = start[side] + _RUN * run
+    # the (``_RUN``, runs) arrays are built with ``out=``: numpy inspects
+    # the call stack before it reuses a large temporary in an expression
+    sums = np.zeros((_RUN + 1, side.size))
+    mass = sums[:-1]
+    np.add(head.astype(np.float64), np.arange(_RUN, dtype=np.float64)[:, None], out=mass)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each count's mass over the one before it
+        np.divide(np.subtract(n + 1.0, mass), mass, out=mass)
+        np.multiply(mass, np.where(side_q > 0.0, side_p / side_q, 0.0)[side], out=mass)
+    mass[0] = np.exp(dist.binom_log_pmf(head, n, side_p[side], side_q[side]))
+    # the first count past a side's end gets no mass, nor do the rest of
+    # its run
+    tail = np.flatnonzero(end[side] - head < _RUN - 1)
+    mass[(end[side] - head + 1)[tail], tail] = 0.0
+    _accumulate(np.multiply, mass)
+    _accumulate(np.add, mass[::-1])
+    # each side's run totals, summed from its far end: beyond[s, r] adds
+    # the runs of side s from run r on
+    beyond = np.zeros((2 * rows, int(runs.max(initial=0)) + 1))
+    beyond[side, run] = mass[0]
+    beyond = np.cumsum(beyond[:, ::-1], axis=1)[:, ::-1]
+    return _Rows(sums, beyond[side, run + 1], mode, offset, runs)
+
+
+def _read_counts(rows: _Rows, k: np.ndarray) -> np.ndarray:
+    """F at counts ``k`` (R, m), each in [0, n], of each row."""
+    mode, offset, runs, sums = rows.mode, rows.offset, rows.runs, rows.sums
+    r = np.arange(mode.size)[:, None]
+    steps = k - mode[:, None]
+    up = steps >= 0
+    side = np.where(up, r, r + mode.size)
+    steps = np.where(up, steps, -1 - steps)
+    run = steps // _RUN
+    inside = run < runs[side]
+    column = np.where(inside, offset[side] + run, 0)
+    total = sums.ravel()[(steps % _RUN + up) * sums.shape[1] + column] + rows.after[column]
+    return np.where(inside, np.where(up, 1.0 - total, total), up)
+
+
+def _count_below(rows: _Rows, x: np.ndarray) -> np.ndarray:
+    """For each threshold in ``x`` (T,), all in (0, 1], the number of
+    counts k >= 0 with F(k) < x in each row, (T, R).
+
+    F rises along an upper side's runs and falls along a lower side's,
+    so the runs wholly below x are a prefix of the one and a suffix of
+    the other, found from each run's cell farthest from the mode; one
+    run per side is then read cell by cell.  Cells past a side's end
+    hold 1.0 above the mode and 0.0 below it, as the counts beyond read.
+    """
+    mode, offset, runs, after = rows.mode, rows.offset, rows.runs, rows.after
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    upper = offset[mode.size]
+    # the last count of an upper run has no mass past it within the run
+    key = np.concatenate((1.0 - after[:upper], rows.sums[0, upper:] + after[upper:]))
+    below = np.zeros((x.shape[0], key.size + 1), dtype=np.int64)
+    np.cumsum(key < x, axis=1, out=below[:, 1:])
+    whole = below[:, offset + runs] - below[:, offset]
+    sides = mode.size
+    # the crossing run of each (threshold, side), read cell by cell
+    last = offset + runs - 1
+    cross = np.concatenate((offset[:sides] + whole[:, :sides], last[sides:] - whole[:, sides:]), axis=1)
+    cross = np.minimum(cross, key.size - 1)
+    sums = rows.sums
+    upper_cells = np.subtract(1.0, sums[1:, cross[:, :sides]] + after[cross[:, :sides]])
+    lower_cells = np.add(sums[:-1, cross[:, sides:]], after[cross[:, sides:]])
+    partial = np.concatenate(((upper_cells < x).sum(axis=0), (lower_cells < x).sum(axis=0)), axis=1)
+    count = _RUN * whole + np.where(whole < runs, partial, 0)
+    # the lower side's runs reach _RUN * runs counts below the mode, some
+    # of them below 0
+    return count[:, : mode.size] + count[:, mode.size :] + (mode - _RUN * runs[mode.size :])
 
 
 def _cdf_table(n: int, p: np.ndarray, level: float, top: float):
     """The table ``_cdf_matrix`` serves for [level, top], and its reach:
     the largest 2 * min(F, 1 - F) over the window edges that have counts
-    beyond them (-1 when there are none, as at level 0, where one
-    ``betainc`` call covers the whole (K, n) grid).
+    beyond them (-1 when there are none, as at level 0).
 
-    ``betainc`` runs on the tail cells alone, gathered from the (K, W)
-    block of the rows' windows.  The block's accumulate starts at each
-    window's lower edge, where F < 1/2 and the mass still rises, so every
-    cell below it is smaller by more than a part in n + 1, far above
-    ``betainc``'s rounding.  The centre cells enter it as 0.0, so they
-    pass the running maximum of the cells below them on to the cells
-    above them, whose values lie above every centre value, and then get
-    1/2: the fix-up matches the full row's.
+    Every cell is read off ``_cdf_rows``, built a few rows at a time, so
+    each has the full table's bits.  Level 0 gives the full (K, n + 1)
+    block.  Above it, row i's window runs from ``lo``, the last count
+    with 2 * F < level (or 0), to ``hi``, the first with
+    2 * (1 - F) < level (or n - 1); its centre, the counts with
+    F >= top / 2 and F < 1 - top / 2 (the comparisons ``_count_bounds``
+    makes), lies inside the bands at every gamma up to top and holds
+    1/2, and the cells past ``hi`` hold 1.0.  The window edges and the
+    centre are counted off the summed rows (``_count_below``).
     """
+    q = 1.0 - p
+    p = 1.0 - q  # the parameter whose complement is exact
+    step = max(1, _CHUNK_CELLS // min(n + 1, 2 * int(_live_half(n, 0.25)) + 4 * _RUN))
+    chunks = [slice(i, i + step) for i in range(0, p.size, step)]
     if not level > 0.0:
-        rows = np.ones((p.size, n + 1))
-        k = np.arange(n, dtype=np.float64)
-        _monotone_cdf(betainc(n - k, k + 1.0, 1.0 - p[:, None], out=rows[:, :n]))
-        return _frozen_block(rows, np.zeros(p.size, dtype=np.int64)), -1.0
-    lo, hi, centre_lo, centre_hi = _cdf_edges(n, p, level, top)
-    last = (hi - lo)[:, None]
-    cols = np.arange(int(last.max()) + 1)
-    window = cols <= last
-    centre = window & (cols >= (centre_lo - lo)[:, None]) & (cols <= (centre_hi - lo)[:, None])
-    tail = window & ~centre
-    # the centre's 0.0 passes the running maximum on from the lower tail
-    block = np.where(window, 0.0, 1.0)
-    k = (cols + lo[:, None])[tail]
-    block[tail] = betainc(n - k, k + 1.0, np.broadcast_to(1.0 - p[:, None], tail.shape)[tail])
-    _monotone_cdf(block)
-    block[centre] = 0.5
-    low, high = lo > 0, hi < n - 1
-    edges = np.concatenate((block[low, 0], 1.0 - block[high, last[high, 0]]))
+        table = np.empty((p.size, n + 1))
+        for rows in chunks:
+            table[rows] = _read_counts(_cdf_rows(n, p[rows], q[rows]), np.arange(n + 1)[None, :])
+        return _frozen_block(table, np.zeros(p.size, dtype=np.int64)), -1.0
+    # 2 * (1 - F) >= level exactly when F < x_hi: the double after the
+    # largest one at or below 1 - level / 2
+    x_hi = 1.0 - level / 2.0
+    if 1.0 - x_hi < level / 2.0:
+        x_hi = np.nextafter(x_hi, 0.0)
+    # the centre's stand-in 1/2 lies inside the bands only while
+    # 1 - top / 2 rounds above it; at top = 1 - 2**-53 it rounds to 1/2
+    # and the centre ends where it starts
+    centre_hi = 1.0 - top / 2.0 if 1.0 - top / 2.0 > 0.5 else top / 2.0
+    # a table for [gamma, gamma] counts at two thresholds, not four
+    wanted = [level / 2.0, float(np.nextafter(x_hi, 2.0)), top / 2.0, centre_hi]
+    thresholds = sorted(set(wanted))
+    which = [thresholds.index(x) for x in wanted]
+    parts = []
+    for rows in chunks:
+        built = _cdf_rows(n, p[rows], q[rows])
+        below, above, centre_lo, centre_hi = _count_below(built, np.array(thresholds))[which]
+        lo, hi = np.maximum(below - 1, 0), np.minimum(above, n - 1)
+        k = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), n)
+        block = _read_counts(built, k)
+        block[k > hi[:, None]] = 1.0
+        block[(k >= centre_lo[:, None]) & (k < centre_hi[:, None])] = 0.5
+        parts.append((lo, hi, block))
+    if len(parts) == 1:
+        lo, hi, block = parts[0]
+    else:
+        lo, hi = (np.concatenate([part[j] for part in parts]) for j in range(2))
+        block = np.ones((p.size, int((hi - lo).max()) + 1))
+        for rows, (_, _, part) in zip(chunks, parts):
+            block[rows, : part.shape[1]] = part
+    edges = np.concatenate((block[lo > 0, 0], 1.0 - block[hi < n - 1, (hi - lo)[hi < n - 1]]))
     return _frozen_block(block, lo), 2.0 * float(edges.max(initial=-0.5))
-
-
-def _monotone_cdf(rows: np.ndarray) -> None:
-    """Clip CDF rows to [0, 1] and make them nondecreasing, in place,
-    against ``betainc``'s last-ulp wobble."""
-    np.clip(rows, 0.0, 1.0, out=rows)
-    np.maximum.accumulate(rows, axis=1, out=rows)
 
 
 def _count_bounds(table: CdfBlock, gamma: float, floor=0):
@@ -799,6 +912,14 @@ def gamma_simulate(
     )
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, as ``np.unique`` gives
+    them; numpy's first ``np.unique`` call imports ``numpy.ma``, some
+    20 ms, which the CLI otherwise never loads."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _step_gammas(cdf_values, alpha: float, floor: float) -> np.ndarray:
     """The gamma at which ``_search_steps`` evaluates each step, in
     increasing order: the midpoint of each step's breakpoints from the
@@ -806,7 +927,7 @@ def _step_gammas(cdf_values, alpha: float, floor: float) -> np.ndarray:
     f = np.ravel(cdf_values)
     breaks = 2.0 * np.minimum(f, 1.0 - f)
     start = breaks[breaks < floor].max(initial=0.0)
-    edges = np.unique(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
+    edges = _distinct(np.append(breaks[(breaks >= floor) & (breaks < alpha)], start))
     return np.append((edges[:-1] + edges[1:]) / 2.0, alpha)
 
 

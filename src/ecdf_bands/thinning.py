@@ -20,6 +20,10 @@ spectra summed over the chains of each series, and one inverse transform
 per series give the summed autocovariances at every lag up to n/2.  The
 truncation then runs on each series' correlation row exactly as it would
 on per-lag sums.
+
+``scipy.fft`` and ``scipy.special.ndtri`` are imported inside the two
+functions that use them, so only ESS estimates load scipy: the other
+CLI commands, which import this module through the package, do not.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import ndtri
 
 from .transform import ChainSet
 
@@ -121,6 +123,8 @@ def _ess_batch(x: np.ndarray) -> np.ndarray:
     number of draws; it is detected before demeaning, whose rounding
     residue would otherwise pass for variance.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     s, m, n = x.shape
     total = m * n
     varies = x.max(axis=(1, 2)) > x.min(axis=(1, 2))
@@ -193,6 +197,8 @@ def _rank_normalize(x: np.ndarray) -> np.ndarray:
     """Average ranks over the pooled draws (``_average_ranks``, numpy
     only) mapped through the normal quantile function, using the standard
     continuity offsets."""
+    from scipy.special import ndtri
+
     ranks = _average_ranks(x.ravel())
     z = ndtri((ranks - 0.375) / (ranks.size + 0.25))
     return z.reshape(x.shape)

@@ -23,6 +23,7 @@ from ecdf_bands.bands_single import (
     GammaResult,
     Exceedance,
     _cdf_matrix,
+    _cdf_table,
     _count_bounds,
     _empirical_lower_quantile,
     _exceedances,
@@ -261,14 +262,23 @@ def test_bounds_match_scalar_quantiles():
     ),
 )
 def test_vectorized_binomial_tables_match_the_per_row_oracle(n, pts):
-    # one betainc call over the (K, n) grid must give the per-row tables
-    # bit for bit, on arbitrary points and on lattice grids
+    # each row of the (K, n + 1) table has the bits of the same row built
+    # alone, and matches the per-row betainc oracle wherever a band
+    # level from 1e-10 up reads it
     key = tuple(float(z) for z in pts)
     table = _cdf_matrix(n, key)
     cdf = table.cells
     assert cdf.shape == (len(key), n + 1) and not table.first.any()
     assert not cdf.flags.writeable
-    np.testing.assert_array_equal(cdf, np.stack([binom_cdf_table(n, z) for z in key]))
+    alone = [_cdf_table(n, np.array([z]), 0.0, 0.0)[0].cells for z in key]
+    np.testing.assert_array_equal(cdf, np.concatenate(alone))
+    want = np.stack([binom_cdf_table(n, z) for z in key])
+    read = 2.0 * np.minimum(want, 1.0 - want) >= 1e-10
+    lower, upper = read & (want <= 0.5), read & (want > 0.5)
+    assert np.all(np.abs(cdf[lower] - want[lower]) <= 1e-13 * want[lower])
+    slack = 1e-13 * (1.0 - want[upper]) + 2 * np.spacing(want[upper])
+    assert np.all(np.abs(cdf[upper] - want[upper]) <= slack)
+    assert np.all(np.diff(cdf, axis=1) >= 0.0) and np.all(cdf[:, -1] == 1.0)
 
 
 def test_bands_from_gamma_structure():

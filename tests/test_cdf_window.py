@@ -188,6 +188,20 @@ def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gamm
             assert _cdf_slot(n, key)[0][2:] == (alpha / len(key), first)
 
 
+@pytest.mark.parametrize("n", [1, 7, 351, 5000])
+def test_windows_at_the_extreme_levels_read_like_the_full_table(n):
+    # the smallest level whose half is exact and a top just below 1: the
+    # window edges are counted off the summed rows at both ends of the
+    # range of levels
+    key = tuple(float(z) for z in default_grid(n).points)
+    p = np.asarray(key)
+    full = _cdf_table(n, p, 0.0, 0.0)[0]
+    top = float(np.nextafter(1.0, 0.0))
+    for level, high in ((2.0**-1021, 2.0**-1021), (2.0**-1021, top), (0.5, top)):
+        block, reach = _cdf_table(n, p, level, high)
+        assert_block_reads_like_the_full_table(block, reach, high, full, high, level)
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """Every table build as (n, grid points, level, top), from empty caches."""

@@ -4,18 +4,22 @@ Coverage is a step function of gamma that can only change where gamma/2
 or 1 - gamma/2 meets a value of the band's CDF tables.  The oracle here
 lists those breakpoints from the distribution tables, evaluates one gamma
 inside every step in (0, alpha], and keeps the smallest distance to the
-target.  The search must reach that distance.
+target.  The search must reach that distance.  For one sample the
+breakpoints come from the program's full binomial table, which
+``test_dist`` checks against exact and ``betainc`` values: within those
+tolerances, breakpoints that are equal in exact arithmetic can fall in
+either order, and each order has its own slivers of coverage.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecdf_bands.bands_multi import coverage_probability_multi, gamma_optimize_multi
-from ecdf_bands.bands_single import coverage_probability, gamma_optimize
+from ecdf_bands.bands_single import _cdf_matrix, coverage_probability, gamma_optimize
 from ecdf_bands.transform import EvaluationGrid, default_grid
-from oracles import binom_cdf_table, hyper_cdf_table
+from oracles import hyper_cdf_table
 
 # exact coverage differs by a few 1e-15 between steps that are really equal
 GAP_TOL = 1e-12
@@ -24,7 +28,7 @@ GAP_TOL = 1e-12
 def cdf_values(n, l, grid):
     """Every CDF value the bands at (n, l, grid) are read from."""
     if l == 1:
-        return np.concatenate([binom_cdf_table(n, float(z)) for z in grid.points])
+        return _cdf_matrix(n, tuple(float(z) for z in grid.points)).cells.ravel()
     pooled = np.floor(grid.points * (l * n) + 1e-9).astype(int)
     return np.concatenate([hyper_cdf_table(n, (l - 1) * n, int(s)) for s in pooled])
 
@@ -62,6 +66,8 @@ def shapes(draw, max_n):
 
 @settings(max_examples=200, deadline=None)
 @given(shapes(max_n=40))
+# betainc puts a mirrored pair of breakpoints here in the other order
+@example((11, EvaluationGrid(np.arange(1, 9) / 12), 0.40625))
 def test_single_sample_search_finds_the_best_step(shape):
     n, grid, alpha = shape
     check_search_is_exact(n, 1, grid, alpha)

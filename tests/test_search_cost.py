@@ -1,13 +1,18 @@
 """``tools/search_cost.py`` on a few small shapes: its counts must add up
-and match what the searches themselves report, its gamma and coverage
-must be the searches' own bits, and one column's table must run
-``betainc`` on fewer cells than the full table has."""
+and match what the searches themselves report, its gamma, coverage and
+band hash must be the searches' own, and one column's windowed table
+must sum no more binomial masses than the full table of its grid."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
-from ecdf_bands.bands_multi import gamma_optimize_multi
-from ecdf_bands.bands_single import gamma_optimize
+import numpy as np
+
+from ecdf_bands import bands_single
+
+from ecdf_bands.bands_multi import bands_from_gamma_multi, gamma_optimize_multi
+from ecdf_bands.bands_single import bands_from_gamma, gamma_optimize
 from ecdf_bands.transform import default_grid
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "search_cost.py"
@@ -27,15 +32,18 @@ def test_prints_one_row_per_search_and_a_total(capsys):
     assert lines[0] == list(search_cost.COLUMNS)
     rows = [dict(zip(search_cost.COLUMNS, line)) for line in lines[1:-1]]
     assert [row["shape"] for row in rows] == ["281", "30x2", "12x3"]
-    for row, res in zip(
-        rows,
-        [
-            gamma_optimize(281, default_grid(281), 0.05),
-            gamma_optimize_multi(30, 2, default_grid(30, 60), 0.05),
-            gamma_optimize_multi(12, 3, default_grid(12, 36), 0.05),
-        ],
-    ):
-        counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-5]}
+    results = [
+        gamma_optimize(281, default_grid(281), 0.05),
+        gamma_optimize_multi(30, 2, default_grid(30, 60), 0.05),
+        gamma_optimize_multi(12, 3, default_grid(12, 36), 0.05),
+    ]
+    served = [
+        bands_from_gamma(281, default_grid(281), results[0]),
+        bands_from_gamma_multi(30, 2, default_grid(30, 60), results[1]),
+        bands_from_gamma_multi(12, 3, default_grid(12, 36), results[2]),
+    ]
+    for row, res, bands in zip(rows, results, served):
+        counts = {c: int(row[c]) for c in search_cost.COLUMNS[1:-6]}
         assert counts["steps"] == res.meta["steps"]
         assert counts["evals"] == res.meta["evaluations"]
         assert counts["passes"] == res.meta["passes"]
@@ -47,11 +55,31 @@ def test_prints_one_row_per_search_and_a_total(capsys):
         # full repr: the printed numbers are the search's bits
         assert float(row["gamma"]) == res.gamma
         assert float(row["coverage"]) == res.attained_coverage
+        counts = bands.lower_counts.tobytes() + bands.upper_counts.tobytes()
+        assert row["bands"] == hashlib.sha256(counts).hexdigest()[:10]
     # only one column takes the half route
     assert int(rows[0]["half"]) > 0 and int(rows[1]["half"]) == int(rows[2]["half"]) == 0
-    # the block's edge searches and tail cells, against K * n for the full table
-    assert 0 < int(rows[0]["cells"]) < int(rows[0]["K"]) * 281 // 2
+    # the windowed table sums the same rows as the full table of its grid
+    assert 0 < int(rows[0]["cells"]) == full_table_cells(281, default_grid(281).points)
     assert int(rows[1]["cells"]) == int(rows[2]["cells"]) == 0
     assert lines[-1][0] == "total"
     assert int(lines[-1][3]) == sum(int(row["evals"]) for row in rows)
-    assert lines[-1][-2:] == ["-", "-"]
+    assert lines[-1][-3:] == ["-", "-", "-"]
+
+
+def full_table_cells(n, points):
+    """Binomial masses the kernel sums to build the full (level-0) table."""
+    cells = []
+    real = bands_single._cdf_rows
+
+    def counted(*args):
+        built = real(*args)
+        cells.append(built.sums.size - built.sums.shape[1])
+        return built
+
+    bands_single._cdf_rows = counted
+    try:
+        bands_single._cdf_table(n, np.asarray(points), 0.0, 0.0)
+    finally:
+        bands_single._cdf_rows = real
+    return sum(cells)

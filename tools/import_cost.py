@@ -1,4 +1,5 @@
-"""Time what importing one module costs, package by package.
+"""Time what importing one module costs, package by package, or what a
+whole CLI call costs in a fresh process.
 
 Runs ``python -X importtime -c "import MODULE"`` in a fresh interpreter,
 with ``src`` next to this directory at the front of ``PYTHONPATH``, and
@@ -15,26 +16,40 @@ cumulative time sums its outermost lines, so it includes whatever the
 package imports from other packages, and rows can overlap; its self time
 sums the self time of all its lines.  Times are in milliseconds, one
 fresh process per run.
+
+With ``--run N``, it times N fresh ``python -m ecdf_bands.cli ARGV``
+calls instead, one after another against the same ``src``, and prints
+the minimum and median wall time in seconds and the exit codes seen:
+
+    python tools/import_cost.py --run 7 -- test pit.csv --out report.json
+
+Each call's output goes to the null device.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 _TOP = 10
 
 
-def measure(module: str) -> str:
-    """The importtime report of one fresh interpreter importing ``module``."""
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def measure(module: str) -> str:
+    """The importtime report of one fresh interpreter importing ``module``."""
     run = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", f"import {module}"],
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -87,7 +102,32 @@ def package_times(report: str, module: str):
     return root[2], {key: (cum, own) for key, (cum, own) in times.items()}
 
 
+def time_calls(runs: int, argv: list[str]) -> tuple[list[float], set[int]]:
+    """Wall seconds of ``runs`` fresh ``python -m ecdf_bands.cli ARGV``
+    calls, and their exit codes."""
+    walls, codes = [], set()
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "ecdf_bands.cli", *argv],
+            env=_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        walls.append(time.perf_counter() - t0)
+        codes.add(run.returncode)
+    return walls, codes
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--run"]:
+        if len(argv) < 3 or argv[2] != "--" or not argv[1].isdigit() or int(argv[1]) < 1:
+            print("usage: import_cost.py --run N -- ARGV...", file=sys.stderr)
+            return 2
+        walls, codes = time_calls(int(argv[1]), argv[3:])
+        print(f"{len(walls)} calls: min {min(walls):.3f} s, median {statistics.median(walls):.3f} s, "
+              f"exit codes {sorted(codes)}")  # fmt: skip
+        return 0
     module = argv[0] if argv else "ecdf_bands.cli"
     total, times = package_times(measure(module), module)
     ranked = sorted(times.items(), key=lambda item: (-item[1][0], item[0]))[:_TOP]

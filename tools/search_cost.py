@@ -16,24 +16,27 @@ the coverage passes it ran (``meta["passes"]``), the evaluations its
 memo served, the passes by route (half and full, which add up to the
 passes), the passes with at least one dense step (a step whose scaled
 factors left double range and ran on its transition matrix; these three
-from ``_forward.route_count``), the cells ``betainc`` computed (window edge
-searches included; 0 for chains, whose hypergeometric table needs
-none), the time spent building the CDF table, the search's wall time,
-the mean time of one pass, factors included, and the search's gamma
-and attained coverage in full ``repr``.  The last row sums the counts
-and the times, and gives the mean time over all the passes.  To see
-that a change keeps every gamma and how far it moves coverage, ``diff``
-the output of the copy of this file in each of two checkouts.
+from ``_forward.route_count``), the binomial masses the table's kernel
+summed (``bands_single._cdf_rows``: every count of each row where the
+mass does not underflow, padded to whole runs; 0 for chains, whose
+hypergeometric table needs none), the time spent building the CDF
+table, the search's wall time, the mean time of one pass, factors
+included, the search's gamma and attained coverage in full ``repr``,
+and a short hash of the lower and upper counts of the bands served at
+that gamma.  The last row sums the counts and the times, and gives the
+mean time over all the passes.  To see that a change keeps every gamma
+and every band, and how far it moves coverage, ``diff`` the output of
+the copy of this file in each of two checkouts.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -43,9 +46,9 @@ from ecdf_bands.transform import default_grid  # noqa: E402
 ROUTES = ("half", "full", "dense")
 COLUMNS = (
     "shape", "K", "steps", "evals", "passes", "memo", *ROUTES,
-    "cells", "table_ms", "search_ms", "ms_per_pass", "gamma", "coverage",
+    "cells", "table_ms", "search_ms", "ms_per_pass", "gamma", "coverage", "bands",
 )  # fmt: skip
-SUMMED = COLUMNS[2:-2]
+SUMMED = COLUMNS[2:-3]
 DEFAULT_SHAPES = tuple(str(n) for n in range(251, 442, 10))
 
 
@@ -93,10 +96,11 @@ def search_cost(n: int, l: int) -> dict:
     grid = default_grid(n, l * n if l > 1 else None)
     spent = {"pass": 0.0, "table": 0.0, "cells": 0}
 
-    def counted_betainc(betainc):
-        def counted(*args, **kwargs):
-            spent["cells"] += np.broadcast(*args).size
-            return betainc(*args, **kwargs)
+    def counted_rows(rows):
+        def counted(*args):
+            built = rows(*args)
+            spent["cells"] += built.sums.size - built.sums.shape[1]
+            return built
 
         return counted
 
@@ -112,7 +116,7 @@ def search_cost(n: int, l: int) -> dict:
     with contextlib.ExitStack() as stack:
         stack.enter_context(_wrapped(module, "_optimized_gamma", timed_search))
         stack.enter_context(_wrapped(module, table, lambda fn: _timed(fn, spent, "table")))
-        stack.enter_context(_wrapped(bands_single, "betainc", counted_betainc))
+        stack.enter_context(_wrapped(bands_single, "_cdf_rows", counted_rows))
         t0 = time.perf_counter()
         if l == 1:
             res = bands_single.gamma_optimize(n, grid, 0.05)
@@ -135,6 +139,12 @@ def search_cost(n: int, l: int) -> dict:
     row["ms_per_pass"] = 1e3 * spent["pass"] / max(meta["passes"], 1)
     row["gamma"] = repr(res.gamma)
     row["coverage"] = repr(res.attained_coverage)
+    if l == 1:
+        bands = bands_single.bands_from_gamma(n, grid, res)
+    else:
+        bands = bands_multi.bands_from_gamma_multi(n, l, grid, res)
+    served = bands.lower_counts.tobytes() + bands.upper_counts.tobytes()
+    row["bands"] = hashlib.sha256(served).hexdigest()[:10]
     return row
 
 
@@ -149,7 +159,7 @@ def main(argv: list[str]) -> int:
         print(_line(row[c] for c in COLUMNS))
     total = {c: sum(row[c] for row in rows) for c in SUMMED}
     total["ms_per_pass"] = sum(r["ms_per_pass"] * r["passes"] for r in rows) / max(total["passes"], 1)
-    print(_line(["total", "-"] + [total[c] for c in SUMMED] + ["-", "-"]))
+    print(_line(["total", "-"] + [total[c] for c in SUMMED] + ["-", "-", "-"]))
     return 0
 
 
