@@ -36,20 +36,21 @@ sweep's band test read tail levels only through those two functions,
 and the rank-histogram interval reads the public ``bands_from_gamma``,
 so no other module reads a law's table.
 
-The binomial CDF table (``_cdf_matrix``) is built for a range of levels
-[level, top]: the exact search asks for [alpha / K, alpha] and the bands
-for [gamma, gamma].  It keeps each row's window of counts whose CDF such
-levels can read; the centre between the window's tails, inside the bands
-at every level of the range, holds 1/2.  The replicate path, which
-gathers arbitrary counts, asks for the full table (level 0).  Every
-table is read off one numpy kernel (``_cdf_rows``): each row's mass,
-from Loader's saddle-point form (``dist.binom_log_pmf``) in runs linked
-by the ratio of neighbouring masses, summed from each tail, over the
-counts where it does not underflow.  So a windowed table's cells have
-the full table's bits, and the window's edges are counted off the
-summed rows.  Each count law has this one table, and the replicates'
-tail levels read it by the bands' own rule, so a level and the bands
-never read one breakpoint with different bits.
+The binomial CDF table (``_cdf_matrix``) is built at one level and
+serves every band level above its reach, which lies below that level:
+the exact search asks for alpha / K, the bands for gamma.  It keeps each
+row's window of counts, from the last whose 2 * F lies below the level
+to the first whose 2 * (1 - F) does, with each cell's true CDF.  The
+replicate path, which gathers arbitrary counts, asks for the full table
+(level 0).  Every table is read off one numpy kernel (``_cdf_rows``):
+each row's mass, from Loader's saddle-point form
+(``dist.binom_log_pmf``) in runs linked by the ratio of neighbouring
+masses, summed from each tail, over the counts where it does not
+underflow.  So a windowed table's cells have the full table's bits,
+and the window's edges are counted off the summed rows.  Each count law
+has this one table, and the replicates' tail levels read it by the
+bands' own rule, so a level and the bands never read one breakpoint
+with different bits.
 """
 
 from __future__ import annotations
@@ -191,12 +192,11 @@ class CdfBlock(NamedTuple):
     """A CDF table as a read-only (K, W) block, one row per grid point,
     and the count of each row's first cell.
 
-    Cell j of row i holds ``Pr(X <= first[i] + j)``, or in a table built
-    for a range of levels (``_cdf_matrix``) a stand-in that compares with
-    every level of the range as that value does; the counts below a
-    row's first count lie below both its bounds.  The full tables, the
-    binomial at level 0 and the hypergeometric, have ``first`` 0 and
-    W = n + 1.
+    Cell j of row i holds ``Pr(X <= first[i] + j)``, and in a windowed
+    table (``_cdf_matrix``) 1.0 past the row's window; the counts below
+    a row's first count lie below both its bounds at every level the
+    table serves.  The full tables, the binomial at level 0 and the
+    hypergeometric, have ``first`` 0 and W = n + 1.
     """
 
     cells: np.ndarray
@@ -212,9 +212,8 @@ def _frozen_block(cells: np.ndarray, first: np.ndarray) -> CdfBlock:
 @lru_cache(maxsize=8)
 def _cdf_slot(n: int, pts_key: tuple) -> list:
     """The cache entry of one (n, grid) table: a one-item list holding
-    ``(table, reach, level, top)``, with no table until ``_cdf_matrix``
-    builds one."""
-    return [(None, math.inf, math.inf, -math.inf)]
+    ``(table, reach)``, with no table until ``_cdf_matrix`` builds one."""
+    return [(None, math.inf)]
 
 
 _EXACT_HALF = 2.0**-1021
@@ -223,48 +222,42 @@ so a cell with 2 * F below gamma need not have F below gamma / 2, and
 only the full table serves such a level."""
 
 
-def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0, top: float | None = None) -> CdfBlock:
+def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0) -> CdfBlock:
     """Binomial CDF table, one row per grid point, that serves every band
-    level in (reach, top] for a reach below ``level``; ``top`` defaults
-    to ``level``, and level 0, or any level below ``_EXACT_HALF``, gets
-    the full table.
+    level above its reach, a value below ``level``; level 0, or any
+    level below ``_EXACT_HALF``, gets the full table.
 
     Row i holds ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``, nondecreasing
     and ending in exactly 1.0.  Level 0 gives the full (K, n + 1) block.
     Above it the block holds each row's window of counts from the row's
-    first count on (``_cdf_table``), with the full table's bits; the
-    window's centre cells hold 1/2, and its cells past the window 1.0.
-    Each window edge that has counts beyond it has 2 * min(F, 1 - F)
-    below the level, and the counts beyond it lie further out, so the
-    count bounds (``_count_bounds``) at every gamma above the largest
-    edge value (the table's reach) and up to ``top``, and the exact
-    search's breakpoints from its floor up to ``top`` and the largest
-    one below its floor, are the full table's.
+    first count on (``_cdf_table``), with the full table's bits, and 1.0
+    past the window.  Each window edge that has counts beyond it has
+    2 * min(F, 1 - F) below the level, and the counts beyond it lie
+    further out, so the count bounds (``_count_bounds``) at every gamma
+    above the largest edge value (the table's reach), and the exact
+    search's breakpoints from its floor up and the largest one below
+    its floor, are the full table's.
 
-    One entry per (n, grid) is cached with its reach and the range it
-    was built for; a request outside (reach, top] rebuilds it for the
-    union of both ranges, so entries only widen.  The exact search asks
-    for [alpha / K, alpha], so its evaluations and the bands at its
-    gamma read the table it built; the bands, ``coverage_probability``
-    and the rank-histogram interval (``report.rank_hist``, the bands on
-    the one-point grid 1/bins) ask for [gamma, gamma]; ``_sample_levels``,
-    which ``gamma_simulate`` and the power sweep's one-sample band test
-    read, gathers arbitrary counts and asks for level 0.  They all read
-    this one binomial CDF build.
+    One entry per (n, grid) is cached with its reach, and a level at or
+    below the reach rebuilds it at that level.  The exact search asks
+    for alpha / K, so its evaluations, the bands at its gamma and a
+    later search at a larger alpha read the table it built; the bands,
+    ``coverage_probability`` and the rank-histogram interval
+    (``report.rank_hist``, the bands on the one-point grid 1/bins) ask
+    for gamma; ``_sample_levels``, which ``gamma_simulate`` and the
+    power sweep's one-sample band test read, gathers arbitrary counts
+    and asks for level 0.  They all read this one binomial CDF build.
     """
     if not level >= _EXACT_HALF:
-        level, top = 0.0, math.inf
-    elif top is None:
-        top = level
+        level = 0.0
     slot = _cdf_slot(n, pts_key)
     # one tuple read and one tuple write: a thread racing another on the
-    # same entry returns a table that serves its own range, at worst
+    # same entry returns a table that serves its own level, at worst
     # after building it twice
-    table, reach, low, high = slot[0]
-    if not (level > reach and top <= high):
-        low, high = min(level, low), max(top, high)
-        table, reach = _cdf_table(n, np.asarray(pts_key, dtype=np.float64), low, high)
-        slot[0] = table, reach, low, high
+    table, reach = slot[0]
+    if not level > reach:
+        table, reach = _cdf_table(n, np.asarray(pts_key, dtype=np.float64), level)
+        slot[0] = table, reach
     return table
 
 
@@ -424,20 +417,18 @@ def _count_below(rows: _Rows, x: np.ndarray) -> np.ndarray:
     return count[:, : mode.size] + count[:, mode.size :] + (mode - _RUN * runs[mode.size :])
 
 
-def _cdf_table(n: int, p: np.ndarray, level: float, top: float):
-    """The table ``_cdf_matrix`` serves for [level, top], and its reach:
-    the largest 2 * min(F, 1 - F) over the window edges that have counts
-    beyond them (-1 when there are none, as at level 0).
+def _cdf_table(n: int, p: np.ndarray, level: float):
+    """The table ``_cdf_matrix`` serves at ``level``, and its reach: the
+    largest 2 * min(F, 1 - F) over the window edges that have counts
+    beyond them, or 0 when there are none, so that only the full table
+    (reach -1) serves level 0.
 
     Every cell is read off ``_cdf_rows``, built a few rows at a time, so
     each has the full table's bits.  Level 0 gives the full (K, n + 1)
     block.  Above it, row i's window runs from ``lo``, the last count
     with 2 * F < level (or 0), to ``hi``, the first with
-    2 * (1 - F) < level (or n - 1); its centre, the counts with
-    F >= top / 2 and F < 1 - top / 2 (the comparisons ``_count_bounds``
-    makes), lies inside the bands at every gamma up to top and holds
-    1/2, and the cells past ``hi`` hold 1.0.  The window edges and the
-    centre are counted off the summed rows (``_count_below``).
+    2 * (1 - F) < level (or n - 1), and the cells past ``hi`` hold 1.0.
+    The window edges are counted off the summed rows (``_count_below``).
     """
     q = 1.0 - p
     p = 1.0 - q  # the parameter whose complement is exact
@@ -453,23 +444,15 @@ def _cdf_table(n: int, p: np.ndarray, level: float, top: float):
     x_hi = 1.0 - level / 2.0
     if 1.0 - x_hi < level / 2.0:
         x_hi = np.nextafter(x_hi, 0.0)
-    # the centre's stand-in 1/2 lies inside the bands only while
-    # 1 - top / 2 rounds above it; at top = 1 - 2**-53 it rounds to 1/2
-    # and the centre ends where it starts
-    centre_hi = 1.0 - top / 2.0 if 1.0 - top / 2.0 > 0.5 else top / 2.0
-    # a table for [gamma, gamma] counts at two thresholds, not four
-    wanted = [level / 2.0, float(np.nextafter(x_hi, 2.0)), top / 2.0, centre_hi]
-    thresholds = sorted(set(wanted))
-    which = [thresholds.index(x) for x in wanted]
+    thresholds = np.array([level / 2.0, np.nextafter(x_hi, 2.0)])
     parts = []
     for rows in chunks:
         built = _cdf_rows(n, p[rows], q[rows])
-        below, above, centre_lo, centre_hi = _count_below(built, np.array(thresholds))[which]
+        below, above = _count_below(built, thresholds)
         lo, hi = np.maximum(below - 1, 0), np.minimum(above, n - 1)
         k = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), n)
         block = _read_counts(built, k)
         block[k > hi[:, None]] = 1.0
-        block[(k >= centre_lo[:, None]) & (k < centre_hi[:, None])] = 0.5
         parts.append((lo, hi, block))
     if len(parts) == 1:
         lo, hi, block = parts[0]
@@ -479,7 +462,7 @@ def _cdf_table(n: int, p: np.ndarray, level: float, top: float):
         for rows, (_, _, part) in zip(chunks, parts):
             block[rows, : part.shape[1]] = part
     edges = np.concatenate((block[lo > 0, 0], 1.0 - block[hi < n - 1, (hi - lo)[hi < n - 1]]))
-    return _frozen_block(block, lo), 2.0 * float(edges.max(initial=-0.5))
+    return _frozen_block(block, lo), 2.0 * float(edges.max(initial=0.0))
 
 
 def _count_bounds(table: CdfBlock, gamma: float, floor=0):
@@ -487,10 +470,10 @@ def _count_bounds(table: CdfBlock, gamma: float, floor=0):
 
     A full row is sorted and ends in exactly 1.0, so counting its cells
     strictly below the level reproduces the quantile rule (smallest
-    count whose CDF reaches it).  A block built for a range of levels
-    gives the full row's count at every level it serves: its cells
-    compare with the level as the full row's do, and the counts below
-    its first count lie below the level.  On full tables the zeros
+    count whose CDF reaches it).  A windowed block gives the full row's
+    counts at every level above its reach: the counts below its first
+    count lie below both bounds, and those past its window, which hold
+    1.0, above both in the full row too.  On full tables the zeros
     below the support count towards ``floor``, its bottom, which a zero
     level returns.
     """
@@ -1072,8 +1055,8 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
         raise ValueError("sample size must be positive")
     alpha = _check_alpha(alpha)
     key = _grid_key(grid)
-    # the table built for [floor, alpha] serves every step it probes
-    table = _cdf_matrix(n, key, alpha / grid.size, alpha)
+    # the table built at the floor serves every step it probes
+    table = _cdf_matrix(n, key, alpha / grid.size)
     return _optimized_gamma(table, 0, lambda lo, hi: _band_mass(n, key, lo, hi), alpha, grid.size)
 
 

@@ -233,20 +233,28 @@ def save_grid(grid: GammaGrid, path: str | os.PathLike) -> None:
 
 
 def load_grid(path: str | os.PathLike) -> GammaGrid:
+    """The grid saved at ``path``; a file that is not one raises a
+    ValueError naming the file and, for a bad entry, its index."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a gamma grid is a JSON object, not {type(payload).__name__}")
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"unsupported cache schema {payload.get('schema')!r}")
-    entries = tuple(
-        GridEntry(
-            int(rec["n"]),
-            int(rec["l"]),
-            int(rec["k"]),
-            float(rec["alpha"]),
-            float(rec["gamma"]),
-            float(rec["coverage"]),
-            str(rec["method"]),
-        )
-        for rec in payload["entries"]
-    )
-    return GammaGrid(entries)
+    records = payload.get("entries")
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: entries must be a list")
+    # each GridEntry field in order, with the type its stored value is read as
+    fields = {"n": int, "l": int, "k": int, "alpha": float, "gamma": float, "coverage": float, "method": str}
+    entries = []
+    for i, rec in enumerate(records):
+        try:
+            entries.append(GridEntry(*(read(rec[name]) for name, read in fields.items())))
+        except KeyError as exc:
+            raise ValueError(f"{path}: entry {i} has no {exc.args[0]!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: entry {i}: {exc}") from None
+    return GammaGrid(tuple(entries))

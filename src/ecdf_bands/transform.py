@@ -196,14 +196,15 @@ def joint_fractional_ranks(
 
 def ecdf_eval(u, grid: EvaluationGrid) -> EcdfTrajectory:
     """Count values at or below each grid point, from each value's grid
-    cell (``_grid_cells``) through ``_cell_counts``; the one-sample
-    replicates read their tail levels from the same cells."""
+    cell (the number of grid points below it) through ``_cell_counts``;
+    the one-sample replicates read their tail levels from the same
+    cells, by ``_grid_cells``."""
     vals = u.values if isinstance(u, PitValues) else np.asarray(u, dtype=np.float64)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("values must form a nonempty 1-D sequence")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("values must lie in [0, 1]")
-    cells = _grid_cells(grid.points)(vals)
+    cells = np.searchsorted(grid.points, vals, side="left")
     return EcdfTrajectory(grid, _cell_counts(cells, 1, grid.size)[0], vals.size)
 
 

@@ -1,20 +1,21 @@
 """The binomial CDF table as a block of each row's window, against the
 full table.
 
-A table built for [level, top] holds each row's window of counts from
-its first count on, computes ``betainc`` only on the window's tail
-cells (2 * min(F, 1 - F) below top) and holds 1/2 in its centre cells
-and 1.0 past the window.  Each cell left out below or above the window
-must lie beyond an exact window edge whose 2 * min(F, 1 - F) is at most
-the table's reach, which is below the level, and each centre cell must
-have 2 * min(F, 1 - F) at or above top; then the count bounds at every
-gamma in (reach, top] and the exact search from floor alpha / K to
-alpha are the full table's.  The full (level-0) table is the oracle; it
-stays in the program because the simulator reads it.
+A table built at a level holds each row's window of counts from its
+first count on, with the full table's bits in every cell, and 1.0 past
+the window.  Each count left out below or above the window must lie
+beyond an exact window edge whose 2 * min(F, 1 - F) is at most the
+table's reach, which is below the level; then the count bounds at every
+gamma above the reach, and the exact search from any floor above it,
+are the full table's.  The full (level-0) table is the oracle; it stays
+in the program because the simulator reads it.
 
-The cache keeps one entry per (n, grid): a cold one-column ``test``
-builds its table once, the simulator builds only full tables, and a
-repeated request cycle adds no keys and no builds.
+The cache keeps one entry per (n, grid) and rebuilds it, at the level
+asked for, only for a level at or below its reach: any sequence of
+searches and bands reads the full table's bounds, a cold one-column
+``test`` and a gamma build at two alphas build one table per grid, the
+simulator builds only full tables, and a repeated request cycle adds no
+keys and no builds.
 """
 
 import sys
@@ -27,10 +28,13 @@ from hypothesis import strategies as st
 import ecdf_bands.cli as cli
 from ecdf_bands import _forward, bands_single
 from ecdf_bands.bands_single import (
+    _EXACT_HALF,
+    _band_mass,
     _cdf_matrix,
     _cdf_slot,
     _cdf_table,
     _count_bounds,
+    _optimized_gamma,
     _search_steps,
     _single_factors,
     bands_from_gamma,
@@ -86,77 +90,123 @@ def searched(n, key, table, alpha, floor):
     return _search_steps(coverage, table.cells, alpha, floor)
 
 
-def assert_block_reads_like_the_full_table(block, reach, top, full, alpha, floor):
-    """Every computed cell of ``block`` has the full table's bits, every
-    flushed one lies beyond the reach or inside the bands at every level
-    up to ``top``, and the bounds at every gamma of a ladder in
-    (reach, top] and the search from ``floor`` are the full table's."""
+ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.3, 0.7)
+TOP = float(np.nextafter(1.0, 0.0))
+
+
+def assert_block_reads_like_the_full_table(block, reach, full, floor):
+    """Every cell of ``block`` has the full table's bits or, past the
+    window, holds 1.0 for a count beyond the reach; the counts below the
+    block lie beyond it too, and the bounds at every gamma of a ladder
+    from just above the reach to 1 - 2**-53 are the full table's."""
     cells, first = block
     k, w = cells.shape
-    assert reach < floor <= top and first.shape == (k,)
+    assert 0.0 <= reach < floor and first.shape == (k,)
     assert not (cells.flags.writeable or first.flags.writeable)
     cols = first[:, None] + np.arange(w)
     inside = cols <= full.cells.shape[1] - 1
     # columns past count n hold 1.0 and map to no count
     assert np.all(cells[~inside] == 1.0)
     want = np.take_along_axis(full.cells, np.minimum(cols, full.cells.shape[1] - 1), axis=1)
-    computed = inside & (cells != 0.5) & (cells != 1.0)
-    assert np.array_equal(cells[computed], want[computed])
-    centre = inside & (cells == 0.5) & (want != 0.5)
-    assert np.all(2.0 * np.minimum(want[centre], 1.0 - want[centre]) >= top)
-    ones = inside & (cells == 1.0) & (want != 1.0)
-    assert np.all(2.0 * (1.0 - want[ones]) <= reach)
+    flushed = inside & (cells != want)
+    assert np.all(cells[flushed] == 1.0)
+    assert np.all(2.0 * (1.0 - want[flushed]) <= reach)
     below = np.arange(full.cells.shape[1]) < first[:, None]
     assert np.all(2.0 * full.cells[below] <= reach)
 
     lowest = np.nextafter(reach, 1.0) if reach > 0.0 else floor / 1e3
-    ladder = np.append(np.geomspace(lowest, top, 30), [floor, top, alpha if alpha <= top else top])
-    for g in ladder:
+    for g in np.append(np.geomspace(lowest, TOP, 30), [floor, TOP]):
         for got, want in zip(_count_bounds(block, g), _count_bounds(full, g)):
             assert np.array_equal(got, want), g
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    n=st.integers(1, 600),
-    spec=grid_specs,
-    alpha=st.sampled_from((0.001, 0.01, 0.05, 0.1, 0.3, 0.7)),
-)
+@given(n=st.integers(1, 600), spec=grid_specs, alpha=st.sampled_from(ALPHAS))
 @example(n=1000, spec=("default", None), alpha=0.05)
 @example(n=5000, spec=("default", None), alpha=0.05)
 @example(n=341, spec=("ends_at_one", (1.0,)), alpha=0.05)
 @example(n=1, spec=("lattice", 2), alpha=0.5)
+@example(n=1, spec=("default", None), alpha=0.05)
 def test_windowed_table_reads_like_the_full_table(n, spec, alpha):
     key = grid_points(n, spec)
     p = np.asarray(key)
     floor = alpha / len(key)
-    full, full_reach = _cdf_table(n, p, 0.0, 0.0)
+    full, full_reach = _cdf_table(n, p, 0.0)
     assert full_reach < 0.0
     assert full.cells.shape == (len(key), n + 1) and not full.first.any()
     clear_program_caches()
     assert np.array_equal(_cdf_matrix(n, key).cells, full.cells)
     clear_program_caches()
-    block = _cdf_matrix(n, key, floor, alpha)
-    _, reach, level, top = _cdf_slot(n, key)[0]
-    assert (level, top) == (floor, alpha)
-    assert_block_reads_like_the_full_table(block, reach, top, full, alpha, floor)
+    block = _cdf_matrix(n, key, floor)
+    table, reach = _cdf_slot(n, key)[0]
+    assert table is block
+    assert_block_reads_like_the_full_table(block, reach, full, floor)
     found = searched(n, key, block, alpha, floor)
     assert found == searched(n, key, full, alpha, floor)
-    # every level the search or the bands at its gamma read is served
-    # without a rebuild
-    assert _cdf_matrix(n, key, floor, alpha) is block
-    assert _cdf_matrix(n, key, found[0]) is block
+    # every level the search, the bands at its gamma or any band above
+    # it reads is served without a rebuild
+    for level in (floor, found[0], alpha, TOP):
+        assert _cdf_matrix(n, key, level) is block
+    # a windowed table, even one with no edges, never serves level 0
+    assert np.array_equal(_cdf_matrix(n, key).cells, full.cells)
 
-    # the bands' own table, built for [gamma, gamma]
-    bands, bands_reach = _cdf_table(n, p, alpha, alpha)
-    assert_block_reads_like_the_full_table(bands, bands_reach, alpha, full, alpha, alpha)
+    # the bands' own table, built at gamma
+    bands, bands_reach = _cdf_table(n, p, alpha)
+    assert_block_reads_like_the_full_table(bands, bands_reach, full, alpha)
+
+
+requests = st.one_of(
+    st.tuples(st.just("search"), st.sampled_from(ALPHAS)),
+    st.tuples(st.just("bands"), unit_floats),
+    st.tuples(st.just("bands"), st.floats(0.0, _EXACT_HALF, exclude_min=True, exclude_max=True)),
+    st.tuples(st.just("full"), st.just(0.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), spec=grid_specs, sequence=st.lists(requests, min_size=1, max_size=8))
+@example(n=1, spec=("default", None), sequence=[("search", 0.05), ("full", 0.0)])
+@example(n=351, spec=("default", None), sequence=[("search", 0.05), ("search", 0.1), ("search", 0.01)])
+@example(
+    n=6, spec=("default", None),
+    sequence=[("bands", 0.9999999999999999), ("search", 0.05), ("bands", 6.626615069059857e-33), ("full", 0.0)],
+)
+@example(n=40, spec=("lattice", 7), sequence=[("bands", 0.5), ("bands", 1e-300), ("search", 0.3)])
+def test_any_request_sequence_reads_the_full_table(n, spec, sequence):
+    # each request rebuilds the one cached table exactly when its level
+    # is at or below the table's reach, and reads the full table's
+    # search, bounds and cells
+    key = grid_points(n, spec)
+    grid = EvaluationGrid(np.asarray(key))
+    full = _cdf_table(n, np.asarray(key), 0.0)[0]
+    clear_program_caches()
+    for kind, value in sequence:
+        before, reach = _cdf_slot(n, key)[0]
+        if kind == "search":
+            level = value / len(key)
+            got = gamma_optimize(n, grid, value)
+            mass = lambda lo, hi: _band_mass(n, key, lo, hi)  # noqa: E731
+            want = _optimized_gamma(full, 0, mass, value, len(key))
+            assert (got.gamma, got.attained_coverage, got.meta) == (want.gamma, want.attained_coverage, want.meta)
+        elif kind == "bands":
+            level = value if value >= _EXACT_HALF else 0.0
+            bands = bands_from_gamma(n, grid, value)
+            for got, want in zip((bands.lower_counts, bands.upper_counts), _count_bounds(full, value)):
+                assert np.array_equal(got, want), value
+        else:
+            level = 0.0
+            table = _cdf_matrix(n, key)
+            assert np.array_equal(table.cells, full.cells) and not table.first.any()
+        after, after_reach = _cdf_slot(n, key)[0]
+        assert (after is not before) == (not level > reach), (kind, value, reach)
+        assert level > after_reach
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(1, 400),
     spec=grid_specs,
-    alpha=st.sampled_from((0.001, 0.01, 0.05, 0.1, 0.3, 0.7)),
+    alpha=st.sampled_from(ALPHAS),
     above=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     gammas=st.lists(unit_floats, max_size=4),
 )
@@ -169,12 +219,13 @@ def test_windowed_table_reads_like_the_full_table(n, spec, alpha):
 )
 def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gammas):
     # the first bands above alpha come right after the search has cached
-    # its [alpha / K, alpha] table for the same grid
+    # its table at alpha / K for the same grid
     key = grid_points(n, spec)
     grid = EvaluationGrid(np.asarray(key))
-    full = _cdf_table(n, np.asarray(key), 0.0, 0.0)[0]
+    full = _cdf_table(n, np.asarray(key), 0.0)[0]
     clear_program_caches()
     found = gamma_optimize(n, grid, alpha).gamma
+    searched_table = _cdf_slot(n, key)[0][0]
     first = alpha + above * (1.0 - alpha)
     first = float(np.clip(first, np.nextafter(alpha, 1.0), np.nextafter(1.0, 0.0)))
     for i, g in enumerate([first, *gammas, found]):
@@ -182,34 +233,30 @@ def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gamm
         for got, want in zip((bands.lower_counts, bands.upper_counts), _count_bounds(full, g)):
             assert np.array_equal(got, want), g
         if i == 0:
-            # the rebuild serves both ranges, so the search's own levels
-            # are served again without one (a later gamma equal to first
-            # may be served by a table a lower gamma widened since)
-            assert _cdf_slot(n, key)[0][2:] == (alpha / len(key), first)
+            # the search's table serves every level above its floor
+            assert _cdf_slot(n, key)[0][0] is searched_table
 
 
 @pytest.mark.parametrize("n", [1, 7, 351, 5000])
 def test_windows_at_the_extreme_levels_read_like_the_full_table(n):
-    # the smallest level whose half is exact and a top just below 1: the
-    # window edges are counted off the summed rows at both ends of the
-    # range of levels
+    # the smallest level whose half is exact, 1/2 and a level just below
+    # 1: the window edges are counted off the summed rows at both ends
     key = tuple(float(z) for z in default_grid(n).points)
     p = np.asarray(key)
-    full = _cdf_table(n, p, 0.0, 0.0)[0]
-    top = float(np.nextafter(1.0, 0.0))
-    for level, high in ((2.0**-1021, 2.0**-1021), (2.0**-1021, top), (0.5, top)):
-        block, reach = _cdf_table(n, p, level, high)
-        assert_block_reads_like_the_full_table(block, reach, high, full, high, level)
+    full = _cdf_table(n, p, 0.0)[0]
+    for level in (_EXACT_HALF, 0.5, TOP):
+        block, reach = _cdf_table(n, p, level)
+        assert_block_reads_like_the_full_table(block, reach, full, level)
 
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Every table build as (n, grid points, level, top), from empty caches."""
+    """Every table build as (n, grid points, level), from empty caches."""
     builds = []
 
-    def counting(n, p, level, top):
-        builds.append((n, tuple(p), level, top))
-        return real(n, p, level, top)
+    def counting(n, p, level):
+        builds.append((n, tuple(p), level))
+        return real(n, p, level)
 
     real = bands_single._cdf_table
     monkeypatch.setattr(bands_single, "_cdf_table", counting)
@@ -228,13 +275,21 @@ def test_cold_one_column_test_builds_its_table_once(tmp_path, table_builds):
     src = _pit_file(tmp_path / "pit.csv", np.random.default_rng(12).random(341))
     assert cli.main(["test", src, "--out", str(tmp_path / "report.json")]) in (0, 1)
     key = tuple(default_grid(341, None).points)
-    assert table_builds == [(341, key, 0.05 / len(key), 0.05)]
+    assert table_builds == [(341, key, 0.05 / len(key))]
+
+
+def test_a_gamma_build_at_two_alphas_builds_one_table_per_grid(tmp_path, table_builds):
+    # the search at alpha = 0.1 reads the table the search at 0.05 built
+    out = str(tmp_path / "gamma.json")
+    assert cli.main(["gamma", "build", "--ns", "40,90", "--ls", "1", "--alphas", "0.05,0.1", "--out", out]) == 0
+    keys = [tuple(default_grid(n, None).points) for n in (40, 90)]
+    assert table_builds == [(n, key, 0.05 / len(key)) for n, key in zip((40, 90), keys)]
 
 
 def test_simulation_builds_only_full_tables(table_builds):
     grid = default_grid(250, None)
     gamma_simulate(250, grid, 0.05, m=1000, seed=3)
-    assert table_builds and all(level == 0.0 for _, _, level, _ in table_builds)
+    assert table_builds and all(level == 0.0 for _, _, level in table_builds)
 
 
 def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_builds, monkeypatch):
@@ -255,7 +310,7 @@ def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_bui
     for argv in cycle:
         assert cli.main(argv) in (0, 1)
     keys = _cdf_slot.cache_info().currsize
-    assert keys == len({(n, key) for n, key, _, _ in table_builds})
+    assert keys == len({(n, key) for n, key, _ in table_builds})
     misses = _cdf_slot.cache_info().misses
     table_builds.clear()
     for argv in cycle:

@@ -322,6 +322,30 @@ def malformed_inputs(draw):
     return draw(st.sampled_from([b"\n", b"\r\n"])).join(lines)
 
 
+MALFORMED_GRIDS = [
+    "[]",
+    '"x"',
+    '{"schema": "gamma-grid/1", "entries": 5}',
+    '{"schema": "gamma-grid/1", "entries": [1]}',
+    '{"schema": "gamma-grid/1", "entries": [{"n": 50, "l": 1, "k": 50, "alpha": 0.05,'
+    ' "gamma": null, "coverage": 0.95, "method": "optimization"}]}',
+    '{"schema": "gamma-grid/1", "entries": [',
+]
+"""Gamma-grid files: a JSON list, a string, entries that are a number
+or a list of numbers, an entry with a null gamma, and a file cut
+short."""
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRIDS)
+def test_malformed_gamma_grid_exits_two_naming_the_file(text, uniform_csv, tmp_path, monkeypatch, capsys):
+    grid = write(tmp_path / "grid.json", text)
+    monkeypatch.setenv(CACHE_ENV, grid)
+    for argv in (["gamma", "query", "--n", "50", grid], ["gamma", "query", "--n", "50"], ["test", uniform_csv]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid}: ") and "Traceback" not in err, argv
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=malformed_inputs())
 def test_malformed_input_exits_with_a_code(data, monkeypatch):

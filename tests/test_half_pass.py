@@ -70,7 +70,7 @@ def problems(draw):
         grid = EvaluationGrid(np.append(pts[pts < 1.0], 1.0) if draw(st.booleans()) else pts)
     alpha = draw(st.floats(0.01, 0.5), label="alpha")
     key = _grid_key(grid)
-    gammas = _step_gammas(_cdf_matrix(n, key, alpha / grid.size, alpha).cells, alpha, alpha / grid.size)
+    gammas = _step_gammas(_cdf_matrix(n, key, alpha / grid.size).cells, alpha, alpha / grid.size)
     gamma = float(gammas[draw(st.integers(0, gammas.size - 1), label="step")])
     return n, grid, gamma
 

@@ -79,7 +79,7 @@ def full_table_cells(n, points):
 
     bands_single._cdf_rows = counted
     try:
-        bands_single._cdf_table(n, np.asarray(points), 0.0, 0.0)
+        bands_single._cdf_table(n, np.asarray(points), 0.0)
     finally:
         bands_single._cdf_rows = real
     return sum(cells)

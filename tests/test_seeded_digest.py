@@ -14,3 +14,9 @@ def test_one_case_gives_the_same_line_twice():
     first = seeded_digest.main(["power-bands"])
     assert re.fullmatch(r"[0-9a-f]{64}  power-bands", first[0])
     assert seeded_digest.main(["power-bands"]) == first
+
+
+def test_a_case_that_reads_the_stored_grid_gives_the_same_line_twice():
+    first = seeded_digest.main(["test-interpolated-48"])
+    assert re.fullmatch(r"[0-9a-f]{64}  test-interpolated-48", first[0])
+    assert seeded_digest.main(["test-interpolated-48"]) == first

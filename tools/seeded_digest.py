@@ -5,8 +5,9 @@ is rewritten.  This runs each case below through ``ecdf_bands.cli.main``
 in this process, on inputs it writes itself from fixed seeds, and prints
 one line per case: the SHA-256 of the exit code and of the name and
 bytes of each file the case wrote, then the case's name.  It imports
-the package from the ``src`` next to this directory, and unsets
-``ECDF_BANDS_CACHE`` so that no stored gamma grid is read:
+the package from the ``src`` next to this directory.  It unsets
+``ECDF_BANDS_CACHE``, so that no stored gamma grid is read, but for the
+cases in ``CACHED``, which read the grid it builds itself:
 
     python tools/seeded_digest.py [CASE ...]
 
@@ -41,16 +42,21 @@ INPUTS = {
     "comparison50x49.csv": (49, 50),
     "draws120.csv": (1, 120),
     "comparison120x150.csv": (150, 120),
+    "col64.csv": (1, 64),
+    "col48.csv": (1, 48),
+    "chains2x64.csv": (2, 64),
 }
 """Input files, each as (columns, rows): one column of uniform PIT
 values, or chains of standard normal draws."""
 
 DERIVED = {
     "pit120x150.csv": ["pit", "draws120.csv", "comparison120x150.csv"],
+    "grid.json": ["gamma", "build", "--ns", "32,64,96", "--ls", "1,2"],
 }
 """Input files written by ``cli.main`` on these arguments, with the
 file as ``--out``, after ``INPUTS``: PIT values of resolution 150, whose
-default grid (K = 75) divides it."""
+default grid (K = 75) divides it, and a gamma grid for one sample and
+two chains at n = 32, 64 and 96."""
 
 CASES = {
     "test-simulate-1col-t1": ["test", "col200.csv", "--method", "simulate", "--threads", "1"],
@@ -76,10 +82,19 @@ CASES = {
     "test-simulate-pit-lattice": ["test", "pit120x150.csv", "--method", "simulate"],
     "test-simulate-grid-k7": ["test", "col200.csv", "--grid-k", "7", "--method", "simulate"],
     "power-bands-draws-at-1": ["power", "--family", "A", "--ks", "1,40", "--n", "60", "--tests", "bands"],
+    "test-cached-64": ["test", "col64.csv"],
+    "test-interpolated-48": ["test", "col48.csv"],
+    "test-cached-64-grid-k20": ["test", "col64.csv", "--grid-k", "20"],
+    "test-cache-2x64": ["test", "chains2x64.csv", "--method", "cache"],
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
 output goes to a file given by ``--out`` in the case's own folder, as
 does any file named in ``OUTPUTS``."""
+
+CACHED = ("test-cached-64", "test-interpolated-48", "test-cached-64-grid-k20", "test-cache-2x64")
+"""Cases run with ``ECDF_BANDS_CACHE`` set to the derived ``grid.json``:
+a stored gamma, one interpolated between n = 32 and 64, a stored gamma
+on a grid of its own, and two chains by ``--method cache``."""
 
 OUTPUTS = ("data.json",)
 """Names of further output files a case may write, such as ``--data-out``."""
@@ -105,8 +120,13 @@ def digest(name: str, folder: Path) -> str:
     case.mkdir()
     paths = {a: folder / a for a in (*INPUTS, *DERIVED)} | {a: case / a for a in OUTPUTS}
     argv = [str(paths[a]) if a in paths else a for a in CASES[name]] + ["--out", str(case / "out")]
-    with contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+    if name in CACHED:
+        os.environ[cli.CACHE_ENV] = str(folder / "grid.json")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        os.environ.pop(cli.CACHE_ENV, None)
     h = hashlib.sha256(f"{code}\n".encode())
     for path in sorted(case.iterdir()):
         h.update(f"{path.name}\n".encode() + path.read_bytes())
