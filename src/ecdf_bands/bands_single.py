@@ -42,12 +42,13 @@ the exact search asks for alpha / K, the bands for gamma.  It keeps each
 row's window of counts, from the last whose 2 * F lies below the level
 to the first whose 2 * (1 - F) does, with each cell's true CDF.  The
 replicate path, which gathers arbitrary counts, asks for the full table
-(level 0).  Every table is read off one numpy kernel (``_cdf_rows``):
-each row's mass, from Loader's saddle-point form
+(level 0).  Every table is read off one numpy kernel (``_cdf_rows``),
+which hands back each row's F over the counts where the mass does not
+underflow: the mass, from Loader's saddle-point form
 (``dist.binom_log_pmf``) in runs linked by the ratio of neighbouring
-masses, summed from each tail, over the counts where it does not
-underflow.  So a windowed table's cells have the full table's bits,
-and the window's edges are counted off the summed rows.  Each count law
+masses, summed from each tail.  So a windowed table's cells have the
+full table's bits, and a window's edges are a plain count of the cells
+below each threshold (``_count_below``).  Each count law
 has this one table, and the replicates' tail levels read it by the
 bands' own rule, so a level and the bands never read one breakpoint
 with different bits.
@@ -279,12 +280,11 @@ class _Rows(NamedTuple):
     its mode and up (side i of R) and the counts below its mode (side
     R + i); side s owns the ``runs[s]`` runs from column ``offset[s]``
     on, run r of it covering the counts ``_RUN * r + j`` steps from the
-    mode, j < ``_RUN``.  ``sums`` (``_RUN`` + 1, runs) holds each run's
-    masses summed from its far end, over a row of zeros, and ``after``
-    the mass of the side's runs past each run."""
+    mode, j < ``_RUN``.  ``cells`` (``_RUN``, runs) holds each such
+    count's F, and past a side's end 1.0 above the mode and 0.0 below
+    it."""
 
-    sums: np.ndarray
-    after: np.ndarray
+    cells: np.ndarray
     mode: np.ndarray
     offset: np.ndarray
     runs: np.ndarray
@@ -320,15 +320,18 @@ def _cdf_rows(n: int, p: np.ndarray, q: np.ndarray) -> _Rows:
     run's first count, then the ratio of neighbouring masses,
     (n - k + 1) / k * p / q, multiplied on, which keeps a run's rounding
     error below about 60 ulps.  Masses fall along each run, so an
-    underflowed mass leaves the rest of its run at 0.0.  A count's sum
-    adds its run's masses from the run's far end, then the runs beyond.
+    underflowed mass leaves the rest of its run at 0.0.  A count's tail
+    mass adds its run's masses from the run's far end, then the runs
+    beyond, and its cell is that sum below the mode and 1 minus the sum
+    past it from the mode up.
 
     A side stops where n * D(k/n || p) passes ``_LIVE``, by Bernstein's
     bound more than 760/3 + sqrt((760/3)**2 + 1520 npq) from np: the
-    masses beyond are 0.0 in double, so every sum has the bits of the sum
-    over all counts.  A row's values depend only on n and its p, and are
-    nondecreasing in count: each side's sums are monotone, and the two
-    meet at the mode with its mass, at least 1 / (n + 1), between them.
+    masses beyond are 0.0 in double, so every cell has the bits of the
+    sum over all counts.  A row's values depend only on n and its p, and
+    are nondecreasing in count: each side's sums are monotone, and the
+    two meet at the mode with its mass, at least 1 / (n + 1), between
+    them.
     """
     rows = p.size
     mode = np.minimum(np.floor((n + 1) * p), n).astype(np.int64)
@@ -366,12 +369,20 @@ def _cdf_rows(n: int, p: np.ndarray, q: np.ndarray) -> _Rows:
     beyond = np.zeros((2 * rows, int(runs.max(initial=0)) + 1))
     beyond[side, run] = mass[0]
     beyond = np.cumsum(beyond[:, ::-1], axis=1)[:, ::-1]
-    return _Rows(sums, beyond[side, run + 1], mode, offset, runs)
+    sums += beyond[side, run + 1]
+    # each count's F: below the mode its tail mass, from the mode up 1
+    # minus the tail mass past it, one row down (numpy copies the
+    # overlapping input)
+    upper = offset[rows]
+    np.subtract(1.0, sums[1:, :upper], out=mass[:, :upper])
+    return _Rows(mass, mode, offset, runs)
 
 
 def _read_counts(rows: _Rows, k: np.ndarray) -> np.ndarray:
-    """F at counts ``k`` (R, m), each in [0, n], of each row."""
-    mode, offset, runs, sums = rows.mode, rows.offset, rows.runs, rows.sums
+    """F at counts ``k`` (R, m), each at least 0, of each row: one gather
+    from the cells, with 1.0 above the mode and 0.0 below it for a count
+    past its side's end, so 1.0 for every count above n."""
+    mode, offset, runs, cells = rows.mode, rows.offset, rows.runs, rows.cells
     r = np.arange(mode.size)[:, None]
     steps = k - mode[:, None]
     up = steps >= 0
@@ -380,38 +391,22 @@ def _read_counts(rows: _Rows, k: np.ndarray) -> np.ndarray:
     run = steps // _RUN
     inside = run < runs[side]
     column = np.where(inside, offset[side] + run, 0)
-    total = sums.ravel()[(steps % _RUN + up) * sums.shape[1] + column] + rows.after[column]
-    return np.where(inside, np.where(up, 1.0 - total, total), up)
+    return np.where(inside, cells.ravel()[steps % _RUN * cells.shape[1] + column], up)
 
 
 def _count_below(rows: _Rows, x: np.ndarray) -> np.ndarray:
     """For each threshold in ``x`` (T,), all in (0, 1], the number of
     counts k >= 0 with F(k) < x in each row, (T, R).
 
-    F rises along an upper side's runs and falls along a lower side's,
-    so the runs wholly below x are a prefix of the one and a suffix of
-    the other, found from each run's cell farthest from the mode; one
-    run per side is then read cell by cell.  Cells past a side's end
-    hold 1.0 above the mode and 0.0 below it, as the counts beyond read.
+    Each side's cells below x are counted run by run and summed over
+    the side's columns.  A lower side's cells past its end hold 0.0,
+    which lies below every x, as do the counts below the side's runs.
     """
-    mode, offset, runs, after = rows.mode, rows.offset, rows.runs, rows.after
-    x = np.asarray(x, dtype=np.float64)[:, None]
-    upper = offset[mode.size]
-    # the last count of an upper run has no mass past it within the run
-    key = np.concatenate((1.0 - after[:upper], rows.sums[0, upper:] + after[upper:]))
-    below = np.zeros((x.shape[0], key.size + 1), dtype=np.int64)
-    np.cumsum(key < x, axis=1, out=below[:, 1:])
-    whole = below[:, offset + runs] - below[:, offset]
-    sides = mode.size
-    # the crossing run of each (threshold, side), read cell by cell
-    last = offset + runs - 1
-    cross = np.concatenate((offset[:sides] + whole[:, :sides], last[sides:] - whole[:, sides:]), axis=1)
-    cross = np.minimum(cross, key.size - 1)
-    sums = rows.sums
-    upper_cells = np.subtract(1.0, sums[1:, cross[:, :sides]] + after[cross[:, :sides]])
-    lower_cells = np.add(sums[:-1, cross[:, sides:]], after[cross[:, sides:]])
-    partial = np.concatenate(((upper_cells < x).sum(axis=0), (lower_cells < x).sum(axis=0)), axis=1)
-    count = _RUN * whole + np.where(whole < runs, partial, 0)
+    mode, offset, runs, cells = rows.mode, rows.offset, rows.runs, rows.cells
+    x = np.asarray(x, dtype=np.float64)[:, None, None]
+    below = np.zeros((x.shape[0], cells.shape[1] + 1), dtype=np.int64)
+    np.cumsum((cells < x).sum(axis=1), axis=1, out=below[:, 1:])
+    count = below[:, offset + runs] - below[:, offset]
     # the lower side's runs reach _RUN * runs counts below the mode, some
     # of them below 0
     return count[:, : mode.size] + count[:, mode.size :] + (mode - _RUN * runs[mode.size :])
@@ -424,45 +419,41 @@ def _cdf_table(n: int, p: np.ndarray, level: float):
     (reach -1) serves level 0.
 
     Every cell is read off ``_cdf_rows``, built a few rows at a time, so
-    each has the full table's bits.  Level 0 gives the full (K, n + 1)
-    block.  Above it, row i's window runs from ``lo``, the last count
-    with 2 * F < level (or 0), to ``hi``, the first with
-    2 * (1 - F) < level (or n - 1), and the cells past ``hi`` hold 1.0.
-    The window edges are counted off the summed rows (``_count_below``).
+    each has the full table's bits.  Row i's window runs from ``lo``,
+    the last count with 2 * F < level (or 0), to ``hi``, the first with
+    2 * (1 - F) < level (or n - 1), and the cells past ``hi`` hold 1.0;
+    level 0 keeps the window [0, n] of every row, the full (K, n + 1)
+    table.  The window edges are the counts of cells below the two
+    thresholds (``_count_below``).
     """
     q = 1.0 - p
     p = 1.0 - q  # the parameter whose complement is exact
     step = max(1, _CHUNK_CELLS // min(n + 1, 2 * int(_live_half(n, 0.25)) + 4 * _RUN))
     chunks = [slice(i, i + step) for i in range(0, p.size, step)]
-    if not level > 0.0:
-        table = np.empty((p.size, n + 1))
-        for rows in chunks:
-            table[rows] = _read_counts(_cdf_rows(n, p[rows], q[rows]), np.arange(n + 1)[None, :])
-        return _frozen_block(table, np.zeros(p.size, dtype=np.int64)), -1.0
     # 2 * (1 - F) >= level exactly when F < x_hi: the double after the
     # largest one at or below 1 - level / 2
     x_hi = 1.0 - level / 2.0
     if 1.0 - x_hi < level / 2.0:
         x_hi = np.nextafter(x_hi, 0.0)
-    thresholds = np.array([level / 2.0, np.nextafter(x_hi, 2.0)])
+    thresholds = (level / 2.0, np.nextafter(x_hi, 2.0))
+    lo, hi = np.zeros(p.size, dtype=np.int64), np.full(p.size, n)
     parts = []
     for rows in chunks:
         built = _cdf_rows(n, p[rows], q[rows])
-        below, above = _count_below(built, thresholds)
-        lo, hi = np.maximum(below - 1, 0), np.minimum(above, n - 1)
-        k = np.minimum(lo[:, None] + np.arange(int((hi - lo).max()) + 1), n)
-        block = _read_counts(built, k)
-        block[k > hi[:, None]] = 1.0
-        parts.append((lo, hi, block))
-    if len(parts) == 1:
-        lo, hi, block = parts[0]
-    else:
-        lo, hi = (np.concatenate([part[j] for part in parts]) for j in range(2))
-        block = np.ones((p.size, int((hi - lo).max()) + 1))
-        for rows, (_, _, part) in zip(chunks, parts):
-            block[rows, : part.shape[1]] = part
+        if level > 0.0:
+            below, above = _count_below(built, thresholds)
+            lo[rows], hi[rows] = np.maximum(below - 1, 0), np.minimum(above, n - 1)
+        k = lo[rows, None] + np.arange(int((hi[rows] - lo[rows]).max()) + 1)
+        part = _read_counts(built, k)
+        part[k > hi[rows, None]] = 1.0
+        parts.append(part)
+    block = np.ones((p.size, int((hi - lo).max()) + 1))
+    for rows, part in zip(chunks, parts):
+        block[rows, : part.shape[1]] = part
     edges = np.concatenate((block[lo > 0, 0], 1.0 - block[hi < n - 1, (hi - lo)[hi < n - 1]]))
-    return _frozen_block(block, lo), 2.0 * float(edges.max(initial=0.0))
+    # the full table alone, which has no edges, serves level 0
+    reach = 2.0 * float(edges.max(initial=0.0)) if level > 0.0 else -1.0
+    return _frozen_block(block, lo), reach
 
 
 def _count_bounds(table: CdfBlock, gamma: float, floor=0):

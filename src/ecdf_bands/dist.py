@@ -17,8 +17,9 @@ difference of log-factorials loses digits at large n.
 
 The count tables the bands and the simulators read are one CDF table
 per law, a ``bands_single.CdfBlock`` of (K, W) cells and each row's
-first count: the binomial in ``bands_single._cdf_rows`` (sums of the
-mass from each tail, runs of it anchored on ``binom_log_pmf``) and the
+first count: the binomial read off ``bands_single._cdf_rows`` (each
+row's F, from the mass summed from each tail in runs anchored on
+``binom_log_pmf``) and the
 full hypergeometric in ``bands_multi._hyper_tables`` (log mass from
 ``log_choose``, then a cumulative sum in linear space).  The forward
 passes read their log factors from the same table.

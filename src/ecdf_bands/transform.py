@@ -75,6 +75,21 @@ class ChainSet:
         return int(self.chains.shape[1])
 
 
+_LATTICE_ULPS = 4.0
+"""How far, in ulps, S * u may sit from a whole number for a PIT value u
+on the 1/S lattice."""
+
+
+def _resolution(res) -> int | None:
+    """A resolution as a positive integer, or None when it is missing or
+    infinite (continuous values)."""
+    if res is None or res == math.inf:
+        return None
+    if not (res >= 1 and res == int(res)):
+        raise ValueError("resolution must be a positive integer")
+    return int(res)
+
+
 @dataclass(frozen=True, eq=False)
 class PitValues:
     """PIT values in [0, 1] with the resolution of the comparison sample.
@@ -92,19 +107,12 @@ class PitValues:
             raise ValueError("PIT values must form a nonempty 1-D sequence")
         if not np.all((vals >= 0.0) & (vals <= 1.0)):
             raise ValueError("PIT values must lie in [0, 1]")
-        res = self.resolution
+        res = _resolution(self.resolution)
         if res is not None:
-            if isinstance(res, float) and math.isinf(res):
-                res = None
-            else:
-                res = int(res)
-                if res < 1:
-                    raise ValueError("resolution must be a positive integer")
-                scaled = vals * res
-                if not np.allclose(scaled, np.round(scaled), atol=1e-9):
-                    raise ValueError(
-                        "values are not multiples of 1/resolution"
-                    )
+            # c / S times S lands within 2 ulps of c
+            scaled = vals * res
+            if np.any(np.abs(scaled - np.round(scaled)) > _LATTICE_ULPS * np.spacing(scaled)):
+                raise ValueError("values are not multiples of 1/resolution")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "resolution", res)
@@ -274,12 +282,8 @@ def default_grid(n: int, resolution: int | None = None, k_max: int = 100) -> Eva
     if n < 1 or k_max < 1:
         raise ValueError("sample size and k_max must be positive")
     k = min(int(n), int(k_max))
-    if resolution is not None and not (
-        isinstance(resolution, float) and math.isinf(resolution)
-    ):
-        res = int(resolution)
-        if res < 1:
-            raise ValueError("resolution must be a positive integer")
+    res = _resolution(resolution)
+    if res is not None:
         k = min(k, res)
         while res % k:
             k -= 1

@@ -19,6 +19,11 @@ it (``hyper_support``, ``hyper_logpmf``, ``hyper_cdf_table``,
 ``hyper_cdf``, ``hyper_quantile``).  ``hyper_padded_tables`` pads those
 rows the way ``bands_multi._hyper_tables`` lays out its table.
 
+``exact_chain_mass`` is the coverage of chains whose windows hold one
+count each, in rational arithmetic: every chain's count is then fixed at
+each grid point, and the mass is the product of the multivariate
+hypergeometric transitions between them, with no rounding at all.
+
 ``search_steps_bisect`` is the plain bisection over the coverage steps
 that the program's interpolating step search must end on.
 
@@ -60,6 +65,7 @@ name a bad one, so it must give the same table, resolution and error.
 
 import csv
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -346,7 +352,14 @@ def coverage_three_chains(n: int, s, lo, hi) -> float:
 def dense_pass(lo, hi, src, ker, dst) -> float:
     """``_forward.forward_mass`` with every step on its transition matrix
     ``exp(src[r] + ker[r' - r] + dst[r'])`` over the live counts, from
-    the same five arrays."""
+    the same five arrays.
+
+    Source and destination are summed first: both hold log-factorials of
+    nearby counts with opposite signs, so their sum is exact or nearly so,
+    where adding the jump to the source first rounds at the magnitude of
+    log n!.  That rounding repeats with one sign when the jumps repeat
+    (windows of one count with equal pooled steps), which moved the
+    matrix product by up to 2.7e-10 relative over a few hundred steps."""
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     if int((hi[1:] - lo[1:]).min()) < 0 or int((hi[1:] - lo[:-1]).min()) < 0:
@@ -368,13 +381,39 @@ def dense_pass(lo, hi, src, ker, dst) -> float:
         ok = np.all((jump >= 0) & (jump < n_jumps), axis=2)
         jump = np.where(ok[..., None], jump, 0)
         log_k = ker[t][tuple(np.moveaxis(jump, 2, 0))]
-        log_t = src[t][tuple(cells.T)][None, :] + log_k + log_dst[:, None]
+        log_t = (src[t][tuple(cells.T)][None, :] + log_dst[:, None]) + log_k
         probs = np.where(ok, np.exp(log_t), 0.0) @ probs
         if float(probs.sum()) <= 0.0:
             return 0.0
         probs, log_scale = _renormalize(probs, log_scale)
         cells = new_cells
     return float(min(1.0, probs.sum() * math.exp(log_scale)))
+
+
+def exact_chain_mass(n: int, l: int, s, lo, hi) -> Fraction:
+    """Exact probability that each of l chains of n draws holds a count
+    in [lo_i, hi_i] of the s_i smallest pooled ranks at every grid point,
+    for windows of one count each (lo_i = hi_i).
+
+    The first l - 1 chains hold lo_i and the last chain the rest of s_i,
+    which must be lo_i too.  A step from s to s + ds that adds d_j to
+    chain j has probability prod_j C(n - r_j, d_j) / C(l * n - s, ds).
+    """
+    num = den = 1
+    prev_s, prev = 0, [0] * l
+    for si, a, b in zip(s, lo, hi):
+        si, a, b = int(si), int(a), int(b)
+        if a != b:
+            raise ValueError("every window must hold one count")
+        counts = [a] * (l - 1) + [si - (l - 1) * a]
+        steps = [c - r for c, r in zip(counts, prev)]
+        if counts[-1] != a or min(steps) < 0:
+            return Fraction(0)
+        num *= math.prod(math.comb(n - r, d) for r, d in zip(prev, steps))
+        den *= math.comb(l * n - prev_s, si - prev_s)
+        prev_s, prev = si, counts
+    return Fraction(num, den)
+
 
 def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
     """The exact gamma search by bisection over the coverage steps.

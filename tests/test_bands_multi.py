@@ -10,6 +10,8 @@ recursions kept in ``oracles`` on random shapes and windows.
 
 import itertools
 import logging
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -55,6 +57,7 @@ from oracles import (
     coverage_three_chains,
     coverage_two_chains,
     dense_pass,
+    exact_chain_mass,
     hyper_padded_tables,
     hyper_quantile,
     recorded_levels,
@@ -274,6 +277,8 @@ def band_problems(draw):
 @example((1, 20_000, default_grid(20_000), 0.9999))
 @example((2, 3000, default_grid(3000, 6000, k_max=2), 1e-12))
 @example((2, 3000, EvaluationGrid([1e-6, 0.5, 1.0]), 1e-3))
+@example((2, 2000, default_grid(2000, 4000, k_max=250), 1.0))
+@example((2, 2316, default_grid(2316, 4632, k_max=386), 1.0))
 def test_forward_pass_matches_the_dense_oracle_on_band_windows_of_every_law(problem):
     # every step whose scaled factors leave double range runs on its
     # matrix; the pass must still match the all-matrix oracle, and count
@@ -295,6 +300,47 @@ def test_forward_pass_matches_the_dense_oracle_on_band_windows_of_every_law(prob
     event(f"L={l}, a step ran on its matrix: {dense_step.call_count > 0}")
     assert _forward.route_count("dense") - dense_before == (dense_step.call_count > 0)
     assert got == pytest.approx(dense_pass(*args), rel=1e-10, abs=1e-300)
+
+
+_STEP_ULPS = 32
+"""Ulps of log((l n)!) one step of a two-chain pass may move its factor
+by: the 9 log-factorials it reads, each within 2 ulps, and the 8 sums
+and differences that combine them, each rounded at a magnitude below
+2 log((l n)!)."""
+
+
+@pytest.mark.parametrize(
+    "n, l, pts",
+    [(4, 2, [0.25, 0.5, 0.75, 1.0]), (5, 2, [0.2, 0.4, 0.6, 0.8, 1.0]), (6, 2, [1 / 3, 2 / 3, 1.0]), (3, 3, [1 / 3, 2 / 3, 1.0])],
+)
+def test_exact_chain_mass_matches_enumeration(n, l, pts):
+    # at gamma = 1 each window is the one median count
+    grid = EvaluationGrid(pts)
+    s = _pooled_counts(grid, n, l)
+    lo, hi = band_bounds(n, l, s, 1.0)
+    assert np.array_equal(lo, hi)
+    assert float(exact_chain_mass(n, l, s, lo, hi)) == enumerate_interleaving_coverage(n, l, grid, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("n, k", [(2000, 250), (2316, 386)])
+def test_single_count_windows_match_exact_arithmetic(n, k):
+    # two chains at gamma = 1, where every window holds the median count
+    # alone: draws on which the pass and the dense oracle parted by more
+    # than 1e-10 while the oracle added each jump to its source first,
+    # rounding at log((2n)!) the same way every step.  Each step's factor is exp of a sum of log-factorials
+    # near log((2n)!) ~ 3e4, whose absolute rounding is the factor's
+    # relative error, so K steps may move the mass by K * _STEP_ULPS
+    # ulps of log((2n)!): 2.9e-8 and 9.0e-8 here, against errors of at
+    # most 1.6e-10
+    grid = default_grid(n, 2 * n, k_max=k)
+    s = np.unique(_pooled_counts(grid, n, 2))
+    lo, hi = band_bounds(n, 2, s, 1.0)
+    assert s.size == k and np.array_equal(lo, hi)
+    args = _chain_factors(n, 2, s, lo, hi)
+    exact = exact_chain_mass(n, 2, s, lo, hi)
+    bound = k * _STEP_ULPS * math.ulp(math.lgamma(2 * n + 1))
+    for got in (_forward.forward_mass(*args), dense_pass(*args)):
+        assert abs(float(Fraction(got) / exact - 1)) <= bound
 
 
 @settings(max_examples=300, deadline=None)

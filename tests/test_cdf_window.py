@@ -127,6 +127,14 @@ def assert_block_reads_like_the_full_table(block, reach, full, floor):
 @example(n=341, spec=("ends_at_one", (1.0,)), alpha=0.05)
 @example(n=1, spec=("lattice", 2), alpha=0.5)
 @example(n=1, spec=("default", None), alpha=0.05)
+# rows with an empty side: at 1e-300 the mode is 0 and no run lies below
+# it; at 1 the row is a point mass at n
+@example(n=1, spec=("uniforms", (1e-300,)), alpha=0.05)
+@example(n=600, spec=("uniforms", (1e-300,)), alpha=0.05)
+@example(n=1, spec=("ends_at_one", (1.0,)), alpha=0.05)
+@example(n=600, spec=("ends_at_one", (1.0,)), alpha=0.05)
+# empty lower sides followed by rows that count cells on both sides
+@example(n=600, spec=("uniforms", (1e-300, 0.001, 0.5)), alpha=0.05)
 def test_windowed_table_reads_like_the_full_table(n, spec, alpha):
     key = grid_points(n, spec)
     p = np.asarray(key)
@@ -172,6 +180,10 @@ requests = st.one_of(
     sequence=[("bands", 0.9999999999999999), ("search", 0.05), ("bands", 6.626615069059857e-33), ("full", 0.0)],
 )
 @example(n=40, spec=("lattice", 7), sequence=[("bands", 0.5), ("bands", 1e-300), ("search", 0.3)])
+@example(n=1, spec=("uniforms", (1e-300,)), sequence=[("search", 0.05), ("bands", 0.5), ("full", 0.0)])
+@example(n=600, spec=("uniforms", (1e-300,)), sequence=[("search", 0.05), ("bands", 0.5), ("full", 0.0)])
+@example(n=1, spec=("ends_at_one", (1.0,)), sequence=[("search", 0.05), ("bands", 0.5), ("full", 0.0)])
+@example(n=600, spec=("ends_at_one", (1.0,)), sequence=[("search", 0.05), ("bands", 0.5), ("full", 0.0)])
 def test_any_request_sequence_reads_the_full_table(n, spec, sequence):
     # each request rebuilds the one cached table exactly when its level
     # is at or below the table's reach, and reads the full table's
@@ -240,7 +252,7 @@ def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gamm
 @pytest.mark.parametrize("n", [1, 7, 351, 5000])
 def test_windows_at_the_extreme_levels_read_like_the_full_table(n):
     # the smallest level whose half is exact, 1/2 and a level just below
-    # 1: the window edges are counted off the summed rows at both ends
+    # 1: the window edges are counted off the kernel's cells at both ends
     key = tuple(float(z) for z in default_grid(n).points)
     p = np.asarray(key)
     full = _cdf_table(n, p, 0.0)[0]

@@ -417,6 +417,15 @@ def test_bad_declared_resolution_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_values_off_a_fine_declared_lattice_exit_two(tmp_path, capsys):
+    # each value lies within a relative 1e-5 of the lattice, far from it
+    # in ulps
+    for resolution, value in ((10**6, "0.31415926535"), (10**5, "0.9000043")):
+        path = write(tmp_path / "pit.csv", f"# resolution: {resolution}\npit\n{value}\n0.5\n1.0\n")
+        assert main(["test", path]) == 2
+        assert "multiples of 1/resolution" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "draws, comparison",
     [("nan\n0.5\n", "1.0,2.0\n"), ("0.5\n", "1.0,nan\n")],

@@ -64,6 +64,36 @@ def test_pit_values_resolution_validation():
         PitValues([])
 
 
+@pytest.mark.parametrize("value, resolution", [(0.31415926535, 10**6), (0.9000043, 10**5)])
+def test_pit_values_off_a_fine_lattice_are_refused(value, resolution):
+    # within a relative 1e-5 of a lattice point, but many ulps off it
+    with pytest.raises(ValueError, match="multiples of 1/resolution"):
+        PitValues([value], resolution)
+
+
+lattice_points = st.integers(1, 2**31 - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=lattice_points)
+@example(point=(2**31 - 1, 2**31 - 2))
+@example(point=(3, 1))
+def test_every_lattice_value_is_accepted(point):
+    # c / S anywhere on the lattice, and next to both its ends
+    s, c = point
+    assert PitValues([0.0, 1 / s, c / s, (s - 1) / s, 1.0], s).resolution == s
+
+
+def test_a_fractional_resolution_is_refused():
+    with pytest.raises(ValueError, match="positive integer"):
+        PitValues([0.5], 4.5)
+    with pytest.raises(ValueError, match="positive integer"):
+        default_grid(10, 4.5)
+    # an integral float is the integer
+    assert PitValues([0.5], 4.0).resolution == 4
+    assert default_grid(10, 4.0).size == 4
+
+
 def test_trajectory_validation():
     g = EvaluationGrid([0.5, 1.0])
     t = EcdfTrajectory(g, [1, 3], 3)

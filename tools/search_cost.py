@@ -99,7 +99,7 @@ def search_cost(n: int, l: int) -> dict:
     def counted_rows(rows):
         def counted(*args):
             built = rows(*args)
-            spent["cells"] += built.sums.size - built.sums.shape[1]
+            spent["cells"] += built.cells.size
             return built
 
         return counted

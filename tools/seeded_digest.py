@@ -86,10 +86,13 @@ CASES = {
     "test-interpolated-48": ["test", "col48.csv"],
     "test-cached-64-grid-k20": ["test", "col64.csv", "--grid-k", "20"],
     "test-cache-2x64": ["test", "chains2x64.csv", "--method", "cache"],
+    "plot-rank-hist-sparse": ["plot", "col48.csv", "--kind", "rank_hist", "--bins", "100"],
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
 output goes to a file given by ``--out`` in the case's own folder, as
-does any file named in ``OUTPUTS``."""
+does any file named in ``OUTPUTS``.  The rank histogram of 48 values in
+100 bins reads the binomial table on the one-point grid 1/100, whose
+row has its mode at count 0, so that no count lies below the mode."""
 
 CACHED = ("test-cached-64", "test-interpolated-48", "test-cached-64-grid-k20", "test-cache-2x64")
 """Cases run with ``ECDF_BANDS_CACHE`` set to the derived ``grid.json``:
