@@ -12,25 +12,29 @@ convolution, with three it is the first two chains' counts over the full
 window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
-Only the hypergeometric parts live here: the pooled counts, the full
-CDF table, the forward-pass factors, the replicates' pooled order (one
-sort of packed draw-and-chain keys, ``_chain_labeller``), and the cell
-of each pooled rank (``_rank_cells``): a draw's cell id is its chain
-label times K + 1 plus the cell of its rank, which is all this law
-supplies to the replicate path and to the observed-data counter.
-This module owns the law's table and its level function
-(``_chain_levels``, chain labels in pooled order to tail levels),
-which the simulator and the power sweep's several-chain band test both
-read; no other module reads the table.  The band type and every
-law-independent step (count bounds, the exact search, the seeded block
-loop, the tail-level reader, the cell counter) are shared with the
-one-sample bands in ``bands_single`` and ``transform``.
+Only the hypergeometric parts live here: the pooled counts, the bottom
+of each row's support (``_chain_table``), the forward-pass factors, the
+replicates' pooled order (one sort of packed draw-and-chain keys,
+``_chain_labeller``), and the cell of each pooled rank
+(``_rank_cells``): a draw's cell id is its chain label times K + 1 plus
+the cell of its rank, which is all this law supplies to the replicate
+path and to the observed-data counter.  The CDF table takes the
+one-sample table's path, ``bands_single._cdf_matrix`` keyed by the
+pooled counts and the chain count: the same kernel, windowed at the
+level asked for and kept in the same cache.  The search and the bands
+read it windowed at alpha / (l K) and at gamma; this module's level
+function (``_chain_levels``, chain labels in pooled order to tail
+levels), which the simulator and the power sweep's several-chain band
+test both read, reads the full table.  The band type and every
+law-independent step (the table, count bounds, the exact search, the
+seeded block loop, the tail-level reader, the cell counter) are shared
+with the one-sample bands in ``bands_single`` and ``transform``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -41,12 +45,12 @@ from .bands_single import (
     GammaResult,
     TestReport,
     _band_level,
+    _cdf_matrix,
     _check_alpha,
-    _distinct,
     _count_bounds,
+    _distinct,
     _exact_coverage,
     _exceedances,
-    _frozen_block,
     _optimized_gamma,
     _simulated_gamma,
     _tail_level_reader,
@@ -99,46 +103,19 @@ def _pooled_counts(grid: EvaluationGrid, n: int, l: int) -> np.ndarray:
     return np.floor(grid.points * total + 1e-9).astype(np.int64)
 
 
-def _hyper_log_mass(n: int, l: int, s: np.ndarray) -> np.ndarray:
-    """(K, n + 1) log mass of one chain's count 0..n given the pooled
-    counts s_i, ``-inf`` outside each row's support.
-
-    log C(n, k) + log C(rest, s_i - k) - log C(l * n, s_i), with the
-    middle term gathered from one row of coefficients over 0..rest.
-    """
-    rest = (l - 1) * n
-    s = s[:, None]
-    j = s - np.arange(n + 1)
-    other = dist.log_choose(rest, np.arange(rest + 1))[np.clip(j, 0, rest)]
-    out = dist.log_choose(n, np.arange(n + 1)) + other - dist.log_choose(l * n, s)
-    return np.where((j >= 0) & (j <= rest), out, -np.inf)
-
-
-@lru_cache(maxsize=8)
-def _hyper_tables(n: int, l: int, s_key: tuple):
-    """Full (K, n + 1) hypergeometric CDF table, a ``CdfBlock`` with
-    ``first`` 0, and the bottom of each support, read-only.
-
-    Row i covers counts 0..n for pooled count s_i: 0 below the support
-    and 1 from its top on.  The mass is exactly 0 below the support, so
-    one running sum along the rows adds the same terms in the same order
-    as a sum over the support alone.  The bands, the exact search and
-    the replicates' tail levels (``bands_single._tail_level_reader``)
-    all read this table.
-    """
-    s = np.array(s_key, dtype=np.int64)
-    cdf = np.minimum(np.cumsum(np.exp(_hyper_log_mass(n, l, s)), axis=1), 1.0)
-    cdf[np.arange(n + 1) >= np.minimum(s, n)[:, None]] = 1.0
-    floor = np.maximum(s - (l - 1) * n, 0)
-    floor.setflags(write=False)
-    return _frozen_block(cdf, np.zeros(s.size, dtype=np.int64)), floor
+def _chain_table(n: int, l: int, s: np.ndarray, level: float = 0.0):
+    """The CDF table of one chain's count at the pooled counts s
+    (``bands_single._cdf_matrix`` at ``level``, the table every count
+    law reads), and the bottom of each row's support, which a zero
+    level returns."""
+    return _cdf_matrix(n, tuple(s.tolist()), level, l), np.maximum(s - (l - 1) * n, 0)
 
 
 def bands_from_gamma_multi(n: int, l: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
     """Shared equal-tail hypergeometric bands at adjustment level gamma."""
     g, info = _band_level(gamma, n, "chain length")
     l = _check_chains(l)
-    cdf, floor = _hyper_tables(n, l, tuple(_pooled_counts(grid, n, l).tolist()))
+    cdf, floor = _chain_table(n, l, _pooled_counts(grid, n, l), g)
     lo, hi = _count_bounds(cdf, g, floor)
     return ConfidenceBands(grid, lo, hi, int(n), g, info, l)
 
@@ -164,7 +141,7 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     s = _distinct(_pooled_counts(grid, n, l))
 
     def mass(g: float) -> float:
-        cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
+        cdf, floor = _chain_table(n, l, s, g)
         return _chain_mass(n, l, s, *_count_bounds(cdf, g, floor))
 
     return _exact_coverage(n, gamma, mass, "chain length")
@@ -240,13 +217,13 @@ def _chain_levels(n: int, l: int, grid: EvaluationGrid):
 
     Each label is multiplied by K + 1 in place, and
     ``bands_single._tail_level_reader`` adds the cell of each pooled
-    rank (``_rank_cells``) and reads the cells against the full
-    hypergeometric CDF table of the pooled counts, the table the bands
-    read.  The simulator and the power sweep's several-chain band test
+    rank (``_rank_cells``) and reads the cells against the full (level
+    0) hypergeometric CDF table of the pooled counts, the build the
+    bands read.  The simulator and the power sweep's several-chain band test
     both read levels here.
     """
     s = _pooled_counts(grid, n, l)
-    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
+    cdf = _chain_table(n, l, s)[0].cells
     levels = _tail_level_reader(cdf, l, _rank_cells(s, l * n))
     width = s.size + 1
 
@@ -347,20 +324,22 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
 
     Only available for two or three chains.  The same exact step search
     as ``gamma_optimize``, with breakpoints from the hypergeometric CDF
-    tables of the pooled counts; each of the l chains can leave the band
-    at each grid point, so the search starts below ``alpha / (l * K)``.
-    Runs of equal coverage on neighbouring slivers of the near-symmetric
-    tables are crossed by the search's gallop, and slivers whose bounds
-    are equal share one pass.  ``meta`` counts probes, passes, steps and
-    dense fallbacks as ``gamma_optimize`` does.
+    table of the distinct pooled counts; each of the l chains can leave
+    the band at each grid point, so the search starts below
+    ``alpha / (l * K)``, and the table it reads is windowed there.
+    A breakpoint read off one tail of a row and its mirror read off the
+    other tail differ in their last bits; the slivers between them make
+    runs of equal coverage, and slivers whose bounds are equal share one
+    pass.  ``meta`` counts probes, passes, steps and dense fallbacks as
+    ``gamma_optimize`` does.
     """
     if n < 1:
         raise ValueError("chain length must be positive")
     l = _check_exact_chains(l, "optimization")
     alpha = _check_alpha(alpha)
     s = _distinct(_pooled_counts(grid, n, l))
-    cdf, floor = _hyper_tables(n, l, tuple(s.tolist()))
-
+    # the table built at the floor serves every step it probes
+    cdf, floor = _chain_table(n, l, s, alpha / (l * grid.size))
     return _optimized_gamma(cdf, floor, partial(_chain_mass, n, l, s), alpha, l * grid.size)
 
 

@@ -29,29 +29,31 @@ of the pooled rank at each sorted position (``bands_multi._rank_cells``).
 Observed data is counted from the same cell ids
 (``transform._cell_counts``).
 
-Each count law's module owns its table and its level function: the
-binomial's here (``_sample_levels``), the hypergeometric's in
-``bands_multi`` (``_chain_levels``).  The simulators and the power
-sweep's band test read tail levels only through those two functions,
-and the rank-histogram interval reads the public ``bands_from_gamma``,
-so no other module reads a law's table.
+Each count law's module owns its level function: the binomial's here
+(``_sample_levels``), the hypergeometric's in ``bands_multi``
+(``_chain_levels``).  The simulators and the power sweep's band test
+read tail levels only through those two functions, and the
+rank-histogram interval reads the public ``bands_from_gamma``, so no
+other module reads a law's table.
 
-The binomial CDF table (``_cdf_matrix``) is built at one level and
-serves every band level above its reach, which lies below that level:
-the exact search asks for alpha / K, the bands for gamma.  It keeps each
-row's window of counts, from the last whose 2 * F lies below the level
-to the first whose 2 * (1 - F) does, with each cell's true CDF.  The
-replicate path, which gathers arbitrary counts, asks for the full table
-(level 0).  Every table is read off one numpy kernel (``_cdf_rows``),
-which hands back each row's F over the counts where the mass does not
-underflow: the mass, from Loader's saddle-point form
-(``dist.binom_log_pmf``) in runs linked by the ratio of neighbouring
-masses, summed from each tail.  So a windowed table's cells have the
-full table's bits, and a window's edges are a plain count of the cells
-below each threshold (``_count_below``).  Each count law
-has this one table, and the replicates' tail levels read it by the
-bands' own rule, so a level and the bands never read one breakpoint
-with different bits.
+Both laws' CDF tables take one path (``_cdf_matrix``): the binomial's
+rows by grid point, the chains' by pooled count.  A table is built at
+one level and serves every band level above its reach, which lies below
+that level: the exact search asks for alpha / K (alpha / (l K) for l
+chains), the bands for gamma.  It keeps each row's window of counts,
+from the last whose 2 * F lies below the level to the first whose
+2 * (1 - F) does, with each cell's true CDF.  The replicate path, which
+gathers arbitrary counts, asks for the full table (level 0).  Every
+table is read off one numpy kernel (``_cdf_rows``), which hands back
+each row's F over the counts where the mass does not underflow: the
+mass, from Loader's saddle-point form (``dist.binom_log_pmf``) in runs
+linked by the ratio of neighbouring masses, summed from each tail; the
+two laws differ only in the mass at a run's first count, the ratio, the
+mode and the live range.  So a windowed table's cells have the full
+table's bits, and a window's edges are a plain count of the cells below
+each threshold (``_count_below``).  Each count law has this one table,
+and the replicates' tail levels read it by the bands' own rule, so a
+level and the bands never read one breakpoint with different bits.
 """
 
 from __future__ import annotations
@@ -190,29 +192,23 @@ def _grid_key(grid: EvaluationGrid) -> tuple:
 
 
 class CdfBlock(NamedTuple):
-    """A CDF table as a read-only (K, W) block, one row per grid point,
-    and the count of each row's first cell.
+    """A CDF table as a read-only (K, W) block, one row per grid point
+    (or pooled count), and the count of each row's first cell.
 
     Cell j of row i holds ``Pr(X <= first[i] + j)``, and in a windowed
     table (``_cdf_matrix``) 1.0 past the row's window; the counts below
     a row's first count lie below both its bounds at every level the
-    table serves.  The full tables, the binomial at level 0 and the
-    hypergeometric, have ``first`` 0 and W = n + 1.
+    table serves.  The full tables, either law's at level 0, have
+    ``first`` 0 and W = n + 1.
     """
 
     cells: np.ndarray
     first: np.ndarray
 
 
-def _frozen_block(cells: np.ndarray, first: np.ndarray) -> CdfBlock:
-    for arr in (cells, first):
-        arr.setflags(write=False)
-    return CdfBlock(cells, first)
-
-
-@lru_cache(maxsize=8)
-def _cdf_slot(n: int, pts_key: tuple) -> list:
-    """The cache entry of one (n, grid) table: a one-item list holding
+@lru_cache(maxsize=16)
+def _cdf_slot(n: int, key: tuple, l: int) -> list:
+    """The cache entry of one count law's table: a one-item list holding
     ``(table, reach)``, with no table until ``_cdf_matrix`` builds one."""
     return [(None, math.inf)]
 
@@ -223,13 +219,17 @@ so a cell with 2 * F below gamma need not have F below gamma / 2, and
 only the full table serves such a level."""
 
 
-def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0) -> CdfBlock:
-    """Binomial CDF table, one row per grid point, that serves every band
-    level above its reach, a value below ``level``; level 0, or any
-    level below ``_EXACT_HALF``, gets the full table.
+def _cdf_matrix(n: int, key: tuple, level: float = 0.0, l: int = 1) -> CdfBlock:
+    """CDF table of one count law, one row per entry of ``key``, that
+    serves every band level above its reach, a value below ``level``;
+    level 0, or any level below ``_EXACT_HALF``, gets the full table.
 
-    Row i holds ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``, nondecreasing
-    and ending in exactly 1.0.  Level 0 gives the full (K, n + 1) block.
+    With ``l`` 1, ``key`` holds the grid points and row i holds
+    ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``; with l chains it holds
+    the pooled counts and row i the CDF of one chain's count among the
+    s_i smallest pooled ranks, Hypergeometric(n, (l - 1) n, s_i) (see
+    ``_cdf_rows``).  Each row is nondecreasing and ends in exactly 1.0.
+    Level 0 gives the full (K, n + 1) block.
     Above it the block holds each row's window of counts from the row's
     first count on (``_cdf_table``), with the full table's bits, and 1.0
     past the window.  Each window edge that has counts beyond it has
@@ -239,25 +239,26 @@ def _cdf_matrix(n: int, pts_key: tuple, level: float = 0.0) -> CdfBlock:
     search's breakpoints from its floor up and the largest one below
     its floor, are the full table's.
 
-    One entry per (n, grid) is cached with its reach, and a level at or
-    below the reach rebuilds it at that level.  The exact search asks
-    for alpha / K, so its evaluations, the bands at its gamma and a
-    later search at a larger alpha read the table it built; the bands,
-    ``coverage_probability`` and the rank-histogram interval
-    (``report.rank_hist``, the bands on the one-point grid 1/bins) ask
-    for gamma; ``_sample_levels``, which ``gamma_simulate`` and the
-    power sweep's one-sample band test read, gathers arbitrary counts
-    and asks for level 0.  They all read this one binomial CDF build.
+    One entry per (n, key, l) is cached with its reach, and a level at
+    or below the reach rebuilds it at that level.  The exact searches
+    ask for their floors, alpha / K and alpha / (l K), so their
+    evaluations, the bands at their gamma and a later search at a larger
+    alpha read the table they built; the bands, the exact coverages and
+    the rank-histogram interval (``report.rank_hist``, the bands on the
+    one-point grid 1/bins) ask for gamma; ``_sample_levels`` and
+    ``bands_multi._chain_levels``, which the simulators and the power
+    sweeps' band tests read, gather arbitrary counts and ask for level
+    0.  They all read this one CDF build of their law.
     """
     if not level >= _EXACT_HALF:
         level = 0.0
-    slot = _cdf_slot(n, pts_key)
+    slot = _cdf_slot(n, key, l)
     # one tuple read and one tuple write: a thread racing another on the
     # same entry returns a table that serves its own level, at worst
     # after building it twice
     table, reach = slot[0]
     if not level > reach:
-        table, reach = _cdf_table(n, np.asarray(pts_key, dtype=np.float64), level)
+        table, reach = _cdf_table(n, np.asarray(key), level, l)
         slot[0] = table, reach
     return table
 
@@ -267,8 +268,9 @@ _RUN = 32
 starts from one Loader mass and multiplies on at most 31 ratios."""
 
 _LIVE = 760.0
-"""Deviance n * D(k/n || p) beyond which a count's binomial mass lies
-below exp(-759) and underflows to 0.0 in double."""
+"""Deviance n * D(k/n || p) beyond which a count's binomial or
+hypergeometric tail lies below exp(-760) and underflows to 0.0 in
+double."""
 
 _CHUNK_CELLS = 1 << 16
 """Cells of the rows ``_cdf_table`` builds at once, 512 KB of float64,
@@ -276,7 +278,7 @@ so that each pass over them stays in cache."""
 
 
 class _Rows(NamedTuple):
-    """Binomial CDF rows as runs (``_cdf_rows``).  Each row has two sides,
+    """CDF rows as runs (``_cdf_rows``).  Each row has two sides,
     its mode and up (side i of R) and the counts below its mode (side
     R + i); side s owns the ``runs[s]`` runs from column ``offset[s]``
     on, run r of it covering the counts ``_RUN * r + j`` steps from the
@@ -306,39 +308,56 @@ def _live_half(n: int, pq):
     return _LIVE / 3.0 + np.sqrt((_LIVE / 3.0) ** 2 + 2.0 * _LIVE * (n * pq))
 
 
-def _cdf_rows(n: int, p: np.ndarray, q: np.ndarray) -> _Rows:
-    """The CDF rows of Binomial(n, p_i), with q = 1 - p exactly, wherever
-    their mass does not underflow.
+def _cdf_rows(n: int, p: np.ndarray, q: np.ndarray, l: int = 1, s=None) -> _Rows:
+    """The CDF rows of one count law, with q = 1 - p exactly, wherever
+    their mass does not underflow: Binomial(n, p_i) for ``l`` 1, and for
+    l chains the count of one chain's n draws among the s_i smallest of
+    the l * n pooled ranks, Hypergeometric(n, (l - 1) n, s_i), with
+    p_i = s_i / (l n).
 
-    Each row is split at its mode.  From the mode up, a count's F is 1
-    minus the mass summed from the right; below the mode the mass is
-    summed from the left, so F keeps its relative accuracy in the lower
-    tail.  The lower side is the upper side of the mirrored law
-    Binomial(n, q) at count n - k, so both sides run away from the mode
-    and upwards in count.  Each side is cut into runs of ``_RUN``
-    counts, one column each: Loader's mass (``dist.binom_log_pmf``) at a
-    run's first count, then the ratio of neighbouring masses,
-    (n - k + 1) / k * p / q, multiplied on, which keeps a run's rounding
-    error below about 60 ulps.  Masses fall along each run, so an
-    underflowed mass leaves the rest of its run at 0.0.  A count's tail
-    mass adds its run's masses from the run's far end, then the runs
-    beyond, and its cell is that sum below the mode and 1 minus the sum
-    past it from the mode up.
+    Each row is split at its mode, floor((n + 1) p) for the binomial and
+    floor((n + 1)(s + 1) / (l n + 2)) for the chains.  From the mode up,
+    a count's F is 1 minus the mass summed from the right; below the
+    mode the mass is summed from the left, so F keeps its relative
+    accuracy in the lower tail.  The lower side is the upper side of the
+    mirrored row at count n - k: Binomial(n, q), or the pooled count
+    l n - s, whose p is q too.  So both sides run away from the mode and
+    upwards in count.  Each side is cut into runs of ``_RUN`` counts,
+    one column each: the mass at a run's first count, then the ratio of
+    neighbouring masses multiplied on, which keeps a run's rounding
+    error below about 60 ulps.  The binomial's first mass is Loader's
+    (``dist.binom_log_pmf``) and its ratio (n - k + 1) / k * p / q; the
+    chains' first mass is b(k; n, p) b(s - k; (l - 1) n, p) / b(s; l n, p)
+    in the same form, its denominator once per row, and its ratio
+    (n - k + 1)(s - k + 1) / (k ((l - 1) n - s + k)), one division of
+    exact integers.  Masses fall along each run, so an underflowed mass
+    leaves the rest of its run at 0.0.  A count's tail mass adds its
+    run's masses from the run's far end, then the runs beyond, and its
+    cell is that sum below the mode and 1 minus the sum past it from the
+    mode up.
 
-    A side stops where n * D(k/n || p) passes ``_LIVE``, by Bernstein's
-    bound more than 760/3 + sqrt((760/3)**2 + 1520 npq) from np: the
-    masses beyond are 0.0 in double, so every cell has the bits of the
-    sum over all counts.  A row's values depend only on n and its p, and
-    are nondecreasing in count: each side's sums are monotone, and the
-    two meet at the mode with its mass, at least 1 / (n + 1), between
-    them.
+    A side stops at the end of the support, or where n * D(k/n || p)
+    passes ``_LIVE``, by Bernstein's bound more than
+    760/3 + sqrt((760/3)**2 + 1520 npq) from np.  There the binomial
+    tail beyond is below exp(-760) by Chernoff's bound, and so is the
+    chains' tail: their count is n draws without replacement from l n
+    ranks of which s are marked, and Hoeffding (1963, section 6) bounds
+    such a tail by the binomial's Chernoff bound at the same n and p.
+    Either way the masses beyond are 0.0 in double, so every cell has
+    the bits of the sum over all counts.  A row's values depend only on
+    its law, and are nondecreasing in count: each side's sums are
+    monotone, and the two meet at the mode with its mass, at least
+    1 / (n + 1), between them.
     """
-    rows = p.size
-    mode = np.minimum(np.floor((n + 1) * p), n).astype(np.int64)
+    rows, rest = p.size, (l - 1) * n
+    if l == 1:
+        mode, bottom, top = np.minimum(np.floor((n + 1) * p), n).astype(np.int64), 0, n
+    else:
+        mode, bottom, top = (n + 1) * (s + 1) // (l * n + 2), np.maximum(s - rest, 0), np.minimum(s, n)
     half = _live_half(n, p * q)
-    low = np.maximum(np.floor(n * p - half), 0).astype(np.int64)
-    high = np.minimum(np.ceil(n * p + half), n).astype(np.int64)
-    # the lower side runs from count n - mode + 1 of the mirrored law,
+    low = np.maximum(np.floor(n * p - half), bottom).astype(np.int64)
+    high = np.minimum(np.ceil(n * p + half), top).astype(np.int64)
+    # the lower side runs from count n - mode + 1 of the mirrored row,
     # count mode - 1 of the row
     start = np.concatenate((mode, n - mode + 1))
     end = np.concatenate((high, n - low))
@@ -355,9 +374,23 @@ def _cdf_rows(n: int, p: np.ndarray, q: np.ndarray) -> _Rows:
     np.add(head.astype(np.float64), np.arange(_RUN, dtype=np.float64)[:, None], out=mass)
     with np.errstate(divide="ignore", invalid="ignore"):
         # each count's mass over the one before it
-        np.divide(np.subtract(n + 1.0, mass), mass, out=mass)
-        np.multiply(mass, np.where(side_q > 0.0, side_p / side_q, 0.0)[side], out=mass)
-    mass[0] = np.exp(dist.binom_log_pmf(head, n, side_p[side], side_q[side]))
+        if l == 1:
+            np.divide(np.subtract(n + 1.0, mass), mass, out=mass)
+            np.multiply(mass, np.where(side_q > 0.0, side_p / side_q, 0.0)[side], out=mass)
+            log_head = dist.binom_log_pmf(head, n, side_p[side], side_q[side])
+        else:
+            side_s = np.concatenate((s, l * n - s))
+            marked, m = side_s[side], head.size
+            # one division of exact integers
+            np.divide((n + 1.0 - mass) * (marked + 1.0 - mass), mass * (mass + (rest - marked)), out=mass)
+            # b(k; n, p), b(s - k; rest, p) and, once per row, b(s; l n, p)
+            sp, sq = side_p[side], side_q[side]
+            terms = dist.binom_log_pmf(
+                np.concatenate((head, marked - head, side_s)), np.repeat([n, rest, l * n], [m, m, 2 * rows]),
+                np.concatenate((sp, sp, side_p)), np.concatenate((sq, sq, side_q)),
+            )
+            log_head = terms[:m] + terms[m : 2 * m] - terms[2 * m :][side]
+    mass[0] = np.exp(log_head)
     # the first count past a side's end gets no mass, nor do the rest of
     # its run
     tail = np.flatnonzero(end[side] - head < _RUN - 1)
@@ -412,21 +445,24 @@ def _count_below(rows: _Rows, x: np.ndarray) -> np.ndarray:
     return count[:, : mode.size] + count[:, mode.size :] + (mode - _RUN * runs[mode.size :])
 
 
-def _cdf_table(n: int, p: np.ndarray, level: float):
+def _cdf_table(n: int, key: np.ndarray, level: float, l: int = 1):
     """The table ``_cdf_matrix`` serves at ``level``, and its reach: the
     largest 2 * min(F, 1 - F) over the window edges that have counts
     beyond them, or 0 when there are none, so that only the full table
     (reach -1) serves level 0.
 
-    Every cell is read off ``_cdf_rows``, built a few rows at a time, so
-    each has the full table's bits.  Row i's window runs from ``lo``,
+    ``key`` holds the grid points, or with l chains the pooled counts,
+    whose p = s / (l n) the kernel reads.  Every cell is read off
+    ``_cdf_rows``, built a few rows at a time, so each has the full
+    table's bits.  Row i's window runs from ``lo``,
     the last count with 2 * F < level (or 0), to ``hi``, the first with
     2 * (1 - F) < level (or n - 1), and the cells past ``hi`` hold 1.0;
     level 0 keeps the window [0, n] of every row, the full (K, n + 1)
     table.  The window edges are the counts of cells below the two
     thresholds (``_count_below``).
     """
-    q = 1.0 - p
+    s = None if l == 1 else key.astype(np.int64)
+    q = 1.0 - (key if l == 1 else s / (l * n))
     p = 1.0 - q  # the parameter whose complement is exact
     step = max(1, _CHUNK_CELLS // min(n + 1, 2 * int(_live_half(n, 0.25)) + 4 * _RUN))
     chunks = [slice(i, i + step) for i in range(0, p.size, step)]
@@ -439,7 +475,7 @@ def _cdf_table(n: int, p: np.ndarray, level: float):
     lo, hi = np.zeros(p.size, dtype=np.int64), np.full(p.size, n)
     parts = []
     for rows in chunks:
-        built = _cdf_rows(n, p[rows], q[rows])
+        built = _cdf_rows(n, p[rows], q[rows], l, None if s is None else s[rows])
         if level > 0.0:
             below, above = _count_below(built, thresholds)
             lo[rows], hi[rows] = np.maximum(below - 1, 0), np.minimum(above, n - 1)
@@ -453,7 +489,9 @@ def _cdf_table(n: int, p: np.ndarray, level: float):
     edges = np.concatenate((block[lo > 0, 0], 1.0 - block[hi < n - 1, (hi - lo)[hi < n - 1]]))
     # the full table alone, which has no edges, serves level 0
     reach = 2.0 * float(edges.max(initial=0.0)) if level > 0.0 else -1.0
-    return _frozen_block(block, lo), reach
+    for arr in (block, lo):
+        arr.setflags(write=False)
+    return CdfBlock(block, lo), reach
 
 
 def _count_bounds(table: CdfBlock, gamma: float, floor=0):
@@ -926,12 +964,9 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     the one evaluated end of the bracket, or on the line between both
     ends (an end whose coverage is 1 has no logarithm and is left out).
     The probe is the last step whose gamma is at or below the prediction,
-    moved 1 step further in the direction the last probe moved the
-    bracket, and 2, 4, ... steps while probes keep landing on the same
-    side, which also walks across runs of equal coverage; it is clamped
-    inside the bracket.  Once the search has spent ceil(log2(S + 1))
-    evaluations over its S steps it bisects, so no search needs more
-    than 2 * ceil(log2(S + 1)) + 1.  Every search that keeps the bracket
+    clamped inside the bracket, so every probe narrows it.  Once the
+    search has spent ceil(log2(S + 1)) evaluations over its S steps it
+    bisects, so no search needs more than 2 * ceil(log2(S + 1)) + 1.  Every search that keeps the bracket
     ends on the last step that reaches the target; it or the next step
     up is the closest, and a tie goes to the smaller gamma.
 
@@ -965,19 +1000,13 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
         return None
 
     lo, hi = 0, gammas.size
-    side = run = 0  # the last probe raised lo (+1) or lowered hi (-1), run times in a row
     while hi - lo > 1:
         probe = (lo + hi) // 2
         x = predicted_log_gamma(lo, hi) if len(cache) < budget else None
         if x is not None:
             probe = int(np.searchsorted(gammas, math.exp(min(x, 0.0)), side="right")) - 1
-            if run:
-                probe += side << (run - 1)
             probe = min(max(probe, lo + 1), hi - 1)
-        landed = 1 if coverage(probe) >= target else -1
-        run = run + 1 if landed == side else 1
-        side = landed
-        if landed > 0:
+        if coverage(probe) >= target:
             lo = probe
         else:
             hi = probe

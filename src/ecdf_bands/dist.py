@@ -17,12 +17,12 @@ difference of log-factorials loses digits at large n.
 
 The count tables the bands and the simulators read are one CDF table
 per law, a ``bands_single.CdfBlock`` of (K, W) cells and each row's
-first count: the binomial read off ``bands_single._cdf_rows`` (each
-row's F, from the mass summed from each tail in runs anchored on
-``binom_log_pmf``) and the
-full hypergeometric in ``bands_multi._hyper_tables`` (log mass from
-``log_choose``, then a cumulative sum in linear space).  The forward
-passes read their log factors from the same table.
+first count, both read off ``bands_single._cdf_rows``: each row's F,
+from the mass summed from each tail in runs anchored on
+``binom_log_pmf``, once for the binomial and as the ratio of three
+binomial masses for the hypergeometric, which takes the sizes as an
+array for that.  The forward passes read their log factors from the
+log-factorial table.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def stirlerr(k) -> np.ndarray:
     return np.where(k <= 15.0, small, _stirling_series(np.maximum(k, 16.0), far=False))
 
 
-def _two_product(a: np.ndarray, n: int):
-    """``a * n`` rounded, and its rounding error exactly, for an integer
+def _two_product(a: np.ndarray, n):
+    """``a * n`` rounded, and its rounding error exactly, for integers
     n below 2**26 (Dekker's product, splitting only ``a``, with no fused
     multiply-add)."""
     product = a * n
@@ -135,30 +135,31 @@ def _bd0(x: np.ndarray, m: np.ndarray, m_err: np.ndarray) -> np.ndarray:
     return np.where(4.0 * np.abs(d) < x + m, tail, direct)
 
 
-def binom_log_pmf(k: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def binom_log_pmf(k: np.ndarray, n, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``log Pr(X = k)`` for ``X ~ Binomial(n, p)``, elementwise over 1-D
-    arrays of counts k in [0, n] and parameters p with ``q = 1 - p``
-    exactly, in Loader's form; ``-inf`` where p or q is 0 and the count
-    is off the point mass.  n must lie below 2**26."""
-    if n >= 1 << 26:
+    arrays of counts k in [0, n], sizes n (one, or one per count) and
+    parameters p with ``q = 1 - p`` exactly, in Loader's form; ``-inf``
+    where p or q is 0 and the count is off the point mass.  n must lie
+    below 2**26."""
+    k, n, p, q = np.broadcast_arrays(np.asarray(k, dtype=np.float64), np.asarray(n, dtype=np.float64), p, q)
+    if n.size and n.max() >= 1 << 26:
         raise ValueError("binomial sizes from 2**26 on are not supported")
-    k, p, q = np.broadcast_arrays(np.asarray(k, dtype=np.float64), p, q)
     inner = (k > 0) & (k < n)
     x = np.where(inner, k, 1.0)
-    # both counts' terms in one array: k against np, n - k against nq,
-    # and n itself last
-    counts = np.concatenate((x, n - x, [n]))
-    dev = _bd0(counts[:-1], *_two_product(np.concatenate((p, q)), n))
-    remainders = stirlerr(counts)
+    # every count's terms in one array: k against np, n - k against nq,
+    # then n itself
+    counts = np.concatenate((x, n - x, n))
     half = x.shape[0]
+    dev = _bd0(counts[: 2 * half], *_two_product(np.concatenate((p, q)), np.concatenate((n, n))))
+    remainders = stirlerr(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mass = (
-            (remainders[-1] - remainders[:half]) - remainders[half:-1] - dev[:half] - dev[half:]
+            (remainders[2 * half :] - remainders[:half]) - remainders[half : 2 * half] - dev[:half] - dev[half:]
             - 0.5 * (np.log(x * ((n - x) / n)) + math.log(2.0 * math.pi))
         )  # fmt: skip
         ends = ~inner
         if ends.any():
-            log_mass[ends] = n * np.log(np.where(k[ends] == 0, q[ends], p[ends]))
+            log_mass[ends] = n[ends] * np.log(np.where(k[ends] == 0, q[ends], p[ends]))
     return log_mass
 
 

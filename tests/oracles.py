@@ -9,15 +9,17 @@ code with the program's factorized forward pass, only the ``dist``
 kernels.  ``dense_pass`` runs every step of that pass on its transition
 matrix, from the pass's own five log-factor arrays.
 
-The program builds each count law's CDF table whole, one (K, n + 1)
-table per law.  The per-row routes here check those tables and the
-bounds read from them: the binomial row, scalar CDF, log mass and
+The program reads each count law's CDF table off one kernel, summed
+from each tail in runs.  The per-row routes here check those tables and
+the bounds read from them: the binomial row, scalar CDF, log mass and
 quantile (``binom_cdf_table``, ``binom_cdf``, ``binom_logpmf``,
-``binom_quantile``), and the hypergeometric support, log mass and CDF
-row over the support alone, with the scalar CDF and quantile read from
-it (``hyper_support``, ``hyper_logpmf``, ``hyper_cdf_table``,
-``hyper_cdf``, ``hyper_quantile``).  ``hyper_padded_tables`` pads those
-rows the way ``bands_multi._hyper_tables`` lays out its table.
+``binom_quantile``), and the hypergeometric support and exact CDF, summed
+in rational arithmetic (``hyper_exact_cdf``), with its row over the
+support rounded once to doubles and the scalar CDF and quantile read
+from it (``hyper_support``, ``hyper_cdf``, ``hyper_quantile``).
+``chain_cell_tolerance`` is how far a chain table cell may sit from the
+exact CDF, derived from the roundings of the program's kernel, and
+``assert_chain_rows_match_exact_cdfs`` checks a whole table against it.
 
 ``exact_chain_mass`` is the coverage of chains whose windows hold one
 count each, in rational arithmetic: every chain's count is then fixed at
@@ -137,46 +139,29 @@ def hyper_support(succ: int, fail: int, draws: int) -> tuple[int, int]:
     return max(0, draws - fail), min(succ, draws)
 
 
-def hyper_logpmf(k, succ: int, fail: int, draws: int) -> np.ndarray:
-    """Elementwise log mass of Hypergeometric(succ, fail, draws) at k."""
-    k = np.asarray(k, dtype=np.int64)
-    return (
-        dist.log_choose(succ, k)
-        + dist.log_choose(fail, draws - k)
-        - dist.log_choose(succ + fail, draws)
-    )
+@lru_cache(maxsize=8192)
+def hyper_exact_cdf(succ: int, fail: int, draws: int) -> tuple:
+    """``Pr(X <= k)`` for k = 0..succ as Fractions, for
+    ``X ~ Hypergeometric(succ, fail, draws)``: the count of the succ
+    marked items among draws taken without replacement from succ + fail,
+    summed in rational arithmetic."""
+    total = math.comb(succ + fail, draws)
+    acc, out = 0, []
+    for k in range(succ + 1):
+        if 0 <= draws - k <= fail:
+            acc += math.comb(succ, k) * math.comb(fail, draws - k)
+        out.append(Fraction(acc, total))
+    return tuple(out)
 
 
 @lru_cache(maxsize=8192)
 def _hyper_rows(succ: int, fail: int, draws: int):
-    """Support bounds and the CDF over the support alone."""
+    """Support bounds and the exact CDF over the support alone, each
+    value rounded once to the nearest double."""
     lo, hi = hyper_support(succ, fail, draws)
-    pmf = np.exp(hyper_logpmf(np.arange(lo, hi + 1), succ, fail, draws))
-    cdf = np.minimum(np.cumsum(pmf), 1.0)
-    cdf[-1] = 1.0
+    cdf = np.array([float(f) for f in hyper_exact_cdf(succ, fail, draws)[lo : hi + 1]])
     cdf.setflags(write=False)
     return lo, hi, cdf
-
-
-def hyper_cdf_table(succ: int, fail: int, draws: int) -> np.ndarray:
-    """Read-only CDF over the support, indexed from ``hyper_support(...)[0]``."""
-    return _hyper_rows(succ, fail, draws)[2]
-
-
-def hyper_padded_tables(n: int, l: int, s):
-    """The per-row CDF of one chain's count given pooled counts s,
-    padded to counts 0..n as ``bands_multi._hyper_tables`` lays it out
-    (0 below the support and 1 above it), and the bottom of each
-    support."""
-    rest = (l - 1) * n
-    cdf = np.zeros((len(s), n + 1))
-    floor = np.zeros(len(s), dtype=np.int64)
-    for i, si in enumerate(s):
-        lo, hi, cdf_row = _hyper_rows(n, rest, int(si))
-        cdf[i, lo : hi + 1] = cdf_row
-        cdf[i, hi + 1 :] = 1.0
-        floor[i] = lo
-    return cdf, floor
 
 
 def hyper_cdf(k, succ: int, fail: int, draws: int) -> float:
@@ -203,6 +188,64 @@ def hyper_quantile(q: float, succ: int, fail: int, draws: int) -> int:
     if q <= 0.0:
         return lo
     return lo + int(np.searchsorted(cdf, q, side="left"))
+
+
+_UNIT_ROUNDOFF = Fraction(2) ** -53
+"""The unit roundoff of double precision."""
+
+
+def chain_cell_tolerance(n: int, l: int, want: Fraction) -> Fraction:
+    """How far a chain table cell may sit from its exact CDF ``want``.
+
+    A cell with F <= 1/2 is a sum of masses f_j <= F summed from the
+    left.  The first mass of each run is exp(a + b - c), three of
+    Loader's log masses, each within 4e-15 + 4e-16 |term| of its exact
+    value (``test_dist.test_loader_mass_matches_exact_log_mass``), added with two
+    roundings of at most u |term| each.  The pooled term c is at least
+    -log(l n + 1), the least mass at a binomial's mean, and a, b <= 0,
+    so |a| + |b| + |c| <= |log f_j| + 2 log(l n + 1).  exp adds one
+    rounding, so a first mass is off by at most, relative,
+    1.2e-14 + (4e-16 + 2u)(|log f_j| + 2 log(l n + 1)) + u.  Up to 31
+    ratios follow, each one division of exact integers and one product,
+    2u each; the sum takes at most 31 additions within the run and one
+    per run beyond, R = ceil((n + 1) / 32) runs.  With at most n + 1
+    masses, each at most F, the sum of f_j |log f_j| is at most
+    F (|log F| + log(n + 1)).  So, relative to F,
+
+        1.2e-14 + 6.2e-16 (|log F| + log(n + 1) + 2 log(l n + 1))
+        + (64 + 31 + R) u.
+
+    A cell with F > 1/2 is 1 minus its upper tail T = 1 - F, summed
+    from the right the same way: T's bound, times T, plus the one
+    rounding of 1 - T, at most a spacing of F.
+    """
+    tail = min(want, 1 - want)
+    if tail == 0:
+        return Fraction(0)
+    runs = -(-(n + 1) // 32)
+    logs = math.log(tail.denominator) - math.log(tail.numerator) + math.log(n + 1) + 2 * math.log(l * n + 1)
+    rel = Fraction(1.2e-14) + Fraction(6.2e-16) * Fraction(logs) + (64 + 31 + runs) * _UNIT_ROUNDOFF
+    slack = Fraction(np.spacing(float(want))) if want > Fraction(1, 2) else 0
+    return rel * tail + slack
+
+
+def assert_chain_rows_match_exact_cdfs(n: int, l: int, s):
+    """Every cell of the full chain table of pooled counts s against the
+    exact CDF, within ``chain_cell_tolerance``, each row nondecreasing,
+    0.0 below its support and 1.0 from its top on."""
+    table, floor = bands_multi._chain_table(n, l, np.array(s, dtype=np.int64))
+    cells = table.cells
+    assert cells.shape == (len(s), n + 1) and not table.first.any()
+    assert not (cells.flags.writeable or table.first.flags.writeable)
+    rest = (l - 1) * n
+    for i, si in enumerate(s):
+        bottom, top = hyper_support(n, rest, si)
+        assert floor[i] == bottom
+        assert np.all(cells[i, :bottom] == 0.0) and np.all(cells[i, top:] == 1.0)
+        assert np.all(np.diff(cells[i]) >= 0.0)
+        for k, want in enumerate(hyper_exact_cdf(n, rest, si)):
+            got = Fraction(float(cells[i, k]))
+            assert abs(got - want) <= chain_cell_tolerance(n, l, want), (si, k, float(want))
 
 
 def _renormalize(probs, log_scale):
@@ -514,7 +557,7 @@ def simulated_levels_multi(n: int, l: int, grid, m: int, seed: int) -> np.ndarra
     """``gamma_simulate_multi``'s m tightest tail levels, 256 replicates
     drawn whole per chunk and their pooled draws argsorted."""
     s = bands_multi._pooled_counts(grid, n, l)
-    levels = tail_levels(bands_multi._hyper_tables(n, l, tuple(s.tolist()))[0].cells)
+    levels = tail_levels(bands_multi._chain_table(n, l, s)[0].cells)
     return _chunked(
         lambda rng, size: levels(chain_cell_counts(rng.random((size, l * n)), s, n, l)),
         m,

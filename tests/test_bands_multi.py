@@ -27,7 +27,7 @@ from ecdf_bands.bands_multi import (
     _PACKED_CHAIN_LIMIT,
     _chain_factors,
     _chain_labeller,
-    _hyper_tables,
+    _chain_table,
     _pooled_counts,
     _rank_cells,
     bands_from_gamma_multi,
@@ -53,13 +53,16 @@ from ecdf_bands.transform import (
     joint_fractional_ranks,
 )
 from oracles import (
+    assert_chain_rows_match_exact_cdfs,
     chain_cell_counts,
+    chain_cell_tolerance,
     coverage_three_chains,
     coverage_two_chains,
     dense_pass,
     exact_chain_mass,
-    hyper_padded_tables,
+    hyper_exact_cdf,
     hyper_quantile,
+    hyper_support,
     recorded_levels,
     simulated_gamma,
     simulated_held_multi,
@@ -69,7 +72,7 @@ from oracles import (
 
 def band_bounds(n: int, l: int, s, gamma: float):
     """The program's equal-tail hypergeometric count bounds per pooled count."""
-    cdf, floor = _hyper_tables(n, l, tuple(int(si) for si in s))
+    cdf, floor = _chain_table(n, l, np.asarray(s, dtype=np.int64))
     return _count_bounds(cdf, gamma, floor)
 
 
@@ -160,12 +163,26 @@ def test_band_bounds_are_hypergeometric_quantiles():
     s=st.lists(st.integers(0, 240), min_size=1, max_size=10),
     gamma=st.floats(0.0, 1.0),
 )
+# F(13) = 1 - 1/C(70, 14) lies below 1 - 0/2; F(0) = 1/2 exactly at 1 - 1/2
+@example(n=14, l=5, s=[14], gamma=0.0)
+@example(n=1, l=2, s=[1], gamma=1.0)
 def test_band_bounds_match_quantiles_everywhere(n, l, s, gamma):
+    # each bound counts the exact CDF values below its threshold, but
+    # where an exact value lies within the table's error of the threshold
+    # (``chain_cell_tolerance``: at gamma = 1 a CDF of exactly 1/2 meets
+    # the threshold 1/2), the count may go either way at that value
     s = np.array([min(si, l * n) for si in s])
     lo, hi = band_bounds(n, l, s, gamma)
-    for i, si in enumerate(s):
-        assert lo[i] == hyper_quantile(gamma / 2.0, n, (l - 1) * n, int(si))
-        assert hi[i] == hyper_quantile(1.0 - gamma / 2.0, n, (l - 1) * n, int(si))
+    rest = (l - 1) * n
+    for i, si in enumerate(s.tolist()):
+        cdf = hyper_exact_cdf(n, rest, si)
+        tol = [chain_cell_tolerance(n, l, f) for f in cdf]
+        bottom = hyper_support(n, rest, si)[0]
+        for got, t, floor in ((lo[i], gamma / 2.0, bottom), (hi[i], 1.0 - gamma / 2.0, 0)):
+            t = Fraction(t)
+            surely = max(sum(f + e < t for f, e in zip(cdf, tol)), floor)
+            maybe = max(sum(f - e < t for f, e in zip(cdf, tol)), floor)
+            assert surely <= got <= maybe, (si, float(t))
 
 
 @st.composite
@@ -180,15 +197,13 @@ def pooled_count_keys(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(key=pooled_count_keys())
+@example(key=(1, 2, (0, 0, 1, 2)))
+@example(key=(40, 5, (0, 1, 39, 40, 41, 100, 159, 160, 161, 199, 200, 200)))
 def test_hyper_table_matches_the_per_row_oracle(key):
-    # one (K, n + 1) build must give the per-row tables, padded to counts
-    # 0..n, bit for bit
-    n, l, s = key
-    table, floor = _hyper_tables(n, l, s)
-    assert table.cells.shape == (len(s), n + 1) and not table.first.any()
-    assert not (table.cells.flags.writeable or floor.flags.writeable)
-    for got, want in zip((table.cells, floor), hyper_padded_tables(n, l, s)):
-        np.testing.assert_array_equal(got, want)
+    # one (K, n + 1) build against each row's exact CDF, summed in
+    # rational arithmetic, on both tails, with its layout: 0 below each
+    # support, 1 from its top on, and the support's bottom as floor
+    assert_chain_rows_match_exact_cdfs(*key)
 
 
 _ORACLES = {2: coverage_two_chains, 3: coverage_three_chains}
@@ -377,8 +392,10 @@ def test_dense_fallback_is_forced_recorded_and_logged(monkeypatch, caplog):
         monkeypatch.setattr(_forward, "_EXP_GUARD", -1.0)
         with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
             dense = gamma_optimize_multi(n, l, grid, 0.05)
-        assert dense.meta["dense_fallbacks"] == dense.meta["evaluations"] > 0
-        assert [r.name for r in caplog.records] == ["ecdf_bands"] * dense.meta["evaluations"]
+        # every pass falls back, and logs once; probes of bands a pass
+        # already ran read its coverage
+        assert dense.meta["dense_fallbacks"] == dense.meta["passes"] > 0
+        assert [r.name for r in caplog.records] == ["ecdf_bands"] * dense.meta["passes"]
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
         assert dense.gamma == fast.gamma
         assert dense.attained_coverage == pytest.approx(fast.attained_coverage, rel=1e-11)
@@ -456,7 +473,10 @@ def test_gamma_simulate_multi_many_chains_thread_invariant():
 
 @pytest.mark.parametrize(
     "n, l, gamma",
-    [(80, 4, 0.0011310751411618782), (40, 8, 0.0009973242244734409)],
+    # the tail levels read the chain table summed from each tail; the
+    # table summed from the left only gave 0.0011310751411618782 and
+    # 0.0009973242244734409
+    [(80, 4, 0.0011310751411618414), (40, 8, 0.0009973242244732947)],
 )
 def test_gamma_simulate_multi_seeded_values_are_pinned(n, l, gamma):
     res = gamma_simulate_multi(n, l, default_grid(n, l * n), 0.05, m=10_000, seed=0)

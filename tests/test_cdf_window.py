@@ -1,21 +1,21 @@
-"""The binomial CDF table as a block of each row's window, against the
-full table.
+"""Each count law's CDF table as a block of each row's window, against
+the full table.
 
-A table built at a level holds each row's window of counts from its
-first count on, with the full table's bits in every cell, and 1.0 past
-the window.  Each count left out below or above the window must lie
+A table built at a level, binomial or the chains' hypergeometric, holds
+each row's window of counts from its first count on, with the full
+table's bits in every cell, and 1.0 past the window.  Each count left out below or above the window must lie
 beyond an exact window edge whose 2 * min(F, 1 - F) is at most the
 table's reach, which is below the level; then the count bounds at every
 gamma above the reach, and the exact search from any floor above it,
 are the full table's.  The full (level-0) table is the oracle; it stays
 in the program because the simulator reads it.
 
-The cache keeps one entry per (n, grid) and rebuilds it, at the level
+The cache keeps one entry per count law and rebuilds it, at the level
 asked for, only for a level at or below its reach: any sequence of
-searches and bands reads the full table's bounds, a cold one-column
-``test`` and a gamma build at two alphas build one table per grid, the
-simulator builds only full tables, and a repeated request cycle adds no
-keys and no builds.
+searches and bands reads the full table's bounds, a cold one-column or
+two-chain ``test`` and a gamma build at two alphas build one table per
+grid, the simulators build only full tables, and a repeated request
+cycle adds no keys and no builds.
 """
 
 import sys
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import ecdf_bands.cli as cli
 from ecdf_bands import _forward, bands_single
+from ecdf_bands.bands_multi import _chain_mass, _pooled_counts, gamma_simulate_multi
 from ecdf_bands.bands_single import (
     _EXACT_HALF,
     _band_mass,
@@ -34,6 +35,7 @@ from ecdf_bands.bands_single import (
     _cdf_slot,
     _cdf_table,
     _count_bounds,
+    _distinct,
     _optimized_gamma,
     _search_steps,
     _single_factors,
@@ -80,12 +82,16 @@ grid_specs = st.one_of(
 )
 
 
-def searched(n, key, table, alpha, floor):
-    """The exact step search with coverage read from ``table``."""
+def searched(n, key, table, alpha, floor, l=1):
+    """The exact step search with coverage read from ``table``: one
+    sample on the grid points ``key``, or two chains at the pooled
+    counts ``key``."""
+    s = np.asarray(key)
 
     def coverage(g):
-        lo, hi = _count_bounds(table, g)
-        return _forward.forward_mass(*_single_factors(n, key, lo, hi))
+        if l == 1:
+            return _forward.forward_mass(*_single_factors(n, key, *_count_bounds(table, g)))
+        return _chain_mass(n, l, s, *_count_bounds(table, g, np.maximum(s - n, 0)))
 
     return _search_steps(coverage, table.cells, alpha, floor)
 
@@ -121,45 +127,58 @@ def assert_block_reads_like_the_full_table(block, reach, full, floor):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 600), spec=grid_specs, alpha=st.sampled_from(ALPHAS))
-@example(n=1000, spec=("default", None), alpha=0.05)
-@example(n=5000, spec=("default", None), alpha=0.05)
-@example(n=341, spec=("ends_at_one", (1.0,)), alpha=0.05)
-@example(n=1, spec=("lattice", 2), alpha=0.5)
-@example(n=1, spec=("default", None), alpha=0.05)
+@given(n=st.integers(1, 600), spec=grid_specs, alpha=st.sampled_from(ALPHAS), l=st.sampled_from([1, 1, 2, 3, 6]))
+@example(n=1000, spec=("default", None), alpha=0.05, l=1)
+@example(n=5000, spec=("default", None), alpha=0.05, l=1)
+@example(n=341, spec=("ends_at_one", (1.0,)), alpha=0.05, l=1)
+@example(n=1, spec=("lattice", 2), alpha=0.5, l=1)
+@example(n=1, spec=("default", None), alpha=0.05, l=1)
 # rows with an empty side: at 1e-300 the mode is 0 and no run lies below
 # it; at 1 the row is a point mass at n
-@example(n=1, spec=("uniforms", (1e-300,)), alpha=0.05)
-@example(n=600, spec=("uniforms", (1e-300,)), alpha=0.05)
-@example(n=1, spec=("ends_at_one", (1.0,)), alpha=0.05)
-@example(n=600, spec=("ends_at_one", (1.0,)), alpha=0.05)
+@example(n=1, spec=("uniforms", (1e-300,)), alpha=0.05, l=1)
+@example(n=600, spec=("uniforms", (1e-300,)), alpha=0.05, l=1)
+@example(n=1, spec=("ends_at_one", (1.0,)), alpha=0.05, l=1)
+@example(n=600, spec=("ends_at_one", (1.0,)), alpha=0.05, l=1)
 # empty lower sides followed by rows that count cells on both sides
-@example(n=600, spec=("uniforms", (1e-300, 0.001, 0.5)), alpha=0.05)
-def test_windowed_table_reads_like_the_full_table(n, spec, alpha):
+@example(n=600, spec=("uniforms", (1e-300, 0.001, 0.5)), alpha=0.05, l=1)
+# chains: pooled counts 0 and l n, exact-cold shapes, and rows cut off
+# by their support
+@example(n=1, spec=("lattice", 2), alpha=0.05, l=2)
+@example(n=41, spec=("default", None), alpha=0.05, l=2)
+@example(n=26, spec=("default", None), alpha=0.05, l=3)
+@example(n=80, spec=("uniforms", (1e-300, 0.01, 0.17, 0.5, 0.83, 0.99)), alpha=0.3, l=6)
+def test_windowed_table_reads_like_the_full_table(n, spec, alpha, l):
+    # one sample on the grid points, or l chains at the grid's distinct
+    # pooled counts, as the exact search reads them; the search is run
+    # for one sample and two chains
     key = grid_points(n, spec)
+    if l > 1:
+        key = tuple(_distinct(_pooled_counts(EvaluationGrid(np.asarray(key)), n, l)).tolist())
     p = np.asarray(key)
-    floor = alpha / len(key)
-    full, full_reach = _cdf_table(n, p, 0.0)
+    floor = alpha / (l * len(key))
+    full, full_reach = _cdf_table(n, p, 0.0, l)
     assert full_reach < 0.0
     assert full.cells.shape == (len(key), n + 1) and not full.first.any()
     clear_program_caches()
-    assert np.array_equal(_cdf_matrix(n, key).cells, full.cells)
+    assert np.array_equal(_cdf_matrix(n, key, 0.0, l).cells, full.cells)
     clear_program_caches()
-    block = _cdf_matrix(n, key, floor)
-    table, reach = _cdf_slot(n, key)[0]
+    block = _cdf_matrix(n, key, floor, l)
+    table, reach = _cdf_slot(n, key, l)[0]
     assert table is block
     assert_block_reads_like_the_full_table(block, reach, full, floor)
-    found = searched(n, key, block, alpha, floor)
-    assert found == searched(n, key, full, alpha, floor)
+    found = (floor,)
+    if l <= 2:
+        found = searched(n, key, block, alpha, floor, l)
+        assert found == searched(n, key, full, alpha, floor, l)
     # every level the search, the bands at its gamma or any band above
     # it reads is served without a rebuild
     for level in (floor, found[0], alpha, TOP):
-        assert _cdf_matrix(n, key, level) is block
+        assert _cdf_matrix(n, key, level, l) is block
     # a windowed table, even one with no edges, never serves level 0
-    assert np.array_equal(_cdf_matrix(n, key).cells, full.cells)
+    assert np.array_equal(_cdf_matrix(n, key, 0.0, l).cells, full.cells)
 
     # the bands' own table, built at gamma
-    bands, bands_reach = _cdf_table(n, p, alpha)
+    bands, bands_reach = _cdf_table(n, p, alpha, l)
     assert_block_reads_like_the_full_table(bands, bands_reach, full, alpha)
 
 
@@ -193,7 +212,7 @@ def test_any_request_sequence_reads_the_full_table(n, spec, sequence):
     full = _cdf_table(n, np.asarray(key), 0.0)[0]
     clear_program_caches()
     for kind, value in sequence:
-        before, reach = _cdf_slot(n, key)[0]
+        before, reach = _cdf_slot(n, key, 1)[0]
         if kind == "search":
             level = value / len(key)
             got = gamma_optimize(n, grid, value)
@@ -209,7 +228,7 @@ def test_any_request_sequence_reads_the_full_table(n, spec, sequence):
             level = 0.0
             table = _cdf_matrix(n, key)
             assert np.array_equal(table.cells, full.cells) and not table.first.any()
-        after, after_reach = _cdf_slot(n, key)[0]
+        after, after_reach = _cdf_slot(n, key, 1)[0]
         assert (after is not before) == (not level > reach), (kind, value, reach)
         assert level > after_reach
 
@@ -237,7 +256,7 @@ def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gamm
     full = _cdf_table(n, np.asarray(key), 0.0)[0]
     clear_program_caches()
     found = gamma_optimize(n, grid, alpha).gamma
-    searched_table = _cdf_slot(n, key)[0][0]
+    searched_table = _cdf_slot(n, key, 1)[0][0]
     first = alpha + above * (1.0 - alpha)
     first = float(np.clip(first, np.nextafter(alpha, 1.0), np.nextafter(1.0, 0.0)))
     for i, g in enumerate([first, *gammas, found]):
@@ -246,7 +265,7 @@ def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gamm
             assert np.array_equal(got, want), g
         if i == 0:
             # the search's table serves every level above its floor
-            assert _cdf_slot(n, key)[0][0] is searched_table
+            assert _cdf_slot(n, key, 1)[0][0] is searched_table
 
 
 @pytest.mark.parametrize("n", [1, 7, 351, 5000])
@@ -261,14 +280,24 @@ def test_windows_at_the_extreme_levels_read_like_the_full_table(n):
         assert_block_reads_like_the_full_table(block, reach, full, level)
 
 
+@pytest.mark.parametrize("n, l", [(1, 2), (41, 2), (26, 3), (1000, 2)])
+def test_chain_windows_at_the_extreme_levels_read_like_the_full_table(n, l):
+    key = _pooled_counts(default_grid(n, l * n), n, l)
+    full = _cdf_table(n, key, 0.0, l)[0]
+    for level in (_EXACT_HALF, 0.5, TOP):
+        block, reach = _cdf_table(n, key, level, l)
+        assert_block_reads_like_the_full_table(block, reach, full, level)
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Every table build as (n, grid points, level), from empty caches."""
+    """Every table build as (n, row parameters, level, chains), from
+    empty caches."""
     builds = []
 
-    def counting(n, p, level):
-        builds.append((n, tuple(p), level))
-        return real(n, p, level)
+    def counting(n, p, level, l=1):
+        builds.append((n, tuple(p.tolist()), level, l))
+        return real(n, p, level, l)
 
     real = bands_single._cdf_table
     monkeypatch.setattr(bands_single, "_cdf_table", counting)
@@ -287,7 +316,18 @@ def test_cold_one_column_test_builds_its_table_once(tmp_path, table_builds):
     src = _pit_file(tmp_path / "pit.csv", np.random.default_rng(12).random(341))
     assert cli.main(["test", src, "--out", str(tmp_path / "report.json")]) in (0, 1)
     key = tuple(default_grid(341, None).points)
-    assert table_builds == [(341, key, 0.05 / len(key))]
+    assert table_builds == [(341, key, 0.05 / len(key), 1)]
+
+
+def test_cold_two_chain_test_builds_its_table_once(tmp_path, table_builds):
+    # the bands at the searched gamma read the table the search built at
+    # its floor, alpha / (l K), on the default grid's distinct pooled counts
+    src = tmp_path / "chains.csv"
+    x = np.random.default_rng(5).standard_normal((61, 2))
+    src.write_text("a,b\n" + "\n".join(f"{a!r},{b!r}" for a, b in x.tolist()) + "\n")
+    assert cli.main(["test", str(src), "--out", str(tmp_path / "report.json")]) in (0, 1)
+    key = tuple(_pooled_counts(default_grid(61, 122), 61, 2).tolist())
+    assert table_builds == [(61, key, 0.05 / (2 * len(key)), 2)]
 
 
 def test_a_gamma_build_at_two_alphas_builds_one_table_per_grid(tmp_path, table_builds):
@@ -295,13 +335,15 @@ def test_a_gamma_build_at_two_alphas_builds_one_table_per_grid(tmp_path, table_b
     out = str(tmp_path / "gamma.json")
     assert cli.main(["gamma", "build", "--ns", "40,90", "--ls", "1", "--alphas", "0.05,0.1", "--out", out]) == 0
     keys = [tuple(default_grid(n, None).points) for n in (40, 90)]
-    assert table_builds == [(n, key, 0.05 / len(key)) for n, key in zip((40, 90), keys)]
+    assert table_builds == [(n, key, 0.05 / len(key), 1) for n, key in zip((40, 90), keys)]
 
 
 def test_simulation_builds_only_full_tables(table_builds):
     grid = default_grid(250, None)
     gamma_simulate(250, grid, 0.05, m=1000, seed=3)
-    assert table_builds and all(level == 0.0 for _, _, level in table_builds)
+    gamma_simulate_multi(40, 4, default_grid(40, 160), 0.05, m=1000, seed=3)
+    assert {l for *_, l in table_builds} == {1, 4}
+    assert all(level == 0.0 for _, _, level, _ in table_builds)
 
 
 def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_builds, monkeypatch):
@@ -310,6 +352,8 @@ def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_bui
     monkeypatch.setenv(cli.CACHE_ENV, cache)
     rng = np.random.default_rng(7)
     files = {n: _pit_file(tmp_path / f"pit{n}.csv", rng.random(n)) for n in (24, 48, 64)}
+    chains = tmp_path / "chains.csv"
+    chains.write_text("a,b\n" + "\n".join(f"{a!r},{b!r}" for a, b in rng.standard_normal((64, 2)).tolist()) + "\n")
     out = str(tmp_path / "out")
     cycle = [
         ["test", files[64], "--out", out],
@@ -318,11 +362,13 @@ def test_a_repeated_request_cycle_adds_no_keys_and_no_builds(tmp_path, table_bui
         ["plot", files[64], "--kind", "rank_hist", "--bins", "16", "--out", out],
         ["test", files[24], "--out", out],
         ["test", files[48], "--method", "simulate", "--m-reps", "200", "--out", out],
+        ["test", str(chains), "--out", out],
+        ["test", str(chains), "--grid-k", "20", "--out", out],
     ]
     for argv in cycle:
         assert cli.main(argv) in (0, 1)
     keys = _cdf_slot.cache_info().currsize
-    assert keys == len({(n, key) for n, key, _ in table_builds})
+    assert keys == len({(n, key, l) for n, key, _, l in table_builds})
     misses = _cdf_slot.cache_info().misses
     table_builds.clear()
     for argv in cycle:

@@ -25,16 +25,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-
 from ecdf_bands import dist
-from ecdf_bands.bands_multi import _hyper_log_mass, _hyper_tables
+from ecdf_bands.bands_multi import _chain_table, _pooled_counts
 from ecdf_bands.bands_single import _cdf_matrix
+from ecdf_bands.transform import default_grid
 from oracles import (
     binom_cdf,
     binom_cdf_table,
     binom_logpmf,
     binom_quantile,
     hyper_cdf,
+    assert_chain_rows_match_exact_cdfs,
     hyper_quantile,
     hyper_support,
 )
@@ -183,11 +184,11 @@ def test_hyper_support_bounds():
     assert hyper_support(4, 6, 3) == (0, 3)
     assert hyper_support(4, 2, 5) == (3, 4)
     assert hyper_support(0, 5, 3) == (0, 0)
-    # padded rows: CDF exactly 0 below the support and 1 from its top on
+    # full rows: CDF exactly 0 below the support and 1 from its top on
     for n, l in ((4, 2), (3, 3), (2, 4)):
         rest = (l - 1) * n
         s = all_pooled_counts(n, l)
-        table, floor = _hyper_tables(n, l, s)
+        table, floor = _chain_table(n, l, np.array(s))
         cdf = table.cells
         for i, si in enumerate(s):
             lo, hi = max(0, si - rest), min(n, si)
@@ -197,23 +198,29 @@ def test_hyper_support_bounds():
 
 
 def test_hyper_logpmf_against_fraction_oracle():
+    # the chains' mass in the kernel's form, b(k; n, p) b(s - k; rest, p)
+    # / b(s; l n, p) at p = s / (l n), from one call with an array of
+    # sizes, against the exact log mass
     n, l = 6, 3
-    s = all_pooled_counts(n, l)
-    logpmf = _hyper_log_mass(n, l, np.array(s))
-    assert logpmf.shape == (len(s), n + 1)
-    for i, si in enumerate(s):
-        for k in range(n + 1):
-            want = exact_hyper_pmf(k, n, 2 * n, si)
-            if want == 0:
-                assert np.isneginf(logpmf[i, k]), (si, k)
-            else:
-                assert logpmf[i, k] == pytest.approx(math.log(want), rel=1e-12, abs=1e-14), (si, k)
+    rest = (l - 1) * n
+    for si in all_pooled_counts(n, l):
+        q = 1.0 - si / (l * n)
+        p = 1.0 - q
+        k = np.arange(max(0, si - rest), min(n, si) + 1)
+        m = k.size
+        terms = dist.binom_log_pmf(
+            np.concatenate((k, si - k, [si])), np.repeat([n, rest, l * n], [m, m, 1]), np.full(2 * m + 1, p), np.full(2 * m + 1, q)
+        )
+        got = terms[:m] + terms[m : 2 * m] - terms[-1]
+        for kk, g in zip(k.tolist(), got.tolist()):
+            want = exact_hyper_pmf(kk, n, rest, si)
+            assert g == pytest.approx(math.log(want), rel=1e-12, abs=1e-14), (si, kk)
 
 
 def test_hyper_cdf_table_sums_pmf_exactly():
     n, l = 5, 3
     s = all_pooled_counts(n, l)
-    cdf = _hyper_tables(n, l, s)[0].cells
+    cdf = _chain_table(n, l, np.array(s))[0].cells
     assert cdf.shape == (len(s), n + 1)
     for i, si in enumerate(s):
         acc = Fraction(0)
@@ -221,6 +228,14 @@ def test_hyper_cdf_table_sums_pmf_exactly():
             acc += exact_hyper_pmf(k, n, 2 * n, si)
             assert cdf[i, k] == pytest.approx(float(acc), rel=1e-12), (si, k)
         assert cdf[i, -1] == 1.0
+
+
+@pytest.mark.parametrize("n, l", [(100, 2), (156, 2), (26, 3)])
+def test_chain_table_matches_exact_cdfs_on_default_grids(n, l):
+    # both tails of every row the exact-cold search reads, with the
+    # support's ends
+    s = _pooled_counts(default_grid(n, l * n), n, l)
+    assert_chain_rows_match_exact_cdfs(n, l, [0, *s.tolist()])
 
 
 def test_hyper_cdf_clamps_outside_support():

@@ -406,7 +406,9 @@ def test_row_blocked_sweep_matches_whole_chunks(family, n, chains, tests):
 def test_power_sweep_four_chains_seeded_values_are_pinned():
     curve = power_sweep(["bands"], "A", [1.0, 1.5], 40, n_chains=4)
     assert curve.rates["bands"] == (0.0474, 0.2927)
-    assert curve.meta["gamma"] == 0.0017331094147649527
+    # read off the chain table summed from each tail; the table summed
+    # from the left only gave 0.0017331094147649527
+    assert curve.meta["gamma"] == 0.0017331094147646914
 
 
 def test_power_sweep_multi_chain_transforms_one_chain():

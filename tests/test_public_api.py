@@ -61,9 +61,12 @@ def test_every_module_uses_its_imports():
 
 LAW_INTERNALS = (
     "_cdf_matrix",
-    "_grid_key",
+    "_cdf_rows",
+    "_cdf_slot",
+    "_cdf_table",
+    "_chain_table",
     "_count_bounds",
-    "_hyper_tables",
+    "_grid_key",
     "_pooled_counts",
     "_rank_cells",
     "_tail_level_reader",

@@ -1,7 +1,7 @@
 """``tools/search_cost.py`` on a few small shapes: its counts must add up
 and match what the searches themselves report, its gamma, coverage and
-band hash must be the searches' own, and one column's windowed table
-must sum no more binomial masses than the full table of its grid."""
+band hash must be the searches' own, and each law's windowed table must
+sum no more masses than the full table of its rows."""
 
 import hashlib
 import importlib.util
@@ -11,7 +11,7 @@ import numpy as np
 
 from ecdf_bands import bands_single
 
-from ecdf_bands.bands_multi import bands_from_gamma_multi, gamma_optimize_multi
+from ecdf_bands.bands_multi import _pooled_counts, bands_from_gamma_multi, gamma_optimize_multi
 from ecdf_bands.bands_single import bands_from_gamma, gamma_optimize
 from ecdf_bands.transform import default_grid
 
@@ -61,14 +61,16 @@ def test_prints_one_row_per_search_and_a_total(capsys):
     assert int(rows[0]["half"]) > 0 and int(rows[1]["half"]) == int(rows[2]["half"]) == 0
     # the windowed table sums the same rows as the full table of its grid
     assert 0 < int(rows[0]["cells"]) == full_table_cells(281, default_grid(281).points)
-    assert int(rows[1]["cells"]) == int(rows[2]["cells"]) == 0
+    for row, (n, l) in zip(rows[1:], ((30, 2), (12, 3))):
+        assert 0 < int(row["cells"]) == full_table_cells(n, _pooled_counts(default_grid(n, l * n), n, l), l)
     assert lines[-1][0] == "total"
     assert int(lines[-1][3]) == sum(int(row["evals"]) for row in rows)
     assert lines[-1][-3:] == ["-", "-", "-"]
 
 
-def full_table_cells(n, points):
-    """Binomial masses the kernel sums to build the full (level-0) table."""
+def full_table_cells(n, key, l=1):
+    """Masses the kernel sums to build the full (level-0) table of one
+    column's grid points or l chains' pooled counts."""
     cells = []
     real = bands_single._cdf_rows
 
@@ -79,7 +81,7 @@ def full_table_cells(n, points):
 
     bands_single._cdf_rows = counted
     try:
-        bands_single._cdf_table(n, np.asarray(points), 0.0)
+        bands_single._cdf_table(n, np.asarray(key), 0.0, l)
     finally:
         bands_single._cdf_rows = real
     return sum(cells)

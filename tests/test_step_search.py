@@ -118,29 +118,35 @@ def test_search_needs_no_more_evaluations_than_bisection(n, l):
 
 
 def test_three_chain_search_at_n_250_is_pinned():
-    # bisection took 10 evaluations for the same gamma and coverage
+    # bisection takes 11 evaluations for the same gamma and coverage;
+    # gamma and the step count moved when the chain table came to be
+    # summed from each tail, which drops slivers the left-to-right sums'
+    # rounding made
     res = gamma_optimize_multi(250, 3, default_grid(250, 750), 0.05)
-    assert res.gamma == 0.0011548384704145756
+    assert res.gamma == 0.0011548384712834474
     assert res.attained_coverage == 0.9502505358319935
     assert res.meta["evaluations"] < 10
-    assert res.meta["steps"] == 1303
+    assert res.meta["steps"] == 1295
 
 
 @pytest.mark.parametrize(
     "n, gamma, coverage",
     [
-        (23, 0.004348233578035484, 0.949758163880211),
-        (24, 0.0046889411844961565, 0.950248023030347),
-        (25, 0.004641240633955446, 0.9497453773460307),
-        (26, 0.00469633611365916, 0.9493862652151206),
-        (50, 0.0022744128875537687, 0.949485578974359),
-        (100, 0.0014910446402721074, 0.9499933654479588),
+        (23, 0.004237304389198978, 0.9497581638802108),
+        (24, 0.004688941184487521, 0.9502480230303463),
+        (25, 0.004461543000670475, 0.9518629265268356),
+        (26, 0.004253050245395642, 0.9514617031734619),
+        (50, 0.0022744128874891785, 0.949485578974359),
+        (100, 0.0014760590353728358, 0.949993365447959),
     ],
 )
 def test_three_chain_search_is_pinned(n, gamma, coverage):
-    # pinned from scipy.signal.convolve2d; the flat convolution adds the
-    # same products in another order, so coverage may move in its last
-    # bits, never gamma
+    # coverage pinned from scipy.signal.convolve2d; the flat convolution
+    # adds the same products in another order, so coverage may move in
+    # its last bits, never gamma.  Gamma is pinned on the chain table
+    # summed from each tail: the table summed from the left only put
+    # breakpoints that are equal in exact arithmetic up to 3e-11 apart,
+    # and at n = 25 and 26 the search stopped on such a sliver
     res = gamma_optimize_multi(n, 3, default_grid(n, 3 * n), 0.05)
     assert res.gamma == gamma
     assert res.attained_coverage == pytest.approx(coverage, rel=0.0, abs=1e-15)

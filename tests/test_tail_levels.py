@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands.bands_multi import _hyper_tables, _pooled_counts, _rank_cells
+from ecdf_bands.bands_multi import _chain_table, _pooled_counts, _rank_cells
 from ecdf_bands.bands_single import (
     CdfBlock,
     _block_rows,
@@ -89,7 +89,8 @@ def pooled_counts(draw):
 @settings(max_examples=60, deadline=None)
 @given(key=pooled_counts())
 def test_hypergeometric_tail_levels_are_the_band_verdict(key):
-    assert_levels_are_the_band_verdict(*_hyper_tables(*key))
+    n, l, s = key
+    assert_levels_are_the_band_verdict(*_chain_table(n, l, np.array(s)))
 
 
 @st.composite
@@ -122,7 +123,7 @@ def test_flat_tail_index_reads_the_per_row_levels(key, seed, fill):
         cells, position_cells = np.searchsorted(grid.points, u, side="left"), 0
     else:
         s = _pooled_counts(grid, n, l)
-        cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
+        cdf = _chain_table(n, l, s)[0].cells
         counts = chain_cell_counts(u, s, n, l)
         cells = np.argsort(u, axis=1) // n * (s.size + 1)
         position_cells = _rank_cells(s, l * n)
@@ -138,7 +139,7 @@ def test_reader_shared_by_threads_reads_every_block_size():
     # read through it
     n, l = 12, 3
     s = _pooled_counts(default_grid(n, l * n), n, l)
-    cdf = _hyper_tables(n, l, tuple(s.tolist()))[0].cells
+    cdf = _chain_table(n, l, s)[0].cells
     u = np.random.default_rng(3).random((64, l * n))
     want = tail_levels(cdf)(chain_cell_counts(u, s, n, l))
     cells = np.argsort(u, axis=1) // n * (s.size + 1)

@@ -16,11 +16,12 @@ the coverage passes it ran (``meta["passes"]``), the evaluations its
 memo served, the passes by route (half and full, which add up to the
 passes), the passes with at least one dense step (a step whose scaled
 factors left double range and ran on its transition matrix; these three
-from ``_forward.route_count``), the binomial masses the table's kernel
-summed (``bands_single._cdf_rows``: every count of each row where the
-mass does not underflow, padded to whole runs; 0 for chains, whose
-hypergeometric table needs none), the time spent building the CDF
-table, the search's wall time, the mean time of one pass, factors
+from ``_forward.route_count``), the masses the table's kernel summed
+(``bands_single._cdf_rows``, which builds the binomial and the chains'
+hypergeometric rows alike: every count of each row where the mass does
+not underflow, padded to whole runs), the time spent building the CDF
+table (``bands_single._cdf_table``, for every count law), the search's
+wall time, the mean time of one pass, factors
 included, the search's gamma and attained coverage in full ``repr``,
 and a short hash of the lower and upper counts of the bands served at
 that gamma.  The last row sums the counts and the times, and gives the
@@ -111,11 +112,11 @@ def search_cost(n: int, l: int) -> dict:
         return run
 
     _clear_caches()
-    module, table = (bands_single, "_cdf_table") if l == 1 else (bands_multi, "_hyper_tables")
+    module = bands_single if l == 1 else bands_multi
     before = [_forward.route_count(r) for r in ROUTES]
     with contextlib.ExitStack() as stack:
         stack.enter_context(_wrapped(module, "_optimized_gamma", timed_search))
-        stack.enter_context(_wrapped(module, table, lambda fn: _timed(fn, spent, "table")))
+        stack.enter_context(_wrapped(bands_single, "_cdf_table", lambda fn: _timed(fn, spent, "table")))
         stack.enter_context(_wrapped(bands_single, "_cdf_rows", counted_rows))
         t0 = time.perf_counter()
         if l == 1:

@@ -71,6 +71,7 @@ CASES = {
     "test-exact-1col": ["test", "col200.csv"],
     "test-exact-2x60": ["test", "chains2x60.csv"],
     "test-exact-3x30": ["test", "chains3x30.csv"],
+    "test-exact-2x1000": ["test", "chains2x1000.csv"],
     "power-bands-chains2": ["power", "--family", "B", "--ks", "1,1.4", "--n", "40", "--chains", "2"],
     "power-bands-chains3": ["power", "--family", "A", "--ks", "0.7,1", "--n", "30", "--chains", "3"],
     "plot-rank-hist-1col": [
@@ -90,7 +91,9 @@ CASES = {
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
 output goes to a file given by ``--out`` in the case's own folder, as
-does any file named in ``OUTPUTS``.  The rank histogram of 48 values in
+does any file named in ``OUTPUTS``.  Two chains of 1000 draws read a
+chain table windowed at the search's floor, far narrower than the
+1001 counts of a full row.  The rank histogram of 48 values in
 100 bins reads the binomial table on the one-point grid 1/100, whose
 row has its mode at count 0, so that no count lies below the mode."""
 
