@@ -12,23 +12,27 @@ convolution, with three it is the first two chains' counts over the full
 window and each step is a 2-D convolution.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
-Only the hypergeometric parts live here: the pooled counts, the bottom
-of each row's support (``_chain_table``), the forward-pass factors, the
-replicates' pooled order (one sort of packed draw-and-chain keys,
-``_chain_labeller``), and the cell of each pooled rank
-(``_rank_cells``): a draw's cell id is its chain label times K + 1 plus
-the cell of its rank, which is all this law supplies to the replicate
-path and to the observed-data counter.  The CDF table takes the
-one-sample table's path, ``bands_single._cdf_matrix`` keyed by the
-pooled counts and the chain count: the same kernel, windowed at the
-level asked for and kept in the same cache.  The search and the bands
-read it windowed at alpha / (l K) and at gamma; this module's level
-function (``_chain_levels``, chain labels in pooled order to tail
-levels), which the simulator and the power sweep's several-chain band
-test both read, reads the full table.  The band type and every
-law-independent step (the table, count bounds, the exact search, the
-seeded block loop, the tail-level reader, the cell counter) are shared
-with the one-sample bands in ``bands_single`` and ``transform``.
+Only the hypergeometric parts live here: the pooled counts, the law
+record (``_chain_law``: the pooled counts as the table's key, the bottom
+of each row's support and the exact mass, ``_chain_mass``), the
+forward-pass factors, the replicates' pooled order (one sort of packed
+draw-and-chain keys, ``_chain_labeller``), and the cell of each pooled
+rank (``_rank_cells``): a draw's cell id is its chain label times K + 1
+plus the cell of its rank, which is all this law supplies to the
+replicate path and to the observed-data counter.  The bands, the exact
+coverage and the exact search are ``bands_single``'s ``_bands``,
+``_coverage`` and ``_optimized_gamma`` over that record.  The CDF table
+takes the one-sample table's path, ``bands_single._cdf_matrix`` keyed by
+the pooled counts and the chain count: the same kernel, windowed at the
+level asked for and kept in the same cache, one table per request.  The
+search and the bands read it windowed at alpha / (l K) and at gamma;
+this module's level function (``_chain_levels``, chain labels in pooled
+order to tail levels), which the simulator and the power sweep's
+several-chain band test both read, reads the full table.  The band type
+and every law-independent step (the table, count bounds, the exact
+search, the seeded block loop, the tail-level reader, the cell counter)
+are shared with the one-sample bands in ``bands_single`` and
+``transform``.
 """
 
 from __future__ import annotations
@@ -44,13 +48,12 @@ from .bands_single import (
     ConfidenceBands,
     GammaResult,
     TestReport,
-    _band_level,
+    _bands,
     _cdf_matrix,
     _check_alpha,
-    _count_bounds,
-    _distinct,
-    _exact_coverage,
+    _coverage,
     _exceedances,
+    _Law,
     _optimized_gamma,
     _simulated_gamma,
     _tail_level_reader,
@@ -103,28 +106,22 @@ def _pooled_counts(grid: EvaluationGrid, n: int, l: int) -> np.ndarray:
     return np.floor(grid.points * total + 1e-9).astype(np.int64)
 
 
-def _chain_table(n: int, l: int, s: np.ndarray, level: float = 0.0):
-    """The CDF table of one chain's count at the pooled counts s
-    (``bands_single._cdf_matrix`` at ``level``, the table every count
-    law reads), and the bottom of each row's support, which a zero
-    level returns."""
-    return _cdf_matrix(n, tuple(s.tolist()), level, l), np.maximum(s - (l - 1) * n, 0)
+def _chain_law(n: int, l: int, grid: EvaluationGrid) -> _Law:
+    """l chains of n draws on ``grid``: one chain's hypergeometric count
+    at each pooled count, whose support starts at s - (l - 1) n, with
+    an exact mass (``_chain_mass``) for up to ``EXACT_CHAIN_LIMIT``
+    chains."""
+    if n < 1:
+        raise ValueError("chain length must be positive")
+    l = _check_chains(l)
+    s = _pooled_counts(grid, n, l)
+    mass = partial(_chain_mass, n, l, s) if l <= EXACT_CHAIN_LIMIT else None
+    return _Law(n, l, tuple(s.tolist()), np.maximum(s - (l - 1) * n, 0), mass)
 
 
 def bands_from_gamma_multi(n: int, l: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
     """Shared equal-tail hypergeometric bands at adjustment level gamma."""
-    g, info = _band_level(gamma, n, "chain length")
-    l = _check_chains(l)
-    cdf, floor = _chain_table(n, l, _pooled_counts(grid, n, l), g)
-    lo, hi = _count_bounds(cdf, g, floor)
-    return ConfidenceBands(grid, lo, hi, int(n), g, info, l)
-
-
-def _check_exact_chains(l: int, what: str) -> int:
-    l = _check_chains(l)
-    if l > EXACT_CHAIN_LIMIT:
-        raise ValueError(f"exact {what} supports 2 or 3 chains; use gamma_simulate_multi for more")
-    return l
+    return _bands(_chain_law(n, l, grid), grid, gamma)
 
 
 def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -136,23 +133,17 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     is one convolution (``_chain_factors``), but a step whose scaled
     factors leave double range runs on its transition matrix.
     """
-    l = _check_exact_chains(l, "coverage")
-    # duplicate pooled counts add identity transitions; drop them
-    s = _distinct(_pooled_counts(grid, n, l))
-
-    def mass(g: float) -> float:
-        cdf, floor = _chain_table(n, l, s, g)
-        return _chain_mass(n, l, s, *_count_bounds(cdf, g, floor))
-
-    return _exact_coverage(n, gamma, mass, "chain length")
+    return _coverage(_chain_law(n, l, grid), gamma)
 
 
 def _chain_mass(n: int, l: int, s, lo, hi) -> float:
     """Probability that two or three chains' counts stay inside [lo, hi]
-    at the distinct pooled counts ``s``: the one exact mass of this law,
-    as ``bands_single._band_mass`` is for one sample."""
+    at the nondecreasing pooled counts ``s``: the one exact mass of this
+    law, as ``bands_single._band_mass`` is for one sample.  A repeated
+    pooled count adds an identity step, so each is kept once."""
+    keep = np.concatenate(([True], s[1:] != s[:-1]))
     _forward.count_route("full")
-    return _forward.forward_mass(*_chain_factors(n, l, s, lo, hi))
+    return _forward.forward_mass(*_chain_factors(n, l, s[keep], lo[keep], hi[keep]))
 
 
 def _chain_factors(n: int, l: int, s, lo, hi):
@@ -223,7 +214,7 @@ def _chain_levels(n: int, l: int, grid: EvaluationGrid):
     both read levels here.
     """
     s = _pooled_counts(grid, n, l)
-    cdf = _chain_table(n, l, s)[0].cells
+    cdf = _cdf_matrix(n, tuple(s.tolist()), 0.0, l).cells
     levels = _tail_level_reader(cdf, l, _rank_cells(s, l * n))
     width = s.size + 1
 
@@ -301,9 +292,8 @@ def gamma_simulate_multi(
     unavailable; a replicate's level is at or above gamma exactly when
     the bands at gamma hold it.
     """
-    if n < 1:
-        raise ValueError("chain length must be positive")
-    l = _check_chains(l)
+    law = _chain_law(n, l, grid)
+    l = law.l
     alpha = _check_alpha(alpha)
     levels = _chain_levels(n, l, grid)
     labels = _chain_labeller(n, l)
@@ -314,9 +304,7 @@ def gamma_simulate_multi(
     def exact(g: float) -> float:
         return coverage_probability_multi(n, l, grid, g)
 
-    return _simulated_gamma(
-        tightest, l * n, alpha, m, 256, seed, threads, exact if l <= EXACT_CHAIN_LIMIT else None
-    )
+    return _simulated_gamma(tightest, l * n, alpha, m, 256, seed, threads, exact if law.mass else None)
 
 
 def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
@@ -324,23 +312,16 @@ def gamma_optimize_multi(n: int, l: int, grid: EvaluationGrid, alpha: float) -> 
 
     Only available for two or three chains.  The same exact step search
     as ``gamma_optimize``, with breakpoints from the hypergeometric CDF
-    table of the distinct pooled counts; each of the l chains can leave
-    the band at each grid point, so the search starts below
-    ``alpha / (l * K)``, and the table it reads is windowed there.
-    A breakpoint read off one tail of a row and its mirror read off the
-    other tail differ in their last bits; the slivers between them make
-    runs of equal coverage, and slivers whose bounds are equal share one
-    pass.  ``meta`` counts probes, passes, steps and dense fallbacks as
-    ``gamma_optimize`` does.
+    table of the pooled counts; each of the l chains can leave the band
+    at each grid point, so the search starts below ``alpha / (l * K)``,
+    and the table it reads is windowed there.  A breakpoint read off one
+    tail of a row and its mirror read off the other tail differ in their
+    last bits; the slivers between them make runs of equal coverage, and
+    slivers whose bounds are equal share one pass.  ``meta`` counts
+    probes, passes, steps and dense fallbacks as ``gamma_optimize``
+    does.
     """
-    if n < 1:
-        raise ValueError("chain length must be positive")
-    l = _check_exact_chains(l, "optimization")
-    alpha = _check_alpha(alpha)
-    s = _distinct(_pooled_counts(grid, n, l))
-    # the table built at the floor serves every step it probes
-    cdf, floor = _chain_table(n, l, s, alpha / (l * grid.size))
-    return _optimized_gamma(cdf, floor, partial(_chain_mass, n, l, s), alpha, l * grid.size)
+    return _optimized_gamma(_chain_law(n, l, grid), alpha)
 
 
 def test_multi(
@@ -359,9 +340,10 @@ def test_multi(
     """Test whether all chains draw from the same distribution.
 
     Chains are pooled and jointly ranked; each chain's rank ECDF is
-    compared against shared hypergeometric bands.  The ranks are
-    distinct, so their argsort is the pooled order, and each chain's
-    ranks at or below the pooled counts s_i are counted by
+    compared against shared hypergeometric bands.  The ranks are a
+    permutation of 1..l n, so one scatter puts each draw's chain label
+    at its pooled position, and each chain's ranks at or below the
+    pooled counts s_i are counted by
     ``transform._cell_counts`` from each draw's chain label and rank
     cell (``_rank_cells``), the cells the replicates' tail levels are
     read from.
@@ -381,7 +363,10 @@ def test_multi(
         gamma = calibrate(n, l, grid, alpha, method, m=m, seed=seed, threads=threads, cache=cache)
     bands = bands_from_gamma_multi(n, l, grid, gamma)
     s = _pooled_counts(grid, n, l)
-    labels = np.argsort(joint_fractional_ranks(cs, tie_policy=tie_policy, seed=seed).ravel()) // n
+    # the draw of rank r (fraction r / (l n)) sits at pooled position r - 1
+    ranks = joint_fractional_ranks(cs, tie_policy=tie_policy, seed=seed).ravel()
+    labels = np.empty(l * n, dtype=np.int64)
+    labels[np.rint(ranks * (l * n)).astype(np.int64) - 1] = np.arange(l * n) // n
     counts = _cell_counts(labels * (s.size + 1) + _rank_cells(s, l * n), l, s.size)
     reports = []
     for chain_counts in counts:

@@ -14,9 +14,12 @@ chains (hypergeometric, ``bands_multi``), so every step that does not
 depend on the law is written once here and serves both: the band type
 ``ConfidenceBands``, the CDF table as a block of cells with each row's
 first count (``CdfBlock``), the count-bound rule over it
-(``_count_bounds``), the exact step search (``_optimized_gamma``), the
-coverage entry check, the exceedance scan, and one replicate path for
-the simulators and the power sweeps.  That path is one seeded block loop
+(``_count_bounds``), the bands, the exact coverage and the exact step
+search over one record of the law (``_Law``, built by ``_sample_law`` or
+``bands_multi._chain_law``: its table key, each row's support bottom
+and its exact mass; ``_bands``, ``_coverage``, ``_optimized_gamma``),
+the exceedance scan, and one replicate path for the simulators and the
+power sweeps.  That path is one seeded block loop
 (``_replicate_blocks``: each chunk's generator, on ``_map_chunks``'s
 threads, drawn in cache-sized row blocks one after another) and one
 tail-level reader (``_tail_level_reader``), which reads the full table
@@ -38,11 +41,11 @@ other module reads a law's table.
 
 Both laws' CDF tables take one path (``_cdf_matrix``): the binomial's
 rows by grid point, the chains' by pooled count.  A table is built at
-one level and serves every band level above its reach, which lies below
-that level: the exact search asks for alpha / K (alpha / (l K) for l
-chains), the bands for gamma.  It keeps each row's window of counts,
-from the last whose 2 * F lies below the level to the first whose
-2 * (1 - F) does, with each cell's true CDF.  The replicate path, which
+one level and serves every band level at or above it: the exact search
+asks for alpha / K (alpha / (l K) for l chains), the bands for gamma.
+It keeps each row's window of counts, from the last whose 2 * F lies
+below the level to the first whose 2 * (1 - F) does, with each cell's
+true CDF.  The replicate path, which
 gathers arbitrary counts, asks for the full table (level 0).  Every
 table is read off one numpy kernel (``_cdf_rows``), which hands back
 each row's F over the counts where the mass does not underflow: the
@@ -61,7 +64,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -197,9 +200,9 @@ class CdfBlock(NamedTuple):
 
     Cell j of row i holds ``Pr(X <= first[i] + j)``, and in a windowed
     table (``_cdf_matrix``) 1.0 past the row's window; the counts below
-    a row's first count lie below both its bounds at every level the
-    table serves.  The full tables, either law's at level 0, have
-    ``first`` 0 and W = n + 1.
+    a row's first count lie below both its bounds at every level at or
+    above the one the table was built at.  The full tables, either law's
+    at level 0, have ``first`` 0 and W = n + 1.
     """
 
     cells: np.ndarray
@@ -209,7 +212,8 @@ class CdfBlock(NamedTuple):
 @lru_cache(maxsize=16)
 def _cdf_slot(n: int, key: tuple, l: int) -> list:
     """The cache entry of one count law's table: a one-item list holding
-    ``(table, reach)``, with no table until ``_cdf_matrix`` builds one."""
+    ``(table, level)``, the table and the level it was built at, with no
+    table until ``_cdf_matrix`` builds one."""
     return [(None, math.inf)]
 
 
@@ -221,8 +225,8 @@ only the full table serves such a level."""
 
 def _cdf_matrix(n: int, key: tuple, level: float = 0.0, l: int = 1) -> CdfBlock:
     """CDF table of one count law, one row per entry of ``key``, that
-    serves every band level above its reach, a value below ``level``;
-    level 0, or any level below ``_EXACT_HALF``, gets the full table.
+    serves every band level at or above ``level``; level 0, or any level
+    below ``_EXACT_HALF``, gets the full table.
 
     With ``l`` 1, ``key`` holds the grid points and row i holds
     ``Pr(X <= k)`` for ``X ~ Binomial(n, z_i)``; with l chains it holds
@@ -235,16 +239,16 @@ def _cdf_matrix(n: int, key: tuple, level: float = 0.0, l: int = 1) -> CdfBlock:
     past the window.  Each window edge that has counts beyond it has
     2 * min(F, 1 - F) below the level, and the counts beyond it lie
     further out, so the count bounds (``_count_bounds``) at every gamma
-    above the largest edge value (the table's reach), and the exact
-    search's breakpoints from its floor up and the largest one below
-    its floor, are the full table's.
+    above the largest edge value, and the exact search's breakpoints
+    from its floor up and the largest one below its floor, are the full
+    table's.
 
-    One entry per (n, key, l) is cached with its reach, and a level at
-    or below the reach rebuilds it at that level.  The exact searches
-    ask for their floors, alpha / K and alpha / (l K), so their
-    evaluations, the bands at their gamma and a later search at a larger
-    alpha read the table they built; the bands, the exact coverages and
-    the rank-histogram interval (``report.rank_hist``, the bands on the
+    One entry per (n, key, l) is cached with the level it was built at,
+    and a lower level rebuilds it at that level.  The exact searches ask
+    for their floors, alpha / K and alpha / (l K), so their evaluations,
+    the bands at their gamma and a later search at a larger alpha read
+    the table they built; the bands, the exact coverages and the
+    rank-histogram interval (``report.rank_hist``, the bands on the
     one-point grid 1/bins) ask for gamma; ``_sample_levels`` and
     ``bands_multi._chain_levels``, which the simulators and the power
     sweeps' band tests read, gather arbitrary counts and ask for level
@@ -256,10 +260,10 @@ def _cdf_matrix(n: int, key: tuple, level: float = 0.0, l: int = 1) -> CdfBlock:
     # one tuple read and one tuple write: a thread racing another on the
     # same entry returns a table that serves its own level, at worst
     # after building it twice
-    table, reach = slot[0]
-    if not level > reach:
-        table, reach = _cdf_table(n, np.asarray(key), level, l)
-        slot[0] = table, reach
+    table, built = slot[0]
+    if level < built:
+        table = _cdf_table(n, np.asarray(key), level, l)
+        slot[0] = table, level
     return table
 
 
@@ -445,11 +449,8 @@ def _count_below(rows: _Rows, x: np.ndarray) -> np.ndarray:
     return count[:, : mode.size] + count[:, mode.size :] + (mode - _RUN * runs[mode.size :])
 
 
-def _cdf_table(n: int, key: np.ndarray, level: float, l: int = 1):
-    """The table ``_cdf_matrix`` serves at ``level``, and its reach: the
-    largest 2 * min(F, 1 - F) over the window edges that have counts
-    beyond them, or 0 when there are none, so that only the full table
-    (reach -1) serves level 0.
+def _cdf_table(n: int, key: np.ndarray, level: float, l: int = 1) -> CdfBlock:
+    """The table ``_cdf_matrix`` serves at ``level``.
 
     ``key`` holds the grid points, or with l chains the pooled counts,
     whose p = s / (l n) the kernel reads.  Every cell is read off
@@ -486,12 +487,9 @@ def _cdf_table(n: int, key: np.ndarray, level: float, l: int = 1):
     block = np.ones((p.size, int((hi - lo).max()) + 1))
     for rows, part in zip(chunks, parts):
         block[rows, : part.shape[1]] = part
-    edges = np.concatenate((block[lo > 0, 0], 1.0 - block[hi < n - 1, (hi - lo)[hi < n - 1]]))
-    # the full table alone, which has no edges, serves level 0
-    reach = 2.0 * float(edges.max(initial=0.0)) if level > 0.0 else -1.0
     for arr in (block, lo):
         arr.setflags(write=False)
-    return CdfBlock(block, lo), reach
+    return CdfBlock(block, lo)
 
 
 def _count_bounds(table: CdfBlock, gamma: float, floor=0):
@@ -500,9 +498,10 @@ def _count_bounds(table: CdfBlock, gamma: float, floor=0):
     A full row is sorted and ends in exactly 1.0, so counting its cells
     strictly below the level reproduces the quantile rule (smallest
     count whose CDF reaches it).  A windowed block gives the full row's
-    counts at every level above its reach: the counts below its first
-    count lie below both bounds, and those past its window, which hold
-    1.0, above both in the full row too.  On full tables the zeros
+    counts at every gamma above its window edges' largest breakpoint,
+    which lies below the level it was built at: the counts below its
+    first count lie below both bounds, and those past its window, which
+    hold 1.0, above both in the full row too.  On full tables the zeros
     below the support count towards ``floor``, its bottom, which a zero
     level returns.
     """
@@ -512,36 +511,65 @@ def _count_bounds(table: CdfBlock, gamma: float, floor=0):
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _band_level(gamma, n: int, noun: str):
-    """The level of ``gamma`` (a float or a ``GammaResult``) for bands,
-    and the ``GammaResult`` if there is one."""
+class _Law(NamedTuple):
+    """One count law as the bands, the exact coverage and the exact
+    search read it, built by ``_sample_law`` or
+    ``bands_multi._chain_law``: the chain count ``l`` (1 for one
+    sample), the key of its CDF table (the grid points, or the pooled
+    counts), the bottom of each row's support, which a zero level
+    returns (``_count_bounds``), and ``mass(lo, hi)``, the exact
+    probability that every count stays inside the bounds, or None where
+    there is no exact recursion."""
+
+    n: int
+    l: int
+    key: tuple
+    bottom: np.ndarray | int
+    mass: object
+
+
+def _sample_law(n: int, grid: EvaluationGrid) -> _Law:
+    """One sample of n draws on ``grid``: the binomial law, whose exact
+    mass is ``_band_mass``."""
+    if n < 1:
+        raise ValueError("sample size must be positive")
+    key = _grid_key(grid)
+    return _Law(n, 1, key, 0, partial(_band_mass, n, key))
+
+
+def _exact_mass(law: _Law, what: str):
+    """The law's exact mass, which an exact ``what`` needs."""
+    if law.mass is None:
+        raise ValueError(f"exact {what} supports 2 or 3 chains; use gamma_simulate_multi for more")
+    return law.mass
+
+
+def _bands(law: _Law, grid: EvaluationGrid, gamma) -> ConfidenceBands:
+    """The law's equal-tail bands on ``grid`` at adjustment level
+    ``gamma``, a float or a ``GammaResult``."""
     info = gamma if isinstance(gamma, GammaResult) else None
     g = float(gamma.gamma if info is not None else gamma)
     if not 0.0 < g < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if n < 1:
-        raise ValueError(f"{noun} must be positive")
-    return g, info
+    lo, hi = _count_bounds(_cdf_matrix(law.n, law.key, g, law.l), g, law.bottom)
+    return ConfidenceBands(grid, lo, hi, int(law.n), g, info, law.l)
 
 
-def bands_from_gamma(n: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
-    """Equal-tail binomial quantile bands at adjustment level gamma."""
-    g, info = _band_level(gamma, n, "sample size")
-    lo, hi = _count_bounds(_cdf_matrix(n, _grid_key(grid), g), g)
-    return ConfidenceBands(grid, lo, hi, int(n), g, info)
-
-
-def _exact_coverage(n: int, gamma, mass, noun: str = "sample size") -> float:
-    """``mass(gamma)`` after the shared checks of an exact coverage call;
-    gamma 0 gives bands that hold every count, so coverage 1."""
-    if n < 1:
-        raise ValueError(f"{noun} must be positive")
+def _coverage(law: _Law, gamma: float) -> float:
+    """Exact coverage of the law's bands at ``gamma``; gamma 0 gives
+    bands that hold every count, so coverage 1."""
+    mass = _exact_mass(law, "coverage")
     gamma = float(gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     if gamma == 0.0:
         return 1.0
-    return mass(gamma)
+    return mass(*_count_bounds(_cdf_matrix(law.n, law.key, gamma, law.l), gamma, law.bottom))
+
+
+def bands_from_gamma(n: int, grid: EvaluationGrid, gamma) -> ConfidenceBands:
+    """Equal-tail binomial quantile bands at adjustment level gamma."""
+    return _bands(_sample_law(n, grid), grid, gamma)
 
 
 def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
@@ -566,12 +594,7 @@ def coverage_probability(n: int, grid: EvaluationGrid, gamma: float) -> float:
     that are equal in exact arithmetic.  The result then agrees with the
     full pass to about 1e-12, relative.
     """
-    key = _grid_key(grid)
-
-    def mass(g: float) -> float:
-        return _band_mass(n, key, *_count_bounds(_cdf_matrix(n, key, g), g))
-
-    return _exact_coverage(n, gamma, mass)
+    return _coverage(_sample_law(n, grid), gamma)
 
 
 _MIRROR_ULPS = 4.0
@@ -911,8 +934,7 @@ def gamma_simulate(
     bands hold the trajectory, and ``_simulated_gamma`` refuses a level
     of 0.
     """
-    if n < 1:
-        raise ValueError("sample size must be positive")
+    _sample_law(n, grid)  # the bands' checks on n
     alpha = _check_alpha(alpha)
     levels = _sample_levels(n, grid)
 
@@ -1014,12 +1036,16 @@ def _search_steps(coverage_fn, cdf_values, alpha: float, floor: float):
     return float(gammas[best]), coverage(best), len(cache), gammas.size
 
 
-def _optimized_gamma(table: CdfBlock, floor, mass, alpha: float, checks: int) -> GammaResult:
+def _optimized_gamma(law: _Law, alpha: float) -> GammaResult:
     """The exact step search over a count law's CDF table as a
     ``GammaResult``.
 
-    The bands at gamma are ``_count_bounds(table, gamma, floor)`` and
-    ``mass(lo, hi)`` is their exact coverage.  Coverage depends on gamma
+    The bands at gamma are the law's count bounds and ``law.mass(lo,
+    hi)`` is their exact coverage.  Each of the l chains can leave the
+    bands at each of the K grid points, so every gamma at or below
+    ``alpha / (l K)`` covers more than ``1 - alpha`` (a union bound);
+    the search starts there, and the table it reads is built at that
+    floor, which serves every step it probes.  Coverage depends on gamma
     only through the bounds, and neighbouring steps (slivers between
     breakpoints that are equal in exact arithmetic) or probes can share
     them, so within one search each distinct pair of bounds runs one
@@ -1032,22 +1058,22 @@ def _optimized_gamma(table: CdfBlock, floor, mass, alpha: float, checks: int) ->
     the candidate steps and ``meta["dense_fallbacks"]`` the passes that
     built dense step matrices: passes with at least one step whose
     scaled factors left double range.
-
-    ``checks`` counts the (chain, grid point) pairs at which a
-    trajectory can leave the bands, so every gamma at or below
-    ``alpha / checks`` covers more than ``1 - alpha`` (a union bound).
     """
+    mass = _exact_mass(law, "optimization")
+    alpha = _check_alpha(alpha)
+    floor = alpha / (law.l * len(law.key))
+    table = _cdf_matrix(law.n, law.key, floor, law.l)
     memo: dict[tuple, float] = {}
 
     def coverage(gamma: float) -> float:
-        lo, hi = _count_bounds(table, gamma, floor)
+        lo, hi = _count_bounds(table, gamma, law.bottom)
         key = (lo.tobytes(), hi.tobytes())
         if key not in memo:
             memo[key] = float(mass(lo, hi))
         return memo[key]
 
     dense_before = _forward.route_count("dense")
-    gamma, attained, probes, steps = _search_steps(coverage, table.cells, alpha, alpha / checks)
+    gamma, attained, probes, steps = _search_steps(coverage, table.cells, alpha, floor)
     meta = {
         "evaluations": probes,
         "passes": len(memo),
@@ -1071,13 +1097,7 @@ def gamma_optimize(n: int, grid: EvaluationGrid, alpha: float) -> GammaResult:
     ``meta`` counts probes, passes, steps and dense fallbacks (see
     ``_optimized_gamma``).
     """
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    alpha = _check_alpha(alpha)
-    key = _grid_key(grid)
-    # the table built at the floor serves every step it probes
-    table = _cdf_matrix(n, key, alpha / grid.size)
-    return _optimized_gamma(table, 0, lambda lo, hi: _band_mass(n, key, lo, hi), alpha, grid.size)
+    return _optimized_gamma(_sample_law(n, grid), alpha)
 
 
 def test_single(

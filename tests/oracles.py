@@ -17,6 +17,9 @@ quantile (``binom_cdf_table``, ``binom_cdf``, ``binom_logpmf``,
 in rational arithmetic (``hyper_exact_cdf``), with its row over the
 support rounded once to doubles and the scalar CDF and quantile read
 from it (``hyper_support``, ``hyper_cdf``, ``hyper_quantile``).
+``chain_table`` is the program's full chain table of given pooled
+counts (``bands_single._cdf_matrix`` keyed by them) with the bottom of
+each row's support, max(s - (l - 1) n, 0).
 ``chain_cell_tolerance`` is how far a chain table cell may sit from the
 exact CDF, derived from the roundings of the program's kernel, and
 ``assert_chain_rows_match_exact_cdfs`` checks a whole table against it.
@@ -229,11 +232,18 @@ def chain_cell_tolerance(n: int, l: int, want: Fraction) -> Fraction:
     return rel * tail + slack
 
 
+def chain_table(n: int, l: int, s):
+    """The program's full CDF table of one chain's count at the pooled
+    counts s, and the bottom of each row's support."""
+    s = np.asarray(s, dtype=np.int64)
+    return bands_single._cdf_matrix(n, tuple(s.tolist()), 0.0, l), np.maximum(s - (l - 1) * n, 0)
+
+
 def assert_chain_rows_match_exact_cdfs(n: int, l: int, s):
     """Every cell of the full chain table of pooled counts s against the
     exact CDF, within ``chain_cell_tolerance``, each row nondecreasing,
     0.0 below its support and 1.0 from its top on."""
-    table, floor = bands_multi._chain_table(n, l, np.array(s, dtype=np.int64))
+    table, floor = chain_table(n, l, s)
     cells = table.cells
     assert cells.shape == (len(s), n + 1) and not table.first.any()
     assert not (cells.flags.writeable or table.first.flags.writeable)
@@ -557,7 +567,7 @@ def simulated_levels_multi(n: int, l: int, grid, m: int, seed: int) -> np.ndarra
     """``gamma_simulate_multi``'s m tightest tail levels, 256 replicates
     drawn whole per chunk and their pooled draws argsorted."""
     s = bands_multi._pooled_counts(grid, n, l)
-    levels = tail_levels(bands_multi._chain_table(n, l, s)[0].cells)
+    levels = tail_levels(chain_table(n, l, s)[0].cells)
     return _chunked(
         lambda rng, size: levels(chain_cell_counts(rng.random((size, l * n)), s, n, l)),
         m,

@@ -27,7 +27,6 @@ from ecdf_bands.bands_multi import (
     _PACKED_CHAIN_LIMIT,
     _chain_factors,
     _chain_labeller,
-    _chain_table,
     _pooled_counts,
     _rank_cells,
     bands_from_gamma_multi,
@@ -56,6 +55,7 @@ from oracles import (
     assert_chain_rows_match_exact_cdfs,
     chain_cell_counts,
     chain_cell_tolerance,
+    chain_table,
     coverage_three_chains,
     coverage_two_chains,
     dense_pass,
@@ -72,7 +72,7 @@ from oracles import (
 
 def band_bounds(n: int, l: int, s, gamma: float):
     """The program's equal-tail hypergeometric count bounds per pooled count."""
-    cdf, floor = _chain_table(n, l, np.asarray(s, dtype=np.int64))
+    cdf, floor = chain_table(n, l, s)
     return _count_bounds(cdf, gamma, floor)
 
 

@@ -3,22 +3,26 @@ the full table.
 
 A table built at a level, binomial or the chains' hypergeometric, holds
 each row's window of counts from its first count on, with the full
-table's bits in every cell, and 1.0 past the window.  Each count left out below or above the window must lie
-beyond an exact window edge whose 2 * min(F, 1 - F) is at most the
-table's reach, which is below the level; then the count bounds at every
-gamma above the reach, and the exact search from any floor above it,
-are the full table's.  The full (level-0) table is the oracle; it stays
-in the program because the simulator reads it.
+table's bits in every cell, and 1.0 past the window.  Each count left
+out below or above the window must lie beyond a window edge whose
+2 * min(F, 1 - F) is at most the largest such edge value, which the
+tests read off the block (``edge_reach``) and which must lie below the
+level; then the count bounds at every gamma above that value, and the
+exact search from any floor above it, are the full table's.  The full
+(level-0) table is the oracle; it stays in the program because the
+simulator reads it.
 
 The cache keeps one entry per count law and rebuilds it, at the level
-asked for, only for a level at or below its reach: any sequence of
-searches and bands reads the full table's bounds, a cold one-column or
-two-chain ``test`` and a gamma build at two alphas build one table per
-grid, the simulators build only full tables, and a repeated request
-cycle adds no keys and no builds.
+asked for, only for a level below the one it was built at: any sequence
+of searches and bands reads the full table's bounds, a cold one-column
+or chain ``test`` and a gamma build at two alphas build one table per
+grid, also where grid points share a pooled count, the simulators build
+only full tables, and a repeated request cycle adds no keys and no
+builds.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,15 +32,15 @@ from hypothesis import strategies as st
 import ecdf_bands.cli as cli
 from ecdf_bands import _forward, bands_single
 from ecdf_bands.bands_multi import _chain_mass, _pooled_counts, gamma_simulate_multi
+from ecdf_bands.bands_multi import test_multi as run_multi_test
 from ecdf_bands.bands_single import (
     _EXACT_HALF,
-    _band_mass,
     _cdf_matrix,
     _cdf_slot,
     _cdf_table,
     _count_bounds,
-    _distinct,
     _optimized_gamma,
+    _sample_law,
     _search_steps,
     _single_factors,
     bands_from_gamma,
@@ -100,30 +104,50 @@ ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.3, 0.7)
 TOP = float(np.nextafter(1.0, 0.0))
 
 
-def assert_block_reads_like_the_full_table(block, reach, full, floor):
+def assert_block_reads_like_the_full_table(block, full, floor):
     """Every cell of ``block`` has the full table's bits or, past the
-    window, holds 1.0 for a count beyond the reach; the counts below the
-    block lie beyond it too, and the bounds at every gamma of a ladder
-    from just above the reach to 1 - 2**-53 are the full table's."""
+    window, holds 1.0 for a count beyond the window edges' largest
+    breakpoint, the reach, which lies below ``floor``; the counts below
+    the block lie beyond it too, and the bounds at every gamma of a
+    ladder from just above the reach to 1 - 2**-53 are the full
+    table's."""
     cells, first = block
     k, w = cells.shape
-    assert 0.0 <= reach < floor and first.shape == (k,)
+    assert first.shape == (k,)
     assert not (cells.flags.writeable or first.flags.writeable)
     cols = first[:, None] + np.arange(w)
     inside = cols <= full.cells.shape[1] - 1
     # columns past count n hold 1.0 and map to no count
     assert np.all(cells[~inside] == 1.0)
-    want = np.take_along_axis(full.cells, np.minimum(cols, full.cells.shape[1] - 1), axis=1)
-    flushed = inside & (cells != want)
-    assert np.all(cells[flushed] == 1.0)
-    assert np.all(2.0 * (1.0 - want[flushed]) <= reach)
-    below = np.arange(full.cells.shape[1]) < first[:, None]
+    # each count's cell in the block, 1.0 past its last column
+    col = np.arange(full.cells.shape[1]) - first[:, None]
+    read = np.where(col < w, np.take_along_axis(cells, np.clip(col, 0, w - 1), axis=1), 1.0)
+    flushed = (col >= 0) & (read != full.cells)
+    assert np.all(read[flushed] == 1.0)
+    reach = edge_reach(read, first, flushed)
+    assert 0.0 <= reach < floor
+    assert np.all(2.0 * (1.0 - full.cells[flushed]) <= reach)
+    below = col < 0
     assert np.all(2.0 * full.cells[below] <= reach)
 
     lowest = np.nextafter(reach, 1.0) if reach > 0.0 else floor / 1e3
     for g in np.append(np.geomspace(lowest, TOP, 30), [floor, TOP]):
         for got, want in zip(_count_bounds(block, g), _count_bounds(full, g)):
             assert np.array_equal(got, want), g
+
+
+def edge_reach(read, first, flushed) -> float:
+    """The window edges' largest breakpoint 2 * min(F, 1 - F), from each
+    count's cell ``read`` off a block whose rows start at ``first``: a
+    row's first count where counts lie below it, and its last count where
+    the counts past it, ``flushed``, read 1.0 in place of the full
+    table's F (the first of them is the count after the last)."""
+    rows = np.flatnonzero(flushed.any(axis=1))
+    last = flushed.argmax(axis=1)[rows] - 1
+    assert np.all(last >= first[rows])
+    lower = read[first > 0, first[first > 0]]
+    edges = np.concatenate((lower, 1.0 - read[rows, last]))
+    return 2.0 * float(edges.max(initial=0.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -148,38 +172,38 @@ def assert_block_reads_like_the_full_table(block, reach, full, floor):
 @example(n=26, spec=("default", None), alpha=0.05, l=3)
 @example(n=80, spec=("uniforms", (1e-300, 0.01, 0.17, 0.5, 0.83, 0.99)), alpha=0.3, l=6)
 def test_windowed_table_reads_like_the_full_table(n, spec, alpha, l):
-    # one sample on the grid points, or l chains at the grid's distinct
-    # pooled counts, as the exact search reads them; the search is run
-    # for one sample and two chains
+    # one sample on the grid points, or l chains at the grid's pooled
+    # counts, as the exact search reads them; the search is run for one
+    # sample and two chains
     key = grid_points(n, spec)
     if l > 1:
-        key = tuple(_distinct(_pooled_counts(EvaluationGrid(np.asarray(key)), n, l)).tolist())
+        key = tuple(_pooled_counts(EvaluationGrid(np.asarray(key)), n, l).tolist())
     p = np.asarray(key)
     floor = alpha / (l * len(key))
-    full, full_reach = _cdf_table(n, p, 0.0, l)
-    assert full_reach < 0.0
+    full = _cdf_table(n, p, 0.0, l)
     assert full.cells.shape == (len(key), n + 1) and not full.first.any()
     clear_program_caches()
     assert np.array_equal(_cdf_matrix(n, key, 0.0, l).cells, full.cells)
+    # the full table alone serves level 0
+    assert _cdf_slot(n, key, l)[0][1] == 0.0
     clear_program_caches()
     block = _cdf_matrix(n, key, floor, l)
-    table, reach = _cdf_slot(n, key, l)[0]
-    assert table is block
-    assert_block_reads_like_the_full_table(block, reach, full, floor)
+    assert _cdf_slot(n, key, l)[0] == (block, floor)
+    assert_block_reads_like_the_full_table(block, full, floor)
     found = (floor,)
     if l <= 2:
         found = searched(n, key, block, alpha, floor, l)
         assert found == searched(n, key, full, alpha, floor, l)
-    # every level the search, the bands at its gamma or any band above
-    # it reads is served without a rebuild
-    for level in (floor, found[0], alpha, TOP):
-        assert _cdf_matrix(n, key, level, l) is block
+    # every level from the floor up, among them the bands at the
+    # search's gamma and any band above it, is served without a rebuild;
+    # a gamma on the step that holds the floor, below it, rebuilds
+    for level in (floor, alpha, TOP, found[0]):
+        assert (_cdf_matrix(n, key, level, l) is block) == (level >= floor)
     # a windowed table, even one with no edges, never serves level 0
     assert np.array_equal(_cdf_matrix(n, key, 0.0, l).cells, full.cells)
 
     # the bands' own table, built at gamma
-    bands, bands_reach = _cdf_table(n, p, alpha, l)
-    assert_block_reads_like_the_full_table(bands, bands_reach, full, alpha)
+    assert_block_reads_like_the_full_table(_cdf_table(n, p, alpha, l), full, alpha)
 
 
 requests = st.one_of(
@@ -205,19 +229,20 @@ requests = st.one_of(
 @example(n=600, spec=("ends_at_one", (1.0,)), sequence=[("search", 0.05), ("bands", 0.5), ("full", 0.0)])
 def test_any_request_sequence_reads_the_full_table(n, spec, sequence):
     # each request rebuilds the one cached table exactly when its level
-    # is at or below the table's reach, and reads the full table's
-    # search, bounds and cells
+    # lies below the level the table was built at, and reads the full
+    # table's search, bounds and cells
     key = grid_points(n, spec)
     grid = EvaluationGrid(np.asarray(key))
-    full = _cdf_table(n, np.asarray(key), 0.0)[0]
+    full = _cdf_table(n, np.asarray(key), 0.0)
     clear_program_caches()
     for kind, value in sequence:
-        before, reach = _cdf_slot(n, key, 1)[0]
+        before, built = _cdf_slot(n, key, 1)[0]
         if kind == "search":
             level = value / len(key)
             got = gamma_optimize(n, grid, value)
-            mass = lambda lo, hi: _band_mass(n, key, lo, hi)  # noqa: E731
-            want = _optimized_gamma(full, 0, mass, value, len(key))
+            # the same search reading the full table
+            with mock.patch.object(bands_single, "_cdf_matrix", lambda *args: full):
+                want = _optimized_gamma(_sample_law(n, grid), value)
             assert (got.gamma, got.attained_coverage, got.meta) == (want.gamma, want.attained_coverage, want.meta)
         elif kind == "bands":
             level = value if value >= _EXACT_HALF else 0.0
@@ -228,9 +253,9 @@ def test_any_request_sequence_reads_the_full_table(n, spec, sequence):
             level = 0.0
             table = _cdf_matrix(n, key)
             assert np.array_equal(table.cells, full.cells) and not table.first.any()
-        after, after_reach = _cdf_slot(n, key, 1)[0]
-        assert (after is not before) == (not level > reach), (kind, value, reach)
-        assert level > after_reach
+        after, after_built = _cdf_slot(n, key, 1)[0]
+        assert (after is not before) == (level < built), (kind, value, built)
+        assert level >= after_built
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,7 +278,7 @@ def test_bands_at_any_gamma_read_like_the_full_table(n, spec, alpha, above, gamm
     # its table at alpha / K for the same grid
     key = grid_points(n, spec)
     grid = EvaluationGrid(np.asarray(key))
-    full = _cdf_table(n, np.asarray(key), 0.0)[0]
+    full = _cdf_table(n, np.asarray(key), 0.0)
     clear_program_caches()
     found = gamma_optimize(n, grid, alpha).gamma
     searched_table = _cdf_slot(n, key, 1)[0][0]
@@ -274,19 +299,17 @@ def test_windows_at_the_extreme_levels_read_like_the_full_table(n):
     # 1: the window edges are counted off the kernel's cells at both ends
     key = tuple(float(z) for z in default_grid(n).points)
     p = np.asarray(key)
-    full = _cdf_table(n, p, 0.0)[0]
+    full = _cdf_table(n, p, 0.0)
     for level in (_EXACT_HALF, 0.5, TOP):
-        block, reach = _cdf_table(n, p, level)
-        assert_block_reads_like_the_full_table(block, reach, full, level)
+        assert_block_reads_like_the_full_table(_cdf_table(n, p, level), full, level)
 
 
 @pytest.mark.parametrize("n, l", [(1, 2), (41, 2), (26, 3), (1000, 2)])
 def test_chain_windows_at_the_extreme_levels_read_like_the_full_table(n, l):
     key = _pooled_counts(default_grid(n, l * n), n, l)
-    full = _cdf_table(n, key, 0.0, l)[0]
+    full = _cdf_table(n, key, 0.0, l)
     for level in (_EXACT_HALF, 0.5, TOP):
-        block, reach = _cdf_table(n, key, level, l)
-        assert_block_reads_like_the_full_table(block, reach, full, level)
+        assert_block_reads_like_the_full_table(_cdf_table(n, key, level, l), full, level)
 
 
 @pytest.fixture
@@ -328,6 +351,29 @@ def test_cold_two_chain_test_builds_its_table_once(tmp_path, table_builds):
     assert cli.main(["test", str(src), "--out", str(tmp_path / "report.json")]) in (0, 1)
     key = tuple(_pooled_counts(default_grid(61, 122), 61, 2).tolist())
     assert table_builds == [(61, key, 0.05 / (2 * len(key)), 2)]
+
+
+@pytest.mark.parametrize(
+    "n, l, gamma, coverage, lower, upper",
+    [
+        (30, 2, 0.021551946089373615, 0.9663326159441529, [0, 0, 5, 11, 11, 17, 24, 30], [6, 6, 13, 19, 19, 25, 30, 30]),
+        (12, 3, 0.01268620907762442, 0.955971225432313, [0, 0, 0, 3, 3, 5, 8, 12], [3, 3, 7, 9, 9, 11, 12, 12]),
+    ],
+)
+def test_cold_chain_test_builds_one_table_where_grid_points_share_a_pooled_count(
+    n, l, gamma, coverage, lower, upper, table_builds
+):
+    # 0.1 and 0.1001, and 0.5 and 0.50001, share a pooled count at both
+    # shapes: the search, its coverage and the bands read one table keyed
+    # by every pooled count, and give the gamma, coverage and bands of
+    # the distinct counts' table
+    grid = EvaluationGrid(np.array([0.1, 0.1001, 0.3, 0.5, 0.50001, 0.7, 0.9, 1.0]))
+    s = _pooled_counts(grid, n, l)
+    assert s[1] == s[0] and s[4] == s[3]
+    bands = run_multi_test(np.random.default_rng(n).standard_normal((l, n)), grid=grid).bands
+    assert table_builds == [(n, tuple(s.tolist()), 0.05 / (l * grid.size), l)]
+    assert (bands.gamma, bands.gamma_info.attained_coverage) == (gamma, coverage)
+    assert (bands.lower_counts.tolist(), bands.upper_counts.tolist()) == (lower, upper)
 
 
 def test_a_gamma_build_at_two_alphas_builds_one_table_per_grid(tmp_path, table_builds):

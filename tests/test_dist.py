@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from ecdf_bands import dist
-from ecdf_bands.bands_multi import _chain_table, _pooled_counts
+from ecdf_bands.bands_multi import _pooled_counts
 from ecdf_bands.bands_single import _cdf_matrix
 from ecdf_bands.transform import default_grid
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     binom_quantile,
     hyper_cdf,
     assert_chain_rows_match_exact_cdfs,
+    chain_table,
     hyper_quantile,
     hyper_support,
 )
@@ -188,7 +189,7 @@ def test_hyper_support_bounds():
     for n, l in ((4, 2), (3, 3), (2, 4)):
         rest = (l - 1) * n
         s = all_pooled_counts(n, l)
-        table, floor = _chain_table(n, l, np.array(s))
+        table, floor = chain_table(n, l, s)
         cdf = table.cells
         for i, si in enumerate(s):
             lo, hi = max(0, si - rest), min(n, si)
@@ -220,7 +221,7 @@ def test_hyper_logpmf_against_fraction_oracle():
 def test_hyper_cdf_table_sums_pmf_exactly():
     n, l = 5, 3
     s = all_pooled_counts(n, l)
-    cdf = _chain_table(n, l, np.array(s))[0].cells
+    cdf = chain_table(n, l, s)[0].cells
     assert cdf.shape == (len(s), n + 1)
     for i, si in enumerate(s):
         acc = Fraction(0)

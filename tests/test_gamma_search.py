@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands.bands_multi import _chain_table, _pooled_counts, coverage_probability_multi, gamma_optimize_multi
+from ecdf_bands.bands_multi import _pooled_counts, coverage_probability_multi, gamma_optimize_multi
 from ecdf_bands.bands_single import _cdf_matrix, coverage_probability, gamma_optimize
 from ecdf_bands.transform import EvaluationGrid, default_grid
+from oracles import chain_table
 
 # exact coverage differs by a few 1e-15 between steps that are really equal
 GAP_TOL = 1e-12
@@ -28,7 +29,7 @@ def cdf_values(n, l, grid):
     """Every CDF value the bands at (n, l, grid) are read from."""
     if l == 1:
         return _cdf_matrix(n, tuple(float(z) for z in grid.points)).cells.ravel()
-    return _chain_table(n, l, _pooled_counts(grid, n, l))[0].cells.ravel()
+    return chain_table(n, l, _pooled_counts(grid, n, l))[0].cells.ravel()
 
 
 def brute_force_best_gap(n, l, grid, alpha, coverage):

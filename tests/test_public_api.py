@@ -14,8 +14,8 @@ import ecdf_bands
 REMOVED = {
     "ecdf_bands.transform": ("fractional_ranks", "_grid_cell_counts"),
     "ecdf_bands.power": ("stat_KS", "stat_T1", "stat_U2", "stat_W2", "_scalar_stat"),
-    "ecdf_bands.bands_single": ("_tail_levels", "_grid_cell_counts"),
-    "ecdf_bands.bands_multi": ("_chain_cell_counts", "_chain_level_reader"),
+    "ecdf_bands.bands_single": ("_tail_levels", "_grid_cell_counts", "_band_level", "_exact_coverage"),
+    "ecdf_bands.bands_multi": ("_chain_cell_counts", "_chain_level_reader", "_chain_table", "_check_exact_chains"),
 }
 
 
@@ -60,20 +60,25 @@ def test_every_module_uses_its_imports():
 
 
 LAW_INTERNALS = (
+    "_Law",
+    "_bands",
     "_cdf_matrix",
     "_cdf_rows",
     "_cdf_slot",
     "_cdf_table",
-    "_chain_table",
+    "_chain_law",
     "_count_bounds",
+    "_coverage",
     "_grid_key",
     "_pooled_counts",
     "_rank_cells",
+    "_sample_law",
     "_tail_level_reader",
 )
-"""The names through which a count law's table, bounds or level reader
-is read; outside ``bands_single`` and ``bands_multi`` the laws are read
-through ``_sample_levels``, ``_chain_levels`` and the public bands."""
+"""The names through which a count law's record, table, bounds or level
+reader is read; outside ``bands_single`` and ``bands_multi`` the laws
+are read through ``_sample_levels``, ``_chain_levels`` and the public
+bands."""
 
 
 LAW_MODULES = ("bands_single.py", "bands_multi.py")

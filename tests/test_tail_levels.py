@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands.bands_multi import _chain_table, _pooled_counts, _rank_cells
+from ecdf_bands.bands_multi import _pooled_counts, _rank_cells
 from ecdf_bands.bands_single import (
     CdfBlock,
     _block_rows,
@@ -30,7 +30,7 @@ from ecdf_bands.bands_single import (
     _tail_level_reader,
 )
 from ecdf_bands.transform import EvaluationGrid, default_grid
-from oracles import chain_cell_counts, grid_cell_counts, tail_levels
+from oracles import chain_cell_counts, chain_table, grid_cell_counts, tail_levels
 
 PRIMES = (2, 3, 5, 7, 11, 13, 31, 101, 127, 199)
 
@@ -90,7 +90,7 @@ def pooled_counts(draw):
 @given(key=pooled_counts())
 def test_hypergeometric_tail_levels_are_the_band_verdict(key):
     n, l, s = key
-    assert_levels_are_the_band_verdict(*_chain_table(n, l, np.array(s)))
+    assert_levels_are_the_band_verdict(*chain_table(n, l, s))
 
 
 @st.composite
@@ -123,7 +123,7 @@ def test_flat_tail_index_reads_the_per_row_levels(key, seed, fill):
         cells, position_cells = np.searchsorted(grid.points, u, side="left"), 0
     else:
         s = _pooled_counts(grid, n, l)
-        cdf = _chain_table(n, l, s)[0].cells
+        cdf = chain_table(n, l, s)[0].cells
         counts = chain_cell_counts(u, s, n, l)
         cells = np.argsort(u, axis=1) // n * (s.size + 1)
         position_cells = _rank_cells(s, l * n)
@@ -139,7 +139,7 @@ def test_reader_shared_by_threads_reads_every_block_size():
     # read through it
     n, l = 12, 3
     s = _pooled_counts(default_grid(n, l * n), n, l)
-    cdf = _chain_table(n, l, s)[0].cells
+    cdf = chain_table(n, l, s)[0].cells
     u = np.random.default_rng(3).random((64, l * n))
     want = tail_levels(cdf)(chain_cell_counts(u, s, n, l))
     cells = np.argsort(u, axis=1) // n * (s.size + 1)

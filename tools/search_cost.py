@@ -106,8 +106,8 @@ def search_cost(n: int, l: int) -> dict:
         return counted
 
     def timed_search(search):
-        def run(table, floor, mass, *rest):
-            return search(table, floor, _timed(mass, spent, "pass"), *rest)
+        def run(law, alpha):
+            return search(law._replace(mass=_timed(law.mass, spent, "pass")), alpha)
 
         return run
 
