@@ -474,19 +474,25 @@ def _cdf_table(n: int, key: np.ndarray, level: float, l: int = 1) -> CdfBlock:
         x_hi = np.nextafter(x_hi, 0.0)
     thresholds = (level / 2.0, np.nextafter(x_hi, 2.0))
     lo, hi = np.zeros(p.size, dtype=np.int64), np.full(p.size, n)
+    # at level 0 every window is the whole support, so each chunk's cells
+    # go straight into the block; windows are sized only once all are known
+    block = np.empty((p.size, n + 1)) if level == 0.0 else None
     parts = []
     for rows in chunks:
         built = _cdf_rows(n, p[rows], q[rows], l, None if s is None else s[rows])
-        if level > 0.0:
-            below, above = _count_below(built, thresholds)
-            lo[rows], hi[rows] = np.maximum(below - 1, 0), np.minimum(above, n - 1)
+        if block is not None:
+            block[rows] = _read_counts(built, np.arange(n + 1))
+            continue
+        below, above = _count_below(built, thresholds)
+        lo[rows], hi[rows] = np.maximum(below - 1, 0), np.minimum(above, n - 1)
         k = lo[rows, None] + np.arange(int((hi[rows] - lo[rows]).max()) + 1)
         part = _read_counts(built, k)
         part[k > hi[rows, None]] = 1.0
         parts.append(part)
-    block = np.ones((p.size, int((hi - lo).max()) + 1))
-    for rows, part in zip(chunks, parts):
-        block[rows, : part.shape[1]] = part
+    if block is None:
+        block = np.ones((p.size, int((hi - lo).max()) + 1))
+        for rows, part in zip(chunks, parts):
+            block[rows, : part.shape[1]] = part
     for arr in (block, lo):
         arr.setflags(write=False)
     return CdfBlock(block, lo)

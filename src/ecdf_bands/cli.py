@@ -24,13 +24,21 @@ at least 1 (``test``, ``plot``, ``gamma build``) and ``--threads`` at
 least 1 (``test``, ``plot``, ``power``, ``gamma build``).  It checks
 them before the command runs, so a bad value exits 2 before any file is
 read; ``gamma build`` holds each of its ``--alphas`` to the alpha range
-before it calibrates.
+before it calibrates.  A request too large for memory exits 2 as well.
+
+A process builds each subcommand's parser once, on its first call to
+``main`` for that subcommand, and reuses it afterwards (``_build_parser``
+is memoized; parsing leaves a parser as it was).  So a ``cmd_*``
+function patched on this module after that call is not seen, because
+``set_defaults(func=...)`` bound the old one.  ``build_parser`` still
+returns a new full parser each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -511,7 +519,10 @@ _COMMANDS = {
 """Each subcommand's help line and the function that adds its arguments."""
 
 
-def _build_parser(commands) -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _build_parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser holding ``commands``, built once per tuple; callers
+    must not change it."""
     parser = argparse.ArgumentParser(
         prog="ecdf-bands",
         description="Simultaneous confidence bands and uniformity tests for PIT ECDFs.",
@@ -525,8 +536,8 @@ def _build_parser(commands) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The parser with every subcommand."""
-    return _build_parser(_COMMANDS)
+    """A new parser with every subcommand."""
+    return _build_parser.__wrapped__(tuple(_COMMANDS))
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -539,10 +550,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     would refuse, goes through the full parser.
     """
     if argv and argv[0] in _COMMANDS:
-        args, extras = _build_parser(argv[:1]).parse_known_args(argv)
+        args, extras = _build_parser((argv[0],)).parse_known_args(argv)
         if not extras:
             return args
-    return build_parser().parse_args(argv)
+    return _build_parser(tuple(_COMMANDS)).parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -550,9 +561,14 @@ def main(argv=None) -> int:
     try:
         _check_ranges(args)
         return args.func(args)
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        # str() of a KeyError quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
+        if isinstance(exc, KeyError) and exc.args:
+            message = exc.args[0]  # str() of a KeyError quotes its message
+        elif isinstance(exc, MemoryError):
+            # numpy's names the array it could not allocate; a bare one says nothing
+            message = str(exc) or "out of memory"
+        else:
+            message = exc
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ so they can be inspected and diffed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -234,12 +235,29 @@ def save_grid(grid: GammaGrid, path: str | os.PathLike) -> None:
 
 def load_grid(path: str | os.PathLike) -> GammaGrid:
     """The grid saved at ``path``; a file that is not one raises a
-    ValueError naming the file and, for a bad entry, its index."""
+    ValueError naming the file and, for a bad entry, its index.
+
+    The file is read on every call, so a rewritten one is always seen;
+    text already parsed at the same path is served from memory
+    (``_parse_grid``), so a repeated call costs a read, not a parse.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+            text = fh.read()
+        except ValueError as exc:  # not UTF-8
             raise ValueError(f"{path}: {exc}") from None
+    return _parse_grid(f"{path}", text)
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_grid(path: str, text: str) -> GammaGrid:
+    """The grid in ``text``, read from the file ``path``, whose errors
+    name it; a grid is immutable, so one parse serves every load of the
+    same text."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a gamma grid is a JSON object, not {type(payload).__name__}")
     if payload.get("schema") != SCHEMA:

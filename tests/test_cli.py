@@ -689,90 +689,92 @@ BAND_TEST_DEFAULTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv, namespace",
-    [
-        (
-            ["test", "x.csv"],
-            {"command": "test", "input": "x.csv", **BAND_TEST_DEFAULTS, "func": cli.cmd_test},
-        ),
-        (
-            ["pit", "a.csv", "b.csv"],
-            {"command": "pit", "draws": "a.csv", "comparison": "b.csv", "out": None, "func": cli.cmd_pit},
-        ),
-        (
-            ["power", "--family", "A", "--ks", "1", "--n", "10"],
-            {
-                "command": "power",
-                "family": "A",
-                "ks": "1",
-                "n": 10,
-                "tests": "bands",
-                "chains": 1,
-                "alpha": 0.05,
-                "seed": 0,
-                "threads": 1,
-                "out": None,
-                "m_reps": 10_000,
-                "func": cli.cmd_power,
-            },
-        ),
-        (
-            ["thin", "x.csv"],
-            {
-                "command": "thin",
-                "input": "x.csv",
-                "strategy": "BULK_TAIL_MIN",
-                "ess_out": None,
-                "out": None,
-                "func": cli.cmd_thin,
-            },
-        ),
-        (
-            ["gamma", "build", "--ns", "40"],
-            {
-                "command": "gamma",
-                "gamma_action": "build",
-                "ns": "40",
-                "ls": "1",
-                "alphas": "0.05",
-                "seed": 0,
-                "threads": 1,
-                "out": None,
-                "m_reps": 10_000,
-                "grid_k": 100,
-                "func": cli.cmd_gamma_build,
-            },
-        ),
-        (
-            ["gamma", "query", "--n", "5"],
-            {
-                "command": "gamma",
-                "gamma_action": "query",
-                "grid_file": None,
-                "n": 5,
-                "l": 1,
-                "alpha": 0.05,
-                "out": None,
-                "func": cli.cmd_gamma_query,
-            },
-        ),
-        (
-            ["plot", "x.csv"],
-            {
-                "command": "plot",
-                "input": "x.csv",
-                "kind": "ecdf_diff",
-                "bins": 50,
-                "title": "",
-                "data_out": None,
-                **BAND_TEST_DEFAULTS,
-                "func": cli.cmd_plot,
-            },
-        ),
-    ],
-    ids=["test", "pit", "power", "thin", "gamma build", "gamma query", "plot"],
-)
+NAMESPACES = [
+    (
+        ["test", "x.csv"],
+        {"command": "test", "input": "x.csv", **BAND_TEST_DEFAULTS, "func": cli.cmd_test},
+    ),
+    (
+        ["pit", "a.csv", "b.csv"],
+        {"command": "pit", "draws": "a.csv", "comparison": "b.csv", "out": None, "func": cli.cmd_pit},
+    ),
+    (
+        ["power", "--family", "A", "--ks", "1", "--n", "10"],
+        {
+            "command": "power",
+            "family": "A",
+            "ks": "1",
+            "n": 10,
+            "tests": "bands",
+            "chains": 1,
+            "alpha": 0.05,
+            "seed": 0,
+            "threads": 1,
+            "out": None,
+            "m_reps": 10_000,
+            "func": cli.cmd_power,
+        },
+    ),
+    (
+        ["thin", "x.csv"],
+        {
+            "command": "thin",
+            "input": "x.csv",
+            "strategy": "BULK_TAIL_MIN",
+            "ess_out": None,
+            "out": None,
+            "func": cli.cmd_thin,
+        },
+    ),
+    (
+        ["gamma", "build", "--ns", "40"],
+        {
+            "command": "gamma",
+            "gamma_action": "build",
+            "ns": "40",
+            "ls": "1",
+            "alphas": "0.05",
+            "seed": 0,
+            "threads": 1,
+            "out": None,
+            "m_reps": 10_000,
+            "grid_k": 100,
+            "func": cli.cmd_gamma_build,
+        },
+    ),
+    (
+        ["gamma", "query", "--n", "5"],
+        {
+            "command": "gamma",
+            "gamma_action": "query",
+            "grid_file": None,
+            "n": 5,
+            "l": 1,
+            "alpha": 0.05,
+            "out": None,
+            "func": cli.cmd_gamma_query,
+        },
+    ),
+    (
+        ["plot", "x.csv"],
+        {
+            "command": "plot",
+            "input": "x.csv",
+            "kind": "ecdf_diff",
+            "bins": 50,
+            "title": "",
+            "data_out": None,
+            **BAND_TEST_DEFAULTS,
+            "func": cli.cmd_plot,
+        },
+    ),
+]
+"""Each subcommand's parsed namespace at its defaults, with an argv
+that names it."""
+NAMESPACE_IDS = ["test", "pit", "power", "thin", "gamma build", "gamma query", "plot"]
+
+
+@pytest.mark.parametrize("argv, namespace", NAMESPACES, ids=NAMESPACE_IDS)
 def test_parsed_namespace_carries_every_default(argv, namespace):
     """Each subcommand's namespace holds exactly the options its command
     reads, at their defaults."""
@@ -820,6 +822,8 @@ def test_options_a_command_does_not_read_are_refused(argv, flag, value, capsys):
 )
 def test_a_call_builds_only_its_own_subcommand(command, progs, uniform_csv, monkeypatch, capsys):
     monkeypatch.delenv(CACHE_ENV, raising=False)
+    # the first call in a process builds; earlier tests may have made it
+    cli._build_parser.cache_clear()
     built, added = [], []
     init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
@@ -833,17 +837,23 @@ def test_a_call_builds_only_its_own_subcommand(command, progs, uniform_csv, monk
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add_argument)
-    if command == "test":
-        assert main(["test", uniform_csv, "--grid-k", "10"]) == 0
-    else:
-        # parsed, then refused for want of a grid file
-        assert main(["gamma", "query", "--n", "30"]) == 2
-    capsys.readouterr()
+    def call():
+        if command == "test":
+            assert main(["test", uniform_csv, "--grid-k", "10"]) == 0
+        else:
+            # parsed, then refused for want of a grid file
+            assert main(["gamma", "query", "--n", "30"]) == 2
+        capsys.readouterr()
+
+    call()
     assert [p.prog for p in built] == progs
     needed = sum(
         not isinstance(action, argparse._SubParsersAction) for p in built for action in p._actions
     )
     assert len(added) <= needed
+    # a second call in the same process reuses the parser
+    call()
+    assert len(built) == len(progs)
 
 
 def test_gamma_build_checks_out_before_calibrating(monkeypatch, capsys):
@@ -894,3 +904,123 @@ def test_cache_env_is_read_only_by_methods_that_use_it(
     for uses_cache in ("auto", "cache"):
         assert main(["test", uniform_csv, "--method", uses_cache, *opts]) == 2
         assert "nonexistent.json" in capsys.readouterr().err
+
+
+def test_parser_texts_hold_on_repeated_calls_in_one_process(monkeypatch, capsys):
+    """Each golden call, made twice over in one process after every
+    other, prints its recorded text and exits with its recorded code
+    both times, from the parsers the first round built."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert {" ".join(argv) for argv in PARSER_CASES} == set(CLI_TEXTS)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        for argv in PARSER_CASES:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert {"code": code, "stdout": out, "stderr": err} == CLI_TEXTS[" ".join(argv)], argv
+
+
+def test_namespaces_keep_their_defaults_after_other_subcommands_ran(uniform_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    svg = str(tmp_path / "fig.svg")
+    calls = [
+        ["test", uniform_csv, "--grid-k", "10", "--alpha", "0.1", "--seed", "3"],
+        ["plot", uniform_csv, "--kind", "rank_hist", "--bins", "5", "--title", "t", "--out", svg],
+        ["thin", uniform_csv, "--strategy", "MEAN_ESS", "--out", str(tmp_path / "thin.csv")],
+        ["pit", uniform_csv, uniform_csv, "--out", str(tmp_path / "pit.csv")],
+        ["gamma", "query", "--n", "5", "--l", "2", "--alpha", "0.1"],
+    ]
+    for _ in range(2):
+        for argv in calls:
+            main(argv)
+        capsys.readouterr()
+        for argv, namespace in NAMESPACES:
+            assert vars(cli._parse(argv)) == namespace, argv
+
+
+def test_build_parser_returns_a_new_parser_that_main_does_not_read(uniform_csv, monkeypatch, capsys):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert first is not cli._build_parser(tuple(cli._COMMANDS))
+
+    def hijacked(args):
+        raise AssertionError("main read a parser that build_parser returned")
+
+    # reach the test subcommand's own parser, as a caller might
+    (commands,) = [a for a in first._actions if isinstance(a, argparse._SubParsersAction)]
+    commands.choices["test"].set_defaults(func=hijacked, alpha=0.3)
+    first.set_defaults(func=hijacked)
+    assert vars(cli._parse(["test", "x.csv"])) == NAMESPACES[0][1]
+    assert main(["test", uniform_csv, "--grid-k", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == 0.05
+
+
+def test_clearing_the_parser_memo_rebuilds_the_parser():
+    # the cold benchmark clears every functools cache before a request,
+    # as a fresh process would start
+    first = cli._build_parser(("test",))
+    assert cli._build_parser(("test",)) is first
+    cli._build_parser.cache_clear()
+    rebuilt = cli._build_parser(("test",))
+    assert rebuilt is not first
+    assert vars(rebuilt.parse_args(["test", "x.csv"])) == vars(first.parse_args(["test", "x.csv"]))
+
+
+GRID_ENTRY = (
+    '{"schema": "gamma-grid/1", "entries": [{"n": 50, "l": 1, "k": 50, "alpha": 0.05,'
+    ' "gamma": %s, "coverage": 0.95, "method": "optimization"}]}'
+)
+
+
+def test_a_grid_rewritten_in_place_is_read_anew(tmp_path, monkeypatch, capsys):
+    """Same path, same byte length, old mtime: the new text is served."""
+    path = tmp_path / "grid.json"
+    path.write_text(GRID_ENTRY % "0.0031")
+    stat = path.stat()
+    monkeypatch.setenv(CACHE_ENV, str(path))
+    assert main(["gamma", "query", "--n", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == 0.0031
+    path.write_text(GRID_ENTRY % "0.0042")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert main(["gamma", "query", "--n", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == 0.0042
+
+
+@pytest.mark.parametrize("text", MALFORMED_GRIDS)
+def test_a_malformed_grid_is_refused_on_every_call(text, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "grid.json"
+    monkeypatch.setenv(CACHE_ENV, str(path))
+    path.write_text(GRID_ENTRY % "0.0031")
+    assert main(["gamma", "query", "--n", "50"]) == 0
+    capsys.readouterr()
+    path.write_text(text)
+    for _ in range(3):
+        assert main(["gamma", "query", "--n", "50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+NUMPY_OOM = "Unable to allocate 745. GiB for an array with shape (100000000001,) and data type int64"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(NUMPY_OOM), NUMPY_OOM),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_a_request_too_large_for_memory_is_a_usage_error(exc, message, uniform_csv, monkeypatch, capsys):
+    # exit 1 is a rejection, so running out of memory must not exit 1
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "rank_hist", no_memory)
+    argv = ["plot", uniform_csv, "--kind", "rank_hist", "--bins", "100000000000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -163,3 +163,21 @@ def test_run_times_fresh_cli_calls(tmp_path, capsys):
     assert words[-1] in ("[0]", "[1]")
     assert json.loads(out.read_text())["n"] == 12
     assert import_cost.main(["--run", "0", "--", "test", src]) == 2
+
+
+def test_warm_times_in_process_cli_calls_with_caches_kept_and_cleared(tmp_path, capsys):
+    src = _write_columns(tmp_path / "pit.csv", np.random.default_rng(44).random((1, 12)))
+    out = tmp_path / "report.json"
+    assert import_cost.main(["--warm", "2", "--", "test", src, "--grid-k", "4", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "2 in-process calls, caches kept",
+        "2 in-process calls, caches cleared",
+    ]
+    for line in lines:
+        words = line.split()
+        low, median = float(words[6]), float(words[9])
+        assert 0.0 < low <= median
+        assert words[-1] in ("[0]", "[1]")
+    assert json.loads(out.read_text())["n"] == 12
+    assert import_cost.main(["--warm", "0", "--", "test", src]) == 2

@@ -1,5 +1,5 @@
 """Time what importing one module costs, package by package, or what a
-whole CLI call costs in a fresh process.
+whole CLI call costs in a fresh process or in a running one.
 
 Runs ``python -X importtime -c "import MODULE"`` in a fresh interpreter,
 with ``src`` next to this directory at the front of ``PYTHONPATH``, and
@@ -24,10 +24,22 @@ the minimum and median wall time in seconds and the exit codes seen:
     python tools/import_cost.py --run 7 -- test pit.csv --out report.json
 
 Each call's output goes to the null device.
+
+With ``--warm N``, it times N ``ecdf_bands.cli.main(ARGV)`` calls in this
+process instead, after one untimed warm-up call, in two modes: with the
+package's caches kept from call to call, and with every ``functools``
+cache in the package cleared before each call, as a fresh process would
+start them (its imports aside).  For each mode it prints the minimum
+and median wall time in milliseconds and the exit codes seen:
+
+    python tools/import_cost.py --warm 100 -- test pit.csv --out report.json
+
+Output the calls write to stdout or stderr goes to the null device.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import statistics
 import subprocess
@@ -119,14 +131,61 @@ def time_calls(runs: int, argv: list[str]) -> tuple[list[float], set[int]]:
     return walls, codes
 
 
+def _package_caches() -> list:
+    """Every ``functools`` cache held by a module of the imported package."""
+    caches = {
+        id(v): v
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "ecdf_bands" and module is not None
+        for v in vars(module).values()
+        if hasattr(v, "cache_clear")
+    }
+    return list(caches.values())
+
+
+def time_in_process(runs: int, argv: list[str], cold: bool) -> tuple[list[float], set[int]]:
+    """Wall seconds of ``runs`` in-process ``cli.main(ARGV)`` calls after
+    one untimed warm-up, with every package cache cleared before each
+    call when ``cold``, and their exit codes."""
+    if str(_SRC) not in sys.path:
+        sys.path.insert(0, str(_SRC))
+    from ecdf_bands import cli
+
+    def call() -> int:
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+
+    walls, codes = [], set()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        call()
+        caches = _package_caches() if cold else []  # the warm-up imported every module
+        for _ in range(runs):
+            for cache in caches:
+                cache.cache_clear()
+            t0 = time.perf_counter()
+            codes.add(call())
+            walls.append(time.perf_counter() - t0)
+    return walls, codes
+
+
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--run"]:
+    if argv[:1] in (["--run"], ["--warm"]):
         if len(argv) < 3 or argv[2] != "--" or not argv[1].isdigit() or int(argv[1]) < 1:
-            print("usage: import_cost.py --run N -- ARGV...", file=sys.stderr)
+            print(f"usage: import_cost.py {argv[0]} N -- ARGV...", file=sys.stderr)
             return 2
-        walls, codes = time_calls(int(argv[1]), argv[3:])
-        print(f"{len(walls)} calls: min {min(walls):.3f} s, median {statistics.median(walls):.3f} s, "
-              f"exit codes {sorted(codes)}")  # fmt: skip
+        runs, call_argv = int(argv[1]), argv[3:]
+        if argv[0] == "--run":
+            walls, codes = time_calls(runs, call_argv)
+            print(f"{len(walls)} calls: min {min(walls):.3f} s, median {statistics.median(walls):.3f} s, "
+                  f"exit codes {sorted(codes)}")  # fmt: skip
+            return 0
+        for label, cold in (("caches kept", False), ("caches cleared", True)):
+            walls, codes = time_in_process(runs, call_argv, cold)
+            ms = [w * 1000.0 for w in walls]
+            print(f"{len(ms)} in-process calls, {label}: min {min(ms):.3f} ms, "
+                  f"median {statistics.median(ms):.3f} ms, exit codes {sorted(codes)}")  # fmt: skip
         return 0
     module = argv[0] if argv else "ecdf_bands.cli"
     total, times = package_times(measure(module), module)
