@@ -20,8 +20,9 @@ call, or in ``_SHARED`` for the options several subcommands take.  The
 commands read the parsed namespace.  ``main`` checks the ranges argparse
 cannot state, for the options the parsed subcommand has: ``--alpha`` in
 (0, 0.5] (``test``, ``plot``, ``power``, ``gamma query``), ``--grid-k``
-at least 1 (``test``, ``plot``, ``gamma build``) and ``--threads`` at
-least 1 (``test``, ``plot``, ``power``, ``gamma build``).  It checks
+at least 1 (``test``, ``plot``, ``gamma build``), ``--threads`` at
+least 1 and ``--seed`` at least 0 (``test``, ``plot``, ``power``,
+``gamma build``).  It checks
 them before the command runs, so a bad value exits 2 before any file is
 read; ``gamma build`` holds each of its ``--alphas`` to the alpha range
 before it calibrates.  A request too large for memory exits 2 as well.
@@ -80,6 +81,8 @@ def _check_ranges(args: argparse.Namespace) -> None:
         raise ValueError("grid-k must be positive")
     if "threads" in args and args.threads < 1:
         raise ValueError("threads must be positive")
+    if "seed" in args and args.seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 def _read_table(path: str) -> tuple[np.ndarray, int | None]:

@@ -8,6 +8,16 @@ varies smoothly with the sample size, so a small grid over (n, chains,
 alpha) plus linear interpolation of log gamma against log n gives
 near-exact bands without recomputation.  Grids persist as versioned JSON
 so they can be inspected and diffed.
+
+Within one process ``calibrate`` also remembers what it computed: each
+exact or simulated gamma is kept in a bounded memo
+(``_calibration_slot``) keyed by the sample size, the chain count, the
+grid's points, alpha and the method, and for simulation the replicate
+count and the seed.  The thread count is not part of the key, since the
+seeded chunks give the same gamma on any number of threads.  A stored
+grid is never memoized here, so a rewritten grid file is always read
+again; the public ``gamma_optimize`` and ``gamma_simulate*`` are not
+memoized either.  ``_calibration_slot.cache_clear()`` empties the memo.
 """
 
 from __future__ import annotations
@@ -111,6 +121,14 @@ def calibrate(
     chains and simulation beyond.  When ``auto`` passes over a cache,
     ``meta["cache_miss"]`` holds the lookup's reason and a DEBUG record
     goes to the ``ecdf_bands`` logger.
+
+    A searched or simulated gamma is computed once per process for each
+    (n, l, grid points, alpha, method), with m and seed for simulation
+    (``_calibration_slot``); a later call with the same key, on any
+    number of threads, gets an equal result, and a DEBUG record says it
+    was served from the memo.  Every call returns its own ``meta``
+    dict.  A stored grid is read and interpolated on every call, and an
+    error is raised on every call, never stored.
     """
     miss = None
     if method in ("auto", "cache") and cache is not None:
@@ -125,19 +143,38 @@ def calibrate(
                 _log.debug("gamma cache miss for n=%d, %d chains: %s", n, l, miss)
     if method == "auto":
         method = "optimize" if l <= EXACT_CHAIN_LIMIT else "simulate"
-    if method == "optimize":
-        res = gamma_optimize(n, grid, alpha) if l == 1 else gamma_optimize_multi(n, l, grid, alpha)
-    elif method == "simulate" and l == 1:
-        res = gamma_simulate(n, grid, alpha, m=m, seed=seed, threads=threads)
-    elif method == "simulate":
-        res = gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed, threads=threads)
-    elif method == "cache":
+    if method == "cache":
         raise ValueError("method 'cache' requires a gamma grid or its path")
-    else:
+    if method not in ("optimize", "simulate"):
         raise ValueError(f"unknown method {method!r}")
-    if miss is None:
-        return res
-    return dataclasses.replace(res, meta={**res.meta, "cache_miss": miss})
+    simulated = (m, seed) if method == "simulate" else ()
+    slot = _calibration_slot(n, l, tuple(grid.points.tolist()), alpha, method, *simulated)
+    res = slot[0]
+    if res is None:
+        if method == "optimize":
+            res = gamma_optimize(n, grid, alpha) if l == 1 else gamma_optimize_multi(n, l, grid, alpha)
+        elif l == 1:
+            res = gamma_simulate(n, grid, alpha, m=m, seed=seed, threads=threads)
+        else:
+            res = gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed, threads=threads)
+        slot[0] = res
+    elif _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "gamma for n=%d, %d chains, K=%d, alpha=%g by %s served from this process's calibration memo",
+            n, l, grid.size, alpha, method,
+        )
+    meta = dict(res.meta) if miss is None else {**res.meta, "cache_miss": miss}
+    return dataclasses.replace(res, meta=meta)
+
+
+@functools.lru_cache(maxsize=32)
+def _calibration_slot(n: int, l: int, points: tuple, alpha: float, method: str, *simulated) -> list:
+    """The memo entry of one calibration: a one-item list holding the
+    ``GammaResult`` that ``calibrate`` computed for l chains of n draws
+    on the grid ``points`` at ``alpha`` by ``method`` ("optimize" or
+    "simulate", with ``simulated`` the replicate count and seed), or
+    None until it has."""
+    return [None]
 
 
 def build_grid(

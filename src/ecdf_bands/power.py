@@ -14,10 +14,19 @@ law's module reads the levels, the simulators' way: one sample's
 draws go to ``bands_single._sample_levels``, and several chains'
 draws, argsorted into chain labels in pooled order, go to
 ``bands_multi._chain_levels``.  This module reads no law's table.
+
+Within one process a sweep's Monte Carlo critical values are computed
+once for each (statistics, n, alpha, m, seed) and kept in a bounded
+memo (``_critical_slot``), as ``gamma_cache.calibrate`` keeps the band
+test's gamma; the thread count is not part of the key.  The public
+``critical_value`` is not memoized, and
+``_critical_slot.cache_clear()`` empties the memo.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +51,8 @@ FAMILIES = ("A", "B", "C")
 STAT_TESTS = ("T1", "W2", "U2", "KS")
 DEFAULT_SWEEP_REPLICATES = 10_000
 _CHUNK = 2_000
+
+_log = logging.getLogger("ecdf_bands")
 
 
 @dataclass(frozen=True)
@@ -147,6 +158,31 @@ def _row_statistics(u: np.ndarray, stats) -> dict[str, np.ndarray]:
 
 
 def _critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:
+    """``_simulated_critical_values``, computed once per process for each
+    (stats, n, alpha, m, seed) on any number of threads
+    (``_critical_slot``); every call returns a new dict, and a DEBUG
+    record says when the values came from the memo."""
+    stats = tuple(stats)
+    slot = _critical_slot(stats, n, alpha, m, seed)
+    if slot[0] is None:
+        slot[0] = _simulated_critical_values(stats, n, alpha, m, seed, threads)
+    elif _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "critical values of %s for n=%d, alpha=%g served from this process's calibration memo",
+            ",".join(stats), n, alpha,
+        )
+    return dict(slot[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _critical_slot(stats: tuple, n: int, alpha: float, m: int, seed: int) -> list:
+    """The memo entry of one set of critical values: a one-item list
+    holding the dict ``_critical_values`` computed, or None until it
+    has."""
+    return [None]
+
+
+def _simulated_critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:
     """``critical_value`` of each named statistic, from one pass of m
     null samples through ``bands_single._replicate_blocks``, each chunk's
     stream keyed by its first replicate: each row block is drawn and
@@ -172,7 +208,7 @@ def critical_value(stat: str, n: int, alpha: float, m: int = DEFAULT_REPLICATES,
     """Monte Carlo critical value: the empirical (1-alpha) quantile of
     the statistic over m uniform null samples of size n.  Samples whose
     statistic exceeds this value are rejected."""
-    return _critical_values((stat,), n, alpha, m, seed)[stat]
+    return _simulated_critical_values((stat,), n, alpha, m, seed)[stat]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecdf_bands import cli
+from ecdf_bands import cli, gamma_cache, power
 from ecdf_bands.cli import CACHE_ENV, main
 from oracles import parse_csv_rows
 
@@ -46,6 +46,12 @@ PARSER_CASES = [
     ["test", "x.csv", "--grid-k", "0"],
     ["test", "x.csv", "--threads", "0"],
     ["gamma", "query", "--n", "5", "--alpha", "0.6"],
+    # a negative seed, refused also where no simulation would read it
+    ["test", "x.csv", "--seed", "-1"],
+    ["test", "x.csv", "--method", "simulate", "--seed", "-1"],
+    ["power", "--family", "A", "--ks", "1", "--n", "10", "--seed", "-3"],
+    ["gamma", "build", "--ns", "40", "--ls", "4", "--seed", "-1"],
+    ["plot", "x.csv", "--seed", "-1"],
     # a power sweep that names no test
     ["power", "--family", "A", "--ks", "1", "--n", "10", "--tests", " , "],
     # options these subcommands do not take
@@ -1024,3 +1030,24 @@ def test_a_request_too_large_for_memory_is_a_usage_error(exc, message, uniform_c
     argv = ["plot", uniform_csv, "--kind", "rank_hist", "--bins", "100000000000"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_repeated_calibrations_in_one_process_keep_the_output_bytes(tmp_path, monkeypatch):
+    """The second call of each shape is served from the process's
+    calibration memos and writes the same bytes as the first."""
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    gamma_cache._calibration_slot.cache_clear()
+    power._critical_slot.cache_clear()
+    chains = np.random.default_rng(35).standard_normal((80, 4))
+    src = write(tmp_path / "chains.csv", "\n".join(",".join(map(repr, row)) for row in chains.tolist()) + "\n")
+    calls = {
+        "json": ["test", src],
+        "csv": ["power", "--family", "B", "--ks", "0.8,1.25", "--n", "40", "--tests", "T1,W2", "--m-reps", "2000"],
+    }
+    for ext, argv in calls.items():
+        outs = [tmp_path / f"{i}.{ext}" for i in range(2)]
+        codes = [main([*argv, "--out", str(out)]) for out in outs]
+        assert codes[0] == codes[1] and codes[0] in (0, 1)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert gamma_cache._calibration_slot.cache_info().hits >= 1
+    assert power._critical_slot.cache_info().hits >= 1

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ecdf_bands import bands_multi, bands_single, gamma_cache
 from ecdf_bands.bands_multi import gamma_optimize_multi, gamma_simulate_multi
 from ecdf_bands.bands_single import gamma_optimize, gamma_simulate, test_single as run_single_test
 from ecdf_bands.gamma_cache import (
@@ -290,3 +291,143 @@ def test_calibrate_dispatch_errors(l, method, cache, error, match):
     grid = default_grid(12, 12 * l if l > 1 else None, k_max=6)
     with pytest.raises(error, match=match):
         calibrate(12, l, grid, 0.1, method, cache=cache)
+
+
+# ---------------------------------------------------------------------------
+# the in-process calibration memo
+
+
+@pytest.fixture
+def fresh_memo():
+    gamma_cache._calibration_slot.cache_clear()
+    yield
+    gamma_cache._calibration_slot.cache_clear()
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a spy that calls it and records the
+    ``threads`` of each call; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("threads"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_a_repeated_search_is_run_once_and_keyed_by_shape_and_alpha(fresh_memo, monkeypatch):
+    calls = counting(monkeypatch, gamma_cache, "gamma_optimize")
+    grid = default_grid(40, k_max=10)
+    first = calibrate(40, 1, grid, 0.1)
+    again = calibrate(40, 1, default_grid(40, k_max=10), 0.1)
+    assert again == first and again is not first
+    # replicates, seed and threads do not enter an exact search's key
+    assert calibrate(40, 1, grid, 0.1, "optimize", m=500, seed=9, threads=2) == first
+    assert len(calls) == 1
+    for n, points, alpha in [(41, grid, 0.1), (40, default_grid(40, k_max=11), 0.1), (40, grid, 0.05)]:
+        assert calibrate(n, 1, points, alpha) == gamma_optimize(n, points, alpha)
+    assert len(calls) == 4
+
+
+def test_a_simulated_gamma_is_keyed_by_replicates_and_seed_not_threads(fresh_memo, monkeypatch):
+    calls = counting(monkeypatch, gamma_cache, "gamma_simulate")
+    grid = default_grid(50, k_max=12)
+    first = calibrate(50, 1, grid, 0.1, "simulate", m=600, seed=5, threads=2)
+    assert calibrate(50, 1, grid, 0.1, "simulate", m=600, seed=5, threads=1) == first
+    assert calls == [2]
+    for m, seed in [(600, 6), (700, 5)]:
+        got = calibrate(50, 1, grid, 0.1, "simulate", m=m, seed=seed)
+        assert got == gamma_simulate(50, grid, 0.1, m=m, seed=seed)
+    assert calls == [2, 1, 1]
+
+
+def test_chains_share_the_memo_by_method(fresh_memo, monkeypatch):
+    searches = counting(monkeypatch, gamma_cache, "gamma_optimize_multi")
+    runs = counting(monkeypatch, gamma_cache, "gamma_simulate_multi")
+    grid = default_grid(20, 40, k_max=6)
+    exact = calibrate(20, 2, grid, 0.1)
+    simulated = calibrate(20, 2, grid, 0.1, "simulate", m=300, seed=2)
+    assert calibrate(20, 2, grid, 0.1, "optimize") == exact
+    assert calibrate(20, 2, grid, 0.1, "simulate", m=300, seed=2, threads=3) == simulated
+    assert simulated == gamma_simulate_multi(20, 2, grid, 0.1, m=300, seed=2)
+    four = default_grid(20, 80, k_max=6)
+    assert calibrate(20, 4, four, 0.1, m=300) == calibrate(20, 4, four, 0.1, "simulate", m=300)
+    assert (len(searches), len(runs)) == (1, 2)
+
+
+def test_a_returned_meta_is_the_callers_own(fresh_memo):
+    grid = default_grid(30, k_max=8)
+    first = calibrate(30, 1, grid, 0.1)
+    want = dict(first.meta)
+    first.meta["evaluations"] = -1
+    first.meta["note"] = "changed by a caller"
+    again = calibrate(30, 1, grid, 0.1)
+    assert again.meta == want
+    again.meta.clear()
+    # a lookup that misses the stored grid adds its reason to this call only
+    missed = calibrate(30, 1, grid, 0.1, cache=GammaGrid(()))
+    assert missed.meta == {**want, "cache_miss": "no stored entries for 1 chains at alpha=0.1"}
+    assert calibrate(30, 1, grid, 0.1).meta == want
+
+
+def test_an_error_is_raised_on_every_call_and_never_stored(fresh_memo, monkeypatch):
+    calls = counting(monkeypatch, gamma_cache, "gamma_simulate")
+    grid = default_grid(30, k_max=8)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="at least 100 replicates"):
+            calibrate(30, 1, grid, 0.1, "simulate", m=50)
+        with pytest.raises(ValueError, match="alpha must lie"):
+            calibrate(30, 1, grid, 1.5, "simulate")
+    assert len(calls) == 6
+
+
+def test_clearing_the_memo_computes_again(fresh_memo, monkeypatch):
+    calls = counting(monkeypatch, gamma_cache, "gamma_optimize_multi")
+    grid = default_grid(20, 60, k_max=6)
+    first = calibrate(20, 3, grid, 0.1)
+    calibrate(20, 3, grid, 0.1)
+    gamma_cache._calibration_slot.cache_clear()
+    assert calibrate(20, 3, grid, 0.1) == first
+    assert len(calls) == 2
+
+
+def test_direct_searches_and_simulations_always_compute(fresh_memo, monkeypatch):
+    single = [counting(monkeypatch, bands_single, name) for name in ("_optimized_gamma", "_simulated_gamma")]
+    multi = [counting(monkeypatch, bands_multi, name) for name in ("_optimized_gamma", "_simulated_gamma")]
+    grid, chains = default_grid(30, k_max=8), default_grid(20, 80, k_max=6)
+    for _ in range(2):
+        calibrate(30, 1, grid, 0.1)
+        gamma_optimize(30, grid, 0.1)
+        gamma_optimize_multi(20, 2, default_grid(20, 40, k_max=6), 0.1)
+        gamma_simulate(30, grid, 0.1, m=200)
+        gamma_simulate_multi(20, 4, chains, 0.1, m=200)
+    # the calibration's search ran once, every direct call each time
+    assert [len(calls) for calls in single + multi] == [3, 2, 2, 2]
+
+
+def test_a_stored_grid_is_read_on_every_call(fresh_memo, tmp_path):
+    path = tmp_path / "grid.json"
+    grid = default_grid(50, k_max=10)
+    for gamma in (0.0031, 0.0042):
+        save_grid(GammaGrid((GridEntry(50, 1, 10, 0.05, gamma, 0.95, "optimization"),)), path)
+        assert calibrate(50, 1, grid, 0.05, cache=path).gamma == gamma
+
+
+def test_a_memo_hit_logs_one_debug_record(fresh_memo, caplog):
+    grid = default_grid(30, k_max=8)
+
+    def hits():
+        return [r for r in caplog.records if "calibration memo" in r.getMessage()]
+
+    with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
+        first = calibrate(30, 1, grid, 0.1)
+        assert hits() == []
+        assert calibrate(30, 1, grid, 0.1) == first
+    (record,) = hits()
+    assert (record.name, record.levelno) == ("ecdf_bands", logging.DEBUG)
+    assert "n=30, 1 chains, K=8, alpha=0.1 by optimize" in record.getMessage()
+    # the record is all a hit adds: no meta key says where the gamma came from
+    assert calibrate(30, 1, grid, 0.1).meta == gamma_optimize(30, grid, 0.1).meta

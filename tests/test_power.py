@@ -8,6 +8,7 @@ row-blocked sweep are checked bit for bit against the per-statistic,
 masked and whole-chunk routes in ``oracles``.
 """
 
+import logging
 from unittest import mock
 
 import numpy as np
@@ -225,6 +226,44 @@ def test_shared_null_pass_gives_each_statistic_its_own_critical_value():
         assert power._critical_values(STAT_TESTS, 37, 0.1, 2500, 6, threads) == want
     for t in STAT_TESTS:
         assert critical_value(t, 37, 0.1, m=2500, seed=6) == want[t]
+
+
+def test_sweep_critical_values_are_computed_once_per_key(monkeypatch, caplog):
+    power._critical_slot.cache_clear()
+    calls = []
+    simulated = power._simulated_critical_values
+
+    def spy(*args):
+        calls.append(args)
+        return simulated(*args)
+
+    monkeypatch.setattr(power, "_simulated_critical_values", spy)
+    with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
+        first = power._critical_values(["T1", "W2"], 30, 0.1, 1000, 4, 2)
+        again = power._critical_values(["T1", "W2"], 30, 0.1, 1000, 4, 1)
+    assert again == first and again is not first
+    assert [args[-1] for args in calls] == [2]
+    (hit,) = [r for r in caplog.records if "calibration memo" in r.getMessage()]
+    assert hit.levelno == logging.DEBUG
+    assert "critical values of T1,W2 for n=30, alpha=0.1" in hit.getMessage()
+    # a caller's change to the dict it got does not reach the next caller
+    again["T1"] = -1.0
+    assert power._critical_values(("T1", "W2"), 30, 0.1, 1000, 4) == first
+    # the statistics, n, alpha, m and seed are all part of the key
+    for key in [(["W2", "T1"], 30, 0.1, 1000, 4), (["T1", "W2"], 31, 0.1, 1000, 4),
+                (["T1", "W2"], 30, 0.05, 1000, 4), (["T1", "W2"], 30, 0.1, 1100, 4),
+                (["T1", "W2"], 30, 0.1, 1000, 5)]:
+        power._critical_values(*key)
+    assert len(calls) == 6
+    # errors are raised every time, the public function always computes
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 1000"):
+            power._critical_values(["KS"], 30, 0.1, 999, 4)
+        critical_value("T1", 30, 0.1, m=1000, seed=4)
+    assert len(calls) == 10
+    power._critical_slot.cache_clear()
+    assert power._critical_values(["T1", "W2"], 30, 0.1, 1000, 4) == first
+    assert len(calls) == 11
 
 
 def test_critical_value_validation():

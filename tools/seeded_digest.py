@@ -9,14 +9,19 @@ the package from the ``src`` next to this directory.  It unsets
 ``ECDF_BANDS_CACHE``, so that no stored gamma grid is read, but for the
 cases in ``CACHED``, which read the grid it builds itself:
 
-    python tools/seeded_digest.py [CASE ...]
+    python tools/seeded_digest.py [--repeat N] [CASE ...]
 
 With no case named it runs them all.  To compare two checkouts, run the
-copy of this file in each and ``diff`` the output.
+copy of this file in each and ``diff`` the output.  ``--repeat N`` runs
+the cases N times over in this one process, each round in folders of
+its own, and prints every round's lines, so that the later rounds show
+the bytes of calls served from what the earlier ones left in the
+process's caches.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -119,11 +124,10 @@ def write_inputs(folder: Path) -> None:
             cli.main(argv + ["--out", str(folder / name)])
 
 
-def digest(name: str, folder: Path) -> str:
+def digest(name: str, folder: Path, case: Path) -> str:
     """SHA-256 of one case's exit code and the name and bytes of each
-    file it wrote, in name order."""
-    case = folder / name
-    case.mkdir()
+    file it wrote into the new folder ``case``, in name order."""
+    case.mkdir(parents=True)
     paths = {a: folder / a for a in (*INPUTS, *DERIVED)} | {a: case / a for a in OUTPUTS}
     argv = [str(paths[a]) if a in paths else a for a in CASES[name]] + ["--out", str(case / "out")]
     if name in CACHED:
@@ -139,16 +143,28 @@ def digest(name: str, folder: Path) -> str:
     return h.hexdigest()
 
 
-def main(names) -> list[str]:
+def main(names, repeat: int = 1) -> list[str]:
+    """One line per case named (all of them if none is), for each of
+    ``repeat`` rounds in turn."""
     unknown = [name for name in names if name not in CASES]
     if unknown:
         raise SystemExit(f"unknown case(s) {unknown}; choose from {list(CASES)}")
+    if repeat < 1:
+        raise SystemExit("repeat must be positive")
     os.environ.pop(cli.CACHE_ENV, None)
     with tempfile.TemporaryDirectory() as tmp:
         folder = Path(tmp)
         write_inputs(folder)
-        return [f"{digest(name, folder)}  {name}" for name in names or CASES]
+        return [
+            f"{digest(name, folder, folder / f'round{r}' / name)}  {name}"
+            for r in range(repeat)
+            for name in names or CASES
+        ]
 
 
 if __name__ == "__main__":
-    print("\n".join(main(sys.argv[1:])))
+    parser = argparse.ArgumentParser(description="One SHA-256 digest per seeded output of the CLI.")
+    parser.add_argument("--repeat", type=int, default=1, help="rounds of every case in this process")
+    parser.add_argument("cases", nargs="*", help="cases to run (default all)")
+    args = parser.parse_args()
+    print("\n".join(main(args.cases, args.repeat)))
