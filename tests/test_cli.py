@@ -1036,8 +1036,6 @@ def test_repeated_calibrations_in_one_process_keep_the_output_bytes(tmp_path, mo
     """The second call of each shape is served from the process's
     calibration memos and writes the same bytes as the first."""
     monkeypatch.delenv(CACHE_ENV, raising=False)
-    gamma_cache._calibration_slot.cache_clear()
-    power._critical_slot.cache_clear()
     chains = np.random.default_rng(35).standard_normal((80, 4))
     src = write(tmp_path / "chains.csv", "\n".join(",".join(map(repr, row)) for row in chains.tolist()) + "\n")
     calls = {

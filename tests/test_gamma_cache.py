@@ -44,6 +44,7 @@ def test_build_grid_matches_direct_optimization(small_grid):
 
 
 def test_build_grid_thread_pool_gives_identical_entries(small_grid):
+    gamma_cache._calibration_slot.cache_clear()
     threaded = build_grid([40, 80], [1], [0.05], k_policy=20, threads=2)
     assert threaded.entries == small_grid.entries
 
@@ -297,12 +298,6 @@ def test_calibrate_dispatch_errors(l, method, cache, error, match):
 # the in-process calibration memo
 
 
-@pytest.fixture
-def fresh_memo():
-    gamma_cache._calibration_slot.cache_clear()
-    yield
-    gamma_cache._calibration_slot.cache_clear()
-
 
 def counting(monkeypatch, module, name):
     """Replace ``module.name`` by a spy that calls it and records the
@@ -318,7 +313,7 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_a_repeated_search_is_run_once_and_keyed_by_shape_and_alpha(fresh_memo, monkeypatch):
+def test_a_repeated_search_is_run_once_and_keyed_by_shape_and_alpha(monkeypatch):
     calls = counting(monkeypatch, gamma_cache, "gamma_optimize")
     grid = default_grid(40, k_max=10)
     first = calibrate(40, 1, grid, 0.1)
@@ -332,7 +327,7 @@ def test_a_repeated_search_is_run_once_and_keyed_by_shape_and_alpha(fresh_memo, 
     assert len(calls) == 4
 
 
-def test_a_simulated_gamma_is_keyed_by_replicates_and_seed_not_threads(fresh_memo, monkeypatch):
+def test_a_simulated_gamma_is_keyed_by_replicates_and_seed_not_threads(monkeypatch):
     calls = counting(monkeypatch, gamma_cache, "gamma_simulate")
     grid = default_grid(50, k_max=12)
     first = calibrate(50, 1, grid, 0.1, "simulate", m=600, seed=5, threads=2)
@@ -344,7 +339,7 @@ def test_a_simulated_gamma_is_keyed_by_replicates_and_seed_not_threads(fresh_mem
     assert calls == [2, 1, 1]
 
 
-def test_chains_share_the_memo_by_method(fresh_memo, monkeypatch):
+def test_chains_share_the_memo_by_method(monkeypatch):
     searches = counting(monkeypatch, gamma_cache, "gamma_optimize_multi")
     runs = counting(monkeypatch, gamma_cache, "gamma_simulate_multi")
     grid = default_grid(20, 40, k_max=6)
@@ -358,7 +353,7 @@ def test_chains_share_the_memo_by_method(fresh_memo, monkeypatch):
     assert (len(searches), len(runs)) == (1, 2)
 
 
-def test_a_returned_meta_is_the_callers_own(fresh_memo):
+def test_a_returned_meta_is_the_callers_own():
     grid = default_grid(30, k_max=8)
     first = calibrate(30, 1, grid, 0.1)
     want = dict(first.meta)
@@ -373,7 +368,7 @@ def test_a_returned_meta_is_the_callers_own(fresh_memo):
     assert calibrate(30, 1, grid, 0.1).meta == want
 
 
-def test_an_error_is_raised_on_every_call_and_never_stored(fresh_memo, monkeypatch):
+def test_an_error_is_raised_on_every_call_and_never_stored(monkeypatch):
     calls = counting(monkeypatch, gamma_cache, "gamma_simulate")
     grid = default_grid(30, k_max=8)
     for _ in range(3):
@@ -384,7 +379,7 @@ def test_an_error_is_raised_on_every_call_and_never_stored(fresh_memo, monkeypat
     assert len(calls) == 6
 
 
-def test_clearing_the_memo_computes_again(fresh_memo, monkeypatch):
+def test_clearing_the_memo_computes_again(monkeypatch):
     calls = counting(monkeypatch, gamma_cache, "gamma_optimize_multi")
     grid = default_grid(20, 60, k_max=6)
     first = calibrate(20, 3, grid, 0.1)
@@ -394,7 +389,7 @@ def test_clearing_the_memo_computes_again(fresh_memo, monkeypatch):
     assert len(calls) == 2
 
 
-def test_direct_searches_and_simulations_always_compute(fresh_memo, monkeypatch):
+def test_direct_searches_and_simulations_always_compute(monkeypatch):
     single = [counting(monkeypatch, bands_single, name) for name in ("_optimized_gamma", "_simulated_gamma")]
     multi = [counting(monkeypatch, bands_multi, name) for name in ("_optimized_gamma", "_simulated_gamma")]
     grid, chains = default_grid(30, k_max=8), default_grid(20, 80, k_max=6)
@@ -408,7 +403,7 @@ def test_direct_searches_and_simulations_always_compute(fresh_memo, monkeypatch)
     assert [len(calls) for calls in single + multi] == [3, 2, 2, 2]
 
 
-def test_a_stored_grid_is_read_on_every_call(fresh_memo, tmp_path):
+def test_a_stored_grid_is_read_on_every_call(tmp_path):
     path = tmp_path / "grid.json"
     grid = default_grid(50, k_max=10)
     for gamma in (0.0031, 0.0042):
@@ -416,7 +411,7 @@ def test_a_stored_grid_is_read_on_every_call(fresh_memo, tmp_path):
         assert calibrate(50, 1, grid, 0.05, cache=path).gamma == gamma
 
 
-def test_a_memo_hit_logs_one_debug_record(fresh_memo, caplog):
+def test_a_memo_hit_logs_one_debug_record(caplog):
     grid = default_grid(30, k_max=8)
 
     def hits():

@@ -22,7 +22,7 @@ from oracles import (
 )
 from oracles import critical_value as oracle_critical_value
 
-from ecdf_bands import bands_multi, bands_single, power
+from ecdf_bands import bands_multi, bands_single, gamma_cache, power
 from ecdf_bands.gamma_cache import calibrate
 from ecdf_bands.power import (
     FAMILIES,
@@ -223,13 +223,13 @@ def test_shared_null_pass_gives_each_statistic_its_own_critical_value():
     # 2500 null samples: one full chunk and a part, each cut into row blocks
     want = {t: oracle_critical_value(t, 37, 0.1, 2500, 6) for t in STAT_TESTS}
     for threads in (1, 2):
+        power._critical_slot.cache_clear()
         assert power._critical_values(STAT_TESTS, 37, 0.1, 2500, 6, threads) == want
     for t in STAT_TESTS:
         assert critical_value(t, 37, 0.1, m=2500, seed=6) == want[t]
 
 
 def test_sweep_critical_values_are_computed_once_per_key(monkeypatch, caplog):
-    power._critical_slot.cache_clear()
     calls = []
     simulated = power._simulated_critical_values
 
@@ -365,10 +365,12 @@ def test_power_sweep_threads_do_not_change_results(monkeypatch):
     # 4-chain band test; the calibration and the shared critical-value
     # pass are handed the sweep's threads
     for tests, family, n, l in [(["bands", *STAT_TESTS], "C", 30, 1), (["bands"], "A", 40, 4)]:
-        runs = [
-            power_sweep(tests, family, [1.5], n, replicates=1000, seed=4, n_chains=l, threads=t)
-            for t in (1, 3)
-        ]
+        runs = []
+        for t in (1, 3):
+            # each thread count calibrates and simulates afresh
+            gamma_cache._calibration_slot.cache_clear()
+            power._critical_slot.cache_clear()
+            runs.append(power_sweep(tests, family, [1.5], n, replicates=1000, seed=4, n_chains=l, threads=t))
         assert runs[0].rates == runs[1].rates
         assert runs[0].meta == runs[1].meta
     assert threads_seen == [1, 3, 1, 3]
