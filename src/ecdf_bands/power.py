@@ -12,8 +12,13 @@ row blocks, and the band test rejects a sample whose tightest tail
 level is below gamma, for one sample as for several chains.  Each count
 law's module reads the levels, the simulators' way: one sample's
 draws go to ``bands_single._sample_levels``, and several chains'
-draws, argsorted into chain labels in pooled order, go to
+draws, as chain labels in pooled order, go to
 ``bands_multi._chain_levels``.  This module reads no law's table.
+The labels come from one in-place sort of packed integer keys per
+strength (``_pooled_labeller``), as the simulator's come from
+``bands_multi._chain_labeller``: they are the labels of argsorting the
+pooled floats on every replicate in which no two chains hold exactly
+equal draws, and at such a tie the undistorted draw sorts first.
 
 Within one process a sweep's Monte Carlo critical values are computed
 once for each (statistics, n, alpha, m, seed) and kept in a bounded
@@ -62,7 +67,8 @@ class Transformation:
     Family A tilts mass towards 1 (k < 1) or 0 (k > 1); family B pushes
     mass towards the endpoints or the middle symmetrically; family C
     does the reverse, bending around 0.5.  k = 1 is the identity for
-    every family.
+    every family.  Families B and C scale by 2^(k - 1), which overflows
+    a double from k = 1025 on, so they take k below that.
     """
 
     family: str
@@ -75,10 +81,26 @@ class Transformation:
             raise ValueError("k must be positive")
         if self.k == math.inf:
             raise ValueError("k must be finite")
+        if self.family != "A" and self.k >= 1025.0:
+            raise ValueError(
+                f"k must be below 1025 for family {self.family}, where 2**(k - 1) overflows a double"
+            )
 
 
 def apply_transform(x, t: Transformation):
-    """Apply the distortion pointwise; scalars in, scalars out.
+    """Apply the distortion pointwise; scalars in, scalars out.  Every
+    value must lie in [0, 1]; ``_distort`` holds the formulas."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
+        raise ValueError("values must lie in [0, 1]")
+    out = _distort(xa, t)
+    if np.isscalar(x) or np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def _distort(x: np.ndarray, t: Transformation) -> np.ndarray:
+    """The distortion of an array of draws in [0, 1], unchecked.
 
     Families B and C are odd about 0.5.  Each draw is folded onto one
     side (B: min(x, 1 - x); C: |x - 0.5|), raised to the power k once,
@@ -87,30 +109,23 @@ def apply_transform(x, t: Transformation):
     formulas do.  These families work on at least 1-d arrays, so that a
     scalar takes the same array power as a batch of draws.
     """
-    xa = np.asarray(x, dtype=float)
-    if not np.all((xa >= 0.0) & (xa <= 1.0)):
-        raise ValueError("values must lie in [0, 1]")
     k = t.k
     if t.family == "A":
-        out = 1.0 - (1.0 - xa) ** k
+        return 1.0 - (1.0 - x) ** k
+    v = np.atleast_1d(x)
+    scale = 2.0 ** (k - 1.0)
+    if t.family == "B":
+        bent = np.minimum(v, 1.0 - v) ** k
+        bent *= scale
+        out = 1.0 - bent
+        np.copyto(out, bent, where=v <= 0.5)
     else:
-        v = np.atleast_1d(xa)
-        scale = 2.0 ** (k - 1.0)
-        if t.family == "B":
-            bent = np.minimum(v, 1.0 - v) ** k
-            bent *= scale
-            out = 1.0 - bent
-            np.copyto(out, bent, where=v <= 0.5)
-        else:
-            d = v - 0.5
-            bent = np.abs(d) ** k
-            bent *= scale
-            out = np.copysign(bent, d, out=bent)
-            out += 0.5
-        out = out.reshape(xa.shape)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+        d = v - 0.5
+        bent = np.abs(d) ** k
+        bent *= scale
+        out = np.copysign(bent, d, out=bent)
+        out += 0.5
+    return out.reshape(np.shape(x))
 
 
 def _t1(srt: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -236,29 +251,107 @@ class PowerCurve:
 def _band_rejector(n: int, l: int, alpha: float, m: int, seed: int, threads: int):
     """Batch rejector for the band test on l chains, and its gamma.
 
-    The sweep hands it one row block of distorted samples at a time.  A
-    sample is rejected when its tightest tail level, read by its count
-    law's level function as the simulators read their replicates', is
-    below gamma, which is the verdict of the bands at gamma.  Several
-    chains' draws are argsorted into pooled order, each position
-    labelled with its draw's chain.
+    The sweep hands it one row block of undistorted samples at a time,
+    and it returns a rejector of that block with its first chain
+    distorted, which the sweep calls once per strength.  A sample is
+    rejected when its tightest tail level, read by its count law's
+    level function as the simulators read their replicates', is below
+    gamma, which is the verdict of the bands at gamma.  Several chains'
+    draws are put in pooled order, each position labelled with its
+    draw's chain, by one sort of packed integer keys per strength
+    (``_pooled_labeller``); at an exact tie between chains the
+    undistorted draw sorts first.
     """
     grid = default_grid(n, l * n if l > 1 else None)
     gamma = calibrate(n, l, grid, alpha, m=m, seed=seed, threads=threads)
     if l == 1:
         levels = bands_single._sample_levels(n, grid)
+
+        def block(base: np.ndarray):
+            return lambda sample: levels(sample) < gamma.gamma
+
     else:
         chain_levels = bands_multi._chain_levels(n, l, grid)
+        labeller = _pooled_labeller(n, l)
 
-        def levels(u: np.ndarray) -> np.ndarray:
-            labels = np.argsort(u, axis=1)
-            labels //= n
-            return chain_levels(labels)
+        def block(base: np.ndarray):
+            labels = labeller(base)
+            return lambda first: chain_levels(labels(first)) < gamma.gamma
 
-    def reject(u: np.ndarray) -> np.ndarray:
-        return levels(u) < gamma.gamma
+    return block, gamma
 
-    return reject, gamma
+
+def _pooled_labeller(n: int, l: int):
+    """Chain labels in pooled order of a row block of l chains of n
+    draws whose first chain is distorted, (B, l*n) int64: a function of
+    the block's undistorted draws, giving a function of its first
+    chain's distorted draws, called once per strength.
+
+    Up to ``bands_multi._PACKED_CHAIN_LIMIT`` chains, one in-place sort
+    of packed integer keys orders each strength's draws, as
+    ``bands_multi._chain_labeller`` orders the simulator's.  A key holds
+    a draw's position on the 53-bit lattice ``rng.random`` draws from in
+    its high bits and a label in its ``_LABEL_BITS`` low bits.  The
+    undistorted draws' keys are built once per block: u * 2^53 is
+    exactly the integer ``rng.random`` drew, and chain c (1 to l - 1)
+    carries c - 1.  The distorted chain's keys are
+    floor(f(u) * 2^53), clipped to [0, 2^53 - 1], and carry the all-ones
+    label, so they sort after every undistorted draw at an equal key.
+    After the sort one increment turns every low part into the chain
+    id: c - 1 into c, and all ones, carrying out, into 0.
+
+    So a distorted draw that lies between two lattice points sorts as
+    the floats do, and the labels equal ``argsort`` of the pooled floats
+    floor-divided by n, chain for chain, on every row where no two
+    chains' draws are exactly equal.  At such an exact tie the
+    undistorted draw sorts first, and tied undistorted draws sort by
+    chain (``argsort``'s order there is unspecified).  A draw that
+    family C rounds to just below 0 sorts as a draw at 0.  Past the
+    limit the pooled floats are argsorted.
+    """
+    if l > bands_multi._PACKED_CHAIN_LIMIT:
+
+        def block(base: np.ndarray):
+            sample = base.copy()
+
+            def labels(first: np.ndarray) -> np.ndarray:
+                sample[:, :n] = first
+                order = np.argsort(sample, axis=1)
+                order //= n
+                return order
+
+            return labels
+
+        return block
+
+    bits = bands_multi._LABEL_BITS
+    low = np.uint64((1 << bits) - 1)
+    lattice = float(1 << 53)
+    below = np.repeat(np.arange(l - 1, dtype=np.uint64), n)
+
+    def block(base: np.ndarray):
+        rest = (base[:, n:] * lattice).astype(np.uint64)
+        rest <<= bits
+        rest |= below
+
+        def labels(first: np.ndarray) -> np.ndarray:
+            keys = np.empty(base.shape, dtype=np.uint64)
+            keys[:, n:] = rest
+            head = keys[:, :n]
+            scaled = first * lattice
+            np.maximum(scaled, 0.0, out=scaled)
+            np.minimum(scaled, lattice - 1.0, out=scaled)
+            np.copyto(head, scaled, casting="unsafe")
+            head <<= bits
+            head |= low
+            keys.sort(axis=1)
+            keys += np.uint64(1)
+            keys &= low
+            return keys.view(np.int64)
+
+        return labels
+
+    return block
 
 
 def power_sweep(
@@ -284,7 +377,11 @@ def power_sweep(
     share one pass of null samples for their critical values, and each
     distorted sample is sorted once for all of them.  The replicates
     run through ``bands_single._replicate_blocks``, each row block drawn
-    and tested for every strength before the next.
+    and tested for every strength before the next; with several chains
+    the undistorted chains' sort keys are built once per block, and each
+    strength's pooled draws take one integer sort (``_pooled_labeller``).
+    Every strength is checked (``Transformation``), and n must be
+    positive, before anything is calibrated.
     """
     if isinstance(tests, str):
         tests = [tests]
@@ -308,29 +405,29 @@ def power_sweep(
     for t in tests:
         if t != "bands" and t not in _STATS:
             raise ValueError(f"unknown test {t!r}")
+    if n < 1:
+        raise ValueError("sample size must be positive")
+    transforms = [Transformation(family, k) for k in ks]
 
     stats = [t for t in tests if t != "bands"]
     cvs = _critical_values(stats, n, alpha, m_calibration, seed + 1, threads) if stats else {}
     meta = {}
-    band_reject = None
+    band_block = None
     for t in tests:
         if t == "bands":
-            band_reject, gamma = _band_rejector(n, n_chains, alpha, m_calibration, seed, threads)
+            band_block, gamma = _band_rejector(n, n_chains, alpha, m_calibration, seed, threads)
             meta["gamma"] = gamma.gamma
         else:
             meta[f"cv_{t}"] = cvs[t]
 
-    transforms = [Transformation(family, k) for k in ks]
-
     def rejections(rng: np.random.Generator, size: int) -> np.ndarray:
         base = rng.random((size, n_chains * n))
+        first = base[:, :n]
+        band_reject = band_block(base) if band_block is not None else None
         out = np.zeros((len(tests), len(ks)), dtype=np.int64)
         for j, tr in enumerate(transforms):
-            if n_chains == 1:
-                sample = apply_transform(base, tr)
-            else:
-                sample = base.copy()
-                sample[:, :n] = apply_transform(base[:, :n], tr)
+            # with one chain the first chain is the whole sample
+            sample = _distort(first, tr)
             rejected = {"bands": band_reject(sample)} if band_reject is not None else {}
             if stats:
                 for t, values in _row_statistics(sample, stats).items():

@@ -54,6 +54,10 @@ PARSER_CASES = [
     ["plot", "x.csv", "--seed", "-1"],
     # a power sweep that names no test
     ["power", "--family", "A", "--ks", "1", "--n", "10", "--tests", " , "],
+    # power sweeps refused before they calibrate: a strength at which
+    # 2**(k - 1) overflows, and an empty sample
+    ["power", "--family", "C", "--ks", "1e300", "--n", "20", "--chains", "2"],
+    ["power", "--family", "A", "--ks", "1", "--n", "0"],
     # options these subcommands do not take
     ["pit", "a.csv", "b.csv", "--alpha", "0.9"],
     ["thin", "x.csv", "--alpha", "0"],

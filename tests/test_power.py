@@ -145,6 +145,14 @@ def test_transform_validation():
     with pytest.raises(ValueError):
         apply_transform([0.2, np.nan], Transformation("B", 2.0))
     assert isinstance(apply_transform(0.3, Transformation("A", 2.0)), float)
+    # B and C scale by 2**(k - 1), which overflows a double from k = 1025
+    for fam in ("B", "C"):
+        for k in (1025.0, 2000.0, 1e300, 1e308):
+            with pytest.raises(ValueError, match=f"below 1025 for family {fam}"):
+                Transformation(fam, k)
+        widest = Transformation(fam, float(np.nextafter(1025.0, 0.0)))
+        assert np.all(np.isfinite(apply_transform(np.linspace(0.0, 1.0, 11), widest)))
+    assert apply_transform(0.5, Transformation("A", 1e308)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +460,97 @@ def test_power_sweep_four_chains_seeded_values_are_pinned():
     assert curve.meta["gamma"] == 0.0017331094147646914
 
 
+def cross_chain_ties(sample: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Rows of ``sample`` in which two chains hold exactly equal draws."""
+    tied = []
+    for row in sample.tolist():
+        chains = [set(row[c * n : (c + 1) * n]) for c in range(l)]
+        tied.append(any(chains[a] & chains[c] for a in range(l) for c in range(a + 1, l)))
+    return np.array(tied, dtype=bool)
+
+
+def argsort_labels(base: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+    sample = base.copy()
+    sample[:, :n] = first
+    return np.argsort(sample, axis=1) // n, sample
+
+
+EXTREME_STRENGTHS = (1e-300, 1e-8, 40.0, 1000.0, float(np.nextafter(1025.0, 0.0)), 1e308)
+"""Strengths that put distorted draws at or next to 0.0, 0.5 and 1.0;
+family A takes them all, B and C those below 1025."""
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    l=st.integers(2, 8),
+    n=st.integers(1, 50),
+    b=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    fam=st.sampled_from(FAMILIES),
+    ks=st.lists(strengths | st.sampled_from(EXTREME_STRENGTHS), min_size=1, max_size=3),
+)
+def test_packed_pooled_labels_match_argsort(l, n, b, seed, fam, ks):
+    # one block's undistorted keys serve every strength, as in the sweep
+    base = np.random.default_rng(seed).random((b, l * n))
+    labeller = power._pooled_labeller(n, l)(base)
+    for k in ks:
+        if fam != "A" and k >= 1025.0:
+            continue
+        first = power._distort(base[:, :n], Transformation(fam, k))
+        got = labeller(first)
+        assert got.dtype == np.int64 and got.shape == (b, l * n)
+        want, sample = argsort_labels(base, first, n)
+        plain = ~cross_chain_ties(sample, n, l)
+        np.testing.assert_array_equal(got[plain], want[plain])
+    # the block's own draws are left as they were
+    np.testing.assert_array_equal(base, np.random.default_rng(seed).random((b, l * n)))
+
+
+def test_packed_pooled_labels_on_ties_and_lattice_edges():
+    # two blocks of three chains of three draws; the first chain's
+    # (distorted) draws are given as they are
+    quarter_up = float(np.nextafter(0.25, 1.0))
+    first = np.array([[0.5, 0.25, quarter_up], [1.0, -(2.0**-53), 0.7]])
+    rest = np.array(
+        [
+            [0.25, 0.5, 0.75, 0.25 + 2.0**-53, 0.125, 0.5],
+            [0.0, 0.7, 1.0 - 2.0**-53, 0.3, 0.9, 0.1],
+        ]
+    )
+    base = np.column_stack([np.zeros((2, 3)), rest])
+    got = power._pooled_labeller(3, 3)(base)(first)
+    # at an exact tie between chains the undistorted draw sorts first,
+    # and tied undistorted draws sort by chain; 0.25 + 2**-55 lies
+    # between two lattice points and sorts between them; a draw at 1.0
+    # sorts last, and one just below 0 sorts as a draw at 0
+    assert got.tolist() == [[2, 1, 0, 0, 2, 1, 2, 0, 1], [1, 0, 2, 2, 1, 0, 2, 1, 0]]
+    want, sample = argsort_labels(base, first, 3)
+    assert cross_chain_ties(sample, 3, 3).tolist() == [True, True]
+    # off the ties, and off the draw below 0, the floats' argsort agrees
+    for row, plain in ((0, [0, 3, 4, 8]), (1, [2, 3, 6, 7, 8])):
+        np.testing.assert_array_equal(got[row, plain], want[row, plain])
+
+
+def test_pooled_labels_past_the_packed_limit_argsort_the_floats(monkeypatch):
+    # each sweep's rates with the packed sort, then with the limit
+    # lowered below its chain count, which argsorts the pooled floats
+    shapes = (("B", 3), ("C", 4))
+
+    def sweep(fam, l):
+        ks = [0.7, 1.0, 1.6]
+        return power_sweep(["bands"], fam, ks, 20, replicates=1000, seed=9, n_chains=l, m_calibration=1000)
+
+    packed = [sweep(fam, l) for fam, l in shapes]
+    monkeypatch.setattr(bands_multi, "_PACKED_CHAIN_LIMIT", 2)
+    base = np.random.default_rng(1).random((5, 3 * 7))
+    first = power._distort(base[:, :7], Transformation("C", 1.3))
+    base[0, 7] = first[0, 0]  # an undistorted draw tied with a distorted one
+    labeller = power._pooled_labeller(7, 3)(base)
+    for _ in range(2):
+        np.testing.assert_array_equal(labeller(first), argsort_labels(base, first, 7)[0])
+    assert [sweep(fam, l).rates for fam, l in shapes] == [curve.rates for curve in packed]
+
+
 def test_power_sweep_multi_chain_transforms_one_chain():
     curve = power_sweep(
         ["bands"],
@@ -485,6 +584,20 @@ def test_power_sweep_validation():
     for empty in ([], ()):
         with pytest.raises(ValueError, match="at least one test"):
             power_sweep(empty, "A", [1.0], 50, replicates=1000)
+
+
+def test_power_sweep_refuses_before_it_calibrates(monkeypatch):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before the arguments were checked")
+
+    monkeypatch.setattr(power, "calibrate", no_calibration)
+    monkeypatch.setattr(power, "_critical_values", no_calibration)
+    for tests, chains in ((["bands"], 1), (["bands"], 2), (["T1"], 1)):
+        with pytest.raises(ValueError, match="^sample size must be positive$"):
+            power_sweep(tests, "A", [1.0], 0, n_chains=chains)
+        for fam in ("B", "C"):
+            with pytest.raises(ValueError, match=f"below 1025 for family {fam}"):
+                power_sweep(tests, fam, [1.0, 1e300], 20, n_chains=chains)
 
 
 def test_power_curve_validation():

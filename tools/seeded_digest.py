@@ -93,6 +93,10 @@ CASES = {
     "test-cached-64-grid-k20": ["test", "col64.csv", "--grid-k", "20"],
     "test-cache-2x64": ["test", "chains2x64.csv", "--method", "cache"],
     "plot-rank-hist-sparse": ["plot", "col48.csv", "--kind", "rank_hist", "--bins", "100"],
+    "power-chains8": ["power", "--family", "C", "--ks", "0.8,1.3", "--n", "20", "--chains", "8"],
+    "power-chains3-draws-at-0-and-1": [
+        "power", "--family", "A", "--ks", "1e-300,1,1e308", "--n", "30", "--chains", "3"
+    ],
 }
 """Each case's arguments, with input files named as in ``INPUTS``; the
 output goes to a file given by ``--out`` in the case's own folder, as
@@ -100,7 +104,9 @@ does any file named in ``OUTPUTS``.  Two chains of 1000 draws read a
 chain table windowed at the search's floor, far narrower than the
 1001 counts of a full row.  The rank histogram of 48 values in
 100 bins reads the binomial table on the one-point grid 1/100, whose
-row has its mode at count 0, so that no count lies below the mode."""
+row has its mode at count 0, so that no count lies below the mode.
+The three-chain sweep at strengths 1e-300 and 1e308 puts every draw of
+its distorted chain at exactly 0.0 and at exactly 1.0."""
 
 CACHED = ("test-cached-64", "test-interpolated-48", "test-cached-64-grid-k20", "test-cache-2x64")
 """Cases run with ``ECDF_BANDS_CACHE`` set to the derived ``grid.json``:
