@@ -43,7 +43,6 @@ from .power import (
     PowerCurve,
     Transformation,
     apply_transform,
-    critical_value,
     power_sweep,
 )
 from .report import PlotSpec, RankHistogram, diff_transform, plot_data, rank_hist, render_svg
@@ -89,7 +88,6 @@ __all__ = [
     "calibrate",
     "coverage_probability",
     "coverage_probability_multi",
-    "critical_value",
     "default_grid",
     "diff_transform",
     "ecdf_eval",

@@ -9,15 +9,19 @@ alpha) plus linear interpolation of log gamma against log n gives
 near-exact bands without recomputation.  Grids persist as versioned JSON
 so they can be inspected and diffed.
 
-Within one process ``calibrate`` also remembers what it computed: each
-exact or simulated gamma is kept in a bounded memo
-(``_calibration_slot``) keyed by the sample size, the chain count, the
-grid's points, alpha and the method, and for simulation the replicate
-count and the seed.  The thread count is not part of the key, since the
-seeded chunks give the same gamma on any number of threads.  A stored
-grid is never memoized here, so a rewritten grid file is always read
-again; the public ``gamma_optimize`` and ``gamma_simulate*`` are not
-memoized either.  ``_calibration_slot.cache_clear()`` empties the memo.
+This module also holds the package's one calibration memo
+(``_calibration_slot``), filled and served by ``_calibrated``.  Each
+exact or simulated gamma that ``calibrate`` computes is kept there,
+keyed by the sample size, the chain count, the grid's points, alpha and
+the method, and for simulation the replicate count and the seed; so is
+each set of Monte Carlo critical values of a power sweep
+(``power._critical_values``).  Every key starts with its kind, so a
+gamma and a set of critical values never share an entry.  The thread
+count is not part of a key, since the seeded chunks give the same
+result on any number of threads.  A stored grid is never memoized here,
+so a rewritten grid file is always read again; the public
+``gamma_optimize`` and ``gamma_simulate*`` are not memoized either.
+``_calibration_slot.cache_clear()`` empties the memo.
 """
 
 from __future__ import annotations
@@ -147,33 +151,46 @@ def calibrate(
         raise ValueError("method 'cache' requires a gamma grid or its path")
     if method not in ("optimize", "simulate"):
         raise ValueError(f"unknown method {method!r}")
-    simulated = (m, seed) if method == "simulate" else ()
-    slot = _calibration_slot(n, l, tuple(grid.points.tolist()), alpha, method, *simulated)
-    res = slot[0]
-    if res is None:
+
+    def build() -> GammaResult:
         if method == "optimize":
-            res = gamma_optimize(n, grid, alpha) if l == 1 else gamma_optimize_multi(n, l, grid, alpha)
-        elif l == 1:
-            res = gamma_simulate(n, grid, alpha, m=m, seed=seed, threads=threads)
-        else:
-            res = gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed, threads=threads)
-        slot[0] = res
-    elif _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "gamma for n=%d, %d chains, K=%d, alpha=%g by %s served from this process's calibration memo",
-            n, l, grid.size, alpha, method,
-        )
+            return gamma_optimize(n, grid, alpha) if l == 1 else gamma_optimize_multi(n, l, grid, alpha)
+        if l == 1:
+            return gamma_simulate(n, grid, alpha, m=m, seed=seed, threads=threads)
+        return gamma_simulate_multi(n, l, grid, alpha, m=m, seed=seed, threads=threads)
+
+    simulated = (m, seed) if method == "simulate" else ()
+    res = _calibrated(
+        ("gamma", n, l, tuple(grid.points.tolist()), alpha, method, *simulated), build,
+        lambda: f"gamma for n={n}, {l} chains, K={grid.size}, alpha={alpha:g} by {method}",
+    )
     meta = dict(res.meta) if miss is None else {**res.meta, "cache_miss": miss}
     return dataclasses.replace(res, meta=meta)
 
 
-@functools.lru_cache(maxsize=32)
-def _calibration_slot(n: int, l: int, points: tuple, alpha: float, method: str, *simulated) -> list:
-    """The memo entry of one calibration: a one-item list holding the
-    ``GammaResult`` that ``calibrate`` computed for l chains of n draws
-    on the grid ``points`` at ``alpha`` by ``method`` ("optimize" or
-    "simulate", with ``simulated`` the replicate count and seed), or
-    None until it has."""
+def _calibrated(key: tuple, build, what):
+    """The memoized calibration under ``key``: ``build()`` on the first
+    call in this process, the stored value after.  An error from
+    ``build`` is raised and never stored.  A hit logs one DEBUG record
+    saying that ``what()``, called only when DEBUG is on, was served
+    from the memo.  The caller copies what it hands out."""
+    slot = _calibration_slot(key)
+    value = slot[0]
+    if value is None:
+        value = slot[0] = build()
+    elif _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s served from this process's calibration memo", what())
+    return value
+
+
+@functools.lru_cache(maxsize=40)
+def _calibration_slot(key: tuple) -> list:
+    """The memo entry of one calibration: a one-item list holding what
+    ``_calibrated`` built for ``key``, or None until it has.  A key's
+    first item names its kind: ``"gamma"``, for ``calibrate``'s
+    (n, chains, grid points, alpha, method[, m, seed]), or
+    ``"critical values"``, for ``power._critical_values``'
+    (statistics, n, alpha, m, seed)."""
     return [None]
 
 

@@ -21,17 +21,13 @@ pooled floats on every replicate in which no two chains hold exactly
 equal draws, and at such a tie the undistorted draw sorts first.
 
 Within one process a sweep's Monte Carlo critical values are computed
-once for each (statistics, n, alpha, m, seed) and kept in a bounded
-memo (``_critical_slot``), as ``gamma_cache.calibrate`` keeps the band
-test's gamma; the thread count is not part of the key.  The public
-``critical_value`` is not memoized, and
-``_critical_slot.cache_clear()`` empties the memo.
+once for each (statistics, n, alpha, m, seed) and kept in the package's
+one calibration memo (``gamma_cache._calibration_slot``), beside the
+band test's gamma; the thread count is not part of the key.
 """
 
 from __future__ import annotations
 
-import functools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +35,7 @@ import numpy as np
 
 from . import bands_multi, bands_single
 from .bands_single import DEFAULT_REPLICATES
-from .gamma_cache import calibrate
+from .gamma_cache import _calibrated, calibrate
 from .transform import default_grid
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "Transformation",
     "PowerCurve",
     "apply_transform",
-    "critical_value",
     "power_sweep",
 ]
 
@@ -56,8 +51,6 @@ FAMILIES = ("A", "B", "C")
 STAT_TESTS = ("T1", "W2", "U2", "KS")
 DEFAULT_SWEEP_REPLICATES = 10_000
 _CHUNK = 2_000
-
-_log = logging.getLogger("ecdf_bands")
 
 
 @dataclass(frozen=True)
@@ -106,8 +99,10 @@ def _distort(x: np.ndarray, t: Transformation) -> np.ndarray:
     side (B: min(x, 1 - x); C: |x - 0.5|), raised to the power k once,
     and unfolded (B: 1 - y on the right; C: 0.5 plus y with the sign of
     x - 0.5), which rounds every draw exactly as the two halves' own
-    formulas do.  These families work on at least 1-d arrays, so that a
-    scalar takes the same array power as a batch of draws.
+    formulas do; family C then maps 0 to 0 and 1 to 1 exactly, which its
+    formula can miss by an ulp.  These families work on at least 1-d
+    arrays, so that a scalar takes the same array power as a batch of
+    draws.
     """
     k = t.k
     if t.family == "A":
@@ -121,10 +116,16 @@ def _distort(x: np.ndarray, t: Transformation) -> np.ndarray:
         np.copyto(out, bent, where=v <= 0.5)
     else:
         d = v - 0.5
-        bent = np.abs(d) ** k
+        bent = np.abs(d)
+        # |x - 0.5| is 0.5 at the endpoints, where 0.5^k * 2^(k - 1) need
+        # not round to 0.5; only then is the block searched for them
+        edge = bent.max(initial=0.0) == 0.5
+        bent **= k
         bent *= scale
         out = np.copysign(bent, d, out=bent)
         out += 0.5
+        if edge:
+            np.copyto(out, v, where=(v == 0.0) | (v == 1.0))
     return out.reshape(np.shape(x))
 
 
@@ -173,57 +174,41 @@ def _row_statistics(u: np.ndarray, stats) -> dict[str, np.ndarray]:
 
 
 def _critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:
-    """``_simulated_critical_values``, computed once per process for each
-    (stats, n, alpha, m, seed) on any number of threads
-    (``_critical_slot``); every call returns a new dict, and a DEBUG
-    record says when the values came from the memo."""
+    """The Monte Carlo critical value of each named statistic: the
+    empirical (1 - alpha) quantile of the statistic over m uniform null
+    samples of size n, above which a sample is rejected.
+
+    One pass of null samples through ``bands_single._replicate_blocks``,
+    each chunk's stream keyed by its first replicate, serves all of
+    them: each row block is drawn and sorted once.  The values are
+    computed once per process for each (stats, n, alpha, m, seed) on
+    any number of threads (``gamma_cache._calibrated``); every call
+    returns a new dict, and a DEBUG record says when the values came
+    from the memo.
+    """
     stats = tuple(stats)
-    slot = _critical_slot(stats, n, alpha, m, seed)
-    if slot[0] is None:
-        slot[0] = _simulated_critical_values(stats, n, alpha, m, seed, threads)
-    elif _log.isEnabledFor(logging.DEBUG):
-        _log.debug(
-            "critical values of %s for n=%d, alpha=%g served from this process's calibration memo",
-            ",".join(stats), n, alpha,
-        )
-    return dict(slot[0])
 
+    def build() -> dict:
+        for t in stats:
+            if t not in _STATS:
+                raise ValueError(f"stat must be one of {STAT_TESTS}, got {t!r}")
+        if n < 1:
+            raise ValueError("sample size must be positive")
+        level = bands_single._check_alpha(alpha)
+        if m < 1_000:
+            raise ValueError("at least 1000 null replicates are required")
 
-@functools.lru_cache(maxsize=8)
-def _critical_slot(stats: tuple, n: int, alpha: float, m: int, seed: int) -> list:
-    """The memo entry of one set of critical values: a one-item list
-    holding the dict ``_critical_values`` computed, or None until it
-    has."""
-    return [None]
+        def null_statistics(rng: np.random.Generator, size: int) -> dict:
+            return _row_statistics(rng.random((size, n)), stats)
 
+        blocks = bands_single._replicate_blocks(null_statistics, n, m, _CHUNK, seed, threads, by_start=True)
+        quantile = bands_single._empirical_lower_quantile
+        return {t: quantile(np.concatenate([block[t] for block in blocks]), 1.0 - level) for t in stats}
 
-def _simulated_critical_values(stats, n: int, alpha: float, m: int, seed: int, threads: int = 1) -> dict:
-    """``critical_value`` of each named statistic, from one pass of m
-    null samples through ``bands_single._replicate_blocks``, each chunk's
-    stream keyed by its first replicate: each row block is drawn and
-    sorted once for all of them."""
-    for t in stats:
-        if t not in _STATS:
-            raise ValueError(f"stat must be one of {STAT_TESTS}, got {t!r}")
-    if n < 1:
-        raise ValueError("sample size must be positive")
-    alpha = bands_single._check_alpha(alpha)
-    if m < 1_000:
-        raise ValueError("at least 1000 null replicates are required")
-
-    def null_statistics(rng: np.random.Generator, size: int) -> dict:
-        return _row_statistics(rng.random((size, n)), stats)
-
-    blocks = bands_single._replicate_blocks(null_statistics, n, m, _CHUNK, seed, threads, by_start=True)
-    quantile = bands_single._empirical_lower_quantile
-    return {t: quantile(np.concatenate([block[t] for block in blocks]), 1.0 - alpha) for t in stats}
-
-
-def critical_value(stat: str, n: int, alpha: float, m: int = DEFAULT_REPLICATES, seed: int = 0) -> float:
-    """Monte Carlo critical value: the empirical (1-alpha) quantile of
-    the statistic over m uniform null samples of size n.  Samples whose
-    statistic exceeds this value are rejected."""
-    return _simulated_critical_values((stat,), n, alpha, m, seed)[stat]
+    return dict(_calibrated(
+        ("critical values", stats, n, alpha, m, seed), build,
+        lambda: f"critical values of {','.join(stats)} for n={n}, alpha={alpha:g}",
+    ))
 
 
 @dataclass(frozen=True)

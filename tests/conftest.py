@@ -2,13 +2,12 @@
 
 import pytest
 
-from ecdf_bands import gamma_cache, power
+from ecdf_bands import gamma_cache
 
 
 @pytest.fixture(autouse=True)
-def empty_calibration_memos():
-    """Start every test with empty in-process calibration memos, so no
+def empty_calibration_memo():
+    """Start every test with an empty in-process calibration memo, so no
     test is served a gamma or a critical value that an earlier test
     computed."""
     gamma_cache._calibration_slot.cache_clear()
-    power._critical_slot.cache_clear()

@@ -646,7 +646,8 @@ ROW_STATS = {"T1": _t1_rows, "W2": _w2_rows, "U2": _u2_rows, "KS": _ks_rows}
 
 def masked_transform(x, family: str, k: float):
     """The distortion of ``power.Transformation(family, k)``, each half
-    of families B and C written to its own masked cells."""
+    of families B and C written to its own masked cells, and family C's
+    endpoints 0 and 1 written as themselves."""
     xa = np.asarray(x, dtype=float)
     if family == "A":
         out = 1.0 - (1.0 - xa) ** k
@@ -661,13 +662,16 @@ def masked_transform(x, family: str, k: float):
         else:
             out[left] = 0.5 - scale * (0.5 - xa[left]) ** k
             out[right] = 0.5 + scale * (xa[right] - 0.5) ** k
+            # the formula can miss an endpoint by an ulp; the transform fixes both
+            out[xa == 0.0] = 0.0
+            out[xa == 1.0] = 1.0
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
 
 
 def critical_value(stat: str, n: int, alpha: float, m: int, seed: int) -> float:
-    """``power.critical_value`` from this statistic's own null pass:
+    """``power._critical_values`` of one statistic from its own null pass:
     2000 samples per chunk, drawn whole from the chunk's stream keyed by
     its first replicate."""
     pieces = [

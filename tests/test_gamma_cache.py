@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ecdf_bands import bands_multi, bands_single, gamma_cache
+from ecdf_bands import bands_multi, bands_single, gamma_cache, power
 from ecdf_bands.bands_multi import gamma_optimize_multi, gamma_simulate_multi
 from ecdf_bands.bands_single import gamma_optimize, gamma_simulate, test_single as run_single_test
 from ecdf_bands.gamma_cache import (
@@ -426,3 +426,29 @@ def test_a_memo_hit_logs_one_debug_record(caplog):
     assert "n=30, 1 chains, K=8, alpha=0.1 by optimize" in record.getMessage()
     # the record is all a hit adds: no meta key says where the gamma came from
     assert calibrate(30, 1, grid, 0.1).meta == gamma_optimize(30, grid, 0.1).meta
+
+
+def test_a_gamma_and_critical_values_share_the_memo_apart(caplog):
+    """A simulated gamma and a set of critical values with the same n,
+    alpha, m and seed take two entries of the one memo, each served to
+    its own kind with one DEBUG record."""
+    grid = default_grid(30, k_max=8)
+
+    def both():
+        return (
+            calibrate(30, 1, grid, 0.1, "simulate", m=1000, seed=4),
+            power._critical_values(["KS"], 30, 0.1, 1000, 4),
+        )
+
+    with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
+        gamma, cvs = both()
+        assert not caplog.records
+        assert both() == (gamma, cvs)
+    assert isinstance(gamma.gamma, float) and set(cvs) == {"KS"}
+    info = gamma_cache._calibration_slot.cache_info()
+    assert (info.currsize, info.hits) == (2, 2)
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert messages == [
+        "gamma for n=30, 1 chains, K=8, alpha=0.1 by simulate served from this process's calibration memo",
+        "critical values of KS for n=30, alpha=0.1 served from this process's calibration memo",
+    ]

@@ -31,7 +31,6 @@ from ecdf_bands.power import (
     Transformation,
     _row_statistics,
     apply_transform,
-    critical_value,
     power_sweep,
 )
 from ecdf_bands.transform import default_grid
@@ -39,7 +38,7 @@ from ecdf_bands.transform import default_grid
 
 def stat(name, u):
     """One sample's statistic, read from the batch row statistics that
-    ``critical_value`` and ``power_sweep`` use."""
+    ``_critical_values`` and ``power_sweep`` use."""
     return float(_row_statistics(np.asarray(u, dtype=float)[None, :], [name])[name][0])
 
 
@@ -110,9 +109,12 @@ def test_family_c_hand_values():
 def test_transforms_are_monotone_bijections():
     x = np.linspace(0.0, 1.0, 201)
     for fam in FAMILIES:
-        for k in (0.3, 1.7, 4.0):
-            y = apply_transform(x, Transformation(fam, k))
-            assert y[0] == 0.0 and y[-1] == pytest.approx(1.0)
+        # at 1.1, 1.5, 2.5 and 3.3, 0.5^k * 2^(k - 1) does not round to 0.5
+        for k in (0.3, 1.1, 1.5, 1.7, 2.5, 3.3, 4.0):
+            t = Transformation(fam, k)
+            y = apply_transform(x, t)
+            assert y[0] == 0.0 and y[-1] == 1.0
+            assert apply_transform(0.0, t) == 0.0 and apply_transform(1.0, t) == 1.0
             assert np.all(np.diff(y) > -1e-14)
             assert np.all((y >= 0.0) & (y <= 1.0))
 
@@ -218,8 +220,9 @@ def test_u2_is_rotation_invariant():
 
 
 def test_critical_value_determinism_and_null_size():
-    cv1 = critical_value("KS", 60, 0.1, m=2000, seed=5)
-    cv2 = critical_value("KS", 60, 0.1, m=2000, seed=5)
+    cv1 = power._critical_values(["KS"], 60, 0.1, 2000, 5)["KS"]
+    gamma_cache._calibration_slot.cache_clear()
+    cv2 = power._critical_values(["KS"], 60, 0.1, 2000, 5)["KS"]
     assert cv1 == cv2
     rng = np.random.default_rng(99)
     fresh = np.array([stat("KS", rng.random(60)) for _ in range(2000)])
@@ -231,26 +234,27 @@ def test_shared_null_pass_gives_each_statistic_its_own_critical_value():
     # 2500 null samples: one full chunk and a part, each cut into row blocks
     want = {t: oracle_critical_value(t, 37, 0.1, 2500, 6) for t in STAT_TESTS}
     for threads in (1, 2):
-        power._critical_slot.cache_clear()
+        gamma_cache._calibration_slot.cache_clear()
         assert power._critical_values(STAT_TESTS, 37, 0.1, 2500, 6, threads) == want
     for t in STAT_TESTS:
-        assert critical_value(t, 37, 0.1, m=2500, seed=6) == want[t]
+        assert power._critical_values([t], 37, 0.1, 2500, 6) == {t: want[t]}
 
 
 def test_sweep_critical_values_are_computed_once_per_key(monkeypatch, caplog):
     calls = []
-    simulated = power._simulated_critical_values
+    replicate_blocks = bands_single._replicate_blocks
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return simulated(*args)
+        return replicate_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(power, "_simulated_critical_values", spy)
+    # each null pass, with its thread count sixth
+    monkeypatch.setattr(bands_single, "_replicate_blocks", spy)
     with caplog.at_level(logging.DEBUG, logger="ecdf_bands"):
         first = power._critical_values(["T1", "W2"], 30, 0.1, 1000, 4, 2)
         again = power._critical_values(["T1", "W2"], 30, 0.1, 1000, 4, 1)
     assert again == first and again is not first
-    assert [args[-1] for args in calls] == [2]
+    assert [args[5] for args in calls] == [2]
     (hit,) = [r for r in caplog.records if "calibration memo" in r.getMessage()]
     assert hit.levelno == logging.DEBUG
     assert "critical values of T1,W2 for n=30, alpha=0.1" in hit.getMessage()
@@ -263,24 +267,24 @@ def test_sweep_critical_values_are_computed_once_per_key(monkeypatch, caplog):
                 (["T1", "W2"], 30, 0.1, 1000, 5)]:
         power._critical_values(*key)
     assert len(calls) == 6
-    # errors are raised every time, the public function always computes
+    # errors are raised every time, before any null pass, and never stored
     for _ in range(2):
         with pytest.raises(ValueError, match="at least 1000"):
             power._critical_values(["KS"], 30, 0.1, 999, 4)
-        critical_value("T1", 30, 0.1, m=1000, seed=4)
-    assert len(calls) == 10
-    power._critical_slot.cache_clear()
+    assert len(calls) == 6
+    assert gamma_cache._calibration_slot(("critical values", ("KS",), 30, 0.1, 999, 4)) == [None]
+    gamma_cache._calibration_slot.cache_clear()
     assert power._critical_values(["T1", "W2"], 30, 0.1, 1000, 4) == first
-    assert len(calls) == 11
+    assert len(calls) == 7
 
 
 def test_critical_value_validation():
     with pytest.raises(ValueError):
-        critical_value("XX", 60, 0.1)
+        power._critical_values(["XX"], 60, 0.1, 1000, 0)
     with pytest.raises(ValueError):
-        critical_value("KS", 60, 0.1, m=500)
+        power._critical_values(["KS"], 60, 0.1, 500, 0)
     with pytest.raises(ValueError):
-        critical_value("KS", 0, 0.1)
+        power._critical_values(["KS"], 0, 0.1, 1000, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,6 @@ def test_power_sweep_threads_do_not_change_results(monkeypatch):
         for t in (1, 3):
             # each thread count calibrates and simulates afresh
             gamma_cache._calibration_slot.cache_clear()
-            power._critical_slot.cache_clear()
             runs.append(power_sweep(tests, family, [1.5], n, replicates=1000, seed=4, n_chains=l, threads=t))
         assert runs[0].rates == runs[1].rates
         assert runs[0].meta == runs[1].meta

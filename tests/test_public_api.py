@@ -13,7 +13,10 @@ import ecdf_bands
 
 REMOVED = {
     "ecdf_bands.transform": ("fractional_ranks", "_grid_cell_counts"),
-    "ecdf_bands.power": ("stat_KS", "stat_T1", "stat_U2", "stat_W2", "_scalar_stat"),
+    "ecdf_bands.power": (
+        "stat_KS", "stat_T1", "stat_U2", "stat_W2", "_scalar_stat",
+        "critical_value", "_critical_slot", "_simulated_critical_values",
+    ),
     "ecdf_bands.bands_single": ("_tail_levels", "_grid_cell_counts", "_band_level", "_exact_coverage"),
     "ecdf_bands.bands_multi": ("_chain_cell_counts", "_chain_level_reader", "_chain_table", "_check_exact_chains"),
 }
