@@ -30,16 +30,18 @@ W x W cells, W^2 x W^2 in two coordinates.
 
 The pass can also stop short and hand back its state after chosen
 steps, ``(probs, log_scale, lo)``: the mass of count ``lo + i`` with
-every earlier window kept is ``probs[i] * exp(log_scale)``.  One
-sample's coverage joins two such states from half a pass when its
-problem reflects onto itself (``bands_single._band_mass``).
+every earlier window kept is ``probs[i] * exp(log_scale)``.  Either
+law's coverage joins two such states from half a pass when its problem
+reflects onto itself (``bands_single._half_or_full_mass``, for one
+sample and for two or three chains alike).
 
 ``route_count`` counts the passes run on the calling thread.  Every
-pass counts as ``"half"`` (by ``bands_single._band_mass``) or ``"full"``
-(by ``_band_mass`` and ``bands_multi._chain_mass``).  A pass that ran
-at least one step on its matrix also counts as ``"dense"`` (by
-``forward_mass``) and logs one DEBUG record on the ``ecdf_bands``
-logger.
+pass counts as ``"half"`` or ``"full"``, by
+``bands_single._half_or_full_mass``, which both laws' exact masses
+(``bands_single._band_mass``, ``bands_multi._chain_mass``) call.  A
+pass that ran at least one step on its matrix also counts as
+``"dense"`` (by ``forward_mass``) and logs one DEBUG record on the
+``ecdf_bands`` logger.
 """
 
 from __future__ import annotations
@@ -196,24 +198,28 @@ def forward_mass(lo, hi, src, ker, dst, keep=()):
     src_scale = np.exp(e1)
     dst_scale = np.exp(w2)
 
-    conv = _flat_convolution(kernel, width)
+    conv = _flat_convolution(kernel, width) if dims == 2 else None
     last_start = kernel.shape[1] - 1  # the next window still lies inside the convolution
     probs = np.zeros((width,) * dims)
     probs[(0,) * dims] = 1.0
     log_scale = 0.0
     kept = []
     ran = 0
+    total_of = np.add.reduce
     for t, (a, on_matrix) in enumerate(zip(shift.tolist(), dense.tolist())):
         if on_matrix:
             ran += 1
             probs = _dense_step(probs, a, src[t], ker[t], dst[t], live[t])
         else:
-            full = conv(probs * src_scale[t], t)
-            if 0 <= a <= last_start:
-                probs = full[(slice(a, a + width),) * dims] * dst_scale[t]
+            inner = 0 <= a <= last_start
+            if conv is None:
+                full = np.convolve(probs * src_scale[t], kernel[t])
+                probs = full[a : a + width] if inner else _window(full, a, width)
             else:
-                probs = _window(full, a, width) * dst_scale[t]
-        total = float(probs.sum())
+                full = conv(probs * src_scale[t], t)
+                probs = full[a : a + width, a : a + width] if inner else _window(full, a, width)
+            probs = probs * dst_scale[t]
+        total = float(total_of(probs, axis=None))
         if total <= 0.0:
             break
         if total < _TINY:
@@ -236,7 +242,7 @@ def forward_mass(lo, hi, src, ker, dst, keep=()):
         return 0.0
     if keep:
         return kept
-    return float(min(1.0, probs.sum() * math.exp(log_scale)))
+    return float(min(1.0, total_of(probs, axis=None) * math.exp(log_scale)))
 
 
 def _dense_step(probs, shift: int, src, ker, dst, live):
@@ -259,18 +265,16 @@ def _dense_step(probs, shift: int, src, ker, dst, live):
 
 
 def _flat_convolution(kernel: np.ndarray, width: int):
-    """Full convolution of a (width[, width]) state with step t's kernel,
-    as one ``np.convolve`` for either shape.
+    """Full convolution of a (width, width) state with step t's (J, J)
+    kernel, as one ``np.convolve``.
 
-    In two dimensions every row of the state and of the (J, J) kernel is
+    Every row of the state and of the kernel is
     zero-padded to the output width M = width + J - 1; the convolution of
     the flattened arrays then holds the 2-D result at row stride M, since
     no row's sum reaches past its padding.  The trailing padding of each
     last row is left off, so the flat result has exactly M * M entries.
     The kernels are padded once per pass.
     """
-    if kernel.ndim == 2:
-        return lambda state, t: np.convolve(state, kernel[t])
     steps, jumps = kernel.shape[:2]
     m = width + jumps - 1
     flat_kernels = np.zeros((steps, jumps, m))

@@ -9,14 +9,20 @@ three chains runs the shared forward pass (``_forward``) over joint
 count states whose increments are multivariate hypergeometric: with two
 chains the state is the first chain's count and each step is a 1-D
 convolution, with three it is the first two chains' counts over the full
-window and each step is a 2-D convolution.  More chains need simulation;
+window and each step is a 2-D convolution.  Reversing the pooled order
+leaves the law unchanged, so where the distinct pooled counts mirror
+(s_K = l n, s_i + s_{K-i} = l n) and the bounds reflect, the pass runs
+half way and joins at the middle, as one sample's does
+(``bands_single._half_or_full_mass``); this law supplies the middle
+state's multivariate hypergeometric mass.  More chains need simulation;
 ``gamma_cache.calibrate`` makes that choice.
 
 Only the hypergeometric parts live here: the pooled counts, the law
 record (``_chain_law``: the pooled counts as the table's key, the bottom
 of each row's support and the exact mass, ``_chain_mass``), the
-forward-pass factors, the replicates' pooled order (one sort of packed
-draw-and-chain keys, ``_chain_labeller``), and the cell of each pooled
+forward-pass factors and the middle state's mass (``_chain_context``),
+the replicates' pooled order (one sort of packed draw-and-chain keys,
+``_chain_labeller``), and the cell of each pooled
 rank (``_rank_cells``): a draw's cell id is its chain label times K + 1
 plus the cell of its rank, which is all this law supplies to the
 replicate path and to the observed-data counter.  The bands, the exact
@@ -37,8 +43,9 @@ are shared with the one-sample bands in ``bands_single`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from .bands_single import (
     _check_alpha,
     _coverage,
     _exceedances,
+    _half_or_full_mass,
     _Law,
     _optimized_gamma,
     _simulated_gamma,
@@ -131,7 +139,9 @@ def coverage_probability_multi(n: int, l: int, grid: EvaluationGrid, gamma: floa
     Supported for two or three chains; beyond that the joint state space
     grows too quickly and simulation should be used instead.  Each step
     is one convolution (``_chain_factors``), but a step whose scaled
-    factors leave double range runs on its transition matrix.
+    factors leave double range runs on its transition matrix.  Where the
+    distinct pooled counts mirror and the bounds reflect, the pass runs
+    half way (``_chain_mass``).
     """
     return _coverage(_chain_law(n, l, grid), gamma)
 
@@ -140,14 +150,63 @@ def _chain_mass(n: int, l: int, s, lo, hi) -> float:
     """Probability that two or three chains' counts stay inside [lo, hi]
     at the nondecreasing pooled counts ``s``: the one exact mass of this
     law, as ``bands_single._band_mass`` is for one sample.  A repeated
-    pooled count adds an identity step, so each is kept once."""
+    pooled count adds an identity step, so each is kept once.
+
+    Reversing the pooled order maps the law onto itself when the kept
+    pooled counts mirror, s_K = l n and s_i + s_{K-i} = l n: the counts
+    of the top l n - s_{K-j} ranks, n - C_{K-j}, are then a copy of the
+    forward counts C at s_j.  So the pass runs half way where the
+    bounds reflect too (``bands_single._half_or_full_mass``), and the
+    middle state's mass is multivariate hypergeometric
+    (``_unweigh_chains``).
+    """
     keep = np.concatenate(([True], s[1:] != s[:-1]))
-    _forward.count_route("full")
-    return _forward.forward_mass(*_chain_factors(n, l, s[keep], lo[keep], hi[keep]))
+    s = s[keep]
+    _, middle = _chain_context(n, l, s.tobytes())
+    factors = partial(_chain_factors, n, l, s)
+    unweigh = None if middle is None else partial(_unweigh_chains, *middle)
+    return _half_or_full_mass(n, unweigh, factors, lo[keep], hi[keep])
+
+
+@lru_cache(maxsize=8)
+def _chain_context(n: int, l: int, key: bytes):
+    """The pieces of the chains' exact mass that do not depend on the
+    bounds, at the distinct pooled counts s whose int64 bytes are
+    ``key``: each step's log normalizer log C(l n - s_{i-1}, s_i -
+    s_{i-1}) (``_log_choose``), and, where the counts mirror, the
+    middle point's pooled count s_b, b = floor(K/2), with the log masses
+    ``_unweigh_chains`` reads there, or None."""
+    s = np.frombuffer(key, dtype=np.int64)
+    s_prev = np.concatenate(([0], s[:-1]))
+    log_steps = _log_choose(l * n - s_prev, s - s_prev)
+    log_steps.setflags(write=False)
+    if not (s.size >= 2 and s[-1] == l * n and np.all(s[:-1] + s[-2::-1] == l * n)):
+        return log_steps, None
+    sb = int(s[s.size // 2 - 1])
+    q = 1.0 - sb / (l * n)
+    p = 1.0 - q
+    log_counts = dist.binom_log_pmf(np.append(np.arange(n + 1), sb), np.append(np.full(n + 1, n), l * n), p, q)
+    log_counts.setflags(write=False)
+    return log_steps, (sb, log_counts[:-1], float(log_counts[-1]))
+
+
+def _unweigh_chains(sb: int, log_count, log_pooled: float, terms: np.ndarray, r: tuple) -> np.ndarray:
+    """``terms`` less the log of the mass of the first l - 1 chains'
+    counts ``r`` at pooled count s_b: prod_j C(n, r_j) / C(l n, s_b)
+    over all l chains, the last holding s_b - sum_j r_j.  It is taken
+    as ``_cdf_rows`` takes a chain row's first mass, in Loader's form:
+    prod_j b(r_j; n, p) / b(s_b; l n, p) with p = s_b / (l n), which
+    holds for any p, with ``log_count[k]`` = log b(k; n, p) and
+    ``log_pooled`` = log b(s_b; l n, p)."""
+    log_mass = log_count[sb - sum(r)]
+    for rj in r:
+        log_mass = log_count[rj] + log_mass
+    return terms - (log_mass - log_pooled)
 
 
 def _chain_factors(n: int, l: int, s, lo, hi):
-    """``_forward.forward_mass`` arguments for two or three chains.
+    """``_forward.forward_mass`` arguments for two or three chains at the
+    first ``lo.size`` pooled counts of ``s``.
 
     The state is the counts r_j of the first l - 1 chains over the full
     window [lo_i, hi_i]^(l-1); the last chain holds the rest of the
@@ -155,11 +214,17 @@ def _chain_factors(n: int, l: int, s, lo, hi):
     s + ds adds d_j to chain j with probability
     prod_j C(n - r_j, d_j) / C(l*n - s, ds), summing over all l chains:
     source prod_j (n - r_j)!, jump 1 / prod_j d_j! over the normalizer,
-    destination 1 / prod_j (n - r'_j)!.
+    destination 1 / prod_j (n - r'_j)!.  The normalizer comes from
+    Stirling's formula (``_log_choose``, by way of ``_chain_context``):
+    the source and destination factorials cancel along every path, but
+    a log-factorial normalizer's rounding at log((l n)!) would not.
     """
     dims = l - 1
     along, per_step = _forward._along, _forward._per_step
     lf = dist.log_factorial_table(l * n)
+    s = np.asarray(s, dtype=np.int64)
+    log_steps = _chain_context(n, l, s.tobytes())[0][: lo.size]
+    s = s[: lo.size]
     s_ext = np.concatenate(([0], s))
     lo_ext = np.concatenate(([0], lo))
     hi_ext = np.concatenate(([0], hi))
@@ -180,13 +245,36 @@ def _chain_factors(n: int, l: int, s, lo, hi):
     dst, last = log_fact(lo_ext[1:], s)
     inside = (last >= per_step(lo, dims)) & (last <= per_step(hi, dims))
     jumps = np.arange(max(int(np.minimum(ds, hi_ext[1:] - lo_ext[:-1]).max()), 0) + 1)
-    ker = per_step(-dist.log_choose(l * n - s_ext[:-1], ds), dims)
+    ker = per_step(-log_steps, dims)
     rest = per_step(ds, dims)
     for axis in range(dims):
         ker = ker - along(lf[jumps][None, :], axis, dims)
         rest = rest - along(jumps[None, :], axis, dims)
     ker = np.where(rest >= 0, ker - lf[np.maximum(rest, 0)], -np.inf)
     return lo_ext, hi_ext, src, ker, np.where(inside, -dst, -np.inf)
+
+
+def _log_choose(total, k):
+    """log C(total, k) from Stirling's formula and its remainders
+    (``dist.stirlerr``), as Loader's form has it at p = k / total:
+
+        k log1p((total - k) / k) + (total - k) log1p(k / (total - k))
+        - log sqrt(2 pi k (total - k) / total)
+        + stirlerr(total) - stirlerr(k) - stirlerr(total - k).
+
+    The difference of log-factorials rounds at log(total!), about 1e-13
+    absolute near total = 300, and a pass adds one such normalizer per
+    step without cancellation; here every term is of the size of the
+    result or smaller."""
+    total = np.asarray(total, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    inner = (k > 0) & (k < total)
+    total, k = np.where(inner, total, 2.0), np.where(inner, k, 1.0)
+    rest = total - k
+    rem = dist.stirlerr(np.concatenate((total, k, rest))).reshape(3, -1)
+    out = k * np.log1p(rest / k) + rest * np.log1p(k / rest) - 0.5 * np.log(2.0 * math.pi * k * (rest / total))
+    out += rem[0] - rem[1] - rem[2]
+    return np.where(inner, out, 0.0)
 
 
 def _rank_cells(s: np.ndarray, size: int) -> np.ndarray:

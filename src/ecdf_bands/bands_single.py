@@ -621,54 +621,81 @@ def _mirrored(cdf_key: tuple) -> bool:
 
 def _band_mass(n: int, cdf_key: tuple, lo: np.ndarray, hi: np.ndarray) -> float:
     """Probability that one sample's counts stay inside [lo, hi] at every
-    grid point, from half a pass when the problem reflects onto itself.
+    grid point, from half a pass when the problem reflects onto itself
+    (``_half_or_full_mass``).
 
     Under the null the cell counts between grid points are multinomial,
-    and on a grid that maps onto itself their reversed order has the
-    same law, so the counts read from z = 1 down, D_j = n - C_{K-j},
-    are a copy of the forward counts.  When the bounds reflect as well,
+    and on a grid that maps onto itself (``_mirrored``) their reversed
+    order has the same law.  The middle state's mass is
+    Binomial(n, z_b)(r) (``_unweigh_binomial``).
+    """
+    unweigh = partial(_unweigh_binomial, n, cdf_key[len(cdf_key) // 2 - 1]) if _mirrored(cdf_key) else None
+    return _half_or_full_mass(n, unweigh, partial(_single_factors, n, cdf_key), lo, hi)
+
+
+def _half_or_full_mass(n: int, unweigh, factors, lo: np.ndarray, hi: np.ndarray) -> float:
+    """The exact mass of either count law: the probability that every
+    count stays inside [lo_i, hi_i] at each of the K points, from half a
+    pass when the problem reflects onto itself.
+
+    ``factors(lo, hi)`` gives the ``_forward.forward_mass`` arguments for
+    the first ``lo.size`` points.  ``unweigh`` is None unless reversing
+    the order of the draws maps the law onto itself: read from the top
+    down, D_j = n - C_{K-j} is then a copy of the forward counts C (for
+    chains, coordinate by coordinate).  When the bounds reflect as well,
     lo_i = n - hi_{K-i} (with hi_K = n, which C_K = n needs), the
     constraints on C at points b..K are those on D at points 0..a, where
     a = ceil(K/2) and b = floor(K/2).  Given C_b = r the two halves are
-    independent, so with f_t(r) the mass of count r at point t with
-    every window up to t kept,
+    independent, so with f_t(r) the mass of state r at point t with
+    every window up to t kept and H the law of the state at point b,
 
-        coverage = sum_r f_b(r) * f_a(n - r) / Binomial(n, z_b)(r),
+        coverage = sum_r f_b(r) * f_a(n - r) / H(r),
 
-    and one pass of a steps yields both f_b and f_a (``_join``).  Any
-    other problem runs the full pass.
+    and one pass of a steps yields both f_b and f_a (``_join``).  The
+    law supplies H: ``unweigh(terms, r)`` takes log f_b(r) +
+    log f_a(n - r) at the states r (a tuple of count arrays, one per
+    coordinate) and subtracts log H(r).  Every pass counts its route.
+    Any other problem runs the full pass.
     """
-    if not (_mirrored(cdf_key) and hi[-1] == n and np.array_equal(lo[:-1], n - hi[-2::-1])):
+    if not (unweigh is not None and hi[-1] == n and np.array_equal(lo[:-1], n - hi[-2::-1])):
         _forward.count_route("full")
-        return _forward.forward_mass(*_single_factors(n, cdf_key, lo, hi))
+        return _forward.forward_mass(*factors(lo, hi))
     a, b = (lo.size + 1) // 2, lo.size // 2
     _forward.count_route("half")
-    states = _forward.forward_mass(*_single_factors(n, cdf_key, lo[:a], hi[:a]), keep=(b, a))
+    states = _forward.forward_mass(*factors(lo[:a], hi[:a]), keep=(b, a))
     if not states:
         return 0.0
-    return _join(n, cdf_key[b - 1], states[0], states[-1])
+    return _join(n, states[0], states[-1], unweigh)
 
 
-def _join(n: int, z: float, first, second) -> float:
-    """``sum_r f(r) * g(n - r) / Binomial(n, z)(r)`` in log space, from
-    ``_forward.forward_mass`` states ``(probs, log_scale, lo)`` of f and g."""
+def _join(n: int, first, second, unweigh) -> float:
+    """``sum_r f(r) * g(n - r) / H(r)`` in log space, from
+    ``_forward.forward_mass`` states ``(probs, log_scale, lo)`` of f and
+    g, over every coordinate of r; ``unweigh(terms, r)`` subtracts
+    log H(r) from log f(r) + log g(n - r) at the states where both
+    hold mass."""
     (pf, sf, f_lo), (pg, sg, g_lo) = first, second
-    width = pf.size
-    r = np.arange(max(f_lo, n - g_lo - width + 1), min(f_lo + width, n - g_lo + 1))
-    f, g = pf[r - f_lo], pg[n - r - g_lo]
+    width = pf.shape[0]
+    start, stop = max(f_lo, n - g_lo - width + 1), min(f_lo + width, n - g_lo + 1)
+    if start >= stop:
+        return 0.0
+    f = pf[(slice(start - f_lo, stop - f_lo),) * pf.ndim]
+    g = np.flip(pg[(slice(n - g_lo - stop + 1, n - g_lo - start + 1),) * pg.ndim])
     live = (f > 0.0) & (g > 0.0)
     if not live.any():
         return 0.0
-    r = r[live]
-    lf = dist.log_factorial_table(n)
-    log_terms = (
-        np.log(f[live])
-        + np.log(g[live])
-        + (lf[r] + lf[n - r] - lf[n])
-        - (r * math.log(z) + (n - r) * math.log1p(-z))
-    )
+    r = tuple(c + start for c in np.nonzero(live))
+    log_terms = unweigh(np.log(f[live]) + np.log(g[live]), r)
     top = float(log_terms.max())
     return float(min(1.0, math.exp(top + sf + sg + math.log(np.exp(log_terms - top).sum()))))
+
+
+def _unweigh_binomial(n: int, z: float, terms: np.ndarray, r: tuple) -> np.ndarray:
+    """``terms`` less the log of one sample's middle mass
+    Binomial(n, z)(r), from the log-factorial table."""
+    (r,) = r
+    lf = dist.log_factorial_table(n)
+    return terms + (lf[r] + lf[n - r] - lf[n]) - (r * math.log(z) + (n - r) * math.log1p(-z))
 
 
 @lru_cache(maxsize=8)

@@ -1,7 +1,6 @@
 """The log-factorial kernel under both count laws' tables.
 
-``log_factorial_table`` keeps one cached, read-only table of ``log(k!)``
-and ``log_choose`` reads binomial coefficients from it in log space.
+``log_factorial_table`` keeps one cached, read-only table of ``log(k!)``.
 The table is Cephes' ``lgam`` in numpy: ``log(k!)`` itself below 12,
 then Stirling's formula with Cephes' minimax series for the remainder
 (``_stirling_series``), with the same operations in the same order, so
@@ -32,7 +31,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["binom_log_pmf", "log_choose", "log_factorial_table", "stirlerr"]
+__all__ = ["binom_log_pmf", "log_factorial_table", "stirlerr"]
 
 _LOG_SQRT_2PI = 0.91893853320467274178
 """log(sqrt(2 pi)), Cephes' ``LS2PI``."""
@@ -193,15 +192,3 @@ def log_factorial_table(n: int) -> np.ndarray:
             table.setflags(write=False)
             _log_factorial = table
     return table
-
-
-def log_choose(n, k) -> np.ndarray:
-    """Elementwise ``log C(n, k)``; ``-inf`` outside ``0 <= k <= n``."""
-    n = np.asarray(n, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    table = log_factorial_table(int(n.max(initial=0)))
-    valid = (n >= 0) & (k >= 0) & (k <= n)
-    nn = np.where(valid, n, 0)
-    kk = np.where(valid, k, 0)
-    out = table[nn] - table[kk] - table[nn - kk]
-    return np.where(valid, out, -np.inf)

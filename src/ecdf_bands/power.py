@@ -99,8 +99,10 @@ def _distort(x: np.ndarray, t: Transformation) -> np.ndarray:
     side (B: min(x, 1 - x); C: |x - 0.5|), raised to the power k once,
     and unfolded (B: 1 - y on the right; C: 0.5 plus y with the sign of
     x - 0.5), which rounds every draw exactly as the two halves' own
-    formulas do; family C then maps 0 to 0 and 1 to 1 exactly, which its
-    formula can miss by an ulp.  These families work on at least 1-d
+    formulas do.  Family C clamps y at 0.5, which its formula can pass by
+    an ulp within a few ulps of the endpoints, so every draw stays in
+    [0, 1], and maps 0 to 0 and 1 to 1 exactly.  These families work on
+    at least 1-d
     arrays, so that a scalar takes the same array power as a batch of
     draws.
     """
@@ -112,8 +114,9 @@ def _distort(x: np.ndarray, t: Transformation) -> np.ndarray:
     if t.family == "B":
         bent = np.minimum(v, 1.0 - v) ** k
         bent *= scale
-        out = 1.0 - bent
-        np.copyto(out, bent, where=v <= 0.5)
+        # y on the left, and 1 + (-y), which is exactly 1 - y, on the right
+        out = np.copysign(bent, 0.5 - v, out=bent)
+        out += v > 0.5
     else:
         d = v - 0.5
         bent = np.abs(d)
@@ -122,6 +125,9 @@ def _distort(x: np.ndarray, t: Transformation) -> np.ndarray:
         edge = bent.max(initial=0.0) == 0.5
         bent **= k
         bent *= scale
+        # within a few ulps of 0.5, |x - 0.5|^k * 2^(k - 1) can round
+        # above 0.5, which would carry the draw out of [0, 1]
+        np.minimum(bent, 0.5, out=bent)
         out = np.copysign(bent, d, out=bent)
         out += 0.5
         if edge:
@@ -290,9 +296,10 @@ def _pooled_labeller(n: int, l: int):
     floor-divided by n, chain for chain, on every row where no two
     chains' draws are exactly equal.  At such an exact tie the
     undistorted draw sorts first, and tied undistorted draws sort by
-    chain (``argsort``'s order there is unspecified).  A draw that
-    family C rounds to just below 0 sorts as a draw at 0.  Past the
-    limit the pooled floats are argsorted.
+    chain (``argsort``'s order there is unspecified).  A distorted draw
+    of 1.0 sorts as the lattice's last point, and one below 0, which no
+    family gives, as a draw at 0.  Past the limit the pooled
+    floats are argsorted.
     """
     if l > bands_multi._PACKED_CHAIN_LIMIT:
 

@@ -69,6 +69,7 @@ name a bad one, so it must give the same table, resolution and error.
 """
 
 import csv
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -77,6 +78,19 @@ import numpy as np
 from scipy.special import betainc
 
 from ecdf_bands import bands_multi, bands_single, dist
+
+
+def log_choose(n, k) -> np.ndarray:
+    """Elementwise ``log C(n, k)`` as a difference of log-factorials
+    (``dist.log_factorial_table``); ``-inf`` outside ``0 <= k <= n``."""
+    n = np.asarray(n, dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    table = dist.log_factorial_table(int(n.max(initial=0)))
+    valid = (n >= 0) & (k >= 0) & (k <= n)
+    nn = np.where(valid, n, 0)
+    kk = np.where(valid, k, 0)
+    out = table[nn] - table[kk] - table[nn - kk]
+    return np.where(valid, out, -np.inf)
 
 
 def binom_logpmf(k, n, p: float) -> np.ndarray:
@@ -91,7 +105,7 @@ def binom_logpmf(k, n, p: float) -> np.ndarray:
         return np.where((k == 0) & (n >= 0), 0.0, -np.inf)
     if p == 1.0:
         return np.where((k == n) & (n >= 0), 0.0, -np.inf)
-    lc = dist.log_choose(n, k)
+    lc = log_choose(n, k)
     kk = np.where(np.isfinite(lc), k, 0)
     nn = np.where(np.isfinite(lc), n, 0)
     out = lc + kk * math.log(p) + (nn - kk) * math.log1p(-p)
@@ -321,9 +335,9 @@ def coverage_two_chains(n: int, s, lo, hi) -> float:
         r_new = np.arange(new_lo, new_hi + 1)
         growth = r_new[:, None] - r_old[None, :]
         log_t = (
-            dist.log_choose(n - r_old[None, :], growth)
-            + dist.log_choose(n - (prev_s - r_old[None, :]), ds - growth)
-            - dist.log_choose(2 * n - prev_s, ds)
+            log_choose(n - r_old[None, :], growth)
+            + log_choose(n - (prev_s - r_old[None, :]), ds - growth)
+            - log_choose(2 * n - prev_s, ds)
         )
         probs = np.exp(log_t) @ probs
         if float(probs.sum()) <= 0.0:
@@ -363,10 +377,10 @@ def coverage_three_chains(n: int, s, lo, hi) -> float:
     if r1.size == 0:
         return 0.0
     log_init = (
-        dist.log_choose(n, r1)
-        + dist.log_choose(n, r2)
-        + dist.log_choose(n, r3)
-        - dist.log_choose(3 * n, s0)
+        log_choose(n, r1)
+        + log_choose(n, r2)
+        + log_choose(n, r3)
+        - log_choose(3 * n, s0)
     )
     probs = _sorted_triple_multiplicity(r1, r2, r3) * np.exp(log_init)
     cur_r1, cur_r2 = r1, r2
@@ -387,10 +401,10 @@ def coverage_three_chains(n: int, s, lo, hi) -> float:
         d1 = n1[:, None] - cur_r1[None, :]
         d2 = n2[:, None] - cur_r2[None, :]
         log_t = (
-            dist.log_choose(n - cur_r1[None, :], d1)
-            + dist.log_choose(n - cur_r2[None, :], d2)
-            + dist.log_choose(n - cur_r3[None, :], ds - d1 - d2)
-            - dist.log_choose(3 * n - prev_s, ds)
+            log_choose(n - cur_r1[None, :], d1)
+            + log_choose(n - cur_r2[None, :], d2)
+            + log_choose(n - cur_r3[None, :], ds - d1 - d2)
+            - log_choose(3 * n - prev_s, ds)
         )
         probs = np.exp(log_t) @ probs
         if float(probs.sum()) <= 0.0:
@@ -466,6 +480,39 @@ def exact_chain_mass(n: int, l: int, s, lo, hi) -> Fraction:
         den *= math.comb(l * n - prev_s, si - prev_s)
         prev_s, prev = si, counts
     return Fraction(num, den)
+
+
+def exact_chain_coverage(n: int, l: int, s, lo, hi) -> Fraction:
+    """Exact probability that each of l chains of n draws holds a count
+    in [lo_i, hi_i] of the s_i smallest pooled ranks at every grid
+    point, for two chains and for small three-chain shapes.
+
+    A forward recursion over the first l - 1 chains' counts in integer
+    arithmetic: each state carries its mass times one common
+    denominator, the product of the steps' C(l * n - s, ds), and a step
+    that adds d_j to chain j (the last chain taking the rest of ds)
+    multiplies it by prod_j C(n - r_j, d_j).  It shares no code with the
+    program, and nothing rounds."""
+    states = {(0,) * (l - 1): 1}
+    den, prev_s = 1, 0
+    for si, a, b in zip(s, lo, hi):
+        si, a, b = int(si), int(a), int(b)
+        ds = si - prev_s
+        nxt = {}
+        for r, weight in states.items():
+            counts = r + (prev_s - sum(r),)
+            for d in itertools.product(*(range(min(ds, n - c) + 1) for c in r)):
+                step = d + (ds - sum(d),)
+                new = tuple(c + x for c, x in zip(counts, step))
+                if step[-1] < 0 or not all(a <= c <= b for c in new):
+                    continue
+                ways = math.prod(math.comb(n - c, x) for c, x in zip(counts, step))
+                nxt[new[:-1]] = nxt.get(new[:-1], 0) + weight * ways
+        den *= math.comb(l * n - prev_s, ds)
+        states, prev_s = nxt, si
+        if not states:
+            return Fraction(0)
+    return Fraction(sum(states.values()), den)
 
 
 def search_steps_bisect(coverage_fn, cdf_values, alpha: float, floor: float):
@@ -660,8 +707,10 @@ def masked_transform(x, family: str, k: float):
             out[left] = scale * xa[left] ** k
             out[right] = 1.0 - scale * (1.0 - xa[right]) ** k
         else:
-            out[left] = 0.5 - scale * (0.5 - xa[left]) ** k
-            out[right] = 0.5 + scale * (xa[right] - 0.5) ** k
+            # near the endpoints the bent half can pass 0.5 by an ulp; the
+            # transform clamps it there
+            out[left] = 0.5 - np.minimum(scale * (0.5 - xa[left]) ** k, 0.5)
+            out[right] = 0.5 + np.minimum(scale * (xa[right] - 0.5) ** k, 0.5)
             # the formula can miss an endpoint by an ulp; the transform fixes both
             out[xa == 0.0] = 0.0
             out[xa == 1.0] = 1.0

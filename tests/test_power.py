@@ -119,6 +119,20 @@ def test_transforms_are_monotone_bijections():
             assert np.all((y >= 0.0) & (y <= 1.0))
 
 
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 1.1, 1.5, 2.0, 2.5, 3.3, 7.0, 20.0, 100.0])
+def test_family_c_stays_in_the_unit_interval_next_to_the_endpoints(k):
+    # within a few ulps of 0.5, |x - 0.5|^k * 2^(k - 1) can round above
+    # 0.5: at k = 0.5, 1.5 and 2.5 the unclamped formula sent 1e-300 to
+    # -1.1e-16, below its image of 0
+    t = Transformation("C", k)
+    x = np.array([0.0, 5e-324, 1e-300, *(2.0**-e for e in range(60, 49, -1)), 1.0 - 2.0**-53, 1.0])
+    y = apply_transform(x, t)
+    assert y[0] == 0.0 and y[-1] == 1.0
+    assert np.all((y >= 0.0) & (y <= 1.0))
+    assert np.all(np.diff(y) >= 0.0)
+    assert 0.0 <= apply_transform(1e-300, t) <= apply_transform(2.0**-53, t)
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.lists(unit_values, min_size=1, max_size=30), fam=st.sampled_from(FAMILIES), k=strengths)
 def test_transform_matches_the_masked_halves_bit_for_bit(x, fam, k):
